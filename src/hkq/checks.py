@@ -676,6 +676,9 @@ SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {
 def run_suite(name: str, trials: int, seed: int) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+    # with no trials every residual stays 0.0 and the suite would pass vacuously
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return SUITES[name](trials, seed)
 
 

@@ -195,10 +195,6 @@ def metric_g(v1: TangentPair, v2: TangentPair) -> float:
     )
 
 
-def g_norm(v: TangentPair) -> float:
-    return float(np.sqrt(max(metric_g(v, v), 0.0)))
-
-
 def apply_I(j: int, v: TangentPair) -> TangentPair:
     """Apply the j-th complex structure; the formulas are exact."""
     if j == 1:
@@ -233,18 +229,6 @@ def act1(g: GroupElement, pt: ConfigPoint) -> ConfigPoint:
     """
     ginv = g.inv()
     return ConfigPoint(pt.trunc, pt.x @ ginv, pt.X @ dagger(g.g))
-
-
-def infinitesimal_act1(a: np.ndarray, pt: ConfigPoint) -> TangentPair:
-    """Derivative of act1 along the one-parameter group of exp(-t a):
-    a.(x, X) = (-x a, X a*)."""
-    return TangentPair(-pt.x @ a, pt.X @ dagger(a))
-
-
-def orbit_direction(a: np.ndarray, pt: ConfigPoint) -> TangentPair:
-    """Tangent to the unitary-group orbit: a.(x, X) = (-x a, -X a) for
-    skew-Hermitian a (both group actions agree there)."""
-    return TangentPair(-pt.x @ a, -pt.X @ a)
 
 
 def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:

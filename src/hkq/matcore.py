@@ -2,9 +2,9 @@
 
 Hermitian eigendecomposition, functional calculus of Hermitian matrices,
 SVD, gauge-fixed orthonormalization of ranges and null spaces, and the
-symmetric (anticommutator) Sylvester solver used by the orbit-tangent
-projector.  All scalars are complex128; the acceptance tolerances
-(1e-9 .. 1e-12) need full double precision.
+symmetric (anticommutator) Sylvester solver, with stacked right-hand sides,
+used by the tangent projectors.  All scalars are complex128; the acceptance
+tolerances (1e-9 .. 1e-12) need full double precision.
 
 Everything here is a pure function of immutable inputs and is safe to call
 concurrently.
@@ -58,8 +58,8 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose; a stack (..., r, c) is transposed matrix by matrix."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def fnorm(m) -> float:
@@ -157,11 +157,6 @@ def herm_sqrt(m) -> np.ndarray:
                     domain_check=lambda lam: lam >= -HERMITIAN_TOL * (1.0 + np.max(np.abs(lam))))
 
 
-def herm_log(m) -> np.ndarray:
-    """Logarithm of a Hermitian positive-definite matrix."""
-    return herm_fun(m, np.log, domain_check=lambda lam: lam > 0.0)
-
-
 def herm_inv_sqrt(m) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix."""
     return herm_fun(m, lambda lam: 1.0 / np.sqrt(lam),
@@ -234,23 +229,25 @@ def null_space_frame(m, tol: float = RANK_TOL) -> np.ndarray:
     return _fix_column_phases(w[:, rank:])
 
 
-def left_null_space_frame(m, tol: float = RANK_TOL) -> np.ndarray:
-    """Gauge-fixed orthonormal basis of the orthogonal complement of Ran M."""
-    return null_space_frame(dagger(as_matrix(m)), tol)
-
-
 def sym_sylvester_solve(m, s, eps: float = 1e-12) -> np.ndarray:
     """Solve (M a + a M)/2 = S for skew-Hermitian a.
 
-    M must be Hermitian positive definite and S skew-Hermitian; the solution
-    is computed in the eigenbasis of M via a_ij = 2 S_ij / (lam_i + lam_j)
-    and is unique there since all lam_i + lam_j > 0.
+    M is Hermitian positive definite, given as a matrix or as its
+    HermitianSpectrum (so that several solves against one M share one
+    eigendecomposition).  S is skew-Hermitian: one p x p matrix, or a stack
+    (..., p, p) of right-hand sides solved against the same M, in which case
+    the solutions come back stacked the same way.  The solution is computed in
+    the eigenbasis of M via a_ij = 2 S_ij / (lam_i + lam_j) and is unique
+    there since all lam_i + lam_j > 0.
     """
-    m = as_matrix(m, "M")
-    s = as_matrix(s, "S")
-    if m.shape != s.shape or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"M {m.shape} and S {s.shape} must be square and equal")
-    spec = herm_eig(m)
+    given = isinstance(m, HermitianSpectrum)
+    shape = m.eigenvectors.shape if given else as_matrix(m, "M").shape
+    s = np.asarray(s, dtype=np.complex128)
+    if shape[0] != shape[1] or s.ndim < 2 or s.shape[-2:] != shape:
+        raise ShapeMismatch(f"M {shape} must be square and S {s.shape} must end in it")
+    if not np.all(np.isfinite(s)):
+        raise ShapeMismatch("S contains non-finite entries")
+    spec = m if given else herm_eig(m)
     lam = spec.eigenvalues
     if np.any(lam <= eps):
         raise NotPositiveDefinite(

@@ -14,14 +14,34 @@ representative of the intersection orbit (unique up to the free compact
 action); every downstream quantity we evaluate on it is invariant under
 that action.
 
-The tangent projectors split T(TM) at a level-set point into the orbit
-tangent, the level-set tangent and the horizontal slice; the orbit component
-is obtained from the anticommutator Sylvester equation
+The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
-    (M a + a M)/2 = -skew(x*Z + X*T),      M = x*x + X*X >= k^2 Id,
+    H (+) O (+) I1 O (+) I2 O (+) I3 O,
 
-and the level-set component from the assembled kernel projector of the
-constraint differential dF(Z, T) = (X*Z + T*x, x*Z + Z*x - X*T - T*X).
+where O = {(-x a, -X a) : a skew-Hermitian} is the orbit tangent and H the
+horizontal slice (Hitchin-Karlhede-Lindstrom-Rocek, Comm. Math. Phys. 108
+(1987) 535-589).  The orbit component comes from the anticommutator Sylvester
+equation
+
+    (M a + a M)/2 = -skew(x*Z + X*T),      M = x*x + X*X >= k^2 Id.
+
+Derivation of the level-set projector.  The level set is cut out by the three
+moment maps mu_j, and d<mu_j, b>(v) = omega_j(xi_b, v) = g(I_j xi_b, v) for
+the orbit vector xi_b, so the normal space of the level set is
+I1 O + I2 O + I3 O.  Each I_j is a g-isometry, so I_j O has dimension p^2
+like O.  For j != l, g(I_j xi_a, I_l xi_b) = +-omega_m(xi_a, xi_b) with
+{j, l, m} = {1, 2, 3}, which is +-Tr(mu_m [a, b]) up to a constant: it
+vanishes exactly when mu_m is central, i.e. at level points (mu2 = mu3 = 0,
+mu1 a multiple of Id).  The three normal blocks are therefore mutually
+g-orthogonal there, the projector onto I_j O is I_j P_O I_j^-1 = -I_j P_O I_j,
+and
+
+    P_level v = v + sum_j I_j P_O(I_j v).
+
+The three orbit projections of I_j v share M, so the level projection is one
+stacked Sylvester solve on one eigendecomposition of M: no constraint matrix
+is assembled and nothing is cached between calls, so this module is as safe
+to call concurrently as matcore.
 """
 
 from __future__ import annotations
@@ -36,8 +56,9 @@ from .errors import NotInStable1, NotInStable3, NotOnLevelSet
 from .grassmann import graph_operator, psi3, psi3_section
 from .hkspace import ConfigPoint, GroupElement, TangentPair, act1, act3, apply_I, metric_g, omega
 from .matcore import (
+    HermitianSpectrum,
     dagger,
-    fnorm,
+    herm_eig,
     herm_fun,
     herm_inv_sqrt,
     herm_sqrt,
@@ -144,6 +165,35 @@ def _require_level(pt: ConfigPoint, tol: float | None) -> None:
         )
 
 
+def _level_spectrum(pt: ConfigPoint, tol: float | None) -> HermitianSpectrum:
+    """Level membership check and the one eigendecomposition of M that every
+    projector at pt solves against."""
+    _require_level(pt, tol)
+    return herm_eig(dagger(pt.x) @ pt.x + dagger(pt.X) @ pt.X)
+
+
+def _orbit(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:
+    x, X = pt.x, pt.X
+    a = sym_sylvester_solve(spec, -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T))
+    return TangentPair(-x @ a, -X @ a)
+
+
+def _level(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:
+    x, X, Z, T = pt.x, pt.X, v.Z, v.T
+    xs, Xs = dagger(x), dagger(X)
+    xZ, xT, XZ, XT = xs @ Z, xs @ T, Xs @ Z, Xs @ T
+    # the orbit equations of I1 v = (iZ, -iT), I2 v = (T, -Z), I3 v = (iT, iZ)
+    rhs = np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)])
+    a1, a2, a3 = sym_sylvester_solve(spec, -skew_part(rhs))
+    return TangentPair(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
+                       T + X @ (1j * a1) + x @ (a2 - 1j * a3))
+
+
+def _horizontal(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:
+    w = _level(pt, spec, v)
+    return w - _orbit(pt, spec, w)
+
+
 def orbit_tangent_projection(
     pt: ConfigPoint, v: TangentPair, tol: float | None = None
 ) -> TangentPair:
@@ -153,86 +203,28 @@ def orbit_tangent_projection(
     anticommutator equation (M a + a M)/2 = -skew(x*Z + X*T) with
     M = x*x + X*X, positive definite (>= k^2 Id on the level set).
     """
-    _require_level(pt, tol)
-    x, X = pt.x, pt.X
-    m = hermitian_part(dagger(x) @ x + dagger(X) @ X)
-    rhs = -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T)
-    a = sym_sylvester_solve(m, rhs)
-    return TangentPair(-x @ a, -X @ a)
-
-
-def _pack(v: TangentPair) -> np.ndarray:
-    return np.concatenate(
-        [v.Z.real.ravel(), v.Z.imag.ravel(), v.T.real.ravel(), v.T.imag.ravel()]
-    )
-
-
-def _unpack(w: np.ndarray, n: int, p: int) -> TangentPair:
-    m = n * p
-    z = w[:m].reshape(n, p) + 1j * w[m:2 * m].reshape(n, p)
-    t = w[2 * m:3 * m].reshape(n, p) + 1j * w[3 * m:].reshape(n, p)
-    return TangentPair(z, t)
-
-
-def _constraint_rows(pt: ConfigPoint) -> np.ndarray:
-    """Real matrix of dF at pt acting on the real parametrization of (Z, T)."""
-    x, X = pt.x, pt.X
-    n, p = x.shape
-    dim = 4 * n * p
-    rows = np.empty((4 * p * p, dim))
-    basis = np.zeros(dim)
-    for i in range(dim):
-        basis[i] = 1.0
-        v = _unpack(basis, n, p)
-        basis[i] = 0.0
-        a = dagger(X) @ v.Z + dagger(v.T) @ x
-        b = dagger(x) @ v.Z + dagger(v.Z) @ x - dagger(X) @ v.T - dagger(v.T) @ X
-        rows[:, i] = np.concatenate(
-            [a.real.ravel(), a.imag.ravel(), b.real.ravel(), b.imag.ravel()]
-        )
-    return rows
-
-
-# repeated projections at the same point dominate the property suites, so the
-# orthonormal row basis of dF is memoized on the point's raw bytes
-_ROW_BASIS_CACHE: dict[bytes, np.ndarray] = {}
-_ROW_BASIS_CACHE_MAX = 8
-
-
-def _kernel_row_basis(pt: ConfigPoint) -> np.ndarray:
-    key = pt.x.tobytes() + pt.X.tobytes()
-    cached = _ROW_BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows = _constraint_rows(pt)
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > 1e-12 * s[0]))
-    else:
-        rank = 0
-    basis = vt[:rank]
-    if len(_ROW_BASIS_CACHE) >= _ROW_BASIS_CACHE_MAX:
-        _ROW_BASIS_CACHE.pop(next(iter(_ROW_BASIS_CACHE)))
-    _ROW_BASIS_CACHE[key] = basis
-    return basis
+    return _orbit(pt, _level_spectrum(pt, tol), v)
 
 
 def levelset_tangent_projection(
     pt: ConfigPoint, v: TangentPair, tol: float | None = None
 ) -> TangentPair:
-    """g-orthogonal projection of v onto the kernel of the constraint
-    differential (the tangent space of the level set).
+    """g-orthogonal projection of v onto the tangent space of the level set,
+    the kernel of dF(Z, T) = (X*Z + T*x, x*Z + Z*x - X*T - T*X).
 
-    The real parametrization of (Z, T) makes the flat metric the standard
-    Euclidean product, so the kernel projector comes straight from an SVD of
-    the assembled dF.
+    At a level point the normal space is I1 O (+) I2 O (+) I3 O, g-orthogonal
+    blocks (see the module docstring), so
+
+        P_level v = v + sum_j I_j P_O(I_j v).
+
+    The orbit projection of I_j v solves (M a_j + a_j M)/2 = -skew(c_j) with
+    c_1 = i(x*Z - X*T), c_2 = x*T - X*Z, c_3 = i(x*T + X*Z); the three solves
+    share one eigendecomposition of M, and
+
+        Z' = Z - x (i a_1) - X (a_2 + i a_3),
+        T' = T + X (i a_1) + x (a_2 - i a_3).
     """
-    _require_level(pt, tol)
-    n, p = pt.x.shape
-    row_basis = _kernel_row_basis(pt)
-    w = _pack(v)
-    w_proj = w - row_basis.T @ (row_basis @ w)
-    return _unpack(w_proj, n, p)
+    return _level(pt, _level_spectrum(pt, tol), v)
 
 
 def horizontal_projection(
@@ -240,8 +232,7 @@ def horizontal_projection(
 ) -> TangentPair:
     """Projection onto the horizontal slice: the g-orthogonal complement of
     the orbit tangent inside the level-set tangent."""
-    w = levelset_tangent_projection(pt, v, tol)
-    return w - orbit_tangent_projection(pt, w, tol)
+    return _horizontal(pt, _level_spectrum(pt, tol), v)
 
 
 def reduced_pairing(
@@ -258,8 +249,9 @@ def reduced_pairing(
     and different level-set representatives give the same number (up to the
     pushforward of the vectors).
     """
-    h1 = horizontal_projection(pt, v1, tol)
-    h2 = horizontal_projection(pt, v2, tol)
+    spec = _level_spectrum(pt, tol)
+    h1 = _horizontal(pt, spec, v1)
+    h2 = _horizontal(pt, spec, v2)
     if which == "g":
         return metric_g(h1, h2)
     if which in ("w1", "w2", "w3"):
@@ -292,12 +284,16 @@ class SliceBasis:
 
 
 def slice_basis(pt: ConfigPoint, tol: float | None = None) -> SliceBasis:
-    """Bundle the tangent projectors at a level-set point."""
-    _require_level(pt, tol)
+    """Bundle the tangent projectors at a level-set point.
+
+    Membership is checked and M decomposed once, here; the bundled projectors
+    all solve against that spectrum.
+    """
+    spec = _level_spectrum(pt, tol)
     return SliceBasis(
         base=pt,
         orbit_dim=pt.trunc.p ** 2,
-        orbit=lambda v: orbit_tangent_projection(pt, v, tol),
-        level=lambda v: levelset_tangent_projection(pt, v, tol),
-        horizontal=lambda v: horizontal_projection(pt, v, tol),
+        orbit=lambda v: _orbit(pt, spec, v),
+        level=lambda v: _level(pt, spec, v),
+        horizontal=lambda v: _horizontal(pt, spec, v),
     )

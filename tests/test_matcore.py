@@ -203,3 +203,28 @@ class TestSylvester:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sym_sylvester_solve(np.eye(2), np.zeros((3, 3)))
+
+    def test_stacked_rhs_and_given_spectrum(self, rng):
+        g = gaussian_complex(rng, (4, 4))
+        m = g @ dagger(g) + np.eye(4)
+        stack = skew_part(gaussian_complex(rng, (3, 4, 4)))
+        spec = herm_eig(m)
+        for solved in (sym_sylvester_solve(m, stack), sym_sylvester_solve(spec, stack)):
+            assert solved.shape == (3, 4, 4)
+            for a, s in zip(solved, stack):
+                assert fnorm(a - sym_sylvester_solve(m, s)) <= 1e-14 * (1 + fnorm(a))
+        assert fnorm(sym_sylvester_solve(spec, stack[0])
+                     - sym_sylvester_solve(m, stack[0])) == 0.0
+
+    def test_rejects_bad_stacks(self):
+        spec = herm_eig(np.eye(2))
+        with pytest.raises(ShapeMismatch):
+            sym_sylvester_solve(spec, np.zeros((3, 3, 3)))
+        with pytest.raises(ShapeMismatch):
+            sym_sylvester_solve(spec, np.zeros(2))
+        bad = np.zeros((2, 2, 2))
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ShapeMismatch):
+            sym_sylvester_solve(spec, bad)
+        with pytest.raises(NotPositiveDefinite):
+            sym_sylvester_solve(herm_eig(np.diag([1.0, -1.0])), np.zeros((2, 2, 2)))

@@ -14,7 +14,7 @@ from hkq.hkspace import (
     flat_potential_K,
     metric_g,
 )
-from hkq.matcore import dagger, fnorm
+from hkq.matcore import dagger, fnorm, skew_part
 from hkq.moment import level_residual
 from hkq.quotient import (
     horizontal_projection,
@@ -250,3 +250,106 @@ class TestSliceBasis:
         for i in range(5):
             for j in range(i + 1, 5):
                 assert abs(metric_g(parts[i], parts[j])) <= 1e-8 * (1 + nv * nv)
+
+
+# ---------------------------------------------------------------------------
+# assembled-dF oracle
+# ---------------------------------------------------------------------------
+
+def _pack(v):
+    return np.concatenate(
+        [v.Z.real.ravel(), v.Z.imag.ravel(), v.T.real.ravel(), v.T.imag.ravel()])
+
+
+def _unpack(w, n, p):
+    m = n * p
+    return TangentPair(w[:m].reshape(n, p) + 1j * w[m:2 * m].reshape(n, p),
+                       w[2 * m:3 * m].reshape(n, p) + 1j * w[3 * m:].reshape(n, p))
+
+
+def _dF(pt, v):
+    """Constraint differential (X*Z + T*x, x*Z + Z*x - X*T - T*X)."""
+    x, X, Z, T = pt.x, pt.X, v.Z, v.T
+    return (dagger(X) @ Z + dagger(T) @ x,
+            dagger(x) @ Z + dagger(Z) @ x - dagger(X) @ T - dagger(T) @ X)
+
+
+def _dF_norm(pt, v):
+    a, b = _dF(pt, v)
+    return fnorm(a) + fnorm(b)
+
+
+def _oracle_projection(pt, v, horizontal=False):
+    """Kernel projector of dF (and, for the horizontal slice, of the orbit
+    condition skew(x*Z + X*T) = 0) assembled column by column on the real
+    parametrization of (Z, T), where g is the Euclidean product."""
+    n, p = pt.x.shape
+    dim = 4 * n * p
+    cols = []
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        w = _unpack(e, n, p)
+        blocks = list(_dF(pt, w))
+        if horizontal:
+            blocks.append(skew_part(dagger(pt.x) @ w.Z + dagger(pt.X) @ w.T))
+        cols.append(np.concatenate([part for blk in blocks
+                                    for part in (blk.real.ravel(), blk.imag.ravel())]))
+    _, s, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    row_basis = vt[: int(np.count_nonzero(s > 1e-12 * s[0]))]
+    w = _pack(v)
+    return _unpack(w - row_basis.T @ (row_basis @ w), n, p)
+
+
+def _conditioning(pt):
+    """lambda_max(M) / k^2 with M = x*x + X*X.  Round-off leaves the sampled
+    point off the level set by about eps ||M||, i.e. eps times this ratio
+    relative to the level k^2, and the normal blocks I_j O are g-orthogonal
+    only up to that; the closed form is judged against it."""
+    m = dagger(pt.x) @ pt.x + dagger(pt.X) @ pt.X
+    return float(np.linalg.eigvalsh(m)[-1]) / pt.trunc.k2
+
+
+ORACLE_SHAPES = [(1, 1), (2, 3), (3, 2), (4, 4), (6, 5), (1, 6), (6, 1)]
+ORACLE_KS = [0.05, SQRT2, 30.0]
+
+
+class TestAssembledOracle:
+    @pytest.mark.parametrize("k", ORACLE_KS)
+    @pytest.mark.parametrize("p,q", ORACLE_SHAPES)
+    def test_closed_form_matches_kernel_projector(self, p, q, k, rng):
+        tr = Truncation(p, q, k)
+        pt = sample_level(tr, rng)
+        cond = _conditioning(pt)
+        m_half = np.sqrt(cond) * abs(k)
+        for _ in range(2):
+            v = random_tangent(tr, rng)
+            bound = 1e-12 * (1 + np.sqrt(metric_g(v, v))) * cond
+            level = levelset_tangent_projection(pt, v)
+            want = _oracle_projection(pt, v)
+            assert fnorm(level.Z - want.Z) + fnorm(level.T - want.T) <= bound
+            horiz = horizontal_projection(pt, v)
+            want = _oracle_projection(pt, v, horizontal=True)
+            assert fnorm(horiz.Z - want.Z) + fnorm(horiz.T - want.T) <= bound
+            # dF(w) is of size ||M||^(1/2) ||w||
+            assert _dF_norm(pt, level) <= bound * m_half
+
+
+class TestLargeShapes:
+    @pytest.mark.parametrize("p,q", [(32, 32), (8, 64)])
+    def test_slice_basis_and_level_residual(self, p, q, rng):
+        tr = Truncation(p, q, SQRT2)
+        pt = sample_level(tr, rng)
+        basis = slice_basis(pt)
+        v = random_tangent(tr, rng)
+        nv = np.sqrt(metric_g(v, v))
+        parts = [basis.orbit(v), basis.horizontal(v)]
+        parts += [basis.i_orbit(j)(v) for j in (1, 2, 3)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        assert fnorm((total - v).Z) + fnorm((total - v).T) <= 1e-8 * (1 + nv)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                assert abs(metric_g(parts[i], parts[j])) <= 1e-8 * (1 + nv * nv)
+        assert _dF_norm(pt, basis.level(v)) <= 1e-9 * (1 + nv)
