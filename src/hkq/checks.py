@@ -8,8 +8,7 @@ not exceptions: the runner aggregates them into an exit code.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,6 @@ from .grassmann import (
     characteristic_angles,
     curvature_op_I1,
     curvature_op_I1_via_R,
-    graph_operator,
     projector_distance,
     psi1,
     psi1_section,
@@ -42,12 +40,7 @@ from .hkspace import (
     omega_C,
 )
 from .matcore import dagger, fnorm
-from .moment import (
-    level_residual,
-    moment,
-    moment_pairing_check,
-    on_level_set,
-)
+from .moment import moment, moment_pairing_check
 from .quotient import (
     horizontal_projection,
     levelset_tangent_projection,

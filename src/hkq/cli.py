@@ -15,7 +15,7 @@ import numpy as np
 from . import checks, jsonio
 from .config import membership_tol
 from .errors import HkqError
-from .grassmann import characteristic_angles, graph_operator, psi1, psi3
+from .grassmann import characteristic_angles, psi1, psi3
 from .hkspace import Truncation, flat_potential_K
 from .matcore import fnorm
 from .moment import in_stable1, in_stable3, level_residual, on_level_set

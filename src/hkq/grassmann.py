@@ -233,6 +233,13 @@ def graph_operator(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
     (transversality); then A = F_Pperp* F_Qperp M^-1 and the columns of
     F_P + F_Pperp A span Q^perp.
     """
+    return _graph(pair, tol)[0]
+
+
+def _graph(pair: OrbitPair, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The graph operator A of graph_operator together with the frame
+    F_Pperp it is written in, so that callers needing both (the canonical
+    section, project3) compute the complement of P once."""
     t = membership_tol(tol)
     fqp = complement_frame(pair.Q)
     m = dagger(pair.P.frame) @ fqp
@@ -243,7 +250,7 @@ def graph_operator(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
             f"{0.0 if s.size == 0 else s[-1]:.3e}"
         )
     fpp = complement_frame(pair.P)
-    return (dagger(fpp) @ fqp) @ np.linalg.inv(m)
+    return (dagger(fpp) @ fqp) @ np.linalg.inv(m), fpp
 
 
 def psi3_section(pair: OrbitPair, k: float, tol: float | None = None) -> ConfigPoint:
@@ -254,12 +261,16 @@ def psi3_section(pair: OrbitPair, k: float, tol: float | None = None) -> ConfigP
     Satisfies x*x - X*X = k^2 Id and X*x = -(k^2/4) A*A exactly, so it lies
     in the stable set of the third structure, and psi3 reproduces (P, Q).
     """
-    a = graph_operator(pair, tol)
-    fp = pair.P.frame
-    fpp = complement_frame(pair.P)
+    a, fpp = _graph(pair, tol)
+    return _section(pair.P.frame, a, fpp, k)
+
+
+def _section(fp: np.ndarray, a: np.ndarray, fpp: np.ndarray, k: float) -> ConfigPoint:
+    """psi3_section from the frame of P and an already computed _graph."""
     n, p = fp.shape
-    x = k * (fp + 0.5 * (fpp @ a))
-    X = -0.5 * k * (fpp @ a)
+    w = fpp @ a
+    x = k * (fp + 0.5 * w)
+    X = -0.5 * k * w
     return ConfigPoint(Truncation(p, n - p, k), x, X)
 
 

@@ -20,13 +20,13 @@ curvature lives on the Grassmannian side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import HERMITIAN_TOL, UNITARY_TOL
 from .errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
-from .matcore import as_matrix, dagger, fnorm, herm_fun, is_hermitian
+from .matcore import as_matrix, dagger, fnorm, herm_eig, is_hermitian
 
 __all__ = [
     "ConfigPoint",
@@ -241,7 +241,8 @@ def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:
         x' = x u^-1 cosh(h) - X u^-1 sinh(h)
         X' = -x u^-1 sinh(h) + X u^-1 cosh(h).
 
-    act3(0, Id, pt) is the identity exactly.
+    cosh(h) and sinh(h) share one eigendecomposition of h.  act3(0, Id, pt)
+    is the identity exactly.
     """
     h = as_matrix(h, "h")
     if h.shape != (pt.trunc.p, pt.trunc.p):
@@ -252,15 +253,14 @@ def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:
         err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
         if err > UNITARY_TOL * (1.0 + fnorm(u.g)):
             raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
-    if fnorm(h) == 0.0:
-        xu = pt.x @ u.inv()
-        Xu = pt.X @ u.inv()
-        return ConfigPoint(pt.trunc, xu, Xu)
-    c = herm_fun(h, np.cosh)
-    s = herm_fun(h, np.sinh)
     uinv = u.inv()
     xu = pt.x @ uinv
     Xu = pt.X @ uinv
+    if fnorm(h) == 0.0:
+        return ConfigPoint(pt.trunc, xu, Xu)
+    spec = herm_eig(h)
+    c = spec.fun(np.cosh)
+    s = spec.fun(np.sinh)
     return ConfigPoint(pt.trunc, xu @ c - Xu @ s, -xu @ s + Xu @ c)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "is_hermitian",
     "null_space_frame",
     "orthonormal_range",
+    "psd_sqrt",
     "svd",
     "sym_sylvester_solve",
 ]
@@ -98,6 +99,45 @@ class HermitianSpectrum:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ dagger(u)
 
+    def fun(
+        self,
+        f: Callable[[np.ndarray], np.ndarray],
+        domain_check: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Functional calculus on this spectrum: hermitian_part(U diag(f(lam)) U*).
+
+        `domain_check` is a vectorized predicate on the eigenvalues (e.g.
+        lam > 0 for log); offenders raise DomainViolation.  Several functions
+        of one matrix (|x| and |x|^-1, cosh and sinh) share one
+        factorization by calling fun on the same spectrum.
+        """
+        lam = self.eigenvalues
+        if domain_check is not None:
+            _check_domain(lam, domain_check(lam))
+        u = self.eigenvectors
+        out = (u * np.asarray(f(lam), dtype=np.float64)) @ dagger(u)
+        return hermitian_part(out)
+
+
+def _check_domain(lam: np.ndarray, ok) -> None:
+    ok = np.asarray(ok, dtype=bool)
+    if not np.all(ok):
+        bad = lam[~ok]
+        raise DomainViolation(
+            f"eigenvalues outside the domain of the scalar map: {bad}",
+            offending=bad,
+        )
+
+
+def psd_sqrt(lam: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of a positive semi-definite matrix.
+
+    Round-off negatives down to -HERMITIAN_TOL (1 + max|lam|) are clipped to
+    zero; anything below raises DomainViolation.
+    """
+    _check_domain(lam, lam >= -HERMITIAN_TOL * (1.0 + np.max(np.abs(lam))))
+    return np.sqrt(np.clip(lam, 0.0, None))
+
 
 def herm_eig(m, tol: float = HERMITIAN_TOL) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
@@ -131,36 +171,15 @@ def herm_fun(
 ) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix spectrally.
 
-    Returns U diag(f(lam)) U*.  `domain_check` is a vectorized predicate on
-    the eigenvalues (e.g. lam > 0 for log); offenders raise DomainViolation.
-    The result is exactly Hermitian by construction.
+    Returns U diag(f(lam)) U*, exactly Hermitian by construction:
+    herm_eig(m, tol).fun(f, domain_check), see HermitianSpectrum.fun.
     """
-    spec = herm_eig(m, tol)
-    lam = spec.eigenvalues
-    if domain_check is not None:
-        ok = np.asarray(domain_check(lam), dtype=bool)
-        if not np.all(ok):
-            bad = lam[~ok]
-            raise DomainViolation(
-                f"eigenvalues outside the domain of the scalar map: {bad}",
-                offending=bad,
-            )
-    fl = np.asarray(f(lam), dtype=np.float64)
-    u = spec.eigenvectors
-    out = (u * fl) @ dagger(u)
-    return hermitian_part(out)
+    return herm_eig(m, tol).fun(f, domain_check)
 
 
 def herm_sqrt(m) -> np.ndarray:
     """Square root of a Hermitian PSD matrix (tiny negatives clipped)."""
-    return herm_fun(m, lambda lam: np.sqrt(np.clip(lam, 0.0, None)),
-                    domain_check=lambda lam: lam >= -HERMITIAN_TOL * (1.0 + np.max(np.abs(lam))))
-
-
-def herm_inv_sqrt(m) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-definite matrix."""
-    return herm_fun(m, lambda lam: 1.0 / np.sqrt(lam),
-                    domain_check=lambda lam: lam > 0.0)
+    return herm_eig(m).fun(psd_sqrt)
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,16 +220,15 @@ def orthonormal_range(m, tol: float = RANK_TOL) -> np.ndarray:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = as_matrix(m)
     u, s, _ = svd(m)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
         rank = int(np.count_nonzero(s > tol * s[0]))
-    if rank < min(m.shape):
+    if rank < s.size:
         warnings.warn(
             RankDeficientWarning(
-                f"matrix has numerical rank {rank} < {min(m.shape)}", rank
+                f"matrix has numerical rank {rank} < {s.size}", rank
             ),
             stacklevel=2,
         )

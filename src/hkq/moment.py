@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import membership_tol
 from .errors import NotSkew, ShapeMismatch
-from .hkspace import ConfigPoint, TangentPair, metric_g, omega
+from .hkspace import ConfigPoint, TangentPair, omega
 from .matcore import as_matrix, dagger, fnorm
 
 __all__ = [

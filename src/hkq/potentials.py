@@ -50,9 +50,17 @@ from .grassmann import (
     psi3,
 )
 from .hkspace import ConfigPoint, GroupElement, flat_potential_K
-from .matcore import dagger, fnorm, herm_eig, herm_sqrt, hermitian_part, is_hermitian
+from .matcore import (
+    HermitianSpectrum,
+    dagger,
+    herm_eig,
+    herm_sqrt,
+    hermitian_part,
+    is_hermitian,
+    psd_sqrt,
+)
 from .moment import in_stable1, in_stable3
-from .quotient import project1, project3
+from .quotient import _fiber_operand, project1, project3
 
 __all__ = [
     "IntegralityWarning",
@@ -126,23 +134,20 @@ def curvature_weight_k3hat(u: float) -> float:
     return float(np.expm1(0.5 * np.log1p(u)) / u)
 
 
-def _logdet_term(pt: ConfigPoint) -> float:
-    """(k^2/4) log det(x*x / k^2)."""
+def _logdet_term(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
+    """(k^2/4) log det(x*x / k^2), from the spectrum xx of x*x."""
     k2 = pt.trunc.k2
-    lam = herm_eig(dagger(pt.x) @ pt.x).eigenvalues
+    lam = xx.eigenvalues
     if np.any(lam <= 0):
         raise NotInStable1("x*x is not positive definite")
     return float(0.25 * k2 * np.sum(np.log(lam / k2)))
 
 
-def _fiber_spectrum(pt: ConfigPoint) -> np.ndarray:
+def _fiber_spectrum(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
     """Eigenvalues of 4 V*V for the cotangent fiber coordinate of pt,
     computed as the spectrum of (4/k^4) |x| X*X |x| (same nonzero spectrum
     as the frame-coordinate V, including multiplicities)."""
-    k2 = pt.trunc.k2
-    sx = herm_sqrt(dagger(pt.x) @ pt.x)
-    m = (4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx)
-    lam = herm_eig(hermitian_part(m)).eigenvalues
+    lam = herm_eig(_fiber_operand(pt, xx)).eigenvalues
     return np.clip(lam, 0.0, None)
 
 
@@ -160,18 +165,16 @@ def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
     if not in_stable1(pt, tol):
         raise NotInStable1("K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc)
-    p = pt.trunc.p
     k2 = pt.trunc.k2
-    eye = np.eye(p)
-    sx = herm_sqrt(dagger(pt.x) @ pt.x)
-    inner = eye + (4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx)
-    gamma2_over_k2 = 0.5 * (eye + herm_sqrt(hermitian_part(inner)))
-    lam = herm_eig(gamma2_over_k2).eigenvalues
+    xx = herm_eig(dagger(pt.x) @ pt.x)
+    # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
+    mu = herm_eig(np.eye(pt.trunc.p) + _fiber_operand(pt, xx)).eigenvalues
+    lam = 0.5 * (1.0 + psd_sqrt(mu))
     if np.any(lam <= 0):
         raise NotInStable1("gamma gamma* is not positive definite")
     term2 = 0.5 * k2 * float(np.sum(lam - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(lam)))
-    return _logdet_term(pt) + term2 + term3
+    return _logdet_term(pt, xx) + term2 + term3
 
 
 def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
@@ -180,11 +183,12 @@ def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
         raise NotInStable1("K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc)
     k2 = pt.trunc.k2
-    u = _fiber_spectrum(pt)
+    xx = herm_eig(dagger(pt.x) @ pt.x)
+    u = _fiber_spectrum(pt, xx)
     root = np.sqrt(1.0 + u)
     term2 = 0.25 * k2 * float(np.sum(root - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(0.5 * (1.0 + root))))
-    return _logdet_term(pt) + term2 + term3
+    return _logdet_term(pt, xx) + term2 + term3
 
 
 def K1_curvature(pt: ConfigPoint, tol: float | None = None) -> float:
@@ -193,7 +197,8 @@ def K1_curvature(pt: ConfigPoint, tol: float | None = None) -> float:
         raise NotInStable1("K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc)
     v = fiber_coordinate(pt, tol)
-    return _logdet_term(pt) + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v)
+    return (_logdet_term(pt, herm_eig(dagger(pt.x) @ pt.x))
+            + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v))
 
 
 def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
@@ -335,7 +340,12 @@ def character_log_term(g: GroupElement, k: float) -> float:
 def quotient_potential(pt: ConfigPoint, structure: str = "i1",
                        tol: float | None = None) -> PotentialReport:
     """Generic quotient-potential formula: flat potential at the projected
-    point plus the character term of the projecting group element."""
+    point plus the character term of the projecting group element.
+
+    The report's value is their sum; extras holds the two parts,
+    extras["flat_at_level"] (flat potential K at project1's point) and
+    extras["character"] ((k^2/2) log det g of project1's group element).
+    No other route is evaluated here."""
     if structure != "i1":
         raise ValueError("the quotient-potential formula is assembled for 'i1'")
     if not in_stable1(pt, tol):
@@ -345,14 +355,13 @@ def quotient_potential(pt: ConfigPoint, structure: str = "i1",
         warnings.simplefilter("ignore", IntegralityWarning)
         flat = flat_potential_K(res.point)
         char = character_log_term(res.group_part, pt.trunc.k)
-        closed = K1_closed(pt, tol)
     _warn_integrality(pt.trunc)
     return PotentialReport(
         label="K1",
         value=flat + char,
         route="level",
         inputs_digest=_digest(pt),
-        extras={"flat_at_level": flat, "character": char, "closed": closed},
+        extras={"flat_at_level": flat, "character": char},
     )
 
 

@@ -6,10 +6,13 @@ first structure onto the level set: the unique positive group element g with
     g^-2 = (x*x)^{-1/2} . gamma gamma* . (x*x)^{-1/2},
     gamma gamma* = (k^2/2) (Id + (Id + (4/k^4) |x| X*X |x|)^{1/2}),
 
-moves (x, X) into the level set.  project3 routes through the subspace-pair
-picture: map the point down with psi3, take the canonical preimage of the
-pair, and slide it onto the level set with the closed-form positive part
-h = (1/4) log(Id + A*A) of the third action.  The returned point is a
+moves (x, X) into the level set; one eigendecomposition of x*x gives both
+|x| and |x|^-1.  project3 routes through the subspace-pair picture: map
+the point down with psi3 (which is where third-stable membership is
+checked), take the canonical preimage of the pair, and slide it onto the
+level set with the closed-form positive part h = (1/4) log(Id + A*A) of the
+third action; the graph operator A and the complement frame F_Pperp are
+computed once and serve both the preimage and h.  The returned point is a
 representative of the intersection orbit (unique up to the free compact
 action); every downstream quantity we evaluate on it is invariant under
 that action.
@@ -53,16 +56,16 @@ import numpy as np
 
 from .config import membership_tol
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet
-from .grassmann import graph_operator, psi3, psi3_section
+from .grassmann import _graph, _section, psi3
 from .hkspace import ConfigPoint, GroupElement, TangentPair, act1, act3, apply_I, metric_g, omega
 from .matcore import (
     HermitianSpectrum,
     dagger,
     herm_eig,
     herm_fun,
-    herm_inv_sqrt,
     herm_sqrt,
     hermitian_part,
+    psd_sqrt,
     skew_part,
     sym_sylvester_solve,
 )
@@ -100,18 +103,30 @@ class ProjectionResult:
     u: GroupElement | None = None
 
 
+def _fiber_operand(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
+    """(4/k^4) |x| X*X |x|, Hermitian, with |x| taken on the spectrum xx of
+    x*x (a caller that needs more of x*x decomposes it once and passes it).
+
+    Its spectrum is that of 4 V*V for the cotangent fiber coordinate V, and
+    Id plus it is the operand under the square root of gamma gamma*."""
+    k2 = pt.trunc.k2
+    sx = xx.fun(psd_sqrt)
+    return hermitian_part((4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx))
+
+
 def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
-    """Closed-form projection onto the level set along the first action."""
+    """Closed-form projection onto the level set along the first action.
+
+    One eigendecomposition of x*x gives both |x| (inside the fiber operand)
+    and |x|^-1."""
     if not in_stable1(pt, tol):
         raise NotInStable1("project1 requires X*x = 0 and injective x")
     p = pt.trunc.p
     k2 = pt.trunc.k2
     eye = np.eye(p)
-    xx = dagger(pt.x) @ pt.x
-    sx = herm_sqrt(xx)
-    isx = herm_inv_sqrt(xx)
-    inner = eye + (4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx)
-    gamma2 = 0.5 * k2 * (eye + herm_sqrt(hermitian_part(inner)))
+    xx = herm_eig(dagger(pt.x) @ pt.x)
+    isx = xx.fun(lambda lam: 1.0 / np.sqrt(lam), domain_check=lambda lam: lam > 0.0)
+    gamma2 = 0.5 * k2 * (eye + herm_sqrt(eye + _fiber_operand(pt, xx)))
     g_minus2 = hermitian_part(isx @ gamma2 @ isx)
     g = herm_fun(g_minus2, lambda lam: 1.0 / np.sqrt(lam),
                  domain_check=lambda lam: lam > 0.0)
@@ -129,21 +144,18 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
 def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
-    Route: (P, Q) = psi3(pt); canonical preimage pt0 = psi3_section(P, Q);
-    h = (1/4) log(Id + A*A); point = act3(-h, Id, pt0).  The result lies in
-    the level set (exactly, up to round-off) and in the same orbit as pt
-    (psi3 reproduces the pair).  It matches the intrinsic projection only up
-    to the free compact action; the flat potential of the result is
-    nevertheless the exact projected value by invariance.
+    Route: (P, Q) = psi3(pt), which checks third-stable membership and
+    raises NotInStable3; the graph operator A and the frame F_Pperp are
+    computed once and give both h = (1/4) log(Id + A*A) and the canonical
+    preimage pt0 = psi3_section(P, Q); point = act3(-h, Id, pt0).  The
+    result lies in the level set (exactly, up to round-off) and in the same
+    orbit as pt (psi3 reproduces the pair).  It matches the intrinsic
+    projection only up to the free compact action; the flat potential of
+    the result is nevertheless the exact projected value by invariance.
     """
-    if not in_stable3(pt, tol):
-        raise NotInStable3(
-            "project3 requires x*x - X*X = k^2 Id, Hermitian X*x and "
-            "full-rank x +/- X"
-        )
     pair, _ = psi3(pt, tol)
-    a = graph_operator(pair, tol)
-    pt0 = psi3_section(pair, pt.trunc.k, tol)
+    a, fpp = _graph(pair, tol)
+    pt0 = _section(pair.P.frame, a, fpp, pt.trunc.k)
     p = pt.trunc.p
     h = 0.25 * herm_fun(np.eye(p) + dagger(a) @ a, np.log,
                         domain_check=lambda lam: lam > 0.0)

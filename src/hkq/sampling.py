@@ -20,7 +20,6 @@ __all__ = [
     "gaussian_complex",
     "gaussian_real",
     "make_rng",
-    "random_gr_tangent",
     "random_group_positive",
     "random_hermitian_ball",
     "random_skew",
@@ -174,9 +173,3 @@ def sample_orbit_pair(trunc: Truncation, rng: np.random.Generator,
         f"no transversal pair after {max_retries} draws "
         f"(margin {min_transversality})"
     )
-
-
-def random_gr_tangent(trunc: Truncation, rng: np.random.Generator,
-                      scale: float = 1.0) -> np.ndarray:
-    """Random Grassmannian tangent coordinate matrix, (n-p) x p."""
-    return scale * gaussian_complex(rng, (trunc.q, trunc.p))

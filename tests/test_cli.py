@@ -1,5 +1,6 @@
-"""Exit codes of `hkq check`: 0 when every suite passes, 1 when a suite
-reports a failed check, 2 for input the runner rejects."""
+"""Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
+cross-check fails, 2 for input the CLI rejects (unknown route, a point
+outside the required set, a malformed file, a trial count below one)."""
 
 import pytest
 
@@ -33,3 +34,55 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert "FAIL stub.broken" in out
     assert "checks_failed 1" in out
     assert "overall FAIL" in out
+
+
+@pytest.mark.parametrize("space,structure,which,psi", [
+    ("stable1", "i1", "k1", "psi1"),
+    ("stable3", "i3", "k3", "psi3"),
+])
+def test_round_trip_exits_0(space, structure, which, psi, tmp_path, capsys):
+    sampled, projected, mapped = (tmp_path / n for n in ("s.json", "l.json", "m.json"))
+    steps = [
+        ["sample", "--space", space, "-p", "3", "-q", "2", "--seed", "5", "-o", str(sampled)],
+        ["project", "--structure", structure, "-i", str(sampled), "-o", str(projected)],
+        ["potential", "--which", which, "-i", str(projected)],
+        ["map", "--which", psi, "-i", str(projected), "-o", str(mapped)],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        out = capsys.readouterr().out
+        if argv[0] == "potential":
+            assert "cross_check pass" in out
+    assert mapped.exists()
+
+
+def _sample(path, space="stable1"):
+    argv = ["sample", "--space", space, "-p", "2", "-q", "2", "-o", str(path)]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_unknown_route_exits_2(tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    assert cli.main(["potential", "--which", "k1", "--route", "nope",
+                     "-i", str(point)]) == cli.EXIT_INPUT
+    assert "unknown route 'nope'" in capsys.readouterr().err
+
+
+def test_project_i3_off_the_third_stable_set_exits_2(tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)  # X*x = 0 but x*x - X*X != k^2 Id
+    assert cli.main(["project", "--structure", "i3", "-i", str(point),
+                     "-o", str(tmp_path / "out.json")]) == cli.EXIT_INPUT
+    assert "psi3 requires" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not_json"])
+def test_malformed_point_file_exits_2(damage, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    text = point.read_text()
+    point.write_text(text[: len(text) // 2] if damage == "truncated" else "p 2 q 2\n")
+    assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
+    assert "invalid JSON" in capsys.readouterr().err

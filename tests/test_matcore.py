@@ -16,6 +16,7 @@ from hkq.matcore import (
     herm_sqrt,
     null_space_frame,
     orthonormal_range,
+    psd_sqrt,
     skew_part,
     svd,
     sym_sylvester_solve,
@@ -94,6 +95,33 @@ class TestHermFun:
         m = g @ dagger(g)  # PSD
         back = herm_fun(herm_sqrt(m), np.square)
         assert fnorm(back - m) <= 1e-10 * (1 + fnorm(m))
+
+
+class TestSpectrumFun:
+    def test_matches_herm_fun(self, rng):
+        m = random_hermitian(rng, 5)
+        spec = herm_eig(m)
+        assert np.array_equal(spec.fun(np.cosh), herm_fun(m, np.cosh))
+        assert np.array_equal(spec.fun(np.sinh), herm_fun(m, np.sinh))
+
+    def test_two_functions_of_one_spectrum(self, rng):
+        m = random_hermitian(rng, 4)
+        spec = herm_eig(m)
+        c, s = spec.fun(np.cosh), spec.fun(np.sinh)
+        ident = c @ c - s @ s  # cosh^2 - sinh^2 = 1
+        assert fnorm(ident - np.eye(4)) <= 1e-12 * (1 + fnorm(c) ** 2)
+        assert fnorm(c - dagger(c)) == 0.0
+
+    def test_domain_check(self):
+        spec = herm_eig(np.diag([1.0, -2.0]))
+        with pytest.raises(DomainViolation) as err:
+            spec.fun(np.log, domain_check=lambda lam: lam > 0)
+        assert np.array_equal(err.value.offending, [-2.0])
+
+    def test_psd_sqrt_clips_round_off_only(self):
+        assert np.array_equal(psd_sqrt(np.array([-1e-14, 4.0])), [0.0, 2.0])
+        with pytest.raises(DomainViolation):
+            psd_sqrt(np.array([-1e-3, 4.0]))
 
 
 class TestSvd:

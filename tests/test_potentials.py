@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3
+from hkq import potentials
+from hkq.cli import CROSS_ROUTE_TOL
+from hkq.config import membership_tol
 from hkq.errors import NotInStable1, NotPositive, NotPositiveDefinite
 from hkq.grassmann import psi3, psi3_section
 from hkq.hkspace import ConfigPoint, GroupElement, Truncation, act1, act3, flat_potential_K
@@ -24,7 +27,8 @@ from hkq.potentials import (
     fiber_coordinate,
     quotient_potential,
 )
-from hkq.quotient import project1
+from hkq.moment import level_residual
+from hkq.quotient import project1, project3
 from hkq.sampling import (
     make_rng,
     random_hermitian_ball,
@@ -248,6 +252,16 @@ class TestQuotientPotential:
         assert report.label == "K1"
         assert len(report.inputs_digest) == 12
 
+    def test_level_route_is_independent_of_closed_route(self, rng, monkeypatch):
+        def closed_route_called(*args, **kwargs):
+            raise AssertionError("the level route evaluated the closed route")
+
+        monkeypatch.setattr(potentials, "K1_closed", closed_route_called)
+        pt = sample_stable1(Truncation(3, 2, SQRT2), rng)
+        report = quotient_potential(pt)
+        assert set(report.extras) == {"flat_at_level", "character"}
+        assert report.value == report.extras["flat_at_level"] + report.extras["character"]
+
     def test_unitary_invariance(self, rng):
         tr = Truncation(2, 2, SQRT2)
         pt = sample_stable1(tr, rng)
@@ -266,3 +280,25 @@ class TestQuotientPotential:
         v = fiber_coordinate(s2_point)
         assert v.coords.shape == (1, 1)
         assert abs(abs(v.coords[0, 0]) - 1.0 / SQRT2) <= 1e-12
+
+
+class TestRoutesAcrossShapes:
+    """Route agreement far beyond the desk-scale shapes, judged with the
+    CLI's cross-check bound; the projections each route relies on must land
+    on the level set within the membership tolerance."""
+
+    @pytest.mark.parametrize("k", [SQRT2, 30.0])
+    @pytest.mark.parametrize("p,q", [(1, 1), (4, 4), (8, 64), (32, 32)])
+    def test_routes_agree_and_projections_land(self, p, q, k):
+        trunc = Truncation(p, q, k)
+        rng = make_rng(1000 * p + q)
+        pt1 = sample_stable1(trunc, rng)
+        pt3 = sample_stable3(trunc, rng)
+        for which, pt in (("k1", pt1), ("k3", pt3), ("k3hat", pt3)):
+            vals = list(evaluate_routes(pt, which).values())
+            spread = max(vals) - min(vals)
+            assert spread <= CROSS_ROUTE_TOL * max(1.0, abs(vals[0])), (which, vals)
+        for res in (project1(pt1), project3(pt3)):
+            residual = max(level_residual(res.point))
+            assert residual == res.residual
+            assert residual <= membership_tol() * trunc.k2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hkq.errors import NotInStable1, NotOnLevelSet
+from hkq.errors import NotInStable1, NotInStable3, NotOnLevelSet
 from hkq.grassmann import projector_distance, psi3
 from hkq.hkspace import (
     ConfigPoint,
@@ -94,6 +94,13 @@ class TestProject1:
 
 
 class TestProject3:
+    def test_membership_enforced(self, rng):
+        # a first-stable point off the level set is not third-stable
+        pt = sample_stable1(Truncation(2, 3, np.sqrt(2.0)), rng)
+        assert not in_stable3(pt)
+        with pytest.raises(NotInStable3):
+            project3(pt)
+
     def test_level_point_value_preserved(self, rng):
         tr = Truncation(2, 2, np.sqrt(2.0))
         pt = sample_level(tr, rng)
