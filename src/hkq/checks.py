@@ -417,7 +417,7 @@ def suite_potentials(trials: int, seed: int) -> list[CheckResult]:
         res_chain = max(res_chain, _rel(abs(lhs - rhs), rhs))
 
         # non-invariance witness under a genuinely positive element
-        g2 = GroupElement(2.0 * np.eye(trunc.p), positive=True)
+        g2 = GroupElement(2.0 * np.eye(trunc.p))
         witness_min = min(witness_min,
                           abs(pots.K1_closed(act1(g2, pt)) - routes["closed"]))
 
@@ -583,11 +583,8 @@ def _holomorphic_stable1_chart(pt0: ConfigPoint):
     return section
 
 
-def suite_ddc(trials: int, seed: int,
-              flat_potential: Callable[[ConfigPoint], float] | None = None,
-              ) -> list[CheckResult]:
+def suite_ddc(trials: int, seed: int) -> list[CheckResult]:
     rng = make_rng(seed)
-    pot = flat_potential if flat_potential is not None else flat_potential_K
     step_flat = 1e-4
     step_red = 1e-3
     res_flat = 0.0
@@ -598,7 +595,7 @@ def suite_ddc(trials: int, seed: int,
         pt = _rand_point(trunc, rng)
 
         def kappa(w: TangentPair) -> float:
-            return pot(ConfigPoint(trunc, pt.x + w.Z, pt.X + w.T))
+            return flat_potential_K(ConfigPoint(trunc, pt.x + w.Z, pt.X + w.T))
 
         # one coordinate 2-plane and one random 2-plane per trial
         m = trunc.n * trunc.p

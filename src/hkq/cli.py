@@ -171,8 +171,9 @@ def _cmd_info(args) -> int:
     _emit("level_residual_real", rr)
     _emit("on_level_set", on_level_set(pt, args.tol))
     _emit("in_stable1", in_stable1(pt, args.tol))
-    _emit("in_stable3", in_stable3(pt, args.tol))
-    if in_stable3(pt, args.tol):
+    stable3 = in_stable3(pt, args.tol)
+    _emit("in_stable3", stable3)
+    if stable3:
         pair, _ = psi3(pt, args.tol)
         theta = characteristic_angles(pair, args.tol)
         _emit("characteristic_angles", " ".join(repr(float(t)) for t in theta))
@@ -186,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "restricted Grassmannian.",
     )
     ap.add_argument("--tol", type=float, default=None,
-                    help="membership tolerance (default 1e-9, or HKQ_TOL)")
-    ap.add_argument("--format", choices=["json"], default="json",
-                    help="file format (json only)")
+                    help="membership tolerance, relative to k^2 (default 1e-9)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a point of a named set")

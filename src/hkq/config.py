@@ -2,13 +2,11 @@
 
 Membership checks (level set, stable sets, transversality) use a relative
 tolerance that scales with k^2 because the defining constraints are
-homogeneous of degree 2 in (x, X).  The default can be overridden by the
-HKQ_TOL environment variable or per call.
+homogeneous of degree 2 in (x, X).  The default is overridden per call
+(the `tol` argument, or the CLI's --tol).
 """
 
 from __future__ import annotations
-
-import os
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -21,10 +19,7 @@ RANK_TOL = 1e-10
 
 
 def membership_tol(tol: float | None = None) -> float:
-    """Resolve the membership tolerance: explicit arg > HKQ_TOL env > default."""
+    """Resolve the membership tolerance: explicit arg, else the default."""
     if tol is not None:
         return float(tol)
-    env = os.environ.get("HKQ_TOL")
-    if env is not None:
-        return float(env)
     return DEFAULT_MEMBERSHIP_TOL

@@ -47,22 +47,6 @@ class DomainViolation(HkqError):
         self.offending = offending
 
 
-class RankDeficient(HkqError):
-    """Raised when a full-rank frame was required; carries the detected rank."""
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
-
-
-class RankDeficientWarning(UserWarning):
-    """Non-fatal signal that a range computation dropped columns."""
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
-
-
 class Singular(HkqError):
     """Group element (or operator required invertible) is singular."""
 

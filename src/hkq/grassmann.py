@@ -118,11 +118,6 @@ class CotangentPoint:
             raise BadCotangent("range of eta is not inside P")
         object.__setattr__(self, "eta", eta)
 
-    def fiber_coords(self) -> np.ndarray:
-        """p x (n-p) matrix of eta relative to (F_P, F_Pperp) frames."""
-        fperp = complement_frame(self.P)
-        return dagger(self.P.frame) @ self.eta @ fperp
-
 
 @dataclass(frozen=True)
 class OrbitPair:
@@ -152,18 +147,13 @@ class GrTangent:
     (n-p) x p coordinate matrix relative to (F_P, F_Pperp)."""
 
     coords: np.ndarray
-    at: Subspace | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coords", as_matrix(self.coords, "coords"))
 
 
 def _range_frame_full(m: np.ndarray, expect: int, err: type, what: str) -> Subspace:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        f = orthonormal_range(m, RANK_TOL)
+    f = orthonormal_range(m, RANK_TOL)
     if f.shape[1] != expect:
         raise err(f"{what}: expected rank {expect}, detected {f.shape[1]}")
     return Subspace(f)

@@ -43,13 +43,22 @@ __all__ = [
 ]
 
 
+def _half_k2_integral(k: float) -> bool:
+    """Whether k^2/2 is a positive integer (to 1e-9): the one integrality
+    predicate, behind Truncation.integrality_ok and the IntegralityWarning
+    of the potentials."""
+    half = k * k / 2.0
+    return abs(half - round(half)) < 1e-9 and round(half) >= 1
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Dimensions (p, q) of the truncated plus/minus split and the level k.
 
-    integrality_ok records whether k^2/2 is a positive integer, the condition
-    under which the determinant character defining the quotient-potential
-    formula exists as a group homomorphism to the circle.
+    k must be finite and nonzero.  integrality_ok records whether k^2/2 is
+    a positive integer, the condition under which the determinant character
+    defining the quotient-potential formula exists as a group homomorphism
+    to the circle.
     """
 
     p: int
@@ -59,6 +68,8 @@ class Truncation:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError(f"need p, q >= 1, got p={self.p}, q={self.q}")
+        if not np.isfinite(self.k):
+            raise ValueError(f"k must be finite, got {self.k}")
         if self.k == 0.0:
             raise ValueError("k must be nonzero")
 
@@ -72,8 +83,7 @@ class Truncation:
 
     @property
     def integrality_ok(self) -> bool:
-        half = self.k2 / 2.0
-        return abs(half - round(half)) < 1e-9 and round(half) >= 1
+        return _half_k2_integral(self.k)
 
     def base_x(self) -> np.ndarray:
         """k [Id_p; 0], the x-component of the canonical base point."""
@@ -147,14 +157,12 @@ class TangentPair:
 class GroupElement:
     """Invertible p x p matrix of the (complexified) structure group.
 
-    Optional flags assert extra structure: `unitary` (g* g = Id) or
-    `positive` (Hermitian with positive spectrum).  The polar decomposition
-    of the complexified group is exercised by composing one of each.
+    The type checks only that g is square and nonsingular.  Extra structure
+    is checked once, by the operation that needs it: act3 checks that its u
+    is unitary, potentials.character_log_term that its g is positive.
     """
 
     g: np.ndarray
-    unitary: bool = False
-    positive: bool = False
 
     def __post_init__(self):
         g = as_matrix(self.g, "g")
@@ -163,24 +171,11 @@ class GroupElement:
         sign, logdet = np.linalg.slogdet(g)
         if sign == 0 or not np.isfinite(logdet):
             raise Singular("group element is singular")
-        if self.unitary:
-            err = fnorm(dagger(g) @ g - np.eye(g.shape[0]))
-            if err > UNITARY_TOL * (1.0 + fnorm(g)):
-                raise NotUnitary(f"unitary flag set but ||g*g - Id|| = {err:.3e}")
-        if self.positive:
-            if not is_hermitian(g):
-                raise NotHermitian("positive flag set but g is not Hermitian")
-            lam = np.linalg.eigvalsh(0.5 * (g + dagger(g)))
-            if np.any(lam <= 0):
-                raise Singular(
-                    f"positive flag set but min eigenvalue is {lam.min():.3e}"
-                )
         object.__setattr__(self, "g", g)
 
     @staticmethod
     def identity(p: int) -> "GroupElement":
-        return GroupElement(np.eye(p, dtype=np.complex128),
-                            unitary=True, positive=True)
+        return GroupElement(np.eye(p, dtype=np.complex128))
 
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.g)
@@ -241,6 +236,7 @@ def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:
         x' = x u^-1 cosh(h) - X u^-1 sinh(h)
         X' = -x u^-1 sinh(h) + X u^-1 cosh(h).
 
+    act3 is the one place that checks u*u = Id (and that h is Hermitian).
     cosh(h) and sinh(h) share one eigendecomposition of h.  act3(0, Id, pt)
     is the identity exactly.
     """
@@ -249,10 +245,9 @@ def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:
         raise ShapeMismatch(f"h must be p x p, got {h.shape}")
     if not is_hermitian(h, HERMITIAN_TOL):
         raise NotHermitian("act3 parameter h must be Hermitian")
-    if not u.unitary:
-        err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
-        if err > UNITARY_TOL * (1.0 + fnorm(u.g)):
-            raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
+    err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
+    if err > UNITARY_TOL * (1.0 + fnorm(u.g)):
+        raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
     uinv = u.inv()
     xu = pt.x @ uinv
     Xu = pt.X @ uinv

@@ -164,12 +164,14 @@ def load_pair(path) -> tuple[OrbitPair, float | None]:
     obj = _read(path)
     try:
         p, q = int(obj["p"]), int(obj["q"])
+        k = float(obj["k"]) if "k" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: missing or bad p/q ({exc})") from exc
+        raise FileFormatError(f"{path}: missing or bad p/q/k ({exc})") from exc
+    if k is not None and not np.isfinite(k):
+        raise FileFormatError(f"{path}: k must be finite, got {k}")
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
     Q = _frame_from_obj(obj.get("Q"), f"{path}:Q", n, q)
-    k = float(obj["k"]) if "k" in obj else None
     return OrbitPair(P, Q), k
 
 

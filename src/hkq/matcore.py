@@ -6,13 +6,13 @@ symmetric (anticommutator) Sylvester solver, with stacked right-hand sides,
 used by the tangent projectors.  All scalars are complex128; the acceptance
 tolerances (1e-9 .. 1e-12) need full double precision.
 
-Everything here is a pure function of immutable inputs and is safe to call
-concurrently.
+Everything here is a pure function of immutable inputs: no cache, no
+module state and no warning (rank is reported by column count), so it is
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +24,6 @@ from .errors import (
     NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
-    RankDeficientWarning,
     ShapeMismatch,
 )
 
@@ -53,7 +52,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-dimensional, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return a
 
@@ -214,9 +213,9 @@ def orthonormal_range(m, tol: float = RANK_TOL) -> np.ndarray:
 
     Keeps the left singular vectors whose singular value exceeds
     tol * sigma_max and phase-normalizes each column (largest-modulus entry
-    real positive).  When columns are dropped a RankDeficientWarning carrying
-    the detected rank is emitted; callers that require full rank check the
-    returned column count.
+    real positive).  The numerical rank is the returned column count, and
+    nothing else reports it: callers that require full rank check that
+    count.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -225,13 +224,6 @@ def orthonormal_range(m, tol: float = RANK_TOL) -> np.ndarray:
         rank = 0
     else:
         rank = int(np.count_nonzero(s > tol * s[0]))
-    if rank < s.size:
-        warnings.warn(
-            RankDeficientWarning(
-                f"matrix has numerical rank {rank} < {s.size}", rank
-            ),
-            stacklevel=2,
-        )
     return _fix_column_phases(u[:, :rank])
 
 

@@ -49,7 +49,7 @@ from .grassmann import (
     psi1,
     psi3,
 )
-from .hkspace import ConfigPoint, GroupElement, flat_potential_K
+from .hkspace import ConfigPoint, GroupElement, _half_k2_integral, flat_potential_K
 from .matcore import (
     HermitianSpectrum,
     dagger,
@@ -89,12 +89,12 @@ class IntegralityWarning(UserWarning):
     expressions remain well defined and are still evaluated."""
 
 
-def _warn_integrality(trunc) -> None:
-    if not trunc.integrality_ok:
+def _warn_integrality(k: float) -> None:
+    """Emit IntegralityWarning, attributed to the caller of the public
+    function that calls this, unless k^2/2 is a positive integer."""
+    if not _half_k2_integral(k):
         warnings.warn(
-            IntegralityWarning(
-                f"k^2/2 = {trunc.k2 / 2.0:g} is not a positive integer"
-            ),
+            IntegralityWarning(f"k^2/2 = {k * k / 2.0:g} is not a positive integer"),
             stacklevel=3,
         )
 
@@ -157,14 +157,14 @@ def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> GrTangent:
     cp = psi1(pt, tol)
     fperp = complement_frame(cp.P)
     v = (pt.X @ dagger(pt.x)) / pt.trunc.k2
-    return GrTangent(dagger(fperp) @ v @ cp.P.frame, at=cp.P)
+    return GrTangent(dagger(fperp) @ v @ cp.P.frame)
 
 
 def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
     """First-structure potential in the closed form of the level projection."""
     if not in_stable1(pt, tol):
         raise NotInStable1("K1 requires X*x = 0 and injective x")
-    _warn_integrality(pt.trunc)
+    _warn_integrality(pt.trunc.k)
     k2 = pt.trunc.k2
     xx = herm_eig(dagger(pt.x) @ pt.x)
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
@@ -181,7 +181,7 @@ def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
     """First-structure potential through the cotangent fiber spectrum."""
     if not in_stable1(pt, tol):
         raise NotInStable1("K1 requires X*x = 0 and injective x")
-    _warn_integrality(pt.trunc)
+    _warn_integrality(pt.trunc.k)
     k2 = pt.trunc.k2
     xx = herm_eig(dagger(pt.x) @ pt.x)
     u = _fiber_spectrum(pt, xx)
@@ -192,11 +192,12 @@ def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
 
 
 def K1_curvature(pt: ConfigPoint, tol: float | None = None) -> float:
-    """First-structure potential through the curvature functional calculus."""
-    if not in_stable1(pt, tol):
-        raise NotInStable1("K1 requires X*x = 0 and injective x")
-    _warn_integrality(pt.trunc)
+    """First-structure potential through the curvature functional calculus.
+
+    Membership is checked once, by psi1 inside fiber_coordinate (raising
+    NotInStable1 before any IntegralityWarning)."""
     v = fiber_coordinate(pt, tol)
+    _warn_integrality(pt.trunc.k)
     return (_logdet_term(pt, herm_eig(dagger(pt.x) @ pt.x))
             + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v))
 
@@ -317,23 +318,19 @@ def K3_hat_angles(pair: OrbitPair, k: float, tol: float | None = None) -> float:
 def character_log_term(g: GroupElement, k: float) -> float:
     """Logarithmic character term (k^2/2) log |det g| for positive g.
 
-    Emits IntegralityWarning when k^2/2 is not a positive integer (the
-    character then fails to be a circle homomorphism, but the real value is
-    still defined)."""
-    if not g.positive:
-        if not is_hermitian(g.g):
-            raise NotPositiveDefinite("character term needs a positive element")
+    This is the one place that checks positivity of g (Hermitian, then a
+    positive spectrum), raising NotPositiveDefinite.  Emits
+    IntegralityWarning when k^2/2 is not a positive integer (the character
+    then fails to be a circle homomorphism, but the real value is still
+    defined)."""
+    if not is_hermitian(g.g):
+        raise NotPositiveDefinite("character term needs a positive element")
     lam = np.linalg.eigvalsh(hermitian_part(g.g))
     if np.any(lam <= 0):
         raise NotPositiveDefinite(
             f"character term needs a positive element, min eigenvalue {lam.min():.3e}"
         )
-    half = k * k / 2.0
-    if abs(half - round(half)) >= 1e-9 or round(half) < 1:
-        warnings.warn(
-            IntegralityWarning(f"k^2/2 = {half:g} is not a positive integer"),
-            stacklevel=2,
-        )
+    _warn_integrality(k)
     return float(0.5 * k * k * np.sum(np.log(lam)))
 
 
@@ -345,17 +342,14 @@ def quotient_potential(pt: ConfigPoint, structure: str = "i1",
     The report's value is their sum; extras holds the two parts,
     extras["flat_at_level"] (flat potential K at project1's point) and
     extras["character"] ((k^2/2) log det g of project1's group element).
-    No other route is evaluated here."""
+    No other route is evaluated here.  Membership is checked once, by
+    project1 (NotInStable1); character_log_term emits the one
+    IntegralityWarning of the call."""
     if structure != "i1":
         raise ValueError("the quotient-potential formula is assembled for 'i1'")
-    if not in_stable1(pt, tol):
-        raise NotInStable1("quotient potential requires stable-set membership")
     res = project1(pt, tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegralityWarning)
-        flat = flat_potential_K(res.point)
-        char = character_log_term(res.group_part, pt.trunc.k)
-    _warn_integrality(pt.trunc)
+    flat = flat_potential_K(res.point)
+    char = character_log_term(res.group_part, pt.trunc.k)
     return PotentialReport(
         label="K1",
         value=flat + char,

@@ -43,8 +43,9 @@ and
 
 The three orbit projections of I_j v share M, so the level projection is one
 stacked Sylvester solve on one eigendecomposition of M: no constraint matrix
-is assembled and nothing is cached between calls, so this module is as safe
-to call concurrently as matcore.
+is assembled and nothing is cached between calls.  No path through this
+module (psi3 included) touches the process-global warning filters, so it is
+as safe to call concurrently as matcore.
 """
 
 from __future__ import annotations
@@ -91,16 +92,15 @@ class ProjectionResult:
     """Outcome of a level-set projection.
 
     For project1, group_part is the positive element with
-    act1(group_part, original) = point.  For project3, (h, u) records the
-    Hermitian parameter and unitary applied to the canonical section point
-    (u is the identity in this gauge); group_part is None.
+    act1(group_part, original) = point and h is None.  For project3, h is the
+    Hermitian parameter with act3(-h, Id, section point) = point (the
+    unitary part is the identity in this gauge) and group_part is None.
     """
 
     point: ConfigPoint
     residual: float
     group_part: GroupElement | None = None
     h: np.ndarray | None = None
-    u: GroupElement | None = None
 
 
 def _fiber_operand(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
@@ -130,7 +130,7 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     g_minus2 = hermitian_part(isx @ gamma2 @ isx)
     g = herm_fun(g_minus2, lambda lam: 1.0 / np.sqrt(lam),
                  domain_check=lambda lam: lam > 0.0)
-    group = GroupElement(g, positive=True)
+    group = GroupElement(g)
     point = act1(group, pt)
     residual = max(level_residual(point))
     if residual > membership_tol(tol) * k2:
@@ -159,14 +159,13 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     p = pt.trunc.p
     h = 0.25 * herm_fun(np.eye(p) + dagger(a) @ a, np.log,
                         domain_check=lambda lam: lam > 0.0)
-    ident = GroupElement.identity(p)
-    point = act3(-h, ident, pt0)
+    point = act3(-h, GroupElement.identity(p), pt0)
     residual = max(level_residual(point))
     if residual > membership_tol(tol) * pt.trunc.k2:
         raise NotInStable3(
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )
-    return ProjectionResult(point=point, residual=residual, h=h, u=ident)
+    return ProjectionResult(point=point, residual=residual, h=h)
 
 
 def _require_level(pt: ConfigPoint, tol: float | None) -> None:

@@ -18,7 +18,6 @@ from .quotient import project1
 
 __all__ = [
     "gaussian_complex",
-    "gaussian_real",
     "make_rng",
     "random_group_positive",
     "random_hermitian_ball",
@@ -36,15 +35,6 @@ __all__ = [
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
-
-
-def gaussian_real(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via Box-Muller on uniform draws."""
-    size = int(np.prod(shape))
-    u1 = 1.0 - rng.random(size)  # (0, 1]
-    u2 = rng.random(size)
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return z.reshape(shape)
 
 
 def gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -83,7 +73,7 @@ def random_unitary(p: int, rng: np.random.Generator) -> GroupElement:
     q, r = np.linalg.qr(gaussian_complex(rng, (p, p)))
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    return GroupElement(q, unitary=True)
+    return GroupElement(q)
 
 
 def random_group_positive(p: int, rng: np.random.Generator,
@@ -92,7 +82,7 @@ def random_group_positive(p: int, rng: np.random.Generator,
     from .matcore import herm_fun
 
     h = random_hermitian_ball(p, rng, radius=spread)
-    return GroupElement(herm_fun(h, np.exp), positive=True)
+    return GroupElement(herm_fun(h, np.exp))
 
 
 def sample_stable1(trunc: Truncation, rng: np.random.Generator,

@@ -1,0 +1,86 @@
+"""Static scan of the public surface of every hkq module (AST only).
+
+Keeps three kinds of drift from coming back: an `__all__` entry whose name
+the module no longer defines, an import nothing uses, and a call that
+mutates the process-global warning filters (`warnings.catch_warnings`),
+which would make the library unsafe to call concurrently.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hkq
+
+MODULES = sorted(p for p in Path(hkq.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def _imports(tree: ast.Module) -> list[str]:
+    """Names bound by import statements anywhere in the module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.append(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    names = set(_imports(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_every_module_is_scanned():
+    assert {p.stem for p in MODULES} >= {
+        "checks", "cli", "config", "errors", "grassmann", "hkspace",
+        "jsonio", "matcore", "moment", "potentials", "quotient", "sampling"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_entries_are_defined(path):
+    tree = _tree(path)
+    missing = sorted(set(_exported(tree)) - _top_level_definitions(tree))
+    assert missing == [], f"{path.name}: __all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree) | set(_exported(tree))
+    unused = sorted(set(_imports(tree)) - used)
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_warning_filter_juggling(path):
+    calls = [n.lineno for n in ast.walk(_tree(path))
+             if isinstance(n, ast.Attribute) and n.attr == "catch_warnings"
+             or isinstance(n, ast.Name) and n.id == "catch_warnings"]
+    assert calls == [], f"{path.name}: catch_warnings at lines {calls}"

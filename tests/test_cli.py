@@ -1,6 +1,9 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
 cross-check fails, 2 for input the CLI rejects (unknown route, a point
-outside the required set, a malformed file, a trial count below one)."""
+outside the required set, a malformed file, a non-finite k, a pair file
+without k, a trial count below one)."""
+
+import json
 
 import pytest
 
@@ -86,3 +89,80 @@ def test_malformed_point_file_exits_2(damage, tmp_path, capsys):
     point.write_text(text[: len(text) // 2] if damage == "truncated" else "p 2 q 2\n")
     assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def _set_k(path, k):
+    obj = json.loads(path.read_text())
+    obj["k"] = k
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("k", [float("inf"), float("nan")])
+@pytest.mark.parametrize("verb", [
+    ["potential", "--which", "k1"],
+    ["info"],
+    ["project", "--structure", "i1"],
+    ["map", "--which", "psi1"],
+])
+def test_non_finite_k_in_point_file_exits_2(verb, k, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    _set_k(point, k)  # json writes Infinity / NaN, which json.loads accepts
+    argv = verb + ["-i", str(point)]
+    if verb[0] in ("project", "map"):
+        argv += ["-o", str(tmp_path / "out.json")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and "k must be finite" in err
+
+
+def test_info_without_input_exits_0(capsys):
+    assert cli.main(["info"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "package hkq" in out
+    assert "membership_tol 1e-09" in out
+
+
+def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
+    point = tmp_path / "s3.json"
+    _sample(point, space="stable3")
+    capsys.readouterr()
+    assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "in_stable3 True" in out
+    assert "characteristic_angles " in out
+
+
+def _map_psi3(tmp_path):
+    point, pair = tmp_path / "s3.json", tmp_path / "pair.json"
+    _sample(point, space="stable3")
+    assert cli.main(["map", "--which", "psi3", "-i", str(point),
+                     "-o", str(pair)]) == cli.EXIT_OK
+    return pair
+
+
+def test_angles_on_mapped_pair_exits_0(tmp_path, capsys):
+    pair = _map_psi3(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "theta_0 " in out and "K3_hat " in out
+
+
+def test_angles_without_k_exits_2(tmp_path, capsys):
+    pair = _map_psi3(tmp_path)
+    obj = json.loads(pair.read_text())
+    del obj["k"]
+    pair.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_INPUT
+    assert "K3_hat needs k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [float("inf"), float("nan")])
+def test_non_finite_k_in_pair_file_exits_2(k, tmp_path, capsys):
+    pair = _map_psi3(tmp_path)
+    _set_k(pair, k)
+    capsys.readouterr()
+    assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_INPUT
+    assert "k must be finite" in capsys.readouterr().err

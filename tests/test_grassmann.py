@@ -56,7 +56,7 @@ class TestPsi1:
         assert fnorm(cp.eta - want_eta) <= 1e-14
 
     def test_scalar_group_invariance(self, s2_point):
-        g = GroupElement(np.array([[2.0]]), positive=True)
+        g = GroupElement(np.array([[2.0]]))
         cp0 = psi1(s2_point)
         cp1 = psi1(act1(g, s2_point))
         assert projector_distance(cp0.P, cp1.P) <= 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,21 +117,27 @@ class TestCharacter:
         assert abs(character_log_term(g, SQRT2) - S2_CHARACTER) <= 1e-12
 
     def test_commuting_multiplicativity(self):
-        g1 = GroupElement(np.diag([2.0, 0.5]), positive=True)
-        g2 = GroupElement(np.diag([3.0, 1.0]), positive=True)
-        g12 = GroupElement(g1.g @ g2.g, positive=True)
+        g1 = GroupElement(np.diag([2.0, 0.5]))
+        g2 = GroupElement(np.diag([3.0, 1.0]))
+        g12 = GroupElement(g1.g @ g2.g)
         total = character_log_term(g12, SQRT2)
         parts = character_log_term(g1, SQRT2) + character_log_term(g2, SQRT2)
         assert abs(total - parts) <= 1e-12
 
     def test_rejects_non_positive(self):
-        u = GroupElement(np.array([[1.0j]]), unitary=True)
+        u = GroupElement(np.array([[1.0j]]))
         with pytest.raises(NotPositiveDefinite):
             character_log_term(u, SQRT2)
 
     def test_warns_on_non_integral(self):
         with pytest.warns(IntegralityWarning):
             character_log_term(GroupElement.identity(1), 1.0)
+
+    def test_owns_the_positivity_check(self):
+        # Hermitian and invertible, so only character_log_term's spectrum
+        # check can reject it
+        with pytest.raises(NotPositiveDefinite):
+            character_log_term(GroupElement(-np.eye(2)), SQRT2)
 
 
 class TestK3:
@@ -262,6 +270,26 @@ class TestQuotientPotential:
         assert set(report.extras) == {"flat_at_level", "character"}
         assert report.value == report.extras["flat_at_level"] + report.extras["character"]
 
+    @pytest.mark.parametrize("k,expected", [(1.0, 1), (SQRT2, 0)])
+    def test_one_integrality_warning_per_call(self, k, expected):
+        pt = sample_stable1(Truncation(2, 2, k), make_rng(3))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            quotient_potential(pt)
+        assert [type(w.message) for w in rec] == [IntegralityWarning] * expected
+
+    @pytest.mark.parametrize("route", [K1_curvature, quotient_potential],
+                             ids=["K1_curvature", "quotient_potential"])
+    def test_membership_raised_before_any_warning(self, route):
+        # k = 1 would warn; X*x != 0 must be refused first
+        bad = ConfigPoint(Truncation(1, 1, 1.0), np.array([[1.0], [0.0]]),
+                          np.array([[1.0], [0.0]]))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            with pytest.raises(NotInStable1):
+                route(bad)
+        assert rec == []
+
     def test_unitary_invariance(self, rng):
         tr = Truncation(2, 2, SQRT2)
         pt = sample_stable1(tr, rng)
@@ -273,7 +301,7 @@ class TestQuotientPotential:
     def test_noninvariance_witness(self, rng):
         tr = Truncation(2, 2, SQRT2)
         pt = sample_stable1(tr, rng)
-        g = GroupElement(2.0 * np.eye(2), positive=True)
+        g = GroupElement(2.0 * np.eye(2))
         assert abs(K1_closed(act1(g, pt)) - K1_closed(pt)) > 1e-3
 
     def test_fiber_coordinate_shape(self, s2_point):
