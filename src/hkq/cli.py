@@ -106,6 +106,8 @@ def _cmd_potential(args) -> int:
 def _cmd_angles(args) -> int:
     pair, k_file = jsonio.load_pair(args.input)
     k = args.k if args.k is not None else k_file
+    if k is not None:  # the rule a point file's k obeys: finite, nonzero
+        k = Truncation(pair.P.dim, pair.Q.dim, k).k
     theta = characteristic_angles(pair, args.tol)
     a = np.tan(theta)
     for i, (t, ai) in enumerate(zip(theta, a)):

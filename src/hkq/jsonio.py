@@ -1,10 +1,17 @@
 """JSON serialization of matrices, configuration points and subspace pairs.
 
 All complex data is stored as split re/im row-major 2-d arrays (no complex
-literals), with numbers written in Python's shortest round-trip decimal form
-(at most 17 significant digits, reload-exact).  Files are written with
-sorted keys and a trailing newline so identical inputs give byte-identical
-files.
+literals), with numbers written by `float.__repr__`: the shortest decimal
+form that reloads exactly (at most 17 significant digits, signed zeros
+kept).  A file is one compact line (no indentation, no spaces after
+separators) with sorted keys and a trailing newline, so identical inputs
+give byte-identical files.  The compact layout lets `json.dumps` run its C
+encoder; any `indent` switches it to the pure-Python encoder, which takes
+about twice as long.  Both encoders write numbers with `float.__repr__`, so
+the layout changes no number's text, and files in the older indented
+layout still load (JSON ignores whitespace).  What the C encoder still
+spends goes mostly to `float.__repr__` itself, the floor for
+shortest-decimal, reload-exact text.
 
 Schemas:
 
@@ -15,6 +22,11 @@ Schemas:
                 "k": k?, "z": MatrixFile?}
   CotangentFile{"p": p, "q": q, "k": k, "P": MatrixFile, "eta": MatrixFile}
 
+Values are checked on load, not coerced: p, q, rows and cols must be JSON
+integers (not booleans), k a finite JSON number, and the re/im arrays must
+come out of `np.asarray` with a numeric dtype (strings, booleans alone and
+ragged rows are refused; the check is on the array's dtype, so a boolean
+mixed with numbers in one array is promoted by numpy, not caught).
 Unknown keys are ignored on load.  Pair frames are validated against
 orthonormality on load: drift up to 1e-9 is accepted silently, up to 1e-6
 re-orthonormalized with a warning, beyond that rejected.
@@ -23,6 +35,7 @@ re-orthonormalized with a warning, beyond that rejected.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -59,23 +72,32 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 
 def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
+        rows, cols = obj["rows"], obj["cols"]
+        re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{name}: malformed matrix object ({exc})") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise FileFormatError(
+            f"{name}: rows and cols must be integers, got {rows!r}, {cols!r}")
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+        raise FileFormatError(
+            f"{name}: re/im entries must be numbers, got arrays of "
+            f"dtype {re.dtype}/{im.dtype}"
+        )
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise FileFormatError(
             f"{name}: array shapes {re.shape}/{im.shape} do not match "
             f"declared {rows} x {cols}"
         )
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise FileFormatError(f"{name}: non-finite entries")
-    return re + 1j * im
+    m = np.empty((rows, cols), dtype=np.complex128)
+    m.real, m.imag = re, im  # not re + 1j*im, which drops the sign of -0.0
+    return m
 
 
 def _write(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text)
 
 
@@ -87,6 +109,27 @@ def _read(path) -> dict:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top-level object expected")
     return obj
+
+
+def _header(obj: dict, path, k_required: bool = True):
+    """p, q and k of a point, pair or cotangent file, checked, not coerced:
+    p and q JSON integers, k a finite JSON number (None when the key is
+    absent and not required)."""
+    for key in ("p", "q", "k") if k_required else ("p", "q"):
+        if key not in obj:
+            raise FileFormatError(f"{path}: missing {key}")
+    p, q = obj["p"], obj["q"]
+    if type(p) is not int or type(q) is not int:
+        raise FileFormatError(
+            f"{path}: p and q must be integers, got {p!r}, {q!r}")
+    if "k" not in obj:
+        return p, q, None
+    k = obj["k"]
+    if type(k) not in (int, float):
+        raise FileFormatError(f"{path}: k must be a number, got {k!r}")
+    if not abs(k) <= sys.float_info.max:  # nan, +-inf, or an int past float range
+        raise FileFormatError(f"{path}: k must be finite, got {k}")
+    return p, q, float(k)
 
 
 def save_matrix(path, m: np.ndarray) -> None:
@@ -113,9 +156,9 @@ def save_point(path, pt: ConfigPoint, meta: dict | None = None) -> None:
 def load_point(path) -> ConfigPoint:
     obj = _read(path)
     try:
-        trunc = Truncation(int(obj["p"]), int(obj["q"]), float(obj["k"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: missing or bad p/q/k ({exc})") from exc
+        trunc = Truncation(*_header(obj, path))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad p/q/k ({exc})") from exc
     x = matrix_from_obj(obj.get("x"), f"{path}:x")
     X = matrix_from_obj(obj.get("X"), f"{path}:X")
     if x.shape != (trunc.n, trunc.p) or X.shape != (trunc.n, trunc.p):
@@ -162,13 +205,7 @@ def save_pair(path, pair: OrbitPair, k: float | None = None,
 
 def load_pair(path) -> tuple[OrbitPair, float | None]:
     obj = _read(path)
-    try:
-        p, q = int(obj["p"]), int(obj["q"])
-        k = float(obj["k"]) if "k" in obj else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: missing or bad p/q/k ({exc})") from exc
-    if k is not None and not np.isfinite(k):
-        raise FileFormatError(f"{path}: k must be finite, got {k}")
+    p, q, k = _header(obj, path, k_required=False)
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
     Q = _frame_from_obj(obj.get("Q"), f"{path}:Q", n, q)
@@ -188,10 +225,7 @@ def save_cotangent(path, cp: CotangentPoint, k: float) -> None:
 
 def load_cotangent(path) -> tuple[CotangentPoint, float]:
     obj = _read(path)
-    try:
-        p, q, k = int(obj["p"]), int(obj["q"]), float(obj["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: missing or bad p/q/k ({exc})") from exc
+    p, q, k = _header(obj, path)
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
     eta = matrix_from_obj(obj.get("eta"), f"{path}:eta")

@@ -1,9 +1,11 @@
 """Static scan of the public surface of every hkq module (AST only).
 
-Keeps three kinds of drift from coming back: an `__all__` entry whose name
-the module no longer defines, an import nothing uses, and a call that
-mutates the process-global warning filters (`warnings.catch_warnings`),
-which would make the library unsafe to call concurrently.
+Keeps four kinds of drift from coming back: an `__all__` entry whose name
+the module no longer defines, an import nothing uses, a call that mutates
+the process-global warning filters (`warnings.catch_warnings`), which would
+make the library unsafe to call concurrently, and a `json.dump`/`json.dumps`
+call passing `indent`, which makes json fall back from its C encoder to the
+pure-Python one (about twice as slow on the files the CLI writes).
 """
 
 import ast
@@ -84,3 +86,17 @@ def test_no_warning_filter_juggling(path):
              if isinstance(n, ast.Attribute) and n.attr == "catch_warnings"
              or isinstance(n, ast.Name) and n.id == "catch_warnings"]
     assert calls == [], f"{path.name}: catch_warnings at lines {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_json_writes_keep_the_c_encoder(path):
+    def is_json_write(func):  # json.dump(s)(..), or dump(s)(..) imported from json
+        if isinstance(func, ast.Attribute):
+            return (func.attr in ("dump", "dumps") and isinstance(func.value, ast.Name)
+                    and func.value.id == "json")
+        return isinstance(func, ast.Name) and func.id in ("dump", "dumps")
+
+    calls = [n.lineno for n in ast.walk(_tree(path))
+             if isinstance(n, ast.Call) and is_json_write(n.func)
+             and any(kw.arg == "indent" for kw in n.keywords)]
+    assert calls == [], f"{path.name}: json.dump(s) with indent at lines {calls}"

@@ -1,7 +1,8 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
 cross-check fails, 2 for input the CLI rejects (unknown route, a point
-outside the required set, a malformed file, a non-finite k, a pair file
-without k, a trial count below one)."""
+outside the required set, a malformed file, a non-finite k in a file or a
+non-finite or zero `angles --k`, a pair file without k, a trial count below
+one)."""
 
 import json
 
@@ -166,3 +167,30 @@ def test_non_finite_k_in_pair_file_exits_2(k, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_INPUT
     assert "k must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k,message", [
+    ("inf", "k must be finite"),
+    ("nan", "k must be finite"),
+    ("0", "k must be nonzero"),
+])
+def test_angles_rejects_a_k_option_a_point_file_may_not_hold(k, message, tmp_path, capsys):
+    pair = _map_psi3(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["angles", "-i", str(pair), "--k", k]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "K3_hat" not in captured.out
+    assert captured.err.startswith("error ") and message in captured.err
+
+
+def test_disagreeing_routes_exit_1(monkeypatch, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    gap = 10 * cli.CROSS_ROUTE_TOL
+    monkeypatch.setattr(cli, "evaluate_routes",
+                        lambda pt, which, tol: {"a": 1.0, "b": 1.0 + gap})
+    capsys.readouterr()
+    assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_PROPERTY
+    out = capsys.readouterr().out
+    assert "cross_check FAIL" in out
+    assert "max_route_delta_relative " in out
