@@ -3,11 +3,21 @@
 Verbs: sample, project, potential, angles, map, check, info.  Reports are
 line-oriented `key value` pairs for machine parsing.  Exit codes: 0 success,
 1 property/cross-check failure, 2 input or membership error.
+
+The argument parser is built once per process (`build_parser` is cached,
+so every caller shares it and none may change it): rebuilding the whole
+argparse tree was a fixed cost that every verb paid.
+`main` looks the verb's handler up by name in this module when it runs, not
+through the function object the cached parser holds, so a handler replaced
+after the first call (a test's monkeypatch, a profiler's wrapper) is the
+one that runs.  `parse_args(...).func` stays set for callers that dispatch
+themselves.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -132,7 +142,7 @@ def _cmd_map(args) -> int:
         _emit("eta_norm", fnorm(cp.eta))
     else:
         pair, z = psi3(pt, args.tol)
-        jsonio.save_pair(args.output, pair, k=pt.trunc.k, z=z)
+        jsonio.save_pair(args.output, pair, k=pt.trunc.k)
         k2 = pt.trunc.k2
         _emit("map", "psi3")
         _emit("z_on_P_residual", fnorm(z @ pair.P.frame - 1j * k2 * pair.P.frame))
@@ -182,6 +192,7 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hkq",
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func.__name__](args)
     except HkqError as exc:
         print(f"error {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -197,14 +197,23 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _fix_column_phases(frame: np.ndarray) -> np.ndarray:
     """Deterministic gauge: rotate each column so its largest-modulus entry
-    is real positive."""
-    out = frame.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if np.abs(pivot) > 0.0:
-            out[:, j] = col * (np.abs(pivot) / pivot)
+    is real positive (the first such entry on ties; zero columns are left
+    as they are)."""
+    # A row-major frame times a (1, d) row of phases runs numpy's vectorized
+    # complex multiply, the same loop (fused multiply-adds included) as one
+    # column times its phase; other layouts can fall back to a loop that
+    # rounds differently.
+    frame = np.ascontiguousarray(frame)
+    if frame.size == 0:
+        return frame.copy()
+    mod = np.abs(frame)
+    rows = np.argmax(mod, axis=0)
+    cols = np.arange(frame.shape[1])
+    pivot, size = frame[rows, cols], mod[rows, cols]
+    nonzero = size > 0.0
+    out = frame * (size / np.where(nonzero, pivot, 1.0))[None, :]
+    if not nonzero.all():  # copied back, not multiplied by 1: keeps signed zeros
+        out[:, ~nonzero] = frame[:, ~nonzero]
     return out
 
 

@@ -1,14 +1,18 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
 cross-check fails, 2 for input the CLI rejects (unknown route, a point
-outside the required set, a malformed file, a non-finite k in a file or a
-non-finite or zero `angles --k`, a pair file without k, a trial count below
-one)."""
+outside the required set, a malformed file, a boolean among a file's
+numbers, a non-finite k in a file or a non-finite or zero `angles --k`, a
+pair file without k, a trial count below one).  Also: the layout of a
+`map --which psi3` file and loading of the older one with "z", and reuse of
+the one parser per process (the same output per verb, handlers looked up at
+call time, `func` kept for callers that dispatch themselves)."""
 
 import json
 
+import numpy as np
 import pytest
 
-from hkq import checks, cli
+from hkq import checks, cli, jsonio
 from hkq.checks import CheckResult
 
 
@@ -194,3 +198,96 @@ def test_disagreeing_routes_exit_1(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cross_check FAIL" in out
     assert "max_route_delta_relative " in out
+
+
+def test_map_psi3_writes_frames_and_k_only(tmp_path):
+    pair = _map_psi3(tmp_path)
+    assert json.loads(pair.read_text()).keys() == {"p", "q", "k", "P", "Q"}
+
+
+def test_pair_file_with_old_z_key_loads_the_same(tmp_path, capsys):
+    """z = i k^2 (projection onto P along Q) was written by older versions;
+    it is ignored on load."""
+    pair = _map_psi3(tmp_path)
+    old = tmp_path / "old.json"
+    obj = json.loads(pair.read_text())
+    loaded, k = jsonio.load_pair(pair)
+    obj["z"] = jsonio.matrix_to_obj(1j * k * k * np.eye(loaded.P.frame.shape[0]))
+    old.write_text(json.dumps(obj))
+    old_loaded, old_k = jsonio.load_pair(old)
+    assert old_k == k
+    np.testing.assert_array_equal(old_loaded.P.frame, loaded.P.frame)
+    np.testing.assert_array_equal(old_loaded.Q.frame, loaded.Q.frame)
+    capsys.readouterr()
+    outs = []
+    for path in (pair, old):
+        assert cli.main(["angles", "-i", str(path)]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_boolean_among_the_numbers_exits_2(value, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    obj = json.loads(point.read_text())
+    obj["x"]["re"][0][0] = value == "true"
+    point.write_text(json.dumps(obj))
+    assert value in point.read_text()
+    capsys.readouterr()
+    assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and "got a boolean" in err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parsed_args_keep_their_handler():
+    args = cli.build_parser().parse_args(["potential", "--which", "k1", "-i", "a.json"])
+    assert args.func is cli._cmd_potential
+
+
+def test_verbs_in_one_process_print_what_each_prints_alone(tmp_path, capsys):
+    point, pair = tmp_path / "s3.json", tmp_path / "pair.json"
+    sequence = [
+        ["sample", "--space", "stable3", "-p", "2", "-q", "3", "--seed", "4",
+         "-o", str(point)],
+        ["sample", "--space", "stable3", "-p", "2", "-q", "3", "-k", "1.5",
+         "-o", str(tmp_path / "other.json")],
+        ["potential", "--which", "k3", "-i", str(point)],
+        ["potential", "--which", "k3", "--route", "spectral", "-i", str(point)],
+        ["potential", "--which", "flat", "-i", str(point)],
+        ["map", "--which", "psi3", "-i", str(point), "-o", str(pair)],
+        ["angles", "-i", str(pair), "--k", "3"],
+        ["angles", "-i", str(pair)],
+        ["--tol", "1e-7", "info"],
+        ["info"],
+        ["check", "--suite", "moment", "--trials", "1", "--seed", "3"],
+    ]
+
+    def run(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    together = [run(argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert all(code == cli.EXIT_OK for code, _, _ in together)
+    assert together[2][1] != together[3][1]  # --route was not carried over
+
+
+def test_replaced_handler_runs_after_the_first_call(monkeypatch, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    argv = ["potential", "--which", "flat", "-i", str(point)]
+    assert cli.main(argv) == cli.EXIT_OK
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_potential", lambda args: calls.append(args.which) or 7)
+    assert cli.main(argv) == 7
+    assert calls == ["flat"]
