@@ -41,8 +41,8 @@ CROSS_ROUTE_TOL = 1e-8
 
 
 def _emit(key: str, value) -> None:
-    if isinstance(value, float):
-        print(f"{key} {value!r}")
+    if isinstance(value, float):  # np.float64 too: its repr is not a bare number
+        print(f"{key} {float(value)!r}")
     else:
         print(f"{key} {value}")
 
@@ -73,12 +73,12 @@ def _cmd_project(args) -> int:
         res = project1(pt, tol)
         lam = np.linalg.eigvalsh(res.group_part.g)
         _emit("structure", "i1")
-        _emit("group_eigenvalues", " ".join(repr(v) for v in lam))
+        _emit("group_eigenvalues", " ".join(repr(float(v)) for v in lam))
     else:
         res = project3(pt, tol)
         lam = np.linalg.eigvalsh(res.h)
         _emit("structure", "i3")
-        _emit("h_eigenvalues", " ".join(repr(v) for v in lam))
+        _emit("h_eigenvalues", " ".join(repr(float(v)) for v in lam))
     rc, rr = level_residual(res.point)
     _emit("residual_complex", rc)
     _emit("residual_real", rr)

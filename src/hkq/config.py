@@ -14,6 +14,9 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
+# Positive definiteness in sym_sylvester_solve: lam_min > PD_TOL * lam_max.
+PD_TOL = 1e-12
+
 # Rank cutoff used when extracting ranges and null spaces from an SVD.
 RANK_TOL = 1e-10
 

@@ -9,8 +9,9 @@ entries.  This module provides
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q) via
     z = i (x + X)(x* - X*),
-  * the graph operator of Q^perp over P, the characteristic angles
-    cos(theta_i) = 1/sqrt(1 + a_i^2), and
+  * the graph operator A: P -> P^perp of Q^perp over P, held in ambient
+    form w = F_Pperp A so that no frame of P^perp is needed, and the
+    characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), and
   * the curvature tensor of the Grassmannian together with the spectral
     functional calculus of the operator Y -> 2(V V* Y + Y V* V) that feeds
     the curvature forms of the potentials.
@@ -35,11 +36,13 @@ from .matcore import (
     as_matrix,
     dagger,
     fnorm,
+    null_frame,
     null_space_frame,
     orthonormal_range,
+    range_frame,
     svd,
 )
-from .moment import in_stable1, in_stable3
+from .moment import _full_rank, _stable3_equations, in_stable1
 
 __all__ = [
     "CotangentPoint",
@@ -192,21 +195,31 @@ def psi3(pt: ConfigPoint, tol: float | None = None) -> tuple[OrbitPair, np.ndarr
     z = i (x + X)(x* - X*) has spectrum {i k^2, 0} with eigenspaces
     P = Ran(x + X) and Q = Ker(x* - X*); both memberships are verified to
     1e-9 k^2.  psi3 is exactly constant on orbits of the third action.
+
+    x + X and x - X are factored once each: the thin SVD of x + X gives the
+    frame of P and the full SVD of (x - X)* the frame of Q, and the rank
+    half of third-stable membership is judged on their singular values
+    (the rule of moment.in_stable3, which factors both again).
     """
-    if not in_stable3(pt, tol):
+    t = membership_tol(tol)
+    x, X = pt.x, pt.X
+    fp, sp = range_frame(x + X)
+    fq, sq = null_frame(dagger(x - X))
+    if not (_stable3_equations(pt, t) and _full_rank(sp, t) and _full_rank(sq, t)):
         raise NotInStable3(
             "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X"
         )
-    x, X = pt.x, pt.X
-    k2 = pt.trunc.k2
-    z = 1j * ((x + X) @ (dagger(x) - dagger(X)))
-    P = _range_frame_full(x + X, pt.trunc.p, NotInStable3, "Ran(x + X)")
-    fq = null_space_frame(dagger(x - X))
+    if fp.shape[1] != pt.trunc.p:
+        raise NotInStable3(
+            f"Ran(x + X): expected rank {pt.trunc.p}, detected {fp.shape[1]}"
+        )
     if fq.shape[1] != pt.trunc.q:
         raise NotInStable3(
             f"Ker(x* - X*): expected dimension {pt.trunc.q}, got {fq.shape[1]}"
         )
-    Q = Subspace(fq)
+    P, Q = Subspace(fp), Subspace(fq)
+    k2 = pt.trunc.k2
+    z = 1j * ((x + X) @ (dagger(x) - dagger(X)))
     check_tol = 1e-9 * k2 * (1.0 + fnorm(z) / k2)
     if fnorm(z @ P.frame - 1j * k2 * P.frame) > check_tol:
         raise NotInStable3("z does not act as i k^2 on Ran(x + X)")
@@ -217,30 +230,37 @@ def psi3(pt: ConfigPoint, tol: float | None = None) -> tuple[OrbitPair, np.ndarr
 
 def graph_operator(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
     """Coordinate matrix of the operator A: P -> P^perp whose graph is
-    Q^perp, relative to the gauge-fixed frames (F_P, F_Pperp).
+    Q^perp, relative to the gauge-fixed frames (F_P, F_Pperp) with
+    F_Pperp = complement_frame(P).
 
-    With F_Qperp a frame of Q^perp, M := F_P* F_Qperp must be invertible
-    (transversality); then A = F_Pperp* F_Qperp M^-1 and the columns of
-    F_P + F_Pperp A span Q^perp.
+    Computed as F_Pperp* w from the ambient form w = F_Pperp A of _graph;
+    the columns of F_P + F_Pperp A span Q^perp.  Raises NotTransversal when
+    F_P* F_Qperp is not invertible.
     """
-    return _graph(pair, tol)[0]
+    return dagger(complement_frame(pair.P)) @ _graph(pair, tol)
 
 
-def _graph(pair: OrbitPair, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """The graph operator A of graph_operator together with the frame
-    F_Pperp it is written in, so that callers needing both (the canonical
-    section, project3) compute the complement of P once."""
+def _graph(pair: OrbitPair, tol: float | None) -> np.ndarray:
+    """The graph operator in ambient form, the n x p matrix
+    w = F_Pperp A = F_Qperp M^-1 - F_P with M = F_P* F_Qperp.
+
+    F_Qperp M^-1 is the one basis of Q^perp that F_P* maps to Id, so w does
+    not depend on the frames chosen for P^perp or Q^perp: F_Qperp is the
+    trailing block of one complete QR of F_Q, with no gauge fixing, and no
+    frame of P^perp is built.  The singular values of M decide
+    transversality.
+    """
     t = membership_tol(tol)
-    fqp = complement_frame(pair.Q)
-    m = dagger(pair.P.frame) @ fqp
+    fp, fq = pair.P.frame, pair.Q.frame
+    fqp = np.linalg.qr(fq, mode="complete")[0][:, fq.shape[1]:]
+    m = dagger(fp) @ fqp
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[-1] <= t * max(1.0, s[0]):
         raise NotTransversal(
             f"P and Q^perp-graph condition fails, sigma_min(F_P* F_Qperp) = "
             f"{0.0 if s.size == 0 else s[-1]:.3e}"
         )
-    fpp = complement_frame(pair.P)
-    return (dagger(fpp) @ fqp) @ np.linalg.inv(m), fpp
+    return fqp @ np.linalg.inv(m) - fp
 
 
 def psi3_section(pair: OrbitPair, k: float, tol: float | None = None) -> ConfigPoint:
@@ -250,15 +270,15 @@ def psi3_section(pair: OrbitPair, k: float, tol: float | None = None) -> ConfigP
 
     Satisfies x*x - X*X = k^2 Id and X*x = -(k^2/4) A*A exactly, so it lies
     in the stable set of the third structure, and psi3 reproduces (P, Q).
+    Only the product w = F_Pperp A of _graph enters, so no frame of P^perp
+    is built.
     """
-    a, fpp = _graph(pair, tol)
-    return _section(pair.P.frame, a, fpp, k)
+    return _section(pair.P.frame, _graph(pair, tol), k)
 
 
-def _section(fp: np.ndarray, a: np.ndarray, fpp: np.ndarray, k: float) -> ConfigPoint:
+def _section(fp: np.ndarray, w: np.ndarray, k: float) -> ConfigPoint:
     """psi3_section from the frame of P and an already computed _graph."""
     n, p = fp.shape
-    w = fpp @ a
     x = k * (fp + 0.5 * w)
     X = -0.5 * k * w
     return ConfigPoint(Truncation(p, n - p, k), x, X)
@@ -268,14 +288,16 @@ def characteristic_angles(pair: OrbitPair, tol: float | None = None) -> np.ndarr
     """Ascending characteristic angles theta_i in [0, pi/2) of the pair,
     cos(theta_i) = 1/sqrt(1 + a_i^2) with a_i^2 the eigenvalues of A*A.
 
-    Exactly p angles are reported (A*A is p x p; when p exceeds n - p the
-    surplus angles are zero by rank).  Computed as arctan of the singular
-    values of A, which keeps near-zero angles absolutely accurate where the
-    squared spectrum would lose half the digits.
+    Exactly p angles are reported.  A*A is p x p of rank at most
+    min(p, n - p), so when p exceeds n - p the surplus angles are exactly
+    zero.  The others are arctan of the min(p, n - p) largest singular
+    values of w = F_Pperp A (those of A, F_Pperp being orthonormal), which
+    keeps near-zero angles absolutely accurate where the squared spectrum
+    would lose half the digits.
     """
-    a = graph_operator(pair, tol)
-    p = a.shape[1]
-    s = np.linalg.svd(a, compute_uv=False)
+    w = _graph(pair, tol)
+    p = w.shape[1]
+    s = np.linalg.svd(w, compute_uv=False)[:min(p, w.shape[0] - p)]
     theta = np.zeros(p)
     theta[:s.size] = np.arctan(s)
     return np.sort(theta)

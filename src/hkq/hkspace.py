@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import HERMITIAN_TOL, UNITARY_TOL
 from .errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
-from .matcore import as_matrix, dagger, fnorm, herm_eig, is_hermitian
+from .matcore import HermitianSpectrum, as_matrix, dagger, fnorm, herm_eig, is_hermitian
 
 __all__ = [
     "ConfigPoint",
@@ -226,7 +226,8 @@ def act1(g: GroupElement, pt: ConfigPoint) -> ConfigPoint:
     return ConfigPoint(pt.trunc, pt.x @ ginv, pt.X @ dagger(g.g))
 
 
-def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:
+def act3(h: np.ndarray | HermitianSpectrum, u: GroupElement | None,
+         pt: ConfigPoint) -> ConfigPoint:
     """Holomorphic action for the third structure.
 
     The positive part is parametrized by a Hermitian h (equal to i times a
@@ -236,24 +237,34 @@ def act3(h: np.ndarray, u: GroupElement, pt: ConfigPoint) -> ConfigPoint:
         x' = x u^-1 cosh(h) - X u^-1 sinh(h)
         X' = -x u^-1 sinh(h) + X u^-1 cosh(h).
 
-    act3 is the one place that checks u*u = Id (and that h is Hermitian).
-    cosh(h) and sinh(h) share one eigendecomposition of h.  act3(0, Id, pt)
-    is the identity exactly.
+    h is a p x p matrix or its HermitianSpectrum (a caller that has already
+    decomposed h passes the spectrum, the way sym_sylvester_solve takes M);
+    cosh(h) and sinh(h) share that one eigendecomposition.  u = None is the
+    identity, applied without a product.  act3 is the one place that checks
+    u*u = Id (and that a matrix h is Hermitian).  act3(0, Id, pt) and
+    act3(0, None, pt) are the identity exactly.
     """
-    h = as_matrix(h, "h")
-    if h.shape != (pt.trunc.p, pt.trunc.p):
-        raise ShapeMismatch(f"h must be p x p, got {h.shape}")
-    if not is_hermitian(h, HERMITIAN_TOL):
-        raise NotHermitian("act3 parameter h must be Hermitian")
-    err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
-    if err > UNITARY_TOL * (1.0 + fnorm(u.g)):
-        raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
-    uinv = u.inv()
-    xu = pt.x @ uinv
-    Xu = pt.X @ uinv
-    if fnorm(h) == 0.0:
+    p = pt.trunc.p
+    if isinstance(h, HermitianSpectrum):
+        spec = h
+        if spec.eigenvectors.shape != (p, p):
+            raise ShapeMismatch(f"h must be p x p, got {spec.eigenvectors.shape}")
+    else:
+        h = as_matrix(h, "h")
+        if h.shape != (p, p):
+            raise ShapeMismatch(f"h must be p x p, got {h.shape}")
+        if not is_hermitian(h, HERMITIAN_TOL):
+            raise NotHermitian("act3 parameter h must be Hermitian")
+        spec = None if fnorm(h) == 0.0 else herm_eig(h)
+    xu, Xu = pt.x, pt.X
+    if u is not None:
+        err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
+        if err > UNITARY_TOL * (1.0 + fnorm(u.g)):
+            raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
+        uinv = u.inv()
+        xu, Xu = xu @ uinv, Xu @ uinv
+    if spec is None or not np.any(spec.eigenvalues):
         return ConfigPoint(pt.trunc, xu, Xu)
-    spec = herm_eig(h)
     c = spec.fun(np.cosh)
     s = spec.fun(np.sinh)
     return ConfigPoint(pt.trunc, xu @ c - Xu @ s, -xu @ s + Xu @ c)

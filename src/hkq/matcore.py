@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import HERMITIAN_TOL, RANK_TOL
+from .config import HERMITIAN_TOL, PD_TOL, RANK_TOL
 from .errors import (
     DomainViolation,
     NoConvergence,
@@ -37,9 +37,11 @@ __all__ = [
     "hermitian_part",
     "skew_part",
     "is_hermitian",
+    "null_frame",
     "null_space_frame",
     "orthonormal_range",
     "psd_sqrt",
+    "range_frame",
     "svd",
     "sym_sylvester_solve",
 ]
@@ -217,6 +219,30 @@ def _fix_column_phases(frame: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Numerical rank from descending singular values: the count above
+    tol * sigma_max (0 for an empty or zero matrix)."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
+def range_frame(m, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """orthonormal_range together with the singular values of M it was cut
+    from, for callers that also judge the rank of M (one SVD for both)."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    u, s, _ = svd(m)
+    return _fix_column_phases(u[:, :_rank(s, tol)]), s
+
+
+def null_frame(m, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """null_space_frame together with the singular values of M."""
+    m = as_matrix(m)
+    _, s, wh = np.linalg.svd(m, full_matrices=True)
+    return _fix_column_phases(dagger(wh)[:, _rank(s, tol):]), s
+
+
 def orthonormal_range(m, tol: float = RANK_TOL) -> np.ndarray:
     """Gauge-fixed orthonormal basis of the numerical column span of M.
 
@@ -226,29 +252,15 @@ def orthonormal_range(m, tol: float = RANK_TOL) -> np.ndarray:
     nothing else reports it: callers that require full rank check that
     count.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    u, s, _ = svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    return _fix_column_phases(u[:, :rank])
+    return range_frame(m, tol)[0]
 
 
 def null_space_frame(m, tol: float = RANK_TOL) -> np.ndarray:
     """Gauge-fixed orthonormal basis of the kernel of M (right null space)."""
-    m = as_matrix(m)
-    u, s, wh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    w = dagger(wh)
-    return _fix_column_phases(w[:, rank:])
+    return null_frame(m, tol)[0]
 
 
-def sym_sylvester_solve(m, s, eps: float = 1e-12) -> np.ndarray:
+def sym_sylvester_solve(m, s) -> np.ndarray:
     """Solve (M a + a M)/2 = S for skew-Hermitian a.
 
     M is Hermitian positive definite, given as a matrix or as its
@@ -257,7 +269,9 @@ def sym_sylvester_solve(m, s, eps: float = 1e-12) -> np.ndarray:
     (..., p, p) of right-hand sides solved against the same M, in which case
     the solutions come back stacked the same way.  The solution is computed in
     the eigenbasis of M via a_ij = 2 S_ij / (lam_i + lam_j) and is unique
-    there since all lam_i + lam_j > 0.
+    there since all lam_i + lam_j > 0.  M counts as positive definite when
+    lam_min > PD_TOL * lam_max, a test that does not depend on the scale of
+    M (k^2 Id at a base point is accepted for every k).
     """
     given = isinstance(m, HermitianSpectrum)
     shape = m.eigenvectors.shape if given else as_matrix(m, "M").shape
@@ -268,7 +282,7 @@ def sym_sylvester_solve(m, s, eps: float = 1e-12) -> np.ndarray:
         raise ShapeMismatch("S contains non-finite entries")
     spec = m if given else herm_eig(m)
     lam = spec.eigenvalues
-    if np.any(lam <= eps):
+    if lam.size and lam[0] <= PD_TOL * lam[-1]:
         raise NotPositiveDefinite(
             f"M must be positive definite, min eigenvalue {lam.min():.3e}"
         )

@@ -82,9 +82,9 @@ def on_level_set(pt: ConfigPoint, tol: float | None = None) -> bool:
     return max(rc, rr) <= membership_tol(tol) * pt.trunc.k2
 
 
-def _sigma_ratio_ok(m: np.ndarray, tol: float) -> bool:
-    """True when sigma_min(m) > tol * sigma_max(m) (full numerical rank)."""
-    s = np.linalg.svd(m, compute_uv=False)
+def _full_rank(s: np.ndarray, tol: float) -> bool:
+    """True when the descending singular values s have
+    sigma_min > tol * sigma_max (full numerical rank)."""
     if s.size == 0 or s[0] == 0.0:
         return False
     return bool(s[-1] > tol * s[0])
@@ -97,7 +97,18 @@ def in_stable1(pt: ConfigPoint, tol: float | None = None) -> bool:
     x, X = pt.x, pt.X
     if fnorm(dagger(X) @ x) > t * pt.trunc.k2:
         return False
-    return _sigma_ratio_ok(x, t)
+    return _full_rank(np.linalg.svd(x, compute_uv=False), t)
+
+
+def _stable3_equations(pt: ConfigPoint, t: float) -> bool:
+    """The equation half of third-stable membership: x*x - X*X = k^2 Id and
+    X*x Hermitian, both to t * k^2.  The rank half (x + X and x - X of full
+    numerical rank) is judged by the caller on singular values it has."""
+    x, X = pt.x, pt.X
+    k2 = pt.trunc.k2
+    if fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)) > t * k2:
+        return False
+    return fnorm(dagger(X) @ x - dagger(x) @ X) <= t * k2
 
 
 def in_stable3(pt: ConfigPoint, tol: float | None = None) -> bool:
@@ -106,12 +117,9 @@ def in_stable3(pt: ConfigPoint, tol: float | None = None) -> bool:
     and x - X of full numerical rank."""
     t = membership_tol(tol)
     x, X = pt.x, pt.X
-    k2 = pt.trunc.k2
-    if fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)) > t * k2:
-        return False
-    if fnorm(dagger(X) @ x - dagger(x) @ X) > t * k2:
-        return False
-    return _sigma_ratio_ok(x + X, t) and _sigma_ratio_ok(x - X, t)
+    return (_stable3_equations(pt, t)
+            and _full_rank(np.linalg.svd(x + X, compute_uv=False), t)
+            and _full_rank(np.linalg.svd(x - X, compute_uv=False), t))
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

@@ -42,10 +42,10 @@ from .errors import NotInStable1, NotInStable3, NotPositive, NotPositiveDefinite
 from .grassmann import (
     GrTangent,
     OrbitPair,
+    _graph,
     characteristic_angles,
     complement_frame,
     curvature_fun_apply,
-    graph_operator,
     psi1,
     psi3,
 )
@@ -292,7 +292,9 @@ def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
     route 'curvature': k^2 g_Gr(h(Op) V, V) with h(u) = (1/u)(sqrt(1+u)-1).
 
     The two agree to 1e-11 on any input; both are exposed so the agreement
-    is testable.
+    is testable.  Both read V only through its singular values, so V may be
+    given as the (n-p) x p frame coordinate matrix or in the n x p ambient
+    form F_Pperp V (orthonormal F_Pperp), which has the same ones.
     """
     coords = V.coords if isinstance(V, GrTangent) else np.asarray(V, dtype=np.complex128)
     k2 = k * k
@@ -382,10 +384,10 @@ def evaluate_routes(pt: ConfigPoint, which: str,
         }
     if which == "k3hat":
         pair, _ = psi3(pt, tol)
-        a = graph_operator(pair, tol)
+        w = _graph(pair, tol)  # F_Pperp A: the singular values of A
         return {
             "angles": K3_hat_angles(pair, pt.trunc.k, tol),
-            "cotangent": K3_hat_cotangent(0.5 * a, pt.trunc.k, "direct"),
-            "curvature": K3_hat_cotangent(0.5 * a, pt.trunc.k, "curvature"),
+            "cotangent": K3_hat_cotangent(0.5 * w, pt.trunc.k, "direct"),
+            "curvature": K3_hat_cotangent(0.5 * w, pt.trunc.k, "curvature"),
         }
     raise ValueError(f"unknown potential tag {which!r}")

@@ -11,11 +11,12 @@ moves (x, X) into the level set; one eigendecomposition of x*x gives both
 the point down with psi3 (which is where third-stable membership is
 checked), take the canonical preimage of the pair, and slide it onto the
 level set with the closed-form positive part h = (1/4) log(Id + A*A) of the
-third action; the graph operator A and the complement frame F_Pperp are
-computed once and serve both the preimage and h.  The returned point is a
-representative of the intersection orbit (unique up to the free compact
-action); every downstream quantity we evaluate on it is invariant under
-that action.
+third action.  The graph operator enters in its ambient form
+w = F_Pperp A, computed once and without any frame of P^perp; it gives the
+preimage, and one eigendecomposition of Id + w*w = Id + A*A gives h,
+cosh(h) and sinh(h).  The returned point is a representative of the
+intersection orbit (unique up to the free compact action); every
+downstream quantity we evaluate on it is invariant under that action.
 
 The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
@@ -93,7 +94,7 @@ class ProjectionResult:
 
     For project1, group_part is the positive element with
     act1(group_part, original) = point and h is None.  For project3, h is the
-    Hermitian parameter with act3(-h, Id, section point) = point (the
+    Hermitian parameter with act3(-h, None, section point) = point (the
     unitary part is the identity in this gauge) and group_part is None.
     """
 
@@ -145,21 +146,25 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
     Route: (P, Q) = psi3(pt), which checks third-stable membership and
-    raises NotInStable3; the graph operator A and the frame F_Pperp are
-    computed once and give both h = (1/4) log(Id + A*A) and the canonical
-    preimage pt0 = psi3_section(P, Q); point = act3(-h, Id, pt0).  The
-    result lies in the level set (exactly, up to round-off) and in the same
-    orbit as pt (psi3 reproduces the pair).  It matches the intrinsic
-    projection only up to the free compact action; the flat potential of
-    the result is nevertheless the exact projected value by invariance.
+    raises NotInStable3; the graph operator, in its ambient form
+    w = F_Pperp A, gives the canonical preimage pt0 = psi3_section(P, Q)
+    and the one eigendecomposition of Id + w*w = Id + A*A, on which
+    h = (1/4) log(Id + A*A), cosh(h) and sinh(h) are all taken;
+    point = act3(-h, Id, pt0).  The result lies in the level set (exactly,
+    up to round-off) and in the same orbit as pt (psi3 reproduces the
+    pair).  It matches the intrinsic projection only up to the free compact
+    action; the flat potential of the result is nevertheless the exact
+    projected value by invariance.
     """
     pair, _ = psi3(pt, tol)
-    a, fpp = _graph(pair, tol)
-    pt0 = _section(pair.P.frame, a, fpp, pt.trunc.k)
-    p = pt.trunc.p
-    h = 0.25 * herm_fun(np.eye(p) + dagger(a) @ a, np.log,
-                        domain_check=lambda lam: lam > 0.0)
-    point = act3(-h, GroupElement.identity(p), pt0)
+    w = _graph(pair, tol)
+    pt0 = _section(pair.P.frame, w, pt.trunc.k)
+    spec = herm_eig(np.eye(pt.trunc.p) + dagger(w) @ w)
+    h = 0.25 * spec.fun(np.log, domain_check=lambda lam: lam > 0.0)
+    # -h on the same eigenvectors, reordered so its eigenvalues ascend
+    minus_h = HermitianSpectrum(-0.25 * np.log(spec.eigenvalues[::-1]),
+                                spec.eigenvectors[:, ::-1])
+    point = act3(minus_h, None, pt0)
     residual = max(level_residual(point))
     if residual > membership_tol(tol) * pt.trunc.k2:
         raise NotInStable3(

@@ -69,6 +69,30 @@ def _sample(path, space="stable1"):
     assert cli.main(argv) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("space,structure,key", [
+    ("stable1", "i1", "group_eigenvalues"),
+    ("stable3", "i3", "h_eigenvalues"),
+])
+def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point, space)
+    capsys.readouterr()
+    assert cli.main(["project", "--structure", structure, "-i", str(point),
+                     "-o", str(tmp_path / "l.json")]) == cli.EXIT_OK
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines.pop("structure") == structure
+    assert lines.pop("written") == str(tmp_path / "l.json")
+    assert len(lines[key].split()) == 2
+    for name, values in lines.items():
+        for token in values.split():
+            float(token)  # raises on "np.float64(...)"
+
+
+def test_emit_prints_numpy_floats_as_bare_numbers(capsys):
+    cli._emit("v", np.float64(0.1))
+    assert capsys.readouterr().out == "v 0.1\n"
+
+
 def test_unknown_route_exits_2(tmp_path, capsys):
     point = tmp_path / "s.json"
     _sample(point)

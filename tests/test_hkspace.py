@@ -17,7 +17,7 @@ from hkq.hkspace import (
     omega,
     omega_C,
 )
-from hkq.matcore import dagger, fnorm
+from hkq.matcore import dagger, fnorm, herm_eig
 from hkq.sampling import gaussian_complex, make_rng, random_tangent, random_unitary
 
 
@@ -205,6 +205,19 @@ class TestAct3:
         back = act3(-h, ident, act3(h, ident, s3_point))
         assert fnorm(back.x - s3_point.x) <= 1e-11
         assert fnorm(back.X - s3_point.X) <= 1e-11
+
+    def test_spectrum_and_no_unitary_part(self, rng):
+        tr = Truncation(3, 2, 1.3)
+        pt = ConfigPoint(tr, gaussian_complex(rng, (5, 3)), gaussian_complex(rng, (5, 3)))
+        g = gaussian_complex(rng, (3, 3))
+        h = 0.5 * (g + dagger(g))
+        want = act3(h, GroupElement.identity(3), pt)
+        got = act3(herm_eig(h), None, pt)
+        assert fnorm(got.x - want.x) + fnorm(got.X - want.X) <= 1e-14 * fnorm(pt.x)
+        zero = act3(herm_eig(np.zeros((3, 3))), None, pt)
+        assert np.array_equal(zero.x, pt.x) and np.array_equal(zero.X, pt.X)
+        with pytest.raises(ShapeMismatch):
+            act3(herm_eig(np.eye(2)), None, pt)
 
     def test_requires_hermitian_and_unitary(self, s3_point, rng):
         with pytest.raises(NotHermitian):

@@ -306,6 +306,14 @@ class TestSylvester:
         with pytest.raises(NotPositiveDefinite):
             sym_sylvester_solve(np.diag([1.0, -1.0]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1.0, 1e14])
+    def test_positive_definiteness_is_scale_invariant(self, scale, rng):
+        s = skew_part(gaussian_complex(rng, (3, 3)))
+        a = sym_sylvester_solve(scale * np.eye(3), scale * s)
+        assert fnorm(a - s) <= 1e-12 * fnorm(s)
+        with pytest.raises(NotPositiveDefinite):  # lam_min / lam_max = 1e-13
+            sym_sylvester_solve(scale * np.diag([1.0, 1e-13]), np.zeros((2, 2)))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sym_sylvester_solve(np.eye(2), np.zeros((3, 3)))

@@ -143,6 +143,27 @@ class TestProject3:
         assert abs(k0 - k1) <= 1e-9 * (1 + abs(k0))
 
 
+@pytest.mark.parametrize("k", [1e-7, 1e-3, SQRT2, 1e3])
+def test_projectors_at_the_base_point_for_any_k(k, rng):
+    # M = k^2 Id there: positive definite for every k
+    tr = Truncation(2, 3, k)
+    pt = ConfigPoint.base(tr)
+    v = random_tangent(tr, rng, scale=k)
+    nv = np.sqrt(metric_g(v, v))
+    basis = slice_basis(pt)
+    for proj, direct in ((basis.orbit, orbit_tangent_projection),
+                         (basis.level, levelset_tangent_projection),
+                         (basis.horizontal, horizontal_projection)):
+        once = direct(pt, v)
+        twice = proj(once)
+        assert fnorm(once.Z - twice.Z) + fnorm(once.T - twice.T) <= 1e-12 * nv
+    a = random_skew(2, rng)
+    xi = TangentPair(-pt.x @ a, -pt.X @ a)
+    fixed = orbit_tangent_projection(pt, xi)
+    assert fnorm(fixed.Z - xi.Z) + fnorm(fixed.T - xi.T) <= 1e-12 * abs(k) * fnorm(a)
+    assert abs(reduced_pairing(pt, v, xi)) <= 1e-12 * nv * abs(k) * fnorm(a)
+
+
 class TestOrbitProjection:
     def test_orbit_vector_recovered(self, rng):
         tr = Truncation(3, 2, np.sqrt(2.0))
