@@ -24,11 +24,11 @@ import numpy as np
 
 from . import checks, jsonio
 from .config import membership_tol
-from .errors import HkqError
+from .errors import HkqError, NotInStable3
 from .grassmann import characteristic_angles, psi1, psi3
 from .hkspace import Truncation, flat_potential_K
 from .matcore import fnorm
-from .moment import in_stable1, in_stable3, level_residual, on_level_set
+from .moment import in_stable1, level_residual, on_level_set
 from .potentials import K3_hat_angles, evaluate_routes
 from .quotient import project1, project3
 from .sampling import make_rng, sample_point
@@ -183,10 +183,14 @@ def _cmd_info(args) -> int:
     _emit("level_residual_real", rr)
     _emit("on_level_set", on_level_set(pt, args.tol))
     _emit("in_stable1", in_stable1(pt, args.tol))
-    stable3 = in_stable3(pt, args.tol)
-    _emit("in_stable3", stable3)
-    if stable3:
+    # psi3 judges third-stable membership on the SVDs that give its frames,
+    # so its verdict is the one printed
+    try:
         pair, _ = psi3(pt, args.tol)
+    except NotInStable3:
+        pair = None
+    _emit("in_stable3", pair is not None)
+    if pair is not None:
         theta = characteristic_angles(pair, args.tol)
         _emit("characteristic_angles", " ".join(repr(float(t)) for t in theta))
     return EXIT_OK

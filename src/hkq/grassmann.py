@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RANK_TOL, membership_tol
+from .config import membership_tol
 from .errors import (
     BadCotangent,
     NotInStable1,
@@ -38,11 +38,10 @@ from .matcore import (
     fnorm,
     null_frame,
     null_space_frame,
-    orthonormal_range,
     range_frame,
     svd,
 )
-from .moment import _full_rank, _stable3_equations, in_stable1
+from .moment import _full_rank, _stable1_equation, _stable3_equations
 
 __all__ = [
     "CotangentPoint",
@@ -155,21 +154,21 @@ class GrTangent:
         object.__setattr__(self, "coords", as_matrix(self.coords, "coords"))
 
 
-def _range_frame_full(m: np.ndarray, expect: int, err: type, what: str) -> Subspace:
-    f = orthonormal_range(m, RANK_TOL)
-    if f.shape[1] != expect:
-        raise err(f"{what}: expected rank {expect}, detected {f.shape[1]}")
-    return Subspace(f)
-
-
 def psi1(pt: ConfigPoint, tol: float | None = None) -> CotangentPoint:
     """Map a stable pair (first structure) to its cotangent datum
-    (Ran x, (1/k^2) x X*).  Constant on orbits of the first action."""
-    if not in_stable1(pt, tol):
+    (Ran x, (1/k^2) x X*).  Constant on orbits of the first action.
+
+    x is factored once: the thin SVD that gives the frame of P also judges
+    the rank half of first-stable membership (the rule of moment.in_stable1,
+    which factors x again)."""
+    t = membership_tol(tol)
+    fp, s = range_frame(pt.x)
+    if not (_stable1_equation(pt, t) and _full_rank(s, t)):
         raise NotInStable1("psi1 requires X*x = 0 and injective x")
-    P = _range_frame_full(pt.x, pt.trunc.p, NotInStable1, "Ran x")
+    if fp.shape[1] != pt.trunc.p:
+        raise NotInStable1(f"Ran x: expected rank {pt.trunc.p}, detected {fp.shape[1]}")
     eta = (pt.x @ dagger(pt.X)) / pt.trunc.k2
-    return CotangentPoint(P, eta)
+    return CotangentPoint(Subspace(fp), eta)
 
 
 def psi1_section(cp: CotangentPoint, k: float) -> ConfigPoint:
@@ -199,16 +198,19 @@ def psi3(pt: ConfigPoint, tol: float | None = None) -> tuple[OrbitPair, np.ndarr
     x + X and x - X are factored once each: the thin SVD of x + X gives the
     frame of P and the full SVD of (x - X)* the frame of Q, and the rank
     half of third-stable membership is judged on their singular values
-    (the rule of moment.in_stable3, which factors both again).
+    (the rule of moment.in_stable3, which factors both again).  The
+    equation half is judged first, so a point off the level equations is
+    refused before anything is factored.
     """
     t = membership_tol(tol)
+    refusal = "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X"
+    if not _stable3_equations(pt, t):
+        raise NotInStable3(refusal)
     x, X = pt.x, pt.X
     fp, sp = range_frame(x + X)
     fq, sq = null_frame(dagger(x - X))
-    if not (_stable3_equations(pt, t) and _full_rank(sp, t) and _full_rank(sq, t)):
-        raise NotInStable3(
-            "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X"
-        )
+    if not (_full_rank(sp, t) and _full_rank(sq, t)):
+        raise NotInStable3(refusal)
     if fp.shape[1] != pt.trunc.p:
         raise NotInStable3(
             f"Ran(x + X): expected rank {pt.trunc.p}, detected {fp.shape[1]}"

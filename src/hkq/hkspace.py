@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import HERMITIAN_TOL, UNITARY_TOL
 from .errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
-from .matcore import HermitianSpectrum, as_matrix, dagger, fnorm, herm_eig, is_hermitian
+from .matcore import HermitianSpectrum, _eigh, as_matrix, dagger, fnorm, is_hermitian
 
 __all__ = [
     "ConfigPoint",
@@ -145,12 +145,23 @@ class TangentPair:
     __rmul__ = __mul__
 
     def __neg__(self) -> "TangentPair":
-        return TangentPair(-self.Z, -self.T)
+        return _tangent(-self.Z, -self.T)
 
     @staticmethod
     def zero(trunc: Truncation) -> "TangentPair":
         z = np.zeros((trunc.n, trunc.p), dtype=np.complex128)
         return TangentPair(z, z.copy())
+
+
+def _tangent(Z: np.ndarray, T: np.ndarray) -> TangentPair:
+    """TangentPair of components that are already finite complex128 matrices
+    of one shape, built without coercion or checks.  For maps that keep
+    those properties exactly (negation, the complex structures); sums and
+    scalings can overflow and go through the checked constructor."""
+    v = object.__new__(TangentPair)
+    object.__setattr__(v, "Z", Z)
+    object.__setattr__(v, "T", T)
+    return v
 
 
 @dataclass(frozen=True)
@@ -181,23 +192,28 @@ class GroupElement:
         return np.linalg.inv(self.g)
 
 
+def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr a* b = Re a . Re b + Im a . Im b for complex matrices of one
+    shape, as two real dot products over the flattened entries."""
+    a, b = a.ravel(), b.ravel()
+    return a.real.dot(b.real) + a.imag.dot(b.imag)
+
+
 def metric_g(v1: TangentPair, v2: TangentPair) -> float:
     """Flat metric Re Tr Z1*Z2 + Re Tr T1*T2."""
     if v1.Z.shape != v2.Z.shape:
         raise ShapeMismatch(f"tangent shapes differ: {v1.Z.shape} vs {v2.Z.shape}")
-    return float(
-        np.sum(v1.Z.conj() * v2.Z).real + np.sum(v1.T.conj() * v2.T).real
-    )
+    return float(_re_inner(v1.Z, v2.Z) + _re_inner(v1.T, v2.T))
 
 
 def apply_I(j: int, v: TangentPair) -> TangentPair:
     """Apply the j-th complex structure; the formulas are exact."""
     if j == 1:
-        return TangentPair(1j * v.Z, -1j * v.T)
+        return _tangent(1j * v.Z, -1j * v.T)
     if j == 2:
-        return TangentPair(v.T, -v.Z)
+        return _tangent(v.T, -v.Z)
     if j == 3:
-        return TangentPair(1j * v.T, 1j * v.Z)
+        return _tangent(1j * v.T, 1j * v.Z)
     raise BadIndex(f"complex-structure index must be 1, 2 or 3, got {j}")
 
 
@@ -255,7 +271,7 @@ def act3(h: np.ndarray | HermitianSpectrum, u: GroupElement | None,
             raise ShapeMismatch(f"h must be p x p, got {h.shape}")
         if not is_hermitian(h, HERMITIAN_TOL):
             raise NotHermitian("act3 parameter h must be Hermitian")
-        spec = None if fnorm(h) == 0.0 else herm_eig(h)
+        spec = None if fnorm(h) == 0.0 else _eigh(h)
     xu, Xu = pt.x, pt.X
     if u is not None:
         err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
@@ -272,6 +288,5 @@ def act3(h: np.ndarray | HermitianSpectrum, u: GroupElement | None,
 
 def flat_potential_K(pt: ConfigPoint) -> float:
     """Flat hyperkahler potential (1/4) Tr(x*x + X*X - k^2 Id)."""
-    p = pt.trunc.p
-    tr = np.sum(np.abs(pt.x) ** 2) + np.sum(np.abs(pt.X) ** 2) - pt.trunc.k2 * p
+    tr = _re_inner(pt.x, pt.x) + _re_inner(pt.X, pt.X) - pt.trunc.k2 * pt.trunc.p
     return float(0.25 * tr)

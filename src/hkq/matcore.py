@@ -6,6 +6,14 @@ symmetric (anticommutator) Sylvester solver, with stacked right-hand sides,
 used by the tangent projectors.  All scalars are complex128; the acceptance
 tolerances (1e-9 .. 1e-12) need full double precision.
 
+Preconditions are checked at the public entry points only.  herm_eig,
+herm_fun and sym_sylvester_solve given a matrix M run the Hermitian
+pre-check (NotHermitian) on top of the finite-entry check of as_matrix
+(ShapeMismatch).  Operands that the library builds Hermitian (x*x,
+Id + w*w, M = x*x + X*X, any hermitian_part) go straight to the private
+_eigh, which keeps the finite-entry check (a product that overflowed is
+still refused) and the symmetrization, and skips the Hermitian test.
+
 Everything here is a pure function of immutable inputs: no cache, no
 module state and no warning (rank is reported by column count), so it is
 safe to call concurrently.
@@ -13,6 +21,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,8 +74,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def fnorm(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm: the flat 2-norm of the entries.
+
+    The same operations as np.linalg.norm(m) (ravel, real.real +
+    imag.imag, square root), bit for bit, without its Python-level
+    argument handling."""
+    a = np.asarray(m)
+    if not issubclass(a.dtype.type, np.inexact):
+        a = a.astype(float)
+    a = a.ravel(order="K")
+    if a.dtype.kind == "c":
+        re, im = a.real, a.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(a.dot(a))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -157,6 +177,18 @@ def herm_eig(m, tol: float = HERMITIAN_TOL) -> HermitianSpectrum:
             f"matrix is not Hermitian within {tol:g}: "
             f"||M - M*|| = {fnorm(m - dagger(m)):.3e}"
         )
+    return _factor(m)
+
+
+def _eigh(m) -> HermitianSpectrum:
+    """herm_eig without the Hermitian pre-check, for square operands that
+    are Hermitian by construction (up to round-off).  The finite-entry
+    check stays: a product that overflowed raises ShapeMismatch here."""
+    return _factor(as_matrix(m))
+
+
+def _factor(m: np.ndarray) -> HermitianSpectrum:
+    """Symmetrize and factor a checked square complex128 matrix."""
     try:
         lam, u = np.linalg.eigh(hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -179,8 +211,9 @@ def herm_fun(
 
 
 def herm_sqrt(m) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix (tiny negatives clipped)."""
-    return herm_eig(m).fun(psd_sqrt)
+    """Square root of a PSD matrix built Hermitian (tiny negatives clipped);
+    like _eigh, it runs no Hermitian pre-check."""
+    return _eigh(m).fun(psd_sqrt)
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

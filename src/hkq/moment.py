@@ -72,9 +72,14 @@ def level_residual(pt: ConfigPoint) -> tuple[float, float]:
     membership is judged against tol * k^2.
     """
     x, X = pt.x, pt.X
-    r_complex = fnorm(dagger(X) @ x)
-    r_real = fnorm(dagger(x) @ x - dagger(X) @ X - pt.trunc.k2 * np.eye(pt.trunc.p))
-    return r_complex, r_real
+    return _level_residual(dagger(x) @ x, dagger(X) @ X, dagger(X) @ x, pt.trunc.k2)
+
+
+def _level_residual(xx: np.ndarray, XX: np.ndarray, Xx: np.ndarray,
+                    k2: float) -> tuple[float, float]:
+    """level_residual from the products x*x, X*X and X*x, for a caller that
+    uses them again (the tangent projectors build M = x*x + X*X from them)."""
+    return fnorm(Xx), fnorm(xx - XX - k2 * np.eye(xx.shape[0]))
 
 
 def on_level_set(pt: ConfigPoint, tol: float | None = None) -> bool:
@@ -94,10 +99,15 @@ def in_stable1(pt: ConfigPoint, tol: float | None = None) -> bool:
     """Membership in the stable set of the first structure:
     X*x = 0 (to tol * k^2) and x one-to-one."""
     t = membership_tol(tol)
-    x, X = pt.x, pt.X
-    if fnorm(dagger(X) @ x) > t * pt.trunc.k2:
-        return False
-    return _full_rank(np.linalg.svd(x, compute_uv=False), t)
+    return (_stable1_equation(pt, t)
+            and _full_rank(np.linalg.svd(pt.x, compute_uv=False), t))
+
+
+def _stable1_equation(pt: ConfigPoint, t: float) -> bool:
+    """The equation half of first-stable membership: X*x = 0 to t * k^2.
+    The rank half (x injective) is judged by the caller on singular values
+    it has."""
+    return fnorm(dagger(pt.X) @ pt.x) <= t * pt.trunc.k2
 
 
 def _stable3_equations(pt: ConfigPoint, t: float) -> bool:

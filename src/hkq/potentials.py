@@ -52,8 +52,8 @@ from .grassmann import (
 from .hkspace import ConfigPoint, GroupElement, _half_k2_integral, flat_potential_K
 from .matcore import (
     HermitianSpectrum,
+    _eigh,
     dagger,
-    herm_eig,
     herm_sqrt,
     hermitian_part,
     is_hermitian,
@@ -147,7 +147,7 @@ def _fiber_spectrum(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
     """Eigenvalues of 4 V*V for the cotangent fiber coordinate of pt,
     computed as the spectrum of (4/k^4) |x| X*X |x| (same nonzero spectrum
     as the frame-coordinate V, including multiplicities)."""
-    lam = herm_eig(_fiber_operand(pt, xx)).eigenvalues
+    lam = _eigh(_fiber_operand(pt, xx.fun(psd_sqrt))).eigenvalues
     return np.clip(lam, 0.0, None)
 
 
@@ -166,9 +166,9 @@ def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
         raise NotInStable1("K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
     k2 = pt.trunc.k2
-    xx = herm_eig(dagger(pt.x) @ pt.x)
+    xx = _eigh(dagger(pt.x) @ pt.x)
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
-    mu = herm_eig(np.eye(pt.trunc.p) + _fiber_operand(pt, xx)).eigenvalues
+    mu = _eigh(np.eye(pt.trunc.p) + _fiber_operand(pt, xx.fun(psd_sqrt))).eigenvalues
     lam = 0.5 * (1.0 + psd_sqrt(mu))
     if np.any(lam <= 0):
         raise NotInStable1("gamma gamma* is not positive definite")
@@ -183,7 +183,7 @@ def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
         raise NotInStable1("K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
     k2 = pt.trunc.k2
-    xx = herm_eig(dagger(pt.x) @ pt.x)
+    xx = _eigh(dagger(pt.x) @ pt.x)
     u = _fiber_spectrum(pt, xx)
     root = np.sqrt(1.0 + u)
     term2 = 0.25 * k2 * float(np.sum(root - 1.0))
@@ -198,7 +198,7 @@ def K1_curvature(pt: ConfigPoint, tol: float | None = None) -> float:
     NotInStable1 before any IntegralityWarning)."""
     v = fiber_coordinate(pt, tol)
     _warn_integrality(pt.trunc.k)
-    return (_logdet_term(pt, herm_eig(dagger(pt.x) @ pt.x))
+    return (_logdet_term(pt, _eigh(dagger(pt.x) @ pt.x))
             + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v))
 
 
@@ -228,7 +228,7 @@ def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
     else:
         root = herm_sqrt(h)
         m = root @ g @ root
-    lam = herm_eig(hermitian_part(m)).eigenvalues
+    lam = _eigh(m).eigenvalues
     if np.any(lam <= 0):
         raise NotPositive(
             f"spectral operand has a non-positive eigenvalue ({lam.min():.3e})"
@@ -270,7 +270,7 @@ def K3_commuting_form(pt: ConfigPoint) -> float:
     XX = dagger(pt.X) @ pt.X
     xX = dagger(pt.x) @ pt.X
     d = k2 * k2 * np.eye(p) + 4.0 * (xx @ XX) - 4.0 * (xX @ xX)
-    lam = herm_eig(hermitian_part(d), tol=1e6).eigenvalues
+    lam = _eigh(d).eigenvalues
     if np.any(lam <= 0):
         raise NotPositive(
             f"commuting-form operand has a non-positive eigenvalue "

@@ -6,17 +6,19 @@ first structure onto the level set: the unique positive group element g with
     g^-2 = (x*x)^{-1/2} . gamma gamma* . (x*x)^{-1/2},
     gamma gamma* = (k^2/2) (Id + (Id + (4/k^4) |x| X*X |x|)^{1/2}),
 
-moves (x, X) into the level set; one eigendecomposition of x*x gives both
-|x| and |x|^-1.  project3 routes through the subspace-pair picture: map
-the point down with psi3 (which is where third-stable membership is
-checked), take the canonical preimage of the pair, and slide it onto the
-level set with the closed-form positive part h = (1/4) log(Id + A*A) of the
-third action.  The graph operator enters in its ambient form
-w = F_Pperp A, computed once and without any frame of P^perp; it gives the
-preimage, and one eigendecomposition of Id + w*w = Id + A*A gives h,
-cosh(h) and sinh(h).  The returned point is a representative of the
-intersection orbit (unique up to the free compact action); every
-downstream quantity we evaluate on it is invariant under that action.
+moves (x, X) into the level set.  One thin SVD x = U diag(s) W* judges
+first-stable membership (x injective) and gives both |x| = W diag(s) W*
+and |x|^-1, and one eigendecomposition of g^-2 gives g.  project3 routes
+through the subspace-pair picture: map the point down with psi3 (which is
+where third-stable membership is checked), take the canonical preimage of
+the pair, and slide it onto the level set with the closed-form positive
+part h = (1/4) log(Id + A*A) of the third action.  The graph operator
+enters in its ambient form w = F_Pperp A, computed once and without any
+frame of P^perp; it gives the preimage, and one eigendecomposition of
+Id + w*w = Id + A*A gives h, cosh(h) and sinh(h).  The returned point
+is a representative of the intersection orbit (unique up to the free
+compact action); every downstream quantity we evaluate on it is
+invariant under that action.
 
 The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
@@ -62,16 +64,22 @@ from .grassmann import _graph, _section, psi3
 from .hkspace import ConfigPoint, GroupElement, TangentPair, act1, act3, apply_I, metric_g, omega
 from .matcore import (
     HermitianSpectrum,
+    _eigh,
     dagger,
-    herm_eig,
-    herm_fun,
     herm_sqrt,
     hermitian_part,
-    psd_sqrt,
     skew_part,
+    svd,
     sym_sylvester_solve,
 )
-from .moment import in_stable1, in_stable3, level_residual, on_level_set
+from .moment import (
+    _full_rank,
+    _level_residual,
+    _stable1_equation,
+    in_stable1,
+    in_stable3,
+    level_residual,
+)
 
 __all__ = [
     "ProjectionResult",
@@ -104,37 +112,40 @@ class ProjectionResult:
     h: np.ndarray | None = None
 
 
-def _fiber_operand(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
-    """(4/k^4) |x| X*X |x|, Hermitian, with |x| taken on the spectrum xx of
-    x*x (a caller that needs more of x*x decomposes it once and passes it).
+def _fiber_operand(pt: ConfigPoint, sx: np.ndarray) -> np.ndarray:
+    """(4/k^4) |x| X*X |x|, Hermitian, for the given |x| = (x*x)^{1/2} (each
+    caller takes it on the factorization of x it already holds).
 
     Its spectrum is that of 4 V*V for the cotangent fiber coordinate V, and
     Id plus it is the operand under the square root of gamma gamma*."""
     k2 = pt.trunc.k2
-    sx = xx.fun(psd_sqrt)
     return hermitian_part((4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx))
 
 
 def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     """Closed-form projection onto the level set along the first action.
 
-    One eigendecomposition of x*x gives both |x| (inside the fiber operand)
-    and |x|^-1."""
-    if not in_stable1(pt, tol):
+    One thin SVD of x judges first-stable membership (X*x = 0 to tol * k^2
+    and sigma_min(x) > tol * sigma_max(x), the rule of in_stable1) and gives
+    |x| (inside the fiber operand) and |x|^-1 on its right factor.  g is
+    taken on the one eigendecomposition of g^-2, and act1 inverts it."""
+    t = membership_tol(tol)
+    _, s, w = svd(pt.x)
+    if not (_stable1_equation(pt, t) and _full_rank(s, t)):
         raise NotInStable1("project1 requires X*x = 0 and injective x")
     p = pt.trunc.p
     k2 = pt.trunc.k2
     eye = np.eye(p)
-    xx = herm_eig(dagger(pt.x) @ pt.x)
-    isx = xx.fun(lambda lam: 1.0 / np.sqrt(lam), domain_check=lambda lam: lam > 0.0)
-    gamma2 = 0.5 * k2 * (eye + herm_sqrt(eye + _fiber_operand(pt, xx)))
-    g_minus2 = hermitian_part(isx @ gamma2 @ isx)
-    g = herm_fun(g_minus2, lambda lam: 1.0 / np.sqrt(lam),
-                 domain_check=lambda lam: lam > 0.0)
+    abs_x = HermitianSpectrum(s[::-1], w[:, ::-1])  # |x| = W diag(s) W*
+    isx = abs_x.fun(np.reciprocal)
+    fiber = _fiber_operand(pt, abs_x.fun(np.positive))
+    gamma2 = 0.5 * k2 * (eye + herm_sqrt(eye + fiber))
+    g = _eigh(isx @ gamma2 @ isx).fun(lambda mu: 1.0 / np.sqrt(mu),
+                                      domain_check=lambda mu: mu > 0.0)
     group = GroupElement(g)
     point = act1(group, pt)
     residual = max(level_residual(point))
-    if residual > membership_tol(tol) * k2:
+    if residual > t * k2:
         raise NotInStable1(
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
@@ -159,7 +170,7 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     pair, _ = psi3(pt, tol)
     w = _graph(pair, tol)
     pt0 = _section(pair.P.frame, w, pt.trunc.k)
-    spec = herm_eig(np.eye(pt.trunc.p) + dagger(w) @ w)
+    spec = _eigh(np.eye(pt.trunc.p) + dagger(w) @ w)
     h = 0.25 * spec.fun(np.log, domain_check=lambda lam: lam > 0.0)
     # -h on the same eigenvectors, reordered so its eigenvalues ascend
     minus_h = HermitianSpectrum(-0.25 * np.log(spec.eigenvalues[::-1]),
@@ -173,19 +184,21 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     return ProjectionResult(point=point, residual=residual, h=h)
 
 
-def _require_level(pt: ConfigPoint, tol: float | None) -> None:
-    if not on_level_set(pt, tol):
-        rc, rr = level_residual(pt)
+def _level_spectrum(pt: ConfigPoint, tol: float | None) -> HermitianSpectrum:
+    """Level membership check and the one eigendecomposition of M that every
+    projector at pt solves against.  x*x and X*X are formed once: the level
+    residual (the rule of on_level_set) is judged on them, and they sum to
+    M, which is Hermitian by construction and goes to the factorization
+    unchecked."""
+    x, X = pt.x, pt.X
+    xx, XX = dagger(x) @ x, dagger(X) @ X
+    rc, rr = _level_residual(xx, XX, dagger(X) @ x, pt.trunc.k2)
+    bound = membership_tol(tol) * pt.trunc.k2
+    if not (rc <= bound and rr <= bound):
         raise NotOnLevelSet(
             f"point is not on the level set: residuals ({rc:.3e}, {rr:.3e})"
         )
-
-
-def _level_spectrum(pt: ConfigPoint, tol: float | None) -> HermitianSpectrum:
-    """Level membership check and the one eigendecomposition of M that every
-    projector at pt solves against."""
-    _require_level(pt, tol)
-    return herm_eig(dagger(pt.x) @ pt.x + dagger(pt.X) @ pt.X)
+    return _eigh(xx + XX)
 
 
 def _orbit(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:

@@ -8,12 +8,14 @@ function of (parameters, generator state).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSample
 from .grassmann import CotangentPoint, OrbitPair, Subspace, complement_frame
 from .hkspace import ConfigPoint, GroupElement, TangentPair, Truncation, act3
-from .matcore import dagger, hermitian_part, orthonormal_range, skew_part
+from .matcore import _eigh, dagger, hermitian_part, orthonormal_range, skew_part
 from .quotient import project1
 
 __all__ = [
@@ -39,7 +41,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex normals with unit total variance (E|z|^2 = 1)."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     u1 = 1.0 - rng.random(size)
     u2 = rng.random(size)
     r = np.sqrt(-np.log(u1))
@@ -79,10 +81,8 @@ def random_unitary(p: int, rng: np.random.Generator) -> GroupElement:
 def random_group_positive(p: int, rng: np.random.Generator,
                           spread: float = 0.5) -> GroupElement:
     """Positive-definite element exp(spread * Hermitian ball)."""
-    from .matcore import herm_fun
-
     h = random_hermitian_ball(p, rng, radius=spread)
-    return GroupElement(herm_fun(h, np.exp))
+    return GroupElement(_eigh(h).fun(np.exp))
 
 
 def sample_stable1(trunc: Truncation, rng: np.random.Generator,

@@ -12,6 +12,8 @@ operand 8, K3 = (sqrt 2 - 1)/2, boost h = (1/4) ln 2.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,18 @@ def s3_point(trunc11) -> ConfigPoint:
 @pytest.fixture
 def rng():
     return make_rng(20240817)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of the numpy.linalg factorizations made while the test runs."""
+    counts = collections.Counter()
+    for name in ("svd", "qr", "eigh", "eigvalsh", "inv", "slogdet"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

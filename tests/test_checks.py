@@ -51,3 +51,10 @@ def test_one_failed_check_fails_the_run(monkeypatch, failing):
     results, ok = checks.run_suites(["a", "b"], 1, 0)
     assert not ok
     assert [r.passed for r in results] == [failing != "a", failing != "b"]
+
+
+def test_every_suite_passes_at_three_trials():
+    # the acceptance run of `hkq check`, at a trial count Tier-1 can afford
+    results, ok = checks.run_suites(list(checks.SUITES), 3, 0)
+    assert [r.line() for r in results if not r.passed] == []
+    assert ok and {r.suite for r in results} == set(checks.SUITES)

@@ -5,7 +5,8 @@ numbers, a non-finite k in a file or a non-finite or zero `angles --k`, a
 pair file without k, a trial count below one).  Also: the layout of a
 `map --which psi3` file and loading of the older one with "z", and reuse of
 the one parser per process (the same output per verb, handlers looked up at
-call time, `func` kept for callers that dispatch themselves)."""
+call time, `func` kept for callers that dispatch themselves), and what
+`info` prints and factors."""
 
 import json
 
@@ -14,6 +15,8 @@ import pytest
 
 from hkq import checks, cli, jsonio
 from hkq.checks import CheckResult
+from hkq.grassmann import characteristic_angles, psi3
+from hkq.moment import in_stable1, in_stable3, level_residual, on_level_set
 
 
 def test_passing_suite_exits_0(capsys):
@@ -160,6 +163,76 @@ def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "in_stable3 True" in out
     assert "characteristic_angles " in out
+
+
+def _info_oracle(path, tol=None):
+    """What `info -i` printed when it judged third-stable membership with
+    in_stable3 before running psi3; kept as the oracle of its output."""
+    pt = jsonio.load_point(path)
+    rc, rr = level_residual(pt)
+    lines = [f"p {pt.trunc.p}", f"q {pt.trunc.q}", f"k {pt.trunc.k!r}",
+             f"k2_over_2_integral {pt.trunc.integrality_ok}",
+             f"level_residual_complex {rc!r}", f"level_residual_real {rr!r}",
+             f"on_level_set {on_level_set(pt, tol)}", f"in_stable1 {in_stable1(pt, tol)}",
+             f"in_stable3 {in_stable3(pt, tol)}"]
+    if in_stable3(pt, tol):
+        theta = characteristic_angles(psi3(pt, tol)[0], tol)
+        lines.append("characteristic_angles " + " ".join(repr(float(t)) for t in theta))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+@pytest.mark.parametrize("space", ["stable1", "level", "stable3"])
+def test_info_output_is_unchanged(space, tol, tmp_path, capsys):
+    point = tmp_path / f"{space}.json"
+    assert cli.main(["sample", "--space", space, "-p", "4", "-q", "5",
+                     "--seed", "3", "-o", str(point)]) == cli.EXIT_OK
+    capsys.readouterr()
+    args = [] if tol is None else ["--tol", repr(tol)]
+    assert cli.main(args + ["info", "-i", str(point)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == _info_oracle(point, tol)
+
+
+def test_info_reports_psi3s_verdict_under_a_loose_tol(tmp_path, capsys):
+    # x scaled by 1 + 1e-8 leaves the level equations off by ~2e-7 k^2:
+    # within --tol 1e-6, so in_stable3 holds, but z misses i k^2 on
+    # Ran(x + X) by more than psi3's fixed 1e-9 k^2.  info prints psi3's
+    # verdict and exits 0 (it used to print True and then fail with exit 2)
+    s3, off = tmp_path / "s3.json", tmp_path / "off.json"
+    _sample(s3, space="stable3")
+    pt = jsonio.load_point(s3)
+    pt = type(pt)(pt.trunc, pt.x * (1.0 + 1e-8), pt.X)
+    jsonio.save_point(off, pt)
+    assert in_stable3(pt, 1e-6)
+    capsys.readouterr()
+    assert cli.main(["--tol", "1e-6", "info", "-i", str(off)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "in_stable3 False" in out and "characteristic_angles" not in out
+
+
+def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
+    # the rank verdict comes from psi3's own SVDs of x + X and (x - X)*;
+    # the other two SVDs are characteristic_angles' (of F_P* F_Qperp and w)
+    point = tmp_path / "s3.json"
+    assert cli.main(["sample", "--space", "stable3", "-p", "4", "-q", "5",
+                     "-o", str(point)]) == cli.EXIT_OK
+    capsys.readouterr()
+    lapack_calls.clear()
+    assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
+    assert "in_stable3 True" in capsys.readouterr().out
+    assert lapack_calls["svd"] == 4
+
+
+def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
+    # in_stable1's SVD of x is the only factorization: psi3 judges the
+    # third-stable equations first and refuses before factoring x +/- X
+    point = tmp_path / "s1.json"
+    _sample(point, space="stable1")
+    capsys.readouterr()
+    lapack_calls.clear()
+    assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
+    assert "in_stable3 False" in capsys.readouterr().out
+    assert dict(lapack_calls) == {"svd": 1}
 
 
 def _map_psi3(tmp_path):

@@ -9,8 +9,6 @@ compared with the same quantity rebuilt from the oracle, and pairs built
 from a known A are checked against that A.
 """
 
-import collections
-
 import numpy as np
 import pytest
 
@@ -87,21 +85,6 @@ def test_recovers_a_known_graph_operator(p, q, norm, rng):
     assert fnorm(graph_operator(pair) - a) <= bound
     assert fnorm(_oracle_graph(pair)[0] - a) <= bound
     assert np.max(np.abs(characteristic_angles(pair) - _oracle_angles(a, p, q))) <= 1e-13
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Counts of the numpy.linalg factorizations made while the test runs."""
-    counts = collections.Counter()
-    for name in ("svd", "qr", "eigh", "inv"):
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
 
 
 def test_factorization_budget(lapack_calls, rng):

@@ -21,7 +21,7 @@ from hkq.grassmann import (
 )
 from hkq.hkspace import ConfigPoint, GroupElement, Truncation, act1, act3
 from hkq.matcore import dagger, fnorm
-from hkq.moment import in_stable3, level_residual
+from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.sampling import (
     gaussian_complex,
     random_hermitian_ball,
@@ -66,6 +66,30 @@ class TestPsi1:
         bad = ConfigPoint(trunc11, col(1.0, 0.0), col(1.0, 0.0))
         with pytest.raises(NotInStable1):
             psi1(bad)
+
+
+    def test_membership_is_the_rule_of_in_stable1(self):
+        # psi1 judges rank on the SVD that gives F_P
+        tr = Truncation(2, 1, 1.0)
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.2]], dtype=complex)
+        for scale in (1.0, 1.1e-9, 0.9e-9, 0.0):
+            xs = x.copy()
+            xs[1, 1] = scale
+            for Xs in (X, X + 2e-9 * x):
+                pt = ConfigPoint(tr, xs, Xs)
+                if in_stable1(pt):
+                    assert psi1(pt).P.dim == 2
+                else:
+                    with pytest.raises(NotInStable1):
+                        psi1(pt)
+
+    def test_factorization_budget(self, lapack_calls, rng):
+        # the thin SVD of x gives F_P and the rank verdict
+        pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
+        lapack_calls.clear()
+        psi1(pt)
+        assert dict(lapack_calls) == {"svd": 1}
 
 
 class TestPsi1Section:

@@ -227,6 +227,61 @@ class TestAct3:
             act3(np.zeros((1, 1)), bad_u, s3_point)
 
 
+class TestFlatReductions:
+    """metric_g and flat_potential_K sum Re a . Re b + Im a . Im b as real
+    dot products; the np.sum forms they replaced are kept here as the
+    oracle and agree to 4 eps of the sum of the magnitudes of the terms."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def old_metric(v1, v2):
+        return float(np.sum(v1.Z.conj() * v2.Z).real + np.sum(v1.T.conj() * v2.T).real)
+
+    @staticmethod
+    def old_flat(pt):
+        tr = pt.trunc
+        return float(0.25 * (np.sum(np.abs(pt.x) ** 2) + np.sum(np.abs(pt.X) ** 2)
+                             - tr.k2 * tr.p))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_the_np_sum_forms(self, seed):
+        rng = make_rng(seed)
+        for _ in range(40):
+            tr = Truncation(int(rng.integers(1, 17)), int(rng.integers(1, 17)),
+                            float(rng.choice([0.05, np.sqrt(2.0), 30.0])))
+            v1 = random_tangent(tr, rng, scale=float(10.0 ** rng.uniform(-3, 3)))
+            v2 = random_tangent(tr, rng)
+            terms = sum(float(np.sum(np.abs(a.real * b.real) + np.abs(a.imag * b.imag)))
+                        for a, b in ((v1.Z, v2.Z), (v1.T, v2.T)))
+            assert abs(metric_g(v1, v2) - self.old_metric(v1, v2)) <= 4 * self.EPS * terms
+            pt = ConfigPoint(tr, v1.Z, v2.T)
+            terms = 0.25 * (fnorm(pt.x) ** 2 + fnorm(pt.X) ** 2 + tr.k2 * tr.p)
+            assert abs(flat_potential_K(pt) - self.old_flat(pt)) <= 4 * self.EPS * terms
+
+    def test_any_layout(self, rng):
+        z = gaussian_complex(rng, (6, 4))
+        zt = np.asfortranarray(z)
+        v, w = TangentPair(z, z[::-1].copy()), TangentPair(zt, zt[::-1])
+        assert metric_g(v, v) == metric_g(w, w)
+        assert metric_g(v, w) == metric_g(w, v)
+
+    def test_complex_structures_are_exact_isometries(self, rng):
+        tr = Truncation(4, 3, 1.5)
+        v1, v2 = random_tangent(tr, rng), random_tangent(tr, rng)
+        for j in (1, 2, 3):
+            assert metric_g(apply_I(j, v1), apply_I(j, v2)) == metric_g(v1, v2)
+
+    def test_unchecked_results_equal_checked_ones(self, rng):
+        v = random_tangent(Truncation(3, 2, 1.5), rng)
+        for out, (Z, T) in [(-v, (-v.Z, -v.T)), (apply_I(1, v), (1j * v.Z, -1j * v.T)),
+                            (apply_I(2, v), (v.T, -v.Z)), (apply_I(3, v), (1j * v.T, 1j * v.Z))]:
+            want = TangentPair(Z, T)
+            assert type(out) is TangentPair
+            assert np.array_equal(out.Z, want.Z) and np.array_equal(out.T, want.T)
+            assert out.Z.dtype == out.T.dtype == np.complex128
+
+
 class TestFlatPotential:
     def test_base_point(self, trunc11):
         assert flat_potential_K(ConfigPoint.base(trunc11)) == 0.0

@@ -8,7 +8,7 @@ from hkq.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from hkq.hkspace import ConfigPoint, Truncation
+from hkq.hkspace import ConfigPoint, Truncation, act3
 from hkq.matcore import (
     as_matrix,
     dagger,
@@ -342,3 +342,71 @@ class TestSylvester:
             sym_sylvester_solve(spec, bad)
         with pytest.raises(NotPositiveDefinite):
             sym_sylvester_solve(herm_eig(np.diag([1.0, -1.0])), np.zeros((2, 2, 2)))
+
+
+class TestFnorm:
+    """fnorm runs the flat path of np.linalg.norm without its argument
+    handling, so the two agree bit for bit on every input it may get."""
+
+    @pytest.mark.parametrize("make", [
+        lambda g: g,                                    # complex
+        lambda g: g.real.copy(),                        # real
+        lambda g: np.arange(12).reshape(3, 4) - 5,      # integer
+        lambda g: [[1, 2j, -3.5], [0.25, 4, 1e-3j]],    # nested list
+        lambda g: g.T,                                  # transposed
+        lambda g: g[::2, 1:],                           # strided slice
+        lambda g: g.real.T[1:, ::3],                    # real, strided
+        lambda g: g[:, 0],                              # 1-d
+        lambda g: g[:0],                                # empty 2-d
+        lambda g: np.zeros(0),                          # empty 1-d
+        lambda g: 1e200 * g,                            # squares overflow
+    ])
+    def test_matches_numpy_norm_bit_for_bit(self, make, rng):
+        m = make(gaussian_complex(rng, (7, 5)))
+        with np.errstate(over="ignore"):
+            expected = float(np.linalg.norm(m))
+            got = fnorm(m)
+        assert type(got) is float
+        assert got == expected or (np.isinf(got) and np.isinf(expected))
+
+
+class TestPublicPreChecks:
+    """The public entry points check the matrices they are given: a
+    non-Hermitian one raises NotHermitian and a non-finite one
+    ShapeMismatch.  Only operands the library builds Hermitian skip the
+    Hermitian test, through the private factorization helper."""
+
+    NOT_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])
+
+    @staticmethod
+    def entry_points():
+        pt = ConfigPoint.base(Truncation(2, 1, np.sqrt(2.0)))
+        return {
+            "herm_eig": herm_eig,
+            "herm_fun": lambda m: herm_fun(m, np.exp),
+            "sym_sylvester_solve": lambda m: sym_sylvester_solve(m, np.zeros((2, 2))),
+            "act3": lambda m: act3(m, None, pt),
+        }
+
+    @pytest.mark.parametrize("name", ["herm_eig", "herm_fun", "sym_sylvester_solve", "act3"])
+    def test_rejects_a_non_hermitian_matrix(self, name):
+        with pytest.raises(NotHermitian):
+            self.entry_points()[name](self.NOT_HERMITIAN)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["herm_eig", "herm_fun", "sym_sylvester_solve", "act3"])
+    def test_rejects_a_non_finite_matrix(self, name, entry):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = m[1, 0] = entry
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            self.entry_points()[name](m)
+
+    def test_private_helper_keeps_the_finite_check(self):
+        m = np.eye(2, dtype=complex)
+        m[1, 1] = np.inf
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            matcore._eigh(m)
+        a = random_hermitian(make_rng(3), 4)
+        spec, ref = matcore._eigh(a), herm_eig(a)
+        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, ref.eigenvectors)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hkq.errors import NotInStable1, NotInStable3, NotOnLevelSet
+from hkq.errors import HkqError, NotInStable1, NotInStable3, NotOnLevelSet
 from hkq.grassmann import projector_distance, psi3
 from hkq.hkspace import (
     ConfigPoint,
@@ -91,6 +91,81 @@ class TestProject1:
         rhs = act1(u, project1(pt).point)
         assert fnorm(lhs.x - rhs.x) <= 1e-9 * (1 + fnorm(rhs.x))
         assert fnorm(lhs.X - rhs.X) <= 1e-9 * (1 + fnorm(rhs.X))
+
+
+    def test_group_part_moves_the_point_onto_its_result(self, rng):
+        # the group element project1 returns is the one it applied
+        for p, q in ((1, 1), (4, 5), (6, 2)):
+            pt = sample_stable1(Truncation(p, q, SQRT2), rng)
+            res = project1(pt)
+            moved = act1(res.group_part, pt)
+            assert fnorm(moved.x - res.point.x) <= 1e-13 * (1 + fnorm(res.point.x))
+            assert fnorm(moved.X - res.point.X) <= 1e-13 * (1 + fnorm(res.point.X))
+
+    def test_membership_is_the_rule_of_in_stable1(self):
+        # project1 judges injectivity on its own SVD of x: it must refuse
+        # exactly the points in_stable1 refuses
+        tr = Truncation(2, 1, 1.0)
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.2]], dtype=complex)
+        for scale in (1.0, 1e-3, 1.1e-9, 0.9e-9, 0.0):
+            xs = x.copy()
+            xs[1, 1] = scale
+            for Xs in (X, X + 2e-9 * x):
+                pt = ConfigPoint(tr, xs, Xs)
+                if in_stable1(pt):
+                    assert project1(pt).residual <= 1e-9 * tr.k2
+                else:
+                    with pytest.raises(NotInStable1):
+                        project1(pt)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200, 1e300])
+    def test_refuses_a_point_whose_x_star_x_overflows(self, scale, rng):
+        # x*x overflows at every scale here; project1 never forms it, but
+        # the fiber operand |x| X*X |x| does, and is refused as non-finite
+        tr = Truncation(3, 2, SQRT2)
+        x = scale * tr.base_x()
+        X = np.zeros((5, 3), dtype=complex)
+        X[3:] = gaussian_complex(rng, (2, 3))  # X*x = 0 exactly
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(HkqError):
+                project1(ConfigPoint(tr, x, X))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e160, 1e200, 1e300])
+    def test_never_returns_a_non_finite_point(self, scale, rng):
+        # with no fiber nothing overflows on the way: the projection either
+        # succeeds (the level point k [Id; 0] up to a unitary) or refuses
+        tr = Truncation(3, 2, SQRT2)
+        pt = sample_stable1(tr, rng)
+        big = ConfigPoint(tr, scale * pt.x, np.zeros_like(pt.X))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            try:
+                res = project1(big)
+            except HkqError:
+                return
+        assert np.isfinite(res.point.x).all() and np.isfinite(res.point.X).all()
+        assert max(level_residual(res.point)) <= 1e-9 * tr.k2
+
+    def test_factorization_budget(self, lapack_calls, rng):
+        # one thin SVD of x (membership, |x| and |x|^-1), one eigh of
+        # Id + the fiber operand and one of g^-2 (g); the slogdet is
+        # GroupElement's check of g and the inv is act1's g^-1.  The tangent
+        # projectors decompose M once and check membership without a
+        # factorization.
+        tr = Truncation(4, 5, SQRT2)
+        pt = sample_stable1(tr, rng)
+        level = sample_level(tr, rng)
+        v = random_tangent(tr, rng)
+        budgets = [
+            (lambda: project1(pt), {"svd": 1, "eigh": 2, "slogdet": 1, "inv": 1}),
+            (lambda: orbit_tangent_projection(level, v), {"eigh": 1}),
+            (lambda: levelset_tangent_projection(level, v), {"eigh": 1}),
+            (lambda: horizontal_projection(level, v), {"eigh": 1}),
+        ]
+        for call, budget in budgets:
+            lapack_calls.clear()
+            call()
+            assert dict(lapack_calls) == budget
 
 
 class TestProject3:
