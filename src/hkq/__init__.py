@@ -13,7 +13,6 @@ from .config import DEFAULT_MEMBERSHIP_TOL, membership_tol
 from .errors import *  # noqa: F401,F403
 from .grassmann import (
     CotangentPoint,
-    GrTangent,
     OrbitPair,
     Subspace,
     characteristic_angles,
@@ -52,6 +51,8 @@ from .matcore import (
 )
 from .moment import (
     MomentValue,
+    in_stable1,
+    in_stable3,
     level_residual,
     moment,
     moment_pairing_check,
@@ -77,8 +78,6 @@ from .quotient import (
     ProjectionResult,
     SliceBasis,
     horizontal_projection,
-    in_stable1,
-    in_stable3,
     levelset_tangent_projection,
     orbit_tangent_projection,
     project1,

@@ -183,8 +183,8 @@ def _cmd_info(args) -> int:
     _emit("level_residual_real", rr)
     _emit("on_level_set", on_level_set(pt, args.tol))
     _emit("in_stable1", in_stable1(pt, args.tol))
-    # psi3 judges third-stable membership on the SVDs that give its frames,
-    # so its verdict is the one printed
+    # psi3 applies in_stable3's rule at the same tol, on the SVDs that give
+    # its frames, so its verdict is in_stable3's and its pair gives the angles
     try:
         pair, _ = psi3(pt, args.tol)
     except NotInStable3:

@@ -2,7 +2,8 @@
 
 Membership checks (level set, stable sets, transversality) use a relative
 tolerance that scales with k^2 because the defining constraints are
-homogeneous of degree 2 in (x, X).  The default is overridden per call
+homogeneous of degree 2 in (x, X); the bound itself is written once, in
+moment._within_tol.  The default is overridden per call
 (the `tol` argument, or the CLI's --tol).
 """
 
@@ -17,7 +18,10 @@ UNITARY_TOL = 1e-10
 # Positive definiteness in sym_sylvester_solve: lam_min > PD_TOL * lam_max.
 PD_TOL = 1e-12
 
-# Rank cutoff used when extracting ranges and null spaces from an SVD.
+# Rank cutoff of matcore.orthonormal_range and null_space_frame, which
+# extract frames (of a random plane, a complement, a frame read from a
+# file).  It judges no membership: stable-set rank is judged at the
+# caller's membership tolerance, by moment's rule.
 RANK_TOL = 1e-10
 
 

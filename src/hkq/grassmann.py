@@ -32,20 +32,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .hkspace import ConfigPoint, Truncation
-from .matcore import (
-    as_matrix,
-    dagger,
-    fnorm,
-    null_frame,
-    null_space_frame,
-    range_frame,
-    svd,
-)
-from .moment import _full_rank, _stable1_equation, _stable3_equations
+from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame, svd
+from .moment import _full_rank, _stable1_equation, _stable3_equations, _within_tol
 
 __all__ = [
     "CotangentPoint",
-    "GrTangent",
     "OrbitPair",
     "Subspace",
     "characteristic_angles",
@@ -143,32 +134,20 @@ class OrbitPair:
         return float(s[-1])
 
 
-@dataclass(frozen=True)
-class GrTangent:
-    """Tangent vector to the Grassmannian at a base plane, held as its
-    (n-p) x p coordinate matrix relative to (F_P, F_Pperp)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", as_matrix(self.coords, "coords"))
-
-
 def psi1(pt: ConfigPoint, tol: float | None = None) -> CotangentPoint:
     """Map a stable pair (first structure) to its cotangent datum
     (Ran x, (1/k^2) x X*).  Constant on orbits of the first action.
 
     x is factored once: the thin SVD that gives the frame of P also judges
     the rank half of first-stable membership (the rule of moment.in_stable1,
-    which factors x again)."""
+    which factors x again).  Once x passes, its p left singular vectors are
+    the frame of P."""
     t = membership_tol(tol)
-    fp, s = range_frame(pt.x)
+    u, s, _ = svd(pt.x)
     if not (_stable1_equation(pt, t) and _full_rank(s, t)):
         raise NotInStable1("psi1 requires X*x = 0 and injective x")
-    if fp.shape[1] != pt.trunc.p:
-        raise NotInStable1(f"Ran x: expected rank {pt.trunc.p}, detected {fp.shape[1]}")
     eta = (pt.x @ dagger(pt.X)) / pt.trunc.k2
-    return CotangentPoint(Subspace(fp), eta)
+    return CotangentPoint(Subspace(_fix_column_phases(u)), eta)
 
 
 def psi1_section(cp: CotangentPoint, k: float) -> ConfigPoint:
@@ -192,40 +171,35 @@ def psi3(pt: ConfigPoint, tol: float | None = None) -> tuple[OrbitPair, np.ndarr
     """Map a stable pair (third structure) to (P, Q) and the orbit operator.
 
     z = i (x + X)(x* - X*) has spectrum {i k^2, 0} with eigenspaces
-    P = Ran(x + X) and Q = Ker(x* - X*); both memberships are verified to
-    1e-9 k^2.  psi3 is exactly constant on orbits of the third action.
+    P = Ran(x + X) and Q = Ker(x* - X*); both are verified to the
+    membership bound of moment, at tol, scaled by 1 + ||z|| / k^2.  psi3 is
+    exactly constant on orbits of the third action.
 
-    x + X and x - X are factored once each: the thin SVD of x + X gives the
-    frame of P and the full SVD of (x - X)* the frame of Q, and the rank
-    half of third-stable membership is judged on their singular values
-    (the rule of moment.in_stable3, which factors both again).  The
-    equation half is judged first, so a point off the level equations is
-    refused before anything is factored.
+    x + X and x - X are factored once each, and the rank half of
+    third-stable membership is judged on their singular values (the rule
+    of moment.in_stable3, which factors both again).  Once they pass, the
+    p left singular vectors of the thin SVD of x + X are the frame of P,
+    and the trailing q right singular vectors of the full SVD of (x - X)*
+    the frame of Q.  The equation half is judged first, so a point off the
+    level equations is refused before anything is factored.
     """
     t = membership_tol(tol)
     refusal = "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X"
     if not _stable3_equations(pt, t):
         raise NotInStable3(refusal)
     x, X = pt.x, pt.X
-    fp, sp = range_frame(x + X)
-    fq, sq = null_frame(dagger(x - X))
+    u, sp, _ = svd(x + X)
+    _, sq, wh = np.linalg.svd(dagger(x - X))
     if not (_full_rank(sp, t) and _full_rank(sq, t)):
         raise NotInStable3(refusal)
-    if fp.shape[1] != pt.trunc.p:
-        raise NotInStable3(
-            f"Ran(x + X): expected rank {pt.trunc.p}, detected {fp.shape[1]}"
-        )
-    if fq.shape[1] != pt.trunc.q:
-        raise NotInStable3(
-            f"Ker(x* - X*): expected dimension {pt.trunc.q}, got {fq.shape[1]}"
-        )
-    P, Q = Subspace(fp), Subspace(fq)
+    P = Subspace(_fix_column_phases(u))
+    Q = Subspace(_fix_column_phases(dagger(wh)[:, pt.trunc.p:]))
     k2 = pt.trunc.k2
     z = 1j * ((x + X) @ (dagger(x) - dagger(X)))
-    check_tol = 1e-9 * k2 * (1.0 + fnorm(z) / k2)
-    if fnorm(z @ P.frame - 1j * k2 * P.frame) > check_tol:
+    scale = fnorm(z)
+    if not _within_tol(fnorm(z @ P.frame - 1j * k2 * P.frame), t, k2, scale):
         raise NotInStable3("z does not act as i k^2 on Ran(x + X)")
-    if fnorm(z @ Q.frame) > check_tol:
+    if not _within_tol(fnorm(z @ Q.frame), t, k2, scale):
         raise NotInStable3("z does not vanish on Ker(x* - X*)")
     return OrbitPair(P, Q), z
 
@@ -305,10 +279,6 @@ def characteristic_angles(pair: OrbitPair, tol: float | None = None) -> np.ndarr
     return np.sort(theta)
 
 
-def _coords(v) -> np.ndarray:
-    return v.coords if isinstance(v, GrTangent) else as_matrix(v)
-
-
 def curvature_R(X, Y, Z) -> np.ndarray:
     """Curvature tensor of the Grassmannian in frame coordinates:
 
@@ -316,7 +286,7 @@ def curvature_R(X, Y, Z) -> np.ndarray:
 
     Antisymmetry in (X, Y) is exact.
     """
-    x, y, z = _coords(X), _coords(Y), _coords(Z)
+    x, y, z = as_matrix(X), as_matrix(Y), as_matrix(Z)
     if not (x.shape == y.shape == z.shape):
         raise ShapeMismatch(
             f"curvature operands must share a shape: {x.shape}, {y.shape}, {z.shape}"
@@ -328,7 +298,7 @@ def curvature_R(X, Y, Z) -> np.ndarray:
 def curvature_op_I1(V, Y) -> np.ndarray:
     """The operator i R_{iV, V} applied to Y, in closed form:
     2 (V V* Y + Y V* V)."""
-    v, y = _coords(V), _coords(Y)
+    v, y = as_matrix(V), as_matrix(Y)
     if v.shape != y.shape:
         raise ShapeMismatch(f"V {v.shape} and Y {y.shape} must match")
     return 2.0 * (v @ dagger(v) @ y + y @ dagger(v) @ v)
@@ -337,7 +307,7 @@ def curvature_op_I1(V, Y) -> np.ndarray:
 def curvature_op_I1_via_R(V, Y) -> np.ndarray:
     """Same operator evaluated through the general curvature tensor,
     i R_{iV, V} Y; used as the independent route in the identity checks."""
-    v = _coords(V)
+    v = as_matrix(V)
     return 1j * curvature_R(1j * v, v, Y)
 
 
@@ -348,7 +318,6 @@ def curvature_fun_apply(f, V) -> float:
     acts on the singular direction u_i w_i* by 4 sigma_i^2, so the value is
     sum_i f(4 sigma_i^2) sigma_i^2.
     """
-    v = _coords(V)
-    _, s, _ = svd(v)
+    _, s, _ = svd(V)
     vals = np.array([float(f(4.0 * si * si)) * si * si for si in s])
     return float(np.sum(vals))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HERMITIAN_TOL, UNITARY_TOL
+from .config import UNITARY_TOL
 from .errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
 from .matcore import HermitianSpectrum, _eigh, as_matrix, dagger, fnorm, is_hermitian
 
@@ -269,7 +269,7 @@ def act3(h: np.ndarray | HermitianSpectrum, u: GroupElement | None,
         h = as_matrix(h, "h")
         if h.shape != (p, p):
             raise ShapeMismatch(f"h must be p x p, got {h.shape}")
-        if not is_hermitian(h, HERMITIAN_TOL):
+        if not is_hermitian(h):
             raise NotHermitian("act3 parameter h must be Hermitian")
         spec = None if fnorm(h) == 0.0 else _eigh(h)
     xu, Xu = pt.x, pt.X

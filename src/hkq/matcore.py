@@ -46,11 +46,9 @@ __all__ = [
     "hermitian_part",
     "skew_part",
     "is_hermitian",
-    "null_frame",
     "null_space_frame",
     "orthonormal_range",
     "psd_sqrt",
-    "range_frame",
     "svd",
     "sym_sylvester_solve",
 ]
@@ -97,11 +95,11 @@ def skew_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - dagger(m))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return fnorm(m - dagger(m)) <= tol * (1.0 + fnorm(m))
+    return fnorm(m - dagger(m)) <= HERMITIAN_TOL * (1.0 + fnorm(m))
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def psd_sqrt(lam: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
-def herm_eig(m, tol: float = HERMITIAN_TOL) -> HermitianSpectrum:
+def herm_eig(m) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is checked against the Hermitian tolerance and then symmetrized
@@ -172,9 +170,9 @@ def herm_eig(m, tol: float = HERMITIAN_TOL) -> HermitianSpectrum:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"herm_eig needs a square matrix, got {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitian(
-            f"matrix is not Hermitian within {tol:g}: "
+            f"matrix is not Hermitian within {HERMITIAN_TOL:g}: "
             f"||M - M*|| = {fnorm(m - dagger(m)):.3e}"
         )
     return _factor(m)
@@ -200,14 +198,13 @@ def herm_fun(
     m,
     f: Callable[[np.ndarray], np.ndarray],
     domain_check: Callable[[np.ndarray], np.ndarray] | None = None,
-    tol: float = HERMITIAN_TOL,
 ) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix spectrally.
 
     Returns U diag(f(lam)) U*, exactly Hermitian by construction:
-    herm_eig(m, tol).fun(f, domain_check), see HermitianSpectrum.fun.
+    herm_eig(m).fun(f, domain_check), see HermitianSpectrum.fun.
     """
-    return herm_eig(m, tol).fun(f, domain_check)
+    return herm_eig(m).fun(f, domain_check)
 
 
 def herm_sqrt(m) -> np.ndarray:
@@ -252,45 +249,32 @@ def _fix_column_phases(frame: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
+def _rank(s: np.ndarray) -> int:
     """Numerical rank from descending singular values: the count above
-    tol * sigma_max (0 for an empty or zero matrix)."""
+    RANK_TOL * sigma_max (0 for an empty or zero matrix)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def range_frame(m, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """orthonormal_range together with the singular values of M it was cut
-    from, for callers that also judge the rank of M (one SVD for both)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    u, s, _ = svd(m)
-    return _fix_column_phases(u[:, :_rank(s, tol)]), s
-
-
-def null_frame(m, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """null_space_frame together with the singular values of M."""
-    m = as_matrix(m)
-    _, s, wh = np.linalg.svd(m, full_matrices=True)
-    return _fix_column_phases(dagger(wh)[:, _rank(s, tol):]), s
-
-
-def orthonormal_range(m, tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_range(m) -> np.ndarray:
     """Gauge-fixed orthonormal basis of the numerical column span of M.
 
     Keeps the left singular vectors whose singular value exceeds
-    tol * sigma_max and phase-normalizes each column (largest-modulus entry
-    real positive).  The numerical rank is the returned column count, and
-    nothing else reports it: callers that require full rank check that
-    count.
+    RANK_TOL * sigma_max and phase-normalizes each column (largest-modulus
+    entry real positive).  The numerical rank is the returned column
+    count, and nothing else reports it: callers that require full rank
+    check that count.
     """
-    return range_frame(m, tol)[0]
+    u, s, _ = svd(m)
+    return _fix_column_phases(u[:, :_rank(s)])
 
 
-def null_space_frame(m, tol: float = RANK_TOL) -> np.ndarray:
+def null_space_frame(m) -> np.ndarray:
     """Gauge-fixed orthonormal basis of the kernel of M (right null space)."""
-    return null_frame(m, tol)[0]
+    m = as_matrix(m)
+    _, s, wh = np.linalg.svd(m, full_matrices=True)
+    return _fix_column_phases(dagger(wh)[:, _rank(s):])
 
 
 def sym_sylvester_solve(m, s) -> np.ndarray:

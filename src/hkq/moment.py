@@ -82,9 +82,18 @@ def _level_residual(xx: np.ndarray, XX: np.ndarray, Xx: np.ndarray,
     return fnorm(Xx), fnorm(xx - XX - k2 * np.eye(xx.shape[0]))
 
 
+def _within_tol(residual: float, t: float, k2: float, scale: float = 0.0) -> bool:
+    """The membership bound, the one place it is written: a residual of the
+    degree-2 membership equations passes when it is at most
+    t * k^2 (1 + scale / k^2).  scale is the norm of an operator that the
+    residual is formed with (psi3's z), for a check whose round-off grows
+    with it; the level and stable-set equations leave it at 0."""
+    return bool(residual <= t * k2 * (1.0 + scale / k2))
+
+
 def on_level_set(pt: ConfigPoint, tol: float | None = None) -> bool:
     rc, rr = level_residual(pt)
-    return max(rc, rr) <= membership_tol(tol) * pt.trunc.k2
+    return _within_tol(max(rc, rr), membership_tol(tol), pt.trunc.k2)
 
 
 def _full_rank(s: np.ndarray, tol: float) -> bool:
@@ -107,7 +116,7 @@ def _stable1_equation(pt: ConfigPoint, t: float) -> bool:
     """The equation half of first-stable membership: X*x = 0 to t * k^2.
     The rank half (x injective) is judged by the caller on singular values
     it has."""
-    return fnorm(dagger(pt.X) @ pt.x) <= t * pt.trunc.k2
+    return _within_tol(fnorm(dagger(pt.X) @ pt.x), t, pt.trunc.k2)
 
 
 def _stable3_equations(pt: ConfigPoint, t: float) -> bool:
@@ -116,9 +125,8 @@ def _stable3_equations(pt: ConfigPoint, t: float) -> bool:
     numerical rank) is judged by the caller on singular values it has."""
     x, X = pt.x, pt.X
     k2 = pt.trunc.k2
-    if fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)) > t * k2:
-        return False
-    return fnorm(dagger(X) @ x - dagger(x) @ X) <= t * k2
+    return (_within_tol(fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)), t, k2)
+            and _within_tol(fnorm(dagger(X) @ x - dagger(x) @ X), t, k2))
 
 
 def in_stable3(pt: ConfigPoint, tol: float | None = None) -> bool:

@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import NotInStable1, NotInStable3, NotPositive, NotPositiveDefinite
 from .grassmann import (
-    GrTangent,
     OrbitPair,
     _graph,
     characteristic_angles,
@@ -151,13 +150,13 @@ def _fiber_spectrum(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> GrTangent:
+def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> np.ndarray:
     """Frame coordinate matrix of V = (1/k^2) X x* at the cotangent image of
     pt: the (n-p) x p matrix F_Pperp* V F_P."""
     cp = psi1(pt, tol)
     fperp = complement_frame(cp.P)
     v = (pt.X @ dagger(pt.x)) / pt.trunc.k2
-    return GrTangent(dagger(fperp) @ v @ cp.P.frame)
+    return dagger(fperp) @ v @ cp.P.frame
 
 
 def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
@@ -296,7 +295,7 @@ def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
     given as the (n-p) x p frame coordinate matrix or in the n x p ambient
     form F_Pperp V (orthonormal F_Pperp), which has the same ones.
     """
-    coords = V.coords if isinstance(V, GrTangent) else np.asarray(V, dtype=np.complex128)
+    coords = np.asarray(V, dtype=np.complex128)
     k2 = k * k
     if route == "direct":
         s = np.linalg.svd(coords, compute_uv=False)
@@ -336,10 +335,10 @@ def character_log_term(g: GroupElement, k: float) -> float:
     return float(0.5 * k * k * np.sum(np.log(lam)))
 
 
-def quotient_potential(pt: ConfigPoint, structure: str = "i1",
-                       tol: float | None = None) -> PotentialReport:
-    """Generic quotient-potential formula: flat potential at the projected
-    point plus the character term of the projecting group element.
+def quotient_potential(pt: ConfigPoint, tol: float | None = None) -> PotentialReport:
+    """Generic quotient-potential formula for the first structure: flat
+    potential at the projected point plus the character term of the
+    projecting group element.
 
     The report's value is their sum; extras holds the two parts,
     extras["flat_at_level"] (flat potential K at project1's point) and
@@ -347,8 +346,6 @@ def quotient_potential(pt: ConfigPoint, structure: str = "i1",
     No other route is evaluated here.  Membership is checked once, by
     project1 (NotInStable1); character_log_term emits the one
     IntegralityWarning of the call."""
-    if structure != "i1":
-        raise ValueError("the quotient-potential formula is assembled for 'i1'")
     res = project1(pt, tol)
     flat = flat_potential_K(res.point)
     char = character_log_term(res.group_part, pt.trunc.k)

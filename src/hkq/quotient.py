@@ -72,21 +72,12 @@ from .matcore import (
     svd,
     sym_sylvester_solve,
 )
-from .moment import (
-    _full_rank,
-    _level_residual,
-    _stable1_equation,
-    in_stable1,
-    in_stable3,
-    level_residual,
-)
+from .moment import _full_rank, _level_residual, _stable1_equation, _within_tol, level_residual
 
 __all__ = [
     "ProjectionResult",
     "SliceBasis",
     "horizontal_projection",
-    "in_stable1",
-    "in_stable3",
     "levelset_tangent_projection",
     "orbit_tangent_projection",
     "project1",
@@ -145,7 +136,7 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     group = GroupElement(g)
     point = act1(group, pt)
     residual = max(level_residual(point))
-    if residual > t * k2:
+    if not _within_tol(residual, t, k2):
         raise NotInStable1(
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
@@ -177,7 +168,7 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
                                 spec.eigenvectors[:, ::-1])
     point = act3(minus_h, None, pt0)
     residual = max(level_residual(point))
-    if residual > membership_tol(tol) * pt.trunc.k2:
+    if not _within_tol(residual, membership_tol(tol), pt.trunc.k2):
         raise NotInStable3(
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )
@@ -193,8 +184,7 @@ def _level_spectrum(pt: ConfigPoint, tol: float | None) -> HermitianSpectrum:
     x, X = pt.x, pt.X
     xx, XX = dagger(x) @ x, dagger(X) @ X
     rc, rr = _level_residual(xx, XX, dagger(X) @ x, pt.trunc.k2)
-    bound = membership_tol(tol) * pt.trunc.k2
-    if not (rc <= bound and rr <= bound):
+    if not _within_tol(max(rc, rr), membership_tol(tol), pt.trunc.k2):
         raise NotOnLevelSet(
             f"point is not on the level set: residuals ({rc:.3e}, {rr:.3e})"
         )

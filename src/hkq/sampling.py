@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# Draws a rejection sampler makes before it raises DegenerateSample.
+_MAX_DRAWS = 100
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
@@ -78,27 +82,27 @@ def random_unitary(p: int, rng: np.random.Generator) -> GroupElement:
     return GroupElement(q)
 
 
-def random_group_positive(p: int, rng: np.random.Generator,
-                          spread: float = 0.5) -> GroupElement:
-    """Positive-definite element exp(spread * Hermitian ball)."""
-    h = random_hermitian_ball(p, rng, radius=spread)
+def random_group_positive(p: int, rng: np.random.Generator) -> GroupElement:
+    """Positive-definite element exp(h), h in the Hermitian ball of radius
+    1/2."""
+    h = random_hermitian_ball(p, rng, radius=0.5)
     return GroupElement(_eigh(h).fun(np.exp))
 
 
 def sample_stable1(trunc: Truncation, rng: np.random.Generator,
-                   eps: float = 0.3, max_retries: int = 100) -> ConfigPoint:
-    """Point of the first stable set: x = base + eps * Gaussian (resampled
-    until sigma_min(x) > 0.1 sigma_max), X Gaussian with the x-range
-    component removed so X*x = 0 to round-off."""
+                   eps: float = 0.3) -> ConfigPoint:
+    """Point of the first stable set: x = base + eps * Gaussian (resampled,
+    up to 100 times, until sigma_min(x) > 0.1 sigma_max), X Gaussian
+    with the x-range component removed so X*x = 0 to round-off."""
     base = trunc.base_x()
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         x = base + eps * gaussian_complex(rng, base.shape)
         s = np.linalg.svd(x, compute_uv=False)
         if s[-1] > 0.1 * s[0]:
             break
     else:
         raise DegenerateSample(
-            f"no well-conditioned x after {max_retries} draws (eps={eps})"
+            f"no well-conditioned x after {_MAX_DRAWS} draws (eps={eps})"
         )
     X = gaussian_complex(rng, base.shape)
     X = X - x @ np.linalg.solve(dagger(x) @ x, dagger(x) @ X)
@@ -147,19 +151,14 @@ def sample_cotangent(trunc: Truncation, rng: np.random.Generator,
     return CotangentPoint(P, eta)
 
 
-def sample_orbit_pair(trunc: Truncation, rng: np.random.Generator,
-                      min_transversality: float = 0.05,
-                      max_retries: int = 100) -> OrbitPair:
-    """Random transversal pair (P, Q); resampled until the stacked-frame
-    smallest singular value clears the requested margin."""
-    for _ in range(max_retries):
+def sample_orbit_pair(trunc: Truncation, rng: np.random.Generator) -> OrbitPair:
+    """Random transversal pair (P, Q); resampled, up to 100 times,
+    until the stacked-frame smallest singular value exceeds 0.05."""
+    for _ in range(_MAX_DRAWS):
         pair = OrbitPair(
             random_subspace(trunc.n, trunc.p, rng),
             random_subspace(trunc.n, trunc.q, rng),
         )
-        if pair.transversality() > min_transversality:
+        if pair.transversality() > 0.05:
             return pair
-    raise DegenerateSample(
-        f"no transversal pair after {max_retries} draws "
-        f"(margin {min_transversality})"
-    )
+    raise DegenerateSample(f"no transversal pair after {_MAX_DRAWS} draws (margin 0.05)")

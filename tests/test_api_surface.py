@@ -1,11 +1,13 @@
 """Static scan of the public surface of every hkq module (AST only).
 
 Keeps four kinds of drift from coming back: an `__all__` entry whose name
-the module no longer defines, an import nothing uses, a call that mutates
-the process-global warning filters (`warnings.catch_warnings`), which would
-make the library unsafe to call concurrently, and a `json.dump`/`json.dumps`
-call passing `indent`, which makes json fall back from its C encoder to the
-pure-Python one (about twice as slow on the files the CLI writes).
+the module does not define itself (gone, or only imported, which gives a
+name defined elsewhere a second public home), an import nothing uses, a
+call that mutates the process-global warning filters
+(`warnings.catch_warnings`), which would make the library unsafe to call
+concurrently, and a `json.dump`/`json.dumps` call passing `indent`, which
+makes json fall back from its C encoder to the pure-Python one (about
+twice as slow on the files the CLI writes).
 """
 
 import ast
@@ -44,7 +46,8 @@ def _imports(tree: ast.Module) -> list[str]:
 
 
 def _top_level_definitions(tree: ast.Module) -> set[str]:
-    names = set(_imports(tree))
+    """Names the module binds itself at top level; imports do not count."""
+    names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
@@ -69,7 +72,7 @@ def test_every_module_is_scanned():
 def test_all_entries_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_exported(tree)) - _top_level_definitions(tree))
-    assert missing == [], f"{path.name}: __all__ names undefined {missing}"
+    assert missing == [], f"{path.name}: __all__ names not defined here {missing}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

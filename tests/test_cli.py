@@ -16,7 +16,9 @@ import pytest
 from hkq import checks, cli, jsonio
 from hkq.checks import CheckResult
 from hkq.grassmann import characteristic_angles, psi3
+from hkq.matcore import fnorm
 from hkq.moment import in_stable1, in_stable3, level_residual, on_level_set
+from hkq.sampling import gaussian_complex, make_rng
 
 
 def test_passing_suite_exits_0(capsys):
@@ -166,8 +168,9 @@ def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
 
 
 def _info_oracle(path, tol=None):
-    """What `info -i` printed when it judged third-stable membership with
-    in_stable3 before running psi3; kept as the oracle of its output."""
+    """What `info -i` prints, built from moment's membership tests: psi3
+    applies in_stable3's rule at the same tol, so in_stable3 is the oracle
+    of the verdict info reads off psi3."""
     pt = jsonio.load_point(path)
     rc, rr = level_residual(pt)
     lines = [f"p {pt.trunc.p}", f"q {pt.trunc.q}", f"k {pt.trunc.k!r}",
@@ -194,20 +197,24 @@ def test_info_output_is_unchanged(space, tol, tmp_path, capsys):
 
 
 def test_info_reports_psi3s_verdict_under_a_loose_tol(tmp_path, capsys):
-    # x scaled by 1 + 1e-8 leaves the level equations off by ~2e-7 k^2:
-    # within --tol 1e-6, so in_stable3 holds, but z misses i k^2 on
-    # Ran(x + X) by more than psi3's fixed 1e-9 k^2.  info prints psi3's
-    # verdict and exits 0 (it used to print True and then fail with exit 2)
+    # X moved by 1e-8 along a unit direction leaves the third-stable
+    # equations off by ~1e-8 k^2, inside --tol 1e-6.  psi3 judges z against
+    # the same tol, so its verdict is in_stable3's: info prints True with the
+    # angles, and the k3 routes accept the point and agree
     s3, off = tmp_path / "s3.json", tmp_path / "off.json"
     _sample(s3, space="stable3")
     pt = jsonio.load_point(s3)
-    pt = type(pt)(pt.trunc, pt.x * (1.0 + 1e-8), pt.X)
+    e = gaussian_complex(make_rng(1), pt.X.shape)
+    pt = type(pt)(pt.trunc, pt.x, pt.X + 1e-8 * e / fnorm(e))
     jsonio.save_point(off, pt)
     assert in_stable3(pt, 1e-6)
     capsys.readouterr()
     assert cli.main(["--tol", "1e-6", "info", "-i", str(off)]) == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert "in_stable3 False" in out and "characteristic_angles" not in out
+    assert "in_stable3 True" in out and "characteristic_angles " in out
+    assert cli.main(["--tol", "1e-6", "potential", "--which", "k3",
+                     "-i", str(off)]) == cli.EXIT_OK
+    assert "cross_check pass" in capsys.readouterr().out
 
 
 def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):

@@ -167,7 +167,7 @@ class TestOrthonormalRange:
 
     def test_duplicate_columns_warn(self):
         m = np.array([[1.0, 1.0], [0.0, 0.0]])
-        f = orthonormal_range(m, 1e-10)
+        f = orthonormal_range(m)
         assert f.shape == (2, 1)
         assert np.allclose(f, [[1.0], [0.0]])
 
@@ -188,10 +188,6 @@ class TestOrthonormalRange:
             piv = f[np.argmax(np.abs(f[:, j])), j]
             assert abs(piv.imag) <= 1e-14
             assert piv.real > 0
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            orthonormal_range(np.eye(2), tol=0.0)
 
 
 class TestNullSpace:

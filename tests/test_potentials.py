@@ -306,8 +306,8 @@ class TestQuotientPotential:
 
     def test_fiber_coordinate_shape(self, s2_point):
         v = fiber_coordinate(s2_point)
-        assert v.coords.shape == (1, 1)
-        assert abs(abs(v.coords[0, 0]) - 1.0 / SQRT2) <= 1e-12
+        assert v.shape == (1, 1)
+        assert abs(abs(v[0, 0]) - 1.0 / SQRT2) <= 1e-12
 
 
 class TestRoutesAcrossShapes:

@@ -15,11 +15,9 @@ from hkq.hkspace import (
     metric_g,
 )
 from hkq.matcore import dagger, fnorm, skew_part
-from hkq.moment import level_residual
+from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.quotient import (
     horizontal_projection,
-    in_stable1,
-    in_stable3,
     levelset_tangent_projection,
     orbit_tangent_projection,
     project1,
