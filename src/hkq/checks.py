@@ -4,6 +4,18 @@ Each suite draws desk-scale random instances (p, q up to 6, up to 3 for the
 finite-difference suite), evaluates one family of identities, and reports
 the worst residual against the identity's tolerance.  Failures are data,
 not exceptions: the runner aggregates them into an exit code.
+
+At each level point the suites check membership and factor
+M = x*x + X*X once, in one `slice_basis`, and read every tangent
+projection and every reduced form (the metric or omega_j of two horizontal
+projections, the body of `reduced_pairing`) off that basis.  The public
+projectors compute the same operations on the same spectrum, so the values
+are bit-identical.  The reuse cannot mask a fault: each identity still
+compares projector outputs against each other or against closed forms
+(idempotence, orbit vectors fixed, dF of the level projection, the
+five-block decomposition), and a wrong spectrum breaks those at once.
+The one comparison the sharing empties is between two calls on the same
+factorization, which could only ever agree.
 """
 
 from __future__ import annotations
@@ -41,14 +53,7 @@ from .hkspace import (
 )
 from .matcore import dagger, fnorm
 from .moment import moment, moment_pairing_check
-from .quotient import (
-    horizontal_projection,
-    levelset_tangent_projection,
-    orbit_tangent_projection,
-    project1,
-    reduced_pairing,
-    slice_basis,
-)
+from .quotient import project1, slice_basis
 from .sampling import (
     gaussian_complex,
     make_rng,
@@ -210,8 +215,8 @@ def suite_moment(trials: int, seed: int) -> list[CheckResult]:
 
         u = random_unitary(trunc.p, rng)
         moved = act1(u, pt)
-        for tag in ("mu1", "muC"):
-            m0 = moment(tag, pt).value
+        m0s = {tag: moment(tag, pt).value for tag in ("mu1", "muC")}
+        for tag, m0 in m0s.items():
             m1 = moment(tag, moved).value
             conj = u.g @ m0 @ dagger(u.g)
             res_equiv = max(res_equiv, fnorm(m1 - conj) / (1.0 + fnorm(m0)))
@@ -225,10 +230,10 @@ def suite_moment(trials: int, seed: int) -> list[CheckResult]:
         ) / (1.0 + fnorm(dmuc(v))))
 
         # matrix recombination muC = mu2 + i mu3, exact
+        muc = m0s["muC"]
         res_recomb = max(res_recomb, fnorm(
-            moment("muC", pt).value
-            - moment("mu2", pt).value - 1j * moment("mu3", pt).value
-        ) / (1.0 + fnorm(moment("muC", pt).value)))
+            muc - moment("mu2", pt).value - 1j * moment("mu3", pt).value
+        ) / (1.0 + fnorm(muc)))
 
     for _ in range(max(1, trials // 5)):
         trunc = _rand_trunc(rng, max_dim=4)
@@ -250,6 +255,14 @@ def suite_moment(trials: int, seed: int) -> list[CheckResult]:
 # reduction suite
 # ---------------------------------------------------------------------------
 
+def _reduced(which: str, h1: TangentPair, h2: TangentPair) -> float:
+    """reduced_pairing's value on two vectors already projected horizontally:
+    the metric or omega_j of the pair, as in its body."""
+    if which == "g":
+        return metric_g(h1, h2)
+    return omega(int(which[1]), h1, h2)
+
+
 def suite_reduction(trials: int, seed: int) -> list[CheckResult]:
     rng = make_rng(seed)
     res_idem = 0.0
@@ -268,30 +281,24 @@ def suite_reduction(trials: int, seed: int) -> list[CheckResult]:
     for _ in range(trials):
         trunc = _rand_trunc(rng, max_dim=4)
         pt = sample_level(trunc, rng)
+        basis = slice_basis(pt)
         v = random_tangent(trunc, rng)
         nv = np.sqrt(metric_g(v, v)) + 1.0
 
-        po = orbit_tangent_projection(pt, v)
-        pl = levelset_tangent_projection(pt, v)
-        ph = horizontal_projection(pt, v)
-        res_idem = max(
-            res_idem,
-            fnorm((orbit_tangent_projection(pt, po) - po).Z) / nv,
-            fnorm((orbit_tangent_projection(pt, po) - po).T) / nv,
-            fnorm((levelset_tangent_projection(pt, pl) - pl).Z) / nv,
-            fnorm((levelset_tangent_projection(pt, pl) - pl).T) / nv,
-            fnorm((horizontal_projection(pt, ph) - ph).Z) / nv,
-            fnorm((horizontal_projection(pt, ph) - ph).T) / nv,
-        )
+        po = basis.orbit(v)
+        pl = basis.level(v)
+        ph = basis.horizontal(v)
+        for d in (basis.orbit(po) - po, basis.level(pl) - pl,
+                  basis.horizontal(ph) - ph):
+            res_idem = max(res_idem, fnorm(d.Z) / nv, fnorm(d.T) / nv)
         b = random_skew(trunc.p, rng)
         orbit_dir = TangentPair(-pt.x @ b, -pt.X @ b)
         res_orth = max(res_orth, abs(metric_g(ph, orbit_dir))
                        / (nv * (1.0 + np.sqrt(metric_g(orbit_dir, orbit_dir)))))
         # orbit vectors are fixed by the orbit and level projectors
-        rec = orbit_tangent_projection(pt, orbit_dir) - orbit_dir
-        res_orbit_fix = max(res_orbit_fix, fnorm(rec.Z) / nv, fnorm(rec.T) / nv)
-        rec = levelset_tangent_projection(pt, orbit_dir) - orbit_dir
-        res_orbit_fix = max(res_orbit_fix, fnorm(rec.Z) / nv, fnorm(rec.T) / nv)
+        for proj in (basis.orbit, basis.level):
+            rec = proj(orbit_dir) - orbit_dir
+            res_orbit_fix = max(res_orbit_fix, fnorm(rec.Z) / nv, fnorm(rec.T) / nv)
 
         # level projection lands in ker dF
         a_c = dagger(pt.X) @ pl.Z + dagger(pl.T) @ pt.x
@@ -302,40 +309,44 @@ def suite_reduction(trials: int, seed: int) -> list[CheckResult]:
         # horizontal slice is I-stable
         for j in (1, 2, 3):
             ih = apply_I(j, ph)
-            res_istab = max(res_istab, fnorm(
-                (horizontal_projection(pt, ih) - ih).Z) / nv)
+            res_istab = max(res_istab, fnorm((basis.horizontal(ih) - ih).Z) / nv)
 
         # project1 equivariance and the intersection property
         u = random_unitary(trunc.p, rng)
-        lhs = project1(act1(u, pt)).point
+        pt_u = act1(u, pt)
+        lhs = project1(pt_u).point
         rhs = act1(u, project1(pt).point)
         res_equiv = max(res_equiv,
                         fnorm(lhs.x - rhs.x) / (1.0 + fnorm(rhs.x)),
                         fnorm(lhs.X - rhs.X) / (1.0 + fnorm(rhs.X)))
 
         g0 = random_group_positive(trunc.p, rng)
-        moved = act1(g0, pt)
-        back = project1(moved).point
+        pr = project1(act1(g0, pt))
+        back = pr.point
         w = np.linalg.solve(dagger(back.x) @ back.x, dagger(back.x) @ pt.x)
         res_inter = max(res_inter, fnorm(dagger(w) @ w - np.eye(trunc.p)))
         res_inter = max(res_inter, fnorm(pt.X - back.X @ w) / (1.0 + fnorm(pt.X)))
 
-        comp = project1(moved).group_part.g @ g0.g
+        comp = pr.group_part.g @ g0.g
         res_polar = max(res_polar,
                         fnorm(dagger(comp) @ comp - np.eye(trunc.p)))
 
-        # reduced pairings: representative independence + orbit kernel
+        # reduced pairings: representative independence + orbit kernel, each
+        # vector projected once on its representative's slice basis
         v2 = random_tangent(trunc, rng)
         uin = u.inv()
-        pt_u = act1(u, pt)
+        basis_u = slice_basis(pt_u)
+        h2 = basis.horizontal(v2)
+        hu = basis_u.horizontal(TangentPair(v.Z @ uin, v.T @ uin))
+        h2u = basis_u.horizontal(TangentPair(v2.Z @ uin, v2.T @ uin))
         for which in ("g", "w1", "w2", "w3"):
-            val = reduced_pairing(pt, v, v2, which)
-            val_u = reduced_pairing(pt_u, TangentPair(v.Z @ uin, v.T @ uin),
-                                    TangentPair(v2.Z @ uin, v2.T @ uin), which)
+            val = _reduced(which, ph, h2)
+            val_u = _reduced(which, hu, h2u)
             res_repind = max(res_repind, abs(val - val_u) / (1.0 + abs(val)))
+        h_orbit = basis.horizontal(orbit_dir)
         res_kernel = max(res_kernel,
-                         abs(reduced_pairing(pt, orbit_dir, v2, "g")) / nv,
-                         abs(reduced_pairing(pt, v, orbit_dir, "w1")) / nv)
+                         abs(metric_g(h_orbit, h2)) / nv,
+                         abs(omega(1, ph, h_orbit)) / nv)
 
     for _ in range(n_slice):
         trunc = _rand_trunc(rng, max_dim=4)
@@ -411,8 +422,7 @@ def suite_potentials(trials: int, seed: int) -> list[CheckResult]:
         # the chain identity: value at pt minus the transport character
         # equals the value at the projected point
         pr = project1(pt)
-        lhs = pots.quotient_potential(pt).value \
-            - pots.character_log_term(pr.group_part, trunc.k)
+        lhs = routes["level"] - pots.character_log_term(pr.group_part, trunc.k)
         rhs = pots.quotient_potential(pr.point).value
         res_chain = max(res_chain, _rel(abs(lhs - rhs), rhs))
 
@@ -625,20 +635,21 @@ def suite_ddc(trials: int, seed: int) -> list[CheckResult]:
         trunc = _rand_trunc(rng, max_dim=3)
         pt = sample_level(trunc, rng)
         section = _holomorphic_stable1_chart(pt)
+        basis = slice_basis(pt)
 
         def kappa1(w: TangentPair) -> float:
             return pots.K1_closed(section(w))
 
         for _ in range(4):
-            u = horizontal_projection(pt, random_tangent(trunc, rng))
-            v = horizontal_projection(pt, random_tangent(trunc, rng))
+            u = basis.horizontal(random_tangent(trunc, rng))
+            v = basis.horizontal(random_tangent(trunc, rng))
             nu = np.sqrt(metric_g(u, u))
             nv = np.sqrt(metric_g(v, v))
             if nu < 1e-6 or nv < 1e-6:
                 continue
             u = (1.0 / nu) * u
             v = (1.0 / nv) * v
-            rhs = reduced_pairing(pt, u, v, "w1")
+            rhs = omega(1, basis.horizontal(u), basis.horizontal(v))
             if abs(rhs) < 0.02:
                 continue
             lhs = _ddc(kappa1, 1, u, v, step_red)

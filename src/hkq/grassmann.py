@@ -318,6 +318,6 @@ def curvature_fun_apply(f, V) -> float:
     acts on the singular direction u_i w_i* by 4 sigma_i^2, so the value is
     sum_i f(4 sigma_i^2) sigma_i^2.
     """
-    _, s, _ = svd(V)
+    s = np.linalg.svd(as_matrix(V), compute_uv=False)
     vals = np.array([float(f(4.0 * si * si)) * si * si for si in s])
     return float(np.sum(vals))

@@ -1,11 +1,14 @@
 """checks.run_suites: one CheckResult per check of each named suite, in
 order, the overall flag as the AND of the checks' `passed`, the same results
-on a second call, and suite i seeded with seed + 1000 i."""
+on a second call, and suite i seeded with seed + 1000 i.  The reduction
+suite factors each level point once, and a fault in that one factorization
+still fails its checks."""
 
 import pytest
 
-from hkq import checks
+from hkq import checks, quotient
 from hkq.checks import CheckResult
+from hkq.matcore import HermitianSpectrum
 
 NAMES = ["moment", "maps"]
 
@@ -58,3 +61,38 @@ def test_every_suite_passes_at_three_trials():
     results, ok = checks.run_suites(list(checks.SUITES), 3, 0)
     assert [r.line() for r in results if not r.passed] == []
     assert ok and {r.suite for r in results} == set(checks.SUITES)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduction_factors_each_level_point_once(monkeypatch, seed):
+    # one trial meets three level points: pt, its compact translate pt_u
+    # and the slice-decomposition point
+    calls = []
+    original = quotient._level_spectrum
+
+    def counted(pt, tol):
+        calls.append(pt)
+        return original(pt, tol)
+
+    monkeypatch.setattr(quotient, "_level_spectrum", counted)
+    checks.run_suite("reduction", 1, seed)
+    assert len(calls) == 3
+
+
+def test_a_fault_in_the_shared_factorization_fails_the_reduction_checks(monkeypatch):
+    # every projector at a point solves against the one spectrum of M, so a
+    # wrong spectrum must show in the identities each projector must obey;
+    # representative independence compares two equally wrong bases and
+    # the project1 checks never touch M, so those may still pass
+    original = quotient._level_spectrum
+
+    def skewed(pt, tol):
+        spec = original(pt, tol)
+        return HermitianSpectrum(1.001 * spec.eigenvalues, spec.eigenvectors)
+
+    monkeypatch.setattr(quotient, "_level_spectrum", skewed)
+    failed = {r.name for r in checks.run_suite("reduction", 2, 0) if not r.passed}
+    assert {"projector_idempotence", "orbit_horizontal_orthogonality",
+            "orbit_vectors_fixed", "level_projection_in_kernel",
+            "horizontal_I_stability", "slice_decomposition",
+            "reduced_pairing_orbit_kernel"} <= failed

@@ -13,6 +13,7 @@ from hkq.hkspace import (
     apply_I,
     flat_potential_K,
     metric_g,
+    omega,
 )
 from hkq.matcore import dagger, fnorm, skew_part
 from hkq.moment import in_stable1, in_stable3, level_residual
@@ -235,6 +236,27 @@ def test_projectors_at_the_base_point_for_any_k(k, rng):
     fixed = orbit_tangent_projection(pt, xi)
     assert fnorm(fixed.Z - xi.Z) + fnorm(fixed.T - xi.T) <= 1e-12 * abs(k) * fnorm(a)
     assert abs(reduced_pairing(pt, v, xi)) <= 1e-12 * nv * abs(k) * fnorm(a)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (4, 4)])
+def test_slice_basis_reproduces_the_public_projectors_bit_for_bit(p, q, rng):
+    # the check suites read every projection and reduced form off one
+    # slice_basis per level point; that reuse is sound only if it returns
+    # exactly what the public entry points return
+    tr = Truncation(p, q, SQRT2)
+    pt = sample_level(tr, rng)
+    basis = slice_basis(pt)
+    v1 = random_tangent(tr, rng)
+    v2 = random_tangent(tr, rng)
+    for proj, direct in ((basis.orbit, orbit_tangent_projection),
+                         (basis.level, levelset_tangent_projection),
+                         (basis.horizontal, horizontal_projection)):
+        got, want = proj(v1), direct(pt, v1)
+        assert np.array_equal(got.Z, want.Z) and np.array_equal(got.T, want.T)
+    h1, h2 = basis.horizontal(v1), basis.horizontal(v2)
+    assert reduced_pairing(pt, v1, v2, "g") == metric_g(h1, h2)
+    for j in (1, 2, 3):
+        assert reduced_pairing(pt, v1, v2, f"w{j}") == omega(j, h1, h2)
 
 
 class TestOrbitProjection:
