@@ -62,7 +62,6 @@ from .potentials import (
     K1_closed,
     K1_curvature,
     K1_fiber,
-    K3_commuting_form,
     K3_hat_angles,
     K3_hat_cotangent,
     K3_level,
@@ -77,12 +76,8 @@ from .potentials import (
 from .quotient import (
     ProjectionResult,
     SliceBasis,
-    horizontal_projection,
-    levelset_tangent_projection,
-    orbit_tangent_projection,
     project1,
     project3,
-    reduced_pairing,
     slice_basis,
 )
 

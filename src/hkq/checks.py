@@ -8,10 +8,8 @@ not exceptions: the runner aggregates them into an exit code.
 At each level point the suites check membership and factor
 M = x*x + X*X once, in one `slice_basis`, and read every tangent
 projection and every reduced form (the metric or omega_j of two horizontal
-projections, the body of `reduced_pairing`) off that basis.  The public
-projectors compute the same operations on the same spectrum, so the values
-are bit-identical.  The reuse cannot mask a fault: each identity still
-compares projector outputs against each other or against closed forms
+projections) off that basis.  The reuse cannot mask a fault: each identity
+still compares projector outputs against each other or against closed forms
 (idempotence, orbit vectors fixed, dF of the level projection, the
 five-block decomposition), and a wrong spectrum breaks those at once.
 The one comparison the sharing empties is between two calls on the same
@@ -21,6 +19,7 @@ factorization, which could only ever agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -255,14 +254,6 @@ def suite_moment(trials: int, seed: int) -> list[CheckResult]:
 # reduction suite
 # ---------------------------------------------------------------------------
 
-def _reduced(which: str, h1: TangentPair, h2: TangentPair) -> float:
-    """reduced_pairing's value on two vectors already projected horizontally:
-    the metric or omega_j of the pair, as in its body."""
-    if which == "g":
-        return metric_g(h1, h2)
-    return omega(int(which[1]), h1, h2)
-
-
 def suite_reduction(trials: int, seed: int) -> list[CheckResult]:
     rng = make_rng(seed)
     res_idem = 0.0
@@ -339,9 +330,9 @@ def suite_reduction(trials: int, seed: int) -> list[CheckResult]:
         h2 = basis.horizontal(v2)
         hu = basis_u.horizontal(TangentPair(v.Z @ uin, v.T @ uin))
         h2u = basis_u.horizontal(TangentPair(v2.Z @ uin, v2.T @ uin))
-        for which in ("g", "w1", "w2", "w3"):
-            val = _reduced(which, ph, h2)
-            val_u = _reduced(which, hu, h2u)
+        for form in (metric_g, partial(omega, 1), partial(omega, 2), partial(omega, 3)):
+            val = form(ph, h2)
+            val_u = form(hu, h2u)
             res_repind = max(res_repind, abs(val - val_u) / (1.0 + abs(val)))
         h_orbit = basis.horizontal(orbit_dir)
         res_kernel = max(res_kernel,
@@ -355,7 +346,7 @@ def suite_reduction(trials: int, seed: int) -> list[CheckResult]:
         v = random_tangent(trunc, rng)
         nv = np.sqrt(metric_g(v, v)) + 1.0
         parts = [basis.orbit(v), basis.horizontal(v)]
-        parts += [basis.i_orbit(j)(v) for j in (1, 2, 3)]
+        parts += [basis.i_orbit(j, v) for j in (1, 2, 3)]
         total = parts[0]
         for part in parts[1:]:
             total = total + part
@@ -649,7 +640,7 @@ def suite_ddc(trials: int, seed: int) -> list[CheckResult]:
                 continue
             u = (1.0 / nu) * u
             v = (1.0 / nv) * v
-            rhs = omega(1, basis.horizontal(u), basis.horizontal(v))
+            rhs = omega(1, u, v)
             if abs(rhs) < 0.02:
                 continue
             lhs = _ddc(kappa1, 1, u, v, step_red)

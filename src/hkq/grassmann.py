@@ -211,7 +211,8 @@ def graph_operator(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
 
     Computed as F_Pperp* w from the ambient form w = F_Pperp A of _graph;
     the columns of F_P + F_Pperp A span Q^perp.  Raises NotTransversal when
-    F_P* F_Qperp is not invertible.
+    F_P* F_Qperp is not invertible.  Public because A, not its ambient
+    form, is the operator of the paper's graph picture of the pair.
     """
     return dagger(complement_frame(pair.P)) @ _graph(pair, tol)
 

@@ -134,13 +134,17 @@ class TangentPair:
         object.__setattr__(self, "T", T)
 
     def __add__(self, other: "TangentPair") -> "TangentPair":
-        return TangentPair(self.Z + other.Z, self.T + other.T)
+        _same_shape(self, other)
+        return _finite_tangent(self.Z + other.Z, self.T + other.T)
 
     def __sub__(self, other: "TangentPair") -> "TangentPair":
-        return TangentPair(self.Z - other.Z, self.T - other.T)
+        _same_shape(self, other)
+        return _finite_tangent(self.Z - other.Z, self.T - other.T)
 
     def __mul__(self, scalar: float) -> "TangentPair":
-        return TangentPair(self.Z * scalar, self.T * scalar)
+        if np.ndim(scalar) != 0:
+            raise ShapeMismatch(f"scalar expected, got ndim={np.ndim(scalar)}")
+        return _finite_tangent(self.Z * scalar, self.T * scalar)
 
     __rmul__ = __mul__
 
@@ -156,12 +160,25 @@ class TangentPair:
 def _tangent(Z: np.ndarray, T: np.ndarray) -> TangentPair:
     """TangentPair of components that are already finite complex128 matrices
     of one shape, built without coercion or checks.  For maps that keep
-    those properties exactly (negation, the complex structures); sums and
-    scalings can overflow and go through the checked constructor."""
+    those properties exactly (negation, the complex structures)."""
     v = object.__new__(TangentPair)
     object.__setattr__(v, "Z", Z)
     object.__setattr__(v, "T", T)
     return v
+
+
+def _finite_tangent(Z: np.ndarray, T: np.ndarray) -> TangentPair:
+    """_tangent for the result of a sum or a scaling of tangent pairs: the
+    shape and dtype are kept, and overflow, the one defect left, is caught
+    by one finiteness scan per component."""
+    if not (np.isfinite(Z).all() and np.isfinite(T).all()):
+        raise ShapeMismatch("tangent arithmetic overflowed to non-finite entries")
+    return _tangent(Z, T)
+
+
+def _same_shape(v1: TangentPair, v2: TangentPair) -> None:
+    if v1.Z.shape != v2.Z.shape:
+        raise ShapeMismatch(f"tangent shapes differ: {v1.Z.shape} vs {v2.Z.shape}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +218,7 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def metric_g(v1: TangentPair, v2: TangentPair) -> float:
     """Flat metric Re Tr Z1*Z2 + Re Tr T1*T2."""
-    if v1.Z.shape != v2.Z.shape:
-        raise ShapeMismatch(f"tangent shapes differ: {v1.Z.shape} vs {v2.Z.shape}")
+    _same_shape(v1, v2)
     return float(_re_inner(v1.Z, v2.Z) + _re_inner(v1.T, v2.T))
 
 
@@ -228,8 +244,7 @@ def omega_C(v1: TangentPair, v2: TangentPair) -> complex:
     Its real and imaginary parts are omega_2 and omega_3, and it is
     I1-holomorphic: Omega(I1 v1, v2) = i Omega(v1, v2).
     """
-    if v1.Z.shape != v2.Z.shape:
-        raise ShapeMismatch(f"tangent shapes differ: {v1.Z.shape} vs {v2.Z.shape}")
+    _same_shape(v1, v2)
     return complex(np.sum(v1.T.conj() * v2.Z) - np.sum(v2.T.conj() * v1.Z))
 
 

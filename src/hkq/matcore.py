@@ -202,7 +202,9 @@ def herm_fun(
     """Apply a real scalar function to a Hermitian matrix spectrally.
 
     Returns U diag(f(lam)) U*, exactly Hermitian by construction:
-    herm_eig(m).fun(f, domain_check), see HermitianSpectrum.fun.
+    herm_eig(m).fun(f, domain_check), see HermitianSpectrum.fun.  Public
+    as the checked entry for a caller that holds the matrix, not its
+    spectrum; inside hkq every operand is factored once and reused.
     """
     return herm_eig(m).fun(f, domain_check)
 

@@ -66,7 +66,6 @@ __all__ = [
     "K1_closed",
     "K1_curvature",
     "K1_fiber",
-    "K3_commuting_form",
     "K3_hat_angles",
     "K3_hat_cotangent",
     "K3_level",
@@ -256,26 +255,6 @@ def K3_similarity(pt: ConfigPoint, tol: float | None = None) -> float:
         raise NotInStable3("K3 requires the third-structure stability conditions")
     lam = _spectral_operand_eigs(pt, "plus")
     return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
-
-
-def K3_commuting_form(pt: ConfigPoint) -> float:
-    """The symmetric operand (1/4) Tr(D^{1/2} - k^2 Id),
-    D = k^4 Id + 4 x*x X*X - 4 (x*X)^2; exact only where X*X and x*X
-    commute (level set, canonical section points, p = 1).  Exposed for the
-    consistency tests on that locus."""
-    p = pt.trunc.p
-    k2 = pt.trunc.k2
-    xx = dagger(pt.x) @ pt.x
-    XX = dagger(pt.X) @ pt.X
-    xX = dagger(pt.x) @ pt.X
-    d = k2 * k2 * np.eye(p) + 4.0 * (xx @ XX) - 4.0 * (xX @ xX)
-    lam = _eigh(d).eigenvalues
-    if np.any(lam <= 0):
-        raise NotPositive(
-            f"commuting-form operand has a non-positive eigenvalue "
-            f"({lam.min():.3e}); the point is outside the commuting locus"
-        )
-    return float(0.25 * np.sum(np.sqrt(lam) - k2))
 
 
 def K3_level(pt: ConfigPoint, tol: float | None = None) -> float:

@@ -26,16 +26,23 @@ The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
 where O = {(-x a, -X a) : a skew-Hermitian} is the orbit tangent and H the
 horizontal slice (Hitchin-Karlhede-Lindstrom-Rocek, Comm. Math. Phys. 108
-(1987) 535-589).  The orbit component comes from the anticommutator Sylvester
-equation
+(1987) 535-589).  slice_basis is their one entry: it checks level
+membership, factors M = x*x + X*X once, and every projection of the
+returned SliceBasis solves against that spectrum.
 
-    (M a + a M)/2 = -skew(x*Z + X*T),      M = x*x + X*X >= k^2 Id.
+Orbit projector.  Minimizing ||Z + x a||^2 + ||T + X a||^2 over
+skew-Hermitian a gives the anticommutator Sylvester equation
 
-Derivation of the level-set projector.  The level set is cut out by the three
-moment maps mu_j, and d<mu_j, b>(v) = omega_j(xi_b, v) = g(I_j xi_b, v) for
-the orbit vector xi_b, so the normal space of the level set is
-I1 O + I2 O + I3 O.  Each I_j is a g-isometry, so I_j O has dimension p^2
-like O.  For j != l, g(I_j xi_a, I_l xi_b) = +-omega_m(xi_a, xi_b) with
+    (M a + a M)/2 = -skew(x*Z + X*T),      M = x*x + X*X >= k^2 Id,
+
+with M positive definite on the level set, and P_O v = (-x a, -X a).
+
+Level-set projector.  The level set is cut out by the three moment maps
+mu_j, and d<mu_j, b>(v) = omega_j(xi_b, v) = g(I_j xi_b, v) for the orbit
+vector xi_b, so the normal space of the level set (the orthogonal
+complement of the kernel of dF(Z, T) = (X*Z + T*x, x*Z + Z*x - X*T - T*X))
+is I1 O + I2 O + I3 O.  Each I_j is a g-isometry, so I_j O has dimension
+p^2 like O.  For j != l, g(I_j xi_a, I_l xi_b) = +-omega_m(xi_a, xi_b) with
 {j, l, m} = {1, 2, 3}, which is +-Tr(mu_m [a, b]) up to a constant: it
 vanishes exactly when mu_m is central, i.e. at level points (mu2 = mu3 = 0,
 mu1 a multiple of Id).  The three normal blocks are therefore mutually
@@ -44,24 +51,35 @@ and
 
     P_level v = v + sum_j I_j P_O(I_j v).
 
-The three orbit projections of I_j v share M, so the level projection is one
-stacked Sylvester solve on one eigendecomposition of M: no constraint matrix
-is assembled and nothing is cached between calls.  No path through this
-module (psi3 included) touches the process-global warning filters, so it is
-as safe to call concurrently as matcore.
+The orbit projection of I_j v solves (M a_j + a_j M)/2 = -skew(c_j) with
+c_1 = i(x*Z - X*T), c_2 = x*T - X*Z, c_3 = i(x*T + X*Z).  The three
+right-hand sides share M, so the level projection is one stacked Sylvester
+solve, and
+
+    Z' = Z - x (i a_1) - X (a_2 + i a_3),
+    T' = T + X (i a_1) + x (a_2 - i a_3).
+
+No constraint matrix is assembled and nothing is cached between calls.
+The horizontal projector is P_level followed by the removal of the orbit
+component, the g-orthogonal complement of O inside the level-set tangent.
+The reduced metric and Kahler forms are metric_g and omega_j of two
+horizontal projections: orbit components in either slot contribute zero,
+and level-set representatives related by the compact action give the same
+number (after pushing the vectors forward).  No path through this module
+(psi3 included) touches the process-global warning filters, so it is as
+safe to call concurrently as matcore.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .config import membership_tol
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet
 from .grassmann import _graph, _section, psi3
-from .hkspace import ConfigPoint, GroupElement, TangentPair, act1, act3, apply_I, metric_g, omega
+from .hkspace import ConfigPoint, GroupElement, TangentPair, act1, act3, apply_I
 from .matcore import (
     HermitianSpectrum,
     _eigh,
@@ -74,17 +92,7 @@ from .matcore import (
 )
 from .moment import _full_rank, _level_residual, _stable1_equation, _within_tol, level_residual
 
-__all__ = [
-    "ProjectionResult",
-    "SliceBasis",
-    "horizontal_projection",
-    "levelset_tangent_projection",
-    "orbit_tangent_projection",
-    "project1",
-    "project3",
-    "reduced_pairing",
-    "slice_basis",
-]
+__all__ = ["ProjectionResult", "SliceBasis", "project1", "project3", "slice_basis"]
 
 
 @dataclass(frozen=True)
@@ -175,12 +183,54 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     return ProjectionResult(point=point, residual=residual, h=h)
 
 
-def _level_spectrum(pt: ConfigPoint, tol: float | None) -> HermitianSpectrum:
-    """Level membership check and the one eigendecomposition of M that every
-    projector at pt solves against.  x*x and X*X are formed once: the level
-    residual (the rule of on_level_set) is judged on them, and they sum to
-    M, which is Hermitian by construction and goes to the factorization
-    unchecked."""
+@dataclass(frozen=True)
+class SliceBasis:
+    """The tangent projectors at the level-set point base.
+
+    spec is the eigendecomposition of M = x*x + X*X that every projection
+    solves against; slice_basis checks membership and factors M once.
+    orbit, level and horizontal are g-orthogonal projectors, and
+    i_orbit(j, v) projects v onto I_j applied to the orbit tangent.  The
+    horizontal slice, the orbit block and its three rotations are mutually
+    g-orthogonal at level points and together reconstruct the whole tangent
+    space.  A reduced form is metric_g or omega(j, ., .) of two horizontal
+    projections.
+    """
+
+    base: ConfigPoint
+    spec: HermitianSpectrum
+
+    def orbit(self, v: TangentPair) -> TangentPair:
+        x, X = self.base.x, self.base.X
+        a = sym_sylvester_solve(self.spec, -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T))
+        return TangentPair(-x @ a, -X @ a)
+
+    def level(self, v: TangentPair) -> TangentPair:
+        x, X, Z, T = self.base.x, self.base.X, v.Z, v.T
+        xs, Xs = dagger(x), dagger(X)
+        xZ, xT, XZ, XT = xs @ Z, xs @ T, Xs @ Z, Xs @ T
+        # the orbit equations of I1 v = (iZ, -iT), I2 v = (T, -Z), I3 v = (iT, iZ)
+        rhs = np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)])
+        a1, a2, a3 = sym_sylvester_solve(self.spec, -skew_part(rhs))
+        return TangentPair(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
+                           T + X @ (1j * a1) + x @ (a2 - 1j * a3))
+
+    def horizontal(self, v: TangentPair) -> TangentPair:
+        w = self.level(v)
+        return w - self.orbit(w)
+
+    def i_orbit(self, j: int, v: TangentPair) -> TangentPair:
+        return -1.0 * apply_I(j, self.orbit(apply_I(j, v)))
+
+
+def slice_basis(pt: ConfigPoint, tol: float | None = None) -> SliceBasis:
+    """The tangent projectors at a level-set point, the one entry to them.
+
+    Raises NotOnLevelSet off the level set.  x*x and X*X are formed once:
+    the level residual (the rule of on_level_set) is judged on them, and
+    they sum to M, which is Hermitian by construction and goes to the one
+    factorization unchecked.
+    """
     x, X = pt.x, pt.X
     xx, XX = dagger(x) @ x, dagger(X) @ X
     rc, rr = _level_residual(xx, XX, dagger(X) @ x, pt.trunc.k2)
@@ -188,131 +238,4 @@ def _level_spectrum(pt: ConfigPoint, tol: float | None) -> HermitianSpectrum:
         raise NotOnLevelSet(
             f"point is not on the level set: residuals ({rc:.3e}, {rr:.3e})"
         )
-    return _eigh(xx + XX)
-
-
-def _orbit(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:
-    x, X = pt.x, pt.X
-    a = sym_sylvester_solve(spec, -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T))
-    return TangentPair(-x @ a, -X @ a)
-
-
-def _level(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:
-    x, X, Z, T = pt.x, pt.X, v.Z, v.T
-    xs, Xs = dagger(x), dagger(X)
-    xZ, xT, XZ, XT = xs @ Z, xs @ T, Xs @ Z, Xs @ T
-    # the orbit equations of I1 v = (iZ, -iT), I2 v = (T, -Z), I3 v = (iT, iZ)
-    rhs = np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)])
-    a1, a2, a3 = sym_sylvester_solve(spec, -skew_part(rhs))
-    return TangentPair(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
-                       T + X @ (1j * a1) + x @ (a2 - 1j * a3))
-
-
-def _horizontal(pt: ConfigPoint, spec: HermitianSpectrum, v: TangentPair) -> TangentPair:
-    w = _level(pt, spec, v)
-    return w - _orbit(pt, spec, w)
-
-
-def orbit_tangent_projection(
-    pt: ConfigPoint, v: TangentPair, tol: float | None = None
-) -> TangentPair:
-    """g-orthogonal projection of v onto the orbit tangent at a level point.
-
-    Minimizing ||Z + x a||^2 + ||T + X a||^2 over skew-Hermitian a gives the
-    anticommutator equation (M a + a M)/2 = -skew(x*Z + X*T) with
-    M = x*x + X*X, positive definite (>= k^2 Id on the level set).
-    """
-    return _orbit(pt, _level_spectrum(pt, tol), v)
-
-
-def levelset_tangent_projection(
-    pt: ConfigPoint, v: TangentPair, tol: float | None = None
-) -> TangentPair:
-    """g-orthogonal projection of v onto the tangent space of the level set,
-    the kernel of dF(Z, T) = (X*Z + T*x, x*Z + Z*x - X*T - T*X).
-
-    At a level point the normal space is I1 O (+) I2 O (+) I3 O, g-orthogonal
-    blocks (see the module docstring), so
-
-        P_level v = v + sum_j I_j P_O(I_j v).
-
-    The orbit projection of I_j v solves (M a_j + a_j M)/2 = -skew(c_j) with
-    c_1 = i(x*Z - X*T), c_2 = x*T - X*Z, c_3 = i(x*T + X*Z); the three solves
-    share one eigendecomposition of M, and
-
-        Z' = Z - x (i a_1) - X (a_2 + i a_3),
-        T' = T + X (i a_1) + x (a_2 - i a_3).
-    """
-    return _level(pt, _level_spectrum(pt, tol), v)
-
-
-def horizontal_projection(
-    pt: ConfigPoint, v: TangentPair, tol: float | None = None
-) -> TangentPair:
-    """Projection onto the horizontal slice: the g-orthogonal complement of
-    the orbit tangent inside the level-set tangent."""
-    return _horizontal(pt, _level_spectrum(pt, tol), v)
-
-
-def reduced_pairing(
-    pt: ConfigPoint,
-    v1: TangentPair,
-    v2: TangentPair,
-    which: str = "g",
-    tol: float | None = None,
-) -> float:
-    """Reduced metric / symplectic pairings through the horizontal slice.
-
-    which is one of 'g', 'w1', 'w2', 'w3'.  The value only depends on the
-    projected classes, so orbit components in either slot contribute zero
-    and different level-set representatives give the same number (up to the
-    pushforward of the vectors).
-    """
-    spec = _level_spectrum(pt, tol)
-    h1 = _horizontal(pt, spec, v1)
-    h2 = _horizontal(pt, spec, v2)
-    if which == "g":
-        return metric_g(h1, h2)
-    if which in ("w1", "w2", "w3"):
-        return omega(int(which[1]), h1, h2)
-    raise ValueError(f"unknown pairing tag {which!r}")
-
-
-@dataclass(frozen=True)
-class SliceBasis:
-    """Projector bundle at a level-set point.
-
-    orbit/level/horizontal are g-orthogonal projectors; i_orbit(j) projects
-    onto I_j applied to the orbit tangent.  Together with the horizontal
-    slice, the orbit block and its three rotations reconstruct the whole
-    tangent space (the five blocks are mutually g-orthogonal at level-set
-    points).
-    """
-
-    base: ConfigPoint
-    orbit_dim: int
-    orbit: Callable[[TangentPair], TangentPair]
-    level: Callable[[TangentPair], TangentPair]
-    horizontal: Callable[[TangentPair], TangentPair]
-
-    def i_orbit(self, j: int) -> Callable[[TangentPair], TangentPair]:
-        def proj(v: TangentPair) -> TangentPair:
-            return -1.0 * apply_I(j, self.orbit(apply_I(j, v)))
-
-        return proj
-
-
-def slice_basis(pt: ConfigPoint, tol: float | None = None) -> SliceBasis:
-    """Bundle the tangent projectors at a level-set point.
-
-    Membership is checked and M decomposed once, here; the bundled projectors
-    all solve against that spectrum.
-    """
-    spec = _level_spectrum(pt, tol)
-    return SliceBasis(
-        base=pt,
-        orbit_dim=pt.trunc.p ** 2,
-        orbit=lambda v: _orbit(pt, spec, v),
-        level=lambda v: _level(pt, spec, v),
-        horizontal=lambda v: _horizontal(pt, spec, v),
-    )
+    return SliceBasis(base=pt, spec=_eigh(xx + XX))

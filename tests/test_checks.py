@@ -6,9 +6,10 @@ still fails its checks."""
 
 import pytest
 
-from hkq import checks, quotient
+from hkq import checks
 from hkq.checks import CheckResult
 from hkq.matcore import HermitianSpectrum
+from hkq.quotient import SliceBasis
 
 NAMES = ["moment", "maps"]
 
@@ -66,15 +67,15 @@ def test_every_suite_passes_at_three_trials():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_reduction_factors_each_level_point_once(monkeypatch, seed):
     # one trial meets three level points: pt, its compact translate pt_u
-    # and the slice-decomposition point
+    # and the slice-decomposition point; slice_basis checks and factors M
     calls = []
-    original = quotient._level_spectrum
+    original = checks.slice_basis
 
-    def counted(pt, tol):
+    def counted(pt, tol=None):
         calls.append(pt)
         return original(pt, tol)
 
-    monkeypatch.setattr(quotient, "_level_spectrum", counted)
+    monkeypatch.setattr(checks, "slice_basis", counted)
     checks.run_suite("reduction", 1, seed)
     assert len(calls) == 3
 
@@ -84,13 +85,13 @@ def test_a_fault_in_the_shared_factorization_fails_the_reduction_checks(monkeypa
     # wrong spectrum must show in the identities each projector must obey;
     # representative independence compares two equally wrong bases and
     # the project1 checks never touch M, so those may still pass
-    original = quotient._level_spectrum
+    original = checks.slice_basis
 
-    def skewed(pt, tol):
-        spec = original(pt, tol)
-        return HermitianSpectrum(1.001 * spec.eigenvalues, spec.eigenvectors)
+    def skewed(pt, tol=None):
+        spec = original(pt, tol).spec
+        return SliceBasis(pt, HermitianSpectrum(1.001 * spec.eigenvalues, spec.eigenvectors))
 
-    monkeypatch.setattr(quotient, "_level_spectrum", skewed)
+    monkeypatch.setattr(checks, "slice_basis", skewed)
     failed = {r.name for r in checks.run_suite("reduction", 2, 0) if not r.passed}
     assert {"projector_idempotence", "orbit_horizontal_orthogonality",
             "orbit_vectors_fixed", "level_projection_in_kernel",

@@ -5,14 +5,19 @@ numbers, a non-finite k in a file or a non-finite or zero `angles --k`, a
 pair file without k, a trial count below one).  Also: the layout of a
 `map --which psi3` file and loading of the older one with "z", and reuse of
 the one parser per process (the same output per verb, handlers looked up at
-call time, `func` kept for callers that dispatch themselves), and what
-`info` prints and factors."""
+call time, `func` kept for callers that dispatch themselves), what
+`info` prints and factors, and that `python -m hkq` runs the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hkq
 from hkq import checks, cli, jsonio
 from hkq.checks import CheckResult
 from hkq.grassmann import characteristic_angles, psi3
@@ -155,6 +160,15 @@ def test_info_without_input_exits_0(capsys):
     out = capsys.readouterr().out
     assert "package hkq" in out
     assert "membership_tol 1e-09" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package itself is runnable: python -m hkq <verb> ...
+    env = dict(os.environ, PYTHONPATH=str(Path(hkq.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hkq", "info"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "package hkq" in done.stdout
 
 
 def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):

@@ -273,13 +273,39 @@ class TestFlatReductions:
             assert metric_g(apply_I(j, v1), apply_I(j, v2)) == metric_g(v1, v2)
 
     def test_unchecked_results_equal_checked_ones(self, rng):
-        v = random_tangent(Truncation(3, 2, 1.5), rng)
+        tr = Truncation(3, 2, 1.5)
+        v, w = random_tangent(tr, rng), random_tangent(tr, rng)
         for out, (Z, T) in [(-v, (-v.Z, -v.T)), (apply_I(1, v), (1j * v.Z, -1j * v.T)),
-                            (apply_I(2, v), (v.T, -v.Z)), (apply_I(3, v), (1j * v.T, 1j * v.Z))]:
+                            (apply_I(2, v), (v.T, -v.Z)), (apply_I(3, v), (1j * v.T, 1j * v.Z)),
+                            (v + w, (v.Z + w.Z, v.T + w.T)), (v - w, (v.Z - w.Z, v.T - w.T)),
+                            (2 * v, (2 * v.Z, 2 * v.T)), (v * 0.5j, (0.5j * v.Z, 0.5j * v.T))]:
             want = TangentPair(Z, T)
             assert type(out) is TangentPair
             assert np.array_equal(out.Z, want.Z) and np.array_equal(out.T, want.T)
             assert out.Z.dtype == out.T.dtype == np.complex128
+
+
+class TestTangentArithmetic:
+    def test_mismatched_shapes_are_refused(self):
+        # numpy would broadcast (3, 1) against (3, 2); metric_g refuses the
+        # same pair, and so must the arithmetic
+        narrow = TangentPair(np.ones((3, 1)), np.ones((3, 1)))
+        wide = TangentPair(np.ones((3, 2)), np.ones((3, 2)))
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            for a, b in ((narrow, wide), (wide, narrow)):
+                with pytest.raises(ShapeMismatch):
+                    op(a, b)
+        with pytest.raises(ShapeMismatch):
+            narrow * np.ones((3, 1))  # an array is not a scalar
+
+    def test_overflow_is_refused(self):
+        v = TangentPair(col(1e10, 1.0), col(0.0, 1.0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ShapeMismatch):
+                1e308 * v
+            big = 1e308 * TangentPair(col(1.0), col(1.0))
+            with pytest.raises(ShapeMismatch):
+                big + big
 
 
 class TestFlatPotential:

@@ -16,7 +16,6 @@ from hkq.potentials import (
     K1_closed,
     K1_curvature,
     K1_fiber,
-    K3_commuting_form,
     K3_hat_angles,
     K3_hat_cotangent,
     K3_level,
@@ -47,6 +46,22 @@ SQRT3 = np.sqrt(3.0)
 
 def col(*vals):
     return np.array([[v] for v in vals], dtype=complex)
+
+
+def K3_commuting_form(pt):
+    """Oracle on the commuting locus of x*X and X*X (level set, canonical
+    section points, p = 1): the symmetric operand (1/4) Tr(D^{1/2} - k^2 Id),
+    D = k^4 Id + 4 x*x X*X - 4 (x*X)^2.  Off that locus D can lose
+    positivity, which raises NotPositive."""
+    k2 = pt.trunc.k2
+    xx = dagger(pt.x) @ pt.x
+    XX = dagger(pt.X) @ pt.X
+    xX = dagger(pt.x) @ pt.X
+    d = k2 * k2 * np.eye(pt.trunc.p) + 4.0 * (xx @ XX) - 4.0 * (xX @ xX)
+    lam = np.linalg.eigvalsh(hermitian_part(d))
+    if np.any(lam <= 0):
+        raise NotPositive(f"commuting-form operand has eigenvalue {lam.min():.3e} <= 0")
+    return float(0.25 * np.sum(np.sqrt(lam) - k2))
 
 
 class TestWeights:

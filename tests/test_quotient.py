@@ -17,15 +17,7 @@ from hkq.hkspace import (
 )
 from hkq.matcore import dagger, fnorm, skew_part
 from hkq.moment import in_stable1, in_stable3, level_residual
-from hkq.quotient import (
-    horizontal_projection,
-    levelset_tangent_projection,
-    orbit_tangent_projection,
-    project1,
-    project3,
-    reduced_pairing,
-    slice_basis,
-)
+from hkq.quotient import project1, project3, slice_basis
 from hkq.sampling import (
     gaussian_complex,
     random_hermitian_ball,
@@ -148,18 +140,21 @@ class TestProject1:
     def test_factorization_budget(self, lapack_calls, rng):
         # one thin SVD of x (membership, |x| and |x|^-1), one eigh of
         # Id + the fiber operand and one of g^-2 (g); the slogdet is
-        # GroupElement's check of g and the inv is act1's g^-1.  The tangent
-        # projectors decompose M once and check membership without a
-        # factorization.
+        # GroupElement's check of g and the inv is act1's g^-1.  slice_basis
+        # decomposes M once and checks membership without a factorization;
+        # each projection then solves against that spectrum and adds none.
         tr = Truncation(4, 5, SQRT2)
         pt = sample_stable1(tr, rng)
         level = sample_level(tr, rng)
         v = random_tangent(tr, rng)
+        basis = slice_basis(level)
         budgets = [
             (lambda: project1(pt), {"svd": 1, "eigh": 2, "slogdet": 1, "inv": 1}),
-            (lambda: orbit_tangent_projection(level, v), {"eigh": 1}),
-            (lambda: levelset_tangent_projection(level, v), {"eigh": 1}),
-            (lambda: horizontal_projection(level, v), {"eigh": 1}),
+            (lambda: slice_basis(level), {"eigh": 1}),
+            (lambda: basis.orbit(v), {}),
+            (lambda: basis.level(v), {}),
+            (lambda: basis.horizontal(v), {}),
+            (lambda: basis.i_orbit(2, v), {}),
         ]
         for call, budget in budgets:
             lapack_calls.clear()
@@ -225,38 +220,16 @@ def test_projectors_at_the_base_point_for_any_k(k, rng):
     v = random_tangent(tr, rng, scale=k)
     nv = np.sqrt(metric_g(v, v))
     basis = slice_basis(pt)
-    for proj, direct in ((basis.orbit, orbit_tangent_projection),
-                         (basis.level, levelset_tangent_projection),
-                         (basis.horizontal, horizontal_projection)):
-        once = direct(pt, v)
+    for proj in (basis.orbit, basis.level, basis.horizontal):
+        once = proj(v)
         twice = proj(once)
         assert fnorm(once.Z - twice.Z) + fnorm(once.T - twice.T) <= 1e-12 * nv
     a = random_skew(2, rng)
     xi = TangentPair(-pt.x @ a, -pt.X @ a)
-    fixed = orbit_tangent_projection(pt, xi)
+    fixed = basis.orbit(xi)
     assert fnorm(fixed.Z - xi.Z) + fnorm(fixed.T - xi.T) <= 1e-12 * abs(k) * fnorm(a)
-    assert abs(reduced_pairing(pt, v, xi)) <= 1e-12 * nv * abs(k) * fnorm(a)
-
-
-@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (4, 4)])
-def test_slice_basis_reproduces_the_public_projectors_bit_for_bit(p, q, rng):
-    # the check suites read every projection and reduced form off one
-    # slice_basis per level point; that reuse is sound only if it returns
-    # exactly what the public entry points return
-    tr = Truncation(p, q, SQRT2)
-    pt = sample_level(tr, rng)
-    basis = slice_basis(pt)
-    v1 = random_tangent(tr, rng)
-    v2 = random_tangent(tr, rng)
-    for proj, direct in ((basis.orbit, orbit_tangent_projection),
-                         (basis.level, levelset_tangent_projection),
-                         (basis.horizontal, horizontal_projection)):
-        got, want = proj(v1), direct(pt, v1)
-        assert np.array_equal(got.Z, want.Z) and np.array_equal(got.T, want.T)
-    h1, h2 = basis.horizontal(v1), basis.horizontal(v2)
-    assert reduced_pairing(pt, v1, v2, "g") == metric_g(h1, h2)
-    for j in (1, 2, 3):
-        assert reduced_pairing(pt, v1, v2, f"w{j}") == omega(j, h1, h2)
+    reduced_g = metric_g(basis.horizontal(v), basis.horizontal(xi))
+    assert abs(reduced_g) <= 1e-12 * nv * abs(k) * fnorm(a)
 
 
 class TestOrbitProjection:
@@ -265,32 +238,32 @@ class TestOrbitProjection:
         pt = sample_level(tr, rng)
         a = random_skew(3, rng)
         v = TangentPair(-pt.x @ a, -pt.X @ a)
-        out = orbit_tangent_projection(pt, v)
+        out = slice_basis(pt).orbit(v)
         assert fnorm(out.Z - v.Z) <= 1e-11 * (1 + fnorm(v.Z))
         assert fnorm(out.T - v.T) <= 1e-11 * (1 + fnorm(v.T))
 
     def test_radial_direction_killed(self, trunc11):
         base = ConfigPoint.base(trunc11)
         v = TangentPair(base.x.copy(), np.zeros_like(base.X))
-        out = orbit_tangent_projection(base, v)
+        out = slice_basis(base).orbit(v)
         assert fnorm(out.Z) <= 1e-12 and fnorm(out.T) <= 1e-12
 
     def test_phase_direction_fixed(self, trunc11):
         base = ConfigPoint.base(trunc11)
         v = TangentPair(1j * base.x, np.zeros_like(base.X))
-        out = orbit_tangent_projection(base, v)
+        out = slice_basis(base).orbit(v)
         assert fnorm(out.Z - v.Z) <= 1e-12
         assert fnorm(out.T - v.T) <= 1e-12
 
-    def test_requires_level_membership(self, s2_point, rng):
+    def test_requires_level_membership(self, s2_point):
         with pytest.raises(NotOnLevelSet):
-            orbit_tangent_projection(s2_point, random_tangent(s2_point.trunc, rng))
+            slice_basis(s2_point)
 
     def test_result_orthogonal_to_orbit(self, rng):
         tr = Truncation(2, 4, np.sqrt(2.0))
         pt = sample_level(tr, rng)
         v = random_tangent(tr, rng)
-        out = orbit_tangent_projection(pt, v)
+        out = slice_basis(pt).orbit(v)
         rest = v - out
         for _ in range(5):
             b = random_skew(2, rng)
@@ -303,7 +276,7 @@ class TestLevelProjection:
     def test_zero_vector(self, rng):
         tr = Truncation(2, 2, np.sqrt(2.0))
         pt = sample_level(tr, rng)
-        out = levelset_tangent_projection(pt, TangentPair.zero(tr))
+        out = slice_basis(pt).level(TangentPair.zero(tr))
         assert fnorm(out.Z) == 0.0 and fnorm(out.T) == 0.0
 
     def test_violating_direction_cleaned(self, rng):
@@ -311,7 +284,7 @@ class TestLevelProjection:
         pt = sample_level(tr, rng)
         s = random_hermitian_ball(2, rng)
         v = TangentPair(pt.x @ s, np.zeros_like(pt.X))
-        out = levelset_tangent_projection(pt, v)
+        out = slice_basis(pt).level(v)
         a = dagger(pt.X) @ out.Z + dagger(out.T) @ pt.x
         b = (dagger(pt.x) @ out.Z + dagger(out.Z) @ pt.x
              - dagger(pt.X) @ out.T - dagger(out.T) @ pt.X)
@@ -324,36 +297,32 @@ class TestHorizontal:
         pt = sample_level(tr, rng)
         a = random_skew(3, rng)
         v = TangentPair(-pt.x @ a, -pt.X @ a)
-        out = horizontal_projection(pt, v)
+        out = slice_basis(pt).horizontal(v)
         assert fnorm(out.Z) + fnorm(out.T) <= 1e-10 * (1 + np.sqrt(metric_g(v, v)))
 
     def test_idempotent_and_i1_stable(self, rng):
         tr = Truncation(2, 3, np.sqrt(2.0))
         pt = sample_level(tr, rng)
-        h = horizontal_projection(pt, random_tangent(tr, rng))
-        again = horizontal_projection(pt, h)
+        basis = slice_basis(pt)
+        h = basis.horizontal(random_tangent(tr, rng))
+        again = basis.horizontal(h)
         assert fnorm((again - h).Z) + fnorm((again - h).T) <= 1e-10
         ih = apply_I(1, h)
-        proj = horizontal_projection(pt, ih)
+        proj = basis.horizontal(ih)
         assert fnorm((proj - ih).Z) + fnorm((proj - ih).T) <= 1e-9
 
 
 class TestReducedPairing:
     def test_antisymmetry_and_norm(self, rng):
+        # a reduced form is metric_g or omega_j of two horizontal projections
         tr = Truncation(2, 2, np.sqrt(2.0))
         pt = sample_level(tr, rng)
+        basis = slice_basis(pt)
         v = random_tangent(tr, rng)
-        assert abs(reduced_pairing(pt, v, v, "w1")) <= 1e-10 * (1 + metric_g(v, v))
-        h = horizontal_projection(pt, v)
-        assert abs(reduced_pairing(pt, h, h, "g") - metric_g(h, h)) <= 1e-10 * (
-            1 + metric_g(h, h))
-
-    def test_unknown_tag(self, rng):
-        tr = Truncation(1, 1, np.sqrt(2.0))
-        pt = sample_level(tr, rng)
-        v = random_tangent(tr, rng)
-        with pytest.raises(ValueError):
-            reduced_pairing(pt, v, v, "w4")
+        h = basis.horizontal(v)
+        assert abs(omega(1, h, h)) <= 1e-10 * (1 + metric_g(v, v))
+        hh = basis.horizontal(h)
+        assert abs(metric_g(hh, hh) - metric_g(h, h)) <= 1e-10 * (1 + metric_g(h, h))
 
 
 class TestSliceBasis:
@@ -361,10 +330,9 @@ class TestSliceBasis:
         tr = Truncation(2, 2, np.sqrt(2.0))
         pt = sample_level(tr, rng)
         basis = slice_basis(pt)
-        assert basis.orbit_dim == 4
         v = random_tangent(tr, rng)
         parts = [basis.orbit(v), basis.horizontal(v)]
-        parts += [basis.i_orbit(j)(v) for j in (1, 2, 3)]
+        parts += [basis.i_orbit(j, v) for j in (1, 2, 3)]
         total = parts[0]
         for part in parts[1:]:
             total = total + part
@@ -443,15 +411,16 @@ class TestAssembledOracle:
     def test_closed_form_matches_kernel_projector(self, p, q, k, rng):
         tr = Truncation(p, q, k)
         pt = sample_level(tr, rng)
+        basis = slice_basis(pt)
         cond = _conditioning(pt)
         m_half = np.sqrt(cond) * abs(k)
         for _ in range(2):
             v = random_tangent(tr, rng)
             bound = 1e-12 * (1 + np.sqrt(metric_g(v, v))) * cond
-            level = levelset_tangent_projection(pt, v)
+            level = basis.level(v)
             want = _oracle_projection(pt, v)
             assert fnorm(level.Z - want.Z) + fnorm(level.T - want.T) <= bound
-            horiz = horizontal_projection(pt, v)
+            horiz = basis.horizontal(v)
             want = _oracle_projection(pt, v, horizontal=True)
             assert fnorm(horiz.Z - want.Z) + fnorm(horiz.T - want.T) <= bound
             # dF(w) is of size ||M||^(1/2) ||w||
@@ -467,7 +436,7 @@ class TestLargeShapes:
         v = random_tangent(tr, rng)
         nv = np.sqrt(metric_g(v, v))
         parts = [basis.orbit(v), basis.horizontal(v)]
-        parts += [basis.i_orbit(j)(v) for j in (1, 2, 3)]
+        parts += [basis.i_orbit(j, v) for j in (1, 2, 3)]
         total = parts[0]
         for part in parts[1:]:
             total = total + part
