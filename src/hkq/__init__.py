@@ -30,7 +30,6 @@ from .grassmann import (
 )
 from .hkspace import (
     ConfigPoint,
-    GroupElement,
     TangentPair,
     Truncation,
     act1,
@@ -50,7 +49,6 @@ from .matcore import (
     sym_sylvester_solve,
 )
 from .moment import (
-    MomentValue,
     in_stable1,
     in_stable3,
     level_residual,

@@ -71,7 +71,7 @@ def _cmd_project(args) -> int:
     tol = args.tol
     if args.structure == "i1":
         res = project1(pt, tol)
-        lam = np.linalg.eigvalsh(res.group_part.g)
+        lam = np.linalg.eigvalsh(res.group_part)
         _emit("structure", "i1")
         _emit("group_eigenvalues", " ".join(repr(float(v)) for v in lam))
     else:

@@ -24,6 +24,12 @@ PD_TOL = 1e-12
 # caller's membership tolerance, by moment's rule.
 RANK_TOL = 1e-10
 
+# Orthonormality of a d-column frame: ||F*F - Id||_F <= FRAME_TOL (1 + d).
+# grassmann.Subspace refuses a frame beyond it; jsonio accepts a file's
+# frame within it as is, re-orthonormalizes it with a warning up to
+# 1e-6 (1 + d), and refuses it beyond that.
+FRAME_TOL = 1e-9
+
 
 def membership_tol(tol: float | None = None) -> float:
     """Resolve the membership tolerance: explicit arg, else the default."""

@@ -28,11 +28,8 @@ class NotSkew(HkqError):
 
 
 class NotPositiveDefinite(HkqError):
-    """Hermitian matrix has an eigenvalue at or below zero."""
-
-
-class NotPositive(HkqError):
-    """Operand that must be positive definite has a non-positive eigenvalue."""
+    """Operand that must be positive definite has an eigenvalue at or below
+    zero."""
 
 
 class NoConvergence(HkqError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import membership_tol
+from .config import FRAME_TOL, membership_tol
 from .errors import (
     BadCotangent,
     NotInStable1,
@@ -64,7 +64,7 @@ class Subspace:
         f = as_matrix(self.frame, "frame")
         d = f.shape[1]
         err = fnorm(dagger(f) @ f - np.eye(d))
-        if err > 1e-9 * (1.0 + d):
+        if err > FRAME_TOL * (1.0 + d):
             raise ShapeMismatch(f"frame columns not orthonormal, ||F*F - Id|| = {err:.3e}")
         object.__setattr__(self, "frame", f)
 
@@ -141,13 +141,19 @@ def psi1(pt: ConfigPoint, tol: float | None = None) -> CotangentPoint:
     x is factored once: the thin SVD that gives the frame of P also judges
     the rank half of first-stable membership (the rule of moment.in_stable1,
     which factors x again).  Once x passes, its p left singular vectors are
-    the frame of P."""
+    the frame F_P of P.  eta is taken in its compressed form
+    (1/k^2) x X* (Id - F_P F_P*), which equals (1/k^2) x X* where X*x = 0
+    and vanishes on P and ranges inside P to round-off at any tol, so a
+    point that passes membership at a loose tol meets CotangentPoint's
+    invariants too."""
     t = membership_tol(tol)
     u, s, _ = svd(pt.x)
     if not (_stable1_equation(pt, t) and _full_rank(s, t)):
         raise NotInStable1("psi1 requires X*x = 0 and injective x")
-    eta = (pt.x @ dagger(pt.X)) / pt.trunc.k2
-    return CotangentPoint(Subspace(_fix_column_phases(u)), eta)
+    P = Subspace(_fix_column_phases(u))
+    f, Xs = P.frame, dagger(pt.X)
+    eta = (pt.x @ (Xs - (Xs @ f) @ dagger(f))) / pt.trunc.k2
+    return CotangentPoint(P, eta)
 
 
 def psi1_section(cp: CotangentPoint, k: float) -> ConfigPoint:

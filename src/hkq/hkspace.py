@@ -15,7 +15,11 @@ unitary/general-linear group of size p, and the flat hyperkahler potential
 K = (1/4) Tr(x*x + X*X - k^2 Id).
 
 The space is flat, so points and tangents are plain matrix pairs; all
-curvature lives on the Grassmannian side.
+curvature lives on the Grassmannian side.  A group element is a plain
+p x p matrix too, with no type of its own: each operation checks the one
+property it needs, act1 that g is p x p and nonsingular, act3 that u is
+unitary, and potentials.character_log_term that its g is Hermitian and
+positive.  act3 takes its Hermitian parameter h as a HermitianSpectrum.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import UNITARY_TOL
-from .errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
-from .matcore import HermitianSpectrum, _eigh, as_matrix, dagger, fnorm, is_hermitian
+from .errors import BadIndex, NotUnitary, ShapeMismatch, Singular
+from .matcore import HermitianSpectrum, as_matrix, dagger, fnorm
 
 __all__ = [
     "ConfigPoint",
-    "GroupElement",
     "TangentPair",
     "Truncation",
     "act1",
@@ -181,34 +184,6 @@ def _same_shape(v1: TangentPair, v2: TangentPair) -> None:
         raise ShapeMismatch(f"tangent shapes differ: {v1.Z.shape} vs {v2.Z.shape}")
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Invertible p x p matrix of the (complexified) structure group.
-
-    The type checks only that g is square and nonsingular.  Extra structure
-    is checked once, by the operation that needs it: act3 checks that its u
-    is unitary, potentials.character_log_term that its g is positive.
-    """
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = as_matrix(self.g, "g")
-        if g.shape[0] != g.shape[1]:
-            raise ShapeMismatch(f"group element must be square, got {g.shape}")
-        sign, logdet = np.linalg.slogdet(g)
-        if sign == 0 or not np.isfinite(logdet):
-            raise Singular("group element is singular")
-        object.__setattr__(self, "g", g)
-
-    @staticmethod
-    def identity(p: int) -> "GroupElement":
-        return GroupElement(np.eye(p, dtype=np.complex128))
-
-    def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
-
-
 def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Re Tr a* b = Re a . Re b + Im a . Im b for complex matrices of one
     shape, as two real dot products over the flattened entries."""
@@ -248,17 +223,25 @@ def omega_C(v1: TangentPair, v2: TangentPair) -> complex:
     return complex(np.sum(v1.T.conj() * v2.Z) - np.sum(v2.T.conj() * v1.Z))
 
 
-def act1(g: GroupElement, pt: ConfigPoint) -> ConfigPoint:
+def act1(g, pt: ConfigPoint) -> ConfigPoint:
     """Holomorphic action for the first structure: (x, X) -> (x g^-1, X g*).
 
-    For unitary g the two slots transform identically by g^-1.
+    g is a p x p matrix, coerced by as_matrix (ShapeMismatch otherwise).
+    act1 is the one place that checks that g is nonsingular: the inversion
+    stops at a zero pivot, raised as Singular.  For unitary g the two slots
+    transform identically by g^-1.
     """
-    ginv = g.inv()
-    return ConfigPoint(pt.trunc, pt.x @ ginv, pt.X @ dagger(g.g))
+    g = as_matrix(g, "g")
+    if g.shape != (pt.trunc.p, pt.trunc.p):
+        raise ShapeMismatch(f"g must be p x p, got {g.shape}")
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise Singular("group element is singular") from exc
+    return ConfigPoint(pt.trunc, pt.x @ ginv, pt.X @ dagger(g))
 
 
-def act3(h: np.ndarray | HermitianSpectrum, u: GroupElement | None,
-         pt: ConfigPoint) -> ConfigPoint:
+def act3(h: HermitianSpectrum, u, pt: ConfigPoint) -> ConfigPoint:
     """Holomorphic action for the third structure.
 
     The positive part is parametrized by a Hermitian h (equal to i times a
@@ -268,36 +251,30 @@ def act3(h: np.ndarray | HermitianSpectrum, u: GroupElement | None,
         x' = x u^-1 cosh(h) - X u^-1 sinh(h)
         X' = -x u^-1 sinh(h) + X u^-1 cosh(h).
 
-    h is a p x p matrix or its HermitianSpectrum (a caller that has already
-    decomposed h passes the spectrum, the way sym_sylvester_solve takes M);
-    cosh(h) and sinh(h) share that one eigendecomposition.  u = None is the
-    identity, applied without a product.  act3 is the one place that checks
-    u*u = Id (and that a matrix h is Hermitian).  act3(0, Id, pt) and
-    act3(0, None, pt) are the identity exactly.
+    h is given as its HermitianSpectrum, so it is Hermitian by construction
+    and cosh(h) and sinh(h) share its one eigendecomposition; a caller that
+    holds the matrix passes herm_eig(h), which refuses a non-Hermitian one
+    (NotHermitian).  u is a p x p matrix, and act3 is the one place that
+    checks u*u = Id (NotUnitary); u = None is the identity, applied without
+    a product.  A spectrum of zeros with u = None is the identity exactly.
     """
     p = pt.trunc.p
-    if isinstance(h, HermitianSpectrum):
-        spec = h
-        if spec.eigenvectors.shape != (p, p):
-            raise ShapeMismatch(f"h must be p x p, got {spec.eigenvectors.shape}")
-    else:
-        h = as_matrix(h, "h")
-        if h.shape != (p, p):
-            raise ShapeMismatch(f"h must be p x p, got {h.shape}")
-        if not is_hermitian(h):
-            raise NotHermitian("act3 parameter h must be Hermitian")
-        spec = None if fnorm(h) == 0.0 else _eigh(h)
+    if h.eigenvectors.shape != (p, p):
+        raise ShapeMismatch(f"h must be p x p, got {h.eigenvectors.shape}")
     xu, Xu = pt.x, pt.X
     if u is not None:
-        err = fnorm(dagger(u.g) @ u.g - np.eye(u.g.shape[0]))
-        if err > UNITARY_TOL * (1.0 + fnorm(u.g)):
+        u = as_matrix(u, "u")
+        if u.shape != (p, p):
+            raise ShapeMismatch(f"u must be p x p, got {u.shape}")
+        err = fnorm(dagger(u) @ u - np.eye(p))
+        if err > UNITARY_TOL * (1.0 + fnorm(u)):
             raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
-        uinv = u.inv()
+        uinv = np.linalg.inv(u)
         xu, Xu = xu @ uinv, Xu @ uinv
-    if spec is None or not np.any(spec.eigenvalues):
+    if not np.any(h.eigenvalues):
         return ConfigPoint(pt.trunc, xu, Xu)
-    c = spec.fun(np.cosh)
-    s = spec.fun(np.sinh)
+    c = h.fun(np.cosh)
+    s = h.fun(np.sinh)
     return ConfigPoint(pt.trunc, xu @ c - Xu @ s, -xu @ s + Xu @ c)
 
 

@@ -34,8 +34,8 @@ Unknown keys are ignored on load.  Pair files of the older layout also
 held "z": z = i(x + X)(x* - X*), which is i k^2 times the projection onto P
 along Q and so fixed by P, Q and k; that key is ignored on load and no
 longer written.  Pair frames are validated against orthonormality on load:
-drift up to 1e-9 is accepted silently, up to 1e-6 re-orthonormalized with
-a warning, beyond that rejected.
+drift up to config.FRAME_TOL (1 + d) is accepted silently, up to
+1e-6 (1 + d) re-orthonormalized with a warning, beyond that rejected.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import FRAME_TOL
 from .errors import FileFormatError
 from .grassmann import CotangentPoint, OrbitPair, Subspace
 from .hkspace import ConfigPoint, Truncation
@@ -188,7 +189,7 @@ def _frame_from_obj(obj, name: str, n: int, d: int) -> Subspace:
     if f.shape != (n, d):
         raise FileFormatError(f"{name}: expected {n} x {d}, got {f.shape}")
     err = fnorm(dagger(f) @ f - np.eye(d))
-    if err <= 1e-9 * (1.0 + d):
+    if err <= FRAME_TOL * (1.0 + d):
         return Subspace(f)
     if err <= 1e-6 * (1.0 + d):
         warnings.warn(

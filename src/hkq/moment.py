@@ -1,7 +1,8 @@
 """Moment maps of the two group actions and the level-set residual.
 
 Values are returned as p x p trace-pairing representatives: the functional
-is a |-> Tr(value . a) on skew-Hermitian a.  Stored matrices:
+is a |-> Tr(value . a) on skew-Hermitian a.  moment(which, pt) returns
+the plain matrix:
 
     muC : X*x                          (complex moment map, unconstrained)
     mu1 : -(i/2) (x*x - X*X)           (skew-Hermitian)
@@ -17,8 +18,6 @@ level value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import membership_tol
@@ -27,7 +26,6 @@ from .hkspace import ConfigPoint, TangentPair, omega
 from .matcore import as_matrix, dagger, fnorm
 
 __all__ = [
-    "MomentValue",
     "MOMENT_TAGS",
     "in_stable1",
     "in_stable3",
@@ -41,28 +39,20 @@ __all__ = [
 MOMENT_TAGS = ("mu1", "mu2", "mu3", "mu4", "muC")
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    which: str
-    value: np.ndarray
-
-
-def moment(which: str, pt: ConfigPoint) -> MomentValue:
+def moment(which: str, pt: ConfigPoint) -> np.ndarray:
     """Evaluate the moment map `which` at pt as a p x p matrix."""
     x, X = pt.x, pt.X
     if which == "muC":
-        val = dagger(X) @ x
-    elif which == "mu1":
-        val = -0.5j * (dagger(x) @ x - dagger(X) @ X)
-    elif which == "mu2":
-        val = 0.5 * (dagger(X) @ x - dagger(x) @ X)
-    elif which == "mu3":
-        val = -0.5j * (dagger(X) @ x + dagger(x) @ X)
-    elif which == "mu4":
-        val = 0.5j * (dagger(x) @ x + dagger(X) @ X)
-    else:
-        raise ValueError(f"unknown moment tag {which!r}, expected one of {MOMENT_TAGS}")
-    return MomentValue(which, val)
+        return dagger(X) @ x
+    if which == "mu1":
+        return -0.5j * (dagger(x) @ x - dagger(X) @ X)
+    if which == "mu2":
+        return 0.5 * (dagger(X) @ x - dagger(x) @ X)
+    if which == "mu3":
+        return -0.5j * (dagger(X) @ x + dagger(x) @ X)
+    if which == "mu4":
+        return 0.5j * (dagger(x) @ x + dagger(X) @ X)
+    raise ValueError(f"unknown moment tag {which!r}, expected one of {MOMENT_TAGS}")
 
 
 def level_residual(pt: ConfigPoint) -> tuple[float, float]:

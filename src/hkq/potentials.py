@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotInStable1, NotInStable3, NotPositive, NotPositiveDefinite
+from .errors import NotInStable1, NotInStable3, NotPositiveDefinite
 from .grassmann import (
     OrbitPair,
     _graph,
@@ -48,10 +48,11 @@ from .grassmann import (
     psi1,
     psi3,
 )
-from .hkspace import ConfigPoint, GroupElement, _half_k2_integral, flat_potential_K
+from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
     HermitianSpectrum,
     _eigh,
+    as_matrix,
     dagger,
     herm_sqrt,
     hermitian_part,
@@ -228,7 +229,7 @@ def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
         m = root @ g @ root
     lam = _eigh(m).eigenvalues
     if np.any(lam <= 0):
-        raise NotPositive(
+        raise NotPositiveDefinite(
             f"spectral operand has a non-positive eigenvalue ({lam.min():.3e})"
         )
     return lam
@@ -295,17 +296,19 @@ def K3_hat_angles(pair: OrbitPair, k: float, tol: float | None = None) -> float:
     return float(0.25 * k * k * np.sum(1.0 / np.cos(theta) - 1.0))
 
 
-def character_log_term(g: GroupElement, k: float) -> float:
-    """Logarithmic character term (k^2/2) log |det g| for positive g.
+def character_log_term(g, k: float) -> float:
+    """Logarithmic character term (k^2/2) log |det g| for a positive p x p
+    matrix g.
 
     This is the one place that checks positivity of g (Hermitian, then a
     positive spectrum), raising NotPositiveDefinite.  Emits
     IntegralityWarning when k^2/2 is not a positive integer (the character
     then fails to be a circle homomorphism, but the real value is still
     defined)."""
-    if not is_hermitian(g.g):
+    g = as_matrix(g, "g")
+    if not is_hermitian(g):
         raise NotPositiveDefinite("character term needs a positive element")
-    lam = np.linalg.eigvalsh(hermitian_part(g.g))
+    lam = np.linalg.eigvalsh(hermitian_part(g))
     if np.any(lam <= 0):
         raise NotPositiveDefinite(
             f"character term needs a positive element, min eigenvalue {lam.min():.3e}"

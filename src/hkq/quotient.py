@@ -79,7 +79,7 @@ import numpy as np
 from .config import membership_tol
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet
 from .grassmann import _graph, _section, psi3
-from .hkspace import ConfigPoint, GroupElement, TangentPair, act1, act3, apply_I
+from .hkspace import ConfigPoint, TangentPair, act1, act3, apply_I
 from .matcore import (
     HermitianSpectrum,
     _eigh,
@@ -99,15 +99,17 @@ __all__ = ["ProjectionResult", "SliceBasis", "project1", "project3", "slice_basi
 class ProjectionResult:
     """Outcome of a level-set projection.
 
-    For project1, group_part is the positive element with
+    For project1, group_part is the positive p x p matrix g with
     act1(group_part, original) = point and h is None.  For project3, h is the
-    Hermitian parameter with act3(-h, None, section point) = point (the
-    unitary part is the identity in this gauge) and group_part is None.
+    Hermitian p x p matrix with act3(herm_eig(-h), None, section point) =
+    point (the unitary part is the identity in this gauge) and group_part
+    is None.  Both are plain arrays; the operation that takes one back
+    (act1, act3, potentials.character_log_term) checks what it needs.
     """
 
     point: ConfigPoint
     residual: float
-    group_part: GroupElement | None = None
+    group_part: np.ndarray | None = None
     h: np.ndarray | None = None
 
 
@@ -141,15 +143,14 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     gamma2 = 0.5 * k2 * (eye + herm_sqrt(eye + fiber))
     g = _eigh(isx @ gamma2 @ isx).fun(lambda mu: 1.0 / np.sqrt(mu),
                                       domain_check=lambda mu: mu > 0.0)
-    group = GroupElement(g)
-    point = act1(group, pt)
+    point = act1(g, pt)
     residual = max(level_residual(point))
     if not _within_tol(residual, t, k2):
         raise NotInStable1(
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
         )
-    return ProjectionResult(point=point, residual=residual, group_part=group)
+    return ProjectionResult(point=point, residual=residual, group_part=g)
 
 
 def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
@@ -160,11 +161,11 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     w = F_Pperp A, gives the canonical preimage pt0 = psi3_section(P, Q)
     and the one eigendecomposition of Id + w*w = Id + A*A, on which
     h = (1/4) log(Id + A*A), cosh(h) and sinh(h) are all taken;
-    point = act3(-h, Id, pt0).  The result lies in the level set (exactly,
-    up to round-off) and in the same orbit as pt (psi3 reproduces the
-    pair).  It matches the intrinsic projection only up to the free compact
-    action; the flat potential of the result is nevertheless the exact
-    projected value by invariance.
+    point = act3(-h, None, pt0), with -h passed as that spectrum.  The
+    result lies in the level set (exactly, up to round-off) and in the same
+    orbit as pt (psi3 reproduces the pair).  It matches the intrinsic
+    projection only up to the free compact action; the flat potential of
+    the result is nevertheless the exact projected value by invariance.
     """
     pair, _ = psi3(pt, tol)
     w = _graph(pair, tol)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateSample
 from .grassmann import CotangentPoint, OrbitPair, Subspace, complement_frame
-from .hkspace import ConfigPoint, GroupElement, TangentPair, Truncation, act3
+from .hkspace import ConfigPoint, TangentPair, Truncation, act3
 from .matcore import _eigh, dagger, hermitian_part, orthonormal_range, skew_part
 from .quotient import project1
 
@@ -74,19 +74,18 @@ def random_hermitian_ball(p: int, rng: np.random.Generator,
     return h * (radius * rng.random() / nrm)
 
 
-def random_unitary(p: int, rng: np.random.Generator) -> GroupElement:
+def random_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like unitary: QR of a complex Gaussian with phase-fixed diagonal."""
     q, r = np.linalg.qr(gaussian_complex(rng, (p, p)))
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return GroupElement(q)
+    return q * (d / np.abs(d))
 
 
-def random_group_positive(p: int, rng: np.random.Generator) -> GroupElement:
+def random_group_positive(p: int, rng: np.random.Generator) -> np.ndarray:
     """Positive-definite element exp(h), h in the Hermitian ball of radius
     1/2."""
     h = random_hermitian_ball(p, rng, radius=0.5)
-    return GroupElement(_eigh(h).fun(np.exp))
+    return _eigh(h).fun(np.exp)
 
 
 def sample_stable1(trunc: Truncation, rng: np.random.Generator,
@@ -122,7 +121,7 @@ def sample_stable3(trunc: Truncation, rng: np.random.Generator,
     pt = sample_level(trunc, rng, eps)
     h = random_hermitian_ball(trunc.p, rng, radius=1.0)
     u = random_unitary(trunc.p, rng)
-    return act3(h, u, pt)
+    return act3(_eigh(h), u, pt)
 
 
 def sample_point(space: str, trunc: Truncation, rng: np.random.Generator,

@@ -1,8 +1,11 @@
 """Static scan of the public surface of every hkq module (AST only).
 
-Keeps four kinds of drift from coming back: an `__all__` entry whose name
+Keeps five kinds of drift from coming back: an `__all__` entry whose name
 the module does not define itself (gone, or only imported, which gives a
-name defined elsewhere a second public home), an import nothing uses, a
+name defined elsewhere a second public home), a name that the package
+`__init__` imports from a module but that module's `__all__` does not list
+(so a name removed from the public surface cannot linger in the package
+namespace), an import nothing uses, a
 call that mutates the process-global warning filters
 (`warnings.catch_warnings`), which would make the library unsafe to call
 concurrently, and a `json.dump`/`json.dumps` call passing `indent`, which
@@ -73,6 +76,20 @@ def test_all_entries_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_exported(tree)) - _top_level_definitions(tree))
     assert missing == [], f"{path.name}: __all__ names not defined here {missing}"
+
+
+def test_package_reexports_only_public_names():
+    package = Path(hkq.__file__)
+    stray = []
+    for node in _tree(package).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+            continue
+        exported = _exported(_tree(package.parent / f"{node.module}.py"))
+        if not exported:  # a module without __all__ (config, errors)
+            continue
+        stray += [f"{node.module}.{a.name}" for a in node.names
+                  if a.name != "*" and a.name not in exported]
+    assert stray == [], f"hkq/__init__.py imports names outside __all__: {stray}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -21,8 +21,8 @@ from hkq.grassmann import (
     psi3,
     psi3_section,
 )
-from hkq.hkspace import ConfigPoint, GroupElement, Truncation, act3
-from hkq.matcore import dagger, fnorm, herm_fun, orthonormal_range
+from hkq.hkspace import ConfigPoint, Truncation, act3
+from hkq.matcore import dagger, fnorm, herm_eig, herm_fun, orthonormal_range
 from hkq.quotient import project3
 from hkq.sampling import gaussian_complex, sample_stable3
 
@@ -67,7 +67,7 @@ def test_matches_the_complement_frame_oracle(p, q, rng):
     assert fnorm(sec.x - x0) + fnorm(sec.X - X0) <= bound * scale
 
     h = 0.25 * herm_fun(np.eye(p) + dagger(a) @ a, np.log)
-    want = act3(-h, GroupElement.identity(p), ConfigPoint(pt.trunc, x0, X0))
+    want = act3(herm_eig(-h), np.eye(p), ConfigPoint(pt.trunc, x0, X0))
     res = project3(pt)
     assert fnorm(res.h - h) <= bound * (1.0 + fnorm(h))
     assert fnorm(res.point.x - want.x) + fnorm(res.point.X - want.X) <= bound * scale

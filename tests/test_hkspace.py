@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hkq.errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
 from hkq.hkspace import (
     ConfigPoint,
-    GroupElement,
     TangentPair,
     Truncation,
     act1,
@@ -149,27 +148,26 @@ class TestMetricAndForms:
         assert abs(om.imag - omega(3, v1, v2)) <= 1e-12
 
 
-class TestGroupElement:
-    def test_rejects_singular(self):
-        with pytest.raises(Singular):
-            GroupElement(np.zeros((2, 2)))
-
-
 class TestAct1:
+    def test_rejects_singular(self, s2_point):
+        with pytest.raises(Singular):
+            act1(np.zeros((1, 1)), s2_point)
+        for wrong in (np.ones((1, 2)), np.eye(2)):
+            with pytest.raises(ShapeMismatch):
+                act1(wrong, s2_point)
+
     def test_identity(self, s2_point):
-        out = act1(GroupElement.identity(1), s2_point)
+        out = act1(np.eye(1), s2_point)
         assert np.array_equal(out.x, s2_point.x)
         assert np.array_equal(out.X, s2_point.X)
 
     def test_scalar_two(self, s2_point):
-        g = GroupElement(np.array([[2.0]]))
-        out = act1(g, s2_point)
+        out = act1(np.array([[2.0]]), s2_point)
         assert np.allclose(out.x, s2_point.x / 2)
         assert np.allclose(out.X, 2 * s2_point.X)
 
     def test_scalar_unitary_i(self, s2_point):
-        u = GroupElement(np.array([[1.0j]]))
-        out = act1(u, s2_point)
+        out = act1(np.array([[1.0j]]), s2_point)
         assert np.allclose(out.x, -1j * s2_point.x)
         assert np.allclose(out.X, -1j * s2_point.X)
 
@@ -177,10 +175,9 @@ class TestAct1:
         tr = Truncation(3, 2, 1.5)
         pt = ConfigPoint(tr, gaussian_complex(rng, (5, 3)) + tr.base_x(),
                          gaussian_complex(rng, (5, 3)))
-        g = GroupElement(np.eye(3) + 0.3 * gaussian_complex(rng, (3, 3)))
-        h = GroupElement(np.eye(3) + 0.3 * gaussian_complex(rng, (3, 3)))
-        gh = GroupElement(g.g @ h.g)
-        lhs = act1(gh, pt)
+        g = np.eye(3) + 0.3 * gaussian_complex(rng, (3, 3))
+        h = np.eye(3) + 0.3 * gaussian_complex(rng, (3, 3))
+        lhs = act1(g @ h, pt)
         rhs = act1(g, act1(h, pt))
         assert fnorm(lhs.x - rhs.x) <= 1e-10 * (1 + fnorm(rhs.x))
         assert fnorm(lhs.X - rhs.X) <= 1e-10 * (1 + fnorm(rhs.X))
@@ -188,21 +185,21 @@ class TestAct1:
 
 class TestAct3:
     def test_identity(self, s3_point):
-        out = act3(np.zeros((1, 1)), GroupElement.identity(1), s3_point)
+        out = act3(herm_eig(np.zeros((1, 1))), np.eye(1), s3_point)
         assert np.array_equal(out.x, s3_point.x)
         assert np.array_equal(out.X, s3_point.X)
 
     def test_scalar_boost(self, s2_point):
         t = 0.37
-        out = act3(np.array([[t]]), GroupElement.identity(1), s2_point)
+        out = act3(herm_eig(np.array([[t]])), np.eye(1), s2_point)
         c, s = np.cosh(t), np.sinh(t)
         assert np.allclose(out.x, s2_point.x * c - s2_point.X * s)
         assert np.allclose(out.X, -s2_point.x * s + s2_point.X * c)
 
     def test_inverse_composition(self, s3_point):
         h = np.array([[0.8]])
-        ident = GroupElement.identity(1)
-        back = act3(-h, ident, act3(h, ident, s3_point))
+        ident = np.eye(1)
+        back = act3(herm_eig(-h), ident, act3(herm_eig(h), ident, s3_point))
         assert fnorm(back.x - s3_point.x) <= 1e-11
         assert fnorm(back.X - s3_point.X) <= 1e-11
 
@@ -211,7 +208,7 @@ class TestAct3:
         pt = ConfigPoint(tr, gaussian_complex(rng, (5, 3)), gaussian_complex(rng, (5, 3)))
         g = gaussian_complex(rng, (3, 3))
         h = 0.5 * (g + dagger(g))
-        want = act3(h, GroupElement.identity(3), pt)
+        want = act3(herm_eig(h), np.eye(3), pt)
         got = act3(herm_eig(h), None, pt)
         assert fnorm(got.x - want.x) + fnorm(got.X - want.X) <= 1e-14 * fnorm(pt.x)
         zero = act3(herm_eig(np.zeros((3, 3))), None, pt)
@@ -221,10 +218,12 @@ class TestAct3:
 
     def test_requires_hermitian_and_unitary(self, s3_point, rng):
         with pytest.raises(NotHermitian):
-            act3(np.array([[1.0j]]), GroupElement.identity(1), s3_point)
-        bad_u = GroupElement(np.array([[2.0]]))
+            act3(herm_eig(np.array([[1.0j]])), np.eye(1), s3_point)
+        zero = herm_eig(np.zeros((1, 1)))
         with pytest.raises(NotUnitary):
-            act3(np.zeros((1, 1)), bad_u, s3_point)
+            act3(zero, np.array([[2.0]]), s3_point)
+        with pytest.raises(ShapeMismatch):
+            act3(zero, np.eye(2), s3_point)
 
 
 class TestFlatReductions:

@@ -381,7 +381,9 @@ class TestPublicPreChecks:
             "herm_eig": herm_eig,
             "herm_fun": lambda m: herm_fun(m, np.exp),
             "sym_sylvester_solve": lambda m: sym_sylvester_solve(m, np.zeros((2, 2))),
-            "act3": lambda m: act3(m, None, pt),
+            # act3 takes h as a spectrum: a caller that holds the matrix
+            # passes herm_eig(h), whose checks are the ones that apply
+            "act3": lambda m: act3(herm_eig(m), None, pt),
         }
 
     @pytest.mark.parametrize("name", ["herm_eig", "herm_fun", "sym_sylvester_solve", "act3"])

@@ -1,6 +1,7 @@
 """One membership rule per stable set, applied at the caller's tol by every
-entry point: in_stable1, psi1, project1 and the CLI's `info` and
-`map --which psi1` accept and refuse the same first-stable points, and
+entry point: in_stable1, psi1, project1, the k1 routes and the CLI's
+`info`, `map --which psi1`, `potential --which k1` and `project
+--structure i1` accept and refuse the same first-stable points, and
 in_stable3, psi3 and the k3 routes the same third-stable points."""
 
 import numpy as np
@@ -10,11 +11,11 @@ from hkq import cli, jsonio
 from hkq.errors import NotInStable1, NotInStable3
 from hkq.grassmann import psi1, psi3
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.matcore import fnorm
+from hkq.matcore import dagger, fnorm
 from hkq.moment import in_stable1, in_stable3
 from hkq.potentials import evaluate_routes
 from hkq.quotient import project1
-from hkq.sampling import gaussian_complex, make_rng, sample_stable3
+from hkq.sampling import gaussian_complex, make_rng, sample_stable1, sample_stable3
 
 SQRT2 = np.sqrt(2.0)
 
@@ -56,6 +57,47 @@ def test_cli_info_and_psi1_agree_on_thin_x(tol, member, exit_code, tmp_path, cap
     assert f"in_stable1 {member}" in capsys.readouterr().out
     argv = ["--tol", tol, "map", "--which", "psi1", "-i", str(point), "-o", str(cot)]
     assert cli.main(argv) == exit_code
+
+
+def _off_stable1(seed: int) -> ConfigPoint:
+    """A first-stable sample with X moved along Ran x so that
+    ||X*x|| = 5e-7 k^2: first-stable at tol 1e-6, not at 1e-9.  eta's
+    cotangent invariants hold to round-off at any tol, so psi1 accepts the
+    point wherever the membership rule does."""
+    pt = sample_stable1(Truncation(4, 5, SQRT2), make_rng(seed))
+    d = pt.x @ gaussian_complex(make_rng(99), (4, 4))
+    d = d * (5e-7 * pt.trunc.k2 / fnorm(dagger(d) @ pt.x))
+    return ConfigPoint(pt.trunc, pt.x, pt.X + d)
+
+
+def _k1_routes(pt, tol):
+    return evaluate_routes(pt, "k1", tol)
+
+
+@pytest.mark.parametrize("tol,member", [(1e-6, True), (1e-9, False)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_first_stable_entries_agree_off_the_equation(seed, tol, member):
+    pt = _off_stable1(seed)
+    assert in_stable1(pt, tol) is member
+    for entry in (psi1, project1, _k1_routes):
+        assert _accepts(entry, pt, tol, NotInStable1) is member
+
+
+@pytest.mark.parametrize("tol,member", [("1e-06", True), ("1e-09", False)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cli_verbs_agree_off_the_first_stable_equation(seed, tol, member, tmp_path,
+                                                       capsys):
+    point, cot = tmp_path / "off.json", tmp_path / "cot.json"
+    jsonio.save_point(point, _off_stable1(seed))
+    assert cli.main(["--tol", tol, "info", "-i", str(point)]) == cli.EXIT_OK
+    assert f"in_stable1 {member}" in capsys.readouterr().out
+    exit_code = cli.EXIT_OK if member else cli.EXIT_INPUT
+    for argv in (["map", "--which", "psi1", "-o", str(cot)],
+                 ["potential", "--which", "k1"],
+                 ["project", "--structure", "i1", "-o", str(tmp_path / "level.json")]):
+        assert cli.main(["--tol", tol, *argv, "-i", str(point)]) == exit_code
+    if member:  # the written cotangent file passes the invariants on load
+        jsonio.load_cotangent(cot)
 
 
 def _off_stable3(seed: int) -> ConfigPoint:
