@@ -71,14 +71,12 @@ def _cmd_project(args) -> int:
     tol = args.tol
     if args.structure == "i1":
         res = project1(pt, tol)
-        lam = np.linalg.eigvalsh(res.group_part)
         _emit("structure", "i1")
-        _emit("group_eigenvalues", " ".join(repr(float(v)) for v in lam))
+        _emit("group_eigenvalues", " ".join(repr(float(v)) for v in res.eigenvalues))
     else:
         res = project3(pt, tol)
-        lam = np.linalg.eigvalsh(res.h)
         _emit("structure", "i3")
-        _emit("h_eigenvalues", " ".join(repr(float(v)) for v in lam))
+        _emit("h_eigenvalues", " ".join(repr(float(v)) for v in res.eigenvalues))
     rc, rr = level_residual(res.point)
     _emit("residual_complex", rc)
     _emit("residual_real", rr)

@@ -88,13 +88,15 @@ class IntegralityWarning(UserWarning):
     expressions remain well defined and are still evaluated."""
 
 
-def _warn_integrality(k: float) -> None:
+def _warn_integrality(k: float, stacklevel: int = 3) -> None:
     """Emit IntegralityWarning, attributed to the caller of the public
-    function that calls this, unless k^2/2 is a positive integer."""
+    function that calls this (stacklevel counts from here: 3 when the
+    public function calls it directly), unless k^2/2 is a positive
+    integer."""
     if not _half_k2_integral(k):
         warnings.warn(
             IntegralityWarning(f"k^2/2 = {k * k / 2.0:g} is not a positive integer"),
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -300,20 +302,26 @@ def character_log_term(g, k: float) -> float:
     """Logarithmic character term (k^2/2) log |det g| for a positive p x p
     matrix g.
 
-    This is the one place that checks positivity of g (Hermitian, then a
-    positive spectrum), raising NotPositiveDefinite.  Emits
+    This is where positivity of g is checked (Hermitian, then a positive
+    spectrum), raising NotPositiveDefinite.  Emits
     IntegralityWarning when k^2/2 is not a positive integer (the character
     then fails to be a circle homomorphism, but the real value is still
     defined)."""
     g = as_matrix(g, "g")
     if not is_hermitian(g):
         raise NotPositiveDefinite("character term needs a positive element")
-    lam = np.linalg.eigvalsh(hermitian_part(g))
+    return _character_term(np.linalg.eigvalsh(hermitian_part(g)), k)
+
+
+def _character_term(lam: np.ndarray, k: float) -> float:
+    """(k^2/2) sum log lam for the spectrum lam of a Hermitian g: the check
+    that g is positive (NotPositiveDefinite) and the IntegralityWarning of
+    the public function that calls this."""
     if np.any(lam <= 0):
         raise NotPositiveDefinite(
             f"character term needs a positive element, min eigenvalue {lam.min():.3e}"
         )
-    _warn_integrality(k)
+    _warn_integrality(k, stacklevel=4)
     return float(0.5 * k * k * np.sum(np.log(lam)))
 
 
@@ -326,11 +334,12 @@ def quotient_potential(pt: ConfigPoint, tol: float | None = None) -> PotentialRe
     extras["flat_at_level"] (flat potential K at project1's point) and
     extras["character"] ((k^2/2) log det g of project1's group element).
     No other route is evaluated here.  Membership is checked once, by
-    project1 (NotInStable1); character_log_term emits the one
-    IntegralityWarning of the call."""
+    project1 (NotInStable1).  log det g is summed over the eigenvalues
+    project1 took g from, with character_log_term's positivity check and
+    its one IntegralityWarning of the call, so g is not factored again."""
     res = project1(pt, tol)
     flat = flat_potential_K(res.point)
-    char = character_log_term(res.group_part, pt.trunc.k)
+    char = _character_term(res.eigenvalues, pt.trunc.k)
     return PotentialReport(
         label="K1",
         value=flat + char,

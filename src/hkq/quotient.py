@@ -105,10 +105,13 @@ class ProjectionResult:
     point (the unitary part is the identity in this gauge) and group_part
     is None.  Both are plain arrays; the operation that takes one back
     (act1, act3, potentials.character_log_term) checks what it needs.
+    eigenvalues are those of group_part or h, ascending, taken on the
+    spectrum the projection built it from (no second factorization).
     """
 
     point: ConfigPoint
     residual: float
+    eigenvalues: np.ndarray
     group_part: np.ndarray | None = None
     h: np.ndarray | None = None
 
@@ -128,8 +131,9 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
 
     One thin SVD of x judges first-stable membership (X*x = 0 to tol * k^2
     and sigma_min(x) > tol * sigma_max(x), the rule of in_stable1) and gives
-    |x| (inside the fiber operand) and |x|^-1 on its right factor.  g is
-    taken on the one eigendecomposition of g^-2, and act1 inverts it."""
+    |x| (inside the fiber operand) and |x|^-1 on its right factor.  g and
+    its eigenvalues 1/sqrt(mu) are taken on the one eigendecomposition of
+    g^-2, and act1 inverts g."""
     t = membership_tol(tol)
     _, s, w = svd(pt.x)
     if not (_stable1_equation(pt, t) and _full_rank(s, t)):
@@ -141,8 +145,8 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     isx = abs_x.fun(np.reciprocal)
     fiber = _fiber_operand(pt, abs_x.fun(np.positive))
     gamma2 = 0.5 * k2 * (eye + herm_sqrt(eye + fiber))
-    g = _eigh(isx @ gamma2 @ isx).fun(lambda mu: 1.0 / np.sqrt(mu),
-                                      domain_check=lambda mu: mu > 0.0)
+    g_inv2 = _eigh(isx @ gamma2 @ isx)
+    g = g_inv2.fun(lambda mu: 1.0 / np.sqrt(mu), domain_check=lambda mu: mu > 0.0)
     point = act1(g, pt)
     residual = max(level_residual(point))
     if not _within_tol(residual, t, k2):
@@ -150,7 +154,10 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
         )
-    return ProjectionResult(point=point, residual=residual, group_part=g)
+    # mu ascends, so 1/sqrt(mu) of the reversed mu ascends
+    return ProjectionResult(point=point, residual=residual,
+                            eigenvalues=1.0 / np.sqrt(g_inv2.eigenvalues[::-1]),
+                            group_part=g)
 
 
 def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
@@ -160,7 +167,8 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     raises NotInStable3; the graph operator, in its ambient form
     w = F_Pperp A, gives the canonical preimage pt0 = psi3_section(P, Q)
     and the one eigendecomposition of Id + w*w = Id + A*A, on which
-    h = (1/4) log(Id + A*A), cosh(h) and sinh(h) are all taken;
+    h = (1/4) log(Id + A*A), its eigenvalues, cosh(h) and sinh(h) are all
+    taken;
     point = act3(-h, None, pt0), with -h passed as that spectrum.  The
     result lies in the level set (exactly, up to round-off) and in the same
     orbit as pt (psi3 reproduces the pair).  It matches the intrinsic
@@ -181,7 +189,8 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
         raise NotInStable3(
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )
-    return ProjectionResult(point=point, residual=residual, h=h)
+    return ProjectionResult(point=point, residual=residual,
+                            eigenvalues=0.25 * np.log(spec.eigenvalues), h=h)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
 cross-check fails, 2 for input the CLI rejects (unknown route, a point
-outside the required set, a malformed file, a boolean among a file's
-numbers, a non-finite k in a file or a non-finite or zero `angles --k`, a
-pair file without k, a trial count below one).  Also: the layout of a
-`map --which psi3` file and loading of the older one with "z", and reuse of
-the one parser per process (the same output per verb, handlers looked up at
-call time, `func` kept for callers that dispatch themselves), what
-`info` prints and factors, and that `python -m hkq` runs the CLI."""
+outside the required set, a malformed file, damaged matrix bytes, a
+non-finite k in a file or a non-finite or zero `angles --k`, a pair file
+without k, a trial count below one).  Also: what `project` factors, the
+layout of a `map --which psi3` file and loading of the older one with "z",
+and reuse of the one parser per process (the same output per verb,
+handlers looked up at call time, `func` kept for callers that dispatch
+themselves), what `info` prints and factors, and that `python -m hkq` runs
+the CLI."""
 
 import json
 import os
@@ -96,6 +97,25 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
     for name, values in lines.items():
         for token in values.split():
             float(token)  # raises on "np.float64(...)"
+
+
+@pytest.mark.parametrize("space,structure,budget", [
+    # project1: one SVD of x, one eigh each of Id + the fiber operand and of
+    # g^-2, act1's inv; project3: psi3's two SVDs, the graph operator's QR,
+    # SVD and inv, one eigh of Id + w*w.  The printed eigenvalues come from
+    # the projection's own spectrum, so no eigvalsh is added.
+    ("stable1", "i1", {"svd": 1, "eigh": 2, "inv": 1}),
+    ("stable3", "i3", {"svd": 3, "qr": 1, "eigh": 1, "inv": 1}),
+])
+def test_project_factors_only_what_the_projection_does(space, structure, budget,
+                                                        lapack_calls, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    assert cli.main(["sample", "--space", space, "-p", "4", "-q", "5",
+                     "-o", str(point)]) == cli.EXIT_OK
+    lapack_calls.clear()
+    assert cli.main(["project", "--structure", structure, "-i", str(point),
+                     "-o", str(tmp_path / "l.json")]) == cli.EXIT_OK
+    assert dict(lapack_calls) == budget
 
 
 def test_emit_prints_numpy_floats_as_bare_numbers(capsys):
@@ -344,18 +364,25 @@ def test_pair_file_with_old_z_key_loads_the_same(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("value", ["true", "false"])
-def test_boolean_among_the_numbers_exits_2(value, tmp_path, capsys):
+C16_DAMAGE = {
+    "not_base64": (lambda text: "!" + text[1:], "c16 is not base64"),
+    "one_char_short": (lambda text: text[:-1], "c16 is not base64"),
+    "one_entry_short": (lambda text: text[:-24], "c16 holds"),  # 24 chars: 18 bytes
+}
+
+
+@pytest.mark.parametrize("damage", C16_DAMAGE)
+def test_damaged_c16_exits_2(damage, tmp_path, capsys):
+    edit, message = C16_DAMAGE[damage]
     point = tmp_path / "s.json"
     _sample(point)
     obj = json.loads(point.read_text())
-    obj["x"]["re"][0][0] = value == "true"
+    obj["x"]["c16"] = edit(obj["x"]["c16"])
     point.write_text(json.dumps(obj))
-    assert value in point.read_text()
     capsys.readouterr()
     assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error ") and "got a boolean" in err
+    assert err.startswith("error ") and message in err
 
 
 def test_parser_is_built_once():

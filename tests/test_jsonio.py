@@ -1,9 +1,13 @@
-"""jsonio: byte-identical round trips, the compact one-line layout, exact
-reload of extreme numbers, loading of the older indented layout and of the
-older pair layout with "z", the three regimes of the pair-frame check, and
-refusal of values that are not of the schema's type (no coercion on load,
-and no boolean among the numbers of an array)."""
+"""jsonio: byte-identical round trips, the compact one-line layout, the
+c16 payload (row-major little-endian complex128 bytes in base64) and its
+bit-exact reload of extreme numbers, loading of the older indented layout
+and of the older pair layout with "z", refusal of the older re/im text
+layout, the three regimes of the pair-frame check, and refusal of values
+that are not of the schema's type (no coercion on load) or of a payload
+that is not strict base64, holds the wrong byte count or non-finite
+entries."""
 
+import base64
 import json
 import warnings
 
@@ -13,7 +17,7 @@ import pytest
 from hkq import jsonio
 from hkq.errors import FileFormatError
 from hkq.grassmann import psi1, psi3
-from hkq.hkspace import Truncation
+from hkq.hkspace import ConfigPoint, Truncation
 from hkq.matcore import dagger
 from hkq.sampling import make_rng, random_subspace, sample_point
 
@@ -111,18 +115,57 @@ def test_indented_layout_still_loads(point3, tmp_path):
     np.testing.assert_array_equal(loaded.X, point3.X)
 
 
+EXTREME = np.array([5e-324, 1.7976931348623157e308, -0.0, 1e-300,
+                    -1.7976931348623157e308, -5e-324])
+
+
+def _extreme_matrix(rows, cols):
+    """rows x cols complex matrix cycling through EXTREME in both parts."""
+    size = rows * cols
+    m = np.empty((rows, cols), dtype=np.complex128)
+    m.real = np.resize(EXTREME, size).reshape(rows, cols)
+    m.imag = np.resize(EXTREME[::-1], size).reshape(rows, cols)
+    return m
+
+
 def test_extreme_numbers_reload_exactly(tmp_path):
-    values = np.array([5e-324, 1.7976931348623157e308, -0.0, 1e-300])
-    m = (values + 0j).reshape(2, 2)
-    m.imag = values[::-1].reshape(2, 2)
+    m = _extreme_matrix(2, 3)
     path = tmp_path / "m.json"
     jsonio.save_matrix(path, m)
-    text = path.read_text()
-    for literal in ("5e-324", "1.7976931348623157e+308", "-0.0", "1e-300"):
-        assert literal in text
     loaded = jsonio.load_matrix(path)
     assert loaded.dtype == np.complex128
     assert loaded.tobytes() == m.tobytes()  # bitwise: the sign of -0.0 too
+
+
+def test_extreme_numbers_reload_exactly_in_a_point_file(tmp_path):
+    pt = ConfigPoint(TRUNC, _extreme_matrix(TRUNC.n, TRUNC.p),
+                     _extreme_matrix(TRUNC.n, TRUNC.p)[::-1])
+    path = tmp_path / "pt.json"
+    jsonio.save_point(path, pt)
+    loaded = jsonio.load_point(path)
+    assert loaded.x.tobytes() == pt.x.tobytes()
+    assert loaded.X.tobytes() == pt.X.tobytes()
+
+
+def test_c16_is_row_major_little_endian_complex128():
+    m = np.array([[1 + 2j, complex(-0.0, 3.0)], [4j, 5.0]])
+    obj = jsonio.matrix_to_obj(m.T)  # a Fortran-ordered view is written row-major
+    assert obj.keys() == {"rows", "cols", "c16"}
+    assert (obj["rows"], obj["cols"]) == (2, 2)
+    raw = base64.b64decode(obj["c16"], validate=True)
+    parts = np.frombuffer(raw, dtype="<f8")
+    np.testing.assert_array_equal(parts, [1.0, 2.0, 0.0, 4.0, -0.0, 3.0, 5.0, 0.0])
+    assert np.signbit(parts[4])
+    assert obj["c16"].startswith("AAAAAAAA8D8AAAAAAAAAQA")  # 1.0, 2.0 little-endian
+    loaded = jsonio.matrix_from_obj(obj)
+    assert loaded.tobytes() == np.ascontiguousarray(m.T).tobytes()
+    assert loaded.flags.writeable
+
+
+def test_empty_matrix_round_trips():
+    obj = jsonio.matrix_to_obj(np.zeros((0, 3), dtype=complex))
+    assert obj == {"rows": 0, "cols": 3, "c16": ""}
+    assert jsonio.matrix_from_obj(obj).shape == (0, 3)
 
 
 class TestFrameCheck:
@@ -174,10 +217,45 @@ def _set_in_matrix(key, value):
     return change
 
 
-def _set_entry(value):
+def _set_matrix(value):
     def change(obj, matrix):
-        obj[matrix]["re"][0][0] = value
+        obj[matrix] = value
     return change
+
+
+def _edit_text(edit):
+    """Damage the c16 text of the matrix."""
+    def change(obj, matrix):
+        obj[matrix]["c16"] = edit(obj[matrix]["c16"])
+    return change
+
+
+def _edit_bytes(edit):
+    """Damage the bytes under the c16 text of the matrix, then re-encode them
+    as valid base64."""
+    def change(obj, matrix):
+        raw = base64.b64decode(obj[matrix]["c16"])
+        obj[matrix]["c16"] = base64.b64encode(edit(raw)).decode("ascii")
+    return change
+
+
+def _first_part(value, imag=False):
+    """Set the real (or imaginary) part of the first entry to value."""
+    offset = 8 if imag else 0
+    return _edit_bytes(lambda raw: raw[:offset] + np.array(value, "<f8").tobytes()
+                       + raw[offset + 8:])
+
+
+def _negate_shape(obj, matrix):
+    # 16 rows cols is unchanged, so only the sign check refuses it
+    obj[matrix]["rows"] *= -1
+    obj[matrix]["cols"] *= -1
+
+
+def _to_text_layout(obj, matrix):
+    m = jsonio.matrix_from_obj(obj[matrix])
+    obj[matrix] = {"rows": m.shape[0], "cols": m.shape[1],
+                   "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 NOT_OF_THE_SCHEMA = {
@@ -189,11 +267,28 @@ NOT_OF_THE_SCHEMA = {
     "k_null": (_set_top("k", None), "k must be a number"),
     "k_past_float_range": (_set_top("k", 10 ** 400), "k must be finite"),
     "rows_float": (_set_in_matrix("rows", 5.0), "rows and cols must be integers"),
-    "re_bools": (_set_in_matrix("re", [[True] * 3] * 5), "must be numbers"),
-    "entry_string": (_set_entry("1.5"), "must be numbers"),
-    "entry_null": (_set_entry(None), "must be numbers"),
-    "entry_true_among_numbers": (_set_entry(True), "got a boolean"),
-    "entry_false_among_numbers": (_set_entry(False), "got a boolean"),
+    "rows_string": (_set_in_matrix("rows", "5"), "rows and cols must be integers"),
+    "cols_bool": (_set_in_matrix("cols", True), "rows and cols must be integers"),
+    "rows_cols_negated": (_negate_shape, "rows and cols must be integers >= 0"),
+    "matrix_not_an_object": (_set_matrix([1.0, 2.0]), "malformed matrix object"),
+    "c16_missing": (lambda obj, matrix: obj[matrix].pop("c16"), "malformed matrix object"),
+    "c16_null": (_set_in_matrix("c16", None), "c16 must be a base64 string"),
+    "c16_true": (_set_in_matrix("c16", True), "c16 must be a base64 string"),
+    "c16_number": (_set_in_matrix("c16", 1.5), "c16 must be a base64 string"),
+    "c16_list": (_set_in_matrix("c16", ["AAAA"]), "c16 must be a base64 string"),
+    "c16_not_base64": (_edit_text(lambda t: "*" + t[1:]), "c16 is not base64"),
+    "c16_whitespace": (_edit_text(lambda t: t[:8] + "\n" + t[8:]), "c16 is not base64"),
+    "c16_non_ascii": (_edit_text(lambda t: t[:4] + "\u00e9" + t[5:]), "c16 is not base64"),
+    "c16_bad_padding": (_edit_text(lambda t: t[:-1]), "c16 is not base64"),
+    "c16_one_entry_short": (_edit_bytes(lambda raw: raw[:-16]), "c16 holds"),
+    "c16_one_entry_long": (_edit_bytes(lambda raw: raw + raw[:16]), "c16 holds"),
+    "c16_half_an_entry_long": (_edit_bytes(lambda raw: raw + raw[:8]), "c16 holds"),
+    "c16_nan": (_first_part(np.nan), "non-finite"),
+    "c16_inf": (_first_part(np.inf, imag=True), "non-finite"),
+    "c16_minus_inf": (_first_part(-np.inf), "non-finite"),
+    "text_layout": (_to_text_layout, "re/im text layout is no longer read"),
+    "text_layout_beside_c16": (_set_in_matrix("re", [[True] * 3] * 5),
+                               "re/im text layout is no longer read"),
 }
 
 
@@ -220,35 +315,28 @@ def test_values_not_of_the_schema_are_refused(kind, damage, files):
         load(path)
 
 
-def test_integer_entries_load_as_numbers(files):
-    path = files["point"]
-    obj = json.loads(path.read_text())
-    obj["x"]["im"] = [[0] * obj["x"]["cols"]] * obj["x"]["rows"]
-    path.write_text(json.dumps(obj))
-    x = jsonio.load_point(path).x
-    assert x.dtype == np.complex128
-    assert not x.imag.any()
+def test_file_in_the_text_layout_is_refused(files):
+    """A file of the older layout, every matrix as split re/im lists of
+    decimal numbers, is refused with a message that names that layout."""
+    matrices = {"point": ("x", "X"), "pair": ("P", "Q"), "cotangent": ("P", "eta")}
+    for kind, path in files.items():
+        obj = json.loads(path.read_text())
+        for matrix in matrices[kind]:
+            _to_text_layout(obj, matrix)
+        path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+        with pytest.raises(FileFormatError, match="re/im text layout is no longer read"):
+            LOADERS[kind][0](path)
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
-def test_matrix_from_obj_refuses_a_boolean_among_numbers(part):
-    obj = jsonio.matrix_to_obj(np.arange(6.0).reshape(3, 2) * (1 + 1j))
-    obj[part][2][1] = True  # numpy alone would promote it to 1.0
-    with pytest.raises(FileFormatError, match="got a boolean"):
-        jsonio.matrix_from_obj(obj)
-    obj[part][2][1] = 1  # an integer is a number
-    jsonio.matrix_from_obj(obj)
-
-
-def test_exact_zeros_and_ones_load(files):
-    """Entries equal to 0 or 1 make the loader scan the entries' types; a
-    number passes that scan, and a `true` in a string is not an entry."""
-    path = files["point"]
-    obj = json.loads(path.read_text())
-    obj["x"]["re"][0][:3] = [1, 0.0, -0.0]
-    obj["x"]["im"][1][0] = 1.0
-    obj["meta"] = {"projected": True}
-    path.write_text(json.dumps(obj))
-    x = jsonio.load_point(path).x
-    np.testing.assert_array_equal(x.real[0, :3], [1.0, 0.0, -0.0])
-    assert x.imag[1, 0] == 1.0
+def test_matrix_from_obj_refuses_a_non_finite_part(part):
+    m = np.arange(6.0).reshape(3, 2) * (1 + 1j)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = m.copy()
+        if part == "re":
+            bad.real[2, 1] = value
+        else:
+            bad.imag[2, 1] = value
+        with pytest.raises(FileFormatError, match="non-finite"):
+            jsonio.matrix_from_obj(jsonio.matrix_to_obj(bad))
+    jsonio.matrix_from_obj(jsonio.matrix_to_obj(m))

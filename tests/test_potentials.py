@@ -265,6 +265,17 @@ class TestQuotientPotential:
     def test_base_point(self, trunc11):
         assert abs(quotient_potential(ConfigPoint.base(trunc11)).value) <= 1e-14
 
+    def test_factorization_budget(self, lapack_calls, rng):
+        # project1's budget and nothing more: log det g is summed over the
+        # eigenvalues project1 took g from, so g is not factored again
+        pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
+        lapack_calls.clear()
+        report = quotient_potential(pt)
+        assert dict(lapack_calls) == {"svd": 1, "eigh": 2, "inv": 1}
+        g = project1(pt).group_part
+        char = character_log_term(g, SQRT2)
+        assert abs(report.extras["character"] - char) <= 1e-13 * (1 + abs(char))
+
     def test_equals_closed_form(self, rng):
         tr = Truncation(3, 2, SQRT2)
         pt = sample_stable1(tr, rng)

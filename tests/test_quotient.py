@@ -136,6 +136,14 @@ class TestProject1:
         assert np.isfinite(res.point.x).all() and np.isfinite(res.point.X).all()
         assert max(level_residual(res.point)) <= 1e-9 * tr.k2
 
+    def test_eigenvalues_are_group_parts_ascending(self, rng):
+        for p, q in ((1, 1), (4, 5), (8, 3)):
+            res = project1(sample_stable1(Truncation(p, q, SQRT2), rng))
+            lam = np.linalg.eigvalsh(res.group_part)
+            assert np.all(np.diff(res.eigenvalues) >= 0)
+            np.testing.assert_allclose(res.eigenvalues, lam, rtol=0,
+                                       atol=1e-13 * np.abs(lam).max())
+
     def test_factorization_budget(self, lapack_calls, rng):
         # one thin SVD of x (membership, |x| and |x|^-1), one eigh of
         # Id + the fiber operand and one of g^-2 (g); the inv is act1's
@@ -162,6 +170,14 @@ class TestProject1:
 
 
 class TestProject3:
+    def test_eigenvalues_are_hs_ascending(self, rng):
+        for p, q in ((1, 1), (4, 5), (8, 3)):
+            res = project3(sample_stable3(Truncation(p, q, SQRT2), rng))
+            lam = np.linalg.eigvalsh(res.h)
+            assert np.all(np.diff(res.eigenvalues) >= 0)
+            np.testing.assert_allclose(res.eigenvalues, lam, rtol=0,
+                                       atol=1e-13 * (1 + np.abs(lam).max()))
+
     def test_membership_enforced(self, rng):
         # a first-stable point off the level set is not third-stable
         pt = sample_stable1(Truncation(2, 3, np.sqrt(2.0)), rng)
