@@ -1,8 +1,8 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
 cross-check fails, 2 for input the CLI rejects (unknown route, a point
-outside the required set, a malformed file, damaged matrix bytes, a
-non-finite k in a file or a non-finite or zero `angles --k`, a pair file
-without k, a trial count below one).  Also: what `project` factors, the
+outside the required set, a malformed file, damaged matrix bytes, a file
+in the older re/im text layout, a non-finite k in a file or a non-finite or
+zero `angles --k`, a pair file without k, a trial count below one).  Also: what `project` factors, the
 layout of a `map --which psi3` file and loading of the older one with "z",
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
@@ -383,6 +383,25 @@ def test_damaged_c16_exits_2(damage, tmp_path, capsys):
     assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error ") and message in err
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_boolean_among_the_numbers_exits_2(value, tmp_path, capsys):
+    """A boolean among the numbers can only come in the older re/im text
+    layout; a verb given such a file exits 2 naming that layout."""
+    point = tmp_path / "s.json"
+    _sample(point)
+    obj = json.loads(point.read_text())
+    x = jsonio.matrix_from_obj(obj["x"])
+    obj["x"] = {"rows": x.shape[0], "cols": x.shape[1],
+                "re": x.real.tolist(), "im": x.imag.tolist()}
+    obj["x"]["re"][0][0] = value == "true"
+    point.write_text(json.dumps(obj))
+    assert value in point.read_text()
+    capsys.readouterr()
+    assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and "re/im text layout is no longer read" in err
 
 
 def test_parser_is_built_once():

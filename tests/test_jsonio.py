@@ -258,6 +258,16 @@ def _to_text_layout(obj, matrix):
                    "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
+def _set_entry(value):
+    """Rewrite the matrix in the older re/im text layout with its first real
+    entry set to value: the loader refuses the layout before reading any
+    entry, so a defective entry there gets the same message."""
+    def change(obj, matrix):
+        _to_text_layout(obj, matrix)
+        obj[matrix]["re"][0][0] = value
+    return change
+
+
 NOT_OF_THE_SCHEMA = {
     "p_float": (_set_top("p", 1.9), "p and q must be integers"),
     "p_string": (_set_top("p", "3"), "p and q must be integers"),
@@ -287,8 +297,12 @@ NOT_OF_THE_SCHEMA = {
     "c16_inf": (_first_part(np.inf, imag=True), "non-finite"),
     "c16_minus_inf": (_first_part(-np.inf), "non-finite"),
     "text_layout": (_to_text_layout, "re/im text layout is no longer read"),
-    "text_layout_beside_c16": (_set_in_matrix("re", [[True] * 3] * 5),
-                               "re/im text layout is no longer read"),
+    "re_bools": (_set_in_matrix("re", [[True] * 3] * 5),
+                 "re/im text layout is no longer read"),
+    "entry_string": (_set_entry("1.5"), "re/im text layout is no longer read"),
+    "entry_null": (_set_entry(None), "re/im text layout is no longer read"),
+    "entry_true_among_numbers": (_set_entry(True), "re/im text layout is no longer read"),
+    "entry_false_among_numbers": (_set_entry(False), "re/im text layout is no longer read"),
 }
 
 
@@ -326,6 +340,54 @@ def test_file_in_the_text_layout_is_refused(files):
         path.write_text(json.dumps(obj, sort_keys=True, indent=1))
         with pytest.raises(FileFormatError, match="re/im text layout is no longer read"):
             LOADERS[kind][0](path)
+
+
+def test_integer_entries_load_as_numbers(files):
+    """An integer-valued array is written as complex128 bytes and loads as
+    complex numbers."""
+    path = files["point"]
+    obj = json.loads(path.read_text())
+    ints = np.arange(obj["x"]["rows"] * obj["x"]["cols"]).reshape(
+        obj["x"]["rows"], obj["x"]["cols"])
+    obj["x"] = jsonio.matrix_to_obj(ints)
+    path.write_text(json.dumps(obj))
+    x = jsonio.load_point(path).x
+    assert x.dtype == np.complex128
+    assert not x.imag.any()
+    np.testing.assert_array_equal(x.real, ints)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_matrix_from_obj_refuses_a_boolean_among_numbers(part):
+    """A boolean among the numbers can only come in the older re/im text
+    layout, which is refused whatever its entries are."""
+    m = np.arange(6.0).reshape(3, 2) * (1 + 1j)
+    obj = {"rows": 3, "cols": 2, "re": m.real.tolist(), "im": m.imag.tolist()}
+    obj[part][2][1] = True
+    with pytest.raises(FileFormatError, match="re/im text layout is no longer read"):
+        jsonio.matrix_from_obj(obj)
+    obj[part][2][1] = 1  # an integer is a number, but the layout is still refused
+    with pytest.raises(FileFormatError, match="re/im text layout is no longer read"):
+        jsonio.matrix_from_obj(obj)
+    jsonio.matrix_from_obj(jsonio.matrix_to_obj(m))
+
+
+def test_exact_zeros_and_ones_load(files):
+    """Entries equal to 0 or 1, and -0.0, reload bit for bit; a `true` in
+    the header's meta is not an entry."""
+    path = files["point"]
+    obj = json.loads(path.read_text())
+    x = jsonio.matrix_from_obj(obj["x"])
+    x.real[0, :3] = [1, 0.0, -0.0]
+    x.imag[1, 0] = 1.0
+    obj["x"] = jsonio.matrix_to_obj(x)
+    obj["meta"] = {"projected": True}
+    path.write_text(json.dumps(obj))
+    loaded = jsonio.load_point(path).x
+    np.testing.assert_array_equal(loaded.real[0, :3], [1.0, 0.0, -0.0])
+    assert np.signbit(loaded.real[0, 2])
+    assert loaded.imag[1, 0] == 1.0
+    assert loaded.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
