@@ -278,7 +278,11 @@ def characteristic_angles(pair: OrbitPair, tol: float | None = None) -> np.ndarr
     keeps near-zero angles absolutely accurate where the squared spectrum
     would lose half the digits.
     """
-    w = _graph(pair, tol)
+    return _angles(_graph(pair, tol))
+
+
+def _angles(w: np.ndarray) -> np.ndarray:
+    """characteristic_angles from an already computed _graph w."""
     p = w.shape[1]
     s = np.linalg.svd(w, compute_uv=False)[:min(p, w.shape[0] - p)]
     theta = np.zeros(p)

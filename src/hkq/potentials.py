@@ -28,6 +28,17 @@ ordered operand (x+X)*(x+X)(x-X)*(x-X); see _spectral_operand_eigs.
 
 The generic quotient-potential formula assembles the flat potential at the
 projected point with the determinant character term (k^2/2) log |det g|.
+
+Sharing rule.  Routes share no route-specific formula: each route is one
+private body, and its public function is its own check (membership, and
+the IntegralityWarning for K1) followed by that body.  An input that every
+route would compute bit-identically from the same point is computed once
+instead: evaluate_routes checks membership and warns once per call, and
+hands the bodies the one spectrum of x*x (k1), or psi3's pair and its one
+graph w (k3, k3hat).  A deterministic function of the same input returns
+the same bits on each call, so each route value, and each cross-check
+residual between routes, is the same as from the public functions; a fault
+in such a shared input reaches every route that reads it either way.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import numpy as np
 from .errors import NotInStable1, NotInStable3, NotPositiveDefinite
 from .grassmann import (
     OrbitPair,
+    _angles,
     _graph,
     characteristic_angles,
     complement_frame,
@@ -60,7 +72,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .moment import in_stable1, in_stable3
-from .quotient import _fiber_operand, project1, project3
+from .quotient import _fiber_operand, _project3, project1
 
 __all__ = [
     "IntegralityWarning",
@@ -88,15 +100,14 @@ class IntegralityWarning(UserWarning):
     expressions remain well defined and are still evaluated."""
 
 
-def _warn_integrality(k: float, stacklevel: int = 3) -> None:
+def _warn_integrality(k: float) -> None:
     """Emit IntegralityWarning, attributed to the caller of the public
-    function that calls this (stacklevel counts from here: 3 when the
-    public function calls it directly), unless k^2/2 is a positive
+    function that calls this directly, unless k^2/2 is a positive
     integer."""
     if not _half_k2_integral(k):
         warnings.warn(
             IntegralityWarning(f"k^2/2 = {k * k / 2.0:g} is not a positive integer"),
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
@@ -135,6 +146,21 @@ def curvature_weight_k3hat(u: float) -> float:
     return float(np.expm1(0.5 * np.log1p(u)) / u)
 
 
+def _check_stable1(pt: ConfigPoint, tol: float | None) -> None:
+    if not in_stable1(pt, tol):
+        raise NotInStable1("K1 requires X*x = 0 and injective x")
+
+
+def _check_stable3(pt: ConfigPoint, tol: float | None) -> None:
+    if not in_stable3(pt, tol):
+        raise NotInStable3("K3 requires the third-structure stability conditions")
+
+
+def _x_spectrum(pt: ConfigPoint) -> HermitianSpectrum:
+    """The spectrum of x*x that the closed, fiber and curvature routes read."""
+    return _eigh(dagger(pt.x) @ pt.x)
+
+
 def _logdet_term(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     """(k^2/4) log det(x*x / k^2), from the spectrum xx of x*x."""
     k2 = pt.trunc.k2
@@ -163,11 +189,13 @@ def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> np.ndarray:
 
 def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
     """First-structure potential in the closed form of the level projection."""
-    if not in_stable1(pt, tol):
-        raise NotInStable1("K1 requires X*x = 0 and injective x")
+    _check_stable1(pt, tol)
     _warn_integrality(pt.trunc.k)
+    return _k1_closed(pt, _x_spectrum(pt))
+
+
+def _k1_closed(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     k2 = pt.trunc.k2
-    xx = _eigh(dagger(pt.x) @ pt.x)
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
     mu = _eigh(np.eye(pt.trunc.p) + _fiber_operand(pt, xx.fun(psd_sqrt))).eigenvalues
     lam = 0.5 * (1.0 + psd_sqrt(mu))
@@ -180,11 +208,13 @@ def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
 
 def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
     """First-structure potential through the cotangent fiber spectrum."""
-    if not in_stable1(pt, tol):
-        raise NotInStable1("K1 requires X*x = 0 and injective x")
+    _check_stable1(pt, tol)
     _warn_integrality(pt.trunc.k)
+    return _k1_fiber(pt, _x_spectrum(pt))
+
+
+def _k1_fiber(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     k2 = pt.trunc.k2
-    xx = _eigh(dagger(pt.x) @ pt.x)
     u = _fiber_spectrum(pt, xx)
     root = np.sqrt(1.0 + u)
     term2 = 0.25 * k2 * float(np.sum(root - 1.0))
@@ -195,12 +225,20 @@ def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
 def K1_curvature(pt: ConfigPoint, tol: float | None = None) -> float:
     """First-structure potential through the curvature functional calculus.
 
-    Membership is checked once, by psi1 inside fiber_coordinate (raising
-    NotInStable1 before any IntegralityWarning)."""
-    v = fiber_coordinate(pt, tol)
+    Membership is checked once, by psi1 (raising NotInStable1 before any
+    IntegralityWarning), whose frame of P the route reads."""
+    fp = psi1(pt, tol).P.frame
     _warn_integrality(pt.trunc.k)
-    return (_logdet_term(pt, _eigh(dagger(pt.x) @ pt.x))
-            + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v))
+    return _k1_curvature(pt, _x_spectrum(pt), fp)
+
+
+def _k1_curvature(pt: ConfigPoint, xx: HermitianSpectrum, fp: np.ndarray) -> float:
+    """V's singular values are read off its ambient form
+    (Id - F_P F_P*) V F_P (n x p), which has those of fiber_coordinate's
+    F_Pperp* V F_P, so no frame of P^perp is built."""
+    vf = (pt.X @ (dagger(pt.x) @ fp)) / pt.trunc.k2
+    v = vf - fp @ (dagger(fp) @ vf)
+    return _logdet_term(pt, xx) + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v)
 
 
 def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
@@ -244,9 +282,12 @@ def K3_spectral(pt: ConfigPoint, tol: float | None = None) -> float:
 
     which reduces to (1/4) Tr(D^{1/2} - k^2 Id) with
     D = k^4 Id + 4 x*x X*X - 4 (x*X)^2 wherever X*X and x*X commute."""
-    if not in_stable3(pt, tol):
-        raise NotInStable3("K3 requires the third-structure stability conditions")
-    lam = _spectral_operand_eigs(pt, "minus")
+    _check_stable3(pt, tol)
+    return _k3_spectral(pt, "minus")
+
+
+def _k3_spectral(pt: ConfigPoint, outer: str) -> float:
+    lam = _spectral_operand_eigs(pt, outer)
     return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
 
 
@@ -254,16 +295,20 @@ def K3_similarity(pt: ConfigPoint, tol: float | None = None) -> float:
     """Same operand evaluated through the opposite Hermitization (similarity
     partner of the ambient n x n form, AB and BA sharing their nonzero
     spectrum); kept as a numerically distinct route for the cross-checks."""
-    if not in_stable3(pt, tol):
-        raise NotInStable3("K3 requires the third-structure stability conditions")
-    lam = _spectral_operand_eigs(pt, "plus")
-    return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
+    _check_stable3(pt, tol)
+    return _k3_spectral(pt, "plus")
 
 
 def K3_level(pt: ConfigPoint, tol: float | None = None) -> float:
     """Third-structure potential as the flat potential of the level-set
-    representative produced by project3 (exact by compact invariance)."""
-    return flat_potential_K(project3(pt, tol).point)
+    representative produced by project3 (exact by compact invariance).
+    psi3 checks membership (NotInStable3)."""
+    pair, _ = psi3(pt, tol)
+    return _k3_level(pair, _graph(pair, tol), pt.trunc.k, tol)
+
+
+def _k3_level(pair: OrbitPair, w: np.ndarray, k: float, tol: float | None) -> float:
+    return flat_potential_K(_project3(pair, w, k, tol).point)
 
 
 def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
@@ -294,7 +339,10 @@ def K3_hat_angles(pair: OrbitPair, k: float, tol: float | None = None) -> float:
     The (k^2/4) normalization is pinned by agreement with the spectral and
     level-projection routes (the pure-angle statement drops the factor 4).
     """
-    theta = characteristic_angles(pair, tol)
+    return _k3_hat_angles(characteristic_angles(pair, tol), k)
+
+
+def _k3_hat_angles(theta: np.ndarray, k: float) -> float:
     return float(0.25 * k * k * np.sum(1.0 / np.cos(theta) - 1.0))
 
 
@@ -310,18 +358,18 @@ def character_log_term(g, k: float) -> float:
     g = as_matrix(g, "g")
     if not is_hermitian(g):
         raise NotPositiveDefinite("character term needs a positive element")
-    return _character_term(np.linalg.eigvalsh(hermitian_part(g)), k)
+    value = _character_term(np.linalg.eigvalsh(hermitian_part(g)), k)
+    _warn_integrality(k)
+    return value
 
 
 def _character_term(lam: np.ndarray, k: float) -> float:
-    """(k^2/2) sum log lam for the spectrum lam of a Hermitian g: the check
-    that g is positive (NotPositiveDefinite) and the IntegralityWarning of
-    the public function that calls this."""
+    """(k^2/2) sum log lam for the spectrum lam of a Hermitian g, with the
+    check that g is positive (NotPositiveDefinite).  The caller warns."""
     if np.any(lam <= 0):
         raise NotPositiveDefinite(
             f"character term needs a positive element, min eigenvalue {lam.min():.3e}"
         )
-    _warn_integrality(k, stacklevel=4)
     return float(0.5 * k * k * np.sum(np.log(lam)))
 
 
@@ -335,47 +383,64 @@ def quotient_potential(pt: ConfigPoint, tol: float | None = None) -> PotentialRe
     extras["character"] ((k^2/2) log det g of project1's group element).
     No other route is evaluated here.  Membership is checked once, by
     project1 (NotInStable1).  log det g is summed over the eigenvalues
-    project1 took g from, with character_log_term's positivity check and
-    its one IntegralityWarning of the call, so g is not factored again."""
+    project1 took g from, with character_log_term's positivity check, so g
+    is not factored again; the one IntegralityWarning of the call follows
+    it."""
+    value, parts = _k1_level(pt, tol)
+    _warn_integrality(pt.trunc.k)
+    return PotentialReport(label="K1", value=value, route="level",
+                           inputs_digest=_digest(pt), extras=parts)
+
+
+def _k1_level(pt: ConfigPoint, tol: float | None) -> tuple[float, dict]:
+    """quotient_potential's value and its two parts, without the report."""
     res = project1(pt, tol)
     flat = flat_potential_K(res.point)
     char = _character_term(res.eigenvalues, pt.trunc.k)
-    return PotentialReport(
-        label="K1",
-        value=flat + char,
-        route="level",
-        inputs_digest=_digest(pt),
-        extras={"flat_at_level": flat, "character": char},
-    )
+    return flat + char, {"flat_at_level": flat, "character": char}
 
 
 def evaluate_routes(pt: ConfigPoint, which: str,
                     tol: float | None = None) -> dict[str, float]:
     """All implemented routes for one potential at one point; used by the
-    cross-check suites and the CLI table."""
+    cross-check suites and the CLI table.
+
+    Each value is the body of the route's public function, bit for bit, on
+    inputs computed once per call (the module's sharing rule).  k1 checks
+    membership (NotInStable1) before its one IntegralityWarning, attributed
+    to the caller, and factors x*x once.  k3 and k3hat take psi3's pair,
+    which applies in_stable3's rule (NotInStable3), and one graph w of it;
+    the level and angles routes both read w."""
+    k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
     if which == "k1":
+        _check_stable1(pt, tol)
+        _warn_integrality(k)
+        xx = _x_spectrum(pt)
         return {
-            "closed": K1_closed(pt, tol),
-            "fiber": K1_fiber(pt, tol),
-            "curvature": K1_curvature(pt, tol),
-            "level": quotient_potential(pt, tol=tol).value,
+            "closed": _k1_closed(pt, xx),
+            "fiber": _k1_fiber(pt, xx),
+            "curvature": _k1_curvature(pt, xx, psi1(pt, tol).P.frame),
+            "level": _k1_level(pt, tol)[0],
         }
+    if which not in ("k3", "k3hat"):
+        raise ValueError(f"unknown potential tag {which!r}")
+    pair, _ = psi3(pt, tol)
     if which == "k3":
-        pair, _ = psi3(pt, tol)
+        # the spectral routes before _graph: a point that both would refuse
+        # raises the spectral route's error, as when the routes run one by one
+        spectral, similarity = _k3_spectral(pt, "minus"), _k3_spectral(pt, "plus")
+        w = _graph(pair, tol)
         return {
-            "spectral": K3_spectral(pt, tol),
-            "similarity": K3_similarity(pt, tol),
-            "level": K3_level(pt, tol),
-            "angles": K3_hat_angles(pair, pt.trunc.k, tol),
+            "spectral": spectral,
+            "similarity": similarity,
+            "level": _k3_level(pair, w, k, tol),
+            "angles": _k3_hat_angles(_angles(w), k),
         }
-    if which == "k3hat":
-        pair, _ = psi3(pt, tol)
-        w = _graph(pair, tol)  # F_Pperp A: the singular values of A
-        return {
-            "angles": K3_hat_angles(pair, pt.trunc.k, tol),
-            "cotangent": K3_hat_cotangent(0.5 * w, pt.trunc.k, "direct"),
-            "curvature": K3_hat_cotangent(0.5 * w, pt.trunc.k, "curvature"),
-        }
-    raise ValueError(f"unknown potential tag {which!r}")
+    w = _graph(pair, tol)  # F_Pperp A: the singular values of A
+    return {
+        "angles": _k3_hat_angles(_angles(w), k),
+        "cotangent": K3_hat_cotangent(0.5 * w, k, "direct"),
+        "curvature": K3_hat_cotangent(0.5 * w, k, "curvature"),
+    }

@@ -78,7 +78,7 @@ import numpy as np
 
 from .config import membership_tol
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet
-from .grassmann import _graph, _section, psi3
+from .grassmann import OrbitPair, _graph, _section, psi3
 from .hkspace import ConfigPoint, TangentPair, act1, act3, apply_I
 from .matcore import (
     HermitianSpectrum,
@@ -176,16 +176,23 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     the result is nevertheless the exact projected value by invariance.
     """
     pair, _ = psi3(pt, tol)
-    w = _graph(pair, tol)
-    pt0 = _section(pair.P.frame, w, pt.trunc.k)
-    spec = _eigh(np.eye(pt.trunc.p) + dagger(w) @ w)
+    return _project3(pair, _graph(pair, tol), pt.trunc.k, tol)
+
+
+def _project3(pair: OrbitPair, w: np.ndarray, k: float,
+              tol: float | None) -> ProjectionResult:
+    """project3 from psi3's pair and its graph w = _graph(pair, tol), for a
+    caller that holds both (potentials.evaluate_routes reads the angles
+    route off the same w)."""
+    pt0 = _section(pair.P.frame, w, k)
+    spec = _eigh(np.eye(pt0.trunc.p) + dagger(w) @ w)
     h = 0.25 * spec.fun(np.log, domain_check=lambda lam: lam > 0.0)
     # -h on the same eigenvectors, reordered so its eigenvalues ascend
     minus_h = HermitianSpectrum(-0.25 * np.log(spec.eigenvalues[::-1]),
                                 spec.eigenvectors[:, ::-1])
     point = act3(minus_h, None, pt0)
     residual = max(level_residual(point))
-    if not _within_tol(residual, membership_tol(tol), pt.trunc.k2):
+    if not _within_tol(residual, membership_tol(tol), pt0.trunc.k2):
         raise NotInStable3(
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )

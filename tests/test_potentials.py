@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3
-from hkq import potentials
+from hkq import grassmann, potentials, quotient
 from hkq.cli import CROSS_ROUTE_TOL
 from hkq.config import membership_tol
 from hkq.errors import NotInStable1, NotPositiveDefinite
-from hkq.grassmann import psi3, psi3_section
+from hkq.grassmann import curvature_fun_apply, psi3, psi3_section
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3, flat_potential_K
 from hkq.matcore import dagger, fnorm, herm_eig, hermitian_part
 from hkq.potentials import (
@@ -110,6 +110,18 @@ class TestK1:
             a, b, c = K1_closed(pt), K1_fiber(pt), K1_curvature(pt)
             assert abs(a - b) <= 1e-10 * (1 + abs(a))
             assert abs(a - c) <= 1e-9 * (1 + abs(a))
+
+    @pytest.mark.parametrize("k", [SQRT2, 30.0])
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (6, 2)])
+    def test_curvature_matches_the_frame_coordinate_form(self, p, q, k):
+        # K1_curvature reads V in ambient form; the frame coordinate of
+        # fiber_coordinate has the same singular values, so the values
+        # agree to round-off
+        pt = sample_stable1(Truncation(p, q, k), make_rng(p + 10 * q))
+        want = (potentials._logdet_term(pt, potentials._x_spectrum(pt))
+                + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1,
+                                                    fiber_coordinate(pt)))
+        assert abs(K1_curvature(pt) - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_rejects_unstable(self, trunc11):
         bad = ConfigPoint(trunc11, col(1.0, 0.0), col(1.0, 0.0))
@@ -303,8 +315,10 @@ class TestQuotientPotential:
             quotient_potential(pt)
         assert [type(w.message) for w in rec] == [IntegralityWarning] * expected
 
-    @pytest.mark.parametrize("route", [K1_curvature, quotient_potential],
-                             ids=["K1_curvature", "quotient_potential"])
+    @pytest.mark.parametrize("route", [K1_curvature, quotient_potential,
+                                       lambda pt: evaluate_routes(pt, "k1")],
+                             ids=["K1_curvature", "quotient_potential",
+                                  "evaluate_routes_k1"])
     def test_membership_raised_before_any_warning(self, route):
         # k = 1 would warn; X*x != 0 must be refused first
         bad = ConfigPoint(Truncation(1, 1, 1.0), np.array([[1.0], [0.0]]),
@@ -354,3 +368,75 @@ class TestRoutesAcrossShapes:
             residual = max(level_residual(res.point))
             assert residual == res.residual
             assert residual <= membership_tol() * trunc.k2
+
+
+class TestEvaluateRoutesSharing:
+    """evaluate_routes computes each input shared by its routes once per
+    call, and every value stays the public route's, bit for bit."""
+
+    @pytest.mark.parametrize("k", [SQRT2, 30.0])
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (32, 32)])
+    def test_values_equal_the_public_routes_bit_for_bit(self, p, q, k):
+        trunc = Truncation(p, q, k)
+        rng = make_rng(7 * p + q)
+        pt1 = sample_stable1(trunc, rng)
+        pt3 = sample_stable3(trunc, rng)
+        assert evaluate_routes(pt1, "k1") == {
+            "closed": K1_closed(pt1),
+            "fiber": K1_fiber(pt1),
+            "curvature": K1_curvature(pt1),
+            "level": quotient_potential(pt1).value,
+        }
+        pair, _ = psi3(pt3)
+        assert evaluate_routes(pt3, "k3") == {
+            "spectral": K3_spectral(pt3),
+            "similarity": K3_similarity(pt3),
+            "level": K3_level(pt3),
+            "angles": K3_hat_angles(pair, k),
+        }
+        v = 0.5 * grassmann._graph(pair, None)
+        assert evaluate_routes(pt3, "k3hat") == {
+            "angles": K3_hat_angles(pair, k),
+            "cotangent": K3_hat_cotangent(v, k, "direct"),
+            "curvature": K3_hat_cotangent(v, k, "curvature"),
+        }
+
+    def test_shared_graph_fault_still_splits_the_k3_routes(self, monkeypatch):
+        # a fault in the one graph w reaches the level and angles routes but
+        # not the two spectral ones, so the k3 cross-check still sees it
+        graph = grassmann._graph
+
+        def skewed(pair, tol):
+            return 1.001 * graph(pair, tol)
+
+        for module in (grassmann, quotient, potentials):
+            monkeypatch.setattr(module, "_graph", skewed)
+        rng = make_rng(11)
+        for (p, q) in ((1, 1), (3, 5), (4, 4)):
+            pt = sample_stable3(Truncation(p, q, SQRT2), rng)
+            vals = list(evaluate_routes(pt, "k3").values())
+            assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
+
+    @pytest.mark.parametrize("which,budget", [
+        ("k1", {"eigh": 5, "inv": 1, "svd": 4}),
+        ("k3", {"eigh": 5, "inv": 1, "qr": 1, "svd": 4}),
+        ("k3hat", {"inv": 1, "qr": 1, "svd": 6}),
+    ])
+    def test_factorization_budget(self, which, budget, lapack_calls):
+        # k1: x*x factored once for closed, fiber and curvature, and no frame
+        # of P^perp; k3/k3hat: psi3 and one graph w for every route
+        rng = make_rng(20240817)
+        trunc = Truncation(4, 5, SQRT2)
+        pt = sample_stable1(trunc, rng) if which == "k1" else sample_stable3(trunc, rng)
+        lapack_calls.clear()
+        evaluate_routes(pt, which)
+        assert dict(lapack_calls) == budget
+
+    @pytest.mark.parametrize("k,expected", [(1.0, 1), (SQRT2, 0)])
+    def test_one_integrality_warning_per_call(self, k, expected):
+        pt = sample_stable1(Truncation(2, 2, k), make_rng(3))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            evaluate_routes(pt, "k1")
+        assert [type(w.message) for w in rec] == [IntegralityWarning] * expected
+        assert [w.filename for w in rec] == [__file__] * expected
