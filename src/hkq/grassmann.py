@@ -26,14 +26,13 @@ import numpy as np
 from .config import FRAME_TOL, membership_tol
 from .errors import (
     BadCotangent,
-    NotInStable1,
     NotInStable3,
     NotTransversal,
     ShapeMismatch,
 )
 from .hkspace import ConfigPoint, Truncation
 from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame, svd
-from .moment import _full_rank, _stable1_equation, _stable3_equations, _within_tol
+from .moment import _full_rank, _stable1_svd, _stable3_equations, _within_tol
 
 __all__ = [
     "CotangentPoint",
@@ -146,10 +145,7 @@ def psi1(pt: ConfigPoint, tol: float | None = None) -> CotangentPoint:
     and vanishes on P and ranges inside P to round-off at any tol, so a
     point that passes membership at a loose tol meets CotangentPoint's
     invariants too."""
-    t = membership_tol(tol)
-    u, s, _ = svd(pt.x)
-    if not (_stable1_equation(pt, t) and _full_rank(s, t)):
-        raise NotInStable1("psi1 requires X*x = 0 and injective x")
+    _, u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
     P = Subspace(_fix_column_phases(u))
     f, Xs = P.frame, dagger(pt.X)
     eta = (pt.x @ (Xs - (Xs @ f) @ dagger(f))) / pt.trunc.k2

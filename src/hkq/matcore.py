@@ -12,7 +12,9 @@ pre-check (NotHermitian) on top of the finite-entry check of as_matrix
 (ShapeMismatch).  Operands that the library builds Hermitian (x*x,
 Id + w*w, M = x*x + X*X, any hermitian_part) go straight to the private
 _eigh, which keeps the finite-entry check (a product that overflowed is
-still refused) and the symmetrization, and skips the Hermitian test.
+still refused) and the symmetrization, and skips the Hermitian test;
+_eigvals is its eigenvalue-only form, for a caller that reads no
+eigenvectors.
 
 Everything here is a pure function of immutable inputs: no cache, no
 module state and no warning (rank is reported by column count), so it is
@@ -183,6 +185,17 @@ def _eigh(m) -> HermitianSpectrum:
     are Hermitian by construction (up to round-off).  The finite-entry
     check stays: a product that overflowed raises ShapeMismatch here."""
     return _factor(as_matrix(m))
+
+
+def _eigvals(m) -> np.ndarray:
+    """Eigenvalues only, ascending, of a square operand Hermitian by
+    construction: _eigh without the eigenvectors, for a caller that reads
+    nothing else.  The same finite-entry check (ShapeMismatch) and
+    symmetrization; a LAPACK failure raises NoConvergence."""
+    try:
+        return np.linalg.eigvalsh(hermitian_part(as_matrix(m)))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
 
 
 def _factor(m: np.ndarray) -> HermitianSpectrum:

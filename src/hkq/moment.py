@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import membership_tol
-from .errors import NotSkew, ShapeMismatch
+from .errors import NotInStable1, NotSkew, ShapeMismatch
 from .hkspace import ConfigPoint, TangentPair, omega
-from .matcore import as_matrix, dagger, fnorm
+from .matcore import as_matrix, dagger, fnorm, svd
 
 __all__ = [
     "MOMENT_TAGS",
@@ -107,6 +107,19 @@ def _stable1_equation(pt: ConfigPoint, t: float) -> bool:
     The rank half (x injective) is judged by the caller on singular values
     it has."""
     return _within_tol(fnorm(dagger(pt.X) @ pt.x), t, pt.trunc.k2)
+
+
+def _stable1_svd(pt: ConfigPoint, tol: float | None,
+                 refusal: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """in_stable1's rule judged on one thin SVD x = U diag(s) W*, for a
+    caller that reads the factors (psi1's frame, project1's |x|): returns
+    (t, U, s, W) with t the resolved tolerance, or raises
+    NotInStable1(refusal)."""
+    t = membership_tol(tol)
+    u, s, w = svd(pt.x)
+    if not (_stable1_equation(pt, t) and _full_rank(s, t)):
+        raise NotInStable1(refusal)
+    return t, u, s, w
 
 
 def _stable3_equations(pt: ConfigPoint, t: float) -> bool:

@@ -34,11 +34,18 @@ private body, and its public function is its own check (membership, and
 the IntegralityWarning for K1) followed by that body.  An input that every
 route would compute bit-identically from the same point is computed once
 instead: evaluate_routes checks membership and warns once per call, and
-hands the bodies the one spectrum of x*x (k1), or psi3's pair and its one
-graph w (k3, k3hat).  A deterministic function of the same input returns
-the same bits on each call, so each route value, and each cross-check
-residual between routes, is the same as from the public functions; a fault
-in such a shared input reaches every route that reads it either way.
+hands the bodies the one thin SVD of x and the one spectrum of x*x (k1),
+or psi3's pair and its one graph w (k3, k3hat).  For k1 the SVD judges
+membership by in_stable1's rule and gives the curvature route psi1's frame
+of P and the level route what project1 takes from it.  A deterministic
+function of the same input returns the same bits on each call, so each
+route value, and each cross-check residual between routes, is the same as
+from the public functions; a fault in such a shared input reaches every
+route that reads it either way.
+
+Each body factors only what it reads: a route that reads eigenvalues
+alone takes them from matcore._eigvals, and the spectral routes reduce
+their non-Hermitian operand by a Cholesky factor, not a matrix square root.
 """
 
 from __future__ import annotations
@@ -64,15 +71,16 @@ from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
     HermitianSpectrum,
     _eigh,
+    _eigvals,
+    _fix_column_phases,
     as_matrix,
     dagger,
-    herm_sqrt,
     hermitian_part,
     is_hermitian,
     psd_sqrt,
 )
-from .moment import in_stable1, in_stable3
-from .quotient import _fiber_operand, _project3, project1
+from .moment import _stable1_svd, in_stable1, in_stable3
+from .quotient import ProjectionResult, _fiber_operand, _project1, _project3, project1
 
 __all__ = [
     "IntegralityWarning",
@@ -174,13 +182,21 @@ def _fiber_spectrum(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
     """Eigenvalues of 4 V*V for the cotangent fiber coordinate of pt,
     computed as the spectrum of (4/k^4) |x| X*X |x| (same nonzero spectrum
     as the frame-coordinate V, including multiplicities)."""
-    lam = _eigh(_fiber_operand(pt, xx.fun(psd_sqrt))).eigenvalues
+    lam = _eigvals(_fiber_operand(pt, xx.fun(psd_sqrt)))
     return np.clip(lam, 0.0, None)
 
 
 def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> np.ndarray:
     """Frame coordinate matrix of V = (1/k^2) X x* at the cotangent image of
-    pt: the (n-p) x p matrix F_Pperp* V F_P."""
+    pt: the (n-p) x p matrix F_Pperp* V F_P.
+
+    No route calls it: the k1 routes read V only through its singular
+    values, which they take from cheaper forms, and the k3hat routes read
+    V = w/2 off psi3's graph.  It stays public as the first structure's own
+    V, built from psi1 alone: a check that compares psi1 data with psi3
+    data at one level point (the characteristic angles of psi3's pair are
+    arctan(2 sigma_i(V)) there, and K3_hat_cotangent(V, k) is K3_spectral)
+    needs a V that never touches the graph operator."""
     cp = psi1(pt, tol)
     fperp = complement_frame(cp.P)
     v = (pt.X @ dagger(pt.x)) / pt.trunc.k2
@@ -197,7 +213,7 @@ def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
 def _k1_closed(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     k2 = pt.trunc.k2
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
-    mu = _eigh(np.eye(pt.trunc.p) + _fiber_operand(pt, xx.fun(psd_sqrt))).eigenvalues
+    mu = _eigvals(np.eye(pt.trunc.p) + _fiber_operand(pt, xx.fun(psd_sqrt)))
     lam = 0.5 * (1.0 + psd_sqrt(mu))
     if np.any(lam <= 0):
         raise NotInStable1("gamma gamma* is not positive definite")
@@ -246,7 +262,7 @@ def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
 
     The operand is the ordered product
 
-        (x + X)*(x + X) . (x - X)*(x - X),
+        H G = (x + X)*(x + X) . (x - X)*(x - X),
 
     whose spectrum is positive on the whole stable set: moving the point to
     the level set conjugates the product into the square of x*x + X*X
@@ -255,19 +271,24 @@ def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
     k^4 Id + 4 x*x X*X - 4 (x*X)^2; in general that symmetric matrix is
     off by the commutator 4 [X*X, x*X] and can fail to be positive, so the
     product form is the one evaluated.  The non-Hermitian product is never
-    factored directly: its spectrum is obtained from the Hermitization
-    G^{1/2} H G^{1/2} (outer='minus') or H^{1/2} G H^{1/2} (outer='plus'),
-    two numerically distinct routes to the same eigenvalues.
+    factored directly: its spectrum is the spectrum of a Cholesky
+    Hermitization (the reduction of LAPACK's zhegst for the pencil
+    A B x = lam x), L* H L with G = L L* (outer='minus') or R* G R with
+    H = R R* (outer='plus'); each is similar to H G, and the two are
+    numerically distinct routes to the same eigenvalues.  A Cholesky
+    factorization that fails (G or H not numerically positive definite)
+    raises NotPositiveDefinite, as does a non-positive eigenvalue.
     """
-    h = hermitian_part(dagger(pt.x + pt.X) @ (pt.x + pt.X))
-    g = hermitian_part(dagger(pt.x - pt.X) @ (pt.x - pt.X))
-    if outer == "minus":
-        root = herm_sqrt(g)
-        m = root @ h @ root
-    else:
-        root = herm_sqrt(h)
-        m = root @ g @ root
-    lam = _eigh(m).eigenvalues
+    h = dagger(pt.x + pt.X) @ (pt.x + pt.X)
+    g = dagger(pt.x - pt.X) @ (pt.x - pt.X)
+    factored, other = (g, h) if outer == "minus" else (h, g)
+    try:
+        low = np.linalg.cholesky(hermitian_part(factored))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"spectral operand factor is not positive definite ({exc})"
+        ) from exc
+    lam = _eigvals(dagger(low) @ other @ low)
     if np.any(lam <= 0):
         raise NotPositiveDefinite(
             f"spectral operand has a non-positive eigenvalue ({lam.min():.3e})"
@@ -320,9 +341,11 @@ def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
     The two agree to 1e-11 on any input; both are exposed so the agreement
     is testable.  Both read V only through its singular values, so V may be
     given as the (n-p) x p frame coordinate matrix or in the n x p ambient
-    form F_Pperp V (orthonormal F_Pperp), which has the same ones.
+    form F_Pperp V (orthonormal F_Pperp), which has the same ones.  V is
+    validated once, by as_matrix, for both routes: a non-finite entry
+    raises ShapeMismatch, and a 1-d V is read as one column.
     """
-    coords = np.asarray(V, dtype=np.complex128)
+    coords = as_matrix(V, "V")
     k2 = k * k
     if route == "direct":
         s = np.linalg.svd(coords, compute_uv=False)
@@ -358,7 +381,7 @@ def character_log_term(g, k: float) -> float:
     g = as_matrix(g, "g")
     if not is_hermitian(g):
         raise NotPositiveDefinite("character term needs a positive element")
-    value = _character_term(np.linalg.eigvalsh(hermitian_part(g)), k)
+    value = _character_term(_eigvals(g), k)
     _warn_integrality(k)
     return value
 
@@ -386,17 +409,17 @@ def quotient_potential(pt: ConfigPoint, tol: float | None = None) -> PotentialRe
     project1 took g from, with character_log_term's positivity check, so g
     is not factored again; the one IntegralityWarning of the call follows
     it."""
-    value, parts = _k1_level(pt, tol)
+    value, parts = _k1_level(project1(pt, tol), pt.trunc.k)
     _warn_integrality(pt.trunc.k)
     return PotentialReport(label="K1", value=value, route="level",
                            inputs_digest=_digest(pt), extras=parts)
 
 
-def _k1_level(pt: ConfigPoint, tol: float | None) -> tuple[float, dict]:
-    """quotient_potential's value and its two parts, without the report."""
-    res = project1(pt, tol)
+def _k1_level(res: ProjectionResult, k: float) -> tuple[float, dict]:
+    """quotient_potential's value and its two parts from project1's result,
+    without the report."""
     flat = flat_potential_K(res.point)
-    char = _character_term(res.eigenvalues, pt.trunc.k)
+    char = _character_term(res.eigenvalues, k)
     return flat + char, {"flat_at_level": flat, "character": char}
 
 
@@ -406,23 +429,28 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     cross-check suites and the CLI table.
 
     Each value is the body of the route's public function, bit for bit, on
-    inputs computed once per call (the module's sharing rule).  k1 checks
-    membership (NotInStable1) before its one IntegralityWarning, attributed
-    to the caller, and factors x*x once.  k3 and k3hat take psi3's pair,
+    inputs computed once per call (the module's sharing rule).  k1 takes
+    one thin SVD x = U diag(s) W* and judges membership on it with
+    in_stable1's rule (NotInStable1; on a point at the boundary the verdict
+    can differ from in_stable1's, which reads a values-only SVD, in the
+    last bit) before its one IntegralityWarning, attributed to the caller.
+    The curvature route reads psi1's frame of P, the phase-fixed U, and the
+    level route project1's body on (s, W); x*x is factored once for the
+    closed, fiber and curvature routes.  k3 and k3hat take psi3's pair,
     which applies in_stable3's rule (NotInStable3), and one graph w of it;
     the level and angles routes both read w."""
     k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
     if which == "k1":
-        _check_stable1(pt, tol)
+        t, u, s, w = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
         xx = _x_spectrum(pt)
         return {
             "closed": _k1_closed(pt, xx),
             "fiber": _k1_fiber(pt, xx),
-            "curvature": _k1_curvature(pt, xx, psi1(pt, tol).P.frame),
-            "level": _k1_level(pt, tol)[0],
+            "curvature": _k1_curvature(pt, xx, _fix_column_phases(u)),
+            "level": _k1_level(_project1(pt, s, w, t), k)[0],
         }
     if which not in ("k3", "k3hat"):
         raise ValueError(f"unknown potential tag {which!r}")

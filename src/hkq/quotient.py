@@ -87,10 +87,9 @@ from .matcore import (
     herm_sqrt,
     hermitian_part,
     skew_part,
-    svd,
     sym_sylvester_solve,
 )
-from .moment import _full_rank, _level_residual, _stable1_equation, _within_tol, level_residual
+from .moment import _level_residual, _stable1_svd, _within_tol, level_residual
 
 __all__ = ["ProjectionResult", "SliceBasis", "project1", "project3", "slice_basis"]
 
@@ -133,11 +132,17 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     and sigma_min(x) > tol * sigma_max(x), the rule of in_stable1) and gives
     |x| (inside the fiber operand) and |x|^-1 on its right factor.  g and
     its eigenvalues 1/sqrt(mu) are taken on the one eigendecomposition of
-    g^-2, and act1 inverts g."""
-    t = membership_tol(tol)
-    _, s, w = svd(pt.x)
-    if not (_stable1_equation(pt, t) and _full_rank(s, t)):
-        raise NotInStable1("project1 requires X*x = 0 and injective x")
+    g^-2, and act1 inverts g.  Everything after the SVD and the membership
+    check is _project1."""
+    t, _, s, w = _stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")
+    return _project1(pt, s, w, t)
+
+
+def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, t: float) -> ProjectionResult:
+    """project1 after its SVD, for a caller that has judged first-stable
+    membership at tolerance t on the thin SVD x = U diag(s) W* itself
+    (potentials.evaluate_routes, whose curvature route reads the same U).
+    The level residual of the result is still judged here."""
     p = pt.trunc.p
     k2 = pt.trunc.k2
     eye = np.eye(p)

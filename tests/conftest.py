@@ -56,15 +56,32 @@ def rng():
     return make_rng(20240817)
 
 
+def _variant(name: str, args: tuple, kwargs: dict) -> str:
+    """The counter key of one numpy.linalg call: svd by what it returns
+    (values, thin or full factors) and qr by mode; the rest by name."""
+    def arg(i, key, default):
+        return args[i] if len(args) > i else kwargs.get(key, default)
+
+    if name == "svd":
+        if not arg(2, "compute_uv", True):
+            return "svd values"
+        return "svd full" if arg(1, "full_matrices", True) else "svd thin"
+    if name == "qr":
+        return f"qr {arg(1, 'mode', 'reduced')}"
+    return name
+
+
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of the numpy.linalg factorizations made while the test runs."""
+    """Counts of the numpy.linalg factorizations made while the test runs,
+    one key per factorization variant: "svd values", "svd thin", "svd full",
+    "qr <mode>", "eigh", "eigvalsh", "cholesky", "inv" and "slogdet"."""
     counts = collections.Counter()
-    for name in ("svd", "qr", "eigh", "eigvalsh", "inv", "slogdet"):
+    for name in ("svd", "qr", "eigh", "eigvalsh", "cholesky", "inv", "slogdet"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
+            counts[_variant(_name, args, kwargs)] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

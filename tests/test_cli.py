@@ -100,12 +100,14 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("space,structure,budget", [
-    # project1: one SVD of x, one eigh each of Id + the fiber operand and of
-    # g^-2, act1's inv; project3: psi3's two SVDs, the graph operator's QR,
-    # SVD and inv, one eigh of Id + w*w.  The printed eigenvalues come from
-    # the projection's own spectrum, so no eigvalsh is added.
-    ("stable1", "i1", {"svd": 1, "eigh": 2, "inv": 1}),
-    ("stable3", "i3", {"svd": 3, "qr": 1, "eigh": 1, "inv": 1}),
+    # project1: one thin SVD of x, one eigh each of Id + the fiber operand
+    # and of g^-2, act1's inv; project3: psi3's thin SVD of x + X and full
+    # SVD of (x - X)*, the graph operator's complete QR, values-only SVD and
+    # inv, one eigh of Id + w*w.  The printed eigenvalues come from the
+    # projection's own spectrum, so no eigvalsh is added.
+    ("stable1", "i1", {"svd thin": 1, "eigh": 2, "inv": 1}),
+    ("stable3", "i3", {"svd thin": 1, "svd full": 1, "svd values": 1,
+                       "qr complete": 1, "eigh": 1, "inv": 1}),
 ])
 def test_project_factors_only_what_the_projection_does(space, structure, budget,
                                                         lapack_calls, tmp_path, capsys):
@@ -261,7 +263,8 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
     lapack_calls.clear()
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 True" in capsys.readouterr().out
-    assert lapack_calls["svd"] == 4
+    svds = {key: n for key, n in lapack_calls.items() if key.startswith("svd")}
+    assert svds == {"svd thin": 1, "svd full": 1, "svd values": 2}
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
@@ -273,7 +276,7 @@ def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys
     lapack_calls.clear()
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 False" in capsys.readouterr().out
-    assert dict(lapack_calls) == {"svd": 1}
+    assert dict(lapack_calls) == {"svd values": 1}
 
 
 def _map_psi3(tmp_path):

@@ -94,9 +94,11 @@ def test_factorization_budget(lapack_calls, rng):
     pt = sample_stable3(Truncation(4, 5, SQRT2), rng)
     pair, _ = psi3(pt)
     budgets = [
-        (lambda: psi3(pt), {"svd": 2}),
-        (lambda: characteristic_angles(pair), {"qr": 1, "svd": 2, "inv": 1}),
-        (lambda: project3(pt), {"svd": 3, "qr": 1, "inv": 1, "eigh": 1}),
+        (lambda: psi3(pt), {"svd thin": 1, "svd full": 1}),
+        (lambda: characteristic_angles(pair),
+         {"qr complete": 1, "svd values": 2, "inv": 1}),
+        (lambda: project3(pt), {"svd thin": 1, "svd full": 1, "svd values": 1,
+                                "qr complete": 1, "inv": 1, "eigh": 1}),
     ]
     for call, budget in budgets:
         lapack_calls.clear()

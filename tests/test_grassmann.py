@@ -88,7 +88,7 @@ class TestPsi1:
         pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
         lapack_calls.clear()
         psi1(pt)
-        assert dict(lapack_calls) == {"svd": 1}
+        assert dict(lapack_calls) == {"svd thin": 1}
 
 
 class TestPsi1Section:

@@ -7,7 +7,7 @@ from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3
 from hkq import grassmann, potentials, quotient
 from hkq.cli import CROSS_ROUTE_TOL
 from hkq.config import membership_tol
-from hkq.errors import NotInStable1, NotPositiveDefinite
+from hkq.errors import NotInStable1, NotInStable3, NotPositiveDefinite, ShapeMismatch
 from hkq.grassmann import curvature_fun_apply, psi3, psi3_section
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3, flat_potential_K
 from hkq.matcore import dagger, fnorm, herm_eig, hermitian_part
@@ -219,6 +219,33 @@ class TestK3:
                 break
         assert found, "no non-commuting witness found in 60 draws"
 
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    def test_numerically_singular_factor_is_refused(self, tol):
+        # boosting a stable point by h = diag(b, -b, 0, 0) scales x - X by
+        # exp(-b) on one direction and x + X on another, so at b = 10 both
+        # Gram factors G and H have condition ~1e17 (numerically singular):
+        # every k3 route raises, none returns a value
+        tr = Truncation(4, 5, SQRT2)
+        pt = sample_stable3(tr, make_rng(0))
+        boosted = act3(herm_eig(np.diag([10.0, -10.0, 0.0, 0.0])), None, pt)
+        s = np.linalg.svd(boosted.x - boosted.X, compute_uv=False)
+        assert s[-1] / s[0] < 1e-8
+        routes = (K3_spectral, K3_similarity, K3_level,
+                  lambda pt, tol: evaluate_routes(pt, "k3", tol))
+        for route in routes:
+            with pytest.raises((NotInStable3, NotPositiveDefinite)):
+                route(boosted, tol)
+
+    @pytest.mark.parametrize("outer,sign", [("minus", 1.0), ("plus", -1.0)])
+    def test_failed_cholesky_raises_not_positive_definite(self, outer, sign):
+        # x - sign X with an exactly zero column: the Gram factor that the
+        # route factors has a zero pivot, below any membership check
+        pt = sample_stable3(Truncation(3, 4, SQRT2), make_rng(1))
+        X = pt.X.copy()
+        X[:, 0] = sign * pt.x[:, 0]
+        with pytest.raises(NotPositiveDefinite):
+            potentials._spectral_operand_eigs(ConfigPoint(pt.trunc, pt.x, X), outer)
+
     def test_invariance_under_compact_action(self, rng):
         tr = Truncation(2, 3, SQRT2)
         pt = sample_stable3(tr, rng)
@@ -245,6 +272,22 @@ class TestK3Hat:
             a = K3_hat_cotangent(v, SQRT2, "direct")
             b = K3_hat_cotangent(v, SQRT2, "curvature")
             assert abs(a - b) <= 1e-11 * (1 + abs(a))
+
+    @pytest.mark.parametrize("route", ["direct", "curvature"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_v_raises_shape_mismatch(self, route, bad):
+        v = np.full((3, 2), 0.5, dtype=complex)
+        v[1, 0] = bad
+        with pytest.raises(ShapeMismatch):
+            K3_hat_cotangent(v, SQRT2, route)
+
+    def test_routes_agree_on_a_one_dimensional_v(self):
+        # a 1-d V is read as one column by both routes
+        v = np.array([0.3, 0.4j, 0.5])
+        a = K3_hat_cotangent(v, SQRT2, "direct")
+        b = K3_hat_cotangent(v, SQRT2, "curvature")
+        assert abs(a - b) <= 1e-11 * (1 + abs(a))
+        assert a == K3_hat_cotangent(v.reshape(-1, 1), SQRT2, "direct")
 
     def test_angles_orthogonal_pair_zero(self, rng):
         tr = Truncation(2, 2, SQRT2)
@@ -283,7 +326,7 @@ class TestQuotientPotential:
         pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
         lapack_calls.clear()
         report = quotient_potential(pt)
-        assert dict(lapack_calls) == {"svd": 1, "eigh": 2, "inv": 1}
+        assert dict(lapack_calls) == {"svd thin": 1, "eigh": 2, "inv": 1}
         g = project1(pt).group_part
         char = character_log_term(g, SQRT2)
         assert abs(report.extras["character"] - char) <= 1e-13 * (1 + abs(char))
@@ -375,7 +418,7 @@ class TestEvaluateRoutesSharing:
     call, and every value stays the public route's, bit for bit."""
 
     @pytest.mark.parametrize("k", [SQRT2, 30.0])
-    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (32, 32)])
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (32, 32), (64, 64)])
     def test_values_equal_the_public_routes_bit_for_bit(self, p, q, k):
         trunc = Truncation(p, q, k)
         rng = make_rng(7 * p + q)
@@ -418,13 +461,18 @@ class TestEvaluateRoutesSharing:
             assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
 
     @pytest.mark.parametrize("which,budget", [
-        ("k1", {"eigh": 5, "inv": 1, "svd": 4}),
-        ("k3", {"eigh": 5, "inv": 1, "qr": 1, "svd": 4}),
-        ("k3hat", {"inv": 1, "qr": 1, "svd": 6}),
+        ("k1", {"svd thin": 1, "svd values": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}),
+        ("k3", {"svd thin": 1, "svd full": 1, "svd values": 2, "qr complete": 1,
+                "inv": 1, "eigh": 1, "eigvalsh": 2, "cholesky": 2}),
+        ("k3hat", {"svd thin": 1, "svd full": 1, "svd values": 4, "qr complete": 1,
+                   "inv": 1}),
     ])
     def test_factorization_budget(self, which, budget, lapack_calls):
-        # k1: x*x factored once for closed, fiber and curvature, and no frame
-        # of P^perp; k3/k3hat: psi3 and one graph w for every route
+        # k1: one thin SVD of x for membership, the curvature frame and the
+        # level route, x*x factored once for closed, fiber and curvature,
+        # eigenvalues only where a route reads no eigenvectors, and no frame
+        # of P^perp; k3: one Cholesky factor and one eigvalsh per spectral
+        # route; k3/k3hat: psi3 and one graph w for every other route
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
         pt = sample_stable1(trunc, rng) if which == "k1" else sample_stable3(trunc, rng)

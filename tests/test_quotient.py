@@ -156,7 +156,7 @@ class TestProject1:
         v = random_tangent(tr, rng)
         basis = slice_basis(level)
         budgets = [
-            (lambda: project1(pt), {"svd": 1, "eigh": 2, "inv": 1}),
+            (lambda: project1(pt), {"svd thin": 1, "eigh": 2, "inv": 1}),
             (lambda: slice_basis(level), {"eigh": 1}),
             (lambda: basis.orbit(v), {}),
             (lambda: basis.level(v), {}),
