@@ -50,7 +50,6 @@ their non-Hermitian operand by a Cholesky factor, not a matrix square root.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -121,21 +120,10 @@ def _warn_integrality(k: float) -> None:
 
 @dataclass(frozen=True)
 class PotentialReport:
-    """A potential value with its evaluation route and input digest."""
+    """The quotient potential's value with its two parts."""
 
-    label: str
     value: float
-    route: str
-    inputs_digest: str
     extras: dict = field(default_factory=dict)
-
-
-def _digest(pt: ConfigPoint) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(pt.x).tobytes())
-    h.update(np.ascontiguousarray(pt.X).tobytes())
-    h.update(np.float64(pt.trunc.k).tobytes())
-    return h.hexdigest()[:12]
 
 
 def curvature_weight_k1(u: float) -> float:
@@ -411,8 +399,7 @@ def quotient_potential(pt: ConfigPoint, tol: float | None = None) -> PotentialRe
     it."""
     value, parts = _k1_level(project1(pt, tol), pt.trunc.k)
     _warn_integrality(pt.trunc.k)
-    return PotentialReport(label="K1", value=value, route="level",
-                           inputs_digest=_digest(pt), extras=parts)
+    return PotentialReport(value=value, extras=parts)
 
 
 def _k1_level(res: ProjectionResult, k: float) -> tuple[float, dict]:

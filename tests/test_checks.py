@@ -1,8 +1,13 @@
 """checks.run_suites: one CheckResult per check of each named suite, in
 order, the overall flag as the AND of the checks' `passed`, the same results
-on a second call, and suite i seeded with seed + 1000 i.  The reduction
-suite factors each level point once, and a fault in that one factorization
-still fails its checks."""
+on a second call, and every suite given the seed unchanged, so a suite's
+lines are the same alone and among all, and each check's worst trial
+reruns alone bit for bit.  The driver: a NaN residual fails its check, a
+trial that raises fails its family's checks only, and a margin is a
+residual against tol 1.  The reduction suite factors each level point once,
+and a fault in that one factorization still fails its checks."""
+
+import math
 
 import pytest
 
@@ -16,7 +21,7 @@ NAMES = ["moment", "maps"]
 
 def test_one_result_per_check_in_suite_order():
     results, ok = checks.run_suites(NAMES, 2, 0)
-    alone = [checks.run_suite(name, 2, 1000 * i) for i, name in enumerate(NAMES)]
+    alone = [checks.run_suite(name, 2, 0) for name in NAMES]
     assert results == [r for suite in alone for r in suite]
     assert all(isinstance(r, CheckResult) for r in results)
     assert [r.suite for r in results] == [name for name, suite in zip(NAMES, alone)
@@ -41,12 +46,67 @@ def _recording_suites(monkeypatch, passes):
     return calls
 
 
-def test_suite_i_is_seeded_seed_plus_1000_i(monkeypatch):
+def test_every_suite_gets_the_seed_unchanged(monkeypatch):
     calls = _recording_suites(monkeypatch, {"a": True, "b": True, "c": True})
     results, ok = checks.run_suites(["c", "a", "b"], 3, 7)
-    assert calls == [("c", 3, 7), ("a", 3, 1007), ("b", 3, 2007)]
+    assert calls == [("c", 3, 7), ("a", 3, 7), ("b", 3, 7)]
     assert [r.suite for r in results] == ["c", "a", "b"]
     assert ok
+
+
+def test_a_suite_draws_the_same_alone_and_among_all():
+    results, _ = checks.run_suites(list(checks.SUITES), 3, 5)
+    for name in checks.SUITES:
+        assert [r for r in results if r.suite == name] == checks.run_suite(name, 3, 5)
+
+
+@pytest.mark.parametrize("suite", ["moment", "reduction", "maps"])
+def test_each_worst_trial_reruns_alone_bit_for_bit(monkeypatch, suite):
+    tables = []
+    run = checks._run
+
+    def recording(name, families, trials, seed):
+        tables.append(families)
+        return run(name, families, trials, seed)
+
+    monkeypatch.setattr(checks, "_run", recording)
+    results = checks.run_suite(suite, 7, 3)
+    checked = 0
+    for index, family in enumerate(tables[0]):
+        for r in results:
+            if r.name not in family.tols:
+                continue
+            rng = checks._trial_rng(3, suite, index, r.worst_trial)
+            assert max(v for name, v in family.trial(rng) if name == r.name) == r.residual
+            checked += 1
+    assert checked == len(results)
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # max(0.0, nan) is 0.0: a fold by max would pass these
+    monkeypatch.setattr(checks, "fnorm", lambda a: math.nan)
+    results, ok = checks.run_suites(["quaternion", "maps"], 2, 0)
+    failed = {r.name for r in results if not r.passed}
+    assert {"algebra_exact", "z_spectral_structure"} <= failed
+    assert not ok
+
+
+def test_a_trial_that_raises_fails_its_family_only(monkeypatch):
+    def broken(trunc, rng):
+        raise ZeroDivisionError("no level point")
+
+    monkeypatch.setattr(checks, "sample_level", broken)
+    results = {r.name: r for r in checks.run_suite("moment", 5, 0)}
+    level = results.pop("level_value")
+    assert not level.passed and math.isnan(level.residual)
+    assert level.note == "trial 0 raised ZeroDivisionError: no level point"
+    assert all(r.passed for r in results.values())
+
+
+@pytest.mark.parametrize("value,passed", [
+    (2e-6, True), (1e-6, True), (5e-7, False), (0.0, False), (math.nan, False)])
+def test_a_margin_is_a_residual_against_tol_1(value, passed):
+    assert (checks._margin(value) <= 1.0) is passed
 
 
 @pytest.mark.parametrize("failing", ["a", "b"])

@@ -1,8 +1,10 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
-cross-check fails, 2 for input the CLI rejects (unknown route, a point
+cross-check fails (also when a check's trial raises: every check line still
+prints), 2 for input the CLI rejects (unknown route, a point
 outside the required set, a malformed file, damaged matrix bytes, a file
 in the older re/im text layout, a non-finite k in a file or a non-finite or
-zero `angles --k`, a pair file without k, a trial count below one).  Also: what `project` factors, the
+zero `angles --k`, a pair file without k, a trial count below one, a
+negative seed).  Also: what `project` factors, the
 layout of a `map --which psi3` file and loading of the older one with "z",
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import hkq
-from hkq import checks, cli, jsonio
+from hkq import checks, cli, jsonio, quotient
 from hkq.checks import CheckResult
 from hkq.grassmann import characteristic_angles, psi3
 from hkq.matcore import fnorm
@@ -42,6 +44,13 @@ def test_trial_count_below_one_exits_2(trials, capsys):
     assert "trials must be at least 1" in captured.err
 
 
+def test_negative_seed_exits_2(capsys):
+    assert cli.main(["check", "--suite", "moment", "--seed", "-1"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert "non-negative" in captured.err
+
+
 def test_failed_check_exits_1(monkeypatch, capsys):
     def failing(trials, seed):
         return [CheckResult("stub", "ok", 0.0, 1e-12, trials),
@@ -52,6 +61,22 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL stub.broken" in out
     assert "checks_failed 1" in out
+    assert "overall FAIL" in out
+
+
+def test_a_fault_that_raises_prints_every_check_and_exits_1(monkeypatch, capsys):
+    # a skewed fiber operand makes every projection miss the level set: the
+    # families that project report NotInStable1, the others still run
+    fiber_operand = quotient._fiber_operand
+    monkeypatch.setattr(quotient, "_fiber_operand",
+                        lambda pt, sx: 1.001 * fiber_operand(pt, sx))
+    assert cli.main(["check", "--suite", "all", "--trials", "20"]) == cli.EXIT_PROPERTY
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if line.startswith(("pass ", "FAIL "))]
+    assert len(lines) == len(checks.run_suites(list(checks.SUITES), 1, 0)[0])
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert failed and all("raised NotInStable1" in line for line in failed)
+    assert "FAIL reduction.projector_idempotence" in out
     assert "overall FAIL" in out
 
 
