@@ -9,7 +9,7 @@ subspace pairs, and all the Kahler-potential formulas, each by several
 independent routes so every identity is machine-checkable.
 """
 
-from .config import DEFAULT_MEMBERSHIP_TOL, membership_tol
+from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import *  # noqa: F401,F403
 from .grassmann import (
     CotangentPoint,

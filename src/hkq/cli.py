@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from . import checks, jsonio
-from .config import membership_tol
+from . import __version__, checks, jsonio
+from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import HkqError, NotInStable3
 from .grassmann import characteristic_angles, psi1, psi3
 from .hkspace import Truncation, flat_potential_K
@@ -68,13 +68,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_project(args) -> int:
     pt = jsonio.load_point(args.input)
-    tol = args.tol
     if args.structure == "i1":
-        res = project1(pt, tol)
+        res = project1(pt, args.tol)
         _emit("structure", "i1")
         _emit("group_eigenvalues", " ".join(repr(float(v)) for v in res.eigenvalues))
     else:
-        res = project3(pt, tol)
+        res = project3(pt, args.tol)
         _emit("structure", "i3")
         _emit("h_eigenvalues", " ".join(repr(float(v)) for v in res.eigenvalues))
     rc, rr = level_residual(res.point)
@@ -114,7 +113,7 @@ def _cmd_potential(args) -> int:
 def _cmd_angles(args) -> int:
     pair, k_file = jsonio.load_pair(args.input)
     k = args.k if args.k is not None else k_file
-    if k is not None:  # the rule a point file's k obeys: finite, nonzero
+    if k is not None:  # the rule a point file's k obeys (Truncation's)
         k = Truncation(pair.P.dim, pair.Q.dim, k).k
     theta = characteristic_angles(pair, args.tol)
     a = np.tan(theta)
@@ -165,10 +164,8 @@ def _cmd_check(args) -> int:
 def _cmd_info(args) -> int:
     if args.input is None:
         _emit("package", "hkq")
-        from . import __version__
-
         _emit("version", __version__)
-        _emit("membership_tol", membership_tol(args.tol))
+        _emit("membership_tol", args.tol)
         _emit("suites", " ".join(checks.SUITES))
         return EXIT_OK
     pt = jsonio.load_point(args.input)
@@ -194,6 +191,14 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _finite_positive(text: str) -> float:
+    """The type of --tol: argparse refuses all but finite, positive floats."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -201,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperkahler quotient toolkit for the truncated "
                     "restricted Grassmannian.",
     )
-    ap.add_argument("--tol", type=float, default=None,
-                    help="membership tolerance, relative to k^2 (default 1e-9)")
+    ap.add_argument("--tol", type=_finite_positive, default=DEFAULT_MEMBERSHIP_TOL,
+                    help="membership tolerance, relative to k^2 "
+                         "(finite, positive; default 1e-9)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a point of a named set")

@@ -3,8 +3,9 @@
 Membership checks (level set, stable sets, transversality) use a relative
 tolerance that scales with k^2 because the defining constraints are
 homogeneous of degree 2 in (x, X); the bound itself is written once, in
-moment._within_tol.  The default is overridden per call
-(the `tol` argument, or the CLI's --tol).
+moment._within_tol.  The default lives in the signatures
+(`tol: float = DEFAULT_MEMBERSHIP_TOL`); the CLI validates --tol (finite,
+positive) where it parses it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,3 @@ RANK_TOL = 1e-10
 # 1e-6 (1 + d), and refuses it beyond that.
 FRAME_TOL = 1e-9
 
-
-def membership_tol(tol: float | None = None) -> float:
-    """Resolve the membership tolerance: explicit arg, else the default."""
-    if tol is not None:
-        return float(tol)
-    return DEFAULT_MEMBERSHIP_TOL

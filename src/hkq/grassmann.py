@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FRAME_TOL, membership_tol
+from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import (
     BadCotangent,
     NotInStable3,
@@ -133,7 +133,7 @@ class OrbitPair:
         return float(s[-1])
 
 
-def psi1(pt: ConfigPoint, tol: float | None = None) -> CotangentPoint:
+def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint:
     """Map a stable pair (first structure) to its cotangent datum
     (Ran x, (1/k^2) x X*).  Constant on orbits of the first action.
 
@@ -145,7 +145,7 @@ def psi1(pt: ConfigPoint, tol: float | None = None) -> CotangentPoint:
     and vanishes on P and ranges inside P to round-off at any tol, so a
     point that passes membership at a loose tol meets CotangentPoint's
     invariants too."""
-    _, u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
+    u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
     P = Subspace(_fix_column_phases(u))
     f, Xs = P.frame, dagger(pt.X)
     eta = (pt.x @ (Xs - (Xs @ f) @ dagger(f))) / pt.trunc.k2
@@ -169,7 +169,8 @@ def psi1_section(cp: CotangentPoint, k: float) -> ConfigPoint:
     return ConfigPoint(trunc, x, X)
 
 
-def psi3(pt: ConfigPoint, tol: float | None = None) -> tuple[OrbitPair, np.ndarray]:
+def psi3(pt: ConfigPoint,
+         tol: float = DEFAULT_MEMBERSHIP_TOL) -> tuple[OrbitPair, np.ndarray]:
     """Map a stable pair (third structure) to (P, Q) and the orbit operator.
 
     z = i (x + X)(x* - X*) has spectrum {i k^2, 0} with eigenspaces
@@ -185,28 +186,27 @@ def psi3(pt: ConfigPoint, tol: float | None = None) -> tuple[OrbitPair, np.ndarr
     the frame of Q.  The equation half is judged first, so a point off the
     level equations is refused before anything is factored.
     """
-    t = membership_tol(tol)
     refusal = "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X"
-    if not _stable3_equations(pt, t):
+    if not _stable3_equations(pt, tol):
         raise NotInStable3(refusal)
     x, X = pt.x, pt.X
     u, sp, _ = svd(x + X)
     _, sq, wh = np.linalg.svd(dagger(x - X))
-    if not (_full_rank(sp, t) and _full_rank(sq, t)):
+    if not (_full_rank(sp, tol) and _full_rank(sq, tol)):
         raise NotInStable3(refusal)
     P = Subspace(_fix_column_phases(u))
     Q = Subspace(_fix_column_phases(dagger(wh)[:, pt.trunc.p:]))
     k2 = pt.trunc.k2
     z = 1j * ((x + X) @ (dagger(x) - dagger(X)))
     scale = fnorm(z)
-    if not _within_tol(fnorm(z @ P.frame - 1j * k2 * P.frame), t, k2, scale):
+    if not _within_tol(fnorm(z @ P.frame - 1j * k2 * P.frame), tol, k2, scale):
         raise NotInStable3("z does not act as i k^2 on Ran(x + X)")
-    if not _within_tol(fnorm(z @ Q.frame), t, k2, scale):
+    if not _within_tol(fnorm(z @ Q.frame), tol, k2, scale):
         raise NotInStable3("z does not vanish on Ker(x* - X*)")
     return OrbitPair(P, Q), z
 
 
-def graph_operator(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
+def graph_operator(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
     """Coordinate matrix of the operator A: P -> P^perp whose graph is
     Q^perp, relative to the gauge-fixed frames (F_P, F_Pperp) with
     F_Pperp = complement_frame(P).
@@ -219,7 +219,7 @@ def graph_operator(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
     return dagger(complement_frame(pair.P)) @ _graph(pair, tol)
 
 
-def _graph(pair: OrbitPair, tol: float | None) -> np.ndarray:
+def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
     """The graph operator in ambient form, the n x p matrix
     w = F_Pperp A = F_Qperp M^-1 - F_P with M = F_P* F_Qperp.
 
@@ -229,12 +229,11 @@ def _graph(pair: OrbitPair, tol: float | None) -> np.ndarray:
     frame of P^perp is built.  The singular values of M decide
     transversality.
     """
-    t = membership_tol(tol)
     fp, fq = pair.P.frame, pair.Q.frame
     fqp = np.linalg.qr(fq, mode="complete")[0][:, fq.shape[1]:]
     m = dagger(fp) @ fqp
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[-1] <= t * max(1.0, s[0]):
+    if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
         raise NotTransversal(
             f"P and Q^perp-graph condition fails, sigma_min(F_P* F_Qperp) = "
             f"{0.0 if s.size == 0 else s[-1]:.3e}"
@@ -242,7 +241,8 @@ def _graph(pair: OrbitPair, tol: float | None) -> np.ndarray:
     return fqp @ np.linalg.inv(m) - fp
 
 
-def psi3_section(pair: OrbitPair, k: float, tol: float | None = None) -> ConfigPoint:
+def psi3_section(pair: OrbitPair, k: float,
+                 tol: float = DEFAULT_MEMBERSHIP_TOL) -> ConfigPoint:
     """Canonical preimage of (P, Q) under psi3:
 
         x = k (F_P + (1/2) F_Pperp A),   X = -(k/2) F_Pperp A.
@@ -263,7 +263,7 @@ def _section(fp: np.ndarray, w: np.ndarray, k: float) -> ConfigPoint:
     return ConfigPoint(Truncation(p, n - p, k), x, X)
 
 
-def characteristic_angles(pair: OrbitPair, tol: float | None = None) -> np.ndarray:
+def characteristic_angles(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
     """Ascending characteristic angles theta_i in [0, pi/2) of the pair,
     cos(theta_i) = 1/sqrt(1 + a_i^2) with a_i^2 the eigenvalues of A*A.
 

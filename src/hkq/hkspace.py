@@ -58,10 +58,11 @@ def _half_k2_integral(k: float) -> bool:
 class Truncation:
     """Dimensions (p, q) of the truncated plus/minus split and the level k.
 
-    k must be finite and nonzero.  integrality_ok records whether k^2/2 is
-    a positive integer, the condition under which the determinant character
-    defining the quotient-potential formula exists as a group homomorphism
-    to the circle.
+    k must be finite and nonzero, with k^4 (the fiber operand divides by it) a
+    finite normal float: about 1.2e-77 < |k| < 1.2e77.  integrality_ok records
+    whether k^2/2 is a positive integer, the condition under which the
+    determinant character defining the quotient-potential formula exists as
+    a group homomorphism to the circle.
     """
 
     p: int
@@ -75,6 +76,9 @@ class Truncation:
             raise ValueError(f"k must be finite, got {self.k}")
         if self.k == 0.0:
             raise ValueError("k must be nonzero")
+        k2 = float(self.k) * float(self.k)  # over/underflows silently, unlike numpy's
+        if not np.finfo(np.float64).tiny <= k2 * k2 < np.inf:
+            raise ValueError(f"k^4 must be normal: about 1.2e-77 < |k| < 1.2e77; k={self.k}")
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import membership_tol
+from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotSkew, ShapeMismatch
 from .hkspace import ConfigPoint, TangentPair, omega
 from .matcore import as_matrix, dagger, fnorm, svd
@@ -81,25 +81,21 @@ def _within_tol(residual: float, t: float, k2: float, scale: float = 0.0) -> boo
     return bool(residual <= t * k2 * (1.0 + scale / k2))
 
 
-def on_level_set(pt: ConfigPoint, tol: float | None = None) -> bool:
-    rc, rr = level_residual(pt)
-    return _within_tol(max(rc, rr), membership_tol(tol), pt.trunc.k2)
+def on_level_set(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+    return _within_tol(max(level_residual(pt)), tol, pt.trunc.k2)
 
 
 def _full_rank(s: np.ndarray, tol: float) -> bool:
     """True when the descending singular values s have
     sigma_min > tol * sigma_max (full numerical rank)."""
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    return bool(s[-1] > tol * s[0])
+    return bool(s.size and s[-1] > tol * s[0])
 
 
-def in_stable1(pt: ConfigPoint, tol: float | None = None) -> bool:
+def in_stable1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the first structure:
     X*x = 0 (to tol * k^2) and x one-to-one."""
-    t = membership_tol(tol)
-    return (_stable1_equation(pt, t)
-            and _full_rank(np.linalg.svd(pt.x, compute_uv=False), t))
+    return (_stable1_equation(pt, tol)
+            and _full_rank(np.linalg.svd(pt.x, compute_uv=False), tol))
 
 
 def _stable1_equation(pt: ConfigPoint, t: float) -> bool:
@@ -109,17 +105,15 @@ def _stable1_equation(pt: ConfigPoint, t: float) -> bool:
     return _within_tol(fnorm(dagger(pt.X) @ pt.x), t, pt.trunc.k2)
 
 
-def _stable1_svd(pt: ConfigPoint, tol: float | None,
-                 refusal: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _stable1_svd(pt: ConfigPoint, tol: float,
+                 refusal: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """in_stable1's rule judged on one thin SVD x = U diag(s) W*, for a
     caller that reads the factors (psi1's frame, project1's |x|): returns
-    (t, U, s, W) with t the resolved tolerance, or raises
-    NotInStable1(refusal)."""
-    t = membership_tol(tol)
+    (U, s, W), or raises NotInStable1(refusal)."""
     u, s, w = svd(pt.x)
-    if not (_stable1_equation(pt, t) and _full_rank(s, t)):
+    if not (_stable1_equation(pt, tol) and _full_rank(s, tol)):
         raise NotInStable1(refusal)
-    return t, u, s, w
+    return u, s, w
 
 
 def _stable3_equations(pt: ConfigPoint, t: float) -> bool:
@@ -132,15 +126,14 @@ def _stable3_equations(pt: ConfigPoint, t: float) -> bool:
             and _within_tol(fnorm(dagger(X) @ x - dagger(x) @ X), t, k2))
 
 
-def in_stable3(pt: ConfigPoint, tol: float | None = None) -> bool:
+def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the third structure:
     x*x - X*X = k^2 Id, X*x Hermitian (both to tol * k^2), and both x + X
     and x - X of full numerical rank."""
-    t = membership_tol(tol)
     x, X = pt.x, pt.X
-    return (_stable3_equations(pt, t)
-            and _full_rank(np.linalg.svd(x + X, compute_uv=False), t)
-            and _full_rank(np.linalg.svd(x - X, compute_uv=False), t))
+    return (_stable3_equations(pt, tol)
+            and _full_rank(np.linalg.svd(x + X, compute_uv=False), tol)
+            and _full_rank(np.linalg.svd(x - X, compute_uv=False), tol))
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotPositiveDefinite
 from .grassmann import (
     OrbitPair,
@@ -142,12 +143,12 @@ def curvature_weight_k3hat(u: float) -> float:
     return float(np.expm1(0.5 * np.log1p(u)) / u)
 
 
-def _check_stable1(pt: ConfigPoint, tol: float | None) -> None:
+def _check_stable1(pt: ConfigPoint, tol: float) -> None:
     if not in_stable1(pt, tol):
         raise NotInStable1("K1 requires X*x = 0 and injective x")
 
 
-def _check_stable3(pt: ConfigPoint, tol: float | None) -> None:
+def _check_stable3(pt: ConfigPoint, tol: float) -> None:
     if not in_stable3(pt, tol):
         raise NotInStable3("K3 requires the third-structure stability conditions")
 
@@ -174,7 +175,7 @@ def _fiber_spectrum(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> np.ndarray:
+def fiber_coordinate(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
     """Frame coordinate matrix of V = (1/k^2) X x* at the cotangent image of
     pt: the (n-p) x p matrix F_Pperp* V F_P.
 
@@ -191,7 +192,7 @@ def fiber_coordinate(pt: ConfigPoint, tol: float | None = None) -> np.ndarray:
     return dagger(fperp) @ v @ cp.P.frame
 
 
-def K1_closed(pt: ConfigPoint, tol: float | None = None) -> float:
+def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential in the closed form of the level projection."""
     _check_stable1(pt, tol)
     _warn_integrality(pt.trunc.k)
@@ -210,7 +211,7 @@ def _k1_closed(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     return _logdet_term(pt, xx) + term2 + term3
 
 
-def K1_fiber(pt: ConfigPoint, tol: float | None = None) -> float:
+def K1_fiber(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential through the cotangent fiber spectrum."""
     _check_stable1(pt, tol)
     _warn_integrality(pt.trunc.k)
@@ -226,14 +227,14 @@ def _k1_fiber(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     return _logdet_term(pt, xx) + term2 + term3
 
 
-def K1_curvature(pt: ConfigPoint, tol: float | None = None) -> float:
+def K1_curvature(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential through the curvature functional calculus.
 
-    Membership is checked once, by psi1 (raising NotInStable1 before any
-    IntegralityWarning), whose frame of P the route reads."""
-    fp = psi1(pt, tol).P.frame
+    Membership is checked once (NotInStable1, before any IntegralityWarning),
+    on the thin SVD of x whose phase-fixed U is psi1's frame of P."""
+    u, _, _ = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
-    return _k1_curvature(pt, _x_spectrum(pt), fp)
+    return _k1_curvature(pt, _x_spectrum(pt), _fix_column_phases(u))
 
 
 def _k1_curvature(pt: ConfigPoint, xx: HermitianSpectrum, fp: np.ndarray) -> float:
@@ -284,7 +285,7 @@ def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
     return lam
 
 
-def K3_spectral(pt: ConfigPoint, tol: float | None = None) -> float:
+def K3_spectral(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """Third-structure potential from the constraint-set operand:
 
         (1/4) Tr( ((x+X)*(x+X) (x-X)*(x-X))^{1/2} - k^2 Id ),
@@ -300,7 +301,7 @@ def _k3_spectral(pt: ConfigPoint, outer: str) -> float:
     return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
 
 
-def K3_similarity(pt: ConfigPoint, tol: float | None = None) -> float:
+def K3_similarity(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """Same operand evaluated through the opposite Hermitization (similarity
     partner of the ambient n x n form, AB and BA sharing their nonzero
     spectrum); kept as a numerically distinct route for the cross-checks."""
@@ -308,7 +309,7 @@ def K3_similarity(pt: ConfigPoint, tol: float | None = None) -> float:
     return _k3_spectral(pt, "plus")
 
 
-def K3_level(pt: ConfigPoint, tol: float | None = None) -> float:
+def K3_level(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """Third-structure potential as the flat potential of the level-set
     representative produced by project3 (exact by compact invariance).
     psi3 checks membership (NotInStable3)."""
@@ -316,7 +317,7 @@ def K3_level(pt: ConfigPoint, tol: float | None = None) -> float:
     return _k3_level(pair, _graph(pair, tol), pt.trunc.k, tol)
 
 
-def _k3_level(pair: OrbitPair, w: np.ndarray, k: float, tol: float | None) -> float:
+def _k3_level(pair: OrbitPair, w: np.ndarray, k: float, tol: float) -> float:
     return flat_potential_K(_project3(pair, w, k, tol).point)
 
 
@@ -343,7 +344,7 @@ def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
     raise ValueError(f"unknown route {route!r}")
 
 
-def K3_hat_angles(pair: OrbitPair, k: float, tol: float | None = None) -> float:
+def K3_hat_angles(pair: OrbitPair, k: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """Third potential of a transversal pair through its characteristic
     angles: (k^2/4) sum_i (1/cos(theta_i) - 1).
 
@@ -384,7 +385,8 @@ def _character_term(lam: np.ndarray, k: float) -> float:
     return float(0.5 * k * k * np.sum(np.log(lam)))
 
 
-def quotient_potential(pt: ConfigPoint, tol: float | None = None) -> PotentialReport:
+def quotient_potential(pt: ConfigPoint,
+                       tol: float = DEFAULT_MEMBERSHIP_TOL) -> PotentialReport:
     """Generic quotient-potential formula for the first structure: flat
     potential at the projected point plus the character term of the
     projecting group element.
@@ -411,7 +413,7 @@ def _k1_level(res: ProjectionResult, k: float) -> tuple[float, dict]:
 
 
 def evaluate_routes(pt: ConfigPoint, which: str,
-                    tol: float | None = None) -> dict[str, float]:
+                    tol: float = DEFAULT_MEMBERSHIP_TOL) -> dict[str, float]:
     """All implemented routes for one potential at one point; used by the
     cross-check suites and the CLI table.
 
@@ -430,14 +432,14 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
     if which == "k1":
-        t, u, s, w = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
+        u, s, w = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
         xx = _x_spectrum(pt)
         return {
             "closed": _k1_closed(pt, xx),
             "fiber": _k1_fiber(pt, xx),
             "curvature": _k1_curvature(pt, xx, _fix_column_phases(u)),
-            "level": _k1_level(_project1(pt, s, w, t), k)[0],
+            "level": _k1_level(_project1(pt, s, w, tol), k)[0],
         }
     if which not in ("k3", "k3hat"):
         raise ValueError(f"unknown potential tag {which!r}")

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import membership_tol
+from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet
 from .grassmann import OrbitPair, _graph, _section, psi3
 from .hkspace import ConfigPoint, TangentPair, act1, act3, apply_I
@@ -125,7 +125,7 @@ def _fiber_operand(pt: ConfigPoint, sx: np.ndarray) -> np.ndarray:
     return hermitian_part((4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx))
 
 
-def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
+def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Closed-form projection onto the level set along the first action.
 
     One thin SVD of x judges first-stable membership (X*x = 0 to tol * k^2
@@ -134,13 +134,13 @@ def project1(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     its eigenvalues 1/sqrt(mu) are taken on the one eigendecomposition of
     g^-2, and act1 inverts g.  Everything after the SVD and the membership
     check is _project1."""
-    t, _, s, w = _stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")
-    return _project1(pt, s, w, t)
+    _, s, w = _stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")
+    return _project1(pt, s, w, tol)
 
 
-def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, t: float) -> ProjectionResult:
+def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> ProjectionResult:
     """project1 after its SVD, for a caller that has judged first-stable
-    membership at tolerance t on the thin SVD x = U diag(s) W* itself
+    membership at tolerance tol on the thin SVD x = U diag(s) W* itself
     (potentials.evaluate_routes, whose curvature route reads the same U).
     The level residual of the result is still judged here."""
     p = pt.trunc.p
@@ -154,7 +154,7 @@ def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, t: float) -> Projec
     g = g_inv2.fun(lambda mu: 1.0 / np.sqrt(mu), domain_check=lambda mu: mu > 0.0)
     point = act1(g, pt)
     residual = max(level_residual(point))
-    if not _within_tol(residual, t, k2):
+    if not _within_tol(residual, tol, k2):
         raise NotInStable1(
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
@@ -165,7 +165,7 @@ def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, t: float) -> Projec
                             group_part=g)
 
 
-def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
+def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
     Route: (P, Q) = psi3(pt), which checks third-stable membership and
@@ -184,8 +184,7 @@ def project3(pt: ConfigPoint, tol: float | None = None) -> ProjectionResult:
     return _project3(pair, _graph(pair, tol), pt.trunc.k, tol)
 
 
-def _project3(pair: OrbitPair, w: np.ndarray, k: float,
-              tol: float | None) -> ProjectionResult:
+def _project3(pair: OrbitPair, w: np.ndarray, k: float, tol: float) -> ProjectionResult:
     """project3 from psi3's pair and its graph w = _graph(pair, tol), for a
     caller that holds both (potentials.evaluate_routes reads the angles
     route off the same w)."""
@@ -197,7 +196,7 @@ def _project3(pair: OrbitPair, w: np.ndarray, k: float,
                                 spec.eigenvectors[:, ::-1])
     point = act3(minus_h, None, pt0)
     residual = max(level_residual(point))
-    if not _within_tol(residual, membership_tol(tol), pt0.trunc.k2):
+    if not _within_tol(residual, tol, pt0.trunc.k2):
         raise NotInStable3(
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )
@@ -245,7 +244,7 @@ class SliceBasis:
         return -1.0 * apply_I(j, self.orbit(apply_I(j, v)))
 
 
-def slice_basis(pt: ConfigPoint, tol: float | None = None) -> SliceBasis:
+def slice_basis(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> SliceBasis:
     """The tangent projectors at a level-set point, the one entry to them.
 
     Raises NotOnLevelSet off the level set.  x*x and X*X are formed once:
@@ -256,7 +255,7 @@ def slice_basis(pt: ConfigPoint, tol: float | None = None) -> SliceBasis:
     x, X = pt.x, pt.X
     xx, XX = dagger(x) @ x, dagger(X) @ X
     rc, rr = _level_residual(xx, XX, dagger(X) @ x, pt.trunc.k2)
-    if not _within_tol(max(rc, rr), membership_tol(tol), pt.trunc.k2):
+    if not _within_tol(max(rc, rr), tol, pt.trunc.k2):
         raise NotOnLevelSet(
             f"point is not on the level set: residuals ({rc:.3e}, {rr:.3e})"
         )

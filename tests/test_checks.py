@@ -13,6 +13,7 @@ import pytest
 
 from hkq import checks
 from hkq.checks import CheckResult
+from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.matcore import HermitianSpectrum
 from hkq.quotient import SliceBasis
 
@@ -131,7 +132,7 @@ def test_reduction_factors_each_level_point_once(monkeypatch, seed):
     calls = []
     original = checks.slice_basis
 
-    def counted(pt, tol=None):
+    def counted(pt, tol=DEFAULT_MEMBERSHIP_TOL):
         calls.append(pt)
         return original(pt, tol)
 
@@ -147,7 +148,7 @@ def test_a_fault_in_the_shared_factorization_fails_the_reduction_checks(monkeypa
     # the project1 checks never touch M, so those may still pass
     original = checks.slice_basis
 
-    def skewed(pt, tol=None):
+    def skewed(pt, tol=DEFAULT_MEMBERSHIP_TOL):
         spec = original(pt, tol).spec
         return SliceBasis(pt, HermitianSpectrum(1.001 * spec.eigenvalues, spec.eigenvectors))
 

@@ -23,6 +23,7 @@ import pytest
 import hkq
 from hkq import checks, cli, jsonio, quotient
 from hkq.checks import CheckResult
+from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.grassmann import characteristic_angles, psi3
 from hkq.matcore import fnorm
 from hkq.moment import in_stable1, in_stable3, level_residual, on_level_set
@@ -202,6 +203,38 @@ def test_non_finite_k_in_point_file_exits_2(verb, k, tmp_path, capsys):
     assert err.startswith("error ") and "k must be finite" in err
 
 
+@pytest.mark.parametrize("k", [1e-200, 1e100])
+def test_point_file_with_k4_out_of_range_exits_2(k, tmp_path, capsys):
+    point = tmp_path / "s.json"
+    _sample(point)
+    _set_k(point, k)
+    capsys.readouterr()
+    assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and "k^4 must be normal" in err
+
+
+def test_sample_with_k4_underflowing_exits_2(tmp_path, capsys):
+    # k^4 = 1e-680 underflows to 0: refused where k enters, with no traceback
+    out = tmp_path / "f.json"
+    assert cli.main(["sample", "--space", "level", "-p", "3", "-q", "3",
+                     "-k", "1e-170", "-o", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and "k^4 must be normal" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "-0.0", "1e-400", "abc"])
+def test_tol_that_is_not_finite_and_positive_exits_2(tol, capsys):
+    # refused by the parser, naming --tol, before any membership test could
+    # judge a point against it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([f"--tol={tol}", "info"])
+    assert exc.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "argument --tol" in captured.err and captured.out == ""
+
+
 def test_info_without_input_exits_0(capsys):
     assert cli.main(["info"]) == cli.EXIT_OK
     out = capsys.readouterr().out
@@ -231,7 +264,8 @@ def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
 def _info_oracle(path, tol=None):
     """What `info -i` prints, built from moment's membership tests: psi3
     applies in_stable3's rule at the same tol, so in_stable3 is the oracle
-    of the verdict info reads off psi3."""
+    of the verdict info reads off psi3.  tol None stands for no --tol flag."""
+    tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
     pt = jsonio.load_point(path)
     rc, rr = level_residual(pt)
     lines = [f"p {pt.trunc.p}", f"q {pt.trunc.q}", f"k {pt.trunc.k!r}",

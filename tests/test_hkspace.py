@@ -42,6 +42,18 @@ class TestTruncation:
         with pytest.raises(ValueError, match="finite"):
             Truncation(1, 1, k)
 
+    @pytest.mark.parametrize("k", [1e-170, 1e-100, -1e-78, 1.2e-77, 1.2e77, -1e100])
+    def test_rejects_k_whose_fourth_power_is_not_normal(self, k):
+        # the fiber operand divides by k^4: an underflowing or overflowing
+        # k^4 is refused here, not met as a ZeroDivisionError downstream
+        with pytest.raises(ValueError, match=r"k\^4 must be normal"):
+            Truncation(1, 1, k)
+
+    @pytest.mark.parametrize("k", [1.3e-77, -1e-70, 1.15e77])
+    def test_accepts_k_whose_fourth_power_is_normal(self, k):
+        trunc = Truncation(1, 1, k)
+        assert np.finfo(np.float64).tiny <= trunc.k2 * trunc.k2 < np.inf
+
     def test_config_point_shape_check(self, trunc11):
         with pytest.raises(ShapeMismatch):
             ConfigPoint(trunc11, np.zeros((3, 1)), np.zeros((2, 1)))

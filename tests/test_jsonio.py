@@ -329,6 +329,17 @@ def test_values_not_of_the_schema_are_refused(kind, damage, files):
         load(path)
 
 
+@pytest.mark.parametrize("k", [1e-200, -1e-78, 1e78])
+def test_point_file_with_k4_out_of_range_is_refused(k, files):
+    """A finite k whose k^4 is not a normal float is refused by
+    Truncation, which load_point reports as a format error."""
+    obj = json.loads(files["point"].read_text())
+    obj["k"] = k
+    files["point"].write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=r"bad p/q/k \(k\^4 must be normal"):
+        jsonio.load_point(files["point"])
+
+
 def test_file_in_the_text_layout_is_refused(files):
     """A file of the older layout, every matrix as split re/im lists of
     decimal numbers, is refused with a message that names that layout."""

@@ -6,7 +6,7 @@ import pytest
 from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3
 from hkq import grassmann, potentials, quotient
 from hkq.cli import CROSS_ROUTE_TOL
-from hkq.config import membership_tol
+from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import NotInStable1, NotInStable3, NotPositiveDefinite, ShapeMismatch
 from hkq.grassmann import curvature_fun_apply, psi3, psi3_section
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3, flat_potential_K
@@ -219,7 +219,7 @@ class TestK3:
                 break
         assert found, "no non-commuting witness found in 60 draws"
 
-    @pytest.mark.parametrize("tol", [None, 1e-6])
+    @pytest.mark.parametrize("tol", [DEFAULT_MEMBERSHIP_TOL, 1e-6])
     def test_numerically_singular_factor_is_refused(self, tol):
         # boosting a stable point by h = diag(b, -b, 0, 0) scales x - X by
         # exp(-b) on one direction and x + X on another, so at b = 10 both
@@ -407,7 +407,17 @@ class TestRoutesAcrossShapes:
         for res in (project1(pt1), project3(pt3)):
             residual = max(level_residual(res.point))
             assert residual == res.residual
-            assert residual <= membership_tol() * trunc.k2
+            assert residual <= DEFAULT_MEMBERSHIP_TOL * trunc.k2
+
+    def test_the_base_point_evaluates_near_the_smallest_k(self):
+        # k^4 = 1e-280 is still normal, so Truncation accepts k = 1e-70 and
+        # every route of the base point (V = 0) reads 0 instead of raising
+        pt = ConfigPoint.base(Truncation(2, 2, 1e-70))
+        with pytest.warns(IntegralityWarning):
+            k1 = evaluate_routes(pt, "k1")
+        assert k1 == {"closed": 0.0, "fiber": 0.0, "curvature": 0.0, "level": 0.0}
+        for which in ("k3", "k3hat"):
+            assert set(evaluate_routes(pt, which).values()) == {0.0}
 
 
 class TestEvaluateRoutesSharing:
@@ -434,7 +444,7 @@ class TestEvaluateRoutesSharing:
             "level": K3_level(pt3),
             "angles": K3_hat_angles(pair, k),
         }
-        v = 0.5 * grassmann._graph(pair, None)
+        v = 0.5 * grassmann._graph(pair, DEFAULT_MEMBERSHIP_TOL)
         assert evaluate_routes(pt3, "k3hat") == {
             "angles": K3_hat_angles(pair, k),
             "cotangent": K3_hat_cotangent(v, k, "direct"),
