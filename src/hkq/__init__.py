@@ -58,12 +58,8 @@ from .moment import (
 )
 from .potentials import (
     K1_closed,
-    K1_curvature,
-    K1_fiber,
     K3_hat_angles,
     K3_hat_cotangent,
-    K3_level,
-    K3_similarity,
     K3_spectral,
     PotentialReport,
     character_log_term,

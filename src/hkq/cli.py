@@ -111,10 +111,9 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    pair, k_file = jsonio.load_pair(args.input)
-    k = args.k if args.k is not None else k_file
-    if k is not None:  # the rule a point file's k obeys (Truncation's)
-        k = Truncation(pair.P.dim, pair.Q.dim, k).k
+    pair, k = jsonio.load_pair(args.input)
+    if args.k is not None:  # the rule a file's k obeys (Truncation's)
+        k = Truncation(pair.P.dim, pair.Q.dim, args.k).k
     theta = characteristic_angles(pair, args.tol)
     a = np.tan(theta)
     for i, (t, ai) in enumerate(zip(theta, a)):
@@ -178,8 +177,8 @@ def _cmd_info(args) -> int:
     _emit("level_residual_real", rr)
     _emit("on_level_set", on_level_set(pt, args.tol))
     _emit("in_stable1", in_stable1(pt, args.tol))
-    # psi3 applies in_stable3's rule at the same tol, on the SVDs that give
-    # its frames, so its verdict is in_stable3's and its pair gives the angles
+    # psi3 judges membership by in_stable3's one computation at the same
+    # tol, so its verdict is in_stable3's, and its pair gives the angles
     try:
         pair, _ = psi3(pt, args.tol)
     except NotInStable3:
@@ -191,11 +190,12 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _finite_positive(text: str) -> float:
-    """The type of --tol: argparse refuses all but finite, positive floats."""
+def _membership_tol(text: str) -> float:
+    """The type of --tol: argparse refuses all but floats in (0, 1).  At
+    tol >= 1 no point is stable: sigma_min > tol * sigma_max cannot hold."""
     value = float(text)
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
 
 
@@ -206,9 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperkahler quotient toolkit for the truncated "
                     "restricted Grassmannian.",
     )
-    ap.add_argument("--tol", type=_finite_positive, default=DEFAULT_MEMBERSHIP_TOL,
-                    help="membership tolerance, relative to k^2 "
-                         "(finite, positive; default 1e-9)")
+    ap.add_argument("--tol", type=_membership_tol, default=DEFAULT_MEMBERSHIP_TOL,
+                    help="membership tolerance: equations to tol * k^2, rank "
+                         "to sigma_min > tol * sigma_max (0 < tol < 1; "
+                         "default 1e-9)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a point of a named set")

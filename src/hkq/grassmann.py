@@ -31,8 +31,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .hkspace import ConfigPoint, Truncation
-from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame, svd
-from .moment import _full_rank, _stable1_svd, _stable3_equations, _within_tol
+from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame
+from .moment import _stable1_svd, _stable3_svd, _within_tol
 
 __all__ = [
     "CotangentPoint",
@@ -137,14 +137,13 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
     """Map a stable pair (first structure) to its cotangent datum
     (Ran x, (1/k^2) x X*).  Constant on orbits of the first action.
 
-    x is factored once: the thin SVD that gives the frame of P also judges
-    the rank half of first-stable membership (the rule of moment.in_stable1,
-    which factors x again).  Once x passes, its p left singular vectors are
-    the frame F_P of P.  eta is taken in its compressed form
-    (1/k^2) x X* (Id - F_P F_P*), which equals (1/k^2) x X* where X*x = 0
-    and vanishes on P and ranges inside P to round-off at any tol, so a
-    point that passes membership at a loose tol meets CotangentPoint's
-    invariants too."""
+    x is factored once: the thin SVD that judges first-stable membership
+    (moment._stable1_svd, the one computation of in_stable1's rule) gives
+    the frame F_P of P, its p left singular vectors.  eta is taken in its
+    compressed form (1/k^2) x X* (Id - F_P F_P*), which equals (1/k^2) x X*
+    where X*x = 0 and vanishes on P and ranges inside P to round-off at any
+    tol, so a point that passes membership at a loose tol meets
+    CotangentPoint's invariants too."""
     u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
     P = Subspace(_fix_column_phases(u))
     f, Xs = P.frame, dagger(pt.X)
@@ -178,22 +177,16 @@ def psi3(pt: ConfigPoint,
     membership bound of moment, at tol, scaled by 1 + ||z|| / k^2.  psi3 is
     exactly constant on orbits of the third action.
 
-    x + X and x - X are factored once each, and the rank half of
-    third-stable membership is judged on their singular values (the rule
-    of moment.in_stable3, which factors both again).  Once they pass, the
-    p left singular vectors of the thin SVD of x + X are the frame of P,
-    and the trailing q right singular vectors of the full SVD of (x - X)*
-    the frame of Q.  The equation half is judged first, so a point off the
-    level equations is refused before anything is factored.
+    Membership is judged by moment._stable3_svd, the one computation of
+    in_stable3's rule: the equations first, so a point off them is refused
+    before anything is factored, then the rank of x + X and x - X on the
+    one thin SVD of x + X, whose p left singular vectors are the frame of
+    P, and the one full SVD of (x - X)*, whose trailing q right singular
+    vectors are the frame of Q.
     """
-    refusal = "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X"
-    if not _stable3_equations(pt, tol):
-        raise NotInStable3(refusal)
+    u, wh = _stable3_svd(
+        pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
     x, X = pt.x, pt.X
-    u, sp, _ = svd(x + X)
-    _, sq, wh = np.linalg.svd(dagger(x - X))
-    if not (_full_rank(sp, tol) and _full_rank(sq, tol)):
-        raise NotInStable3(refusal)
     P = Subspace(_fix_column_phases(u))
     Q = Subspace(_fix_column_phases(dagger(wh)[:, pt.trunc.p:]))
     k2 = pt.trunc.k2

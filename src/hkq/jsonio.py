@@ -130,7 +130,8 @@ def _read(path) -> dict:
 def _header(obj: dict, path, k_required: bool = True):
     """p, q and k of a point, pair or cotangent file, checked, not coerced:
     p and q JSON integers, k a finite JSON number (None when the key is
-    absent and not required)."""
+    absent and not required), and, whenever k is present, (p, q, k) a valid
+    Truncation."""
     for key in ("p", "q", "k") if k_required else ("p", "q"):
         if key not in obj:
             raise FileFormatError(f"{path}: missing {key}")
@@ -145,7 +146,10 @@ def _header(obj: dict, path, k_required: bool = True):
         raise FileFormatError(f"{path}: k must be a number, got {k!r}")
     if not abs(k) <= sys.float_info.max:  # nan, +-inf, or an int past float range
         raise FileFormatError(f"{path}: k must be finite, got {k}")
-    return p, q, float(k)
+    try:
+        return p, q, Truncation(p, q, float(k)).k
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad p/q/k ({exc})") from exc
 
 
 def save_matrix(path, m: np.ndarray) -> None:
@@ -171,10 +175,7 @@ def save_point(path, pt: ConfigPoint, meta: dict | None = None) -> None:
 
 def load_point(path) -> ConfigPoint:
     obj = _read(path)
-    try:
-        trunc = Truncation(*_header(obj, path))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad p/q/k ({exc})") from exc
+    trunc = Truncation(*_header(obj, path))
     x = matrix_from_obj(obj.get("x"), f"{path}:x")
     X = matrix_from_obj(obj.get("X"), f"{path}:X")
     if x.shape != (trunc.n, trunc.p) or X.shape != (trunc.n, trunc.p):

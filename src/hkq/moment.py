@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import NotInStable1, NotSkew, ShapeMismatch
+from .errors import NotInStable1, NotInStable3, NotSkew, ShapeMismatch
 from .hkspace import ConfigPoint, TangentPair, omega
 from .matcore import as_matrix, dagger, fnorm, svd
 
@@ -93,47 +93,61 @@ def _full_rank(s: np.ndarray, tol: float) -> bool:
 
 def in_stable1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the first structure:
-    X*x = 0 (to tol * k^2) and x one-to-one."""
-    return (_stable1_equation(pt, tol)
-            and _full_rank(np.linalg.svd(pt.x, compute_uv=False), tol))
-
-
-def _stable1_equation(pt: ConfigPoint, t: float) -> bool:
-    """The equation half of first-stable membership: X*x = 0 to t * k^2.
-    The rank half (x injective) is judged by the caller on singular values
-    it has."""
-    return _within_tol(fnorm(dagger(pt.X) @ pt.x), t, pt.trunc.k2)
+    X*x = 0 (to tol * k^2) and x one-to-one.  The verdict of _stable1_svd,
+    the one computation of this rule."""
+    try:
+        _stable1_svd(pt, tol, "")
+    except NotInStable1:
+        return False
+    return True
 
 
 def _stable1_svd(pt: ConfigPoint, tol: float,
                  refusal: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """in_stable1's rule judged on one thin SVD x = U diag(s) W*, for a
-    caller that reads the factors (psi1's frame, project1's |x|): returns
-    (U, s, W), or raises NotInStable1(refusal)."""
+    """First-stable membership judged once, for every entry that needs it:
+    X*x = 0 to tol * k^2 first, so nothing is factored for a point off the
+    equation, then the rank half on the one thin SVD x = U diag(s) W* that
+    the caller reads (psi1's frame, project1's |x|).  Returns (U, s, W), or
+    raises NotInStable1(refusal)."""
+    if not _within_tol(fnorm(dagger(pt.X) @ pt.x), tol, pt.trunc.k2):
+        raise NotInStable1(refusal)
     u, s, w = svd(pt.x)
-    if not (_stable1_equation(pt, tol) and _full_rank(s, tol)):
+    if not _full_rank(s, tol):
         raise NotInStable1(refusal)
     return u, s, w
-
-
-def _stable3_equations(pt: ConfigPoint, t: float) -> bool:
-    """The equation half of third-stable membership: x*x - X*X = k^2 Id and
-    X*x Hermitian, both to t * k^2.  The rank half (x + X and x - X of full
-    numerical rank) is judged by the caller on singular values it has."""
-    x, X = pt.x, pt.X
-    k2 = pt.trunc.k2
-    return (_within_tol(fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)), t, k2)
-            and _within_tol(fnorm(dagger(X) @ x - dagger(x) @ X), t, k2))
 
 
 def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the third structure:
     x*x - X*X = k^2 Id, X*x Hermitian (both to tol * k^2), and both x + X
-    and x - X of full numerical rank."""
+    and x - X of full numerical rank.  The verdict of _stable3_svd, the one
+    computation of this rule."""
+    try:
+        _stable3_svd(pt, tol, "")
+    except NotInStable3:
+        return False
+    return True
+
+
+def _stable3_svd(pt: ConfigPoint, tol: float,
+                 refusal: str) -> tuple[np.ndarray, np.ndarray]:
+    """Third-stable membership judged once, for every entry that needs it:
+    the equations x*x - X*X = k^2 Id and X*x Hermitian to tol * k^2 first,
+    so nothing is factored for a point off them, then the rank half on the
+    thin SVD of x + X and the full SVD of (x - X)* that psi3 reads its
+    frames from.  Returns (U, Wh): the left factor of x + X and the
+    conjugate-transposed right factor of (x - X)*, or raises
+    NotInStable3(refusal)."""
     x, X = pt.x, pt.X
-    return (_stable3_equations(pt, tol)
-            and _full_rank(np.linalg.svd(x + X, compute_uv=False), tol)
-            and _full_rank(np.linalg.svd(x - X, compute_uv=False), tol))
+    k2 = pt.trunc.k2
+    if not (_within_tol(fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)), tol, k2)
+            and _within_tol(fnorm(dagger(X) @ x - dagger(x) @ X), tol, k2)):
+        raise NotInStable3(refusal)
+    u, sp, _ = svd(x + X)
+    _, sq, wh = np.linalg.svd(dagger(x - X))
+    if not (_full_rank(sp, tol) and _full_rank(sq, tol)):
+        raise NotInStable3(refusal)
+    return u, wh
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

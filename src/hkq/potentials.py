@@ -30,18 +30,20 @@ The generic quotient-potential formula assembles the flat potential at the
 projected point with the determinant character term (k^2/2) log |det g|.
 
 Sharing rule.  Routes share no route-specific formula: each route is one
-private body, and its public function is its own check (membership, and
-the IntegralityWarning for K1) followed by that body.  An input that every
-route would compute bit-identically from the same point is computed once
-instead: evaluate_routes checks membership and warns once per call, and
-hands the bodies the one thin SVD of x and the one spectrum of x*x (k1),
-or psi3's pair and its one graph w (k3, k3hat).  For k1 the SVD judges
-membership by in_stable1's rule and gives the curvature route psi1's frame
-of P and the level route what project1 takes from it.  A deterministic
-function of the same input returns the same bits on each call, so each
-route value, and each cross-check residual between routes, is the same as
-from the public functions; a fault in such a shared input reaches every
-route that reads it either way.
+private body.  evaluate_routes runs every body of a potential; K1_closed,
+K3_spectral, quotient_potential and the K3_hat functions are single routes
+with their own check (membership, and the IntegralityWarning for K1)
+followed by the body.  An input that every route would compute
+bit-identically from the same point is computed once instead:
+evaluate_routes checks membership and warns once per call, and hands the
+bodies the one thin SVD of x and the one spectrum of x*x (k1), or psi3's
+pair and its one graph w (k3, k3hat).  For k1 the SVD is the one that
+judges first-stable membership (moment._stable1_svd), and it gives the
+curvature route psi1's frame of P and the level route what project1 takes
+from it.  A deterministic function of the same input returns the same
+bits on each call, so each route value, and each cross-check residual
+between routes, is the same as from the single-route functions; a fault
+in such a shared input reaches every route that reads it either way.
 
 Each body factors only what it reads: a route that reads eigenvalues
 alone takes them from matcore._eigvals, and the spectral routes reduce
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import NotInStable1, NotInStable3, NotPositiveDefinite
+from .errors import NotInStable1, NotPositiveDefinite
 from .grassmann import (
     OrbitPair,
     _angles,
@@ -79,18 +81,14 @@ from .matcore import (
     is_hermitian,
     psd_sqrt,
 )
-from .moment import _stable1_svd, in_stable1, in_stable3
+from .moment import _stable1_svd, _stable3_svd
 from .quotient import ProjectionResult, _fiber_operand, _project1, _project3, project1
 
 __all__ = [
     "IntegralityWarning",
     "K1_closed",
-    "K1_curvature",
-    "K1_fiber",
     "K3_hat_angles",
     "K3_hat_cotangent",
-    "K3_level",
-    "K3_similarity",
     "K3_spectral",
     "PotentialReport",
     "character_log_term",
@@ -143,16 +141,6 @@ def curvature_weight_k3hat(u: float) -> float:
     return float(np.expm1(0.5 * np.log1p(u)) / u)
 
 
-def _check_stable1(pt: ConfigPoint, tol: float) -> None:
-    if not in_stable1(pt, tol):
-        raise NotInStable1("K1 requires X*x = 0 and injective x")
-
-
-def _check_stable3(pt: ConfigPoint, tol: float) -> None:
-    if not in_stable3(pt, tol):
-        raise NotInStable3("K3 requires the third-structure stability conditions")
-
-
 def _x_spectrum(pt: ConfigPoint) -> HermitianSpectrum:
     """The spectrum of x*x that the closed, fiber and curvature routes read."""
     return _eigh(dagger(pt.x) @ pt.x)
@@ -193,8 +181,9 @@ def fiber_coordinate(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np
 
 
 def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
-    """First-structure potential in the closed form of the level projection."""
-    _check_stable1(pt, tol)
+    """First-structure potential in the closed form of the level projection.
+    Membership is checked (NotInStable1) before any IntegralityWarning."""
+    _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
     return _k1_closed(pt, _x_spectrum(pt))
 
@@ -211,13 +200,6 @@ def _k1_closed(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     return _logdet_term(pt, xx) + term2 + term3
 
 
-def K1_fiber(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
-    """First-structure potential through the cotangent fiber spectrum."""
-    _check_stable1(pt, tol)
-    _warn_integrality(pt.trunc.k)
-    return _k1_fiber(pt, _x_spectrum(pt))
-
-
 def _k1_fiber(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     k2 = pt.trunc.k2
     u = _fiber_spectrum(pt, xx)
@@ -225,16 +207,6 @@ def _k1_fiber(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     term2 = 0.25 * k2 * float(np.sum(root - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(0.5 * (1.0 + root))))
     return _logdet_term(pt, xx) + term2 + term3
-
-
-def K1_curvature(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
-    """First-structure potential through the curvature functional calculus.
-
-    Membership is checked once (NotInStable1, before any IntegralityWarning),
-    on the thin SVD of x whose phase-fixed U is psi1's frame of P."""
-    u, _, _ = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
-    _warn_integrality(pt.trunc.k)
-    return _k1_curvature(pt, _x_spectrum(pt), _fix_column_phases(u))
 
 
 def _k1_curvature(pt: ConfigPoint, xx: HermitianSpectrum, fp: np.ndarray) -> float:
@@ -292,7 +264,7 @@ def K3_spectral(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
 
     which reduces to (1/4) Tr(D^{1/2} - k^2 Id) with
     D = k^4 Id + 4 x*x X*X - 4 (x*X)^2 wherever X*X and x*X commute."""
-    _check_stable3(pt, tol)
+    _stable3_svd(pt, tol, "K3 requires the third-structure stability conditions")
     return _k3_spectral(pt, "minus")
 
 
@@ -301,23 +273,10 @@ def _k3_spectral(pt: ConfigPoint, outer: str) -> float:
     return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
 
 
-def K3_similarity(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
-    """Same operand evaluated through the opposite Hermitization (similarity
-    partner of the ambient n x n form, AB and BA sharing their nonzero
-    spectrum); kept as a numerically distinct route for the cross-checks."""
-    _check_stable3(pt, tol)
-    return _k3_spectral(pt, "plus")
-
-
-def K3_level(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
-    """Third-structure potential as the flat potential of the level-set
-    representative produced by project3 (exact by compact invariance).
-    psi3 checks membership (NotInStable3)."""
-    pair, _ = psi3(pt, tol)
-    return _k3_level(pair, _graph(pair, tol), pt.trunc.k, tol)
-
-
 def _k3_level(pair: OrbitPair, w: np.ndarray, k: float, tol: float) -> float:
+    """Third-structure potential as the flat potential of the level-set
+    representative that project3 builds from psi3's pair and its graph w
+    (exact by compact invariance)."""
     return flat_potential_K(_project3(pair, w, k, tol).point)
 
 
@@ -417,17 +376,16 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     """All implemented routes for one potential at one point; used by the
     cross-check suites and the CLI table.
 
-    Each value is the body of the route's public function, bit for bit, on
-    inputs computed once per call (the module's sharing rule).  k1 takes
-    one thin SVD x = U diag(s) W* and judges membership on it with
-    in_stable1's rule (NotInStable1; on a point at the boundary the verdict
-    can differ from in_stable1's, which reads a values-only SVD, in the
-    last bit) before its one IntegralityWarning, attributed to the caller.
-    The curvature route reads psi1's frame of P, the phase-fixed U, and the
-    level route project1's body on (s, W); x*x is factored once for the
-    closed, fiber and curvature routes.  k3 and k3hat take psi3's pair,
-    which applies in_stable3's rule (NotInStable3), and one graph w of it;
-    the level and angles routes both read w."""
+    Each value is its route's private body, the one that a single-route
+    function (K1_closed, K3_spectral, ...) runs too, on inputs computed once
+    per call (the module's sharing rule).  k1 judges
+    membership on the one thin SVD x = U diag(s) W* of moment._stable1_svd
+    (NotInStable1) before its one IntegralityWarning, attributed to the
+    caller.  The curvature route reads psi1's frame of P, the phase-fixed U,
+    and the level route project1's body on (s, W); x*x is factored once for
+    the closed, fiber and curvature routes.  k3 and k3hat take psi3's pair,
+    which judges membership (NotInStable3), and one graph w of it; the
+    level and angles routes both read w."""
     k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
@@ -446,7 +404,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     pair, _ = psi3(pt, tol)
     if which == "k3":
         # the spectral routes before _graph: a point that both would refuse
-        # raises the spectral route's error, as when the routes run one by one
+        # raises the spectral route's error, as K3_spectral does
         spectral, similarity = _k3_spectral(pt, "minus"), _k3_spectral(pt, "plus")
         w = _graph(pair, tol)
         return {

@@ -128,12 +128,12 @@ def _fiber_operand(pt: ConfigPoint, sx: np.ndarray) -> np.ndarray:
 def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Closed-form projection onto the level set along the first action.
 
-    One thin SVD of x judges first-stable membership (X*x = 0 to tol * k^2
-    and sigma_min(x) > tol * sigma_max(x), the rule of in_stable1) and gives
-    |x| (inside the fiber operand) and |x|^-1 on its right factor.  g and
-    its eigenvalues 1/sqrt(mu) are taken on the one eigendecomposition of
-    g^-2, and act1 inverts g.  Everything after the SVD and the membership
-    check is _project1."""
+    The one thin SVD of x that judges first-stable membership
+    (moment._stable1_svd: X*x = 0 to tol * k^2, then
+    sigma_min(x) > tol * sigma_max(x)) gives |x| (inside the fiber operand)
+    and |x|^-1 on its right factor.  g and its eigenvalues 1/sqrt(mu) are
+    taken on the one eigendecomposition of g^-2, and act1 inverts g.
+    Everything after the SVD and the membership check is _project1."""
     _, s, w = _stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")
     return _project1(pt, s, w, tol)
 

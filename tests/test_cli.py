@@ -4,7 +4,7 @@ prints), 2 for input the CLI rejects (unknown route, a point
 outside the required set, a malformed file, damaged matrix bytes, a file
 in the older re/im text layout, a non-finite k in a file or a non-finite or
 zero `angles --k`, a pair file without k, a trial count below one, a
-negative seed).  Also: what `project` factors, the
+negative seed, a --tol outside (0, 1)).  Also: what `project` factors, the
 layout of a `map --which psi3` file and loading of the older one with "z",
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
@@ -235,6 +235,22 @@ def test_tol_that_is_not_finite_and_positive_exits_2(tol, capsys):
     assert "argument --tol" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["1", "2"])
+def test_tol_of_one_or_more_exits_2(tol, capsys):
+    # sigma_min > tol * sigma_max cannot hold at tol >= 1, so no point is
+    # stable there: the parser refuses it, naming --tol, not the point
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--tol", tol, "potential", "--which", "k1", "-i", "unread.json"])
+    assert exc.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "argument --tol" in captured.err and captured.out == ""
+
+
+def test_tol_below_one_is_accepted(capsys):
+    assert cli.main(["--tol", "0.5", "info"]) == cli.EXIT_OK
+    assert "membership_tol 0.5" in capsys.readouterr().out
+
+
 def test_info_without_input_exits_0(capsys):
     assert cli.main(["info"]) == cli.EXIT_OK
     out = capsys.readouterr().out
@@ -263,8 +279,8 @@ def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
 
 def _info_oracle(path, tol=None):
     """What `info -i` prints, built from moment's membership tests: psi3
-    applies in_stable3's rule at the same tol, so in_stable3 is the oracle
-    of the verdict info reads off psi3.  tol None stands for no --tol flag."""
+    judges membership by in_stable3's computation at the same tol, so
+    in_stable3 is the oracle of the verdict info reads off psi3.  tol None stands for no --tol flag."""
     tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
     pt = jsonio.load_point(path)
     rc, rr = level_residual(pt)
@@ -327,7 +343,7 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
-    # in_stable1's SVD of x is the only factorization: psi3 judges the
+    # in_stable1's thin SVD of x is the only factorization: psi3 judges the
     # third-stable equations first and refuses before factoring x +/- X
     point = tmp_path / "s1.json"
     _sample(point, space="stable1")
@@ -335,7 +351,7 @@ def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys
     lapack_calls.clear()
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 False" in capsys.readouterr().out
-    assert dict(lapack_calls) == {"svd values": 1}
+    assert dict(lapack_calls) == {"svd thin": 1}
 
 
 def _map_psi3(tmp_path):

@@ -340,6 +340,20 @@ def test_point_file_with_k4_out_of_range_is_refused(k, files):
         jsonio.load_point(files["point"])
 
 
+@pytest.mark.parametrize("k", [0.0, -0.0, 1e-200])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_k_that_truncation_refuses_is_refused_in_every_file_kind(kind, k, files):
+    """Whenever a file holds k, Truncation's rule judges it: a zero k, or
+    one whose k^4 underflows, is a format error that names the file."""
+    path = files[kind]
+    obj = json.loads(path.read_text())
+    obj["k"] = k
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=r"bad p/q/k \(k") as exc:
+        LOADERS[kind][0](path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_file_in_the_text_layout_is_refused(files):
     """A file of the older layout, every matrix as split re/im lists of
     decimal numbers, is refused with a message that names that layout."""

@@ -1,8 +1,11 @@
-"""One membership rule per stable set, applied at the caller's tol by every
-entry point: in_stable1, psi1, project1, the k1 routes and the CLI's
-`info`, `map --which psi1`, `potential --which k1` and `project
+"""One membership computation per stable set, applied at the caller's tol
+by every entry point: in_stable1, psi1, project1, the k1 routes and the
+CLI's `info`, `map --which psi1`, `potential --which k1` and `project
 --structure i1` accept and refuse the same first-stable points, and
-in_stable3, psi3 and the k3 routes the same third-stable points."""
+in_stable3, psi3 and the k3 routes the same third-stable points.  At the
+rank boundary, tol = sigma_min / sigma_max, the two LAPACK SVD variants
+round sigma differently, so the entries agree there only because they
+read the same factorization."""
 
 import numpy as np
 import pytest
@@ -13,9 +16,15 @@ from hkq.grassmann import psi1, psi3
 from hkq.hkspace import ConfigPoint, Truncation
 from hkq.matcore import dagger, fnorm
 from hkq.moment import in_stable1, in_stable3
-from hkq.potentials import evaluate_routes
+from hkq.potentials import K1_closed, K3_spectral, evaluate_routes
 from hkq.quotient import project1
-from hkq.sampling import gaussian_complex, make_rng, sample_stable1, sample_stable3
+from hkq.sampling import (
+    gaussian_complex,
+    make_rng,
+    random_unitary,
+    sample_stable1,
+    sample_stable3,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -119,3 +128,52 @@ def test_third_stable_entries_agree_on_a_perturbed_point(seed, tol, member):
     assert in_stable3(pt, tol) is member
     assert _accepts(psi3, pt, tol, NotInStable3) is member
     assert _accepts(_k3_routes, pt, tol, NotInStable3) is member
+
+
+def _rank_ratios(m, variant):
+    """sigma_min / sigma_max of m from a values-only SVD and from the SVD
+    variant that the membership computation factors m with."""
+    values = np.linalg.svd(m, compute_uv=False)
+    if variant == "thin":
+        factored = np.linalg.svd(m, full_matrices=False)[1]
+    else:  # psi3's full SVD of (x - X)*
+        factored = np.linalg.svd(dagger(m))[1]
+    return [values[-1] / values[0], factored[-1] / factored[0]]
+
+
+def _rotated_thin_x_point(seed: int) -> ConfigPoint:
+    """_thin_x_point turned by random unitaries of C^5 and C^2: the same
+    singular values, which each SVD variant rounds in its own way."""
+    rng = make_rng(seed)
+    v, w = random_unitary(5, rng), random_unitary(2, rng)
+    pt = _thin_x_point()
+    return ConfigPoint(pt.trunc, v @ pt.x @ dagger(w), v @ pt.X @ dagger(w))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_stable_entries_agree_at_the_rank_boundary(seed):
+    pt = sample_stable1(Truncation(4, 5, SQRT2), make_rng(seed))
+    for tol in _rank_ratios(pt.x, "thin"):
+        member = in_stable1(pt, tol)
+        for entry in (psi1, project1, K1_closed, _k1_routes):
+            assert _accepts(entry, pt, tol, NotInStable1) is member, (entry, tol)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 8])
+def test_in_stable1_and_psi1_agree_at_the_rank_boundary_of_a_thin_x(seed):
+    pt = _rotated_thin_x_point(seed)
+    for tol in _rank_ratios(pt.x, "thin"):
+        assert _accepts(psi1, pt, tol, NotInStable1) is in_stable1(pt, tol), tol
+
+
+@pytest.mark.parametrize("seed,operand", [(0, "minus"), (4, "minus"), (7, "plus")])
+def test_third_stable_entries_agree_at_the_rank_boundary(seed, operand):
+    pt = sample_stable3(Truncation(4, 5, SQRT2), make_rng(seed))
+    if operand == "plus":
+        ratios = _rank_ratios(pt.x + pt.X, "thin")
+    else:
+        ratios = _rank_ratios(pt.x - pt.X, "full")
+    for tol in ratios:
+        member = in_stable3(pt, tol)
+        for entry in (psi3, K3_spectral, _k3_routes):
+            assert _accepts(entry, pt, tol, NotInStable3) is member, (entry, tol)

@@ -14,12 +14,8 @@ from hkq.matcore import dagger, fnorm, herm_eig, hermitian_part
 from hkq.potentials import (
     IntegralityWarning,
     K1_closed,
-    K1_curvature,
-    K1_fiber,
     K3_hat_angles,
     K3_hat_cotangent,
-    K3_level,
-    K3_similarity,
     K3_spectral,
     character_log_term,
     curvature_weight_k1,
@@ -96,8 +92,9 @@ class TestK1:
         assert abs(K1_closed(x_only) - want) <= 1e-12
 
     def test_s2_all_routes(self, s2_point):
-        for route in (K1_closed, K1_fiber, K1_curvature):
-            assert abs(route(s2_point) - S2_K1) <= 1e-12
+        routes = evaluate_routes(s2_point, "k1")
+        for value in (K1_closed(s2_point), routes["fiber"], routes["curvature"]):
+            assert abs(value - S2_K1) <= 1e-12
         report = quotient_potential(s2_point)
         assert abs(report.value - S2_K1) <= 1e-12
         assert abs(report.extras["flat_at_level"] - S2_FLAT_AT_LEVEL) <= 1e-12
@@ -107,21 +104,23 @@ class TestK1:
         for (p, q) in ((1, 3), (2, 2), (4, 3)):
             tr = Truncation(p, q, SQRT2)
             pt = sample_stable1(tr, rng)
-            a, b, c = K1_closed(pt), K1_fiber(pt), K1_curvature(pt)
+            routes = evaluate_routes(pt, "k1")
+            a, b, c = K1_closed(pt), routes["fiber"], routes["curvature"]
             assert abs(a - b) <= 1e-10 * (1 + abs(a))
             assert abs(a - c) <= 1e-9 * (1 + abs(a))
 
     @pytest.mark.parametrize("k", [SQRT2, 30.0])
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (6, 2)])
     def test_curvature_matches_the_frame_coordinate_form(self, p, q, k):
-        # K1_curvature reads V in ambient form; the frame coordinate of
+        # the curvature route reads V in ambient form; the frame coordinate of
         # fiber_coordinate has the same singular values, so the values
         # agree to round-off
         pt = sample_stable1(Truncation(p, q, k), make_rng(p + 10 * q))
         want = (potentials._logdet_term(pt, potentials._x_spectrum(pt))
                 + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1,
                                                     fiber_coordinate(pt)))
-        assert abs(K1_curvature(pt) - want) <= 1e-14 * max(1.0, abs(want))
+        got = evaluate_routes(pt, "k1")["curvature"]
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_rejects_unstable(self, trunc11):
         bad = ConfigPoint(trunc11, col(1.0, 0.0), col(1.0, 0.0))
@@ -169,8 +168,9 @@ class TestCharacter:
 class TestK3:
     def test_s3_pinned_value(self, s3_point):
         assert abs(K3_spectral(s3_point) - S3_K3) <= 1e-13
-        assert abs(K3_similarity(s3_point) - S3_K3) <= 1e-13
-        assert abs(K3_level(s3_point) - S3_K3) <= 1e-12
+        routes = evaluate_routes(s3_point, "k3")
+        assert abs(routes["similarity"] - S3_K3) <= 1e-13
+        assert abs(routes["level"] - S3_K3) <= 1e-12
         assert abs(K3_commuting_form(s3_point) - S3_K3) <= 1e-13
         pair, _ = psi3(s3_point)
         assert abs(K3_hat_angles(pair, SQRT2) - S3_K3) <= 1e-13
@@ -212,8 +212,8 @@ class TestK3:
             lam = np.linalg.eigvalsh(hermitian_part(d))
             if lam.min() < -1e-6:
                 found = True
-                assert abs(K3_spectral(pt) - K3_level(pt)) <= 1e-9 * (
-                    1 + abs(K3_level(pt)))
+                level = evaluate_routes(pt, "k3")["level"]
+                assert abs(K3_spectral(pt) - level) <= 1e-9 * (1 + abs(level))
                 with pytest.raises(NotPositiveDefinite):
                     K3_commuting_form(pt)
                 break
@@ -230,8 +230,7 @@ class TestK3:
         boosted = act3(herm_eig(np.diag([10.0, -10.0, 0.0, 0.0])), None, pt)
         s = np.linalg.svd(boosted.x - boosted.X, compute_uv=False)
         assert s[-1] / s[0] < 1e-8
-        routes = (K3_spectral, K3_similarity, K3_level,
-                  lambda pt, tol: evaluate_routes(pt, "k3", tol))
+        routes = (K3_spectral, lambda pt, tol: evaluate_routes(pt, "k3", tol))
         for route in routes:
             with pytest.raises((NotInStable3, NotPositiveDefinite)):
                 route(boosted, tol)
@@ -355,9 +354,9 @@ class TestQuotientPotential:
             quotient_potential(pt)
         assert [type(w.message) for w in rec] == [IntegralityWarning] * expected
 
-    @pytest.mark.parametrize("route", [K1_curvature, quotient_potential,
+    @pytest.mark.parametrize("route", [K1_closed, quotient_potential,
                                        lambda pt: evaluate_routes(pt, "k1")],
-                             ids=["K1_curvature", "quotient_potential",
+                             ids=["K1_closed", "quotient_potential",
                                   "evaluate_routes_k1"])
     def test_membership_raised_before_any_warning(self, route):
         # k = 1 would warn; X*x != 0 must be refused first
@@ -422,7 +421,8 @@ class TestRoutesAcrossShapes:
 
 class TestEvaluateRoutesSharing:
     """evaluate_routes computes each input shared by its routes once per
-    call, and every value stays the public route's, bit for bit."""
+    call, and every route with a public single-route function keeps that
+    function's value, bit for bit."""
 
     @pytest.mark.parametrize("k", [SQRT2, 30.0])
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (32, 32), (64, 64)])
@@ -431,19 +431,15 @@ class TestEvaluateRoutesSharing:
         rng = make_rng(7 * p + q)
         pt1 = sample_stable1(trunc, rng)
         pt3 = sample_stable3(trunc, rng)
-        assert evaluate_routes(pt1, "k1") == {
-            "closed": K1_closed(pt1),
-            "fiber": K1_fiber(pt1),
-            "curvature": K1_curvature(pt1),
-            "level": quotient_potential(pt1).value,
-        }
+        k1 = evaluate_routes(pt1, "k1")
+        assert set(k1) == {"closed", "fiber", "curvature", "level"}
+        assert k1["closed"] == K1_closed(pt1)
+        assert k1["level"] == quotient_potential(pt1).value
         pair, _ = psi3(pt3)
-        assert evaluate_routes(pt3, "k3") == {
-            "spectral": K3_spectral(pt3),
-            "similarity": K3_similarity(pt3),
-            "level": K3_level(pt3),
-            "angles": K3_hat_angles(pair, k),
-        }
+        k3 = evaluate_routes(pt3, "k3")
+        assert set(k3) == {"spectral", "similarity", "level", "angles"}
+        assert k3["spectral"] == K3_spectral(pt3)
+        assert k3["angles"] == K3_hat_angles(pair, k)
         v = 0.5 * grassmann._graph(pair, DEFAULT_MEMBERSHIP_TOL)
         assert evaluate_routes(pt3, "k3hat") == {
             "angles": K3_hat_angles(pair, k),
