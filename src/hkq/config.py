@@ -4,8 +4,8 @@ Membership checks (level set, stable sets, transversality) use a relative
 tolerance that scales with k^2 because the defining constraints are
 homogeneous of degree 2 in (x, X); the bound itself is written once, in
 moment._within_tol.  The default lives in the signatures
-(`tol: float = DEFAULT_MEMBERSHIP_TOL`); the CLI validates --tol (finite,
-positive) where it parses it.
+(`tol: float = DEFAULT_MEMBERSHIP_TOL`); the CLI validates --tol (a float
+in (0, 1): at 1 or more no point is stable) where it parses it.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ UNITARY_TOL = 1e-10
 PD_TOL = 1e-12
 
 # Rank cutoff of matcore.orthonormal_range and null_space_frame, which
-# extract frames (of a random plane, a complement, a frame read from a
-# file).  It judges no membership: stable-set rank is judged at the
-# caller's membership tolerance, by moment's rule.
+# extract frames (of a random plane, a complement).  It judges no
+# membership: stable-set rank is judged at the caller's membership
+# tolerance, by moment's rule.
 RANK_TOL = 1e-10
 
 # Orthonormality of a d-column frame: ||F*F - Id||_F <= FRAME_TOL (1 + d).
-# grassmann.Subspace refuses a frame beyond it; jsonio accepts a file's
-# frame within it as is, re-orthonormalizes it with a warning up to
-# 1e-6 (1 + d), and refuses it beyond that.
+# grassmann.Subspace refuses a frame beyond it, and so jsonio refuses a
+# file whose frame lies beyond it; a frame within it is taken as is.
 FRAME_TOL = 1e-9
 

@@ -58,11 +58,12 @@ def _half_k2_integral(k: float) -> bool:
 class Truncation:
     """Dimensions (p, q) of the truncated plus/minus split and the level k.
 
-    k must be finite and nonzero, with k^4 (the fiber operand divides by it) a
-    finite normal float: about 1.2e-77 < |k| < 1.2e77.  integrality_ok records
-    whether k^2/2 is a positive integer, the condition under which the
-    determinant character defining the quotient-potential formula exists as
-    a group homomorphism to the circle.
+    p and q are integers (a numpy integer is taken as an int, a bool is
+    refused).  k must be finite and nonzero, with k^4 (the fiber operand
+    divides by it) a finite normal float: about 1.2e-77 < |k| < 1.2e77.
+    integrality_ok records whether k^2/2 is a positive integer, the
+    condition under which the determinant character defining the
+    quotient-potential formula exists as a group homomorphism to the circle.
     """
 
     p: int
@@ -70,6 +71,11 @@ class Truncation:
     k: float
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            dim = getattr(self, name)
+            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {dim!r}")
+            object.__setattr__(self, name, int(dim))  # so files record a JSON integer
         if self.p < 1 or self.q < 1:
             raise ValueError(f"need p, q >= 1, got p={self.p}, q={self.q}")
         if not np.isfinite(self.k):

@@ -37,9 +37,10 @@ then `project` or `map`).
 Unknown keys are ignored on load.  Pair files of the older layout also
 held "z": z = i(x + X)(x* - X*), which is i k^2 times the projection onto P
 along Q and so fixed by P, Q and k; that key is ignored on load and no
-longer written.  Pair frames are validated against orthonormality on load:
-drift up to config.FRAME_TOL (1 + d) is accepted silently, up to
-1e-6 (1 + d) re-orthonormalized with a warning, beyond that rejected.
+longer written.  Pair frames are validated against orthonormality on load
+by grassmann.Subspace's own rule: drift up to config.FRAME_TOL (1 + d) is
+accepted as is, and beyond that the file is refused (FileFormatError).
+Every writer saves frames well within it, so a frame is never repaired.
 """
 
 from __future__ import annotations
@@ -47,16 +48,13 @@ from __future__ import annotations
 import base64
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .config import FRAME_TOL
-from .errors import FileFormatError
+from .errors import FileFormatError, ShapeMismatch
 from .grassmann import CotangentPoint, OrbitPair, Subspace
 from .hkspace import ConfigPoint, Truncation
-from .matcore import dagger, fnorm, orthonormal_range
 
 __all__ = [
     "load_cotangent",
@@ -190,19 +188,10 @@ def _frame_from_obj(obj, name: str, n: int, d: int) -> Subspace:
     f = matrix_from_obj(obj, name)
     if f.shape != (n, d):
         raise FileFormatError(f"{name}: expected {n} x {d}, got {f.shape}")
-    err = fnorm(dagger(f) @ f - np.eye(d))
-    if err <= FRAME_TOL * (1.0 + d):
+    try:
         return Subspace(f)
-    if err <= 1e-6 * (1.0 + d):
-        warnings.warn(
-            f"{name}: frame drifted from orthonormality ({err:.2e}); "
-            "re-orthonormalizing",
-            stacklevel=3,
-        )
-        return Subspace(orthonormal_range(f))
-    raise FileFormatError(
-        f"{name}: frame is not orthonormal (||F*F - Id|| = {err:.2e})"
-    )
+    except ShapeMismatch as exc:  # the frame is not orthonormal
+        raise FileFormatError(f"{name}: {exc}") from exc
 
 
 def save_pair(path, pair: OrbitPair, k: float | None = None) -> None:

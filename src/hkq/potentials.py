@@ -36,18 +36,20 @@ with their own check (membership, and the IntegralityWarning for K1)
 followed by the body.  An input that every route would compute
 bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
-bodies the one thin SVD of x and the one spectrum of x*x (k1), or psi3's
-pair and its one graph w (k3, k3hat).  For k1 the SVD is the one that
-judges first-stable membership (moment._stable1_svd), and it gives the
-curvature route psi1's frame of P and the level route what project1 takes
-from it.  A deterministic function of the same input returns the same
-bits on each call, so each route value, and each cross-check residual
-between routes, is the same as from the single-route functions; a fault
-in such a shared input reaches every route that reads it either way.
+bodies what they share: for k1 the one thin SVD of x, the one spectrum of
+x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair
+and its one graph w.  For k1 the SVD is the one that judges first-stable
+membership (moment._stable1_svd), and it gives the curvature route psi1's
+frame of P and the level route what project1 takes from it; K1_closed
+forms the log-det term and the fiber operand the same way.  A
+deterministic function of the same input returns the same bits on each
+call, so each route value, and each cross-check residual between routes,
+is the same as from the single-route functions; a fault in such a shared
+input reaches every route that reads it either way.
 
 Each body factors only what it reads: a route that reads eigenvalues
-alone takes them from matcore._eigvals, and the spectral routes reduce
-their non-Hermitian operand by a Cholesky factor, not a matrix square root.
+alone takes them from matcore._eigvals, and the spectral route reduces its
+non-Hermitian operand by a Cholesky factor, not a matrix square root.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def curvature_weight_k3hat(u: float) -> float:
 
 
 def _x_spectrum(pt: ConfigPoint) -> HermitianSpectrum:
-    """The spectrum of x*x that the closed, fiber and curvature routes read."""
+    """The spectrum of x*x, on which the log-det term and the fiber operand
+    of the k1 routes are formed."""
     return _eigh(dagger(pt.x) @ pt.x)
 
 
@@ -153,14 +156,6 @@ def _logdet_term(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     if np.any(lam <= 0):
         raise NotInStable1("x*x is not positive definite")
     return float(0.25 * k2 * np.sum(np.log(lam / k2)))
-
-
-def _fiber_spectrum(pt: ConfigPoint, xx: HermitianSpectrum) -> np.ndarray:
-    """Eigenvalues of 4 V*V for the cotangent fiber coordinate of pt,
-    computed as the spectrum of (4/k^4) |x| X*X |x| (same nonzero spectrum
-    as the frame-coordinate V, including multiplicities)."""
-    lam = _eigvals(_fiber_operand(pt, xx.fun(psd_sqrt)))
-    return np.clip(lam, 0.0, None)
 
 
 def fiber_coordinate(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
@@ -185,40 +180,41 @@ def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     Membership is checked (NotInStable1) before any IntegralityWarning."""
     _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
-    return _k1_closed(pt, _x_spectrum(pt))
+    xx = _x_spectrum(pt)
+    return _k1_closed(pt, _logdet_term(pt, xx), _fiber_operand(pt, xx.fun(psd_sqrt)))
 
 
-def _k1_closed(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
+def _k1_closed(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
     k2 = pt.trunc.k2
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
-    mu = _eigvals(np.eye(pt.trunc.p) + _fiber_operand(pt, xx.fun(psd_sqrt)))
+    mu = _eigvals(np.eye(pt.trunc.p) + fiber)
     lam = 0.5 * (1.0 + psd_sqrt(mu))
     if np.any(lam <= 0):
         raise NotInStable1("gamma gamma* is not positive definite")
     term2 = 0.5 * k2 * float(np.sum(lam - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(lam)))
-    return _logdet_term(pt, xx) + term2 + term3
+    return logdet + term2 + term3
 
 
-def _k1_fiber(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
+def _k1_fiber(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
     k2 = pt.trunc.k2
-    u = _fiber_spectrum(pt, xx)
+    u = np.clip(_eigvals(fiber), 0.0, None)  # 4 V*V, round-off negatives clipped
     root = np.sqrt(1.0 + u)
     term2 = 0.25 * k2 * float(np.sum(root - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(0.5 * (1.0 + root))))
-    return _logdet_term(pt, xx) + term2 + term3
+    return logdet + term2 + term3
 
 
-def _k1_curvature(pt: ConfigPoint, xx: HermitianSpectrum, fp: np.ndarray) -> float:
+def _k1_curvature(pt: ConfigPoint, logdet: float, fp: np.ndarray) -> float:
     """V's singular values are read off its ambient form
     (Id - F_P F_P*) V F_P (n x p), which has those of fiber_coordinate's
     F_Pperp* V F_P, so no frame of P^perp is built."""
     vf = (pt.X @ (dagger(pt.x) @ fp)) / pt.trunc.k2
     v = vf - fp @ (dagger(fp) @ vf)
-    return _logdet_term(pt, xx) + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v)
+    return logdet + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v)
 
 
-def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
+def _spectral_operand_eigs(pt: ConfigPoint) -> np.ndarray:
     """Spectrum of the constraint-set operand of the third potential.
 
     The operand is the ordered product
@@ -232,24 +228,21 @@ def _spectral_operand_eigs(pt: ConfigPoint, outer: str) -> np.ndarray:
     k^4 Id + 4 x*x X*X - 4 (x*X)^2; in general that symmetric matrix is
     off by the commutator 4 [X*X, x*X] and can fail to be positive, so the
     product form is the one evaluated.  The non-Hermitian product is never
-    factored directly: its spectrum is the spectrum of a Cholesky
-    Hermitization (the reduction of LAPACK's zhegst for the pencil
-    A B x = lam x), L* H L with G = L L* (outer='minus') or R* G R with
-    H = R R* (outer='plus'); each is similar to H G, and the two are
-    numerically distinct routes to the same eigenvalues.  A Cholesky
-    factorization that fails (G or H not numerically positive definite)
-    raises NotPositiveDefinite, as does a non-positive eigenvalue.
+    factored directly: its spectrum is that of the Cholesky Hermitization
+    L* H L with G = L L* (the reduction of LAPACK's zhegst for the pencil
+    A B x = lam x), which is similar to H G.  A Cholesky factorization
+    that fails (G not numerically positive definite) raises
+    NotPositiveDefinite, as does a non-positive eigenvalue.
     """
     h = dagger(pt.x + pt.X) @ (pt.x + pt.X)
     g = dagger(pt.x - pt.X) @ (pt.x - pt.X)
-    factored, other = (g, h) if outer == "minus" else (h, g)
     try:
-        low = np.linalg.cholesky(hermitian_part(factored))
+        low = np.linalg.cholesky(hermitian_part(g))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"spectral operand factor is not positive definite ({exc})"
         ) from exc
-    lam = _eigvals(dagger(low) @ other @ low)
+    lam = _eigvals(dagger(low) @ h @ low)
     if np.any(lam <= 0):
         raise NotPositiveDefinite(
             f"spectral operand has a non-positive eigenvalue ({lam.min():.3e})"
@@ -265,11 +258,11 @@ def K3_spectral(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     which reduces to (1/4) Tr(D^{1/2} - k^2 Id) with
     D = k^4 Id + 4 x*x X*X - 4 (x*X)^2 wherever X*X and x*X commute."""
     _stable3_svd(pt, tol, "K3 requires the third-structure stability conditions")
-    return _k3_spectral(pt, "minus")
+    return _k3_spectral(pt)
 
 
-def _k3_spectral(pt: ConfigPoint, outer: str) -> float:
-    lam = _spectral_operand_eigs(pt, outer)
+def _k3_spectral(pt: ConfigPoint) -> float:
+    lam = _spectral_operand_eigs(pt)
     return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
 
 
@@ -383,9 +376,11 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     (NotInStable1) before its one IntegralityWarning, attributed to the
     caller.  The curvature route reads psi1's frame of P, the phase-fixed U,
     and the level route project1's body on (s, W); x*x is factored once for
-    the closed, fiber and curvature routes.  k3 and k3hat take psi3's pair,
-    which judges membership (NotInStable3), and one graph w of it; the
-    level and angles routes both read w."""
+    the log-det term that the closed, fiber and curvature routes add, and
+    for the fiber operand that the closed and fiber routes read.  k3 and
+    k3hat take psi3's pair, which judges membership (NotInStable3), and one
+    graph w of it.  k3 has three routes: the spectral one reads the point
+    alone, and the level and angles routes both read w."""
     k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
@@ -393,23 +388,23 @@ def evaluate_routes(pt: ConfigPoint, which: str,
         u, s, w = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
         xx = _x_spectrum(pt)
+        logdet, fiber = _logdet_term(pt, xx), _fiber_operand(pt, xx.fun(psd_sqrt))
         return {
-            "closed": _k1_closed(pt, xx),
-            "fiber": _k1_fiber(pt, xx),
-            "curvature": _k1_curvature(pt, xx, _fix_column_phases(u)),
+            "closed": _k1_closed(pt, logdet, fiber),
+            "fiber": _k1_fiber(pt, logdet, fiber),
+            "curvature": _k1_curvature(pt, logdet, _fix_column_phases(u)),
             "level": _k1_level(_project1(pt, s, w, tol), k)[0],
         }
     if which not in ("k3", "k3hat"):
         raise ValueError(f"unknown potential tag {which!r}")
     pair, _ = psi3(pt, tol)
     if which == "k3":
-        # the spectral routes before _graph: a point that both would refuse
+        # the spectral route before _graph: a point that both would refuse
         # raises the spectral route's error, as K3_spectral does
-        spectral, similarity = _k3_spectral(pt, "minus"), _k3_spectral(pt, "plus")
+        spectral = _k3_spectral(pt)
         w = _graph(pair, tol)
         return {
             "spectral": spectral,
-            "similarity": similarity,
             "level": _k3_level(pair, w, k, tol),
             "angles": _k3_hat_angles(_angles(w), k),
         }

@@ -37,6 +37,19 @@ class TestTruncation:
         with pytest.raises(ValueError):
             Truncation(1, 1, 0.0)
 
+    # bool is an int subclass: True would otherwise read as a dimension of 1
+    @pytest.mark.parametrize("p,q,name", [(2.0, 3, "p"), (2.5, 3, "p"), (True, True, "p"),
+                                          (1, np.bool_(True), "q")])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, p, q, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Truncation(p, q, 1.0)
+
+    def test_accepts_numpy_integer_dimensions_as_ints(self):
+        trunc = Truncation(np.int64(2), np.int32(3), 1.0)
+        assert (trunc.p, trunc.q) == (2, 3)
+        assert type(trunc.p) is int and type(trunc.q) is int
+        assert trunc == Truncation(2, 3, 1.0)
+
     @pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_k(self, k):
         with pytest.raises(ValueError, match="finite"):

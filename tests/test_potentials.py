@@ -10,7 +10,7 @@ from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import NotInStable1, NotInStable3, NotPositiveDefinite, ShapeMismatch
 from hkq.grassmann import curvature_fun_apply, psi3, psi3_section
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3, flat_potential_K
-from hkq.matcore import dagger, fnorm, herm_eig, hermitian_part
+from hkq.matcore import HermitianSpectrum, dagger, fnorm, herm_eig, hermitian_part
 from hkq.potentials import (
     IntegralityWarning,
     K1_closed,
@@ -169,7 +169,6 @@ class TestK3:
     def test_s3_pinned_value(self, s3_point):
         assert abs(K3_spectral(s3_point) - S3_K3) <= 1e-13
         routes = evaluate_routes(s3_point, "k3")
-        assert abs(routes["similarity"] - S3_K3) <= 1e-13
         assert abs(routes["level"] - S3_K3) <= 1e-12
         assert abs(K3_commuting_form(s3_point) - S3_K3) <= 1e-13
         pair, _ = psi3(s3_point)
@@ -235,15 +234,25 @@ class TestK3:
             with pytest.raises((NotInStable3, NotPositiveDefinite)):
                 route(boosted, tol)
 
-    @pytest.mark.parametrize("outer,sign", [("minus", 1.0), ("plus", -1.0)])
-    def test_failed_cholesky_raises_not_positive_definite(self, outer, sign):
-        # x - sign X with an exactly zero column: the Gram factor that the
+    def test_failed_cholesky_raises_not_positive_definite(self):
+        # x - X with an exactly zero column: the Gram factor G that the
         # route factors has a zero pivot, below any membership check
         pt = sample_stable3(Truncation(3, 4, SQRT2), make_rng(1))
         X = pt.X.copy()
-        X[:, 0] = sign * pt.x[:, 0]
+        X[:, 0] = pt.x[:, 0]
         with pytest.raises(NotPositiveDefinite):
-            potentials._spectral_operand_eigs(ConfigPoint(pt.trunc, pt.x, X), outer)
+            potentials._spectral_operand_eigs(ConfigPoint(pt.trunc, pt.x, X))
+
+    def test_zero_column_of_x_plus_X_is_not_in_stable3(self):
+        # x + X with an exactly zero column is not injective: membership
+        # refuses the point before the spectral route forms H = (x+X)*(x+X)
+        pt = sample_stable3(Truncation(3, 4, SQRT2), make_rng(1))
+        X = pt.X.copy()
+        X[:, 0] = -pt.x[:, 0]
+        bad = ConfigPoint(pt.trunc, pt.x, X)
+        for route in (K3_spectral, lambda pt: evaluate_routes(pt, "k3")):
+            with pytest.raises(NotInStable3):
+                route(bad)
 
     def test_invariance_under_compact_action(self, rng):
         tr = Truncation(2, 3, SQRT2)
@@ -437,7 +446,7 @@ class TestEvaluateRoutesSharing:
         assert k1["level"] == quotient_potential(pt1).value
         pair, _ = psi3(pt3)
         k3 = evaluate_routes(pt3, "k3")
-        assert set(k3) == {"spectral", "similarity", "level", "angles"}
+        assert set(k3) == {"spectral", "level", "angles"}
         assert k3["spectral"] == K3_spectral(pt3)
         assert k3["angles"] == K3_hat_angles(pair, k)
         v = 0.5 * grassmann._graph(pair, DEFAULT_MEMBERSHIP_TOL)
@@ -466,7 +475,7 @@ class TestEvaluateRoutesSharing:
     @pytest.mark.parametrize("which,budget", [
         ("k1", {"svd thin": 1, "svd values": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}),
         ("k3", {"svd thin": 1, "svd full": 1, "svd values": 2, "qr complete": 1,
-                "inv": 1, "eigh": 1, "eigvalsh": 2, "cholesky": 2}),
+                "inv": 1, "eigh": 1, "eigvalsh": 1, "cholesky": 1}),
         ("k3hat", {"svd thin": 1, "svd full": 1, "svd values": 4, "qr complete": 1,
                    "inv": 1}),
     ])
@@ -474,8 +483,8 @@ class TestEvaluateRoutesSharing:
         # k1: one thin SVD of x for membership, the curvature frame and the
         # level route, x*x factored once for closed, fiber and curvature,
         # eigenvalues only where a route reads no eigenvectors, and no frame
-        # of P^perp; k3: one Cholesky factor and one eigvalsh per spectral
-        # route; k3/k3hat: psi3 and one graph w for every other route
+        # of P^perp; k3: one Cholesky factor and one eigvalsh for the
+        # spectral route; k3/k3hat: psi3 and one graph w for every other route
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
         pt = sample_stable1(trunc, rng) if which == "k1" else sample_stable3(trunc, rng)
@@ -491,3 +500,72 @@ class TestEvaluateRoutesSharing:
             evaluate_routes(pt, "k1")
         assert [type(w.message) for w in rec] == [IntegralityWarning] * expected
         assert [w.filename for w in rec] == [__file__] * expected
+
+
+def _scaled(fun, factor=1.0 + 1e-6):
+    """fun with its value (the first item of a tuple value) times factor."""
+    def faulty(*args):
+        out = fun(*args)
+        if isinstance(out, tuple):
+            return (out[0] * factor, *out[1:])
+        return out * factor
+    return faulty
+
+
+def _skewed_spectrum(spectrum, factor=1.0 + 1e-6):
+    """spectrum with its eigenvalues times factor."""
+    def faulty(pt):
+        xx = spectrum(pt)
+        return HermitianSpectrum(xx.eigenvalues * factor, xx.eigenvectors)
+    return faulty
+
+
+class TestEachBodyMovesOnlyItsRoute:
+    """Each route is one private body: a fault in a body moves that body's
+    route and no other, by more than the cross-check bound, in every table
+    evaluate_routes returns.  A fault in an input that evaluate_routes
+    forms once for several routes moves exactly the routes that read it."""
+
+    @staticmethod
+    def _tables():
+        trunc = Truncation(3, 4, SQRT2)
+        rng = make_rng(5)
+        pt1, pt3 = sample_stable1(trunc, rng), sample_stable3(trunc, rng)
+        return {which: evaluate_routes(pt, which)
+                for which, pt in (("k1", pt1), ("k3", pt3), ("k3hat", pt3))}
+
+    def _moved(self, monkeypatch, name, faulty):
+        base = self._tables()
+        monkeypatch.setattr(potentials, name, faulty)
+        moved = set()
+        for which, table in self._tables().items():
+            assert set(table) == set(base[which])
+            changed = {f"{which}.{route}" for route in table
+                       if table[route] != base[which][route]}
+            if changed:
+                vals = list(table.values())
+                assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
+            moved |= changed
+        return moved
+
+    ROUTES_OF_BODY = {
+        "_k1_closed": {"k1.closed"},
+        "_k1_fiber": {"k1.fiber"},
+        "_k1_curvature": {"k1.curvature"},
+        "_k1_level": {"k1.level"},
+        "_k3_spectral": {"k3.spectral"},
+        "_k3_level": {"k3.level"},
+        "_k3_hat_angles": {"k3.angles", "k3hat.angles"},
+    }
+
+    @pytest.mark.parametrize("body", list(ROUTES_OF_BODY))
+    def test_a_body_fault_moves_only_its_route(self, monkeypatch, body):
+        moved = self._moved(monkeypatch, body, _scaled(getattr(potentials, body)))
+        assert moved == self.ROUTES_OF_BODY[body]
+
+    @pytest.mark.parametrize("shared,make_fault", [("_x_spectrum", _skewed_spectrum),
+                                                   ("_logdet_term", _scaled)])
+    def test_a_shared_input_fault_moves_its_readers_and_not_level(self, monkeypatch,
+                                                                  shared, make_fault):
+        moved = self._moved(monkeypatch, shared, make_fault(getattr(potentials, shared)))
+        assert moved == {"k1.closed", "k1.fiber", "k1.curvature"}
