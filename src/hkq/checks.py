@@ -50,6 +50,7 @@ from .hkspace import (
     ConfigPoint,
     TangentPair,
     Truncation,
+    _point,
     act1,
     act3,
     apply_I,
@@ -486,9 +487,13 @@ def suite_maps(trials: int, seed: int) -> list[CheckResult]:
 
 def _mixed_second(f: Callable[[TangentPair], float], a: TangentPair,
                   b: TangentPair, step: float) -> float:
-    return (f(step * a + step * b) - f(step * a - step * b)
-            - f(-1.0 * step * a + step * b) + f(-1.0 * step * a - step * b)) \
-        / (4.0 * step * step)
+    """Central difference of f along a and b.  The four displacements are
+    +-(sa + sb) and +-(sa - sb) with sa = step a, sb = step b: IEEE rounding
+    is symmetric in sign, so each negation is exactly the sum of the
+    negated scalings."""
+    sa, sb = step * a, step * b
+    plus, minus = sa + sb, sa - sb
+    return (f(plus) - f(minus) - f(-minus) + f(-plus)) / (4.0 * step * step)
 
 
 def _ddc(f: Callable[[TangentPair], float], j: int, u: TangentPair,
@@ -520,7 +525,7 @@ def _holomorphic_stable1_chart(pt0: ConfigPoint):
         r = y.T @ x
         c = -np.linalg.solve((x0d @ x).T, r.T)
         y = y + x0c @ c
-        return ConfigPoint(pt0.trunc, x, y.conj())
+        return _point(pt0.trunc, x, y.conj())
 
     return section
 
@@ -530,7 +535,7 @@ def _ddc_flat_trial(rng) -> Residuals:
     pt = _rand_point(trunc, rng)
 
     def kappa(w: TangentPair) -> float:
-        return flat_potential_K(ConfigPoint(trunc, pt.x + w.Z, pt.X + w.T))
+        return flat_potential_K(_point(trunc, pt.x + w.Z, pt.X + w.T))
 
     # one coordinate 2-plane and one random 2-plane per trial
     m = trunc.n * trunc.p

@@ -30,7 +30,7 @@ from .errors import (
     NotTransversal,
     ShapeMismatch,
 )
-from .hkspace import ConfigPoint, Truncation
+from .hkspace import ConfigPoint, Truncation, _point
 from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame
 from .moment import _stable1_svd, _stable3_svd, _within_tol
 
@@ -253,7 +253,7 @@ def _section(fp: np.ndarray, w: np.ndarray, k: float) -> ConfigPoint:
     n, p = fp.shape
     x = k * (fp + 0.5 * w)
     X = -0.5 * k * w
-    return ConfigPoint(Truncation(p, n - p, k), x, X)
+    return _point(Truncation(p, n - p, k), x, X)
 
 
 def characteristic_angles(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:

@@ -20,6 +20,15 @@ p x p matrix too, with no type of its own: each operation checks the one
 property it needs, act1 that g is p x p and nonsingular, act3 that u is
 unitary, and potentials.character_log_term that its g is Hermitian and
 positive.  act3 takes its Hermitian parameter h as a HermitianSpectrum.
+
+Values are validated once, where they enter.  A ConfigPoint or TangentPair
+built from outside values (a caller, a file) gets the full check: coercion
+to complex128, shape and finite entries.  Points and tangents the library
+builds from values already validated (tangent sums and scalings, the
+projections of quotient.SliceBasis, the images of act1 and act3,
+psi3_section's points, the ddc suite's displaced points) keep shape and
+dtype by construction, so they get one finiteness scan (_finite_tangent,
+_point), which still refuses overflow with ShapeMismatch.
 """
 
 from __future__ import annotations
@@ -189,6 +198,19 @@ def _finite_tangent(Z: np.ndarray, T: np.ndarray) -> TangentPair:
     return _tangent(Z, T)
 
 
+def _point(trunc: Truncation, x: np.ndarray, X: np.ndarray) -> ConfigPoint:
+    """ConfigPoint of complex128 n x p matrices built from validated values,
+    the counterpart of _finite_tangent: no coercion, and overflow, the one
+    defect left, is caught by one finiteness scan per matrix."""
+    if not (np.isfinite(x).all() and np.isfinite(X).all()):
+        raise ShapeMismatch("point arithmetic overflowed to non-finite entries")
+    pt = object.__new__(ConfigPoint)
+    object.__setattr__(pt, "trunc", trunc)
+    object.__setattr__(pt, "x", x)
+    object.__setattr__(pt, "X", X)
+    return pt
+
+
 def _same_shape(v1: TangentPair, v2: TangentPair) -> None:
     if v1.Z.shape != v2.Z.shape:
         raise ShapeMismatch(f"tangent shapes differ: {v1.Z.shape} vs {v2.Z.shape}")
@@ -248,7 +270,7 @@ def act1(g, pt: ConfigPoint) -> ConfigPoint:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise Singular("group element is singular") from exc
-    return ConfigPoint(pt.trunc, pt.x @ ginv, pt.X @ dagger(g))
+    return _point(pt.trunc, pt.x @ ginv, pt.X @ dagger(g))
 
 
 def act3(h: HermitianSpectrum, u, pt: ConfigPoint) -> ConfigPoint:
@@ -282,10 +304,10 @@ def act3(h: HermitianSpectrum, u, pt: ConfigPoint) -> ConfigPoint:
         uinv = np.linalg.inv(u)
         xu, Xu = xu @ uinv, Xu @ uinv
     if not np.any(h.eigenvalues):
-        return ConfigPoint(pt.trunc, xu, Xu)
+        return _point(pt.trunc, xu, Xu)
     c = h.fun(np.cosh)
     s = h.fun(np.sinh)
-    return ConfigPoint(pt.trunc, xu @ c - Xu @ s, -xu @ s + Xu @ c)
+    return _point(pt.trunc, xu @ c - Xu @ s, -xu @ s + Xu @ c)
 
 
 def flat_potential_K(pt: ConfigPoint) -> float:

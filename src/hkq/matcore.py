@@ -14,7 +14,10 @@ Id + w*w, M = x*x + X*X, any hermitian_part) go straight to the private
 _eigh, which keeps the finite-entry check (a product that overflowed is
 still refused) and the symmetrization, and skips the Hermitian test;
 _eigvals is its eigenvalue-only form, for a caller that reads no
-eigenvectors.
+eigenvectors.  sym_sylvester_solve is the check (shapes, finite S, M
+positive definite) plus the private body _sylvester; the tangent
+projectors of quotient.SliceBasis, whose spectrum is checked positive
+definite once when the basis is built, call the body directly.
 
 Everything here is a pure function of immutable inputs: no cache, no
 module state and no warning (rank is reported by column count), so it is
@@ -313,12 +316,24 @@ def sym_sylvester_solve(m, s) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ShapeMismatch("S contains non-finite entries")
     spec = m if given else herm_eig(m)
-    lam = spec.eigenvalues
+    _check_positive_definite(spec.eigenvalues)
+    return _sylvester(spec, s)
+
+
+def _check_positive_definite(lam: np.ndarray) -> None:
+    """sym_sylvester_solve's rule on ascending eigenvalues: lam_min >
+    PD_TOL * lam_max, else NotPositiveDefinite."""
     if lam.size and lam[0] <= PD_TOL * lam[-1]:
         raise NotPositiveDefinite(
             f"M must be positive definite, min eigenvalue {lam.min():.3e}"
         )
-    u = spec.eigenvectors
+
+
+def _sylvester(spec: HermitianSpectrum, s: np.ndarray) -> np.ndarray:
+    """The body of sym_sylvester_solve, unchecked: spec has passed
+    _check_positive_definite and s is a complex128 stack (..., p, p) that
+    ends in spec's shape.  A non-finite s gives a non-finite solution."""
+    lam, u = spec.eigenvalues, spec.eigenvectors
     s_eig = dagger(u) @ s @ u
     denom = 0.5 * (lam[:, None] + lam[None, :])
     a_eig = s_eig / denom

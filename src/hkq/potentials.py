@@ -189,8 +189,6 @@ def _k1_closed(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
     mu = _eigvals(np.eye(pt.trunc.p) + fiber)
     lam = 0.5 * (1.0 + psd_sqrt(mu))
-    if np.any(lam <= 0):
-        raise NotInStable1("gamma gamma* is not positive definite")
     term2 = 0.5 * k2 * float(np.sum(lam - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(lam)))
     return logdet + term2 + term3

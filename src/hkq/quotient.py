@@ -77,17 +77,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import NotInStable1, NotInStable3, NotOnLevelSet
+from .errors import NotInStable1, NotInStable3, NotOnLevelSet, ShapeMismatch
 from .grassmann import OrbitPair, _graph, _section, psi3
-from .hkspace import ConfigPoint, TangentPair, act1, act3, apply_I
+from .hkspace import ConfigPoint, TangentPair, _finite_tangent, act1, act3, apply_I
 from .matcore import (
     HermitianSpectrum,
+    _check_positive_definite,
     _eigh,
+    _sylvester,
     dagger,
     herm_sqrt,
     hermitian_part,
     skew_part,
-    sym_sylvester_solve,
 )
 from .moment import _level_residual, _stable1_svd, _within_tol, level_residual
 
@@ -209,7 +210,11 @@ class SliceBasis:
     """The tangent projectors at the level-set point base.
 
     spec is the eigendecomposition of M = x*x + X*X that every projection
-    solves against; slice_basis checks membership and factors M once.
+    solves against; slice_basis checks membership and factors M once, and
+    the constructor checks once that spec is positive definite
+    (NotPositiveDefinite), so each projection runs the unchecked Sylvester
+    body and scans only its result for overflow.  A tangent of another
+    shape than the base raises ShapeMismatch.
     orbit, level and horizontal are g-orthogonal projectors, and
     i_orbit(j, v) projects v onto I_j applied to the orbit tangent.  The
     horizontal slice, the orbit block and its three rotations are mutually
@@ -221,20 +226,29 @@ class SliceBasis:
     base: ConfigPoint
     spec: HermitianSpectrum
 
+    def __post_init__(self):
+        _check_positive_definite(self.spec.eigenvalues)
+
+    def _fits(self, v: TangentPair) -> None:
+        if v.Z.shape != self.base.x.shape:
+            raise ShapeMismatch(f"tangent {v.Z.shape} does not fit the base {self.base.x.shape}")
+
     def orbit(self, v: TangentPair) -> TangentPair:
+        self._fits(v)
         x, X = self.base.x, self.base.X
-        a = sym_sylvester_solve(self.spec, -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T))
-        return TangentPair(-x @ a, -X @ a)
+        a = _sylvester(self.spec, -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T))
+        return _finite_tangent(-x @ a, -X @ a)
 
     def level(self, v: TangentPair) -> TangentPair:
+        self._fits(v)
         x, X, Z, T = self.base.x, self.base.X, v.Z, v.T
         xs, Xs = dagger(x), dagger(X)
         xZ, xT, XZ, XT = xs @ Z, xs @ T, Xs @ Z, Xs @ T
         # the orbit equations of I1 v = (iZ, -iT), I2 v = (T, -Z), I3 v = (iT, iZ)
         rhs = np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)])
-        a1, a2, a3 = sym_sylvester_solve(self.spec, -skew_part(rhs))
-        return TangentPair(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
-                           T + X @ (1j * a1) + x @ (a2 - 1j * a3))
+        a1, a2, a3 = _sylvester(self.spec, -skew_part(rhs))
+        return _finite_tangent(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
+                               T + X @ (1j * a1) + x @ (a2 - 1j * a3))
 
     def horizontal(self, v: TangentPair) -> TangentPair:
         w = self.level(v)

@@ -5,17 +5,21 @@ lines are the same alone and among all, and each check's worst trial
 reruns alone bit for bit.  The driver: a NaN residual fails its check, a
 trial that raises fails its family's checks only, and a margin is a
 residual against tol 1.  The reduction suite factors each level point once,
-and a fault in that one factorization still fails its checks."""
+and a fault in that one factorization still fails its checks.  The ddc
+suite's central difference takes the bits of its eight-scaling form."""
 
 import math
 
 import pytest
 
 from hkq import checks
+from hkq import potentials as pots
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
+from hkq.hkspace import ConfigPoint, Truncation, flat_potential_K
 from hkq.matcore import HermitianSpectrum
 from hkq.quotient import SliceBasis
+from hkq.sampling import make_rng, random_tangent, sample_level
 
 NAMES = ["moment", "maps"]
 
@@ -158,3 +162,25 @@ def test_a_fault_in_the_shared_factorization_fails_the_reduction_checks(monkeypa
             "orbit_vectors_fixed", "level_projection_in_kernel",
             "horizontal_I_stability", "slice_decomposition",
             "reduced_pairing_orbit_kernel"} <= failed
+
+
+def _mixed_second_by_eight_scalings(f, a, b, step):
+    return (f(step * a + step * b) - f(step * a - step * b)
+            - f(-1.0 * step * a + step * b) + f(-1.0 * step * a - step * b)) \
+        / (4.0 * step * step)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_second_takes_the_bits_of_eight_scalings(step, seed):
+    rng = make_rng(seed)
+    tr = Truncation(int(rng.integers(1, 4)), int(rng.integers(1, 4)), math.sqrt(2.0))
+    pt = sample_level(tr, rng)
+    chart = checks._holomorphic_stable1_chart(pt)
+    fs = [lambda w: flat_potential_K(ConfigPoint(tr, pt.x + w.Z, pt.X + w.T)),
+          lambda w: pots.K1_closed(chart(w))]
+    for f in fs:
+        a, b = random_tangent(tr, rng), random_tangent(tr, rng)
+        got = checks._mixed_second(f, a, b, step)
+        assert got.hex() == _mixed_second_by_eight_scalings(f, a, b, step).hex()
+

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkq.errors import BadIndex, NotHermitian, NotUnitary, ShapeMismatch, Singular
+from hkq.grassmann import psi3_section
 from hkq.hkspace import (
     ConfigPoint,
     TangentPair,
     Truncation,
+    _point,
     act1,
     act3,
     apply_I,
@@ -17,7 +19,13 @@ from hkq.hkspace import (
     omega_C,
 )
 from hkq.matcore import dagger, fnorm, herm_eig
-from hkq.sampling import gaussian_complex, make_rng, random_tangent, random_unitary
+from hkq.sampling import (
+    gaussian_complex,
+    make_rng,
+    random_tangent,
+    random_unitary,
+    sample_orbit_pair,
+)
 
 
 def col(*vals):
@@ -346,3 +354,48 @@ class TestFlatPotential:
         u = random_unitary(3, rng)
         assert abs(flat_potential_K(act1(u, pt)) - flat_potential_K(pt)) <= 1e-12 * (
             1 + abs(flat_potential_K(pt)))
+
+
+class TestTrustedPoints:
+    """act1, act3 and psi3_section build their points without the checked
+    constructor: no coercion, one finiteness scan.  The points equal the
+    checked ones, and overflow is still refused."""
+
+    def test_equal_the_checked_construction(self, rng):
+        tr = Truncation(3, 2, 1.5)
+        pt = ConfigPoint(tr, tr.base_x() + gaussian_complex(rng, (5, 3)),
+                         gaussian_complex(rng, (5, 3)))
+        g = gaussian_complex(rng, (3, 3))
+        h = herm_eig(0.5 * (g + dagger(g)))
+        outs = [act1(np.eye(3) + 0.3 * g, pt), act3(h, None, pt),
+                act3(herm_eig(np.zeros((3, 3))), random_unitary(3, rng), pt),
+                psi3_section(sample_orbit_pair(tr, rng), tr.k)]
+        for out in outs:
+            want = ConfigPoint(out.trunc, out.x, out.X)
+            assert type(out) is ConfigPoint and out.trunc == tr
+            assert out.x.dtype == out.X.dtype == np.complex128
+            assert np.array_equal(out.x, want.x) and np.array_equal(out.X, want.X)
+
+    def test_act1_overflow_is_refused(self):
+        tr = Truncation(2, 1, 1.0)
+        pt = ConfigPoint(tr, 1e10 * np.ones((3, 2)), np.zeros((3, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ShapeMismatch, match="non-finite"):
+                act1(1e-300 * np.eye(2), pt)
+
+    def test_act3_overflow_is_refused(self, s3_point):
+        h = herm_eig(np.array([[800.0]]))  # cosh(800) overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ShapeMismatch, match="non-finite"):
+                act3(h, None, s3_point)
+            with pytest.raises(ShapeMismatch, match="non-finite"):
+                act3(h, np.eye(1), s3_point)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_the_scan_refuses_non_finite_entries(self, trunc11, bad):
+        x = np.array([[1.0], [0.0]], dtype=complex)
+        for slot in (0, 1):
+            pair = [x.copy(), np.zeros_like(x)]
+            pair[slot][1, 0] = bad
+            with pytest.raises(ShapeMismatch, match="non-finite"):
+                _point(trunc11, *pair)

@@ -1,4 +1,5 @@
-"""jsonio: byte-identical round trips, the compact one-line layout, the
+"""jsonio: byte-identical round trips, the compact one-line layout (every
+writer's bytes are json.dumps's text, whatever the meta holds), the
 c16 payload (row-major little-endian complex128 bytes in base64) and its
 bit-exact reload of extreme numbers, loading of the older indented layout
 and of the older pair layout with "z", refusal of the older re/im text
@@ -101,6 +102,48 @@ def test_file_is_one_compact_line(point3, tmp_path):
     assert text.endswith("\n") and text.count("\n") == 1
     obj = json.loads(text)
     assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+HOSTILE_META = {"quote": 'say "c16":""', "backslash": "a\\b\\\"c", "c16": "é ü ∞ 𝔾",
+                "nested": {"k\u00e9y": ["\u2028", "\t", None, 1.5, True]}}
+
+
+def _dumped(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize("kind", ["point", "pair", "pair_with_k", "cotangent"])
+def test_every_writer_gives_the_json_dumps_text(kind, point1, point3, tmp_path):
+    """The writer emits each base64 payload as it is and the rest through
+    json.dumps; the file must still be json.dumps of the whole object, with
+    a meta of quotes, backslashes and non-ASCII text escaped by json."""
+    m = jsonio.matrix_to_obj
+    path = tmp_path / "f.json"
+    if kind == "point":
+        jsonio.save_point(path, point3, meta=HOSTILE_META)
+        obj = {"p": 3, "q": 2, "k": TRUNC.k, "x": m(point3.x), "X": m(point3.X),
+               "meta": HOSTILE_META}
+    elif kind == "cotangent":
+        cp = psi1(point1)
+        jsonio.save_cotangent(path, cp, TRUNC.k)
+        obj = {"p": 3, "q": 2, "k": TRUNC.k, "P": m(cp.P.frame), "eta": m(cp.eta)}
+    else:
+        pair, _ = psi3(point3)
+        k = TRUNC.k if kind == "pair_with_k" else None
+        jsonio.save_pair(path, pair, k)
+        obj = {"p": 3, "q": 2, "P": m(pair.P.frame), "Q": m(pair.Q.frame)}
+        if k is not None:
+            obj["k"] = k
+    assert path.read_bytes() == _dumped(obj)
+    if kind == "point":
+        assert jsonio._read(path)["meta"] == HOSTILE_META
+
+
+def test_a_meta_json_cannot_encode_leaves_no_file(point3, tmp_path):
+    path = tmp_path / "pt.json"
+    with pytest.raises(TypeError):
+        jsonio.save_point(path, point3, meta={"seeds": {1, 2}})
+    assert not path.exists()
 
 
 def test_indented_layout_still_loads(point3, tmp_path):

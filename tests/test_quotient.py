@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from hkq.errors import HkqError, NotInStable1, NotInStable3, NotOnLevelSet
+from hkq.errors import (
+    HkqError,
+    NotInStable1,
+    NotInStable3,
+    NotOnLevelSet,
+    NotPositiveDefinite,
+    ShapeMismatch,
+)
 from hkq.grassmann import projector_distance, psi3
 from hkq.hkspace import (
     ConfigPoint,
@@ -14,9 +21,9 @@ from hkq.hkspace import (
     metric_g,
     omega,
 )
-from hkq.matcore import dagger, fnorm, herm_eig, skew_part
+from hkq.matcore import HermitianSpectrum, dagger, fnorm, herm_eig, skew_part, sym_sylvester_solve
 from hkq.moment import in_stable1, in_stable3, level_residual
-from hkq.quotient import project1, project3, slice_basis
+from hkq.quotient import SliceBasis, project1, project3, slice_basis
 from hkq.sampling import (
     gaussian_complex,
     random_hermitian_ball,
@@ -460,3 +467,41 @@ class TestLargeShapes:
             for j in range(i + 1, 5):
                 assert abs(metric_g(parts[i], parts[j])) <= 1e-8 * (1 + nv * nv)
         assert _dF_norm(pt, basis.level(v)) <= 1e-9 * (1 + nv)
+
+
+class TestSliceBasisChecks:
+    """SliceBasis checks its spectrum positive definite once, when built;
+    each projection then runs the unchecked Sylvester body."""
+
+    def test_spectrum_not_positive_definite_is_refused(self, trunc11):
+        base = ConfigPoint.base(trunc11)
+        for lam in ([-1.0], [0.0]):
+            with pytest.raises(NotPositiveDefinite):
+                SliceBasis(base, HermitianSpectrum(np.array(lam), np.eye(1, dtype=complex)))
+
+    def test_orbit_equals_the_checked_solve(self, rng):
+        tr = Truncation(3, 2, SQRT2)
+        pt = sample_level(tr, rng)
+        basis = slice_basis(pt)
+        v = random_tangent(tr, rng)
+        a = sym_sylvester_solve(basis.spec,
+                                -skew_part(dagger(pt.x) @ v.Z + dagger(pt.X) @ v.T))
+        out = basis.orbit(v)
+        assert type(out) is TangentPair
+        assert np.array_equal(out.Z, -pt.x @ a) and np.array_equal(out.T, -pt.X @ a)
+
+    def test_a_tangent_of_another_shape_is_refused(self, rng):
+        basis = slice_basis(sample_level(Truncation(3, 2, SQRT2), rng))
+        for shape in ((5, 2), (4, 3)):
+            v = TangentPair(np.ones(shape), np.ones(shape))
+            for proj in (basis.orbit, basis.level, basis.horizontal):
+                with pytest.raises(ShapeMismatch):
+                    proj(v)
+
+    def test_overflow_is_refused(self, rng):
+        basis = slice_basis(sample_level(Truncation(2, 2, SQRT2), rng))
+        v = TangentPair(1e308 * np.ones((4, 2)), np.zeros((4, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for proj in (basis.orbit, basis.level):
+                with pytest.raises(ShapeMismatch, match="non-finite"):
+                    proj(v)
