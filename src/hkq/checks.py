@@ -441,7 +441,7 @@ def _maps_trial(rng) -> Residuals:
     pair = sample_orbit_pair(trunc, rng)
     pair_back, z = psi3(psi3_section(pair, k))
     yield "psi3_round_trip", projector_distance(pair.P, pair_back.P)
-    yield "psi3_round_trip", projector_distance(pair.Q, pair_back.Q)
+    yield "psi3_round_trip", projector_distance(pair.Qperp, pair_back.Qperp)
     # the stacked frames stay well conditioned: sigma_min > 1e-6
     yield "pair_decomposition_margin", _margin(pair.transversality())
 
@@ -461,11 +461,11 @@ def _maps_trial(rng) -> Residuals:
     u = random_unitary(trunc.p, rng)
     pair_h, _ = psi3(act3(herm_eig(h), u, pt3))
     yield "psi3_fiber_constancy", projector_distance(pair0.P, pair_h.P)
-    yield "psi3_fiber_constancy", projector_distance(pair0.Q, pair_h.Q)
+    yield "psi3_fiber_constancy", projector_distance(pair0.Qperp, pair_h.Qperp)
 
     # angle invariance under a common ambient unitary
     w = random_unitary(trunc.n, rng)
-    conj_pair = OrbitPair(Subspace(w @ pair.P.frame), Subspace(w @ pair.Q.frame))
+    conj_pair = OrbitPair(Subspace(w @ pair.P.frame), Subspace(w @ pair.Qperp.frame))
     t0 = characteristic_angles(pair)
     t1 = characteristic_angles(conj_pair)
     yield "angle_unitary_invariance", float(np.max(np.abs(t0 - t1))) if t0.size else 0.0

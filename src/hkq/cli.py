@@ -113,7 +113,7 @@ def _cmd_potential(args) -> int:
 def _cmd_angles(args) -> int:
     pair, k = jsonio.load_pair(args.input)
     if args.k is not None:  # the rule a file's k obeys (Truncation's)
-        k = Truncation(pair.P.dim, pair.Q.dim, args.k).k
+        k = Truncation(pair.P.dim, pair.P.ambient - pair.P.dim, args.k).k
     theta = characteristic_angles(pair, args.tol)
     a = np.tan(theta)
     for i, (t, ai) in enumerate(zip(theta, a)):
@@ -142,7 +142,6 @@ def _cmd_map(args) -> int:
         k2 = pt.trunc.k2
         _emit("map", "psi3")
         _emit("z_on_P_residual", fnorm(z @ pair.P.frame - 1j * k2 * pair.P.frame))
-        _emit("z_on_Q_residual", fnorm(z @ pair.Q.frame))
         _emit("transversality", pair.transversality())
     _emit("written", args.output)
     return EXIT_OK

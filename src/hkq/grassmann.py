@@ -8,9 +8,11 @@ entries.  This module provides
     (first structure) with cotangent data (P, eta), eta = (1/k^2) x X*,
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q) via
-    z = i (x + X)(x* - X*),
-  * the graph operator A: P -> P^perp of Q^perp over P, held in ambient
-    form w = F_Pperp A so that no frame of P^perp is needed, and the
+    z = i (x + X)(x* - X*).  A pair is held as P and Q^perp = Ran(x - X),
+    two n x p frames read off the thin SVDs of x + X and x - X; Q itself,
+    n x q, appears only in pair files (jsonio),
+  * the graph operator A: P -> P^perp whose graph is Q^perp, held in
+    ambient form w = F_Pperp A so that no frame of P^perp is needed, and the
     characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), and
   * the curvature tensor of the Grassmannian together with the spectral
     functional calculus of the operator Y -> 2(V V* Y + Y V* V) that feeds
@@ -19,7 +21,7 @@ entries.  This module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,24 +115,51 @@ class CotangentPoint:
 
 @dataclass(frozen=True)
 class OrbitPair:
-    """Transversal pair (P, Q), dim P = p, dim Q = q = n - p."""
+    """Transversal pair (P, Q), dim P = p, dim Q = q = n - p, held as P and
+    Qperp = Q^perp, two p-planes: Q^perp is the graph of A: P -> P^perp,
+    and no computation reads Q itself.
+
+    Q is a file-boundary representation: jsonio.save_pair writes
+    complement_frame(Qperp) as the file's Q, and load_pair stores the
+    complement of the file's Q frame as Qperp, with that frame as Q_file,
+    which save_pair writes back as it is.  A second complement would be
+    another frame of Q, so without it a pair file would not reload and
+    re-save to the same bytes.  Q_file is None for a pair built in memory.
+    """
 
     P: Subspace
-    Q: Subspace
+    Qperp: Subspace
+    Q_file: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.P.ambient != self.Q.ambient:
-            raise ShapeMismatch("P and Q live in different ambient spaces")
-        if self.P.dim + self.Q.dim != self.P.ambient:
+        if self.P.ambient != self.Qperp.ambient or self.P.dim != self.Qperp.dim:
             raise ShapeMismatch(
-                f"dim P + dim Q = {self.P.dim + self.Q.dim} != n = {self.P.ambient}"
+                f"P ({self.P.ambient} x {self.P.dim}) and Q^perp "
+                f"({self.Qperp.ambient} x {self.Qperp.dim}) must be planes of "
+                "one dimension in one space"
             )
 
     def transversality(self) -> float:
-        """sigma_min of the stacked frames; zero means P and Q intersect."""
-        stacked = np.hstack([self.P.frame, self.Q.frame])
-        s = np.linalg.svd(stacked, compute_uv=False)
-        return float(s[-1])
+        """sigma_min of the stacked n x n frames [F_P F_Q]; zero means P and
+        Q intersect.  Computed with no frame of Q as
+
+            tau = s / sqrt(1 + c) = s / sqrt(1 + sqrt(1 - s^2)),
+
+        s = sigma_min(M) with M = F_P* F_Qperp, and c = sigma_max(B) with
+        B = F_P* F_Q.  Derivation: the Gram matrix of [F_P F_Q] is
+        [[Id, B], [B*, Id]], whose eigenvalues are 1 +- sigma_i(B) and 1, so
+        tau^2 = 1 - c.  F_Q F_Q* + F_Qperp F_Qperp* = Id gives
+        B B* + M M* = F_P* F_P = Id, so c^2 = 1 - s^2 and
+        tau^2 = (1 - c^2) / (1 + c) = s^2 / (1 + c), free of cancellation
+        as s -> 0.  c is read as the largest singular value of
+        F_P - F_Qperp M* = F_Q F_Q* F_P (those of B), not as sqrt(1 - s^2),
+        which loses half the digits as s -> 1; so tau is accurate to
+        round-off at both ends."""
+        fp, fqp = self.P.frame, self.Qperp.frame
+        m = dagger(fp) @ fqp
+        s = np.linalg.svd(m, compute_uv=False)[-1]
+        c = np.linalg.svd(fp - fqp @ dagger(m), compute_uv=False)[0]
+        return float(s / np.sqrt(1.0 + c))
 
 
 def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint:
@@ -173,30 +202,28 @@ def psi3(pt: ConfigPoint,
     """Map a stable pair (third structure) to (P, Q) and the orbit operator.
 
     z = i (x + X)(x* - X*) has spectrum {i k^2, 0} with eigenspaces
-    P = Ran(x + X) and Q = Ker(x* - X*); both are verified to the
-    membership bound of moment, at tol, scaled by 1 + ||z|| / k^2.  psi3 is
-    exactly constant on orbits of the third action.
+    P = Ran(x + X) and Q = Ker(x* - X*); the pair holds P and
+    Q^perp = Ran(x - X).  psi3 is exactly constant on orbits of the third
+    action.
 
     Membership is judged by moment._stable3_svd, the one computation of
     in_stable3's rule: the equations first, so a point off them is refused
-    before anything is factored, then the rank of x + X and x - X on the
-    one thin SVD of x + X, whose p left singular vectors are the frame of
-    P, and the one full SVD of (x - X)*, whose trailing q right singular
-    vectors are the frame of Q.
+    before anything is factored, then the rank of x + X and x - X on their
+    thin SVDs, whose p left singular vectors are the frames of P and of
+    Q^perp.  That z acts as i k^2 on P is verified to the membership bound
+    of moment, at tol, scaled by 1 + ||z|| / k^2.  That z vanishes on Q is
+    not checked: it holds by construction, Q being the complement of the
+    computed frame of Ran(x - X).
     """
-    u, wh = _stable3_svd(
+    up, uq = _stable3_svd(
         pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
     x, X = pt.x, pt.X
-    P = Subspace(_fix_column_phases(u))
-    Q = Subspace(_fix_column_phases(dagger(wh)[:, pt.trunc.p:]))
+    P = Subspace(_fix_column_phases(up))
     k2 = pt.trunc.k2
     z = 1j * ((x + X) @ (dagger(x) - dagger(X)))
-    scale = fnorm(z)
-    if not _within_tol(fnorm(z @ P.frame - 1j * k2 * P.frame), tol, k2, scale):
+    if not _within_tol(fnorm(z @ P.frame - 1j * k2 * P.frame), tol, k2, fnorm(z)):
         raise NotInStable3("z does not act as i k^2 on Ran(x + X)")
-    if not _within_tol(fnorm(z @ Q.frame), tol, k2, scale):
-        raise NotInStable3("z does not vanish on Ker(x* - X*)")
-    return OrbitPair(P, Q), z
+    return OrbitPair(P, Subspace(_fix_column_phases(uq))), z
 
 
 def graph_operator(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
@@ -217,13 +244,11 @@ def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
     w = F_Pperp A = F_Qperp M^-1 - F_P with M = F_P* F_Qperp.
 
     F_Qperp M^-1 is the one basis of Q^perp that F_P* maps to Id, so w does
-    not depend on the frames chosen for P^perp or Q^perp: F_Qperp is the
-    trailing block of one complete QR of F_Q, with no gauge fixing, and no
-    frame of P^perp is built.  The singular values of M decide
-    transversality.
+    not depend on the frames chosen for P^perp or Q^perp: the pair's own
+    frame of Q^perp is read, and no frame of P^perp or of Q is built.  The
+    singular values of M decide transversality.
     """
-    fp, fq = pair.P.frame, pair.Q.frame
-    fqp = np.linalg.qr(fq, mode="complete")[0][:, fq.shape[1]:]
+    fp, fqp = pair.P.frame, pair.Qperp.frame
     m = dagger(fp) @ fqp
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
@@ -236,7 +261,7 @@ def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
 
 def psi3_section(pair: OrbitPair, k: float,
                  tol: float = DEFAULT_MEMBERSHIP_TOL) -> ConfigPoint:
-    """Canonical preimage of (P, Q) under psi3:
+    """Canonical preimage of the pair (P, Q) under psi3:
 
         x = k (F_P + (1/2) F_Pperp A),   X = -(k/2) F_Pperp A.
 

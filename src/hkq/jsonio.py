@@ -38,6 +38,11 @@ finite entries.  A matrix object of the older text layout, split "re" and
 and such files are regenerated from their seed (`hkq sample --seed ...`,
 then `project` or `map`).
 
+A pair is held in memory as P and Q^perp (grassmann.OrbitPair); the file
+keeps Q, n x q, which save_pair writes as complement_frame(Q^perp) and
+load_pair turns back into Q^perp by the same function.  The frame of Q
+read from a file is kept with the pair and written back as it is.
+
 Unknown keys are ignored on load.  Pair files of the older layout also
 held "z": z = i(x + X)(x* - X*), which is i k^2 times the projection onto P
 along Q and so fixed by P, Q and k; that key is ignored on load and no
@@ -57,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ShapeMismatch
-from .grassmann import CotangentPoint, OrbitPair, Subspace
+from .grassmann import CotangentPoint, OrbitPair, Subspace, complement_frame
 from .hkspace import ConfigPoint, Truncation
 
 __all__ = [
@@ -221,11 +226,12 @@ def _frame_from_obj(obj, name: str, n: int, d: int) -> Subspace:
 
 
 def save_pair(path, pair: OrbitPair, k: float | None = None) -> None:
+    n, p = pair.P.frame.shape
     obj = {
-        "p": pair.P.dim,
-        "q": pair.Q.dim,
+        "p": p,
+        "q": n - p,
         "P": pair.P.frame,
-        "Q": pair.Q.frame,
+        "Q": complement_frame(pair.Qperp) if pair.Q_file is None else pair.Q_file,
     }
     if k is not None:
         obj["k"] = float(k)
@@ -238,7 +244,7 @@ def load_pair(path) -> tuple[OrbitPair, float | None]:
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
     Q = _frame_from_obj(obj.get("Q"), f"{path}:Q", n, q)
-    return OrbitPair(P, Q), k
+    return OrbitPair(P, Subspace(complement_frame(Q)), Q_file=Q.frame), k
 
 
 def save_cotangent(path, cp: CotangentPoint, k: float) -> None:

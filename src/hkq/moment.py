@@ -131,23 +131,23 @@ def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
 
 def _stable3_svd(pt: ConfigPoint, tol: float,
                  refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    """Third-stable membership judged once, for every entry that needs it:
-    the equations x*x - X*X = k^2 Id and X*x Hermitian to tol * k^2 first,
-    so nothing is factored for a point off them, then the rank half on the
-    thin SVD of x + X and the full SVD of (x - X)* that psi3 reads its
-    frames from.  Returns (U, Wh): the left factor of x + X and the
-    conjugate-transposed right factor of (x - X)*, or raises
-    NotInStable3(refusal)."""
+    """Third-stable membership judged once, for every entry that needs it,
+    by the rule of _stable1_svd: the equations x*x - X*X = k^2 Id and X*x
+    Hermitian to tol * k^2 first, so nothing is factored for a point off
+    them, then the rank half on the thin SVDs of x + X and x - X.  Returns
+    their left factors (U_P, U_Qperp), n x p each: frames of P = Ran(x + X)
+    and of Q^perp = Ran(x - X), the orthogonal complement of
+    Q = Ker(x* - X*).  Raises NotInStable3(refusal)."""
     x, X = pt.x, pt.X
     k2 = pt.trunc.k2
     if not (_within_tol(fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)), tol, k2)
             and _within_tol(fnorm(dagger(X) @ x - dagger(x) @ X), tol, k2)):
         raise NotInStable3(refusal)
-    u, sp, _ = svd(x + X)
-    _, sq, wh = np.linalg.svd(dagger(x - X))
+    up, sp, _ = svd(x + X)
+    uq, sq, _ = svd(x - X)
     if not (_full_rank(sp, tol) and _full_rank(sq, tol)):
         raise NotInStable3(refusal)
-    return u, wh
+    return up, uq
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

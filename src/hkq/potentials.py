@@ -16,12 +16,20 @@ potential likewise:
              D = k^4 Id + 4 x*x X*X - 4 (x*X)^2
   level      flat potential of the orbit's level-set representative
   angles     (k^2/4) sum_i (1/cos(theta_i) - 1) over the characteristic
-             angles of the subspace pair
+             angles of the subspace pair, evaluated as
+             (k^2/4) sum_i a_i^2 / (sqrt(1 + a_i^2) + 1), a_i = tan(theta_i)
 
 and the cotangent form of the third potential
 
   (k^2/4) Tr((Id + 4V*V)^{1/2} - Id) = k^2 g_Gr(h(Op) V, V),
   h(u) = (1/u)(sqrt(1+u) - 1), h(0) = 1/2.
+
+K3 vanishes on the zero section with zero gradient, so a route that forms
+it as sqrt(1 + u) - 1 loses it to cancellation at small u: a value of size
+a^2 k^2 would carry an error of size eps k^2.  The angles and cotangent
+routes write sqrt(1 + u) - 1 as u / (sqrt(1 + u) + 1) instead, and keep
+relative accuracy down to the error eps / a of the graph singular values
+a themselves.
 
 The D shown for the spectral route is the commuting-locus collapse of the
 ordered operand (x+X)*(x+X)(x-X)*(x-X); see _spectral_operand_eigs.
@@ -37,15 +45,16 @@ followed by the body.  An input that every route would compute
 bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
 bodies what they share: for k1 the one thin SVD of x, the one spectrum of
-x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair
-and its one graph w.  For k1 the SVD is the one that judges first-stable
-membership (moment._stable1_svd), and it gives the curvature route psi1's
-frame of P and the level route what project1 takes from it; K1_closed
-forms the log-det term and the fiber operand the same way.  A
-deterministic function of the same input returns the same bits on each
-call, so each route value, and each cross-check residual between routes,
-is the same as from the single-route functions; a fault in such a shared
-input reaches every route that reads it either way.
+x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair,
+P and Q^perp from the two thin SVDs that judge third-stable membership
+(moment._stable3_svd), and its one graph w.  For k1 the SVD is the one
+that judges first-stable membership (moment._stable1_svd), and it gives
+the curvature route psi1's frame of P and the level route what project1
+takes from it; K1_closed forms the log-det term and the fiber operand the
+same way.  A deterministic function of the same input returns the same
+bits on each call, so each route value, and each cross-check residual
+between routes, is the same as from the single-route functions; a fault in
+such a shared input reaches every route that reads it either way.
 
 Each body factors only what it reads: a route that reads eigenvalues
 alone takes them from matcore._eigvals, and the spectral route reduces its
@@ -288,7 +297,8 @@ def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
     k2 = k * k
     if route == "direct":
         s = np.linalg.svd(coords, compute_uv=False)
-        return float(0.25 * k2 * np.sum(np.sqrt(1.0 + 4.0 * s * s) - 1.0))
+        u = 4.0 * s * s  # sqrt(1 + u) - 1 = u / (sqrt(1 + u) + 1)
+        return float(0.25 * k2 * np.sum(u / (np.sqrt(1.0 + u) + 1.0)))
     if route == "curvature":
         return k2 * curvature_fun_apply(curvature_weight_k3hat, coords)
     raise ValueError(f"unknown route {route!r}")
@@ -305,7 +315,8 @@ def K3_hat_angles(pair: OrbitPair, k: float, tol: float = DEFAULT_MEMBERSHIP_TOL
 
 
 def _k3_hat_angles(theta: np.ndarray, k: float) -> float:
-    return float(0.25 * k * k * np.sum(1.0 / np.cos(theta) - 1.0))
+    a = np.tan(theta)  # sec(theta) - 1 = a^2 / (sqrt(1 + a^2) + 1)
+    return float(0.25 * k * k * np.sum(a * a / (np.sqrt(1.0 + a * a) + 1.0)))
 
 
 def character_log_term(g, k: float) -> float:

@@ -12,13 +12,15 @@ and |x|^-1, and one eigendecomposition of g^-2 gives g.  project3 routes
 through the subspace-pair picture: map the point down with psi3 (which is
 where third-stable membership is checked), take the canonical preimage of
 the pair, and slide it onto the level set with the closed-form positive
-part h = (1/4) log(Id + A*A) of the third action.  The graph operator
-enters in its ambient form w = F_Pperp A, computed once and without any
-frame of P^perp; it gives the preimage, and one eigendecomposition of
-Id + w*w = Id + A*A gives h, cosh(h) and sinh(h).  The returned point
-is a representative of the intersection orbit (unique up to the free
-compact action); every downstream quantity we evaluate on it is
-invariant under that action.
+part h = (1/4) log(Id + A*A) of the third action.  psi3 holds the pair as
+the frames of P and Q^perp, n x p each, from the thin SVDs of x + X and
+x - X, and nothing on this route takes an n x n factorization.  The graph
+operator enters in its ambient form w = F_Pperp A, computed once from those
+two frames and without any frame of P^perp or of Q; it gives the preimage,
+and one eigendecomposition of Id + w*w = Id + A*A gives h, cosh(h) and
+sinh(h).  The returned point is a representative of the intersection
+orbit (unique up to the free compact action); every downstream quantity
+we evaluate on it is invariant under that action.
 
 The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
@@ -169,12 +171,12 @@ def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> Proj
 def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
-    Route: (P, Q) = psi3(pt), which checks third-stable membership and
-    raises NotInStable3; the graph operator, in its ambient form
-    w = F_Pperp A, gives the canonical preimage pt0 = psi3_section(P, Q)
-    and the one eigendecomposition of Id + w*w = Id + A*A, on which
-    h = (1/4) log(Id + A*A), its eigenvalues, cosh(h) and sinh(h) are all
-    taken;
+    Route: the pair (P, Q^perp) = psi3(pt), read off the thin SVDs of
+    x + X and x - X that check third-stable membership (NotInStable3); the
+    graph operator, in its ambient form w = F_Pperp A, gives the canonical
+    preimage pt0 = psi3_section(pair) and the one eigendecomposition of
+    Id + w*w = Id + A*A, on which h = (1/4) log(Id + A*A), its
+    eigenvalues, cosh(h) and sinh(h) are all taken;
     point = act3(-h, None, pt0), with -h passed as that spectrum.  The
     result lies in the level set (exactly, up to round-off) and in the same
     orbit as pt (psi3 reproduces the pair).  It matches the intrinsic

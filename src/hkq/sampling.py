@@ -151,12 +151,14 @@ def sample_cotangent(trunc: Truncation, rng: np.random.Generator,
 
 
 def sample_orbit_pair(trunc: Truncation, rng: np.random.Generator) -> OrbitPair:
-    """Random transversal pair (P, Q); resampled, up to 100 times,
-    until the stacked-frame smallest singular value exceeds 0.05."""
+    """Random transversal pair (P, Q), drawn as P and Q^perp, two Haar
+    random p-planes (Q^perp has the law of the complement of a Haar random
+    q-plane); resampled, up to 100 times, until the pair's transversality
+    exceeds 0.05."""
     for _ in range(_MAX_DRAWS):
         pair = OrbitPair(
             random_subspace(trunc.n, trunc.p, rng),
-            random_subspace(trunc.n, trunc.q, rng),
+            random_subspace(trunc.n, trunc.p, rng),
         )
         if pair.transversality() > 0.05:
             return pair

@@ -127,13 +127,12 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
 
 @pytest.mark.parametrize("space,structure,budget", [
     # project1: one thin SVD of x, one eigh each of Id + the fiber operand
-    # and of g^-2, act1's inv; project3: psi3's thin SVD of x + X and full
-    # SVD of (x - X)*, the graph operator's complete QR, values-only SVD and
-    # inv, one eigh of Id + w*w.  The printed eigenvalues come from the
+    # and of g^-2, act1's inv; project3: psi3's thin SVDs of x + X and
+    # x - X, the graph operator's values-only SVD and inv, one eigh of
+    # Id + w*w.  The printed eigenvalues come from the
     # projection's own spectrum, so no eigvalsh is added.
     ("stable1", "i1", {"svd thin": 1, "eigh": 2, "inv": 1}),
-    ("stable3", "i3", {"svd thin": 1, "svd full": 1, "svd values": 1,
-                       "qr complete": 1, "eigh": 1, "inv": 1}),
+    ("stable3", "i3", {"svd thin": 2, "svd values": 1, "eigh": 1, "inv": 1}),
 ])
 def test_project_factors_only_what_the_projection_does(space, structure, budget,
                                                         lapack_calls, tmp_path, capsys):
@@ -329,7 +328,7 @@ def test_info_reports_psi3s_verdict_under_a_loose_tol(tmp_path, capsys):
 
 
 def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
-    # the rank verdict comes from psi3's own SVDs of x + X and (x - X)*;
+    # the rank verdict comes from psi3's own thin SVDs of x + X and x - X;
     # the other two SVDs are characteristic_angles' (of F_P* F_Qperp and w)
     point = tmp_path / "s3.json"
     assert cli.main(["sample", "--space", "stable3", "-p", "4", "-q", "5",
@@ -339,7 +338,7 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 True" in capsys.readouterr().out
     svds = {key: n for key, n in lapack_calls.items() if key.startswith("svd")}
-    assert svds == {"svd thin": 1, "svd full": 1, "svd values": 2}
+    assert svds == {"svd thin": 2, "svd values": 2}
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
@@ -368,6 +367,23 @@ def test_angles_on_mapped_pair_exits_0(tmp_path, capsys):
     assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "theta_0 " in out and "K3_hat " in out
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (8, 64)])
+def test_angles_prints_the_transversality_that_map_printed(p, q, tmp_path, capsys):
+    # the file holds Q, and angles reads Q^perp back as its complement: the
+    # value moves by round-off only
+    point, pair = tmp_path / "s3.json", tmp_path / "pair.json"
+    assert cli.main(["sample", "--space", "stable3", "-p", str(p), "-q", str(q),
+                     "-o", str(point)]) == cli.EXIT_OK
+    printed = []
+    for argv in (["map", "--which", "psi3", "-i", str(point), "-o", str(pair)],
+                 ["angles", "-i", str(pair)]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        printed.append(float(lines["transversality"]))
+    assert abs(printed[1] - printed[0]) <= 1e-14
 
 
 def test_angles_without_k_exits_2(tmp_path, capsys):
@@ -433,7 +449,7 @@ def test_pair_file_with_old_z_key_loads_the_same(tmp_path, capsys):
     old_loaded, old_k = jsonio.load_pair(old)
     assert old_k == k
     np.testing.assert_array_equal(old_loaded.P.frame, loaded.P.frame)
-    np.testing.assert_array_equal(old_loaded.Q.frame, loaded.Q.frame)
+    np.testing.assert_array_equal(old_loaded.Qperp.frame, loaded.Qperp.frame)
     capsys.readouterr()
     outs = []
     for path in (pair, old):

@@ -20,11 +20,12 @@ from hkq.grassmann import (
     psi3_section,
 )
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3
-from hkq.matcore import dagger, fnorm, herm_eig
+from hkq.matcore import dagger, fnorm, herm_eig, orthonormal_range
 from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.sampling import (
     gaussian_complex,
     random_hermitian_ball,
+    random_subspace,
     random_unitary,
     sample_cotangent,
     sample_orbit_pair,
@@ -119,13 +120,13 @@ class TestPsi3:
         want_z[0, 0] = 2.0j
         assert fnorm(z - want_z) <= 1e-13
         assert projector_distance(pair.P, span([1.0, 0.0])) <= 1e-13
-        assert projector_distance(pair.Q, span([0.0, 1.0])) <= 1e-13
+        assert projector_distance(pair.Qperp, span([1.0, 0.0])) <= 1e-13
 
     def test_s3_image(self, s3_point):
         pair, z = psi3(s3_point)
         assert fnorm(z - np.array([[2.0j, 2.0j], [0.0, 0.0]])) <= 1e-13
         assert projector_distance(pair.P, span([1.0, 0.0])) <= 1e-13
-        assert projector_distance(pair.Q, span([1 / SQRT2, -1 / SQRT2])) <= 1e-13
+        assert projector_distance(pair.Qperp, span([1 / SQRT2, 1 / SQRT2])) <= 1e-13
 
     def test_act3_invariance(self, s3_point, rng):
         pair0, _ = psi3(s3_point)
@@ -133,7 +134,7 @@ class TestPsi3:
         u = random_unitary(1, rng)
         pair1, _ = psi3(act3(herm_eig(h), u, s3_point))
         assert projector_distance(pair0.P, pair1.P) <= 1e-9
-        assert projector_distance(pair0.Q, pair1.Q) <= 1e-9
+        assert projector_distance(pair0.Qperp, pair1.Qperp) <= 1e-9
 
     def test_rejects_unstable(self, s2_point):
         with pytest.raises(NotInStable3):
@@ -142,18 +143,18 @@ class TestPsi3:
 
 class TestGraphOperator:
     def test_orthogonal_complement_pair(self):
-        pair = OrbitPair(span([1.0, 0.0]), span([0.0, 1.0]))
+        pair = OrbitPair(span([1.0, 0.0]), span([1.0, 0.0]))
         assert fnorm(graph_operator(pair)) <= 1e-14
 
     def test_diagonal_pair(self):
-        pair = OrbitPair(span([1.0, 0.0]), span([1 / SQRT2, -1 / SQRT2]))
+        pair = OrbitPair(span([1.0, 0.0]), span([1 / SQRT2, 1 / SQRT2]))
         a = graph_operator(pair)
         assert np.allclose(a, [[1.0]], atol=1e-12)
 
     def test_general_slope(self):
         for slope in (0.5, 2.0, -1.3):
             nrm = np.sqrt(1 + slope * slope)
-            pair = OrbitPair(span([1.0, 0.0]), span([-slope / nrm, 1 / nrm]))
+            pair = OrbitPair(span([1.0, 0.0]), span([1 / nrm, slope / nrm]))
             a = graph_operator(pair)
             assert np.allclose(a, [[slope]], atol=1e-12)
 
@@ -163,19 +164,65 @@ class TestGraphOperator:
         a = graph_operator(pair)
         fp, fperp = pair.P.frame, complement_frame(pair.P)
         graph = fp + fperp @ a
-        qperp = complement_frame(pair.Q)
+        qperp = pair.Qperp.frame
         g1 = np.linalg.qr(graph)[0]
         assert fnorm(g1 @ dagger(g1) - qperp @ dagger(qperp)) <= 1e-10
 
     def test_rejects_intersecting(self):
-        pair = OrbitPair(span([1.0, 0.0]), span([1.0, 0.0]))
+        pair = OrbitPair(span([1.0, 0.0]), span([0.0, 1.0]))
+        with pytest.raises(NotTransversal):
+            graph_operator(pair)
+
+
+class TestTransversality:
+    """transversality() against sigma_min of the stacked frames [F_P F_Q],
+    with F_Q the complement_frame of Q^perp."""
+
+    @staticmethod
+    def _stacked(pair):
+        fq = complement_frame(pair.Qperp)
+        return np.linalg.svd(np.hstack([pair.P.frame, fq]), compute_uv=False)[-1]
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (4, 4), (5, 2), (1, 1)])
+    def test_matches_the_stacked_frames(self, p, q, rng):
+        for _ in range(10):
+            pair = OrbitPair(random_subspace(p + q, p, rng), random_subspace(p + q, p, rng))
+            assert abs(pair.transversality() - self._stacked(pair)) <= 1e-14
+        # Q = P^perp: s = 1, where sqrt(1 - s^2) would lose half the digits
+        # (1 - 1e-8 for an s off by eps); what is left is the frame's own
+        # drift from orthonormality, a few n eps
+        P = random_subspace(p + q, p, rng)
+        assert abs(OrbitPair(P, P).transversality() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (4, 4), (5, 2)])
+    def test_near_intersecting_pair(self, p, q, rng):
+        # the graph operator has one singular value 1e8, so
+        # s = sigma_min(F_P* F_Qperp) = 1/sqrt(1 + 1e16) and tau ~ s / sqrt 2
+        P = random_subspace(p + q, p, rng)
+        a = np.zeros((q, p), dtype=complex)
+        a[0, 0] = 1e8
+        pair = OrbitPair(P, Subspace(orthonormal_range(P.frame + complement_frame(P) @ a)))
+        tau = pair.transversality()
+        assert abs(tau - self._stacked(pair)) <= 1e-14
+        assert abs(tau - 1e-8 / SQRT2) <= 1e-6 * 1e-8
+
+    @pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (3, 1)])
+    def test_intersecting_pair(self, p, q):
+        # P = span(e_1..e_p) and Q^perp = span(e_2..e_p, e_n) miss e_1 of P,
+        # so e_1 lies in Q = (Q^perp)^perp
+        n = p + q
+        eye = np.eye(n, dtype=complex)
+        pair = OrbitPair(Subspace(eye[:, :p]),
+                         Subspace(np.hstack([eye[:, 1:p], eye[:, n - 1:]])))
+        assert pair.transversality() == 0.0
+        assert self._stacked(pair) <= 1e-15
         with pytest.raises(NotTransversal):
             graph_operator(pair)
 
 
 class TestPsi3Section:
     def test_zero_graph(self):
-        pair = OrbitPair(span([1.0, 0.0]), span([0.0, 1.0]))
+        pair = OrbitPair(span([1.0, 0.0]), span([1.0, 0.0]))
         pt = psi3_section(pair, SQRT2)
         assert max(level_residual(pt)) <= 1e-13 * 2
 
@@ -198,16 +245,16 @@ class TestPsi3Section:
             assert fnorm(xX - dagger(xX)) <= 1e-12 * (1 + fnorm(xX))
             back, _ = psi3(pt)
             assert projector_distance(pair.P, back.P) <= 1e-10
-            assert projector_distance(pair.Q, back.Q) <= 1e-10
+            assert projector_distance(pair.Qperp, back.Qperp) <= 1e-10
 
 
 class TestCharacteristicAngles:
     def test_orthogonal_pair(self):
-        pair = OrbitPair(span([1.0, 0.0]), span([0.0, 1.0]))
+        pair = OrbitPair(span([1.0, 0.0]), span([1.0, 0.0]))
         assert np.allclose(characteristic_angles(pair), [0.0])
 
     def test_unit_graph(self):
-        pair = OrbitPair(span([1.0, 0.0]), span([1 / SQRT2, -1 / SQRT2]))
+        pair = OrbitPair(span([1.0, 0.0]), span([1 / SQRT2, 1 / SQRT2]))
         assert np.allclose(characteristic_angles(pair), [np.pi / 4], atol=1e-12)
 
     def test_two_angles(self):
@@ -216,9 +263,7 @@ class TestCharacteristicAngles:
         a = np.diag([1.0, np.sqrt(3.0)]).astype(complex)
         fperp = np.array([[0, 0], [0, 0], [1, 0], [0, 1]], dtype=complex)
         graph = p1.frame + fperp @ a
-        qperp = Subspace(np.linalg.qr(graph)[0])
-        q = Subspace(complement_frame(qperp))
-        pair = OrbitPair(p1, q)
+        pair = OrbitPair(p1, Subspace(np.linalg.qr(graph)[0]))
         assert np.allclose(characteristic_angles(pair),
                            [np.pi / 4, np.pi / 3], atol=1e-12)
 

@@ -17,7 +17,7 @@ import pytest
 
 from hkq import jsonio
 from hkq.errors import FileFormatError
-from hkq.grassmann import psi1, psi3
+from hkq.grassmann import complement_frame, psi1, psi3
 from hkq.hkspace import ConfigPoint, Truncation
 from hkq.sampling import make_rng, random_subspace, sample_point
 
@@ -76,6 +76,23 @@ def test_pair_round_trips_byte_identical(with_k, old_z, point3, tmp_path):
     assert again == saved
 
 
+@pytest.mark.parametrize("damage", ["not_orthonormal", "q_perp_shape"])
+def test_pair_file_with_a_bad_Q_frame_is_refused(damage, point3, tmp_path):
+    """Q is read, checked and complemented on load: a frame that is not
+    orthonormal, or that has the shape of Q^perp (n x p) instead of Q's
+    (n x q), is refused."""
+    pair, _ = psi3(point3)
+    path = tmp_path / "pair.json"
+    jsonio.save_pair(path, pair, k=TRUNC.k)
+    obj = json.loads(path.read_text())
+    fq = jsonio.matrix_from_obj(obj["Q"])
+    bad = fq * (1.0 + 1e-3) if damage == "not_orthonormal" else pair.Qperp.frame
+    obj["Q"] = jsonio.matrix_to_obj(bad)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=":Q"):
+        jsonio.load_pair(path)
+
+
 def test_cotangent_round_trips_byte_identical(point1, tmp_path):
     path = tmp_path / "cot.json"
     jsonio.save_cotangent(path, psi1(point1), TRUNC.k)
@@ -131,7 +148,7 @@ def test_every_writer_gives_the_json_dumps_text(kind, point1, point3, tmp_path):
         pair, _ = psi3(point3)
         k = TRUNC.k if kind == "pair_with_k" else None
         jsonio.save_pair(path, pair, k)
-        obj = {"p": 3, "q": 2, "P": m(pair.P.frame), "Q": m(pair.Q.frame)}
+        obj = {"p": 3, "q": 2, "P": m(pair.P.frame), "Q": m(complement_frame(pair.Qperp))}
         if k is not None:
             obj["k"] = k
     assert path.read_bytes() == _dumped(obj)

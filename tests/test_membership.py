@@ -130,14 +130,11 @@ def test_third_stable_entries_agree_on_a_perturbed_point(seed, tol, member):
     assert _accepts(_k3_routes, pt, tol, NotInStable3) is member
 
 
-def _rank_ratios(m, variant):
-    """sigma_min / sigma_max of m from a values-only SVD and from the SVD
-    variant that the membership computation factors m with."""
+def _rank_ratios(m):
+    """sigma_min / sigma_max of m from a values-only SVD and from the thin
+    SVD that the membership computation factors m with."""
     values = np.linalg.svd(m, compute_uv=False)
-    if variant == "thin":
-        factored = np.linalg.svd(m, full_matrices=False)[1]
-    else:  # psi3's full SVD of (x - X)*
-        factored = np.linalg.svd(dagger(m))[1]
+    factored = np.linalg.svd(m, full_matrices=False)[1]
     return [values[-1] / values[0], factored[-1] / factored[0]]
 
 
@@ -153,7 +150,7 @@ def _rotated_thin_x_point(seed: int) -> ConfigPoint:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_first_stable_entries_agree_at_the_rank_boundary(seed):
     pt = sample_stable1(Truncation(4, 5, SQRT2), make_rng(seed))
-    for tol in _rank_ratios(pt.x, "thin"):
+    for tol in _rank_ratios(pt.x):
         member = in_stable1(pt, tol)
         for entry in (psi1, project1, K1_closed, _k1_routes):
             assert _accepts(entry, pt, tol, NotInStable1) is member, (entry, tol)
@@ -162,18 +159,14 @@ def test_first_stable_entries_agree_at_the_rank_boundary(seed):
 @pytest.mark.parametrize("seed", [0, 5, 8])
 def test_in_stable1_and_psi1_agree_at_the_rank_boundary_of_a_thin_x(seed):
     pt = _rotated_thin_x_point(seed)
-    for tol in _rank_ratios(pt.x, "thin"):
+    for tol in _rank_ratios(pt.x):
         assert _accepts(psi1, pt, tol, NotInStable1) is in_stable1(pt, tol), tol
 
 
 @pytest.mark.parametrize("seed,operand", [(0, "minus"), (4, "minus"), (7, "plus")])
 def test_third_stable_entries_agree_at_the_rank_boundary(seed, operand):
     pt = sample_stable3(Truncation(4, 5, SQRT2), make_rng(seed))
-    if operand == "plus":
-        ratios = _rank_ratios(pt.x + pt.X, "thin")
-    else:
-        ratios = _rank_ratios(pt.x - pt.X, "full")
-    for tol in ratios:
+    for tol in _rank_ratios(pt.x + pt.X if operand == "plus" else pt.x - pt.X):
         member = in_stable3(pt, tol)
         for entry in (psi3, K3_spectral, _k3_routes):
             assert _accepts(entry, pt, tol, NotInStable3) is member, (entry, tol)

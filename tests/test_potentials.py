@@ -8,9 +8,23 @@ from hkq import grassmann, potentials, quotient
 from hkq.cli import CROSS_ROUTE_TOL
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import NotInStable1, NotInStable3, NotPositiveDefinite, ShapeMismatch
-from hkq.grassmann import curvature_fun_apply, psi3, psi3_section
+from hkq.grassmann import (
+    OrbitPair,
+    Subspace,
+    complement_frame,
+    curvature_fun_apply,
+    psi3,
+    psi3_section,
+)
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3, flat_potential_K
-from hkq.matcore import HermitianSpectrum, dagger, fnorm, herm_eig, hermitian_part
+from hkq.matcore import (
+    HermitianSpectrum,
+    dagger,
+    fnorm,
+    herm_eig,
+    hermitian_part,
+    orthonormal_range,
+)
 from hkq.potentials import (
     IntegralityWarning,
     K1_closed,
@@ -29,6 +43,7 @@ from hkq.quotient import project1, project3
 from hkq.sampling import (
     make_rng,
     random_hermitian_ball,
+    random_subspace,
     random_unitary,
     sample_level,
     sample_orbit_pair,
@@ -306,14 +321,11 @@ class TestK3Hat:
 
     def test_angles_two_by_two(self):
         # a = diag(1, sqrt 3) at k^2 = 2: (1/2)((sqrt2 - 1) + (2 - 1))
-        from hkq.grassmann import OrbitPair, Subspace, complement_frame
-
         p1 = Subspace(np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=complex))
         a = np.diag([1.0, SQRT3]).astype(complex)
         fperp = np.array([[0, 0], [0, 0], [1, 0], [0, 1]], dtype=complex)
-        graph = np.linalg.qr(p1.frame + fperp @ a)[0]
-        q = Subspace(complement_frame(Subspace(graph)))
-        val = K3_hat_angles(OrbitPair(p1, q), SQRT2)
+        qperp = Subspace(np.linalg.qr(p1.frame + fperp @ a)[0])
+        val = K3_hat_angles(OrbitPair(p1, qperp), SQRT2)
         assert abs(val - 0.5 * ((SQRT2 - 1.0) + 1.0)) <= 1e-12
 
     def test_matches_spectral_at_sections(self, rng):
@@ -322,6 +334,27 @@ class TestK3Hat:
         pt = psi3_section(pair, tr.k)
         assert abs(K3_hat_angles(pair, tr.k) - K3_spectral(pt)) <= 1e-10 * (
             1 + abs(K3_spectral(pt)))
+
+    @pytest.mark.parametrize("size", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("p,q", [(4, 5), (8, 2)])
+    def test_planted_pair_to_relative_accuracy(self, p, q, size, rng):
+        # Q^perp is the graph of A = U diag(a) W* over P, with a in
+        # [size, 2 size], so K3 = (k^2/4) sum a^2 / (sqrt(1 + a^2) + 1).
+        # The computed w carries an absolute error of a few n eps, which
+        # moves each a_i by as much and K, of degree 2 in a, by a relative
+        # 2 n eps / a_min each: the bound is 8 times that, while a route
+        # that forms sqrt(1 + a^2) - 1 directly is off by eps / a^2.
+        n, r, k = p + q, min(p, q), SQRT2
+        P = random_subspace(n, p, rng)
+        a = size * (1.0 + rng.random(r))
+        A = (random_unitary(q, rng)[:, :r] * a) @ dagger(random_unitary(p, rng)[:, :r])
+        pair = OrbitPair(P, Subspace(orthonormal_range(P.frame + complement_frame(P) @ A)))
+        want = 0.25 * k * k * float(np.sum(a * a / (np.sqrt(1.0 + a * a) + 1.0)))
+        v = 0.5 * grassmann._graph(pair, DEFAULT_MEMBERSHIP_TOL)
+        bound = 16.0 * n * np.finfo(float).eps / a.min()
+        for value in (K3_hat_angles(pair, k), K3_hat_cotangent(v, k, "direct"),
+                      K3_hat_cotangent(v, k, "curvature")):
+            assert abs(value - want) <= bound * want
 
 
 class TestQuotientPotential:
@@ -474,17 +507,17 @@ class TestEvaluateRoutesSharing:
 
     @pytest.mark.parametrize("which,budget", [
         ("k1", {"svd thin": 1, "svd values": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}),
-        ("k3", {"svd thin": 1, "svd full": 1, "svd values": 2, "qr complete": 1,
-                "inv": 1, "eigh": 1, "eigvalsh": 1, "cholesky": 1}),
-        ("k3hat", {"svd thin": 1, "svd full": 1, "svd values": 4, "qr complete": 1,
-                   "inv": 1}),
+        ("k3", {"svd thin": 2, "svd values": 2, "inv": 1, "eigh": 1, "eigvalsh": 1,
+                "cholesky": 1}),
+        ("k3hat", {"svd thin": 2, "svd values": 4, "inv": 1}),
     ])
     def test_factorization_budget(self, which, budget, lapack_calls):
         # k1: one thin SVD of x for membership, the curvature frame and the
         # level route, x*x factored once for closed, fiber and curvature,
         # eigenvalues only where a route reads no eigenvectors, and no frame
         # of P^perp; k3: one Cholesky factor and one eigvalsh for the
-        # spectral route; k3/k3hat: psi3 and one graph w for every other route
+        # spectral route; k3/k3hat: psi3's thin SVDs of x + X and x - X and
+        # one graph w for every other route
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
         pt = sample_stable1(trunc, rng) if which == "k1" else sample_stable3(trunc, rng)

@@ -222,7 +222,7 @@ class TestProject3:
         res = project3(pt)
         pair1, _ = psi3(res.point)
         assert projector_distance(pair0.P, pair1.P) <= 1e-9
-        assert projector_distance(pair0.Q, pair1.Q) <= 1e-9
+        assert projector_distance(pair0.Qperp, pair1.Qperp) <= 1e-9
 
     def test_value_invariant_on_orbit(self, rng):
         tr = Truncation(2, 2, np.sqrt(2.0))
