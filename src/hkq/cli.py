@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, checks, jsonio
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import HkqError, NotInStable3
-from .grassmann import characteristic_angles, psi1, psi3
+from .grassmann import _orbit_pair, characteristic_angles, psi1, psi3
 from .hkspace import Truncation, flat_potential_K
 from .matcore import fnorm
 from .moment import in_stable1, level_residual, on_level_set
@@ -176,10 +176,10 @@ def _cmd_info(args) -> int:
     _emit("level_residual_real", rr)
     _emit("on_level_set", on_level_set(pt, args.tol))
     _emit("in_stable1", in_stable1(pt, args.tol))
-    # psi3 judges membership by in_stable3's one computation at the same
-    # tol, so its verdict is in_stable3's, and its pair gives the angles
+    # psi3's pair is judged by in_stable3's one computation at the same
+    # tol, so its verdict is in_stable3's, and the pair gives the angles
     try:
-        pair, _ = psi3(pt, args.tol)
+        pair = _orbit_pair(pt, args.tol)
     except NotInStable3:
         pair = None
     _emit("in_stable3", pair is not None)

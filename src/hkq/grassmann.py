@@ -9,8 +9,10 @@ entries.  This module provides
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q) via
     z = i (x + X)(x* - X*).  A pair is held as P and Q^perp = Ran(x - X),
-    two n x p frames read off the thin SVDs of x + X and x - X; Q itself,
-    n x q, appears only in pair files (jsonio),
+    two n x p frames read off the thin SVDs of x + X and x - X that judge
+    third-stable membership (moment._stable3_svd, the one rule); Q itself,
+    n x q, appears only in pair files (jsonio).  No route forms z: psi3
+    returns it for callers that read it, and checks nothing with it,
   * the graph operator A: P -> P^perp whose graph is Q^perp, held in
     ambient form w = F_Pperp A so that no frame of P^perp is needed, and the
     characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), and
@@ -26,15 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
-from .errors import (
-    BadCotangent,
-    NotInStable3,
-    NotTransversal,
-    ShapeMismatch,
-)
+from .errors import BadCotangent, NotTransversal, ShapeMismatch
 from .hkspace import ConfigPoint, Truncation, _point
 from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame
-from .moment import _stable1_svd, _stable3_svd, _within_tol
+from .moment import _stable1_svd, _stable3_svd
 
 __all__ = [
     "CotangentPoint",
@@ -206,24 +203,28 @@ def psi3(pt: ConfigPoint,
     Q^perp = Ran(x - X).  psi3 is exactly constant on orbits of the third
     action.
 
-    Membership is judged by moment._stable3_svd, the one computation of
-    in_stable3's rule: the equations first, so a point off them is refused
-    before anything is factored, then the rank of x + X and x - X on their
-    thin SVDs, whose p left singular vectors are the frames of P and of
-    Q^perp.  That z acts as i k^2 on P is verified to the membership bound
-    of moment, at tol, scaled by 1 + ||z|| / k^2.  That z vanishes on Q is
-    not checked: it holds by construction, Q being the complement of the
-    computed frame of Ran(x - X).
+    Membership is judged by _orbit_pair alone, that is by
+    moment._stable3_svd, the one computation of in_stable3's rule, so psi3
+    accepts exactly the points in_stable3 accepts at the same tol.  z is
+    formed for the caller (n x n) and returned, not checked: with
+    E = (x - X)*(x + X) - k^2 Id, the residual of the equations,
+    z (x + X) = i (x + X)(k^2 Id + E), so z F_P - i k^2 F_P grows with
+    ||E|| times the condition number of x + X, which the rank cut bounds
+    only by 1/tol; a verdict read off it would refuse stable points.
     """
+    x, X = pt.x, pt.X
+    return _orbit_pair(pt, tol), 1j * ((x + X) @ (dagger(x) - dagger(X)))
+
+
+def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
+    """psi3's pair without z, for the routes and projections that read only
+    the pair: moment._stable3_svd judges membership (the equations first,
+    so a point off them is refused before anything is factored, then the
+    rank of x + X and x - X on their thin SVDs), and its p left singular
+    vectors, phase-fixed, are the frames of P and of Q^perp."""
     up, uq = _stable3_svd(
         pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
-    x, X = pt.x, pt.X
-    P = Subspace(_fix_column_phases(up))
-    k2 = pt.trunc.k2
-    z = 1j * ((x + X) @ (dagger(x) - dagger(X)))
-    if not _within_tol(fnorm(z @ P.frame - 1j * k2 * P.frame), tol, k2, fnorm(z)):
-        raise NotInStable3("z does not act as i k^2 on Ran(x + X)")
-    return OrbitPair(P, Subspace(_fix_column_phases(uq))), z
+    return OrbitPair(Subspace(_fix_column_phases(up)), Subspace(_fix_column_phases(uq)))
 
 
 def graph_operator(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:

@@ -72,13 +72,11 @@ def _level_residual(xx: np.ndarray, XX: np.ndarray, Xx: np.ndarray,
     return fnorm(Xx), fnorm(xx - XX - k2 * np.eye(xx.shape[0]))
 
 
-def _within_tol(residual: float, t: float, k2: float, scale: float = 0.0) -> bool:
+def _within_tol(residual: float, t: float, k2: float) -> bool:
     """The membership bound, the one place it is written: a residual of the
-    degree-2 membership equations passes when it is at most
-    t * k^2 (1 + scale / k^2).  scale is the norm of an operator that the
-    residual is formed with (psi3's z), for a check whose round-off grows
-    with it; the level and stable-set equations leave it at 0."""
-    return bool(residual <= t * k2 * (1.0 + scale / k2))
+    degree-2 level and stable-set equations passes when it is at most
+    t * k^2."""
+    return bool(residual <= t * k2)
 
 
 def on_level_set(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:

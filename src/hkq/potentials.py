@@ -45,12 +45,13 @@ followed by the body.  An input that every route would compute
 bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
 bodies what they share: for k1 the one thin SVD of x, the one spectrum of
-x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair,
-P and Q^perp from the two thin SVDs that judge third-stable membership
-(moment._stable3_svd), and its one graph w.  For k1 the SVD is the one
-that judges first-stable membership (moment._stable1_svd), and it gives
-the curvature route psi1's frame of P and the level route what project1
-takes from it; K1_closed forms the log-det term and the fiber operand the
+x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair
+without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
+the two thin SVDs on which moment._stable3_svd judges third-stable
+membership, the one rule that in_stable3 and psi3 apply too, and its one
+graph w.  For k1 the SVD is the one that judges first-stable membership
+(moment._stable1_svd), and it gives the curvature route psi1's frame of P
+and the level route what project1 takes from it; K1_closed forms the log-det term and the fiber operand the
 same way.  A deterministic function of the same input returns the same
 bits on each call, so each route value, and each cross-check residual
 between routes, is the same as from the single-route functions; a fault in
@@ -74,11 +75,11 @@ from .grassmann import (
     OrbitPair,
     _angles,
     _graph,
+    _orbit_pair,
     characteristic_angles,
     complement_frame,
     curvature_fun_apply,
     psi1,
-    psi3,
 )
 from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
@@ -387,9 +388,10 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     and the level route project1's body on (s, W); x*x is factored once for
     the log-det term that the closed, fiber and curvature routes add, and
     for the fiber operand that the closed and fiber routes read.  k3 and
-    k3hat take psi3's pair, which judges membership (NotInStable3), and one
-    graph w of it.  k3 has three routes: the spectral one reads the point
-    alone, and the level and angles routes both read w."""
+    k3hat take psi3's pair from grassmann._orbit_pair, which judges
+    membership (NotInStable3) and forms no z, and one graph w of it.  k3
+    has three routes: the spectral one reads the point alone, and the level
+    and angles routes both read w."""
     k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
@@ -406,7 +408,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
         }
     if which not in ("k3", "k3hat"):
         raise ValueError(f"unknown potential tag {which!r}")
-    pair, _ = psi3(pt, tol)
+    pair = _orbit_pair(pt, tol)
     if which == "k3":
         # the spectral route before _graph: a point that both would refuse
         # raises the spectral route's error, as K3_spectral does

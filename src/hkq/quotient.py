@@ -9,12 +9,13 @@ first structure onto the level set: the unique positive group element g with
 moves (x, X) into the level set.  One thin SVD x = U diag(s) W* judges
 first-stable membership (x injective) and gives both |x| = W diag(s) W*
 and |x|^-1, and one eigendecomposition of g^-2 gives g.  project3 routes
-through the subspace-pair picture: map the point down with psi3 (which is
-where third-stable membership is checked), take the canonical preimage of
-the pair, and slide it onto the level set with the closed-form positive
-part h = (1/4) log(Id + A*A) of the third action.  psi3 holds the pair as
-the frames of P and Q^perp, n x p each, from the thin SVDs of x + X and
-x - X, and nothing on this route takes an n x n factorization.  The graph
+through the subspace-pair picture: map the point down to psi3's pair, take
+the canonical preimage of the pair, and slide it onto the level set with
+the closed-form positive part h = (1/4) log(Id + A*A) of the third action.
+The pair is the frames of P and Q^perp, n x p each, from the thin SVDs of
+x + X and x - X on which moment._stable3_svd judges third-stable
+membership, its one rule; psi3's n x n orbit operator z is not formed, and
+nothing on this route takes an n x n factorization or product.  The graph
 operator enters in its ambient form w = F_Pperp A, computed once from those
 two frames and without any frame of P^perp or of Q; it gives the preimage,
 and one eigendecomposition of Id + w*w = Id + A*A gives h, cosh(h) and
@@ -80,7 +81,7 @@ import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet, ShapeMismatch
-from .grassmann import OrbitPair, _graph, _section, psi3
+from .grassmann import OrbitPair, _graph, _orbit_pair, _section
 from .hkspace import ConfigPoint, TangentPair, _finite_tangent, act1, act3, apply_I
 from .matcore import (
     HermitianSpectrum,
@@ -171,8 +172,8 @@ def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> Proj
 def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
-    Route: the pair (P, Q^perp) = psi3(pt), read off the thin SVDs of
-    x + X and x - X that check third-stable membership (NotInStable3); the
+    Route: psi3's pair (P, Q^perp), read off the thin SVDs of x + X and
+    x - X that judge third-stable membership (NotInStable3), without z; the
     graph operator, in its ambient form w = F_Pperp A, gives the canonical
     preimage pt0 = psi3_section(pair) and the one eigendecomposition of
     Id + w*w = Id + A*A, on which h = (1/4) log(Id + A*A), its
@@ -183,7 +184,7 @@ def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
     projection only up to the free compact action; the flat potential of
     the result is nevertheless the exact projected value by invariance.
     """
-    pair, _ = psi3(pt, tol)
+    pair = _orbit_pair(pt, tol)
     return _project3(pair, _graph(pair, tol), pt.trunc.k, tol)
 
 

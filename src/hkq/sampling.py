@@ -53,15 +53,13 @@ def gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return z.reshape(shape)
 
 
-def random_tangent(trunc: Truncation, rng: np.random.Generator,
-                   scale: float = 1.0) -> TangentPair:
+def random_tangent(trunc: Truncation, rng: np.random.Generator) -> TangentPair:
     shape = (trunc.n, trunc.p)
-    return TangentPair(scale * gaussian_complex(rng, shape),
-                       scale * gaussian_complex(rng, shape))
+    return TangentPair(gaussian_complex(rng, shape), gaussian_complex(rng, shape))
 
 
-def random_skew(p: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return scale * skew_part(gaussian_complex(rng, (p, p)))
+def random_skew(p: int, rng: np.random.Generator) -> np.ndarray:
+    return skew_part(gaussian_complex(rng, (p, p)))
 
 
 def random_hermitian_ball(p: int, rng: np.random.Generator,
@@ -139,14 +137,12 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     return Subspace(orthonormal_range(gaussian_complex(rng, (n, d))))
 
 
-def sample_cotangent(trunc: Truncation, rng: np.random.Generator,
-                     scale: float = 1.0) -> CotangentPoint:
+def sample_cotangent(trunc: Truncation, rng: np.random.Generator) -> CotangentPoint:
     """Random cotangent datum: random base plane, fiber built from a random
     coordinate matrix so the structural invariants hold exactly."""
     P = random_subspace(trunc.n, trunc.p, rng)
     fperp = complement_frame(P)
-    coeff = scale * gaussian_complex(rng, (trunc.p, trunc.q))
-    eta = P.frame @ coeff @ dagger(fperp)
+    eta = P.frame @ gaussian_complex(rng, (trunc.p, trunc.q)) @ dagger(fperp)
     return CotangentPoint(P, eta)
 
 

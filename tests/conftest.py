@@ -8,6 +8,9 @@ at the projected point (sqrt 3 - 1)/2, K1 = (sqrt3-1)/2 - ln((1+sqrt3)/2)/2.
 Scenario S3 (third structure): p = q = 1, k^2 = 2, graph operator a = 1,
 x = (sqrt 2, sqrt 2/2)^T, X = (0, -sqrt 2/2)^T.  Hand values: spectral
 operand 8, K3 = (sqrt 2 - 1)/2, boost h = (1/4) ln 2.
+
+ill_conditioned_stable3 builds third-stable points with an ill-conditioned
+x + X, shared by the membership and CLI tests.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from hkq import ConfigPoint, Truncation
-from hkq.sampling import make_rng
+from hkq.sampling import gaussian_complex, make_rng
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -30,6 +33,29 @@ S2_CHARACTER = -0.5 * np.log(S2_GAMMA2_OVER_K2)
 S2_K1 = S2_FLAT_AT_LEVEL + S2_CHARACTER
 S3_K3 = (SQRT2 - 1.0) / 2.0
 S3_H = 0.25 * np.log(2.0)
+
+
+def ill_conditioned_stable3(p, q, k, cond, offset, seed) -> ConfigPoint:
+    """A third-stable point with cond(x + X) = cond whose equations are
+    off by a residual of size offset k^3.  With F the first p columns of Id_n,
+    R = diag(geomspace(k, k / cond, p)) and D zero except
+    D[0, p - 1] = offset k^2:
+
+        x + X = F (R + D),   x - X = k^2 F R^-1 + N,
+
+    N zero in its first p rows and Gaussian (seed) below, so
+    (x - X)*(x + X) = k^2 (Id + R^-1 D): the residual sits in the
+    equations, not in the rank, and both x +/- X have full rank."""
+    n = p + q
+    f = np.eye(n, p)
+    r = np.diag(np.geomspace(k, k / cond, p))
+    d = np.zeros((p, p))
+    d[0, p - 1] = offset * k * k
+    plus = f @ (r + d)
+    noise = np.zeros((n, p), dtype=complex)
+    noise[p:] = gaussian_complex(make_rng(seed), (q, p))
+    minus = k * k * f @ np.linalg.inv(r) + noise
+    return ConfigPoint(Truncation(p, q, k), (plus + minus) / 2, (plus - minus) / 2)
 
 
 @pytest.fixture

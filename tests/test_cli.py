@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import hkq
+from conftest import ill_conditioned_stable3
 from hkq import checks, cli, jsonio, quotient
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
@@ -277,9 +278,10 @@ def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
 
 
 def _info_oracle(path, tol=None):
-    """What `info -i` prints, built from moment's membership tests: psi3
-    judges membership by in_stable3's computation at the same tol, so
-    in_stable3 is the oracle of the verdict info reads off psi3.  tol None stands for no --tol flag."""
+    """What `info -i` prints, built from moment's membership tests: psi3's
+    pair is judged by in_stable3's computation at the same tol, so
+    in_stable3 is the oracle of the verdict info reads off that pair.  tol
+    None stands for no --tol flag."""
     tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
     pt = jsonio.load_point(path)
     rc, rr = level_residual(pt)
@@ -308,8 +310,8 @@ def test_info_output_is_unchanged(space, tol, tmp_path, capsys):
 
 def test_info_reports_psi3s_verdict_under_a_loose_tol(tmp_path, capsys):
     # X moved by 1e-8 along a unit direction leaves the third-stable
-    # equations off by ~1e-8 k^2, inside --tol 1e-6.  psi3 judges z against
-    # the same tol, so its verdict is in_stable3's: info prints True with the
+    # equations off by ~1e-8 k^2, inside --tol 1e-6.  psi3's pair is judged
+    # by in_stable3's rule at the same tol: info prints True with the
     # angles, and the k3 routes accept the point and agree
     s3, off = tmp_path / "s3.json", tmp_path / "off.json"
     _sample(s3, space="stable3")
@@ -327,6 +329,20 @@ def test_info_reports_psi3s_verdict_under_a_loose_tol(tmp_path, capsys):
     assert "cross_check pass" in capsys.readouterr().out
 
 
+def test_cli_verbs_accept_an_ill_conditioned_third_stable_point(tmp_path, capsys):
+    # cond(x + X) = 100 and equation residuals of 1e-10, inside tol k^2 =
+    # 2e-9: psi3's orbit operator z acts as i k^2 on P only to 7e-9 k^2,
+    # and no verb judges membership by it
+    point = tmp_path / "ill.json"
+    jsonio.save_point(point, ill_conditioned_stable3(2, 3, np.sqrt(2.0), 1e2, 5e-11, 0))
+    assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
+    assert "in_stable3 True" in capsys.readouterr().out
+    for argv in (["potential", "--which", "k3"], ["potential", "--which", "k3hat"],
+                 ["project", "--structure", "i3", "-o", str(tmp_path / "level.json")],
+                 ["map", "--which", "psi3", "-o", str(tmp_path / "pair.json")]):
+        assert cli.main([*argv, "-i", str(point)]) == cli.EXIT_OK, argv
+
+
 def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
     # the rank verdict comes from psi3's own thin SVDs of x + X and x - X;
     # the other two SVDs are characteristic_angles' (of F_P* F_Qperp and w)
@@ -342,8 +358,9 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
-    # in_stable1's thin SVD of x is the only factorization: psi3 judges the
-    # third-stable equations first and refuses before factoring x +/- X
+    # in_stable1's thin SVD of x is the only factorization: psi3's pair
+    # judges the third-stable equations first and refuses before factoring
+    # x +/- X
     point = tmp_path / "s1.json"
     _sample(point, space="stable1")
     capsys.readouterr()

@@ -95,7 +95,8 @@ class TestPsi1:
 class TestPsi1Section:
     def test_zero_section_on_level(self, rng):
         tr = Truncation(2, 3, 1.7)
-        cp = sample_cotangent(tr, rng, scale=0.0)
+        cp = CotangentPoint(random_subspace(tr.n, tr.p, rng),
+                            np.zeros((tr.n, tr.n), dtype=complex))
         pt = psi1_section(cp, tr.k)
         assert max(level_residual(pt)) <= 1e-12 * tr.k2
 

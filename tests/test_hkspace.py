@@ -282,7 +282,7 @@ class TestFlatReductions:
         for _ in range(40):
             tr = Truncation(int(rng.integers(1, 17)), int(rng.integers(1, 17)),
                             float(rng.choice([0.05, np.sqrt(2.0), 30.0])))
-            v1 = random_tangent(tr, rng, scale=float(10.0 ** rng.uniform(-3, 3)))
+            v1 = float(10.0 ** rng.uniform(-3, 3)) * random_tangent(tr, rng)
             v2 = random_tangent(tr, rng)
             terms = sum(float(np.sum(np.abs(a.real * b.real) + np.abs(a.imag * b.imag)))
                         for a, b in ((v1.Z, v2.Z), (v1.T, v2.T)))

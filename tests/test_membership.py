@@ -2,22 +2,32 @@
 by every entry point: in_stable1, psi1, project1, the k1 routes and the
 CLI's `info`, `map --which psi1`, `potential --which k1` and `project
 --structure i1` accept and refuse the same first-stable points, and
-in_stable3, psi3 and the k3 routes the same third-stable points.  At the
-rank boundary, tol = sigma_min / sigma_max, the two LAPACK SVD variants
-round sigma differently, so the entries agree there only because they
-read the same factorization."""
+in_stable3, psi3, project3, K3_spectral and the k3 and k3hat routes the
+same third-stable points (the CLI's third-structure verbs on the
+ill-conditioned point are in test_cli.py).  The third-stable
+rule is moment._stable3_svd's alone: psi3 returns its orbit operator z
+without judging anything by it, so a stable point with an ill-conditioned
+x + X, on which z acts as i k^2 on P only up to the equations' residual
+times cond(x + X), is accepted everywhere.  At the rank boundary,
+tol = sigma_min / sigma_max, the two LAPACK SVD variants round sigma
+differently, so the entries agree there only because they read the same
+factorization."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from conftest import ill_conditioned_stable3
 from hkq import cli, jsonio
+from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import NotInStable1, NotInStable3
 from hkq.grassmann import psi1, psi3
 from hkq.hkspace import ConfigPoint, Truncation
 from hkq.matcore import dagger, fnorm
 from hkq.moment import in_stable1, in_stable3
 from hkq.potentials import K1_closed, K3_spectral, evaluate_routes
-from hkq.quotient import project1
+from hkq.quotient import project1, project3
 from hkq.sampling import (
     gaussian_complex,
     make_rng,
@@ -121,13 +131,20 @@ def _k3_routes(pt, tol):
     return evaluate_routes(pt, "k3", tol)
 
 
+def _k3hat_routes(pt, tol):
+    return evaluate_routes(pt, "k3hat", tol)
+
+
+THIRD_STABLE_ENTRIES = (psi3, project3, K3_spectral, _k3_routes, _k3hat_routes)
+
+
 @pytest.mark.parametrize("tol,member", [(1e-6, True), (1e-9, False)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_third_stable_entries_agree_on_a_perturbed_point(seed, tol, member):
     pt = _off_stable3(seed)
     assert in_stable3(pt, tol) is member
-    assert _accepts(psi3, pt, tol, NotInStable3) is member
-    assert _accepts(_k3_routes, pt, tol, NotInStable3) is member
+    for entry in THIRD_STABLE_ENTRIES:
+        assert _accepts(entry, pt, tol, NotInStable3) is member, entry
 
 
 def _rank_ratios(m):
@@ -168,5 +185,23 @@ def test_third_stable_entries_agree_at_the_rank_boundary(seed, operand):
     pt = sample_stable3(Truncation(4, 5, SQRT2), make_rng(seed))
     for tol in _rank_ratios(pt.x + pt.X if operand == "plus" else pt.x - pt.X):
         member = in_stable3(pt, tol)
-        for entry in (psi3, K3_spectral, _k3_routes):
+        for entry in THIRD_STABLE_ENTRIES:
             assert _accepts(entry, pt, tol, NotInStable3) is member, (entry, tol)
+
+
+ILL_CONDITIONED_FAMILY = [(*shape, *rest) for shape, *rest in itertools.product(
+    [(2, 3), (4, 5)], [SQRT2, 5.0], [1e2, 1e3], [5e-11, 2e-10], [0, 1, 2])]
+
+
+@pytest.mark.parametrize("p,q,k,cond,offset,seed", ILL_CONDITIONED_FAMILY)
+def test_third_stable_entries_accept_an_ill_conditioned_point(p, q, k, cond, offset,
+                                                              seed):
+    # z F_P - i k^2 F_P is about cond(x + X) times the equations' residual
+    # here, well above tol k^2: no entry may judge membership by z
+    tol = DEFAULT_MEMBERSHIP_TOL
+    pt = ill_conditioned_stable3(p, q, k, cond, offset, seed)
+    assert in_stable3(pt, tol)
+    for entry in THIRD_STABLE_ENTRIES:
+        assert _accepts(entry, pt, tol, NotInStable3), entry
+    values = list(evaluate_routes(pt, "k3", tol).values())
+    assert (max(values) - min(values)) / max(1.0, abs(values[0])) <= cli.CROSS_ROUTE_TOL

@@ -239,7 +239,7 @@ def test_projectors_at_the_base_point_for_any_k(k, rng):
     # M = k^2 Id there: positive definite for every k
     tr = Truncation(2, 3, k)
     pt = ConfigPoint.base(tr)
-    v = random_tangent(tr, rng, scale=k)
+    v = k * random_tangent(tr, rng)
     nv = np.sqrt(metric_g(v, v))
     basis = slice_basis(pt)
     for proj in (basis.orbit, basis.level, basis.horizontal):
