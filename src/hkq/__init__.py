@@ -64,7 +64,6 @@ from .potentials import (
     PotentialReport,
     character_log_term,
     evaluate_routes,
-    fiber_coordinate,
     quotient_potential,
 )
 from .quotient import (

@@ -27,7 +27,7 @@ from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import HkqError, NotInStable3
 from .grassmann import _orbit_pair, characteristic_angles, psi1, psi3
 from .hkspace import Truncation, flat_potential_K
-from .matcore import fnorm
+from .matcore import dagger, fnorm
 from .moment import in_stable1, level_residual, on_level_set
 from .potentials import K3_hat_angles, evaluate_routes
 from .quotient import project1, project3
@@ -134,8 +134,9 @@ def _cmd_map(args) -> int:
         cp = psi1(pt, args.tol)
         jsonio.save_cotangent(args.output, cp, pt.trunc.k)
         _emit("map", "psi1")
-        _emit("eta_on_P_residual", fnorm(cp.eta @ cp.P.frame))
-        _emit("eta_norm", fnorm(cp.eta))
+        # eta = F_P V*: ||eta F_P|| = ||F_P* V||, ||eta|| = ||V||
+        _emit("eta_on_P_residual", fnorm(dagger(cp.P.frame) @ cp.V))
+        _emit("eta_norm", fnorm(cp.V))
     else:
         pair, z = psi3(pt, args.tol)
         jsonio.save_pair(args.output, pair, k=pt.trunc.k)

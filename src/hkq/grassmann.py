@@ -6,6 +6,7 @@ entries.  This module provides
 
   * psi1 and its section: the identification of stable configuration pairs
     (first structure) with cotangent data (P, eta), eta = (1/k^2) x X*,
+    held as P and the n x p fiber V with eta = F_P V* (no frame of P^perp),
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q) via
     z = i (x + X)(x* - X*).  A pair is held as P and Q^perp = Ran(x - X),
@@ -90,24 +91,27 @@ def complement_frame(sub: Subspace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CotangentPoint:
-    """Cotangent datum (P, eta) with eta an n x n matrix vanishing on P and
-    ranging inside P (the compressed form of a map P^perp -> P)."""
+    """Cotangent datum (P, eta) held as P and the n x p fiber coordinate V,
+    with F_P* V = 0: eta = F_P V*, an n x n matrix vanishing on P and
+    ranging inside P (the compressed form of a map P^perp -> P).  V is
+    fixed by eta only up to the gauge of F_P, so data are compared through
+    eta, which is formed on each access."""
 
     P: Subspace
-    eta: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self):
-        eta = as_matrix(self.eta, "eta")
-        n = self.P.ambient
-        if eta.shape != (n, n):
-            raise BadCotangent(f"eta must be {n} x {n}, got {eta.shape}")
-        f = self.P.frame
-        scale = 1.0 + fnorm(eta)
-        if fnorm(eta @ f) > 1e-7 * scale:
-            raise BadCotangent("eta does not vanish on P")
-        if fnorm(eta - f @ (dagger(f) @ eta)) > 1e-7 * scale:
-            raise BadCotangent("range of eta is not inside P")
-        object.__setattr__(self, "eta", eta)
+        v = as_matrix(self.V, "V")
+        shape = self.P.frame.shape
+        if v.shape != shape:
+            raise BadCotangent(f"V must be {shape[0]} x {shape[1]}, got {v.shape}")
+        if fnorm(dagger(self.P.frame) @ v) > 1e-7 * (1.0 + fnorm(v)):
+            raise BadCotangent("V has a component in P (eta does not vanish on P)")
+        object.__setattr__(self, "V", v)
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.P.frame @ dagger(self.V)
 
 
 @dataclass(frozen=True)
@@ -165,33 +169,35 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
 
     x is factored once: the thin SVD that judges first-stable membership
     (moment._stable1_svd, the one computation of in_stable1's rule) gives
-    the frame F_P of P, its p left singular vectors.  eta is taken in its
-    compressed form (1/k^2) x X* (Id - F_P F_P*), which equals (1/k^2) x X*
-    where X*x = 0 and vanishes on P and ranges inside P to round-off at any
-    tol, so a point that passes membership at a loose tol meets
-    CotangentPoint's invariants too."""
+    the frame F_P of P, its p left singular vectors.  The fiber is held as
+    V = _fiber(pt, F_P), so eta = F_P V* = (1/k^2) x X* (Id - F_P F_P*),
+    which equals (1/k^2) x X* where X*x = 0.  V is projected off P, so it
+    meets CotangentPoint's check to round-off at any tol, and a point that
+    passes membership at a loose tol maps to a valid datum too."""
     u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
     P = Subspace(_fix_column_phases(u))
-    f, Xs = P.frame, dagger(pt.X)
-    eta = (pt.x @ (Xs - (Xs @ f) @ dagger(f))) / pt.trunc.k2
-    return CotangentPoint(P, eta)
+    return CotangentPoint(P, _fiber(pt, P.frame))
+
+
+def _fiber(pt: ConfigPoint, fp: np.ndarray) -> np.ndarray:
+    """psi1's fiber V = (Id - F_P F_P*) X x* F_P / k^2 (n x p) for the
+    frame fp of P = Ran x: F_Pperp B for the frame coordinate
+    B = F_Pperp* (X x*/k^2) F_P, so it has B's singular values, built with
+    no frame F_Pperp of P^perp."""
+    vf = (pt.X @ (dagger(pt.x) @ fp)) / pt.trunc.k2
+    return vf - fp @ (dagger(fp) @ vf)
 
 
 def psi1_section(cp: CotangentPoint, k: float) -> ConfigPoint:
-    """Explicit section of psi1: x = k F_P, X = k eta* F_P.
+    """Explicit section of psi1: x = k F_P, X = k V (= k eta* F_P).
 
-    The result satisfies x*x = k^2 Id and X*x = 0 exactly, hence lies in the
-    stable set, and psi1 reproduces (P, eta).  It is not level-normalized in
-    the fiber direction (X*X != 0 in general); quotient.project1 moves it to
-    the level set.
+    The result satisfies x*x = k^2 Id and X*x = 0 up to the round-off of
+    F_P* V, hence lies in the stable set, and psi1 reproduces (P, eta).  It
+    is not level-normalized in the fiber direction (X*X != 0 in general);
+    quotient.project1 moves it to the level set.
     """
-    f = cp.P.frame
-    n, p = f.shape
-    q = n - p
-    x = k * f
-    X = k * (dagger(cp.eta) @ f)
-    trunc = Truncation(p, q, k)
-    return ConfigPoint(trunc, x, X)
+    n, p = cp.P.frame.shape
+    return ConfigPoint(Truncation(p, n - p, k), k * cp.P.frame, k * cp.V)
 
 
 def psi3(pt: ConfigPoint,

@@ -29,6 +29,9 @@ Schemas:
   PairFile     {"p": p, "q": q, "P": MatrixFile, "Q": MatrixFile, "k": k?}
   CotangentFile{"p": p, "q": q, "k": k, "P": MatrixFile, "eta": MatrixFile}
 
+A cotangent file's "eta" is the n x p fiber V of eta = F_P V*
+(grassmann.CotangentPoint); the older n x n eta is refused.
+
 Values are checked on load, not coerced: p, q, rows and cols must be JSON
 integers (not booleans; rows and cols non-negative), k a finite JSON
 number, and c16 a string of strict base64 (no characters outside the
@@ -158,9 +161,9 @@ def _read(path) -> dict:
 
 def _header(obj: dict, path, k_required: bool = True):
     """p, q and k of a point, pair or cotangent file, checked, not coerced:
-    p and q JSON integers, k a finite JSON number (None when the key is
-    absent and not required), and, whenever k is present, (p, q, k) a valid
-    Truncation."""
+    p and q JSON integers >= 1, k a finite JSON number (None when the key
+    is absent and not required), and, whenever k is present, (p, q, k) a
+    valid Truncation."""
     for key in ("p", "q", "k") if k_required else ("p", "q"):
         if key not in obj:
             raise FileFormatError(f"{path}: missing {key}")
@@ -168,6 +171,8 @@ def _header(obj: dict, path, k_required: bool = True):
     if type(p) is not int or type(q) is not int:
         raise FileFormatError(
             f"{path}: p and q must be integers, got {p!r}, {q!r}")
+    if p < 1 or q < 1:
+        raise FileFormatError(f"{path}: bad p/q (need p, q >= 1, got p={p}, q={q})")
     if "k" not in obj:
         return p, q, None
     k = obj["k"]
@@ -254,7 +259,7 @@ def save_cotangent(path, cp: CotangentPoint, k: float) -> None:
         "q": n - p,
         "k": float(k),
         "P": cp.P.frame,
-        "eta": cp.eta,
+        "eta": cp.V,
     })
 
 
@@ -263,7 +268,8 @@ def load_cotangent(path) -> tuple[CotangentPoint, float]:
     p, q, k = _header(obj, path)
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
-    eta = matrix_from_obj(obj.get("eta"), f"{path}:eta")
-    if eta.shape != (n, n):
-        raise FileFormatError(f"{path}:eta must be {n} x {n}, got {eta.shape}")
-    return CotangentPoint(P, eta), k
+    v = matrix_from_obj(obj.get("eta"), f"{path}:eta")
+    if v.shape != (n, p):  # an older file holds eta itself, n x n
+        raise FileFormatError(f"{path}:eta must be the {n} x {p} fiber V, got "
+                              f"{v.shape}; regenerate it (hkq map --which psi1)")
+    return CotangentPoint(P, v), k

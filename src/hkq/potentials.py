@@ -9,8 +9,8 @@ The first-structure potential comes in three forms that must agree:
   curvature  (k^2/4) log det(x*x/k^2) + k^2 g_Gr(f(Op) V, V),
              f(u) = (1/u)(sqrt(1+u) - 1 - log((1 + sqrt(1+u))/2)), f(0) = 1/4
 
-with V the fiber coordinate of the cotangent image.  The third-structure
-potential likewise:
+with V the fiber coordinate of the cotangent image, psi1(pt).V.  The
+third-structure potential likewise:
 
   spectral   (1/4) Tr(D^{1/2} - k^2 Id) on its commuting locus,
              D = k^4 Id + 4 x*x X*X - 4 (x*X)^2
@@ -51,11 +51,13 @@ the two thin SVDs on which moment._stable3_svd judges third-stable
 membership, the one rule that in_stable3 and psi3 apply too, and its one
 graph w.  For k1 the SVD is the one that judges first-stable membership
 (moment._stable1_svd), and it gives the curvature route psi1's frame of P
-and the level route what project1 takes from it; K1_closed forms the log-det term and the fiber operand the
-same way.  A deterministic function of the same input returns the same
-bits on each call, so each route value, and each cross-check residual
-between routes, is the same as from the single-route functions; a fault in
-such a shared input reaches every route that reads it either way.
+and the level route what project1 takes from it; K1_closed forms the
+log-det term and the fiber operand the same way.  The curvature route
+reads V through psi1's grassmann._fiber (psi1 is no route).  A
+deterministic function of the same input returns the same bits on each
+call, so each route value, and each cross-check residual between routes,
+is the same as from the single-route functions; a fault in such a shared
+input reaches every route that reads it either way.
 
 Each body factors only what it reads: a route that reads eigenvalues
 alone takes them from matcore._eigvals, and the spectral route reduces its
@@ -74,12 +76,11 @@ from .errors import NotInStable1, NotPositiveDefinite
 from .grassmann import (
     OrbitPair,
     _angles,
+    _fiber,
     _graph,
     _orbit_pair,
     characteristic_angles,
-    complement_frame,
     curvature_fun_apply,
-    psi1,
 )
 from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
@@ -107,7 +108,6 @@ __all__ = [
     "curvature_weight_k1",
     "curvature_weight_k3hat",
     "evaluate_routes",
-    "fiber_coordinate",
     "quotient_potential",
 ]
 
@@ -168,23 +168,6 @@ def _logdet_term(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
     return float(0.25 * k2 * np.sum(np.log(lam / k2)))
 
 
-def fiber_coordinate(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
-    """Frame coordinate matrix of V = (1/k^2) X x* at the cotangent image of
-    pt: the (n-p) x p matrix F_Pperp* V F_P.
-
-    No route calls it: the k1 routes read V only through its singular
-    values, which they take from cheaper forms, and the k3hat routes read
-    V = w/2 off psi3's graph.  It stays public as the first structure's own
-    V, built from psi1 alone: a check that compares psi1 data with psi3
-    data at one level point (the characteristic angles of psi3's pair are
-    arctan(2 sigma_i(V)) there, and K3_hat_cotangent(V, k) is K3_spectral)
-    needs a V that never touches the graph operator."""
-    cp = psi1(pt, tol)
-    fperp = complement_frame(cp.P)
-    v = (pt.X @ dagger(pt.x)) / pt.trunc.k2
-    return dagger(fperp) @ v @ cp.P.frame
-
-
 def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential in the closed form of the level projection.
     Membership is checked (NotInStable1) before any IntegralityWarning."""
@@ -214,11 +197,10 @@ def _k1_fiber(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
 
 
 def _k1_curvature(pt: ConfigPoint, logdet: float, fp: np.ndarray) -> float:
-    """V's singular values are read off its ambient form
-    (Id - F_P F_P*) V F_P (n x p), which has those of fiber_coordinate's
+    """V's singular values are read off its ambient form _fiber(pt, F_P)
+    (n x p), psi1(pt).V, which has those of the frame coordinate
     F_Pperp* V F_P, so no frame of P^perp is built."""
-    vf = (pt.X @ (dagger(pt.x) @ fp)) / pt.trunc.k2
-    v = vf - fp @ (dagger(fp) @ vf)
+    v = _fiber(pt, fp)
     return logdet + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v)
 
 
@@ -290,7 +272,8 @@ def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
     The two agree to 1e-11 on any input; both are exposed so the agreement
     is testable.  Both read V only through its singular values, so V may be
     given as the (n-p) x p frame coordinate matrix or in the n x p ambient
-    form F_Pperp V (orthonormal F_Pperp), which has the same ones.  V is
+    form F_Pperp V (orthonormal F_Pperp), which has the same ones: psi1's
+    fiber psi1(pt).V, or half the graph w of psi3's pair.  V is
     validated once, by as_matrix, for both routes: a non-finite entry
     raises ShapeMismatch, and a 1-d V is read as one column.
     """

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSample
-from .grassmann import CotangentPoint, OrbitPair, Subspace, complement_frame
+from .grassmann import CotangentPoint, OrbitPair, Subspace
 from .hkspace import ConfigPoint, TangentPair, Truncation, act3
 from .matcore import _eigh, dagger, hermitian_part, orthonormal_range, skew_part
 from .quotient import project1
@@ -138,12 +138,12 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
 
 
 def sample_cotangent(trunc: Truncation, rng: np.random.Generator) -> CotangentPoint:
-    """Random cotangent datum: random base plane, fiber built from a random
-    coordinate matrix so the structural invariants hold exactly."""
+    """Random cotangent datum: random base plane P, and the fiber
+    V = G - F_P (F_P* G) of an n x p Gaussian G, which F_P* maps to 0 to
+    round-off."""
     P = random_subspace(trunc.n, trunc.p, rng)
-    fperp = complement_frame(P)
-    eta = P.frame @ gaussian_complex(rng, (trunc.p, trunc.q)) @ dagger(fperp)
-    return CotangentPoint(P, eta)
+    g = gaussian_complex(rng, (trunc.n, trunc.p))
+    return CotangentPoint(P, g - P.frame @ (dagger(P.frame) @ g))
 
 
 def sample_orbit_pair(trunc: Truncation, rng: np.random.Generator) -> OrbitPair:

@@ -4,8 +4,9 @@ prints), 2 for input the CLI rejects (unknown route, a point
 outside the required set, a malformed file, damaged matrix bytes, a file
 in the older re/im text layout, a non-finite k in a file or a non-finite or
 zero `angles --k`, a pair file without k, a trial count below one, a
-negative seed, a --tol outside (0, 1)).  Also: what `project` factors, the
-layout of a `map --which psi3` file and loading of the older one with "z",
+negative seed, a --tol outside (0, 1), a pair file with p or q below one
+and no k).  Also: what `project` factors, the layout of a `map --which
+psi3` file and loading of the older one with "z",
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
 themselves), what `info` prints and factors, and that `python -m hkq` runs
@@ -411,6 +412,19 @@ def test_angles_without_k_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_INPUT
     assert "K3_hat needs k" in capsys.readouterr().err
+
+
+def test_pair_file_of_dimension_zero_without_k_exits_2(tmp_path, capsys):
+    """p, q >= 1 is judged on load whether or not the file holds k, so the
+    error names the file and the dimensions, not transversality."""
+    pair = tmp_path / "p0.json"
+    pair.write_text(json.dumps({"p": 0, "q": 3,
+                                "P": jsonio.matrix_to_obj(np.zeros((3, 0))),
+                                "Q": jsonio.matrix_to_obj(np.eye(3))}))
+    assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error {pair}: bad p/q (need p, q >= 1")
 
 
 @pytest.mark.parametrize("k", [float("inf"), float("nan")])

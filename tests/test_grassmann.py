@@ -24,6 +24,7 @@ from hkq.matcore import dagger, fnorm, herm_eig, orthonormal_range
 from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.sampling import (
     gaussian_complex,
+    make_rng,
     random_hermitian_ball,
     random_subspace,
     random_unitary,
@@ -91,12 +92,22 @@ class TestPsi1:
         psi1(pt)
         assert dict(lapack_calls) == {"svd thin": 1}
 
+    @pytest.mark.parametrize("p,q", [(4, 5), (8, 64), (64, 64)])
+    def test_eta_is_the_compressed_x_X_star(self, p, q):
+        # eta = F_P V* is (1/k^2) x X* (Id - F_P F_P*), formed here in full
+        pt = sample_stable1(Truncation(p, q, SQRT2), make_rng(p + q))
+        cp = psi1(pt)
+        f = cp.P.frame
+        want = pt.x @ dagger(pt.X) @ (np.eye(p + q) - f @ dagger(f)) / pt.trunc.k2
+        assert cp.V.shape == (p + q, p)
+        assert fnorm(cp.eta - want) <= 1e-14 * fnorm(want)
+
 
 class TestPsi1Section:
     def test_zero_section_on_level(self, rng):
         tr = Truncation(2, 3, 1.7)
         cp = CotangentPoint(random_subspace(tr.n, tr.p, rng),
-                            np.zeros((tr.n, tr.n), dtype=complex))
+                            np.zeros((tr.n, tr.p), dtype=complex))
         pt = psi1_section(cp, tr.k)
         assert max(level_residual(pt)) <= 1e-12 * tr.k2
 
@@ -346,11 +357,14 @@ class TestSubspaceTypes:
 
     def test_cotangent_invariants_enforced(self, trunc11):
         P = span([1.0, 0.0])
-        bad_eta = np.array([[1.0, 0.0], [0.0, 0.0]])  # does not vanish on P
         from hkq.errors import BadCotangent
 
-        with pytest.raises(BadCotangent):
-            CotangentPoint(P, bad_eta)
+        # a factor with a component in P: eta = F_P V* does not vanish on P
+        with pytest.raises(BadCotangent, match="component in P"):
+            CotangentPoint(P, col(1e-3, 1.0))
+        with pytest.raises(BadCotangent, match="must be 2 x 1"):
+            CotangentPoint(P, np.zeros((2, 2)))  # the older n x n eta
+        assert fnorm(CotangentPoint(P, col(0.0, 1.0)).eta - [[0.0, 1.0], [0.0, 0.0]]) == 0.0
 
     def test_orbit_pair_dimension_check(self):
         with pytest.raises(ShapeMismatch):

@@ -3,10 +3,12 @@ writer's bytes are json.dumps's text, whatever the meta holds), the
 c16 payload (row-major little-endian complex128 bytes in base64) and its
 bit-exact reload of extreme numbers, loading of the older indented layout
 and of the older pair layout with "z", refusal of the older re/im text
-layout, the pair-frame check (taken as is within FRAME_TOL, refused
-beyond it), and refusal of values that are not of the schema's type (no
-coercion on load) or of a payload that is not strict base64, holds the
-wrong byte count or non-finite entries."""
+layout and of the older n x n cotangent eta, the n x p fiber of a
+cotangent file, the pair-frame check (taken as is within FRAME_TOL,
+refused beyond it), and refusal of values that are not of the schema's
+type (no coercion on load), of p or q below one with or without k, or of
+a payload that is not strict base64, holds the wrong byte count or
+non-finite entries."""
 
 import base64
 import json
@@ -105,6 +107,34 @@ def test_cotangent_round_trips_byte_identical(point1, tmp_path):
     assert first == second
 
 
+def test_cotangent_file_holds_the_n_by_p_fiber(point1, tmp_path):
+    path = tmp_path / "cot.json"
+    cp = psi1(point1)
+    jsonio.save_cotangent(path, cp, TRUNC.k)
+    eta = json.loads(path.read_text())["eta"]
+    assert (eta["rows"], eta["cols"]) == (TRUNC.n, TRUNC.p)
+    loaded, k = jsonio.load_cotangent(path)
+    assert k == TRUNC.k
+    assert loaded.V.tobytes() == cp.V.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["older_n_by_n_eta", "n_by_q"])
+def test_cotangent_file_with_an_eta_that_is_not_n_by_p_is_refused(layout, point1,
+                                                                  tmp_path):
+    """The older layout held eta itself, n x n: it is refused, as any other
+    shape is, with the verb that regenerates the file."""
+    path = tmp_path / "cot.json"
+    cp = psi1(point1)
+    jsonio.save_cotangent(path, cp, TRUNC.k)
+    obj = json.loads(path.read_text())
+    bad = cp.eta if layout == "older_n_by_n_eta" else np.zeros((TRUNC.n, TRUNC.q))
+    obj["eta"] = jsonio.matrix_to_obj(bad)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError,
+                       match=r"eta must be the 5 x 3 fiber V.*\(hkq map --which psi1\)"):
+        jsonio.load_cotangent(path)
+
+
 def test_same_input_gives_same_bytes(point3, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     jsonio.save_point(a, point3, meta=META)
@@ -143,7 +173,7 @@ def test_every_writer_gives_the_json_dumps_text(kind, point1, point3, tmp_path):
     elif kind == "cotangent":
         cp = psi1(point1)
         jsonio.save_cotangent(path, cp, TRUNC.k)
-        obj = {"p": 3, "q": 2, "k": TRUNC.k, "P": m(cp.P.frame), "eta": m(cp.eta)}
+        obj = {"p": 3, "q": 2, "k": TRUNC.k, "P": m(cp.P.frame), "eta": m(cp.V)}
     else:
         pair, _ = psi3(point3)
         k = TRUNC.k if kind == "pair_with_k" else None
@@ -402,6 +432,22 @@ def test_point_file_with_k4_out_of_range_is_refused(k, files):
     files["point"].write_text(json.dumps(obj))
     with pytest.raises(FileFormatError, match=r"bad p/q/k \(k\^4 must be normal"):
         jsonio.load_point(files["point"])
+
+
+@pytest.mark.parametrize("kind,with_k", [("point", True), ("pair", True),
+                                         ("pair", False), ("cotangent", True)])
+def test_p_or_q_below_one_is_refused_with_or_without_k(kind, with_k, files):
+    """p, q >= 1 holds in every file kind, also in a pair file without k."""
+    path = files[kind]
+    obj = json.loads(path.read_text())
+    obj.update({"p": 0, "q": 3, "P": jsonio.matrix_to_obj(np.zeros((3, 0))),
+                "Q": jsonio.matrix_to_obj(np.eye(3))})
+    if not with_k:
+        del obj["k"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=r"bad p/q \(need p, q >= 1") as exc:
+        LOADERS[kind][0](path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("k", [0.0, -0.0, 1e-200])

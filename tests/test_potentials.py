@@ -11,8 +11,10 @@ from hkq.errors import NotInStable1, NotInStable3, NotPositiveDefinite, ShapeMis
 from hkq.grassmann import (
     OrbitPair,
     Subspace,
+    characteristic_angles,
     complement_frame,
     curvature_fun_apply,
+    psi1,
     psi3,
     psi3_section,
 )
@@ -35,7 +37,6 @@ from hkq.potentials import (
     curvature_weight_k1,
     curvature_weight_k3hat,
     evaluate_routes,
-    fiber_coordinate,
     quotient_potential,
 )
 from hkq.moment import level_residual
@@ -127,13 +128,15 @@ class TestK1:
     @pytest.mark.parametrize("k", [SQRT2, 30.0])
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (8, 64), (6, 2)])
     def test_curvature_matches_the_frame_coordinate_form(self, p, q, k):
-        # the curvature route reads V in ambient form; the frame coordinate of
-        # fiber_coordinate has the same singular values, so the values
-        # agree to round-off
+        # the curvature route reads V in ambient form; the frame coordinate
+        # F_Pperp* V F_P, V = X x*/k^2, built here through a frame of P^perp,
+        # has the same singular values, so the values agree to round-off
         pt = sample_stable1(Truncation(p, q, k), make_rng(p + 10 * q))
+        fp = psi1(pt).P.frame
+        coords = dagger(complement_frame(Subspace(fp))) @ (pt.X @ dagger(pt.x)) @ fp
         want = (potentials._logdet_term(pt, potentials._x_spectrum(pt))
                 + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1,
-                                                    fiber_coordinate(pt)))
+                                                    coords / pt.trunc.k2))
         got = evaluate_routes(pt, "k1")["curvature"]
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
@@ -357,6 +360,26 @@ class TestK3Hat:
             assert abs(value - want) <= bound * want
 
 
+class TestCrossStructureIdentities:
+    """At a level point, psi1's datum and psi3's pair are two pictures of one
+    quotient point: the characteristic angles of psi3's pair are
+    arctan(2 sigma_i(V)) for psi1's fiber V, and K3_hat_cotangent(V, k) is
+    the third potential, although psi1's P = Ran x and psi3's
+    P = Ran(x + X) differ."""
+
+    @pytest.mark.parametrize("k", [0.3, SQRT2, 5.0])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (4, 5), (6, 2), (8, 64)])
+    def test_psi1_fiber_gives_psi3_angles_and_k3(self, p, q, k):
+        for seed in range(4):
+            pt = sample_level(Truncation(p, q, k), make_rng(100 * p + q + seed))
+            v = psi1(pt).V
+            pair, _ = psi3(pt)
+            want = np.sort(np.arctan(2.0 * np.linalg.svd(v, compute_uv=False)))
+            assert np.max(np.abs(characteristic_angles(pair) - want)) <= 1e-12
+            k3 = K3_spectral(pt)
+            assert abs(K3_hat_cotangent(v, k) - k3) <= 1e-12 * max(1.0, abs(k3))
+
+
 class TestQuotientPotential:
     def test_base_point(self, trunc11):
         assert abs(quotient_potential(ConfigPoint.base(trunc11)).value) <= 1e-14
@@ -424,9 +447,11 @@ class TestQuotientPotential:
         assert abs(K1_closed(act1(2.0 * np.eye(2), pt)) - K1_closed(pt)) > 1e-3
 
     def test_fiber_coordinate_shape(self, s2_point):
-        v = fiber_coordinate(s2_point)
-        assert v.shape == (1, 1)
-        assert abs(abs(v[0, 0]) - 1.0 / SQRT2) <= 1e-12
+        # psi1's fiber coordinate is n x p, here (0, 1/sqrt 2)^T up to phase
+        v = psi1(s2_point).V
+        assert v.shape == (2, 1)
+        assert v[0, 0] == 0.0
+        assert abs(abs(v[1, 0]) - 1.0 / SQRT2) <= 1e-12
 
 
 class TestRoutesAcrossShapes:
@@ -595,6 +620,11 @@ class TestEachBodyMovesOnlyItsRoute:
     def test_a_body_fault_moves_only_its_route(self, monkeypatch, body):
         moved = self._moved(monkeypatch, body, _scaled(getattr(potentials, body)))
         assert moved == self.ROUTES_OF_BODY[body]
+
+    def test_a_fiber_fault_moves_only_the_curvature_route(self, monkeypatch):
+        # grassmann._fiber, which psi1 calls too, is read by one route
+        moved = self._moved(monkeypatch, "_fiber", _scaled(potentials._fiber))
+        assert moved == {"k1.curvature"}
 
     @pytest.mark.parametrize("shared,make_fault", [("_x_spectrum", _skewed_spectrum),
                                                    ("_logdet_term", _scaled)])
