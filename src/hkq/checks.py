@@ -22,6 +22,14 @@ still compares projector outputs against each other or against closed forms
 five-block decomposition), and a wrong spectrum breaks those at once.
 The one comparison the sharing empties is between two calls on the same
 factorization, which could only ever agree.
+
+The same holds for the memo of points and pairs (hkspace._memo): a trial
+that projects a point and then evaluates its routes, as the potentials
+family does for the quotient-potential chain, reads project1's memoized
+result twice.  Two such calls on one value could only ever agree, and no
+identity compares them: each compares different values (a point and its
+image under the group, a section and the pair it came from) or different
+routes.
 """
 
 from __future__ import annotations

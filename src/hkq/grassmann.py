@@ -20,6 +20,11 @@ entries.  This module provides
   * the curvature tensor of the Grassmannian together with the spectral
     functional calculus of the operator Y -> 2(V V* Y + Y V* V) that feeds
     the curvature forms of the potentials.
+
+Subspace frames are read-only, and a pair is immutable, so psi3's pair is
+memoized on its point per tol (_orbit_pair) and the graph w on its pair
+per tol (_graph), by hkspace._memo: psi3, characteristic_angles,
+psi3_section and project3 called on one point or pair build each once.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import BadCotangent, NotTransversal, ShapeMismatch
-from .hkspace import ConfigPoint, Truncation, _point
+from .hkspace import ConfigPoint, Truncation, _memo, _owned, _point, _read_only
 from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame
 from .moment import _stable1_svd, _stable3_svd
 
@@ -55,17 +60,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Subspace:
-    """A d-plane in C^n held as an n x d frame with orthonormal columns."""
+    """A d-plane in C^n held as an n x d frame with orthonormal columns.
+
+    Immutable: the frame is read-only, copied from the caller's array
+    where as_matrix would alias it."""
 
     frame: np.ndarray
 
     def __post_init__(self):
-        f = as_matrix(self.frame, "frame")
-        d = f.shape[1]
-        err = fnorm(dagger(f) @ f - np.eye(d))
-        if err > FRAME_TOL * (1.0 + d):
-            raise ShapeMismatch(f"frame columns not orthonormal, ||F*F - Id|| = {err:.3e}")
-        object.__setattr__(self, "frame", f)
+        object.__setattr__(self, "frame", _orthonormal(_owned(self.frame, "frame")))
 
     @property
     def dim(self) -> int:
@@ -77,6 +80,24 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         return self.frame @ dagger(self.frame)
+
+
+def _orthonormal(f: np.ndarray) -> np.ndarray:
+    """f, refused with ShapeMismatch unless ||F*F - Id|| <= FRAME_TOL (1 + d)."""
+    d = f.shape[1]
+    err = fnorm(dagger(f) @ f - np.eye(d))
+    if err > FRAME_TOL * (1.0 + d):
+        raise ShapeMismatch(f"frame columns not orthonormal, ||F*F - Id|| = {err:.3e}")
+    return f
+
+
+def _subspace(frame: np.ndarray) -> Subspace:
+    """Subspace of a complex128 frame that no caller holds (a fresh
+    factor, a file's decoded frame): Subspace's orthonormality check,
+    without coercion and without the copy; the frame is marked read-only."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "frame", _read_only(_orthonormal(frame)))
+    return sub
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
@@ -126,6 +147,10 @@ class OrbitPair:
     which save_pair writes back as it is.  A second complement would be
     another frame of Q, so without it a pair file would not reload and
     re-save to the same bytes.  Q_file is None for a pair built in memory.
+
+    Immutable, like its Subspaces: the graph w of _graph is memoized on the
+    pair per tol (hkspace._memo), and a pair built anew from the same
+    frames starts with an empty memo.
     """
 
     P: Subspace
@@ -175,7 +200,7 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
     meets CotangentPoint's check to round-off at any tol, and a point that
     passes membership at a loose tol maps to a valid datum too."""
     u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
-    P = Subspace(_fix_column_phases(u))
+    P = _subspace(_fix_column_phases(u))
     return CotangentPoint(P, _fiber(pt, P.frame))
 
 
@@ -227,10 +252,14 @@ def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
     the pair: moment._stable3_svd judges membership (the equations first,
     so a point off them is refused before anything is factored, then the
     rank of x + X and x - X on their thin SVDs), and its p left singular
-    vectors, phase-fixed, are the frames of P and of Q^perp."""
-    up, uq = _stable3_svd(
-        pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
-    return OrbitPair(Subspace(_fix_column_phases(up)), Subspace(_fix_column_phases(uq)))
+    vectors, phase-fixed, are the frames of P and of Q^perp.  The pair is
+    memoized on pt per tol, so the graph memoized on it is built once."""
+    return _memo(pt, ("pair", tol), lambda: _pair_of(*_stable3_svd(
+        pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")))
+
+
+def _pair_of(up: np.ndarray, uq: np.ndarray) -> OrbitPair:
+    return OrbitPair(_subspace(_fix_column_phases(up)), _subspace(_fix_column_phases(uq)))
 
 
 def graph_operator(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
@@ -253,8 +282,13 @@ def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
     F_Qperp M^-1 is the one basis of Q^perp that F_P* maps to Id, so w does
     not depend on the frames chosen for P^perp or Q^perp: the pair's own
     frame of Q^perp is read, and no frame of P^perp or of Q is built.  The
-    singular values of M decide transversality.
+    singular values of M decide transversality.  w is read-only and
+    memoized on the pair per tol; a refusal is not.
     """
+    return _memo(pair, ("graph", tol), lambda: _judge_graph(pair, tol))
+
+
+def _judge_graph(pair: OrbitPair, tol: float) -> np.ndarray:
     fp, fqp = pair.P.frame, pair.Qperp.frame
     m = dagger(fp) @ fqp
     s = np.linalg.svd(m, compute_uv=False)
@@ -263,7 +297,7 @@ def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
             f"P and Q^perp-graph condition fails, sigma_min(F_P* F_Qperp) = "
             f"{0.0 if s.size == 0 else s[-1]:.3e}"
         )
-    return fqp @ np.linalg.inv(m) - fp
+    return _read_only(fqp @ np.linalg.inv(m) - fp)
 
 
 def psi3_section(pair: OrbitPair, k: float,

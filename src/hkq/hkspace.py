@@ -22,13 +22,26 @@ unitary, and potentials.character_log_term that its g is Hermitian and
 positive.  act3 takes its Hermitian parameter h as a HermitianSpectrum.
 
 Values are validated once, where they enter.  A ConfigPoint or TangentPair
-built from outside values (a caller, a file) gets the full check: coercion
-to complex128, shape and finite entries.  Points and tangents the library
-builds from values already validated (tangent sums and scalings, the
-projections of quotient.SliceBasis, the images of act1 and act3,
-psi3_section's points, the ddc suite's displaced points) keep shape and
-dtype by construction, so they get one finiteness scan (_finite_tangent,
-_point), which still refuses overflow with ShapeMismatch.
+built from a caller's values gets the full check: coercion to complex128,
+shape and finite entries.  A point file's matrices get the same checks in
+jsonio as they are decoded.  Points and tangents the library builds from
+values already validated (tangent sums and scalings, the projections of
+quotient.SliceBasis, the images of act1 and act3, psi3_section's points,
+the samplers' and a file's points, the ddc suite's displaced points) keep
+shape and dtype by construction, so they get one finiteness scan
+(_finite_tangent, _point), which still refuses overflow with ShapeMismatch.
+
+A ConfigPoint is immutable: its arrays are read-only (writing into one
+raises ValueError), and the checked constructor copies a caller's array
+only where as_matrix would alias it, so the caller's array stays writable
+and later writes to it do not reach the point.  Immutability is what lets
+a point, or another immutable value (grassmann.OrbitPair), carry a private
+memo (_memo) of what the library derives from it: first- and third-stable
+membership with its factors (moment), psi3's pair (grassmann) and the
+level projections (quotient).  Each is computed once per value and
+tolerance, and a refusal is never stored, so a repeated call raises its
+own message again.  The memo is an instance attribute, not a field, so
+equality and repr do not see it, and it lives and dies with its value.
 """
 
 from __future__ import annotations
@@ -114,17 +127,54 @@ class Truncation:
         return x
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only (a view of it can no longer write either)."""
+    a.flags.writeable = False
+    return a
+
+
+def _owned(m, name: str) -> np.ndarray:
+    """as_matrix(m, name), read-only, for a checked constructor: copied
+    first where as_matrix aliases the caller's m (m itself, or a view of
+    it), so the caller's array stays writable and its later writes do not
+    reach the value."""
+    a = as_matrix(m, name)
+    if a is m or a.base is not None:
+        a = a.copy()
+    return _read_only(a)
+
+
+def _memo(obj, key, compute):
+    """compute(), memoized on the immutable value obj under key.
+
+    key names the quantity and holds every argument that obj does not
+    already fix (the tolerance, say).  The memo is a dict in obj's
+    instance __dict__, not a dataclass field, so eq and repr do not see
+    it.  An exception from compute is not stored: a refusal is raised
+    again, with the caller's own message, on every call."""
+    memo = obj.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 @dataclass(frozen=True)
 class ConfigPoint:
-    """A configuration pair (x, X) of n x p matrices over a truncation."""
+    """A configuration pair (x, X) of n x p matrices over a truncation.
+
+    Immutable: x and X are read-only, copied from the caller's arrays
+    where as_matrix would alias them.  What the library derives from the
+    point (membership and its factors, psi3's pair, the level projections)
+    is memoized on it per tolerance, by hkspace._memo; a copy built from
+    the same arrays starts with an empty memo."""
 
     trunc: Truncation
     x: np.ndarray
     X: np.ndarray
 
     def __post_init__(self):
-        x = as_matrix(self.x, "x")
-        X = as_matrix(self.X, "X")
+        x = _owned(self.x, "x")
+        X = _owned(self.X, "X")
         shape = (self.trunc.n, self.trunc.p)
         if x.shape != shape or X.shape != shape:
             raise ShapeMismatch(
@@ -136,8 +186,8 @@ class ConfigPoint:
     @staticmethod
     def base(trunc: Truncation) -> "ConfigPoint":
         """The level-set base point (k [Id; 0], 0)."""
-        return ConfigPoint(trunc, trunc.base_x(),
-                           np.zeros((trunc.n, trunc.p), dtype=np.complex128))
+        return _point(trunc, trunc.base_x(),
+                      np.zeros((trunc.n, trunc.p), dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -201,13 +251,16 @@ def _finite_tangent(Z: np.ndarray, T: np.ndarray) -> TangentPair:
 def _point(trunc: Truncation, x: np.ndarray, X: np.ndarray) -> ConfigPoint:
     """ConfigPoint of complex128 n x p matrices built from validated values,
     the counterpart of _finite_tangent: no coercion, and overflow, the one
-    defect left, is caught by one finiteness scan per matrix."""
+    defect left, is caught by one finiteness scan per matrix.  x and X are
+    arrays no caller holds (fresh results, a file's decoded matrices, or a
+    point's own read-only arrays), so they are marked read-only, not
+    copied."""
     if not (np.isfinite(x).all() and np.isfinite(X).all()):
         raise ShapeMismatch("point arithmetic overflowed to non-finite entries")
     pt = object.__new__(ConfigPoint)
     object.__setattr__(pt, "trunc", trunc)
-    object.__setattr__(pt, "x", x)
-    object.__setattr__(pt, "X", X)
+    object.__setattr__(pt, "x", _read_only(x))
+    object.__setattr__(pt, "X", _read_only(X))
     return pt
 
 

@@ -65,8 +65,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ShapeMismatch
-from .grassmann import CotangentPoint, OrbitPair, Subspace, complement_frame
-from .hkspace import ConfigPoint, Truncation
+from .grassmann import CotangentPoint, OrbitPair, Subspace, _subspace, complement_frame
+from .hkspace import ConfigPoint, Truncation, _point
 
 __all__ = [
     "load_cotangent",
@@ -217,7 +217,7 @@ def load_point(path) -> ConfigPoint:
             f"{path}: matrices must be {trunc.n} x {trunc.p}, "
             f"got {x.shape} and {X.shape}"
         )
-    return ConfigPoint(trunc, x, X)
+    return _point(trunc, x, X)  # fresh, checked arrays: no second copy
 
 
 def _frame_from_obj(obj, name: str, n: int, d: int) -> Subspace:
@@ -225,7 +225,7 @@ def _frame_from_obj(obj, name: str, n: int, d: int) -> Subspace:
     if f.shape != (n, d):
         raise FileFormatError(f"{name}: expected {n} x {d}, got {f.shape}")
     try:
-        return Subspace(f)
+        return _subspace(f)  # a fresh, checked array: no second copy
     except ShapeMismatch as exc:  # the frame is not orthonormal
         raise FileFormatError(f"{name}: {exc}") from exc
 
@@ -249,7 +249,7 @@ def load_pair(path) -> tuple[OrbitPair, float | None]:
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
     Q = _frame_from_obj(obj.get("Q"), f"{path}:Q", n, q)
-    return OrbitPair(P, Subspace(complement_frame(Q)), Q_file=Q.frame), k
+    return OrbitPair(P, _subspace(complement_frame(Q)), Q_file=Q.frame), k
 
 
 def save_cotangent(path, cp: CotangentPoint, k: float) -> None:

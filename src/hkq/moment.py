@@ -14,6 +14,12 @@ the plain matrix:
 muC = mu2 + i mu3 holds exactly at the matrix level.  The level set is
 {X*x = 0, x*x - X*X = k^2 Id}; on it mu1 equals -(i/2) k^2 Id, the invariant
 level value.
+
+The stable-set rules are judged once per point and tolerance: the factors
+of _stable1_svd and _stable3_svd are memoized on the point (hkspace._memo)
+and read-only, so in_stable1, psi1, project1 and the k1 routes, or
+in_stable3, psi3, project3 and the k3 routes, called in turn on one point
+at one tol, factor it once.  A refused point is judged again on each call.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotSkew, ShapeMismatch
-from .hkspace import ConfigPoint, TangentPair, omega
+from .hkspace import ConfigPoint, TangentPair, _memo, _read_only, omega
 from .matcore import as_matrix, dagger, fnorm, svd
 
 __all__ = [
@@ -105,14 +111,19 @@ def _stable1_svd(pt: ConfigPoint, tol: float,
     """First-stable membership judged once, for every entry that needs it:
     X*x = 0 to tol * k^2 first, so nothing is factored for a point off the
     equation, then the rank half on the one thin SVD x = U diag(s) W* that
-    the caller reads (psi1's frame, project1's |x|).  Returns (U, s, W), or
-    raises NotInStable1(refusal)."""
+    the caller reads (psi1's frame, project1's |x|).  Returns (U, s, W),
+    read-only and memoized on pt per tol, or raises NotInStable1(refusal)."""
+    return _memo(pt, ("stable1", tol), lambda: _judge_stable1(pt, tol, refusal))
+
+
+def _judge_stable1(pt: ConfigPoint, tol: float,
+                   refusal: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not _within_tol(fnorm(dagger(pt.X) @ pt.x), tol, pt.trunc.k2):
         raise NotInStable1(refusal)
     u, s, w = svd(pt.x)
     if not _full_rank(s, tol):
         raise NotInStable1(refusal)
-    return u, s, w
+    return _read_only(u), _read_only(s), _read_only(w)
 
 
 def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -135,7 +146,13 @@ def _stable3_svd(pt: ConfigPoint, tol: float,
     them, then the rank half on the thin SVDs of x + X and x - X.  Returns
     their left factors (U_P, U_Qperp), n x p each: frames of P = Ran(x + X)
     and of Q^perp = Ran(x - X), the orthogonal complement of
-    Q = Ker(x* - X*).  Raises NotInStable3(refusal)."""
+    Q = Ker(x* - X*), read-only and memoized on pt per tol.  Raises
+    NotInStable3(refusal)."""
+    return _memo(pt, ("stable3", tol), lambda: _judge_stable3(pt, tol, refusal))
+
+
+def _judge_stable3(pt: ConfigPoint, tol: float,
+                   refusal: str) -> tuple[np.ndarray, np.ndarray]:
     x, X = pt.x, pt.X
     k2 = pt.trunc.k2
     if not (_within_tol(fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)), tol, k2)
@@ -145,7 +162,7 @@ def _stable3_svd(pt: ConfigPoint, tol: float,
     uq, sq, _ = svd(x - X)
     if not (_full_rank(sp, tol) and _full_rank(sq, tol)):
         raise NotInStable3(refusal)
-    return up, uq
+    return _read_only(up), _read_only(uq)
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

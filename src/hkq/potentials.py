@@ -50,14 +50,22 @@ without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
 the two thin SVDs on which moment._stable3_svd judges third-stable
 membership, the one rule that in_stable3 and psi3 apply too, and its one
 graph w.  For k1 the SVD is the one that judges first-stable membership
-(moment._stable1_svd), and it gives the curvature route psi1's frame of P
-and the level route what project1 takes from it; K1_closed forms the
-log-det term and the fiber operand the same way.  The curvature route
-reads V through psi1's grassmann._fiber (psi1 is no route).  A
-deterministic function of the same input returns the same bits on each
-call, so each route value, and each cross-check residual between routes,
-is the same as from the single-route functions; a fault in such a shared
-input reaches every route that reads it either way.
+(moment._stable1_svd), and it gives the curvature route psi1's frame of P;
+the level route reads project1's result.  K1_closed forms the log-det
+term and the fiber operand the same way.  The curvature route reads V
+through psi1's grassmann._fiber (psi1 is no route).
+
+"Computed once" also spans calls on one value: the membership factors,
+psi3's pair, its graph w and the results of project1 and project3 are
+memoized on the immutable point or pair per tol (hkspace._memo).  So
+project1 followed by evaluate_routes(pt, "k1") projects once, and
+project3, evaluate_routes(pt, "k3"), psi3 and characteristic_angles on
+one point judge membership and build w once.  A deterministic function
+of the same input returns the same bits on each call, so each route
+value, and each cross-check residual between routes, is the same as from
+the single-route functions and as on a fresh copy of the point; a fault
+in such a shared input reaches every route that reads it either way, and
+no cross-check compares two evaluations of one function on one input.
 
 Each body factors only what it reads: a route that reads eigenvalues
 alone takes them from matcore._eigvals, and the spectral route reduces its
@@ -95,7 +103,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .moment import _stable1_svd, _stable3_svd
-from .quotient import ProjectionResult, _fiber_operand, _project1, _project3, project1
+from .quotient import ProjectionResult, _fiber_operand, project1, project3
 
 __all__ = [
     "IntegralityWarning",
@@ -256,11 +264,10 @@ def _k3_spectral(pt: ConfigPoint) -> float:
     return float(0.25 * np.sum(np.sqrt(lam) - pt.trunc.k2))
 
 
-def _k3_level(pair: OrbitPair, w: np.ndarray, k: float, tol: float) -> float:
-    """Third-structure potential as the flat potential of the level-set
-    representative that project3 builds from psi3's pair and its graph w
-    (exact by compact invariance)."""
-    return flat_potential_K(_project3(pair, w, k, tol).point)
+def _k3_level(res: ProjectionResult) -> float:
+    """Third-structure potential as the flat potential of project3's
+    level-set representative res.point (exact by compact invariance)."""
+    return flat_potential_K(res.point)
 
 
 def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
@@ -368,18 +375,20 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     membership on the one thin SVD x = U diag(s) W* of moment._stable1_svd
     (NotInStable1) before its one IntegralityWarning, attributed to the
     caller.  The curvature route reads psi1's frame of P, the phase-fixed U,
-    and the level route project1's body on (s, W); x*x is factored once for
-    the log-det term that the closed, fiber and curvature routes add, and
-    for the fiber operand that the closed and fiber routes read.  k3 and
+    and the level route project1's result, memoized on pt; x*x is
+    factored once for the log-det term that the closed, fiber and curvature
+    routes add, and for the fiber operand that the closed and fiber routes
+    read.  k3 and
     k3hat take psi3's pair from grassmann._orbit_pair, which judges
-    membership (NotInStable3) and forms no z, and one graph w of it.  k3
-    has three routes: the spectral one reads the point alone, and the level
-    and angles routes both read w."""
+    membership (NotInStable3) and forms no z, and one graph w of it, both
+    memoized.  k3 has three routes: the spectral one reads the point alone,
+    the level route reads project3's result, memoized on pt and built from
+    the same pair and w, and the angles route reads w."""
     k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
     if which == "k1":
-        u, s, w = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
+        u, _, _ = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
         xx = _x_spectrum(pt)
         logdet, fiber = _logdet_term(pt, xx), _fiber_operand(pt, xx.fun(psd_sqrt))
@@ -387,7 +396,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
             "closed": _k1_closed(pt, logdet, fiber),
             "fiber": _k1_fiber(pt, logdet, fiber),
             "curvature": _k1_curvature(pt, logdet, _fix_column_phases(u)),
-            "level": _k1_level(_project1(pt, s, w, tol), k)[0],
+            "level": _k1_level(project1(pt, tol), k)[0],
         }
     if which not in ("k3", "k3hat"):
         raise ValueError(f"unknown potential tag {which!r}")
@@ -399,7 +408,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
         w = _graph(pair, tol)
         return {
             "spectral": spectral,
-            "level": _k3_level(pair, w, k, tol),
+            "level": _k3_level(project3(pt, tol)),
             "angles": _k3_hat_angles(_angles(w), k),
         }
     w = _graph(pair, tol)  # F_Pperp A: the singular values of A

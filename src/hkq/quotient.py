@@ -62,7 +62,8 @@ solve, and
     Z' = Z - x (i a_1) - X (a_2 + i a_3),
     T' = T + X (i a_1) + x (a_2 - i a_3).
 
-No constraint matrix is assembled and nothing is cached between calls.
+No constraint matrix is assembled, and the tangent projectors cache
+nothing between calls.
 The horizontal projector is P_level followed by the removal of the orbit
 component, the g-orthogonal complement of O inside the level-set tangent.
 The reduced metric and Kahler forms are metric_g and omega_j of two
@@ -70,7 +71,12 @@ horizontal projections: orbit components in either slot contribute zero,
 and level-set representatives related by the compact action give the same
 number (after pushing the vectors forward).  No path through this module
 (psi3 included) touches the process-global warning filters, so it is as
-safe to call concurrently as matcore.
+safe to call concurrently as matcore: two threads that project one point
+at once may both compute the memoized result, and store the same bits.
+
+project1 and project3 memoize their result on the point per tol
+(hkspace._memo), so a projection followed by evaluate_routes' level route
+on the same point projects once.
 """
 
 from __future__ import annotations
@@ -81,8 +87,17 @@ import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet, ShapeMismatch
-from .grassmann import OrbitPair, _graph, _orbit_pair, _section
-from .hkspace import ConfigPoint, TangentPair, _finite_tangent, act1, act3, apply_I
+from .grassmann import _graph, _orbit_pair, _section
+from .hkspace import (
+    ConfigPoint,
+    TangentPair,
+    _finite_tangent,
+    _memo,
+    _read_only,
+    act1,
+    act3,
+    apply_I,
+)
 from .matcore import (
     HermitianSpectrum,
     _check_positive_definite,
@@ -110,6 +125,11 @@ class ProjectionResult:
     (act1, act3, potentials.character_log_term) checks what it needs.
     eigenvalues are those of group_part or h, ascending, taken on the
     spectrum the projection built it from (no second factorization).
+
+    The results of project1 and project3 are immutable: their arrays, the
+    point's included, are read-only, and each is memoized on the point it
+    projects, per tol (hkspace._memo), so a second call on that point
+    returns the same result without projecting again.
     """
 
     point: ConfigPoint
@@ -137,16 +157,16 @@ def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
     sigma_min(x) > tol * sigma_max(x)) gives |x| (inside the fiber operand)
     and |x|^-1 on its right factor.  g and its eigenvalues 1/sqrt(mu) are
     taken on the one eigendecomposition of g^-2, and act1 inverts g.
-    Everything after the SVD and the membership check is _project1."""
-    _, s, w = _stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")
-    return _project1(pt, s, w, tol)
+    Everything after the SVD and the membership check is _project1.  The
+    result is memoized on pt per tol; a refusal is not."""
+    return _memo(pt, ("project1", tol), lambda: _project1(
+        pt, *_stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")[1:], tol))
 
 
 def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> ProjectionResult:
-    """project1 after its SVD, for a caller that has judged first-stable
-    membership at tolerance tol on the thin SVD x = U diag(s) W* itself
-    (potentials.evaluate_routes, whose curvature route reads the same U).
-    The level residual of the result is still judged here."""
+    """project1 after its SVD x = U diag(s) W*, which judged first-stable
+    membership at tolerance tol.  The level residual of the result is
+    still judged here."""
     p = pt.trunc.p
     k2 = pt.trunc.k2
     eye = np.eye(p)
@@ -165,8 +185,8 @@ def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> Proj
         )
     # mu ascends, so 1/sqrt(mu) of the reversed mu ascends
     return ProjectionResult(point=point, residual=residual,
-                            eigenvalues=1.0 / np.sqrt(g_inv2.eigenvalues[::-1]),
-                            group_part=g)
+                            eigenvalues=_read_only(1.0 / np.sqrt(g_inv2.eigenvalues[::-1])),
+                            group_part=_read_only(g))
 
 
 def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
@@ -183,15 +203,18 @@ def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
     orbit as pt (psi3 reproduces the pair).  It matches the intrinsic
     projection only up to the free compact action; the flat potential of
     the result is nevertheless the exact projected value by invariance.
+    The result is memoized on pt per tol, and the pair and w it reads are
+    the ones memoized for psi3 and characteristic_angles; a refusal is not
+    memoized.
     """
+    return _memo(pt, ("project3", tol), lambda: _project3(pt, tol))
+
+
+def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
+    """project3 from psi3's pair and its graph w = _graph(pair, tol)."""
     pair = _orbit_pair(pt, tol)
-    return _project3(pair, _graph(pair, tol), pt.trunc.k, tol)
-
-
-def _project3(pair: OrbitPair, w: np.ndarray, k: float, tol: float) -> ProjectionResult:
-    """project3 from psi3's pair and its graph w = _graph(pair, tol), for a
-    caller that holds both (potentials.evaluate_routes reads the angles
-    route off the same w)."""
+    w = _graph(pair, tol)
+    k = pt.trunc.k
     pt0 = _section(pair.P.frame, w, k)
     spec = _eigh(np.eye(pt0.trunc.p) + dagger(w) @ w)
     h = 0.25 * spec.fun(np.log, domain_check=lambda lam: lam > 0.0)
@@ -205,7 +228,8 @@ def _project3(pair: OrbitPair, w: np.ndarray, k: float, tol: float) -> Projectio
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )
     return ProjectionResult(point=point, residual=residual,
-                            eigenvalues=0.25 * np.log(spec.eigenvalues), h=h)
+                            eigenvalues=_read_only(0.25 * np.log(spec.eigenvalues)),
+                            h=_read_only(h))
 
 
 @dataclass(frozen=True)

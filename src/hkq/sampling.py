@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateSample
 from .grassmann import CotangentPoint, OrbitPair, Subspace
-from .hkspace import ConfigPoint, TangentPair, Truncation, act3
+from .hkspace import ConfigPoint, TangentPair, Truncation, _point, act3
 from .matcore import _eigh, dagger, hermitian_part, orthonormal_range, skew_part
 from .quotient import project1
 
@@ -37,6 +37,16 @@ __all__ = [
 
 # Draws a rejection sampler makes before it raises DegenerateSample.
 _MAX_DRAWS = 100
+
+# A bound on the modulus sqrt(-log(u1)) of a gaussian_complex entry:
+# u1 = 1 - rng.random() >= 2^-53, so the modulus is at most
+# sqrt(53 log 2) = 6.0611.
+_GAUSSIAN_MAX = 6.07
+
+# sample_stable1 refuses an eps for which n (|k| + _GAUSSIAN_MAX |eps|)^2,
+# a bound on the entries of x*x, exceeds this: x*x stays finite with eight
+# orders of magnitude to spare for the solve against it.
+_GRAM_MAX = 1e300
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -90,7 +100,13 @@ def sample_stable1(trunc: Truncation, rng: np.random.Generator,
                    eps: float = 0.3) -> ConfigPoint:
     """Point of the first stable set: x = base + eps * Gaussian (resampled,
     up to 100 times, until sigma_min(x) > 0.1 sigma_max), X Gaussian
-    with the x-range component removed so X*x = 0 to round-off."""
+    with the x-range component removed so X*x = 0 to round-off.
+
+    eps is refused with ValueError, before anything is drawn, unless it is
+    finite and every draw keeps x*x finite: each entry of x is at most
+    |k| + 6.07 |eps| in modulus, and n (|k| + 6.07 |eps|)^2 must not
+    exceed 1e300."""
+    _check_eps(trunc, eps)
     base = trunc.base_x()
     for _ in range(_MAX_DRAWS):
         x = base + eps * gaussian_complex(rng, base.shape)
@@ -103,7 +119,18 @@ def sample_stable1(trunc: Truncation, rng: np.random.Generator,
         )
     X = gaussian_complex(rng, base.shape)
     X = X - x @ np.linalg.solve(dagger(x) @ x, dagger(x) @ X)
-    return ConfigPoint(trunc, x, X)
+    return _point(trunc, x, X)
+
+
+def _check_eps(trunc: Truncation, eps: float) -> None:
+    """Refuse (ValueError) an eps that is not finite, or with which
+    x = base + eps * Gaussian could make x*x overflow."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    bound = abs(trunc.k) + _GAUSSIAN_MAX * abs(eps)
+    if not trunc.n * bound * bound <= _GRAM_MAX:
+        raise ValueError(f"eps={eps:g} is too large: x*x could overflow "
+                         f"(n (|k| + 6.07 |eps|)^2 > {_GRAM_MAX:g} at n = {trunc.n})")
 
 
 def sample_level(trunc: Truncation, rng: np.random.Generator,

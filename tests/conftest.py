@@ -11,6 +11,10 @@ operand 8, K3 = (sqrt 2 - 1)/2, boost h = (1/4) ln 2.
 
 ill_conditioned_stable3 builds third-stable points with an ill-conditioned
 x + X, shared by the membership and CLI tests.
+
+fresh copies a point or a pair into a new value with an empty memo: a test
+that counts factorizations, or that patches a helper between evaluations,
+evaluates on a fresh copy so that nothing memoized on the original is read.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import collections
 import numpy as np
 import pytest
 
-from hkq import ConfigPoint, Truncation
+from hkq import ConfigPoint, OrbitPair, Subspace, Truncation
 from hkq.sampling import gaussian_complex, make_rng
 
 SQRT2 = np.sqrt(2.0)
@@ -56,6 +60,14 @@ def ill_conditioned_stable3(p, q, k, cond, offset, seed) -> ConfigPoint:
     noise[p:] = gaussian_complex(make_rng(seed), (q, p))
     minus = k * k * f @ np.linalg.inv(r) + noise
     return ConfigPoint(Truncation(p, q, k), (plus + minus) / 2, (plus - minus) / 2)
+
+
+def fresh(value):
+    """A new ConfigPoint or OrbitPair equal to value, built by the checked
+    constructors from copies of its arrays, so its memo starts empty."""
+    if isinstance(value, ConfigPoint):
+        return ConfigPoint(value.trunc, value.x.copy(), value.X.copy())
+    return OrbitPair(Subspace(value.P.frame.copy()), Subspace(value.Qperp.frame.copy()))
 
 
 @pytest.fixture

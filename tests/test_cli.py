@@ -225,6 +225,24 @@ def test_sample_with_k4_underflowing_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps,message", [
+    ("nan", "eps must be finite, got nan"),
+    ("inf", "eps must be finite, got inf"),
+    ("1e200", "eps=1e+200 is too large: x*x could overflow"),
+])
+@pytest.mark.parametrize("space", ["stable1", "level", "stable3"])
+def test_sample_with_an_unusable_eps_exits_2(space, eps, message, tmp_path, capfd):
+    # refused before anything is drawn: one message naming eps, no numpy
+    # warning on stderr, and no file
+    out = tmp_path / "f.json"
+    assert cli.main(["sample", "--space", space, "-p", "2", "-q", "3",
+                     "--eps", eps, "-o", str(out)]) == cli.EXIT_INPUT
+    err = capfd.readouterr().err
+    assert err.startswith("error ") and message in err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "-0.0", "1e-400", "abc"])
 def test_tol_that_is_not_finite_and_positive_exits_2(tol, capsys):
     # refused by the parser, naming --tol, before any membership test could

@@ -13,6 +13,8 @@ oracle, and pairs built from a known A are checked against that A.
 import numpy as np
 import pytest
 
+from conftest import fresh
+
 from hkq.grassmann import (
     OrbitPair,
     Subspace,
@@ -94,13 +96,14 @@ def test_recovers_a_known_graph_operator(p, q, norm, rng):
 def test_factorization_budget(lapack_calls, rng):
     # psi3: one thin SVD each of x + X and x - X, membership included;
     # the graph operator: the singular values of M and M^-1;
-    # project3 adds one eigendecomposition of Id + w*w and nothing else
+    # project3 adds one eigendecomposition of Id + w*w and nothing else.
+    # Each call runs on a fresh copy, whose memo is empty.
     pt = sample_stable3(Truncation(4, 5, SQRT2), rng)
     pair, _ = psi3(pt)
     budgets = [
-        (lambda: psi3(pt), {"svd thin": 2}),
-        (lambda: characteristic_angles(pair), {"svd values": 2, "inv": 1}),
-        (lambda: project3(pt), {"svd thin": 2, "svd values": 1, "inv": 1, "eigh": 1}),
+        (lambda: psi3(fresh(pt)), {"svd thin": 2}),
+        (lambda: characteristic_angles(fresh(pair)), {"svd values": 2, "inv": 1}),
+        (lambda: project3(fresh(pt)), {"svd thin": 2, "svd values": 1, "inv": 1, "eigh": 1}),
     ]
     for call, budget in budgets:
         lapack_calls.clear()
@@ -111,17 +114,17 @@ def test_factorization_budget(lapack_calls, rng):
 def test_no_n_by_n_factorization_at_p_much_smaller_than_q(lapack_calls):
     # at (8, 64) a full SVD or a complete QR would factor a 72 x 72 matrix;
     # every third-structure route reads the two n x p frames of P and
-    # Q^perp instead
+    # Q^perp instead; each call runs on a fresh copy, whose memo is empty
     pt = sample_stable3(Truncation(8, 64, SQRT2), make_rng(0))
     pair, _ = psi3(pt)
     calls = {
-        "psi3": lambda: psi3(pt),
-        "project3": lambda: project3(pt),
-        "in_stable3": lambda: in_stable3(pt),
-        "K3_spectral": lambda: K3_spectral(pt),
-        "characteristic_angles": lambda: characteristic_angles(pair),
-        "k3": lambda: evaluate_routes(pt, "k3"),
-        "k3hat": lambda: evaluate_routes(pt, "k3hat"),
+        "psi3": lambda: psi3(fresh(pt)),
+        "project3": lambda: project3(fresh(pt)),
+        "in_stable3": lambda: in_stable3(fresh(pt)),
+        "K3_spectral": lambda: K3_spectral(fresh(pt)),
+        "characteristic_angles": lambda: characteristic_angles(fresh(pair)),
+        "k3": lambda: evaluate_routes(fresh(pt), "k3"),
+        "k3hat": lambda: evaluate_routes(fresh(pt), "k3hat"),
     }
     for name, call in calls.items():
         lapack_calls.clear()

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3
+from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3, fresh
 from hkq import grassmann, potentials, quotient
 from hkq.cli import CROSS_ROUTE_TOL
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
@@ -582,21 +582,27 @@ class TestEachBodyMovesOnlyItsRoute:
     """Each route is one private body: a fault in a body moves that body's
     route and no other, by more than the cross-check bound, in every table
     evaluate_routes returns.  A fault in an input that evaluate_routes
-    forms once for several routes moves exactly the routes that read it."""
+    forms once for several routes moves exactly the routes that read it.
+    Every table is evaluated on fresh copies of the points, so the faulty
+    tables read nothing memoized before the patch."""
 
     @staticmethod
-    def _tables():
+    def _points():
         trunc = Truncation(3, 4, SQRT2)
         rng = make_rng(5)
         pt1, pt3 = sample_stable1(trunc, rng), sample_stable3(trunc, rng)
-        return {which: evaluate_routes(pt, which)
-                for which, pt in (("k1", pt1), ("k3", pt3), ("k3hat", pt3))}
+        return (("k1", pt1), ("k3", pt3), ("k3hat", pt3))
+
+    @staticmethod
+    def _tables(points):
+        return {which: evaluate_routes(fresh(pt), which) for which, pt in points}
 
     def _moved(self, monkeypatch, name, faulty):
-        base = self._tables()
+        points = self._points()
+        base = self._tables(points)
         monkeypatch.setattr(potentials, name, faulty)
         moved = set()
-        for which, table in self._tables().items():
+        for which, table in self._tables(points).items():
             assert set(table) == set(base[which])
             changed = {f"{which}.{route}" for route in table
                        if table[route] != base[which][route]}
