@@ -79,17 +79,40 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def fnorm(m) -> float:
     """Frobenius norm: the flat 2-norm of the entries.
 
-    The same operations as np.linalg.norm(m) (ravel, real.real +
-    imag.imag, square root), bit for bit, without its Python-level
-    argument handling."""
+    Where the plain sum of squares is a finite normal float, the same
+    operations as np.linalg.norm(m) (ravel, real.real + imag.imag, square
+    root), bit for bit, without its Python-level argument handling.  Where
+    it overflows (entries past about 1e154) or falls below the normal
+    range (a zero matrix, or entries below about 1e-154), the sum is taken
+    again on the entries divided by the largest modulus, as LAPACK's
+    scaled norms do, so the norm stays finite and keeps its digits.  The
+    sums are np.vdot, which rounds as ndarray.dot does and raises no
+    floating-point warning on overflow."""
     a = np.asarray(m)
     if not issubclass(a.dtype.type, np.inexact):
         a = a.astype(float)
     a = a.ravel(order="K")
+    total = _sum_squares(a)
+    if _TINY <= total < math.inf:  # false for nan too
+        return math.sqrt(total)
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if not 0.0 < scale < math.inf:
+        return scale  # 0 for a zero or empty matrix; inf or nan propagate
+    return scale * math.sqrt(_sum_squares(a / scale))
+
+
+# the smallest positive normal float64
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """Sum of the squared moduli of a flat array, real and imaginary parts
+    summed separately, as np.linalg.norm sums them; added as Python floats,
+    which overflow to inf without a warning."""
     if a.dtype.kind == "c":
         re, im = a.real, a.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(a.dot(a))
+        return float(np.vdot(re, re)) + float(np.vdot(im, im))
+    return float(np.vdot(a, a))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -8,7 +8,25 @@ first structure onto the level set: the unique positive group element g with
 
 moves (x, X) into the level set.  One thin SVD x = U diag(s) W* judges
 first-stable membership (x injective) and gives both |x| = W diag(s) W*
-and |x|^-1, and one eigendecomposition of g^-2 gives g.  project3 routes
+and |x|^-1, and one eigendecomposition of g^-2 gives g.
+
+At a point of psi1's section, x = k F_P and X = k V for a cotangent datum
+(P, V), |x| = k Id, gamma gamma*/k^2 is a function of N = V*V alone, and
+the formula closes:
+
+    g^-2 = (1/2) (Id + (Id + 4N)^{1/2}),   point = (k F_P g^-1, k V g).
+
+_level_section evaluates it on one eigendecomposition of N, which gives g
+and g^-1 together, with no membership check (F_P is a frame, so x is
+injective) and no inverse.  With m = (1/2)(1 + sqrt(1 + 4 nu)) on an
+eigenvalue nu of N, m^2 - nu = m, so x*x - X*X = k^2 (m - nu/m) = k^2 Id
+eigenvalue by eigenvalue, and X*x = k^2 g V* F_P g^-1 = 0.  project1
+keeps its general form: off the section (x*x)^{-1/2} gamma gamma*
+(x*x)^{-1/2} is no function of N alone, and the section form's group
+element g R / k (for x = F_P R) is not Hermitian, while project1's group
+part is the positive g.
+
+project3 routes
 through the subspace-pair picture: map the point down to psi3's pair, take
 the canonical preimage of the pair, and slide it onto the level set with
 the closed-form positive part h = (1/4) log(Id + A*A) of the third action.
@@ -91,8 +109,10 @@ from .grassmann import _graph, _orbit_pair, _section
 from .hkspace import (
     ConfigPoint,
     TangentPair,
+    Truncation,
     _finite_tangent,
     _memo,
+    _point,
     _read_only,
     act1,
     act3,
@@ -187,6 +207,24 @@ def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> Proj
     return ProjectionResult(point=point, residual=residual,
                             eigenvalues=_read_only(1.0 / np.sqrt(g_inv2.eigenvalues[::-1])),
                             group_part=_read_only(g))
+
+
+def _level_section(fp: np.ndarray, v: np.ndarray, k: float) -> ConfigPoint:
+    """project1(psi1_section(cp, k)).point in closed form, for the frame fp
+    of P and the fiber v of a cotangent datum cp (see the module docstring):
+    (k F_P g^-1, k V g) with g^-2 = (1/2)(Id + (Id + 4 V*V)^{1/2}), g and
+    g^-1 taken on the one eigendecomposition of V*V.  The point lies on the
+    level set, psi1 maps it to cp, and it equals the projection up to
+    round-off, in the same gauge of F_P."""
+    n, p = fp.shape
+    spec = _eigh(dagger(v) @ v)
+
+    def root_m(nu):  # m^{1/2}, the eigenvalues of g^-1
+        return np.sqrt(0.5 * (1.0 + np.sqrt(1.0 + 4.0 * nu)))
+
+    g_inv = spec.fun(root_m)
+    g = spec.fun(lambda nu: 1.0 / root_m(nu))
+    return _point(Truncation(p, n - p, k), k * (fp @ g_inv), k * (v @ g))
 
 
 def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:

@@ -4,6 +4,15 @@ The generator is numpy's PCG64 behind default_rng; normal deviates are
 produced by an explicit Box-Muller transform of uniform draws so the stream
 is a documented, portable function of the seed.  Every sampler is a pure
 function of (parameters, generator state).
+
+sample_stable3 projects nothing.  It draws a first-stable point S, then h
+and u, and moves by act3(h, u) the level point over S's cotangent datum,
+quotient._level_section, a closed form with one eigendecomposition.  That
+point is S's projection times a unitary W(S), which the Haar u absorbs:
+the law of the sample is that of the projected construction, and seed for
+seed the sample lies in the same third-structure orbit (sample_stable3).
+A Hermitian draw is factored once: its operator norm is read off the
+spectrum that act3 and exp act through (_hermitian_ball).
 """
 
 from __future__ import annotations
@@ -13,10 +22,17 @@ import math
 import numpy as np
 
 from .errors import DegenerateSample
-from .grassmann import CotangentPoint, OrbitPair, Subspace
+from .grassmann import CotangentPoint, OrbitPair, Subspace, _fiber
 from .hkspace import ConfigPoint, TangentPair, Truncation, _point, act3
-from .matcore import _eigh, dagger, hermitian_part, orthonormal_range, skew_part
-from .quotient import project1
+from .matcore import (
+    HermitianSpectrum,
+    _eigh,
+    dagger,
+    hermitian_part,
+    orthonormal_range,
+    skew_part,
+)
+from .quotient import _level_section, project1
 
 __all__ = [
     "gaussian_complex",
@@ -74,12 +90,27 @@ def random_skew(p: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian_ball(p: int, rng: np.random.Generator,
                           radius: float = 1.0) -> np.ndarray:
-    """Hermitian matrix with operator norm at most `radius`."""
+    """Hermitian matrix with operator norm at most `radius`: the Hermitian
+    part of a complex Gaussian, scaled to radius * r, r uniform in [0, 1)."""
+    return _hermitian_ball(p, rng, radius)[0]
+
+
+def _hermitian_ball(p: int, rng: np.random.Generator,
+                    radius: float) -> tuple[np.ndarray, HermitianSpectrum]:
+    """random_hermitian_ball's matrix h and its spectrum, from one
+    eigendecomposition: the operator norm of a Hermitian matrix is its
+    largest eigenvalue modulus, read off the spectrum that a caller acting
+    with h (act3, exp) needs anyway.  The scale is applied to the matrix and
+    to the eigenvalues alike, so the spectrum is that of h up to round-off
+    and its largest modulus is radius * r to one rounding."""
     h = hermitian_part(gaussian_complex(rng, (p, p)))
-    nrm = np.linalg.norm(h, 2)
+    spec = _eigh(h)
+    lam = spec.eigenvalues
+    nrm = max(-lam[0], lam[-1])
     if nrm == 0.0:
-        return h
-    return h * (radius * rng.random() / nrm)
+        return h, spec
+    c = radius * rng.random() / nrm
+    return h * c, HermitianSpectrum(lam * c, spec.eigenvectors)
 
 
 def random_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,8 +123,7 @@ def random_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
 def random_group_positive(p: int, rng: np.random.Generator) -> np.ndarray:
     """Positive-definite element exp(h), h in the Hermitian ball of radius
     1/2."""
-    h = random_hermitian_ball(p, rng, radius=0.5)
-    return _eigh(h).fun(np.exp)
+    return _hermitian_ball(p, rng, 0.5)[1].fun(np.exp)
 
 
 def sample_stable1(trunc: Truncation, rng: np.random.Generator,
@@ -141,12 +171,29 @@ def sample_level(trunc: Truncation, rng: np.random.Generator,
 
 def sample_stable3(trunc: Truncation, rng: np.random.Generator,
                    eps: float = 0.3) -> ConfigPoint:
-    """Point of the third stable set: level sample moved by the third action
-    with a random Hermitian parameter (norm <= 1) and unitary part."""
-    pt = sample_level(trunc, rng, eps)
-    h = random_hermitian_ball(trunc.p, rng, radius=1.0)
+    """Point of the third stable set: a level point moved by the third
+    action with a random Hermitian parameter h (norm <= 1) and a Haar
+    unitary u.
+
+    The draws are those of sample_level followed by h and u, in that order:
+    S = sample_stable1, then random_hermitian_ball and random_unitary.  The
+    level point is not S's projection but the level point over S's
+    cotangent datum, quotient._level_section(F, V, k) with F a thin-QR frame
+    of Ran x and V = grassmann._fiber(S, F): the closed form of
+    project1(psi1_section((Ran x, V), k)), with no membership check and
+    none of project1's factorizations.  It lies in the orbit of S's
+    projection L = project1(S).point under the compact action: it equals
+    L W for a unitary W that depends on S alone.  Since
+    act3(h, u, L W) = act3(h, u W^-1, L) and u W^-1 is Haar like u (u is
+    independent of S; Mezzadri, Notices AMS 54, 2007), the point has the
+    law of act3(h, u, L), and seed for seed it lies in the third-structure
+    orbit of that point: psi3's pair, and every orbit invariant such as
+    K3, agree to round-off."""
+    pt = sample_stable1(trunc, rng, eps)
+    h = _hermitian_ball(trunc.p, rng, 1.0)[1]
     u = random_unitary(trunc.p, rng)
-    return act3(_eigh(h), u, pt)
+    fp = np.linalg.qr(pt.x)[0]
+    return act3(h, u, _level_section(fp, _fiber(pt, fp), trunc.k))
 
 
 def sample_point(space: str, trunc: Truncation, rng: np.random.Generator,

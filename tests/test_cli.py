@@ -13,9 +13,11 @@ themselves), what `info` prints and factors, and that `python -m hkq` runs
 the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,27 @@ def test_round_trip_exits_0(space, structure, which, psi, tmp_path, capsys):
         if argv[0] == "potential":
             assert "cross_check pass" in out
     assert mapped.exists()
+
+
+def test_round_trips_at_p_much_smaller_than_q(tmp_path, capsys):
+    # every verb of both structures at (8, 256), on files: the sampler, the
+    # two projections, both third-structure potentials, both maps and angles
+    f = {name: str(tmp_path / f"{name}.json")
+         for name in ("s1", "level1", "cot", "s", "level", "pair")}
+    steps = [
+        ["sample", "--space", "stable1", "-p", "8", "-q", "256", "-o", f["s1"]],
+        ["project", "--structure", "i1", "-i", f["s1"], "-o", f["level1"]],
+        ["map", "--which", "psi1", "-i", f["level1"], "-o", f["cot"]],
+        ["sample", "--space", "stable3", "-p", "8", "-q", "256", "-o", f["s"]],
+        ["project", "--structure", "i3", "-i", f["s"], "-o", f["level"]],
+        ["potential", "--which", "k3", "-i", f["s"]],
+        ["potential", "--which", "k3hat", "-i", f["s"]],
+        ["map", "--which", "psi3", "-i", f["level"], "-o", f["pair"]],
+        ["angles", "-i", f["pair"]],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    assert capsys.readouterr().err == ""
 
 
 def _sample(path, space="stable1"):
@@ -243,6 +266,21 @@ def test_sample_with_an_unusable_eps_exits_2(space, eps, message, tmp_path, capf
     assert not out.exists()
 
 
+def test_sample_at_a_huge_eps_prints_finite_residuals(tmp_path, capfd):
+    # entries of x*x near 1e200: the plain sum of squares in fnorm would
+    # overflow to inf with a RuntimeWarning; the scaled sum stays finite
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["sample", "--space", "stable1", "-p", "2", "-q", "3",
+                         "--eps", "1e100", "-o", str(tmp_path / "f.json")]) == cli.EXIT_OK
+    assert caught == []
+    out, err = capfd.readouterr()
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert math.isfinite(float(lines["level_residual_real"]))
+    assert float(lines["level_residual_real"]) > 1e200  # the point is far off the set
+    assert err == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "-0.0", "1e-400", "abc"])
 def test_tol_that_is_not_finite_and_positive_exits_2(tol, capsys):
     # refused by the parser, naming --tol, before any membership test could
@@ -355,7 +393,7 @@ def test_cli_verbs_accept_an_ill_conditioned_third_stable_point(tmp_path, capsys
     point = tmp_path / "ill.json"
     jsonio.save_point(point, ill_conditioned_stable3(2, 3, np.sqrt(2.0), 1e2, 5e-11, 0))
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
-    assert "in_stable3 True" in capsys.readouterr().out
+    assert "in_stable3 True" in capsys.readouterr().out.splitlines()
     for argv in (["potential", "--which", "k3"], ["potential", "--which", "k3hat"],
                  ["project", "--structure", "i3", "-o", str(tmp_path / "level.json")],
                  ["map", "--which", "psi3", "-o", str(tmp_path / "pair.json")]):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,7 +345,9 @@ class TestSylvester:
 
 class TestFnorm:
     """fnorm runs the flat path of np.linalg.norm without its argument
-    handling, so the two agree bit for bit on every input it may get."""
+    handling, so the two agree bit for bit wherever the sum of squares is a
+    finite normal float.  Outside that range fnorm rescales, and stays
+    finite and accurate where np.linalg.norm reads inf or 0."""
 
     @pytest.mark.parametrize("make", [
         lambda g: g,                                    # complex
@@ -355,15 +360,35 @@ class TestFnorm:
         lambda g: g[:, 0],                              # 1-d
         lambda g: g[:0],                                # empty 2-d
         lambda g: np.zeros(0),                          # empty 1-d
-        lambda g: 1e200 * g,                            # squares overflow
+        lambda g: 1e150 * g,                            # squares near the top
+        lambda g: 1e-150 * g,                           # squares near the bottom
     ])
     def test_matches_numpy_norm_bit_for_bit(self, make, rng):
         m = make(gaussian_complex(rng, (7, 5)))
-        with np.errstate(over="ignore"):
-            expected = float(np.linalg.norm(m))
-            got = fnorm(m)
+        expected = float(np.linalg.norm(m))
+        got = fnorm(m)
         assert type(got) is float
-        assert got == expected or (np.isinf(got) and np.isinf(expected))
+        assert got == expected
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_stays_finite_and_accurate_far_from_one(self, scale, dtype, rng):
+        # the plain sum of squares overflows to inf or underflows to 0 here
+        g = gaussian_complex(rng, (7, 5))
+        g = g if dtype is complex else g.real.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fnorm(scale * g)
+        assert math.isfinite(got) and got > 0.0
+        assert got == pytest.approx(scale * fnorm(g), rel=4e-15)
+
+    def test_entries_at_1e_minus_200(self):
+        assert fnorm(np.full((3, 2), 1e-200 + 0j)) == pytest.approx(math.sqrt(6) * 1e-200, rel=1e-15)
+
+    def test_zero_inf_and_nan(self):
+        assert fnorm(np.zeros((2, 3))) == 0.0
+        assert fnorm(np.array([[np.inf, 1.0]])) == math.inf
+        assert math.isnan(fnorm(np.array([[np.nan, 1.0]])))
 
 
 class TestPublicPreChecks:

@@ -9,7 +9,7 @@ from hkq.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from hkq.grassmann import projector_distance, psi3
+from hkq.grassmann import projector_distance, psi1, psi1_section, psi3
 from hkq.hkspace import (
     ConfigPoint,
     TangentPair,
@@ -23,13 +23,14 @@ from hkq.hkspace import (
 )
 from hkq.matcore import HermitianSpectrum, dagger, fnorm, herm_eig, skew_part, sym_sylvester_solve
 from hkq.moment import in_stable1, in_stable3, level_residual
-from hkq.quotient import SliceBasis, project1, project3, slice_basis
+from hkq.quotient import SliceBasis, _level_section, project1, project3, slice_basis
 from hkq.sampling import (
     gaussian_complex,
     random_hermitian_ball,
     random_skew,
     random_tangent,
     random_unitary,
+    sample_cotangent,
     sample_level,
     sample_stable1,
     sample_stable3,
@@ -174,6 +175,25 @@ class TestProject1:
             lapack_calls.clear()
             call()
             assert dict(lapack_calls) == budget
+
+
+@pytest.mark.parametrize("p,q,k", [(1, 1, SQRT2), (4, 5, SQRT2), (6, 2, 30.0),
+                                   (8, 64, SQRT2), (3, 3, 0.05)])
+def test_level_section_is_the_projection_of_the_section(p, q, k, rng):
+    # at psi1's section |x| = k Id, so project1's g is a function of V*V
+    # alone: the closed form gives the same point in the same gauge of F_P
+    tr = Truncation(p, q, k)
+    for _ in range(3):
+        cp = sample_cotangent(tr, rng)
+        pt = _level_section(cp.P.frame, cp.V, k)
+        want = project1(psi1_section(cp, k)).point
+        scale = 1e-13 * (1.0 + fnorm(want.x) + fnorm(want.X))
+        assert pt.trunc == tr
+        assert fnorm(pt.x - want.x) <= scale and fnorm(pt.X - want.X) <= scale
+        assert max(level_residual(pt)) <= 1e-12 * k * k
+        back = psi1(pt)
+        assert projector_distance(back.P, cp.P) <= 1e-12
+        assert fnorm(back.eta - cp.eta) <= 1e-12 * (1.0 + fnorm(cp.eta))
 
 
 class TestProject3:
