@@ -19,10 +19,9 @@ UNITARY_TOL = 1e-10
 # Positive definiteness in sym_sylvester_solve: lam_min > PD_TOL * lam_max.
 PD_TOL = 1e-12
 
-# Rank cutoff of matcore.orthonormal_range and null_space_frame, which
-# extract frames (of a random plane, a complement).  It judges no
-# membership: stable-set rank is judged at the caller's membership
-# tolerance, by moment's rule.
+# Rank cutoff of matcore.orthonormal_range, which extracts the frame of a
+# random plane.  It judges no membership: stable-set rank is judged at the
+# caller's membership tolerance, by moment's rule.
 RANK_TOL = 1e-10
 
 # Orthonormality of a d-column frame: ||F*F - Id||_F <= FRAME_TOL (1 + d).

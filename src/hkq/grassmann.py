@@ -10,10 +10,11 @@ entries.  This module provides
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q) via
     z = i (x + X)(x* - X*).  A pair is held as P and Q^perp = Ran(x - X),
-    two n x p frames read off the thin SVDs of x + X and x - X that judge
-    third-stable membership (moment._stable3_svd, the one rule); Q itself,
-    n x q, appears only in pair files (jsonio).  No route forms z: psi3
-    returns it for callers that read it, and checks nothing with it,
+    two n x p frames, the Q factors of the thin QRs of x + X and x - X on
+    which moment._stable3_frames judges third-stable membership (the one
+    rule, its rank half certified by the equations' own residuals); Q
+    itself, n x q, appears only in pair files (jsonio).  No route forms z:
+    psi3 returns it for callers that read it, and checks nothing with it,
   * the graph operator A: P -> P^perp whose graph is Q^perp, held in
     ambient form w = F_Pperp A so that no frame of P^perp is needed, and the
     characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), and
@@ -36,8 +37,8 @@ import numpy as np
 from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import BadCotangent, NotTransversal, ShapeMismatch
 from .hkspace import ConfigPoint, Truncation, _memo, _owned, _point, _read_only
-from .matcore import _fix_column_phases, as_matrix, dagger, fnorm, null_space_frame
-from .moment import _stable1_svd, _stable3_svd
+from .matcore import _fix_column_phases, as_matrix, dagger, fnorm
+from .moment import _stable1_svd, _stable3_frames
 
 __all__ = [
     "CotangentPoint",
@@ -106,8 +107,11 @@ def projector_distance(a: Subspace, b: Subspace) -> float:
 
 
 def complement_frame(sub: Subspace) -> np.ndarray:
-    """Gauge-fixed orthonormal frame of the orthogonal complement."""
-    return null_space_frame(dagger(sub.frame))
+    """Gauge-fixed orthonormal frame of the orthogonal complement: the last
+    n - d columns of the complete QR of the frame.  The frame is
+    orthonormal, so it has full rank d and its first d Q columns span it;
+    the rest span its complement, with no rank to decide."""
+    return _fix_column_phases(np.linalg.qr(sub.frame, mode="complete")[0][:, sub.dim:])
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,8 @@ class CotangentPoint:
 class OrbitPair:
     """Transversal pair (P, Q), dim P = p, dim Q = q = n - p, held as P and
     Qperp = Q^perp, two p-planes: Q^perp is the graph of A: P -> P^perp,
-    and no computation reads Q itself.
+    and no computation reads Q itself.  For psi3's pair the frames are the
+    phase-fixed Q factors of the thin QRs of x + X and x - X.
 
     Q is a file-boundary representation: jsonio.save_pair writes
     complement_frame(Qperp) as the file's Q, and load_pair stores the
@@ -231,12 +236,12 @@ def psi3(pt: ConfigPoint,
 
     z = i (x + X)(x* - X*) has spectrum {i k^2, 0} with eigenspaces
     P = Ran(x + X) and Q = Ker(x* - X*); the pair holds P and
-    Q^perp = Ran(x - X).  psi3 is exactly constant on orbits of the third
-    action.
+    Q^perp = Ran(x - X), framed by the Q factors of the thin QRs of x + X
+    and x - X.  psi3 is exactly constant on orbits of the third action.
 
     Membership is judged by _orbit_pair alone, that is by
-    moment._stable3_svd, the one computation of in_stable3's rule, so psi3
-    accepts exactly the points in_stable3 accepts at the same tol.  z is
+    moment._stable3_frames, the one computation of in_stable3's rule, so
+    psi3 accepts exactly the points in_stable3 accepts at the same tol.  z is
     formed for the caller (n x n) and returned, not checked: with
     E = (x - X)*(x + X) - k^2 Id, the residual of the equations,
     z (x + X) = i (x + X)(k^2 Id + E), so z F_P - i k^2 F_P grows with
@@ -249,12 +254,13 @@ def psi3(pt: ConfigPoint,
 
 def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
     """psi3's pair without z, for the routes and projections that read only
-    the pair: moment._stable3_svd judges membership (the equations first,
-    so a point off them is refused before anything is factored, then the
-    rank of x + X and x - X on their thin SVDs), and its p left singular
-    vectors, phase-fixed, are the frames of P and of Q^perp.  The pair is
+    the pair: moment._stable3_frames judges membership (the equations
+    first, so a point off them is refused before anything is factored, then
+    the rank of x + X and x - X, certified by the equations' residuals or
+    read off the R factors of their thin QRs), and the Q factors of those
+    QRs, phase-fixed, are the frames of P and of Q^perp.  The pair is
     memoized on pt per tol, so the graph memoized on it is built once."""
-    return _memo(pt, ("pair", tol), lambda: _pair_of(*_stable3_svd(
+    return _memo(pt, ("pair", tol), lambda: _pair_of(*_stable3_frames(
         pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")))
 
 

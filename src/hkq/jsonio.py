@@ -42,9 +42,12 @@ and such files are regenerated from their seed (`hkq sample --seed ...`,
 then `project` or `map`).
 
 A pair is held in memory as P and Q^perp (grassmann.OrbitPair); the file
-keeps Q, n x q, which save_pair writes as complement_frame(Q^perp) and
-load_pair turns back into Q^perp by the same function.  The frame of Q
-read from a file is kept with the pair and written back as it is.
+keeps Q, n x q, which save_pair writes as complement_frame(Q^perp), the
+last q columns of a complete QR of the Q^perp frame, and load_pair turns
+back into Q^perp by the same function.  The frame of Q read from a file
+is kept with the pair and written back as it is.  psi3's frames of P and
+Q^perp are the phase-fixed Q factors of the thin QRs of x + X and x - X,
+so the P of a pair file written by `map --which psi3` is the first.
 
 Unknown keys are ignored on load.  Pair files of the older layout also
 held "z": z = i(x + X)(x* - X*), which is i k^2 times the projection onto P

@@ -1,9 +1,9 @@
 """Dense complex linear-algebra kernel.
 
 Hermitian eigendecomposition, functional calculus of Hermitian matrices,
-SVD, gauge-fixed orthonormalization of ranges and null spaces, and the
-symmetric (anticommutator) Sylvester solver, with stacked right-hand sides,
-used by the tangent projectors.  All scalars are complex128; the acceptance
+SVD, gauge-fixed orthonormalization of ranges, and the symmetric
+(anticommutator) Sylvester solver, with stacked right-hand sides, used by
+the tangent projectors.  All scalars are complex128; the acceptance
 tolerances (1e-9 .. 1e-12) need full double precision.
 
 Preconditions are checked at the public entry points only.  herm_eig,
@@ -51,7 +51,6 @@ __all__ = [
     "hermitian_part",
     "skew_part",
     "is_hermitian",
-    "null_space_frame",
     "orthonormal_range",
     "psd_sqrt",
     "svd",
@@ -309,13 +308,6 @@ def orthonormal_range(m) -> np.ndarray:
     """
     u, s, _ = svd(m)
     return _fix_column_phases(u[:, :_rank(s)])
-
-
-def null_space_frame(m) -> np.ndarray:
-    """Gauge-fixed orthonormal basis of the kernel of M (right null space)."""
-    m = as_matrix(m)
-    _, s, wh = np.linalg.svd(m, full_matrices=True)
-    return _fix_column_phases(dagger(wh)[:, _rank(s):])
 
 
 def sym_sylvester_solve(m, s) -> np.ndarray:

@@ -16,10 +16,10 @@ muC = mu2 + i mu3 holds exactly at the matrix level.  The level set is
 level value.
 
 The stable-set rules are judged once per point and tolerance: the factors
-of _stable1_svd and _stable3_svd are memoized on the point (hkspace._memo)
-and read-only, so in_stable1, psi1, project1 and the k1 routes, or
-in_stable3, psi3, project3 and the k3 routes, called in turn on one point
-at one tol, factor it once.  A refused point is judged again on each call.
+of _stable1_svd and the frames of _stable3_frames are memoized on the
+point (hkspace._memo) and read-only, so in_stable1, psi1, project1 and the
+k1 routes, or in_stable3, psi3, project3 and the k3 routes, called in turn
+on one point at one tol, factor it once.  A refused point is judged again on each call.
 """
 
 from __future__ import annotations
@@ -129,25 +129,44 @@ def _judge_stable1(pt: ConfigPoint, tol: float,
 def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the third structure:
     x*x - X*X = k^2 Id, X*x Hermitian (both to tol * k^2), and both x + X
-    and x - X of full numerical rank.  The verdict of _stable3_svd, the one
-    computation of this rule."""
+    and x - X of full numerical rank.  The verdict of _stable3_frames, the
+    one computation of this rule."""
     try:
-        _stable3_svd(pt, tol, "")
+        _stable3_frames(pt, tol, "")
     except NotInStable3:
         return False
     return True
 
 
-def _stable3_svd(pt: ConfigPoint, tol: float,
-                 refusal: str) -> tuple[np.ndarray, np.ndarray]:
+def _stable3_frames(pt: ConfigPoint, tol: float,
+                    refusal: str) -> tuple[np.ndarray, np.ndarray]:
     """Third-stable membership judged once, for every entry that needs it,
     by the rule of _stable1_svd: the equations x*x - X*X = k^2 Id and X*x
     Hermitian to tol * k^2 first, so nothing is factored for a point off
-    them, then the rank half on the thin SVDs of x + X and x - X.  Returns
-    their left factors (U_P, U_Qperp), n x p each: frames of P = Ran(x + X)
+    them, then the rank half, sigma_min > tol * sigma_max for both
+    A = x + X and C = x - X, on one thin QR of each, A = Q_A R_A and
+    C = Q_C R_C.  Returns (Q_A, Q_C), n x p each: frames of P = Ran(x + X)
     and of Q^perp = Ran(x - X), the orthogonal complement of
-    Q = Ker(x* - X*), read-only and memoized on pt per tol.  Raises
-    NotInStable3(refusal)."""
+    Q = Ker(x* - X*), orthonormal to round-off whatever the condition of
+    A and C (Householder QR), read-only and memoized on pt per tol.
+    Raises NotInStable3(refusal).
+
+    The rank half is certified by the equations' own residuals
+    r1 = ||x*x - X*X - k^2 Id||_F and r2 = ||X*x - x*X||_F.  Expanding,
+
+        C*A = k^2 Id + E,   E = (x*x - X*X - k^2 Id) + (x*X - X*x),
+
+    so ||E||_2 <= r1 + r2.  For a unit vector v,
+    ||C*A v|| >= k^2 - r1 - r2, and ||C*A v|| <= sigma_max(C) ||A v||, so
+    sigma_min(A) sigma_max(C) >= k^2 - r1 - r2; A*C = (C*A)* gives the same
+    with A and C swapped.  With sigma_max <= ||.||_F, both ratios
+    sigma_min / sigma_max are at least (k^2 - r1 - r2) / (||A||_F ||C||_F).
+    So where 2 tol ||A||_F ||C||_F < k^2 - r1 - r2, the rule holds for
+    both with a factor-2 margin over the round-off of computed singular
+    values, and no SVD is taken.  Elsewhere the rule is applied to the
+    values-only singular values of the p x p factors R_A and R_C, which
+    are those of A and C.  The certificate is homogeneous of degree 2 in
+    (x, X, k), as the rule is."""
     return _memo(pt, ("stable3", tol), lambda: _judge_stable3(pt, tol, refusal))
 
 
@@ -155,14 +174,17 @@ def _judge_stable3(pt: ConfigPoint, tol: float,
                    refusal: str) -> tuple[np.ndarray, np.ndarray]:
     x, X = pt.x, pt.X
     k2 = pt.trunc.k2
-    if not (_within_tol(fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p)), tol, k2)
-            and _within_tol(fnorm(dagger(X) @ x - dagger(x) @ X), tol, k2)):
+    r1 = fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p))
+    r2 = fnorm(dagger(X) @ x - dagger(x) @ X)
+    if not (_within_tol(r1, tol, k2) and _within_tol(r2, tol, k2)):
         raise NotInStable3(refusal)
-    up, sp, _ = svd(x + X)
-    uq, sq, _ = svd(x - X)
-    if not (_full_rank(sp, tol) and _full_rank(sq, tol)):
+    a, c = x + X, x - X
+    qa, ra = np.linalg.qr(a)
+    qc, rc = np.linalg.qr(c)
+    if not (2.0 * tol * fnorm(a) * fnorm(c) < k2 - r1 - r2
+            or all(_full_rank(np.linalg.svd(r, compute_uv=False), tol) for r in (ra, rc))):
         raise NotInStable3(refusal)
-    return _read_only(up), _read_only(uq)
+    return _read_only(qa), _read_only(qc)
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

@@ -47,8 +47,9 @@ evaluate_routes checks membership and warns once per call, and hands the
 bodies what they share: for k1 the one thin SVD of x, the one spectrum of
 x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair
 without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
-the two thin SVDs on which moment._stable3_svd judges third-stable
-membership, the one rule that in_stable3 and psi3 apply too, and its one
+the Q factors of the two thin QRs on which moment._stable3_frames judges
+third-stable membership, the one rule that in_stable3 and psi3 apply too
+(its rank half certified by the equations' own residuals), and its one
 graph w.  For k1 the SVD is the one that judges first-stable membership
 (moment._stable1_svd), and it gives the curvature route psi1's frame of P;
 the level route reads project1's result.  K1_closed forms the log-det
@@ -102,7 +103,7 @@ from .matcore import (
     is_hermitian,
     psd_sqrt,
 )
-from .moment import _stable1_svd, _stable3_svd
+from .moment import _stable1_svd, _stable3_frames
 from .quotient import ProjectionResult, _fiber_operand, project1, project3
 
 __all__ = [
@@ -255,7 +256,7 @@ def K3_spectral(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
 
     which reduces to (1/4) Tr(D^{1/2} - k^2 Id) with
     D = k^4 Id + 4 x*x X*X - 4 (x*X)^2 wherever X*X and x*X commute."""
-    _stable3_svd(pt, tol, "K3 requires the third-structure stability conditions")
+    _stable3_frames(pt, tol, "K3 requires the third-structure stability conditions")
     return _k3_spectral(pt)
 
 

@@ -30,10 +30,11 @@ project3 routes
 through the subspace-pair picture: map the point down to psi3's pair, take
 the canonical preimage of the pair, and slide it onto the level set with
 the closed-form positive part h = (1/4) log(Id + A*A) of the third action.
-The pair is the frames of P and Q^perp, n x p each, from the thin SVDs of
-x + X and x - X on which moment._stable3_svd judges third-stable
-membership, its one rule; psi3's n x n orbit operator z is not formed, and
-nothing on this route takes an n x n factorization or product.  The graph
+The pair is the frames of P and Q^perp, n x p each, the Q factors of the
+thin QRs of x + X and x - X on which moment._stable3_frames judges
+third-stable membership, its one rule; psi3's n x n orbit operator z is
+not formed, and nothing on this route takes an n x n factorization or
+product.  The graph
 operator enters in its ambient form w = F_Pperp A, computed once from those
 two frames and without any frame of P^perp or of Q; it gives the preimage,
 and one eigendecomposition of Id + w*w = Id + A*A gives h, cosh(h) and
@@ -230,12 +231,13 @@ def _level_section(fp: np.ndarray, v: np.ndarray, k: float) -> ConfigPoint:
 def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
-    Route: psi3's pair (P, Q^perp), read off the thin SVDs of x + X and
-    x - X that judge third-stable membership (NotInStable3), without z; the
-    graph operator, in its ambient form w = F_Pperp A, gives the canonical
-    preimage pt0 = psi3_section(pair) and the one eigendecomposition of
-    Id + w*w = Id + A*A, on which h = (1/4) log(Id + A*A), its
-    eigenvalues, cosh(h) and sinh(h) are all taken;
+    Route: psi3's pair (P, Q^perp), the Q factors of the thin QRs of x + X
+    and x - X that judge third-stable membership (NotInStable3), without z;
+    the graph operator, in its ambient form w = F_Pperp A, gives the
+    canonical preimage pt0 = psi3_section(pair) and the one
+    eigendecomposition of Id + w*w = Id + A*A, on which
+    h = (1/4) log(Id + A*A), its eigenvalues, cosh(h) and sinh(h) are all
+    taken;
     point = act3(-h, None, pt0), with -h passed as that spectrum.  The
     result lies in the level set (exactly, up to round-off) and in the same
     orbit as pt (psi3 reproduces the pair).  It matches the intrinsic

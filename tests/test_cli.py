@@ -126,6 +126,72 @@ def test_round_trips_at_p_much_smaller_than_q(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _compact(path) -> bytes:
+    with open(path) as fh:
+        return (json.dumps(json.load(fh), sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_round_trip_at_p_q_64_through_every_verb_but_check(tmp_path, capsys):
+    # both structures at (64, 64), on files: sample, project, potential on
+    # the sample and on its level point, map and info, then angles on the
+    # pair file, the routes reached only through --route, and --tol
+    d = tmp_path
+    for space, structure, which, psi in (("stable1", "i1", "k1", "psi1"),
+                                         ("stable3", "i3", "k3", "psi3")):
+        s, level, mapped = (str(d / f"{space}{tag}.json") for tag in ("", ".level", ".map"))
+        for argv in (["sample", "--space", space, "-p", "64", "-q", "64", "-o", s],
+                     ["project", "--structure", structure, "-i", s, "-o", level],
+                     ["potential", "--which", which, "-i", s],
+                     ["potential", "--which", which, "-i", level],
+                     ["map", "--which", psi, "-i", level, "-o", mapped],
+                     ["info", "-i", level]):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+    assert cli.main(["angles", "-i", str(d / "stable3.map.json")]) == cli.EXIT_OK
+    # each of the 6 files written is json.dumps's compact text, byte for byte
+    files = sorted(d.glob("*.json"))
+    assert len(files) == 6, files
+    for f in files:
+        assert f.read_bytes() == _compact(f), f
+    # the cotangent file holds the 128 x 64 fiber V; its section maps back to P
+    path = d / "stable1.map.json"
+    eta = json.loads(path.read_text())["eta"]
+    assert (eta["rows"], eta["cols"]) == (128, 64)
+    cp, k = jsonio.load_cotangent(path)
+    assert hkq.projector_distance(hkq.psi1(hkq.psi1_section(cp, k)).P, cp.P) <= 1e-10
+    # routes with no single-route function, reached through --route; k3 has
+    # no similarity route, which --route refuses as an input error
+    s1, s3, level3 = (str(d / name) for name in ("stable1.json", "stable3.json",
+                                                 "stable3.level.json"))
+    assert cli.main(["potential", "--which", "k1", "--route", "fiber", "-i", s1]) == cli.EXIT_OK
+    assert cli.main(["potential", "--which", "k3", "--route", "similarity",
+                     "-i", s3]) == cli.EXIT_INPUT
+    for path in (s3, level3):
+        assert cli.main(["potential", "--which", "k3hat", "-i", path]) == cli.EXIT_OK
+    assert cli.main(["--tol", "1e-6", "info"]) == cli.EXIT_OK
+    # a --tol of 1 or more admits no point: the parser refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--tol", "1", "info"])
+    assert exc.value.code == cli.EXIT_INPUT
+
+
+ALLOWED_CI_COMMANDS = {
+    'python -m pip install -e ".[test]"',
+    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+    "--continue-on-collection-errors",
+    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m hkq check --suite all "
+    "--trials 50 --seed 0",
+}
+
+
+def test_ci_runs_only_install_tier1_and_the_acceptance_run():
+    # every assertion lives in tests/: a CI step that wants a new one
+    # writes a test instead of an inline script
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    runs = [line.split("run:", 1)[1].strip() for line in workflow.read_text().splitlines()
+            if line.strip().removeprefix("- ").startswith("run:")]
+    assert sorted(runs) == sorted(ALLOWED_CI_COMMANDS), runs
+
+
 def _sample(path, space="stable1"):
     argv = ["sample", "--space", space, "-p", "2", "-q", "2", "-o", str(path)]
     assert cli.main(argv) == cli.EXIT_OK
@@ -152,12 +218,12 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
 
 @pytest.mark.parametrize("space,structure,budget", [
     # project1: one thin SVD of x, one eigh each of Id + the fiber operand
-    # and of g^-2, act1's inv; project3: psi3's thin SVDs of x + X and
+    # and of g^-2, act1's inv; project3: psi3's thin QRs of x + X and
     # x - X, the graph operator's values-only SVD and inv, one eigh of
     # Id + w*w.  The printed eigenvalues come from the
     # projection's own spectrum, so no eigvalsh is added.
     ("stable1", "i1", {"svd thin": 1, "eigh": 2, "inv": 1}),
-    ("stable3", "i3", {"svd thin": 2, "svd values": 1, "eigh": 1, "inv": 1}),
+    ("stable3", "i3", {"qr reduced": 2, "svd values": 1, "eigh": 1, "inv": 1}),
 ])
 def test_project_factors_only_what_the_projection_does(space, structure, budget,
                                                         lapack_calls, tmp_path, capsys):
@@ -401,8 +467,9 @@ def test_cli_verbs_accept_an_ill_conditioned_third_stable_point(tmp_path, capsys
 
 
 def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
-    # the rank verdict comes from psi3's own thin SVDs of x + X and x - X;
-    # the other two SVDs are characteristic_angles' (of F_P* F_Qperp and w)
+    # psi3's own thin QRs of x + X and x - X give the frames, and the
+    # equations' residuals certify the rank, so no SVD of x +/- X is taken;
+    # the two SVDs are characteristic_angles' (of F_P* F_Qperp and w)
     point = tmp_path / "s3.json"
     assert cli.main(["sample", "--space", "stable3", "-p", "4", "-q", "5",
                      "-o", str(point)]) == cli.EXIT_OK
@@ -410,8 +477,8 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
     lapack_calls.clear()
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 True" in capsys.readouterr().out
-    svds = {key: n for key, n in lapack_calls.items() if key.startswith("svd")}
-    assert svds == {"svd thin": 2, "svd values": 2}
+    factors = {key: n for key, n in lapack_calls.items() if key.startswith(("svd", "qr"))}
+    assert factors == {"qr reduced": 2, "svd values": 2}
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):

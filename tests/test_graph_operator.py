@@ -94,16 +94,17 @@ def test_recovers_a_known_graph_operator(p, q, norm, rng):
 
 
 def test_factorization_budget(lapack_calls, rng):
-    # psi3: one thin SVD each of x + X and x - X, membership included;
+    # psi3: one thin QR each of x + X and x - X, membership included (the
+    # equations' residuals certify the rank, so no SVD is taken);
     # the graph operator: the singular values of M and M^-1;
     # project3 adds one eigendecomposition of Id + w*w and nothing else.
     # Each call runs on a fresh copy, whose memo is empty.
     pt = sample_stable3(Truncation(4, 5, SQRT2), rng)
     pair, _ = psi3(pt)
     budgets = [
-        (lambda: psi3(fresh(pt)), {"svd thin": 2}),
+        (lambda: psi3(fresh(pt)), {"qr reduced": 2}),
         (lambda: characteristic_angles(fresh(pair)), {"svd values": 2, "inv": 1}),
-        (lambda: project3(fresh(pt)), {"svd thin": 2, "svd values": 1, "inv": 1, "eigh": 1}),
+        (lambda: project3(fresh(pt)), {"qr reduced": 2, "svd values": 1, "inv": 1, "eigh": 1}),
     ]
     for call, budget in budgets:
         lapack_calls.clear()
@@ -130,4 +131,5 @@ def test_no_n_by_n_factorization_at_p_much_smaller_than_q(lapack_calls):
         lapack_calls.clear()
         call()
         assert lapack_calls["svd full"] == 0 and lapack_calls["qr complete"] == 0, name
+        assert lapack_calls["svd thin"] == 0, name  # frames come from thin QRs
         assert lapack_calls, name  # the counter sees the route's factorizations

@@ -186,6 +186,20 @@ class TestGraphOperator:
             graph_operator(pair)
 
 
+class TestComplementFrame:
+    @pytest.mark.parametrize("n,d", [(2, 1), (5, 2), (9, 4), (72, 8), (7, 6)])
+    def test_an_orthonormal_frame_of_the_complement(self, n, d, rng, lapack_calls):
+        sub = random_subspace(n, d, rng)
+        lapack_calls.clear()
+        fperp = complement_frame(sub)
+        assert dict(lapack_calls) == {"qr complete": 1}  # no SVD, no rank to decide
+        assert fperp.shape == (n, n - d)
+        assert fnorm(dagger(fperp) @ fperp - np.eye(n - d)) <= 1e-14 * n
+        assert fnorm(dagger(sub.frame) @ fperp) <= 1e-14 * n
+        pivots = fperp[np.argmax(np.abs(fperp), axis=0), np.arange(n - d)]
+        assert np.all(np.abs(pivots.imag) <= 1e-14) and np.all(pivots.real > 0.0)
+
+
 class TestTransversality:
     """transversality() against sigma_min of the stacked frames [F_P F_Q],
     with F_Q the complement_frame of Q^perp."""

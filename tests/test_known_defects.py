@@ -101,3 +101,22 @@ def test_route_agreement_at_large_k(which, sample, k, tmp_path):
     path = tmp_path / "pt.json"
     jsonio.save_point(path, sample(Truncation(4, 5, k), make_rng(0)))
     assert cli.main(["potential", "--which", which, "-i", str(path)]) == cli.EXIT_OK
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="potential judges route agreement relative to max(1, |K|), which is "
+           "absolute below |K| = 1: at (4, 5, 1e5), seed 0, the k3 cross-check "
+           "fails (relative spread 5.5e-7, exit 1), and the same instance scaled "
+           "by 2^-20, whose route values are exactly 2^-40 times the old ones, "
+           "passes (8.4e-18, exit 0); a homogeneous agreement bound mends it",
+)
+def test_k3_cross_check_verdict_does_not_depend_on_the_unit(tmp_path):
+    pt = sample_stable3(Truncation(4, 5, 1e5), make_rng(0))
+    codes = []
+    for m in (0, -20):
+        s = 2.0 ** m
+        path = tmp_path / f"pt{m}.json"
+        jsonio.save_point(path, ConfigPoint(Truncation(4, 5, s * 1e5), s * pt.x, s * pt.X))
+        codes.append(cli.main(["potential", "--which", "k3", "-i", str(path)]))
+    assert codes[0] == codes[1], codes

@@ -19,7 +19,6 @@ from hkq.matcore import (
     herm_eig,
     herm_fun,
     herm_sqrt,
-    null_space_frame,
     orthonormal_range,
     psd_sqrt,
     skew_part,
@@ -193,14 +192,6 @@ class TestOrthonormalRange:
             assert piv.real > 0
 
 
-class TestNullSpace:
-    def test_complement_dimensions(self, rng):
-        m = gaussian_complex(rng, (5, 2))
-        ns = null_space_frame(dagger(m))
-        assert ns.shape == (5, 3)
-        assert fnorm(dagger(m) @ ns) <= 1e-12
-
-
 def _phases_by_column(frame):
     """The gauge fixing column by column: the reference for the vectorized
     `_fix_column_phases`."""
@@ -256,14 +247,13 @@ class TestFixColumnPhases:
         f = np.zeros(shape, dtype=complex)
         assert _same_bits(matcore._fix_column_phases(f), f)
 
-    def test_range_and_null_space_frames_unchanged(self, rng, monkeypatch):
+    def test_range_frames_unchanged(self, rng, monkeypatch):
         ms = [gaussian_complex(rng, s) for s in ((6, 3), (3, 7), (16, 16), (40, 9))]
         ms.append(np.hstack([ms[0], ms[0][:, :1]]))  # rank deficient
-        new = [(orthonormal_range(m), null_space_frame(m)) for m in ms]
+        new = [orthonormal_range(m) for m in ms]
         monkeypatch.setattr(matcore, "_fix_column_phases", _phases_by_column)
-        for m, (rng_frame, null_frame) in zip(ms, new):
+        for m, rng_frame in zip(ms, new):
             assert _same_bits(rng_frame, orthonormal_range(m))
-            assert _same_bits(null_frame, null_space_frame(m))
 
 
 class TestSylvester:

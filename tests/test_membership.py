@@ -5,20 +5,24 @@ CLI's `info`, `map --which psi1`, `potential --which k1` and `project
 in_stable3, psi3, project3, K3_spectral and the k3 and k3hat routes the
 same third-stable points (the CLI's third-structure verbs on the
 ill-conditioned point are in test_cli.py).  The third-stable
-rule is moment._stable3_svd's alone: psi3 returns its orbit operator z
+rule is moment._stable3_frames's alone: psi3 returns its orbit operator z
 without judging anything by it, so a stable point with an ill-conditioned
 x + X, on which z acts as i k^2 on P only up to the equations' residual
 times cond(x + X), is accepted everywhere.  At the rank boundary,
-tol = sigma_min / sigma_max, the two LAPACK SVD variants round sigma
-differently, so the entries agree there only because they read the same
-factorization."""
+tol = sigma_min / sigma_max, LAPACK rounds sigma differently for each
+factorization (a thin SVD, a values-only SVD, the R factor of a thin QR),
+so the entries agree there only because they read the same factorization.
+
+_stable3_frames certifies the rank from the equations' residuals where it
+can; the certified verdicts are compared with the thin-SVD rule, which
+the certificate replaces, over a sweep of shapes, k and tol."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import ill_conditioned_stable3
+from conftest import fresh, ill_conditioned_stable3
 from hkq import cli, jsonio
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import NotInStable1, NotInStable3
@@ -147,12 +151,23 @@ def test_third_stable_entries_agree_on_a_perturbed_point(seed, tol, member):
         assert _accepts(entry, pt, tol, NotInStable3) is member, entry
 
 
+def _ratio(s):
+    return s[-1] / s[0]
+
+
 def _rank_ratios(m):
-    """sigma_min / sigma_max of m from a values-only SVD and from the thin
-    SVD that the membership computation factors m with."""
-    values = np.linalg.svd(m, compute_uv=False)
-    factored = np.linalg.svd(m, full_matrices=False)[1]
-    return [values[-1] / values[0], factored[-1] / factored[0]]
+    """sigma_min / sigma_max of x from a values-only SVD and from the thin
+    SVD that first-stable membership factors x with."""
+    return [_ratio(np.linalg.svd(m, compute_uv=False)),
+            _ratio(np.linalg.svd(m, full_matrices=False)[1])]
+
+
+def _qr_rank_ratios(m):
+    """sigma_min / sigma_max of x +/- X from a values-only SVD and from the
+    singular values of the R factor of its thin QR, which third-stable
+    membership reads when the certificate does not decide."""
+    return [_ratio(np.linalg.svd(m, compute_uv=False)),
+            _ratio(np.linalg.svd(np.linalg.qr(m)[1], compute_uv=False))]
 
 
 def _rotated_thin_x_point(seed: int) -> ConfigPoint:
@@ -183,7 +198,7 @@ def test_in_stable1_and_psi1_agree_at_the_rank_boundary_of_a_thin_x(seed):
 @pytest.mark.parametrize("seed,operand", [(0, "minus"), (4, "minus"), (7, "plus")])
 def test_third_stable_entries_agree_at_the_rank_boundary(seed, operand):
     pt = sample_stable3(Truncation(4, 5, SQRT2), make_rng(seed))
-    for tol in _rank_ratios(pt.x + pt.X if operand == "plus" else pt.x - pt.X):
+    for tol in _qr_rank_ratios(pt.x + pt.X if operand == "plus" else pt.x - pt.X):
         member = in_stable3(pt, tol)
         for entry in THIRD_STABLE_ENTRIES:
             assert _accepts(entry, pt, tol, NotInStable3) is member, (entry, tol)
@@ -205,3 +220,63 @@ def test_third_stable_entries_accept_an_ill_conditioned_point(p, q, k, cond, off
         assert _accepts(entry, pt, tol, NotInStable3), entry
     values = list(evaluate_routes(pt, "k3", tol).values())
     assert (max(values) - min(values)) / max(1.0, abs(values[0])) <= cli.CROSS_ROUTE_TOL
+
+
+def _stable3_oracle(pt):
+    """The third-stable rule as judged on thin SVDs of x +/- X, with no
+    certificate: a function of tol that gives in_stable3's verdict from the
+    equations' residuals and sigma_min > tol sigma_max for both."""
+    x, X, k2 = pt.x, pt.X, pt.trunc.k2
+    r1 = fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p))
+    r2 = fnorm(dagger(X) @ x - dagger(x) @ X)
+    ratios = [_ratio(np.linalg.svd(m, full_matrices=False)[1]) for m in (x + X, x - X)]
+    return lambda tol: bool(max(r1, r2) <= tol * k2 and min(ratios) > tol)
+
+
+SWEEP_TOLS = np.geomspace(1e-12, 0.9, 60)
+
+
+@pytest.mark.parametrize("k", [0.05, SQRT2, 30.0])
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (4, 5), (6, 2), (8, 64), (16, 16)])
+def test_certified_membership_matches_the_thin_svd_rule(p, q, k):
+    for seed in range(5):
+        pt = sample_stable3(Truncation(p, q, k), make_rng(seed))
+        oracle = _stable3_oracle(pt)
+        for tol in SWEEP_TOLS:
+            assert in_stable3(pt, tol) is oracle(tol), (seed, tol)
+
+
+@pytest.mark.parametrize("p,q,k,cond,offset,seed", ILL_CONDITIONED_FAMILY)
+def test_certified_membership_matches_the_thin_svd_rule_when_ill_conditioned(
+        p, q, k, cond, offset, seed):
+    pt = ill_conditioned_stable3(p, q, k, cond, offset, seed)
+    oracle = _stable3_oracle(pt)
+    for tol in (DEFAULT_MEMBERSHIP_TOL, *SWEEP_TOLS):
+        assert in_stable3(pt, tol) is oracle(tol), tol
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (4, 5), (8, 64)])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_certificate_decides_at_desk_scale(p, q, seed, lapack_calls):
+    # the equations' residuals bound the rank ratios of x +/- X far above
+    # the default tol: two thin QRs for the frames, and no SVD at all
+    pt = fresh(sample_stable3(Truncation(p, q, SQRT2), make_rng(seed)))
+    lapack_calls.clear()
+    assert in_stable3(pt)
+    assert dict(lapack_calls) == {"qr reduced": 2}
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7])
+def test_the_rank_boundary_is_judged_on_the_r_factors(seed, lapack_calls):
+    # at tol near sigma_min / sigma_max no certificate holds, so the rule is
+    # read off the singular values of R_A and R_C: the point is refused at
+    # the smaller of their two ratios and accepted one float below it; a
+    # refusal on R_A skips R_C's values
+    pt = sample_stable3(Truncation(4, 5, SQRT2), make_rng(seed))
+    plus, minus = (_qr_rank_ratios(m)[1] for m in (pt.x + pt.X, pt.x - pt.X))
+    boundary = min(plus, minus)
+    for tol, member in ((boundary, False), (np.nextafter(boundary, 0.0), True)):
+        lapack_calls.clear()
+        assert in_stable3(fresh(pt), tol) is member, tol
+        values = 1 if not member and plus <= minus else 2
+        assert dict(lapack_calls) == {"qr reduced": 2, "svd values": values}, tol

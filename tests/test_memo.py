@@ -29,7 +29,7 @@ from hkq.grassmann import (
     psi3_section,
 )
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.moment import _stable1_svd, _stable3_svd, in_stable1, in_stable3
+from hkq.moment import _stable1_svd, _stable3_frames, in_stable1, in_stable3
 from hkq.potentials import K1_closed, K3_spectral, evaluate_routes, quotient_potential
 from hkq.quotient import project1, project3
 from hkq.sampling import gaussian_complex, make_rng, sample_stable1, sample_stable3
@@ -104,6 +104,31 @@ def test_a_second_call_factors_nothing(structure, name, lapack_calls):
     assert _same_bits(first, entry(fresh(pt)))
 
 
+WIDE_ENTRIES = {
+    "stable1": (sample_stable1, [
+        in_stable1, project1, psi1, K1_closed, lambda pt: evaluate_routes(pt, "k1")]),
+    "stable3": (sample_stable3, [
+        in_stable3, project3, psi3, K3_spectral,
+        lambda pt: characteristic_angles(psi3(pt)[0]),
+        lambda pt: psi3_section(psi3(pt)[0], pt.trunc.k),
+        lambda pt: evaluate_routes(pt, "k3"),
+        lambda pt: evaluate_routes(pt, "k3hat")]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::hkq.potentials.IntegralityWarning")
+@pytest.mark.parametrize("structure", WIDE_ENTRIES)
+@pytest.mark.parametrize("p,q", [(64, 64), (8, 256)])
+def test_wide_entries_give_the_same_bits_on_a_repeat_and_on_a_fresh_copy(p, q, structure):
+    sample, entries = WIDE_ENTRIES[structure]
+    pt = sample(Truncation(p, q, SQRT2), make_rng(p + q))
+    for i, entry in enumerate(entries):
+        once, twice, other = entry(pt), entry(pt), entry(fresh(pt))
+        assert _same_bits(once, twice) and _same_bits(once, other), i
+    with pytest.raises(ValueError, match="read-only"):
+        pt.x[0, 0] = 0.0
+
+
 def test_projection_then_routes_projects_once(lapack_calls):
     # project1 then evaluate_routes' level route: one eigh of g^-2, one inv
     # (act1), not two of each; likewise project3 then the k3 routes build
@@ -155,7 +180,7 @@ def test_values_and_memoized_arrays_are_read_only():
         "stable1 factor U": _stable1_svd(pt1, TOL, "")[0],
         "stable1 factor s": _stable1_svd(pt1, TOL, "")[1],
         "stable1 factor W": _stable1_svd(pt1, TOL, "")[2],
-        "stable3 factor U_P": _stable3_svd(pt3, TOL, "")[0],
+        "stable3 frame Q_A": _stable3_frames(pt3, TOL, "")[0],
         "graph w": _graph(pair, TOL),
         "psi1 P": psi1(pt1).P.frame,
         "Subspace(frame)": Subspace(np.eye(3, 2)).frame,

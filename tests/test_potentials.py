@@ -532,16 +532,16 @@ class TestEvaluateRoutesSharing:
 
     @pytest.mark.parametrize("which,budget", [
         ("k1", {"svd thin": 1, "svd values": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}),
-        ("k3", {"svd thin": 2, "svd values": 2, "inv": 1, "eigh": 1, "eigvalsh": 1,
+        ("k3", {"qr reduced": 2, "svd values": 2, "inv": 1, "eigh": 1, "eigvalsh": 1,
                 "cholesky": 1}),
-        ("k3hat", {"svd thin": 2, "svd values": 4, "inv": 1}),
+        ("k3hat", {"qr reduced": 2, "svd values": 4, "inv": 1}),
     ])
     def test_factorization_budget(self, which, budget, lapack_calls):
         # k1: one thin SVD of x for membership, the curvature frame and the
         # level route, x*x factored once for closed, fiber and curvature,
         # eigenvalues only where a route reads no eigenvectors, and no frame
         # of P^perp; k3: one Cholesky factor and one eigvalsh for the
-        # spectral route; k3/k3hat: psi3's thin SVDs of x + X and x - X and
+        # spectral route; k3/k3hat: psi3's thin QRs of x + X and x - X and
         # one graph w for every other route
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
