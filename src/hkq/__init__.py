@@ -21,7 +21,6 @@ from .grassmann import (
     curvature_fun_apply,
     curvature_op_I1,
     curvature_op_I1_via_R,
-    graph_operator,
     projector_distance,
     psi1,
     psi1_section,

@@ -375,7 +375,7 @@ def _potentials_trial(rng) -> Residuals:
     pt = sample_stable1(trunc, rng)
     routes = pots.evaluate_routes(pt, "k1")
     vals = list(routes.values())
-    yield "k1_route_agreement", _rel(np.ptp(vals), vals[0])
+    yield "k1_route_agreement", pots._route_spread(vals)[1]
 
     # compact invariance
     u = random_unitary(trunc.p, rng)
@@ -397,7 +397,7 @@ def _potentials_trial(rng) -> Residuals:
     pt3 = sample_stable3(trunc, rng)
     k3routes = pots.evaluate_routes(pt3, "k3")
     vals3 = list(k3routes.values())
-    yield "k3_route_agreement", _rel(np.ptp(vals3), vals3[0])
+    yield "k3_route_agreement", pots._route_spread(vals3)[1]
     u3 = random_unitary(trunc.p, rng)
     yield "k3_compact_invariance", _rel(
         abs(pots.K3_spectral(act3(herm_eig(np.zeros((trunc.p, trunc.p))), u3, pt3))
@@ -447,13 +447,17 @@ def _maps_trial(rng) -> Residuals:
     yield "psi1_round_trip", fnorm(cp.eta - back.eta) / (1.0 + fnorm(cp.eta))
 
     pair = sample_orbit_pair(trunc, rng)
-    pair_back, z = psi3(psi3_section(pair, k))
+    sec = psi3_section(pair, k)
+    pair_back = psi3(sec)[0]
     yield "psi3_round_trip", projector_distance(pair.P, pair_back.P)
     yield "psi3_round_trip", projector_distance(pair.Qperp, pair_back.Qperp)
     # the stacked frames stay well conditioned: sigma_min > 1e-6
     yield "pair_decomposition_margin", _margin(pair.transversality())
 
-    yield "z_spectral_structure", fnorm(z @ z - 1j * trunc.k2 * z) / trunc.k2 ** 2
+    # the section is the canonical point of its fiber: X = -(k/2) F_Pperp A
+    # has no component in P = Ran(x + X), so X*(x + X) = 0; a section moved
+    # along the fiber still round-trips, but fails here
+    yield "psi3_section_canonical", fnorm(dagger(sec.X) @ (sec.x + sec.X)) / trunc.k2
 
     # fiber constancy
     pt1 = sample_stable1(trunc, rng)
@@ -484,7 +488,7 @@ def suite_maps(trials: int, seed: int) -> list[CheckResult]:
         Family(_maps_trial, {
             "psi1_round_trip": 1e-10, "psi3_round_trip": 1e-10,
             "psi1_fiber_constancy": 1e-9, "psi3_fiber_constancy": 1e-9,
-            "z_spectral_structure": 1e-9, "angle_unitary_invariance": 1e-10,
+            "psi3_section_canonical": 1e-9, "angle_unitary_invariance": 1e-10,
             "pair_decomposition_margin": 1.0}),
     ], trials, seed)
 

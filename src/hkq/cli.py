@@ -4,6 +4,11 @@ Verbs: sample, project, potential, angles, map, check, info.  Reports are
 line-oriented `key value` pairs for machine parsing.  Exit codes: 0 success,
 1 property/cross-check failure, 2 input or membership error.
 
+`map --which psi1` prints eta_on_P_residual and eta_norm of the cotangent
+datum it writes, read off the n x p fiber V.  `map --which psi3` prints the
+transversality of the pair it writes, the pair psi3 returns, and does not
+form psi3's n x n orbit operator z.
+
 The argument parser is built once per process (`build_parser` is cached,
 so every caller shares it and none may change it): rebuilding the whole
 argparse tree was a fixed cost that every verb paid.
@@ -25,11 +30,11 @@ import numpy as np
 from . import __version__, checks, jsonio
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import HkqError, NotInStable3
-from .grassmann import _orbit_pair, characteristic_angles, psi1, psi3
+from .grassmann import _orbit_pair, characteristic_angles, psi1
 from .hkspace import Truncation, flat_potential_K
 from .matcore import dagger, fnorm
 from .moment import in_stable1, level_residual, on_level_set
-from .potentials import K3_hat_angles, evaluate_routes
+from .potentials import K3_hat_angles, _route_spread, evaluate_routes
 from .quotient import project1, project3
 from .sampling import make_rng, sample_point
 
@@ -98,12 +103,10 @@ def _cmd_potential(args) -> int:
     for name, value in sorted(routes.items()):
         _emit(f"{args.which}.{name}", value)
     if len(routes) > 1:
-        vals = list(routes.values())
-        spread = max(vals) - min(vals)
-        rel = spread / max(1.0, abs(vals[0]))
+        spread, rel = _route_spread(routes.values())
         _emit("max_route_delta", spread)
         _emit("max_route_delta_relative", rel)
-        if rel > CROSS_ROUTE_TOL:
+        if not rel <= CROSS_ROUTE_TOL:  # a NaN spread fails too
             _emit("cross_check", "FAIL")
             return EXIT_PROPERTY
         _emit("cross_check", "pass")
@@ -138,11 +141,9 @@ def _cmd_map(args) -> int:
         _emit("eta_on_P_residual", fnorm(dagger(cp.P.frame) @ cp.V))
         _emit("eta_norm", fnorm(cp.V))
     else:
-        pair, z = psi3(pt, args.tol)
+        pair = _orbit_pair(pt, args.tol)
         jsonio.save_pair(args.output, pair, k=pt.trunc.k)
-        k2 = pt.trunc.k2
         _emit("map", "psi3")
-        _emit("z_on_P_residual", fnorm(z @ pair.P.frame - 1j * k2 * pair.P.frame))
         _emit("transversality", pair.transversality())
     _emit("written", args.output)
     return EXIT_OK

@@ -8,16 +8,16 @@ entries.  This module provides
     (first structure) with cotangent data (P, eta), eta = (1/k^2) x X*,
     held as P and the n x p fiber V with eta = F_P V* (no frame of P^perp),
   * psi3 and its section: the identification of stable pairs (third
-    structure) with transversal subspace pairs (P, Q) via
-    z = i (x + X)(x* - X*).  A pair is held as P and Q^perp = Ran(x - X),
-    two n x p frames, the Q factors of the thin QRs of x + X and x - X on
+    structure) with transversal subspace pairs (P, Q), P = Ran(x + X) and
+    Q = Ker(x* - X*).  A pair is held as P and Q^perp = Ran(x - X), two
+    n x p frames, the Q factors of the thin QRs of x + X and x - X on
     which moment._stable3_frames judges third-stable membership (the one
     rule, its rank half certified by the equations' own residuals); Q
-    itself, n x q, appears only in pair files (jsonio).  No route forms z:
-    psi3 returns it for callers that read it, and checks nothing with it,
-  * the graph operator A: P -> P^perp whose graph is Q^perp, held in
-    ambient form w = F_Pperp A so that no frame of P^perp is needed, and the
-    characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), and
+    itself, n x q, appears only in pair files (jsonio),
+  * the graph operator A: P -> P^perp whose graph is Q^perp, held only in
+    ambient form w = F_Pperp A (_graph), so that no frame of P^perp is
+    built, and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2),
+    and
   * the curvature tensor of the Grassmannian together with the spectral
     functional calculus of the operator Y -> 2(V V* Y + Y V* V) that feeds
     the curvature forms of the potentials.
@@ -50,7 +50,6 @@ __all__ = [
     "curvature_fun_apply",
     "curvature_op_I1",
     "curvature_op_I1_via_R",
-    "graph_operator",
     "projector_distance",
     "psi1",
     "psi1_section",
@@ -143,8 +142,9 @@ class CotangentPoint:
 class OrbitPair:
     """Transversal pair (P, Q), dim P = p, dim Q = q = n - p, held as P and
     Qperp = Q^perp, two p-planes: Q^perp is the graph of A: P -> P^perp,
-    and no computation reads Q itself.  For psi3's pair the frames are the
-    phase-fixed Q factors of the thin QRs of x + X and x - X.
+    read only in ambient form (_graph), and no computation reads Q itself.
+    For psi3's pair the frames are the phase-fixed Q factors of the thin
+    QRs of x + X and x - X.
 
     Q is a file-boundary representation: jsonio.save_pair writes
     complement_frame(Qperp) as the file's Q, and load_pair stores the
@@ -241,12 +241,15 @@ def psi3(pt: ConfigPoint,
 
     Membership is judged by _orbit_pair alone, that is by
     moment._stable3_frames, the one computation of in_stable3's rule, so
-    psi3 accepts exactly the points in_stable3 accepts at the same tol.  z is
-    formed for the caller (n x n) and returned, not checked: with
-    E = (x - X)*(x + X) - k^2 Id, the residual of the equations,
-    z (x + X) = i (x + X)(k^2 Id + E), so z F_P - i k^2 F_P grows with
-    ||E|| times the condition number of x + X, which the rank cut bounds
-    only by 1/tol; a verdict read off it would refuse stable points.
+    psi3 accepts exactly the points in_stable3 accepts at the same tol.
+
+    z (n x n) is formed only for outside callers that read it: no route,
+    projection, verb or check of this package does (they read the pair
+    through _orbit_pair), and nothing checks it.  A verdict read off it
+    would refuse stable points: with E = (x - X)*(x + X) - k^2 Id, the
+    residual of the equations, z (x + X) = i (x + X)(k^2 Id + E), so
+    z F_P - i k^2 F_P grows with ||E|| times the condition number of
+    x + X, which the rank cut bounds only by 1/tol.
     """
     x, X = pt.x, pt.X
     return _orbit_pair(pt, tol), 1j * ((x + X) @ (dagger(x) - dagger(X)))
@@ -266,19 +269,6 @@ def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
 
 def _pair_of(up: np.ndarray, uq: np.ndarray) -> OrbitPair:
     return OrbitPair(_subspace(_fix_column_phases(up)), _subspace(_fix_column_phases(uq)))
-
-
-def graph_operator(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
-    """Coordinate matrix of the operator A: P -> P^perp whose graph is
-    Q^perp, relative to the gauge-fixed frames (F_P, F_Pperp) with
-    F_Pperp = complement_frame(P).
-
-    Computed as F_Pperp* w from the ambient form w = F_Pperp A of _graph;
-    the columns of F_P + F_Pperp A span Q^perp.  Raises NotTransversal when
-    F_P* F_Qperp is not invertible.  Public because A, not its ambient
-    form, is the operator of the paper's graph picture of the pair.
-    """
-    return dagger(complement_frame(pair.P)) @ _graph(pair, tol)
 
 
 def _graph(pair: OrbitPair, tol: float) -> np.ndarray:

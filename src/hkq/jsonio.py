@@ -1,6 +1,8 @@
-"""JSON serialization of matrices, configuration points and subspace pairs.
+"""JSON files of configuration points, subspace pairs and cotangent data.
 
-A matrix is stored as the base64 text of its entries' bytes: row-major,
+No file holds a bare matrix: each matrix is a MatrixFile object inside a
+point, pair or cotangent file (matrix_to_obj, matrix_from_obj).  A matrix
+is stored as the base64 text of its entries' bytes: row-major,
 little-endian complex128 (real then imaginary part of each entry, 16
 bytes per entry), whatever the byte order of the host.  Every value
 reloads bit for bit, signed zeros, subnormals and the largest finite
@@ -73,13 +75,11 @@ from .hkspace import ConfigPoint, Truncation, _point
 
 __all__ = [
     "load_cotangent",
-    "load_matrix",
     "load_pair",
     "load_point",
     "matrix_from_obj",
     "matrix_to_obj",
     "save_cotangent",
-    "save_matrix",
     "save_pair",
     "save_point",
 ]
@@ -187,14 +187,6 @@ def _header(obj: dict, path, k_required: bool = True):
         return p, q, Truncation(p, q, float(k)).k
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad p/q/k ({exc})") from exc
-
-
-def save_matrix(path, m: np.ndarray) -> None:
-    _write(path, matrix_to_obj(m))
-
-
-def load_matrix(path) -> np.ndarray:
-    return matrix_from_obj(_read(path), str(path))
 
 
 def save_point(path, pt: ConfigPoint, meta: dict | None = None) -> None:

@@ -123,10 +123,12 @@ def skew_part(m: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
+    """||M - M*||_F <= HERMITIAN_TOL ||M||_F for a square M: the verdict
+    does not change when M is scaled."""
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return fnorm(m - dagger(m)) <= HERMITIAN_TOL * (1.0 + fnorm(m))
+    return fnorm(m - dagger(m)) <= HERMITIAN_TOL * fnorm(m)
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def herm_eig(m) -> HermitianSpectrum:
         raise ShapeMismatch(f"herm_eig needs a square matrix, got {m.shape}")
     if not is_hermitian(m):
         raise NotHermitian(
-            f"matrix is not Hermitian within {HERMITIAN_TOL:g}: "
+            f"matrix is not Hermitian within {HERMITIAN_TOL:g} ||M||: "
             f"||M - M*|| = {fnorm(m - dagger(m)):.3e}"
         )
     return _factor(m)

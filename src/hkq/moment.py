@@ -192,7 +192,7 @@ def _check_skew(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"a must be square, got {a.shape}")
     err = fnorm(a + dagger(a))
-    if err > 1e-10 * (1.0 + fnorm(a)):
+    if err > 1e-10 * fnorm(a):  # relative: the verdict does not change with scale
         raise NotSkew(f"a must be skew-Hermitian, ||a + a*|| = {err:.3e}")
     return a
 

@@ -365,6 +365,16 @@ def _k1_level(res: ProjectionResult, k: float) -> tuple[float, dict]:
     return flat + char, {"flat_at_level": flat, "character": char}
 
 
+def _route_spread(values) -> tuple[float, float]:
+    """How far a potential's routes disagree: their spread max - min, and
+    that spread relative to the first route's value, spread / max(1, |first|).
+    The one measure of route agreement, for `hkq potential` and the check
+    suites alike.  A NaN among the values makes both NaN."""
+    vals = np.asarray(list(values), dtype=np.float64)
+    spread = float(np.ptp(vals))
+    return spread, spread / max(1.0, abs(float(vals[0])))
+
+
 def evaluate_routes(pt: ConfigPoint, which: str,
                     tol: float = DEFAULT_MEMBERSHIP_TOL) -> dict[str, float]:
     """All implemented routes for one potential at one point; used by the

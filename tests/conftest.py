@@ -15,6 +15,10 @@ x + X, shared by the membership and CLI tests.
 fresh copies a point or a pair into a new value with an empty memo: a test
 that counts factorizations, or that patches a helper between evaluations,
 evaluates on a fresh copy so that nothing memoized on the original is read.
+
+graph_coords reads the graph operator A: P -> P^perp of a pair in the
+frames (F_P, complement_frame(P)), the oracle form of the ambient w that
+grassmann._graph holds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ import collections
 import numpy as np
 import pytest
 
-from hkq import ConfigPoint, OrbitPair, Subspace, Truncation
+from hkq import ConfigPoint, OrbitPair, Subspace, Truncation, complement_frame
+from hkq.config import DEFAULT_MEMBERSHIP_TOL
+from hkq.grassmann import _graph
+from hkq.matcore import dagger
 from hkq.sampling import gaussian_complex, make_rng
 
 SQRT2 = np.sqrt(2.0)
@@ -68,6 +75,13 @@ def fresh(value):
     if isinstance(value, ConfigPoint):
         return ConfigPoint(value.trunc, value.x.copy(), value.X.copy())
     return OrbitPair(Subspace(value.P.frame.copy()), Subspace(value.Qperp.frame.copy()))
+
+
+def graph_coords(pair, tol=DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
+    """A in the frames (F_P, F_Pperp), F_Pperp = complement_frame(P): F_Pperp* w
+    for the ambient form w = F_Pperp A of grassmann._graph, which raises
+    NotTransversal for an intersecting pair."""
+    return dagger(complement_frame(pair.P)) @ _graph(pair, tol)
 
 
 @pytest.fixture

@@ -6,18 +6,21 @@ reruns alone bit for bit.  The driver: a NaN residual fails its check, a
 trial that raises fails its family's checks only, and a margin is a
 residual against tol 1.  The reduction suite factors each level point once,
 and a fault in that one factorization still fails its checks.  The ddc
-suite's central difference takes the bits of its eight-scaling form."""
+suite's central difference takes the bits of its eight-scaling form.  The
+maps suite's canonical-section check sees a section moved along its psi3
+fiber, which the round trip and the fiber constancy cannot see."""
 
 import math
 
+import numpy as np
 import pytest
 
 from hkq import checks
 from hkq import potentials as pots
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
-from hkq.hkspace import ConfigPoint, Truncation, flat_potential_K
-from hkq.matcore import HermitianSpectrum
+from hkq.hkspace import ConfigPoint, Truncation, act3, flat_potential_K
+from hkq.matcore import HermitianSpectrum, herm_eig
 from hkq.quotient import SliceBasis
 from hkq.sampling import make_rng, random_tangent, sample_level
 
@@ -92,8 +95,26 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     monkeypatch.setattr(checks, "fnorm", lambda a: math.nan)
     results, ok = checks.run_suites(["quaternion", "maps"], 2, 0)
     failed = {r.name for r in results if not r.passed}
-    assert {"algebra_exact", "z_spectral_structure"} <= failed
+    assert {"algebra_exact", "psi3_section_canonical"} <= failed
     assert not ok
+
+
+def test_a_section_moved_along_its_fiber_fails_the_canonical_check(monkeypatch):
+    # act3 with ||h|| = 1e-3 keeps the section in its psi3 fiber, so it
+    # still maps back to its pair; only its X*(x + X) = 0 is lost
+    section = checks.psi3_section
+
+    def moved(pair, k):
+        pt = section(pair, k)
+        return act3(herm_eig(1e-3 * np.eye(pt.trunc.p)), None, pt)
+
+    results = {r.name: r for r in checks.run_suite("maps", 10, 0)}
+    assert results["psi3_section_canonical"].residual <= 1e-14
+    monkeypatch.setattr(checks, "psi3_section", moved)
+    moved_results = {r.name: r for r in checks.run_suite("maps", 10, 0)}
+    assert moved_results["psi3_section_canonical"].residual >= 1e-3
+    assert {name for name, r in moved_results.items() if not r.passed} == {
+        "psi3_section_canonical"}
 
 
 def test_a_trial_that_raises_fails_its_family_only(monkeypatch):

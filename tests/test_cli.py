@@ -6,7 +6,10 @@ in the older re/im text layout, a non-finite k in a file or a non-finite or
 zero `angles --k`, a pair file without k, a trial count below one, a
 negative seed, a --tol outside (0, 1), a pair file with p or q below one
 and no k).  Also: what `project` factors, the layout of a `map --which
-psi3` file and loading of the older one with "z",
+psi3` file and loading of the older one with "z", what `map --which psi3`
+prints and that it runs without psi3 itself, a NaN route failing the
+cross-check, `python -m hkq` on each verb (exit 0 and an empty stderr, or
+exit 2 and one error line),
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
 themselves), what `info` prints and factors, and that `python -m hkq` runs
@@ -25,7 +28,7 @@ import pytest
 
 import hkq
 from conftest import ill_conditioned_stable3
-from hkq import checks, cli, jsonio, quotient
+from hkq import checks, cli, grassmann, jsonio, quotient
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.grassmann import characteristic_angles, psi3
@@ -390,6 +393,60 @@ def test_python_dash_m_runs_the_cli():
     assert "package hkq" in done.stdout
 
 
+def _python_m_hkq(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hkq.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "hkq", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _entry_point_files(tmp_path):
+    """A first- and a third-stable point file and psi3's pair file of the
+    second, written in process; and the pair file without its k."""
+    f = {name: tmp_path / f"{name}.json" for name in ("s1", "s3", "pair", "pair_no_k")}
+    _sample(f["s1"])
+    _sample(f["s3"], space="stable3")
+    assert cli.main(["map", "--which", "psi3", "-i", str(f["s3"]),
+                     "-o", str(f["pair"])]) == cli.EXIT_OK
+    obj = json.loads(f["pair"].read_text())
+    del obj["k"]
+    f["pair_no_k"].write_text(json.dumps(obj))
+    return f
+
+
+ENTRY_POINT_RUNS = {
+    # verb: (valid argv, refused argv, a phrase of the refusal)
+    "sample": (["sample", "--space", "stable3", "-p", "2", "-q", "3", "-o", "{out}"],
+               ["sample", "--space", "stable3", "-p", "2", "-q", "3", "-k", "0",
+                "-o", "{out}"], "k must be nonzero"),
+    "project": (["project", "--structure", "i3", "-i", "{s3}", "-o", "{out}"],
+                ["project", "--structure", "i3", "-i", "{s1}", "-o", "{out}"], "psi3 requires"),
+    "potential": (["potential", "--which", "k3", "-i", "{s3}"],
+                  ["potential", "--which", "k3", "--route", "nope", "-i", "{s3}"],
+                  "unknown route"),
+    "angles": (["angles", "-i", "{pair}"], ["angles", "-i", "{pair_no_k}"], "K3_hat needs k"),
+    "map": (["map", "--which", "psi3", "-i", "{s3}", "-o", "{out}"],
+            ["map", "--which", "psi3", "-i", "{s1}", "-o", "{out}"], "psi3 requires"),
+    "check": (["check", "--suite", "moment", "--trials", "1"],
+              ["check", "--suite", "moment", "--trials", "0"], "trials must be at least 1"),
+    "info": (["info", "-i", "{s3}"], ["info", "-i", "{missing}"], "missing.json"),
+}
+
+
+@pytest.mark.parametrize("verb", ENTRY_POINT_RUNS)
+def test_python_dash_m_runs_each_verb(verb, tmp_path):
+    # in-process main() does not go through the entry point: run it
+    files = {name: str(path) for name, path in _entry_point_files(tmp_path).items()}
+    files.update(out=str(tmp_path / "out.json"), missing=str(tmp_path / "missing.json"))
+    valid, refused, phrase = ENTRY_POINT_RUNS[verb]
+    done = _python_m_hkq(*(arg.format(**files) for arg in valid))
+    assert (done.returncode, done.stderr) == (cli.EXIT_OK, "")
+    assert done.stdout
+    done = _python_m_hkq(*(arg.format(**files) for arg in refused))
+    assert done.returncode == cli.EXIT_INPUT
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error ")]
+    assert len(errors) == 1 and phrase in errors[0], done.stderr
+
+
 def test_info_on_third_stable_file_prints_angles(tmp_path, capsys):
     point = tmp_path / "s3.json"
     _sample(point, space="stable3")
@@ -586,9 +643,46 @@ def test_disagreeing_routes_exit_1(monkeypatch, tmp_path, capsys):
     assert "max_route_delta_relative " in out
 
 
+def test_a_nan_route_fails_the_cross_check(monkeypatch, tmp_path, capsys):
+    # NaN > tol is False: the spread must be judged as "not <= tol"
+    point = tmp_path / "s.json"
+    _sample(point)
+    monkeypatch.setattr(cli, "evaluate_routes",
+                        lambda pt, which, tol: {"a": 1.0, "b": math.nan})
+    capsys.readouterr()
+    assert cli.main(["potential", "--which", "k1", "-i", str(point)]) == cli.EXIT_PROPERTY
+    out = capsys.readouterr().out
+    assert "max_route_delta_relative nan" in out and "cross_check FAIL" in out
+
+
 def test_map_psi3_writes_frames_and_k_only(tmp_path):
     pair = _map_psi3(tmp_path)
     assert json.loads(pair.read_text()).keys() == {"p", "q", "k", "P", "Q"}
+
+
+def test_map_psi3_prints_no_n_by_n_residual(tmp_path, capsys):
+    point = tmp_path / "s3.json"
+    _sample(point, space="stable3")
+    capsys.readouterr()
+    assert cli.main(["map", "--which", "psi3", "-i", str(point),
+                     "-o", str(tmp_path / "pair.json")]) == cli.EXIT_OK
+    keys = [line.split(" ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["map", "transversality", "written"]
+
+
+def test_map_psi3_reads_the_pair_without_psi3(monkeypatch, tmp_path, capsys):
+    # the verb reads psi3's pair, not psi3's orbit operator z, so it runs
+    # with psi3 itself out of reach and writes the same bytes
+    pair = _map_psi3(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("map --which psi3 called psi3")
+
+    monkeypatch.setattr(grassmann, "psi3", refuse)
+    again = tmp_path / "again.json"
+    assert cli.main(["map", "--which", "psi3", "-i", str(tmp_path / "s3.json"),
+                     "-o", str(again)]) == cli.EXIT_OK
+    assert again.read_bytes() == pair.read_bytes()
 
 
 def test_pair_file_with_old_z_key_loads_the_same(tmp_path, capsys):

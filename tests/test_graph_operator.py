@@ -5,22 +5,22 @@ The oracle is A = F_Pperp* F_Qperp M^-1, M = F_P* F_Qperp, with F_Pperp the
 complement_frame of P and F_Qperp rebuilt through Q, as the complement_frame
 of the complement_frame of the pair's Q^perp: another frame of Q^perp, so
 the comparison also shows that w does not depend on the frame it is read
-from.  Every consumer of w (graph_operator, characteristic_angles,
-psi3_section, project3) is compared with the same quantity rebuilt from the
-oracle, and pairs built from a known A are checked against that A.
+from.  A itself is read as F_Pperp* w.  Every consumer of w
+(characteristic_angles, psi3_section, project3) is compared with the same
+quantity rebuilt from the oracle, and pairs built from a known A are
+checked against that A.
 """
 
 import numpy as np
 import pytest
 
-from conftest import fresh
+from conftest import fresh, graph_coords
 
 from hkq.grassmann import (
     OrbitPair,
     Subspace,
     characteristic_angles,
     complement_frame,
-    graph_operator,
     psi3,
     psi3_section,
 )
@@ -61,7 +61,7 @@ def test_matches_the_complement_frame_oracle(p, q, rng):
     pair, _ = psi3(pt)
     a, fpp = _oracle_graph(pair)
     bound = _bound(a)
-    assert fnorm(graph_operator(pair) - a) <= bound
+    assert fnorm(graph_coords(pair) - a) <= bound
     theta = characteristic_angles(pair)
     assert np.max(np.abs(theta - _oracle_angles(a, p, q))) <= 1e-13
     assert np.all(theta[:max(p - q, 0)] == 0.0)  # surplus angles, exactly
@@ -88,7 +88,7 @@ def test_recovers_a_known_graph_operator(p, q, norm, rng):
     q_perp = Subspace(orthonormal_range(P.frame + complement_frame(P) @ a))
     pair = OrbitPair(P, q_perp)
     bound = _bound(a)
-    assert fnorm(graph_operator(pair) - a) <= bound
+    assert fnorm(graph_coords(pair) - a) <= bound
     assert fnorm(_oracle_graph(pair)[0] - a) <= bound
     assert np.max(np.abs(characteristic_angles(pair) - _oracle_angles(a, p, q))) <= 1e-13
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import graph_coords
 from hkq.errors import NotInStable1, NotInStable3, NotTransversal, ShapeMismatch
 from hkq.grassmann import (
     CotangentPoint,
@@ -12,7 +13,6 @@ from hkq.grassmann import (
     curvature_fun_apply,
     curvature_op_I1,
     curvature_op_I1_via_R,
-    graph_operator,
     projector_distance,
     psi1,
     psi1_section,
@@ -156,24 +156,24 @@ class TestPsi3:
 class TestGraphOperator:
     def test_orthogonal_complement_pair(self):
         pair = OrbitPair(span([1.0, 0.0]), span([1.0, 0.0]))
-        assert fnorm(graph_operator(pair)) <= 1e-14
+        assert fnorm(graph_coords(pair)) <= 1e-14
 
     def test_diagonal_pair(self):
         pair = OrbitPair(span([1.0, 0.0]), span([1 / SQRT2, 1 / SQRT2]))
-        a = graph_operator(pair)
+        a = graph_coords(pair)
         assert np.allclose(a, [[1.0]], atol=1e-12)
 
     def test_general_slope(self):
         for slope in (0.5, 2.0, -1.3):
             nrm = np.sqrt(1 + slope * slope)
             pair = OrbitPair(span([1.0, 0.0]), span([1 / nrm, slope / nrm]))
-            a = graph_operator(pair)
+            a = graph_coords(pair)
             assert np.allclose(a, [[slope]], atol=1e-12)
 
     def test_graph_spans_q_perp(self, rng):
         tr = Truncation(3, 4, 1.0)
         pair = sample_orbit_pair(tr, rng)
-        a = graph_operator(pair)
+        a = graph_coords(pair)
         fp, fperp = pair.P.frame, complement_frame(pair.P)
         graph = fp + fperp @ a
         qperp = pair.Qperp.frame
@@ -183,7 +183,7 @@ class TestGraphOperator:
     def test_rejects_intersecting(self):
         pair = OrbitPair(span([1.0, 0.0]), span([0.0, 1.0]))
         with pytest.raises(NotTransversal):
-            graph_operator(pair)
+            graph_coords(pair)
 
 
 class TestComplementFrame:
@@ -243,7 +243,7 @@ class TestTransversality:
         assert pair.transversality() == 0.0
         assert self._stacked(pair) <= 1e-15
         with pytest.raises(NotTransversal):
-            graph_operator(pair)
+            graph_coords(pair)
 
 
 class TestPsi3Section:

@@ -9,6 +9,12 @@ the group part of project1 and the h of project3 do not change, and no
 membership verdict moves: the rank certificate of moment._stable3_frames,
 2 tol ||x + X||_F ||x - X||_F < k^2 - r1 - r2, is of degree 2 on both
 sides.  Any absolute constant that enters a route breaks this bit for bit.
+
+The structural pre-checks are relative too: a matrix counts as Hermitian
+when ||M - M*|| <= tol ||M|| (matcore.is_hermitian) and as skew when
+||a + a*|| <= tol ||a|| (moment_pairing_check), so no verdict of
+herm_eig, herm_fun, sym_sylvester_solve, character_log_term or
+moment_pairing_check moves under M -> 2^m M.
 """
 
 import warnings
@@ -17,11 +23,13 @@ import numpy as np
 import pytest
 
 from hkq import cli, potentials
+from hkq.errors import HkqError, NotHermitian
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.moment import in_stable1, in_stable3
-from hkq.potentials import evaluate_routes
+from hkq.matcore import herm_eig, herm_fun, sym_sylvester_solve
+from hkq.moment import in_stable1, in_stable3, moment_pairing_check
+from hkq.potentials import character_log_term, evaluate_routes
 from hkq.quotient import project1, project3
-from hkq.sampling import make_rng, sample_stable1, sample_stable3
+from hkq.sampling import gaussian_complex, make_rng, random_tangent, sample_stable1, sample_stable3
 
 SQRT2 = np.sqrt(2.0)
 SHAPES = [(1, 1), (2, 3), (4, 5), (6, 2), (8, 64)]
@@ -109,3 +117,53 @@ def test_an_absolute_constant_in_a_route_breaks_homogeneity(which, body, monkeyp
     assert max(values) - min(values) <= cli.CROSS_ROUTE_TOL * max(1.0, abs(values[0]))
     assert _inexact(which, pt) != []
 
+
+
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+POSITIVE = np.array([[2.0, 1.0j], [-1.0j, 3.0]])  # Hermitian positive definite
+# a departure of relative size ~1e-13 is round-off, one of ~3e-9 is not
+PRE_CHECK_INPUTS = {
+    "hermitian": POSITIVE + 1e-12 * NILPOTENT,
+    "not hermitian": POSITIVE + 1e-8 * NILPOTENT,
+    "nilpotent": NILPOTENT,
+}
+
+
+def _verdict(call) -> str:
+    try:
+        call()
+    except HkqError as exc:
+        return type(exc).__name__
+    return "accepted"
+
+
+def _pre_check_verdicts(s: float) -> dict:
+    trunc = Truncation(2, 3, SQRT2)
+    pt = ConfigPoint(trunc, gaussian_complex(make_rng(1), (5, 2)),
+                     gaussian_complex(make_rng(2), (5, 2)))
+    v = random_tangent(trunc, make_rng(3))
+    verdicts = {}
+    for tag, m in PRE_CHECK_INPUTS.items():
+        m = s * m
+        verdicts[tag] = [
+            _verdict(lambda: herm_eig(m)),
+            _verdict(lambda: herm_fun(m, np.abs)),
+            _verdict(lambda: sym_sylvester_solve(m, 1j * np.eye(2))),
+            _verdict(lambda: character_log_term(m, 2.0)),
+            _verdict(lambda: moment_pairing_check(pt, 1j * m, v, 1)),
+        ]
+    return verdicts
+
+
+@pytest.mark.parametrize("m", [-40, 0, 40])
+def test_pre_check_verdicts_do_not_depend_on_the_unit(m):
+    refused = ["NotHermitian", "NotHermitian", "NotHermitian",
+               "NotPositiveDefinite", "NotSkew"]
+    assert _pre_check_verdicts(2.0 ** m) == {
+        "hermitian": ["accepted"] * 5,
+        "not hermitian": refused,
+        "nilpotent": refused,
+    }
+    # a nilpotent matrix has eigenvalues 0 and 0, whatever its size
+    with pytest.raises(NotHermitian):
+        herm_eig(2.0 ** m * NILPOTENT)
