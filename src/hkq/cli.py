@@ -4,6 +4,9 @@ Verbs: sample, project, potential, angles, map, check, info.  Reports are
 line-oriented `key value` pairs for machine parsing.  Exit codes: 0 success,
 1 property/cross-check failure, 2 input or membership error.
 
+`sample` judges its draw by the one rule of the set it names, at --tol,
+and writes no file for a draw outside that set (exit 2).
+
 `map --which psi1` prints eta_on_P_residual and eta_norm of the cotangent
 datum it writes, read off the n x p fiber V.  `map --which psi3` prints the
 transversality of the pair it writes, the pair psi3 returns, and does not
@@ -29,11 +32,11 @@ import numpy as np
 
 from . import __version__, checks, jsonio
 from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import HkqError, NotInStable3
+from .errors import HkqError, NotInStable3, NotOnLevelSet
 from .grassmann import _orbit_pair, characteristic_angles, psi1
 from .hkspace import Truncation, flat_potential_K
 from .matcore import dagger, fnorm
-from .moment import in_stable1, level_residual, on_level_set
+from .moment import _stable1_svd, _stable3_frames, in_stable1, level_residual, on_level_set
 from .potentials import K3_hat_angles, _route_spread, evaluate_routes
 from .quotient import project1, project3
 from .sampling import make_rng, sample_point
@@ -56,6 +59,13 @@ def _cmd_sample(args) -> int:
     trunc = Truncation(args.p, args.q, args.k)
     rng = make_rng(args.seed)
     pt = sample_point(args.space, trunc, rng, eps=args.eps)
+    refusal = f"sampled point is not in the {args.space} set at tol {args.tol:g}"
+    if args.space == "stable1":
+        _stable1_svd(pt, args.tol, refusal)
+    elif args.space == "stable3":
+        _stable3_frames(pt, args.tol, refusal)
+    elif not on_level_set(pt, args.tol):
+        raise NotOnLevelSet(refusal)
     jsonio.save_point(args.output, pt,
                       meta={"seed": args.seed, "generator": args.space,
                             "eps": args.eps})

@@ -307,15 +307,9 @@ def psi3_section(pair: OrbitPair, k: float,
     Only the product w = F_Pperp A of _graph enters, so no frame of P^perp
     is built.
     """
-    return _section(pair.P.frame, _graph(pair, tol), k)
-
-
-def _section(fp: np.ndarray, w: np.ndarray, k: float) -> ConfigPoint:
-    """psi3_section from the frame of P and an already computed _graph."""
+    fp, w = pair.P.frame, _graph(pair, tol)
     n, p = fp.shape
-    x = k * (fp + 0.5 * w)
-    X = -0.5 * k * w
-    return _point(Truncation(p, n - p, k), x, X)
+    return _point(Truncation(p, n - p, k), k * (fp + 0.5 * w), -0.5 * k * w)
 
 
 def characteristic_angles(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:

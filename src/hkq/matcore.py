@@ -156,7 +156,7 @@ class HermitianSpectrum:
 
         `domain_check` is a vectorized predicate on the eigenvalues (e.g.
         lam > 0 for log); offenders raise DomainViolation.  Several functions
-        of one matrix (|x| and |x|^-1, cosh and sinh) share one
+        of one matrix (g and g^-1, h and m^{1/4}) share one
         factorization by calling fun on the same spectrum.
         """
         lam = self.eigenvalues
@@ -247,12 +247,6 @@ def herm_fun(
     spectrum; inside hkq every operand is factored once and reused.
     """
     return herm_eig(m).fun(f, domain_check)
-
-
-def herm_sqrt(m) -> np.ndarray:
-    """Square root of a PSD matrix built Hermitian (tiny negatives clipped);
-    like _eigh, it runs no Hermitian pre-check."""
-    return _eigh(m).fun(psd_sqrt)
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

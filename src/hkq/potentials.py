@@ -44,17 +44,21 @@ with their own check (membership, and the IntegralityWarning for K1)
 followed by the body.  An input that every route would compute
 bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
-bodies what they share: for k1 the one thin SVD of x, the one spectrum of
-x*x, the log-det term and the fiber operand; for k3 and k3hat psi3's pair
+bodies what they share: for k1 the one thin SVD of x, and the R factor of
+one thin QR of x (_x_factor) with the log-det term and the fiber operand
+formed on it; for k3 and k3hat psi3's pair
 without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
 the Q factors of the two thin QRs on which moment._stable3_frames judges
 third-stable membership, the one rule that in_stable3 and psi3 apply too
 (its rank half certified by the equations' own residuals), and its one
 graph w.  For k1 the SVD is the one that judges first-stable membership
 (moment._stable1_svd), and it gives the curvature route psi1's frame of P;
-the level route reads project1's result.  K1_closed forms the log-det
-term and the fiber operand the same way.  The curvature route reads V
-through psi1's grassmann._fiber (psi1 is no route).
+the level route reads project1's result and none of the k1 inputs.
+R = (unitary) |x|, so log det(x*x) = 2 sum log |R_ii| and (X R*)*(X R*)
+is unitarily similar to |x| X*X |x|: x*x, whose eigendecomposition would
+square cond(x), is not formed.  K1_closed forms the
+log-det term and the fiber operand the same way.  The curvature route
+reads V through psi1's grassmann._fiber (psi1 is no route).
 
 "Computed once" also spans calls on one value: the membership factors,
 psi3's pair, its graph w and the results of project1 and project3 are
@@ -93,8 +97,6 @@ from .grassmann import (
 )
 from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
-    HermitianSpectrum,
-    _eigh,
     _eigvals,
     _fix_column_phases,
     as_matrix,
@@ -104,7 +106,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .moment import _stable1_svd, _stable3_frames
-from .quotient import ProjectionResult, _fiber_operand, project1, project3
+from .quotient import ProjectionResult, project1, project3
 
 __all__ = [
     "IntegralityWarning",
@@ -162,19 +164,27 @@ def curvature_weight_k3hat(u: float) -> float:
     return float(np.expm1(0.5 * np.log1p(u)) / u)
 
 
-def _x_spectrum(pt: ConfigPoint) -> HermitianSpectrum:
-    """The spectrum of x*x, on which the log-det term and the fiber operand
-    of the k1 routes are formed."""
-    return _eigh(dagger(pt.x) @ pt.x)
+def _x_factor(pt: ConfigPoint) -> np.ndarray:
+    """R of the thin QR x = Q R, a unitary times |x|: the k1 routes' log-det
+    term and fiber operand are formed on it."""
+    return np.linalg.qr(pt.x, mode="r")
 
 
-def _logdet_term(pt: ConfigPoint, xx: HermitianSpectrum) -> float:
-    """(k^2/4) log det(x*x / k^2), from the spectrum xx of x*x."""
-    k2 = pt.trunc.k2
-    lam = xx.eigenvalues
-    if np.any(lam <= 0):
-        raise NotInStable1("x*x is not positive definite")
-    return float(0.25 * k2 * np.sum(np.log(lam / k2)))
+def _logdet_term(pt: ConfigPoint, r: np.ndarray) -> float:
+    """(k^2/4) log det(x*x / k^2) = (k^2/2) sum_i log(|R_ii| / |k|), from
+    the factor r = _x_factor(pt)."""
+    k = pt.trunc.k
+    d = np.abs(np.diagonal(r))
+    if not np.all(d > 0):
+        raise NotInStable1("x is not injective")
+    return float(0.5 * k * k * np.sum(np.log(d / abs(k))))
+
+
+def _fiber_operand(pt: ConfigPoint, r: np.ndarray) -> np.ndarray:
+    """(4/k^4) (X R*)*(X R*), unitarily similar to (4/k^4) |x| X*X |x|:
+    its spectrum is that of 4 V*V for the fiber coordinate V."""
+    y = (2.0 / pt.trunc.k2) * (pt.X @ dagger(r))
+    return dagger(y) @ y
 
 
 def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
@@ -182,8 +192,8 @@ def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     Membership is checked (NotInStable1) before any IntegralityWarning."""
     _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
-    xx = _x_spectrum(pt)
-    return _k1_closed(pt, _logdet_term(pt, xx), _fiber_operand(pt, xx.fun(psd_sqrt)))
+    r = _x_factor(pt)
+    return _k1_closed(pt, _logdet_term(pt, r), _fiber_operand(pt, r))
 
 
 def _k1_closed(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
@@ -386,10 +396,10 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     membership on the one thin SVD x = U diag(s) W* of moment._stable1_svd
     (NotInStable1) before its one IntegralityWarning, attributed to the
     caller.  The curvature route reads psi1's frame of P, the phase-fixed U,
-    and the level route project1's result, memoized on pt; x*x is
-    factored once for the log-det term that the closed, fiber and curvature
-    routes add, and for the fiber operand that the closed and fiber routes
-    read.  k3 and
+    and the level route project1's result, memoized on pt; one thin QR of
+    x gives R (_x_factor) for the log-det term that the closed, fiber and
+    curvature routes add, and for the fiber operand that the closed and
+    fiber routes read.  k3 and
     k3hat take psi3's pair from grassmann._orbit_pair, which judges
     membership (NotInStable3) and forms no z, and one graph w of it, both
     memoized.  k3 has three routes: the spectral one reads the point alone,
@@ -401,8 +411,8 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     if which == "k1":
         u, _, _ = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
-        xx = _x_spectrum(pt)
-        logdet, fiber = _logdet_term(pt, xx), _fiber_operand(pt, xx.fun(psd_sqrt))
+        r = _x_factor(pt)
+        logdet, fiber = _logdet_term(pt, r), _fiber_operand(pt, r)
         return {
             "closed": _k1_closed(pt, logdet, fiber),
             "fiber": _k1_fiber(pt, logdet, fiber),

@@ -1,54 +1,49 @@
 """Level-set projections and the tangent-space splitting of the quotient.
 
-project1 realizes the closed-form retraction from the stable set of the
-first structure onto the level set: the unique positive group element g with
+Each stable set retracts onto the level set along the complexified orbit
+(Hitchin-Karlhede-Lindstrom-Rocek, Comm. Math. Phys. 108 (1987) 535-589),
+so both projections are the level section over the quotient datum, read
+off the factors on which membership was judged.
 
-    g^-2 = (x*x)^{-1/2} . gamma gamma* . (x*x)^{-1/2},
-    gamma gamma* = (k^2/2) (Id + (Id + (4/k^4) |x| X*X |x|)^{1/2}),
+First structure.  Over a frame F_P and a fiber V with N = V*V, the level
+section is (k F_P g0^-1, k V g0), g0^-2 = (1/2)(Id + (Id + 4N)^{1/2}), g0
+and g0^-1 taken on one eigendecomposition of N (_fiber_root): with
+m = (1/2)(1 + sqrt(1 + 4 nu)) on an eigenvalue nu of N, m^2 - nu = m, so
+x*x - X*X = k^2 Id, and X*x = 0 as F_P* V = 0.  project1 reads F_P = U
+and V' = X W diag(s) / k^2 = X x* U / k^2 off the membership SVD
+x = U diag(s) W*; then the section is act1(G, pt) with
+G = g0 diag(s) W* / k.  One p x p SVD g0 diag(s) = Y diag(sig) Z* gives
+G = Omega g with Omega = Y Z* W* unitary and g = W Z diag(sig) Z* W* / |k|
+positive (a negative k joins Omega), and act1(g, pt) is the section times
+Omega.  g is the unique positive element of the general form
+g^-2 = |x|^-1 gamma gamma* |x|^-1, gamma gamma* = (k^2/2)(Id + (Id +
+(4/k^4) |x| X*X |x|)^{1/2}), since g^2 = G*G and N = W* |x| X*X |x| W / k^4;
+that form squares cond(x) and refuses points with cond(x) >= 1e4 at the
+default tol, while the section form forms neither x*x nor an inverse.
 
-moves (x, X) into the level set.  One thin SVD x = U diag(s) W* judges
-first-stable membership (x injective) and gives both |x| = W diag(s) W*
-and |x|^-1, and one eigendecomposition of g^-2 gives g.
+Third structure.  The pair is the frames of P and Q^perp, the Q factors of
+the thin QRs of x + X and x - X on which moment._stable3_frames judges
+membership; psi3's n x n orbit operator z is not formed.  The graph
+operator enters in its ambient form w = F_Pperp A, with F_P + w =
+F_Qperp M^-1, M = F_P* F_Qperp.  psi3_section(pair) has x + X = k F_P and
+x - X = k (F_P + w); the third action with -h, h = (1/4) log m,
+m = Id + w*w, multiplies them by m^{1/4} and m^{-1/4}:
 
-At a point of psi1's section, x = k F_P and X = k V for a cotangent datum
-(P, V), |x| = k Id, gamma gamma*/k^2 is a function of N = V*V alone, and
-the formula closes:
+    x + X = k F_P m^{1/4},   x - X = k (F_P + w) m^{-1/4},
 
-    g^-2 = (1/2) (Id + (Id + 4N)^{1/2}),   point = (k F_P g^-1, k V g).
-
-_level_section evaluates it on one eigendecomposition of N, which gives g
-and g^-1 together, with no membership check (F_P is a frame, so x is
-injective) and no inverse.  With m = (1/2)(1 + sqrt(1 + 4 nu)) on an
-eigenvalue nu of N, m^2 - nu = m, so x*x - X*X = k^2 (m - nu/m) = k^2 Id
-eigenvalue by eigenvalue, and X*x = k^2 g V* F_P g^-1 = 0.  project1
-keeps its general form: off the section (x*x)^{-1/2} gamma gamma*
-(x*x)^{-1/2} is no function of N alone, and the section form's group
-element g R / k (for x = F_P R) is not Hermitian, while project1's group
-part is the positive g.
-
-project3 routes
-through the subspace-pair picture: map the point down to psi3's pair, take
-the canonical preimage of the pair, and slide it onto the level set with
-the closed-form positive part h = (1/4) log(Id + A*A) of the third action.
-The pair is the frames of P and Q^perp, n x p each, the Q factors of the
-thin QRs of x + X and x - X on which moment._stable3_frames judges
-third-stable membership, its one rule; psi3's n x n orbit operator z is
-not formed, and nothing on this route takes an n x n factorization or
-product.  The graph
-operator enters in its ambient form w = F_Pperp A, computed once from those
-two frames and without any frame of P^perp or of Q; it gives the preimage,
-and one eigendecomposition of Id + w*w = Id + A*A gives h, cosh(h) and
-sinh(h).  The returned point is a representative of the intersection
-orbit (unique up to the free compact action); every downstream quantity
-we evaluate on it is invariant under that action.
+all on the one eigendecomposition of m.  As F_P* w = 0,
+(x + X)*(x - X) = k^2 Id and (x + X)*(x + X) = k^2 m^{1/2} = (x - X)*(x - X),
+so the level equations hold with no cancellation, where the action's
+cosh(h) and sinh(h), both near e^{|h|}/2, cancelled.  The point is a
+representative of the intersection orbit (unique up to the free compact
+action); every quantity evaluated on it is invariant under that action.
 
 The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
     H (+) O (+) I1 O (+) I2 O (+) I3 O,
 
 where O = {(-x a, -X a) : a skew-Hermitian} is the orbit tangent and H the
-horizontal slice (Hitchin-Karlhede-Lindstrom-Rocek, Comm. Math. Phys. 108
-(1987) 535-589).  slice_basis is their one entry: it checks level
+horizontal slice (HKLR).  slice_basis is their one entry: it checks level
 membership, factors M = x*x + X*X once, and every projection of the
 returned SliceBasis solves against that spectrum.
 
@@ -106,7 +101,7 @@ import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet, ShapeMismatch
-from .grassmann import _graph, _orbit_pair, _section
+from .grassmann import _graph, _orbit_pair
 from .hkspace import (
     ConfigPoint,
     TangentPair,
@@ -115,8 +110,6 @@ from .hkspace import (
     _memo,
     _point,
     _read_only,
-    act1,
-    act3,
     apply_I,
 )
 from .matcore import (
@@ -125,7 +118,6 @@ from .matcore import (
     _eigh,
     _sylvester,
     dagger,
-    herm_sqrt,
     hermitian_part,
     skew_part,
 )
@@ -139,13 +131,14 @@ class ProjectionResult:
     """Outcome of a level-set projection.
 
     For project1, group_part is the positive p x p matrix g with
-    act1(group_part, original) = point and h is None.  For project3, h is the
-    Hermitian p x p matrix with act3(herm_eig(-h), None, section point) =
-    point (the unitary part is the identity in this gauge) and group_part
-    is None.  Both are plain arrays; the operation that takes one back
-    (act1, act3, potentials.character_log_term) checks what it needs.
-    eigenvalues are those of group_part or h, ascending, taken on the
-    spectrum the projection built it from (no second factorization).
+    act1(group_part, original) = point, the polar factor of the element
+    that moves the original onto the level section, and h is None.  For
+    project3, h is the Hermitian p x p matrix with
+    act3(herm_eig(-h), None, psi3_section(pair)) = point and group_part is
+    None.  Both are plain arrays; the operation that takes one back (act1,
+    act3, potentials.character_log_term) checks what it needs.
+    eigenvalues are those of group_part or h, ascending, read off the
+    factorization the projection built it from.
 
     The results of project1 and project3 are immutable: their arrays, the
     point's included, are read-only, and each is memoized on the point it
@@ -160,87 +153,75 @@ class ProjectionResult:
     h: np.ndarray | None = None
 
 
-def _fiber_operand(pt: ConfigPoint, sx: np.ndarray) -> np.ndarray:
-    """(4/k^4) |x| X*X |x|, Hermitian, for the given |x| = (x*x)^{1/2} (each
-    caller takes it on the factorization of x it already holds).
-
-    Its spectrum is that of 4 V*V for the cotangent fiber coordinate V, and
-    Id plus it is the operand under the square root of gamma gamma*."""
-    k2 = pt.trunc.k2
-    return hermitian_part((4.0 / (k2 * k2)) * (sx @ (dagger(pt.X) @ pt.X) @ sx))
-
-
 def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Closed-form projection onto the level set along the first action.
 
-    The one thin SVD of x that judges first-stable membership
-    (moment._stable1_svd: X*x = 0 to tol * k^2, then
-    sigma_min(x) > tol * sigma_max(x)) gives |x| (inside the fiber operand)
-    and |x|^-1 on its right factor.  g and its eigenvalues 1/sqrt(mu) are
-    taken on the one eigendecomposition of g^-2, and act1 inverts g.
-    Everything after the SVD and the membership check is _project1.  The
-    result is memoized on pt per tol; a refusal is not."""
+    The thin SVD x = U diag(s) W* that judges first-stable membership
+    (moment._stable1_svd) gives the frame U and the fiber V'; the point is
+    the level section over (U, V') turned by the unitary factor of one
+    p x p SVD, which also gives g (module docstring).  The result is
+    memoized on pt per tol; a refusal is not."""
     return _memo(pt, ("project1", tol), lambda: _project1(
-        pt, *_stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x")[1:], tol))
+        pt, *_stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x"), tol))
 
 
-def _project1(pt: ConfigPoint, s: np.ndarray, w: np.ndarray, tol: float) -> ProjectionResult:
+def _project1(pt: ConfigPoint, u: np.ndarray, s: np.ndarray, w: np.ndarray,
+              tol: float) -> ProjectionResult:
     """project1 after its SVD x = U diag(s) W*, which judged first-stable
     membership at tolerance tol.  The level residual of the result is
     still judged here."""
-    p = pt.trunc.p
-    k2 = pt.trunc.k2
-    eye = np.eye(p)
-    abs_x = HermitianSpectrum(s[::-1], w[:, ::-1])  # |x| = W diag(s) W*
-    isx = abs_x.fun(np.reciprocal)
-    fiber = _fiber_operand(pt, abs_x.fun(np.positive))
-    gamma2 = 0.5 * k2 * (eye + herm_sqrt(eye + fiber))
-    g_inv2 = _eigh(isx @ gamma2 @ isx)
-    g = g_inv2.fun(lambda mu: 1.0 / np.sqrt(mu), domain_check=lambda mu: mu > 0.0)
-    point = act1(g, pt)
+    k = abs(pt.trunc.k)
+    v = pt.X @ (w * (s / pt.trunc.k2))  # V' = X x* U / k^2, not projected off P
+    g0_inv, g0 = _fiber_root(v)
+    y, sig, zh = np.linalg.svd(g0 * s)  # g0 diag(s) = Y diag(sig) Z*
+    rot = y @ (zh @ dagger(w))  # the unitary factor Y Z* W*
+    point = _point(pt.trunc, k * (u @ (g0_inv @ rot)), k * (v @ (g0 @ rot)))
     residual = max(level_residual(point))
-    if not _within_tol(residual, tol, k2):
+    if not _within_tol(residual, tol, pt.trunc.k2):
         raise NotInStable1(
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
         )
-    # mu ascends, so 1/sqrt(mu) of the reversed mu ascends
+    wz = w @ dagger(zh)  # g = W Z diag(sig / |k|) Z* W*
+    g = hermitian_part((wz * (sig / k)) @ dagger(wz))
+    # sig descends, so the reversed sig / |k| ascends
     return ProjectionResult(point=point, residual=residual,
-                            eigenvalues=_read_only(1.0 / np.sqrt(g_inv2.eigenvalues[::-1])),
+                            eigenvalues=_read_only(sig[::-1] / k),
                             group_part=_read_only(g))
 
 
-def _level_section(fp: np.ndarray, v: np.ndarray, k: float) -> ConfigPoint:
-    """project1(psi1_section(cp, k)).point in closed form, for the frame fp
-    of P and the fiber v of a cotangent datum cp (see the module docstring):
-    (k F_P g^-1, k V g) with g^-2 = (1/2)(Id + (Id + 4 V*V)^{1/2}), g and
-    g^-1 taken on the one eigendecomposition of V*V.  The point lies on the
-    level set, psi1 maps it to cp, and it equals the projection up to
-    round-off, in the same gauge of F_P."""
-    n, p = fp.shape
+def _fiber_root(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^-1 and g, g^-2 = (1/2)(Id + (Id + 4 V*V)^{1/2}), on one
+    eigendecomposition of V*V: the factors of the level section over v."""
     spec = _eigh(dagger(v) @ v)
 
     def root_m(nu):  # m^{1/2}, the eigenvalues of g^-1
         return np.sqrt(0.5 * (1.0 + np.sqrt(1.0 + 4.0 * nu)))
 
-    g_inv = spec.fun(root_m)
-    g = spec.fun(lambda nu: 1.0 / root_m(nu))
+    return spec.fun(root_m), spec.fun(lambda nu: 1.0 / root_m(nu))
+
+
+def _level_section(fp: np.ndarray, v: np.ndarray, k: float) -> ConfigPoint:
+    """project1(psi1_section(cp, k)).point in closed form, for the frame fp
+    of P and the fiber v of a cotangent datum cp: (k F_P g^-1, k V g) on
+    _fiber_root(v).  The point lies on the level set, psi1 maps it to cp,
+    and it equals the projection up to round-off, in the same gauge of
+    F_P."""
+    n, p = fp.shape
+    g_inv, g = _fiber_root(v)
     return _point(Truncation(p, n - p, k), k * (fp @ g_inv), k * (v @ g))
 
 
 def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Level-set representative of the third-structure orbit through pt.
 
-    Route: psi3's pair (P, Q^perp), the Q factors of the thin QRs of x + X
-    and x - X that judge third-stable membership (NotInStable3), without z;
-    the graph operator, in its ambient form w = F_Pperp A, gives the
-    canonical preimage pt0 = psi3_section(pair) and the one
-    eigendecomposition of Id + w*w = Id + A*A, on which
-    h = (1/4) log(Id + A*A), its eigenvalues, cosh(h) and sinh(h) are all
-    taken;
-    point = act3(-h, None, pt0), with -h passed as that spectrum.  The
-    result lies in the level set (exactly, up to round-off) and in the same
-    orbit as pt (psi3 reproduces the pair).  It matches the intrinsic
+    Route: psi3's pair (P, Q^perp), judged third-stable (NotInStable3)
+    without z; its graph w = F_Pperp A; and the one eigendecomposition of
+    m = Id + w*w, on which h = (1/4) log m, its eigenvalues and
+    x +/- X = k F_P m^{1/4}, k (F_P + w) m^{-1/4} are all taken (module
+    docstring).  The result lies in the level set (exactly, up to
+    round-off) and in the same orbit as pt (psi3 reproduces the pair).  It
+    matches the intrinsic
     projection only up to the free compact action; the flat potential of
     the result is nevertheless the exact projected value by invariance.
     The result is memoized on pt per tol, and the pair and w it reads are
@@ -254,16 +235,14 @@ def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
     """project3 from psi3's pair and its graph w = _graph(pair, tol)."""
     pair = _orbit_pair(pt, tol)
     w = _graph(pair, tol)
-    k = pt.trunc.k
-    pt0 = _section(pair.P.frame, w, k)
-    spec = _eigh(np.eye(pt0.trunc.p) + dagger(w) @ w)
+    k, fp = pt.trunc.k, pair.P.frame
+    spec = _eigh(np.eye(pt.trunc.p) + dagger(w) @ w)
     h = 0.25 * spec.fun(np.log, domain_check=lambda lam: lam > 0.0)
-    # -h on the same eigenvectors, reordered so its eigenvalues ascend
-    minus_h = HermitianSpectrum(-0.25 * np.log(spec.eigenvalues[::-1]),
-                                spec.eigenvectors[:, ::-1])
-    point = act3(minus_h, None, pt0)
+    plus = k * (fp @ spec.fun(lambda lam: lam ** 0.25))
+    minus = k * ((fp + w) @ spec.fun(lambda lam: lam ** -0.25))
+    point = _point(pt.trunc, 0.5 * (plus + minus), 0.5 * (plus - minus))
     residual = max(level_residual(point))
-    if not _within_tol(residual, tol, pt0.trunc.k2):
+    if not _within_tol(residual, tol, pt.trunc.k2):
         raise NotInStable3(
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )

@@ -10,7 +10,9 @@ x = (sqrt 2, sqrt 2/2)^T, X = (0, -sqrt 2/2)^T.  Hand values: spectral
 operand 8, K3 = (sqrt 2 - 1)/2, boost h = (1/4) ln 2.
 
 ill_conditioned_stable3 builds third-stable points with an ill-conditioned
-x + X, shared by the membership and CLI tests.
+x + X, shared by the membership and CLI tests; ill_conditioned_stable1
+builds first-stable points with an ill-conditioned x, shared by the
+projection, potential and CLI tests.
 
 fresh copies a point or a pair into a new value with an empty memo: a test
 that counts factorizations, or that patches a helper between evaluations,
@@ -67,6 +69,21 @@ def ill_conditioned_stable3(p, q, k, cond, offset, seed) -> ConfigPoint:
     noise[p:] = gaussian_complex(make_rng(seed), (q, p))
     minus = k * k * f @ np.linalg.inv(r) + noise
     return ConfigPoint(Truncation(p, q, k), (plus + minus) / 2, (plus - minus) / 2)
+
+
+def ill_conditioned_stable1(p, q, k, cond, seed) -> ConfigPoint:
+    """A first-stable point with cond(x) = cond: x = U diag(s) W* with
+    s = geomspace(k, k / cond, p), U the Q factor of a Gaussian n x p
+    matrix and W that of a Gaussian p x p one, and X = G - U (U* G) for a
+    third Gaussian n x p matrix G, so X*x = 0 to round-off.  All three
+    draws come from make_rng(seed)."""
+    rng = make_rng(seed)
+    n = p + q
+    u = np.linalg.qr(gaussian_complex(rng, (n, p)))[0]
+    w = np.linalg.qr(gaussian_complex(rng, (p, p)))[0]
+    g = gaussian_complex(rng, (n, p))
+    x = (u * np.geomspace(k, k / cond, p)) @ dagger(w)
+    return ConfigPoint(Truncation(p, q, k), x, g - u @ (dagger(u) @ g))
 
 
 def fresh(value):

@@ -1,8 +1,9 @@
 """Exit codes of the CLI verbs: 0 on success, 1 when a check or a route
 cross-check fails (also when a check's trial raises: every check line still
 prints), 2 for input the CLI rejects (unknown route, a point
-outside the required set, a malformed file, damaged matrix bytes, a file
-in the older re/im text layout, a non-finite k in a file or a non-finite or
+outside the required set, a sampled point outside the set it names, a
+malformed file, damaged matrix bytes, a file in the older re/im text
+layout, a non-finite k in a file or a non-finite or
 zero `angles --k`, a pair file without k, a trial count below one, a
 negative seed, a --tol outside (0, 1), a pair file with p or q below one
 and no k).  Also: what `project` factors, the layout of a `map --which
@@ -27,14 +28,14 @@ import numpy as np
 import pytest
 
 import hkq
-from conftest import ill_conditioned_stable3
+from conftest import ill_conditioned_stable1, ill_conditioned_stable3
 from hkq import checks, cli, grassmann, jsonio, quotient
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.grassmann import characteristic_angles, psi3
 from hkq.matcore import fnorm
 from hkq.moment import in_stable1, in_stable3, level_residual, on_level_set
-from hkq.sampling import gaussian_complex, make_rng
+from hkq.sampling import gaussian_complex, make_rng, sample_point
 
 
 def test_passing_suite_exits_0(capsys):
@@ -73,17 +74,26 @@ def test_failed_check_exits_1(monkeypatch, capsys):
 
 
 def test_a_fault_that_raises_prints_every_check_and_exits_1(monkeypatch, capsys):
-    # a skewed fiber operand makes every projection miss the level set: the
-    # families that project report NotInStable1, the others still run
-    fiber_operand = quotient._fiber_operand
-    monkeypatch.setattr(quotient, "_fiber_operand",
-                        lambda pt, sx: 1.001 * fiber_operand(pt, sx))
+    # a skewed g in the level section's factors makes every level point miss
+    # the level set: the families that project1 report NotInStable1, those
+    # that draw a third-stable sample (a level section moved by the third
+    # action) NotInStable3, and the others still run
+    fiber_root = quotient._fiber_root
+
+    def skewed(v):
+        g_inv, g = fiber_root(v)
+        return g_inv, 1.001 * g
+
+    monkeypatch.setattr(quotient, "_fiber_root", skewed)
     assert cli.main(["check", "--suite", "all", "--trials", "20"]) == cli.EXIT_PROPERTY
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.startswith(("pass ", "FAIL "))]
     assert len(lines) == len(checks.run_suites(list(checks.SUITES), 1, 0)[0])
     failed = [line for line in lines if line.startswith("FAIL ")]
-    assert failed and all("raised NotInStable1" in line for line in failed)
+    assert failed and all("raised NotInStable" in line for line in failed)
+    assert {line.split("raised ")[1].split(":")[0] for line in failed} == {
+        "NotInStable1", "NotInStable3"}
+    assert any(line.startswith("pass ") for line in lines)
     assert "FAIL reduction.projector_idempotence" in out
     assert "overall FAIL" in out
 
@@ -220,12 +230,12 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("space,structure,budget", [
-    # project1: one thin SVD of x, one eigh each of Id + the fiber operand
-    # and of g^-2, act1's inv; project3: psi3's thin QRs of x + X and
+    # project1: one thin SVD of x, one eigh of V'*V' and one p x p SVD of
+    # g0 diag(s); project3: psi3's thin QRs of x + X and
     # x - X, the graph operator's values-only SVD and inv, one eigh of
     # Id + w*w.  The printed eigenvalues come from the
     # projection's own spectrum, so no eigvalsh is added.
-    ("stable1", "i1", {"svd thin": 1, "eigh": 2, "inv": 1}),
+    ("stable1", "i1", {"svd thin": 1, "eigh": 1, "svd full": 1}),
     ("stable3", "i3", {"qr reduced": 2, "svd values": 1, "eigh": 1, "inv": 1}),
 ])
 def test_project_factors_only_what_the_projection_does(space, structure, budget,
@@ -335,18 +345,38 @@ def test_sample_with_an_unusable_eps_exits_2(space, eps, message, tmp_path, capf
     assert not out.exists()
 
 
-def test_sample_at_a_huge_eps_prints_finite_residuals(tmp_path, capfd):
-    # entries of x*x near 1e200: the plain sum of squares in fnorm would
-    # overflow to inf with a RuntimeWarning; the scaled sum stays finite
+@pytest.mark.parametrize("space", ["level", "stable1", "stable3"])
+def test_sample_outside_its_set_exits_2_and_writes_nothing(space, tmp_path, capfd):
+    # at eps = 1e100 the draw leaves the set it is named after (stable1: X*x
+    # is round-off of entries near 1e100; level: project1 refuses it;
+    # stable3: the level section of such a draw is far off the equations);
+    # the set's one rule at --tol refuses it before anything is written
+    out = tmp_path / "f.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main(["sample", "--space", "stable1", "-p", "2", "-q", "3",
-                         "--eps", "1e100", "-o", str(tmp_path / "f.json")]) == cli.EXIT_OK
+        assert cli.main(["sample", "--space", space, "-p", "2", "-q", "3",
+                         "--eps", "1e100", "-o", str(out)]) == cli.EXIT_INPUT
+    assert caught == []
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err.startswith("error ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_info_at_a_huge_eps_point_prints_finite_residuals(tmp_path, capfd):
+    # entries of x*x near 1e200: the plain sum of squares in fnorm would
+    # overflow to inf with a RuntimeWarning; the scaled sum stays finite
+    path = tmp_path / "f.json"
+    jsonio.save_point(path, sample_point("stable1", hkq.Truncation(2, 3, np.sqrt(2.0)),
+                                         make_rng(0), eps=1e100))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["info", "-i", str(path)]) == cli.EXIT_OK
     assert caught == []
     out, err = capfd.readouterr()
     lines = dict(line.split(" ", 1) for line in out.splitlines())
     assert math.isfinite(float(lines["level_residual_real"]))
     assert float(lines["level_residual_real"]) > 1e200  # the point is far off the set
+    assert lines["in_stable1"] == "False" and lines["in_stable3"] == "False"
     assert err == ""
 
 
@@ -520,6 +550,17 @@ def test_cli_verbs_accept_an_ill_conditioned_third_stable_point(tmp_path, capsys
     for argv in (["potential", "--which", "k3"], ["potential", "--which", "k3hat"],
                  ["project", "--structure", "i3", "-o", str(tmp_path / "level.json")],
                  ["map", "--which", "psi3", "-o", str(tmp_path / "pair.json")]):
+        assert cli.main([*argv, "-i", str(point)]) == cli.EXIT_OK, argv
+
+
+@pytest.mark.parametrize("cond", [1e5, 1e7])
+def test_an_ill_conditioned_first_stable_file_projects_and_evaluates(cond, tmp_path, capsys):
+    point = tmp_path / "ill.json"
+    jsonio.save_point(point, ill_conditioned_stable1(3, 4, np.sqrt(2.0), cond, 0))
+    assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
+    assert "in_stable1 True" in capsys.readouterr().out.splitlines()
+    for argv in (["project", "--structure", "i1", "-o", str(tmp_path / "level.json")],
+                 ["potential", "--which", "k1"]):
         assert cli.main([*argv, "-i", str(point)]) == cli.EXIT_OK, argv
 
 

@@ -4,14 +4,15 @@ Each is a strict xfail: each must keep raising exactly the named exception
 (AssertionError where the defect is a wrong exit code), and the test turns
 into a failure (XPASS) the day the defect is mended, so the marker has to
 be removed together with the fix.  No tolerance is loosened to hide any of
-them (see ROADMAP, scale-aware tolerances).
+them (see ROADMAP, scale-aware tolerances).  A mended defect keeps its test
+here, without the marker, as a regression test.
 """
 
 import numpy as np
 import pytest
 
 from hkq import cli, jsonio
-from hkq.errors import DegenerateSample, NotInStable1, NotInStable3
+from hkq.errors import DegenerateSample, NotInStable1
 from hkq.hkspace import ConfigPoint, Truncation
 from hkq.moment import in_stable3
 from hkq.potentials import evaluate_routes
@@ -19,24 +20,33 @@ from hkq.quotient import project1
 from hkq.sampling import make_rng, sample_stable1, sample_stable3
 
 
-@pytest.mark.xfail(
-    strict=True, raises=NotInStable3,
-    reason="at k = 0.05, p = q = 16 project3 leaves a level residual of "
-           "~3.5e-11, above the membership bound 1e-9 k^2 = 2.5e-12",
-)
 def test_k3_routes_at_small_k():
-    pt = sample_stable3(Truncation(16, 16, 0.05), make_rng(0))
-    evaluate_routes(pt, "k3")
+    # mended: project3 builds x + X and x - X from m^{1/4} and m^{-1/4}
+    # instead of cosh and sinh of h, which cancelled to a level residual
+    # of ~3.5e-11 at (16, 16, 0.05), above the bound 1e-9 k^2 = 2.5e-12
+    for shape in ((16, 16, 0.05), (16, 16, 0.02), (8, 8, 0.01)):
+        for seed in range(4):
+            vals = list(evaluate_routes(sample_stable3(Truncation(*shape), make_rng(seed)),
+                                        "k3").values())
+            assert np.ptp(vals) <= cli.CROSS_ROUTE_TOL * abs(vals[0]), (shape, seed)
 
 
 @pytest.mark.xfail(
-    strict=True, raises=NotInStable1,
+    strict=True, raises=AssertionError,
     reason="at k = 0.01, p = q = 16 project1 leaves a level residual of "
-           "3.2e-13, round-off of a point of norm ~1, above the membership "
-           "bound 1e-9 k^2 = 1e-13",
+           "~1e-13 to 2.3e-13, round-off of a point of norm ~1, above the "
+           "membership bound 1e-9 k^2 = 1e-13: 5 of seeds 0-39 are refused "
+           "(NotInStable1)",
 )
 def test_project1_at_small_k():
-    project1(sample_stable1(Truncation(16, 16, 0.01), make_rng(0)))
+    trunc = Truncation(16, 16, 0.01)
+    refused = []
+    for seed in range(40):
+        try:
+            project1(sample_stable1(trunc, make_rng(seed)))
+        except NotInStable1:
+            refused.append(seed)
+    assert refused == []
 
 
 @pytest.mark.xfail(

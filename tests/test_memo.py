@@ -130,14 +130,15 @@ def test_wide_entries_give_the_same_bits_on_a_repeat_and_on_a_fresh_copy(p, q, s
 
 
 def test_projection_then_routes_projects_once(lapack_calls):
-    # project1 then evaluate_routes' level route: one eigh of g^-2, one inv
-    # (act1), not two of each; likewise project3 then the k3 routes build
+    # project1 then evaluate_routes' level route: one eigh of V'*V' and one
+    # p x p SVD, not two of each, and the k1 inputs from one QR of x (no
+    # eigh of x*x); likewise project3 then the k3 routes build
     # one pair and one graph
     pt = _stable1_point()
     project1(pt)
     lapack_calls.clear()
     evaluate_routes(pt, "k1")
-    assert dict(lapack_calls) == {"svd values": 1, "eigh": 1, "eigvalsh": 2}
+    assert dict(lapack_calls) == {"svd values": 1, "qr r": 1, "eigvalsh": 2}
     pt3 = _stable3_point()
     project3(pt3)
     lapack_calls.clear()
@@ -245,8 +246,8 @@ def test_a_helper_patched_later_is_seen_on_a_fresh_copy_only(monkeypatch):
     before = project1(pt)
     body = quotient._project1
 
-    def skewed(pt, s, w, tol):
-        res = body(pt, s, w, tol)
+    def skewed(pt, u, s, w, tol):
+        res = body(pt, u, s, w, tol)
         return dataclasses.replace(res, residual=res.residual + 1.0)
 
     monkeypatch.setattr(quotient, "_project1", skewed)

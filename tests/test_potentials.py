@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3, fresh
+from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3, fresh, ill_conditioned_stable1
 from hkq import grassmann, potentials, quotient
 from hkq.cli import CROSS_ROUTE_TOL
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
@@ -20,7 +20,6 @@ from hkq.grassmann import (
 )
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3, flat_potential_K
 from hkq.matcore import (
-    HermitianSpectrum,
     dagger,
     fnorm,
     herm_eig,
@@ -134,7 +133,7 @@ class TestK1:
         pt = sample_stable1(Truncation(p, q, k), make_rng(p + 10 * q))
         fp = psi1(pt).P.frame
         coords = dagger(complement_frame(Subspace(fp))) @ (pt.X @ dagger(pt.x)) @ fp
-        want = (potentials._logdet_term(pt, potentials._x_spectrum(pt))
+        want = (potentials._logdet_term(pt, potentials._x_factor(pt))
                 + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1,
                                                     coords / pt.trunc.k2))
         got = evaluate_routes(pt, "k1")["curvature"]
@@ -390,7 +389,7 @@ class TestQuotientPotential:
         pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
         lapack_calls.clear()
         report = quotient_potential(pt)
-        assert dict(lapack_calls) == {"svd thin": 1, "eigh": 2, "inv": 1}
+        assert dict(lapack_calls) == {"svd thin": 1, "eigh": 1, "svd full": 1}
         g = project1(pt).group_part
         char = character_log_term(g, SQRT2)
         assert abs(report.extras["character"] - char) <= 1e-13 * (1 + abs(char))
@@ -458,6 +457,16 @@ class TestRoutesAcrossShapes:
     """Route agreement far beyond the desk-scale shapes, judged with the
     CLI's cross-check bound; the projections each route relies on must land
     on the level set within the membership tolerance."""
+
+    @pytest.mark.parametrize("cond", [1e5, 1e7])
+    def test_k1_routes_agree_at_an_ill_conditioned_x(self, cond):
+        # no k1 input factors x*x: R of x's QR gives the log-det term and
+        # the fiber operand, and project1 reads x's SVD alone
+        for seed in range(4):
+            vals = list(evaluate_routes(ill_conditioned_stable1(3, 4, SQRT2, cond, seed),
+                                        "k1").values())
+            spread = max(vals) - min(vals)
+            assert spread <= CROSS_ROUTE_TOL * max(1.0, abs(vals[0])), (seed, vals)
 
     @pytest.mark.parametrize("k", [SQRT2, 30.0])
     @pytest.mark.parametrize("p,q", [(1, 1), (4, 4), (8, 64), (32, 32)])
@@ -531,7 +540,8 @@ class TestEvaluateRoutesSharing:
             assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
 
     @pytest.mark.parametrize("which,budget", [
-        ("k1", {"svd thin": 1, "svd values": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}),
+        ("k1", {"svd thin": 1, "svd values": 1, "qr r": 1, "eigh": 1, "svd full": 1,
+                "eigvalsh": 2}),
         ("k3", {"qr reduced": 2, "svd values": 2, "inv": 1, "eigh": 1, "eigvalsh": 1,
                 "cholesky": 1}),
         ("k3hat", {"qr reduced": 2, "svd values": 4, "inv": 1}),
@@ -567,14 +577,6 @@ def _scaled(fun, factor=1.0 + 1e-6):
         if isinstance(out, tuple):
             return (out[0] * factor, *out[1:])
         return out * factor
-    return faulty
-
-
-def _skewed_spectrum(spectrum, factor=1.0 + 1e-6):
-    """spectrum with its eigenvalues times factor."""
-    def faulty(pt):
-        xx = spectrum(pt)
-        return HermitianSpectrum(xx.eigenvalues * factor, xx.eigenvectors)
     return faulty
 
 
@@ -632,9 +634,16 @@ class TestEachBodyMovesOnlyItsRoute:
         moved = self._moved(monkeypatch, "_fiber", _scaled(potentials._fiber))
         assert moved == {"k1.curvature"}
 
-    @pytest.mark.parametrize("shared,make_fault", [("_x_spectrum", _skewed_spectrum),
-                                                   ("_logdet_term", _scaled)])
-    def test_a_shared_input_fault_moves_its_readers_and_not_level(self, monkeypatch,
-                                                                  shared, make_fault):
-        moved = self._moved(monkeypatch, shared, make_fault(getattr(potentials, shared)))
-        assert moved == {"k1.closed", "k1.fiber", "k1.curvature"}
+    # the k1 inputs formed once: R of x's thin QR feeds the log-det term,
+    # which closed, fiber and curvature add, and the fiber operand, which
+    # closed and fiber read; the level route reads project1's result alone
+    READERS_OF_INPUT = {
+        "_x_factor": {"k1.closed", "k1.fiber", "k1.curvature"},
+        "_logdet_term": {"k1.closed", "k1.fiber", "k1.curvature"},
+        "_fiber_operand": {"k1.closed", "k1.fiber"},
+    }
+
+    @pytest.mark.parametrize("shared", list(READERS_OF_INPUT))
+    def test_a_shared_input_fault_moves_its_readers_and_not_level(self, monkeypatch, shared):
+        moved = self._moved(monkeypatch, shared, _scaled(getattr(potentials, shared)))
+        assert moved == self.READERS_OF_INPUT[shared]

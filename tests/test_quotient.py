@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import oracle_mp
+from conftest import ill_conditioned_stable1
+from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import (
     HkqError,
     NotInStable1,
@@ -21,11 +24,19 @@ from hkq.hkspace import (
     metric_g,
     omega,
 )
-from hkq.matcore import HermitianSpectrum, dagger, fnorm, herm_eig, skew_part, sym_sylvester_solve
+from hkq.matcore import (
+    HermitianSpectrum,
+    dagger,
+    fnorm,
+    herm_eig,
+    skew_part,
+    sym_sylvester_solve,
+)
 from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.quotient import SliceBasis, _level_section, project1, project3, slice_basis
 from hkq.sampling import (
     gaussian_complex,
+    make_rng,
     random_hermitian_ball,
     random_skew,
     random_tangent,
@@ -45,6 +56,24 @@ def col(*vals):
 
 
 class TestProject1:
+    @pytest.mark.parametrize("cond", [1e5, 1e7])
+    def test_an_ill_conditioned_x_lands_on_the_level_set(self, cond):
+        # the level section over (U, V') never squares cond(x): x's thin SVD
+        # gives U and V' = X W diag(s) / k^2, and the group part comes from
+        # one SVD of g0 diag(s), Hermitian positive definite with
+        # eigenvalues sig / |k| ascending
+        for seed in range(4):
+            pt = ill_conditioned_stable1(3, 4, SQRT2, cond, seed)
+            res = project1(pt)
+            assert res.residual <= DEFAULT_MEMBERSHIP_TOL * pt.trunc.k2
+            g = res.group_part
+            assert np.array_equal(g, dagger(g))
+            lam = np.linalg.eigvalsh(g)
+            assert np.all(res.eigenvalues > 0) and np.all(np.diff(res.eigenvalues) >= 0)
+            # eigvalsh of the assembled g is accurate to round-off of its norm
+            np.testing.assert_allclose(res.eigenvalues, lam, rtol=0,
+                                       atol=1e-13 * np.abs(lam).max())
+
     def test_base_point_fixed(self, trunc11):
         base = ConfigPoint.base(trunc11)
         res = project1(base)
@@ -153,9 +182,9 @@ class TestProject1:
                                        atol=1e-13 * np.abs(lam).max())
 
     def test_factorization_budget(self, lapack_calls, rng):
-        # one thin SVD of x (membership, |x| and |x|^-1), one eigh of
-        # Id + the fiber operand and one of g^-2 (g); the inv is act1's
-        # g^-1, which is also its one check that g is nonsingular.  slice_basis
+        # one thin SVD of x (membership, the frame U and the fiber V'), one
+        # eigh of V'*V' (g0 and g0^-1 of the level section) and one p x p
+        # SVD of g0 diag(s) (the unitary factor and g); no inverse.  slice_basis
         # decomposes M once and checks membership without a factorization;
         # each projection then solves against that spectrum and adds none.
         tr = Truncation(4, 5, SQRT2)
@@ -164,7 +193,7 @@ class TestProject1:
         v = random_tangent(tr, rng)
         basis = slice_basis(level)
         budgets = [
-            (lambda: project1(pt), {"svd thin": 1, "eigh": 2, "inv": 1}),
+            (lambda: project1(pt), {"svd thin": 1, "eigh": 1, "svd full": 1}),
             (lambda: slice_basis(level), {"eigh": 1}),
             (lambda: basis.orbit(v), {}),
             (lambda: basis.level(v), {}),
@@ -175,6 +204,20 @@ class TestProject1:
             lapack_calls.clear()
             call()
             assert dict(lapack_calls) == budget
+
+
+@pytest.mark.parametrize("p,q,k", [(1, 1, SQRT2), (2, 3, 0.3), (3, 2, 5.0),
+                                   (4, 5, SQRT2), (5, 5, 0.3), (5, 4, 5.0)])
+def test_projections_match_the_40_digit_witness(p, q, k):
+    # oracle_mp evaluates project1's g by the general formula
+    # g^-2 = |x|^-1 gamma gamma* |x|^-1 that the level-section form replaced,
+    # and the level residual of project3's point on its exact values
+    trunc = Truncation(p, q, k)
+    pt = sample_stable1(trunc, make_rng(p + q))
+    g, want = project1(pt).group_part, oracle_mp.project1_group_part(pt)
+    assert fnorm(g - want) <= 1e-12 * fnorm(want)
+    point = project3(sample_stable3(trunc, make_rng(p * q))).point
+    assert max(oracle_mp.level_residual(point)) <= 1e-12 * trunc.k2
 
 
 @pytest.mark.parametrize("p,q,k", [(1, 1, SQRT2), (4, 5, SQRT2), (6, 2, 30.0),
