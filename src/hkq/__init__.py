@@ -43,7 +43,6 @@ from .matcore import (
     HermitianSpectrum,
     herm_eig,
     herm_fun,
-    orthonormal_range,
     svd,
     sym_sylvester_solve,
 )

@@ -19,11 +19,6 @@ UNITARY_TOL = 1e-10
 # Positive definiteness in sym_sylvester_solve: lam_min > PD_TOL * lam_max.
 PD_TOL = 1e-12
 
-# Rank cutoff of matcore.orthonormal_range, which extracts the frame of a
-# random plane.  It judges no membership: stable-set rank is judged at the
-# caller's membership tolerance, by moment's rule.
-RANK_TOL = 1e-10
-
 # Orthonormality of a d-column frame: ||F*F - Id||_F <= FRAME_TOL (1 + d).
 # grassmann.Subspace refuses a frame beyond it, and so jsonio refuses a
 # file whose frame lies beyond it; a frame within it is taken as is.

@@ -119,7 +119,9 @@ class CotangentPoint:
     with F_P* V = 0: eta = F_P V*, an n x n matrix vanishing on P and
     ranging inside P (the compressed form of a map P^perp -> P).  V is
     fixed by eta only up to the gauge of F_P, so data are compared through
-    eta, which is formed on each access."""
+    eta, which is formed on each access.  V is refused (BadCotangent)
+    unless ||F_P* V||_F <= 1e-7 ||V||_F, a bound of degree 1 in V like
+    the component it judges, so no V of any size inside P passes."""
 
     P: Subspace
     V: np.ndarray
@@ -129,7 +131,7 @@ class CotangentPoint:
         shape = self.P.frame.shape
         if v.shape != shape:
             raise BadCotangent(f"V must be {shape[0]} x {shape[1]}, got {v.shape}")
-        if fnorm(dagger(self.P.frame) @ v) > 1e-7 * (1.0 + fnorm(v)):
+        if fnorm(dagger(self.P.frame) @ v) > 1e-7 * fnorm(v):
             raise BadCotangent("V has a component in P (eta does not vanish on P)")
         object.__setattr__(self, "V", v)
 
@@ -201,9 +203,11 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
     (moment._stable1_svd, the one computation of in_stable1's rule) gives
     the frame F_P of P, its p left singular vectors.  The fiber is held as
     V = _fiber(pt, F_P), so eta = F_P V* = (1/k^2) x X* (Id - F_P F_P*),
-    which equals (1/k^2) x X* where X*x = 0.  V is projected off P, so it
-    meets CotangentPoint's check to round-off at any tol, and a point that
-    passes membership at a loose tol maps to a valid datum too."""
+    which equals (1/k^2) x X* where X*x = 0.  V is projected off P twice,
+    so F_P* V is round-off relative to V itself, not to X x*/k^2: it meets
+    CotangentPoint's relative check at any tol, even where X lies nearly
+    in Ran x and V is small, and a point that passes membership at a loose
+    tol maps to a valid datum too."""
     u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
     P = _subspace(_fix_column_phases(u))
     return CotangentPoint(P, _fiber(pt, P.frame))
@@ -213,8 +217,11 @@ def _fiber(pt: ConfigPoint, fp: np.ndarray) -> np.ndarray:
     """psi1's fiber V = (Id - F_P F_P*) X x* F_P / k^2 (n x p) for the
     frame fp of P = Ran x: F_Pperp B for the frame coordinate
     B = F_Pperp* (X x*/k^2) F_P, so it has B's singular values, built with
-    no frame F_Pperp of P^perp."""
+    no frame F_Pperp of P^perp.  One projection leaves a component in P
+    of round-off size relative to X x*/k^2; the second leaves one relative
+    to V (Kahan and Parlett's "twice is enough")."""
     vf = (pt.X @ (dagger(pt.x) @ fp)) / pt.trunc.k2
+    vf = vf - fp @ (dagger(fp) @ vf)
     return vf - fp @ (dagger(fp) @ vf)
 
 

@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel.
 
 Hermitian eigendecomposition, functional calculus of Hermitian matrices,
-SVD, gauge-fixed orthonormalization of ranges, and the symmetric
+SVD, the deterministic column gauge of a frame, and the symmetric
 (anticommutator) Sylvester solver, with stacked right-hand sides, used by
 the tangent projectors.  All scalars are complex128; the acceptance
 tolerances (1e-9 .. 1e-12) need full double precision.
@@ -20,8 +20,7 @@ projectors of quotient.SliceBasis, whose spectrum is checked positive
 definite once when the basis is built, call the body directly.
 
 Everything here is a pure function of immutable inputs: no cache, no
-module state and no warning (rank is reported by column count), so it is
-safe to call concurrently.
+module state and no warning, so it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import HERMITIAN_TOL, PD_TOL, RANK_TOL
+from .config import HERMITIAN_TOL, PD_TOL
 from .errors import (
     DomainViolation,
     NoConvergence,
@@ -51,7 +50,6 @@ __all__ = [
     "hermitian_part",
     "skew_part",
     "is_hermitian",
-    "orthonormal_range",
     "psd_sqrt",
     "svd",
     "sym_sylvester_solve",
@@ -283,27 +281,6 @@ def _fix_column_phases(frame: np.ndarray) -> np.ndarray:
     if not nonzero.all():  # copied back, not multiplied by 1: keeps signed zeros
         out[:, ~nonzero] = frame[:, ~nonzero]
     return out
-
-
-def _rank(s: np.ndarray) -> int:
-    """Numerical rank from descending singular values: the count above
-    RANK_TOL * sigma_max (0 for an empty or zero matrix)."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
-
-
-def orthonormal_range(m) -> np.ndarray:
-    """Gauge-fixed orthonormal basis of the numerical column span of M.
-
-    Keeps the left singular vectors whose singular value exceeds
-    RANK_TOL * sigma_max and phase-normalizes each column (largest-modulus
-    entry real positive).  The numerical rank is the returned column
-    count, and nothing else reports it: callers that require full rank
-    check that count.
-    """
-    u, s, _ = svd(m)
-    return _fix_column_phases(u[:, :_rank(s)])
 
 
 def sym_sylvester_solve(m, s) -> np.ndarray:

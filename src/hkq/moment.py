@@ -29,7 +29,7 @@ import numpy as np
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotSkew, ShapeMismatch
 from .hkspace import ConfigPoint, TangentPair, _memo, _read_only, omega
-from .matcore import as_matrix, dagger, fnorm, svd
+from .matcore import as_matrix, dagger, fnorm, hermitian_part, skew_part, svd
 
 __all__ = [
     "MOMENT_TAGS",
@@ -151,13 +151,15 @@ def _stable3_frames(pt: ConfigPoint, tol: float,
     A and C (Householder QR), read-only and memoized on pt per tol.
     Raises NotInStable3(refusal).
 
-    The rank half is certified by the equations' own residuals
-    r1 = ||x*x - X*X - k^2 Id||_F and r2 = ||X*x - x*X||_F.  Expanding,
+    Both halves read the one product E = C*A - k^2 Id.  Expanding,
 
-        C*A = k^2 Id + E,   E = (x*x - X*X - k^2 Id) + (x*X - X*x),
+        E = (x*x - X*X - k^2 Id) + (x*X - X*x),
 
-    so ||E||_2 <= r1 + r2.  For a unit vector v,
-    ||C*A v|| >= k^2 - r1 - r2, and ||C*A v|| <= sigma_max(C) ||A v||, so
+    the Hermitian part of E is the first equation's residual and its skew
+    part the second's, so r1 = ||herm E||_F = ||x*x - X*X - k^2 Id||_F and
+    r2 = ||skew E||_F = ||X*x - x*X||_F, and ||E||_2 <= r1 + r2.  For a
+    unit vector v, ||C*A v|| >= k^2 - r1 - r2, and
+    ||C*A v|| <= sigma_max(C) ||A v||, so
     sigma_min(A) sigma_max(C) >= k^2 - r1 - r2; A*C = (C*A)* gives the same
     with A and C swapped.  With sigma_max <= ||.||_F, both ratios
     sigma_min / sigma_max are at least (k^2 - r1 - r2) / (||A||_F ||C||_F).
@@ -172,13 +174,12 @@ def _stable3_frames(pt: ConfigPoint, tol: float,
 
 def _judge_stable3(pt: ConfigPoint, tol: float,
                    refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    x, X = pt.x, pt.X
     k2 = pt.trunc.k2
-    r1 = fnorm(dagger(x) @ x - dagger(X) @ X - k2 * np.eye(pt.trunc.p))
-    r2 = fnorm(dagger(X) @ x - dagger(x) @ X)
+    a, c = pt.x + pt.X, pt.x - pt.X
+    e = dagger(c) @ a - k2 * np.eye(pt.trunc.p)
+    r1, r2 = fnorm(hermitian_part(e)), fnorm(skew_part(e))
     if not (_within_tol(r1, tol, k2) and _within_tol(r2, tol, k2)):
         raise NotInStable3(refusal)
-    a, c = x + X, x - X
     qa, ra = np.linalg.qr(a)
     qc, rc = np.linalg.qr(c)
     if not (2.0 * tol * fnorm(a) * fnorm(c) < k2 - r1 - r2

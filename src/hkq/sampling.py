@@ -5,14 +5,16 @@ produced by an explicit Box-Muller transform of uniform draws so the stream
 is a documented, portable function of the seed.  Every sampler is a pure
 function of (parameters, generator state).
 
-sample_stable3 projects nothing.  It draws a first-stable point S, then h
-and u, and moves by act3(h, u) the level point over S's cotangent datum,
-quotient._level_section, a closed form with one eigendecomposition.  That
-point is S's projection times a unitary W(S), which the Haar u absorbs:
-the law of the sample is that of the projected construction, and seed for
-seed the sample lies in the same third-structure orbit (sample_stable3).
-A Hermitian draw is factored once: its operator norm is read off the
-spectrum that act3 and exp act through (_hermitian_ball).
+Every point sampler stands on one first-stable draw, factored once by a
+thin QR x = F R (_draw_stable1): the rejection rule reads the singular
+values of R, X is projected off Ran x by F, and the level point over the
+draw is the closed level section over its cotangent datum (F, X R*/k^2),
+quotient._level_section, with no projection (sample_level).
+sample_stable3 moves that level point by act3.  A random plane is the
+phase-fixed Q factor of a Gaussian, which has full rank with probability
+one (random_subspace).  A Hermitian draw is factored once: its operator
+norm is read off the spectrum that act3 and exp act through
+(_hermitian_ball).
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ import math
 import numpy as np
 
 from .errors import DegenerateSample
-from .grassmann import CotangentPoint, OrbitPair, Subspace, _fiber
+from .grassmann import CotangentPoint, OrbitPair, Subspace, _subspace
 from .hkspace import ConfigPoint, TangentPair, Truncation, _point, act3
 from .matcore import (
     HermitianSpectrum,
     _eigh,
+    _fix_column_phases,
     dagger,
     hermitian_part,
-    orthonormal_range,
     skew_part,
 )
-from .quotient import _level_section, project1
+from .quotient import _level_section
 
 __all__ = [
     "gaussian_complex",
@@ -60,8 +62,9 @@ _MAX_DRAWS = 100
 _GAUSSIAN_MAX = 6.07
 
 # sample_stable1 refuses an eps for which n (|k| + _GAUSSIAN_MAX |eps|)^2,
-# a bound on the entries of x*x, exceeds this: x*x stays finite with eight
-# orders of magnitude to spare for the solve against it.
+# a bound on the entries of x*x, exceeds this.  The sampler itself forms no
+# x*x, but every later x*x (membership, the routes, the tangent projectors)
+# stays finite with eight orders of magnitude to spare.
 _GRAM_MAX = 1e300
 
 
@@ -136,20 +139,28 @@ def sample_stable1(trunc: Truncation, rng: np.random.Generator,
     finite and every draw keeps x*x finite: each entry of x is at most
     |k| + 6.07 |eps| in modulus, and n (|k| + 6.07 |eps|)^2 must not
     exceed 1e300."""
+    return _draw_stable1(trunc, rng, eps)[0]
+
+
+def _draw_stable1(trunc: Truncation, rng: np.random.Generator,
+                  eps: float) -> tuple[ConfigPoint, np.ndarray, np.ndarray]:
+    """sample_stable1's point with the thin QR x = F R of its x.  The
+    rejection rule is applied to the singular values of the p x p factor
+    R, which are those of x, and X = G - F (F* G) for a Gaussian G."""
     _check_eps(trunc, eps)
     base = trunc.base_x()
     for _ in range(_MAX_DRAWS):
         x = base + eps * gaussian_complex(rng, base.shape)
-        s = np.linalg.svd(x, compute_uv=False)
+        f, r = np.linalg.qr(x)
+        s = np.linalg.svd(r, compute_uv=False)
         if s[-1] > 0.1 * s[0]:
             break
     else:
         raise DegenerateSample(
             f"no well-conditioned x after {_MAX_DRAWS} draws (eps={eps})"
         )
-    X = gaussian_complex(rng, base.shape)
-    X = X - x @ np.linalg.solve(dagger(x) @ x, dagger(x) @ X)
-    return _point(trunc, x, X)
+    g = gaussian_complex(rng, base.shape)
+    return _point(trunc, x, g - f @ (dagger(f) @ g)), f, r
 
 
 def _check_eps(trunc: Truncation, eps: float) -> None:
@@ -165,35 +176,37 @@ def _check_eps(trunc: Truncation, eps: float) -> None:
 
 def sample_level(trunc: Truncation, rng: np.random.Generator,
                  eps: float = 0.3) -> ConfigPoint:
-    """Point of the level set: stable1 sample pushed down by project1."""
-    return project1(sample_stable1(trunc, rng, eps)).point
+    """Point of the level set over a first-stable draw S = sample_stable1
+    (the same draws): the level section over S's cotangent datum,
+    quotient._level_section(F, V, k) with V = X R*/k^2 on the thin QR
+    x = F R.  As x* F = R* and F* X = 0 to round-off, (Ran F, V) is psi1(S)
+    in the gauge F, so the point lies on the level set over the same
+    quotient point as S's projection L = project1(S).point, and psi1 maps
+    both to that datum.  The compact group acts freely on the level set,
+    so the point is L W for a unitary W = W(S) that depends on S alone.
+    No membership is judged and nothing is projected: one eigendecomposition
+    of V*V (quotient._fiber_root) on top of the draw's QR and SVD values."""
+    pt, f, r = _draw_stable1(trunc, rng, eps)
+    return _level_section(f, (pt.X @ dagger(r)) / trunc.k2, trunc.k)
 
 
 def sample_stable3(trunc: Truncation, rng: np.random.Generator,
                    eps: float = 0.3) -> ConfigPoint:
-    """Point of the third stable set: a level point moved by the third
-    action with a random Hermitian parameter h (norm <= 1) and a Haar
-    unitary u.
+    """Point of the third stable set: sample_level's point moved by the
+    third action with a random Hermitian parameter h (norm <= 1) and a Haar
+    unitary u, drawn after it in that order (random_hermitian_ball, then
+    random_unitary).
 
-    The draws are those of sample_level followed by h and u, in that order:
-    S = sample_stable1, then random_hermitian_ball and random_unitary.  The
-    level point is not S's projection but the level point over S's
-    cotangent datum, quotient._level_section(F, V, k) with F a thin-QR frame
-    of Ran x and V = grassmann._fiber(S, F): the closed form of
-    project1(psi1_section((Ran x, V), k)), with no membership check and
-    none of project1's factorizations.  It lies in the orbit of S's
-    projection L = project1(S).point under the compact action: it equals
-    L W for a unitary W that depends on S alone.  Since
+    The level point is L W (sample_level), L = project1(S).point.  Since
     act3(h, u, L W) = act3(h, u W^-1, L) and u W^-1 is Haar like u (u is
-    independent of S; Mezzadri, Notices AMS 54, 2007), the point has the
+    independent of S; Mezzadri, Notices AMS 54, 2007), the sample has the
     law of act3(h, u, L), and seed for seed it lies in the third-structure
     orbit of that point: psi3's pair, and every orbit invariant such as
     K3, agree to round-off."""
-    pt = sample_stable1(trunc, rng, eps)
+    level = sample_level(trunc, rng, eps)
     h = _hermitian_ball(trunc.p, rng, 1.0)[1]
     u = random_unitary(trunc.p, rng)
-    fp = np.linalg.qr(pt.x)[0]
-    return act3(h, u, _level_section(fp, _fiber(pt, fp), trunc.k))
+    return act3(h, u, level)
 
 
 def sample_point(space: str, trunc: Truncation, rng: np.random.Generator,
@@ -208,7 +221,10 @@ def sample_point(space: str, trunc: Truncation, rng: np.random.Generator,
 
 
 def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
-    return Subspace(orthonormal_range(gaussian_complex(rng, (n, d))))
+    """Haar random d-plane of C^n (d <= n): the span of an n x d Gaussian,
+    which has full rank with probability one, framed by the phase-fixed Q
+    factor of its thin QR."""
+    return _subspace(_fix_column_phases(np.linalg.qr(gaussian_complex(rng, (n, d)))[0]))
 
 
 def sample_cotangent(trunc: Truncation, rng: np.random.Generator) -> CotangentPoint:

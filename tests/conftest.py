@@ -144,9 +144,10 @@ def _variant(name: str, args: tuple, kwargs: dict) -> str:
 def lapack_calls(monkeypatch):
     """Counts of the numpy.linalg factorizations made while the test runs,
     one key per factorization variant: "svd values", "svd thin", "svd full",
-    "qr <mode>", "eigh", "eigvalsh", "cholesky", "inv" and "slogdet"."""
+    "qr <mode>", "eigh", "eigvalsh", "cholesky", "inv", "solve" and
+    "slogdet"."""
     counts = collections.Counter()
-    for name in ("svd", "qr", "eigh", "eigvalsh", "cholesky", "inv", "slogdet"):
+    for name in ("svd", "qr", "eigh", "eigvalsh", "cholesky", "inv", "solve", "slogdet"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):

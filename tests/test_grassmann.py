@@ -20,7 +20,7 @@ from hkq.grassmann import (
     psi3_section,
 )
 from hkq.hkspace import ConfigPoint, Truncation, act1, act3
-from hkq.matcore import dagger, fnorm, herm_eig, orthonormal_range
+from hkq.matcore import dagger, fnorm, herm_eig
 from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.sampling import (
     gaussian_complex,
@@ -227,7 +227,7 @@ class TestTransversality:
         P = random_subspace(p + q, p, rng)
         a = np.zeros((q, p), dtype=complex)
         a[0, 0] = 1e8
-        pair = OrbitPair(P, Subspace(orthonormal_range(P.frame + complement_frame(P) @ a)))
+        pair = OrbitPair(P, Subspace(np.linalg.qr(P.frame + complement_frame(P) @ a)[0]))
         tau = pair.transversality()
         assert abs(tau - self._stacked(pair)) <= 1e-14
         assert abs(tau - 1e-8 / SQRT2) <= 1e-6 * 1e-8
@@ -379,6 +379,47 @@ class TestSubspaceTypes:
         with pytest.raises(BadCotangent, match="must be 2 x 1"):
             CotangentPoint(P, np.zeros((2, 2)))  # the older n x n eta
         assert fnorm(CotangentPoint(P, col(0.0, 1.0)).eta - [[0.0, 1.0], [0.0, 0.0]]) == 0.0
+
+    @pytest.mark.parametrize("size", [1e-9, 1.0, 1e9])
+    def test_a_fiber_inside_P_is_refused_at_any_size(self, size, rng):
+        # the bound ||F_P* V|| <= 1e-7 ||V|| is of degree 1 in V, like the
+        # component it judges
+        from hkq.errors import BadCotangent
+
+        P = random_subspace(5, 2, rng)
+        with pytest.raises(BadCotangent, match="component in P"):
+            CotangentPoint(P, size * P.frame)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-14])
+    def test_small_fibers_of_psi1_are_valid_and_round_trip(self, eps, tmp_path):
+        # X = x c + eps G lies nearly in Ran x, so V = (Id - F_P F_P*) X x* F_P / k^2
+        # is of size eps while X x* / k^2 is of size 0.01: psi1 projects twice,
+        # so F_P* V is round-off relative to V, and the datum passes the
+        # relative check and survives a cotangent file
+        from hkq.jsonio import load_cotangent, save_cotangent
+
+        seen = 0
+        for p in range(1, 5):
+            for q in range(1, 5):
+                tr = Truncation(p, q, SQRT2)
+                for seed in range(4):
+                    rng = make_rng(seed)
+                    x = tr.base_x() + 0.3 * gaussian_complex(rng, (tr.n, p))
+                    c = gaussian_complex(rng, (p, p))
+                    X = x @ (0.01 * c / fnorm(c)) + eps * gaussian_complex(rng, (tr.n, p))
+                    pt = ConfigPoint(tr, x, X)
+                    if not in_stable1(pt, 0.5):
+                        continue
+                    cp = psi1(pt, 0.5)
+                    assert fnorm(dagger(cp.P.frame) @ cp.V) <= 1e-7 * fnorm(cp.V)
+                    path = tmp_path / f"cot_{p}_{q}_{seed}.json"
+                    save_cotangent(path, cp, tr.k)
+                    back, k = load_cotangent(path)
+                    assert k == tr.k
+                    assert back.P.frame.tobytes() == cp.P.frame.tobytes()
+                    assert back.V.tobytes() == cp.V.tobytes()
+                    seen += 1
+        assert seen >= 48
 
     def test_orbit_pair_dimension_check(self):
         with pytest.raises(ShapeMismatch):

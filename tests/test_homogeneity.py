@@ -10,6 +10,14 @@ membership verdict moves: the rank certificate of moment._stable3_frames,
 2 tol ||x + X||_F ||x - X||_F < k^2 - r1 - r2, is of degree 2 on both
 sides.  Any absolute constant that enters a route breaks this bit for bit.
 
+Three more exact symmetries act on the routes.  Entrywise conjugation of
+(x, X) conjugates every factorization, and the potentials are real, so
+every route value is unchanged bit for bit.  X -> -X swaps P = Ran(x + X)
+and Q^perp = Ran(x - X) and keeps the third-structure orbit invariants, so
+the k3 and k3hat routes agree to round-off.  A unitary U of U(n) acting on
+the left, the finite shadow of U_res acting on Gr_res, moves P, Q and the
+fiber together and keeps every route to round-off.
+
 The structural pre-checks are relative too: a matrix counts as Hermitian
 when ||M - M*|| <= tol ||M|| (matcore.is_hermitian) and as skew when
 ||a + a*|| <= tol ||a|| (moment_pairing_check), so no verdict of
@@ -29,7 +37,14 @@ from hkq.matcore import herm_eig, herm_fun, sym_sylvester_solve
 from hkq.moment import in_stable1, in_stable3, moment_pairing_check
 from hkq.potentials import character_log_term, evaluate_routes
 from hkq.quotient import project1, project3
-from hkq.sampling import gaussian_complex, make_rng, random_tangent, sample_stable1, sample_stable3
+from hkq.sampling import (
+    gaussian_complex,
+    make_rng,
+    random_tangent,
+    random_unitary,
+    sample_stable1,
+    sample_stable3,
+)
 
 SQRT2 = np.sqrt(2.0)
 SHAPES = [(1, 1), (2, 3), (4, 5), (6, 2), (8, 64)]
@@ -71,6 +86,44 @@ def test_every_route_scales_by_exactly_4_to_the_m(p, q, k, which):
     for seed in SEEDS:
         pt = SAMPLERS[which](Truncation(p, q, k), make_rng(seed))
         assert _inexact(which, pt) == [], seed
+
+
+def _far(pt: ConfigPoint, x: np.ndarray, X: np.ndarray, which: str) -> list:
+    """The routes whose value at (x, X) is not within 1e-12 relative of
+    their value at pt."""
+    got, want = _routes(ConfigPoint(pt.trunc, x, X), which), _routes(pt, which)
+    return [route for route, value in want.items()
+            if not abs(got[route] - value) <= 1e-12 * abs(value)]
+
+
+@pytest.mark.parametrize("which", ["k1", "k3", "k3hat"])
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("p,q", SHAPES)
+def test_every_route_is_unchanged_bit_for_bit_by_conjugation(p, q, k, which):
+    for seed in SEEDS:
+        pt = SAMPLERS[which](Truncation(p, q, k), make_rng(seed))
+        conj = ConfigPoint(pt.trunc, pt.x.conj(), pt.X.conj())
+        assert _routes(conj, which) == _routes(pt, which), seed
+
+
+@pytest.mark.parametrize("which", ["k3", "k3hat"])
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("p,q", SHAPES)
+def test_third_structure_routes_are_even_in_X(p, q, k, which):
+    for seed in SEEDS:
+        pt = SAMPLERS[which](Truncation(p, q, k), make_rng(seed))
+        assert _far(pt, pt.x, -pt.X, which) == [], seed
+
+
+@pytest.mark.parametrize("which", ["k1", "k3", "k3hat"])
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("p,q", SHAPES)
+def test_every_route_is_invariant_under_unitaries_on_the_left(p, q, k, which):
+    for seed in SEEDS:
+        rng = make_rng(seed)
+        pt = SAMPLERS[which](Truncation(p, q, k), rng)
+        u = random_unitary(p + q, rng)
+        assert _far(pt, u @ pt.x, u @ pt.X, which) == [], seed
 
 
 @pytest.mark.parametrize("k", KS)

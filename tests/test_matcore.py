@@ -19,7 +19,6 @@ from hkq.matcore import (
     fnorm,
     herm_eig,
     herm_fun,
-    orthonormal_range,
     psd_sqrt,
     skew_part,
     svd,
@@ -162,36 +161,6 @@ class TestSvd:
         assert fnorm(dagger(w) @ w - np.eye(3)) <= 1e-12
 
 
-class TestOrthonormalRange:
-    def test_axis_column(self):
-        f = orthonormal_range(np.array([[2.0], [0.0]]))
-        assert np.allclose(f, [[1.0], [0.0]])
-
-    def test_duplicate_columns_warn(self):
-        m = np.array([[1.0, 1.0], [0.0, 0.0]])
-        f = orthonormal_range(m)
-        assert f.shape == (2, 1)
-        assert np.allclose(f, [[1.0], [0.0]])
-
-    def test_normalization_and_gauge(self):
-        f = orthonormal_range(np.array([[1.0], [1.0]]))
-        assert np.allclose(f, np.array([[1.0], [1.0]]) / np.sqrt(2.0))
-
-    def test_frame_fixed_point(self, rng):
-        g = gaussian_complex(rng, (6, 3))
-        f = orthonormal_range(g)
-        f2 = orthonormal_range(f)
-        d = fnorm(f @ dagger(f) - f2 @ dagger(f2))
-        assert d <= 1e-12
-
-    def test_gauge_pivot_real_positive(self, rng):
-        f = orthonormal_range(gaussian_complex(rng, (5, 2)))
-        for j in range(f.shape[1]):
-            piv = f[np.argmax(np.abs(f[:, j])), j]
-            assert abs(piv.imag) <= 1e-14
-            assert piv.real > 0
-
-
 def _phases_by_column(frame):
     """The gauge fixing column by column: the reference for the vectorized
     `_fix_column_phases`."""
@@ -246,14 +215,6 @@ class TestFixColumnPhases:
     def test_empty_frames(self, shape):
         f = np.zeros(shape, dtype=complex)
         assert _same_bits(matcore._fix_column_phases(f), f)
-
-    def test_range_frames_unchanged(self, rng, monkeypatch):
-        ms = [gaussian_complex(rng, s) for s in ((6, 3), (3, 7), (16, 16), (40, 9))]
-        ms.append(np.hstack([ms[0], ms[0][:, :1]]))  # rank deficient
-        new = [orthonormal_range(m) for m in ms]
-        monkeypatch.setattr(matcore, "_fix_column_phases", _phases_by_column)
-        for m, rng_frame in zip(ms, new):
-            assert _same_bits(rng_frame, orthonormal_range(m))
 
 
 class TestSylvester:

@@ -27,6 +27,7 @@ KNOWN_STALE = {
     "hkq.potentials.K3_similarity",
     "hkq.potentials.K3_level",
     "hkq.matcore.null_space_frame",
+    "hkq.matcore.orthonormal_range",
     "hkq.grassmann.graph_operator",
     "hkq.jsonio.save_matrix",
     "hkq.jsonio.load_matrix",
