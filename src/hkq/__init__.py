@@ -17,10 +17,7 @@ from .grassmann import (
     Subspace,
     characteristic_angles,
     complement_frame,
-    curvature_R,
     curvature_fun_apply,
-    curvature_op_I1,
-    curvature_op_I1_via_R,
     projector_distance,
     psi1,
     psi1_section,

@@ -18,9 +18,8 @@ entries.  This module provides
     ambient form w = F_Pperp A (_graph), so that no frame of P^perp is
     built, and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2),
     and
-  * the curvature tensor of the Grassmannian together with the spectral
-    functional calculus of the operator Y -> 2(V V* Y + Y V* V) that feeds
-    the curvature forms of the potentials.
+  * the spectral functional calculus of the operator Y -> 2(V V* Y + Y V* V)
+    that feeds the curvature forms of the potentials.
 
 Subspace frames are read-only, and a pair is immutable, so psi3's pair is
 memoized on its point per tol (_orbit_pair) and the graph w on its pair
@@ -46,10 +45,7 @@ __all__ = [
     "Subspace",
     "characteristic_angles",
     "complement_frame",
-    "curvature_R",
     "curvature_fun_apply",
-    "curvature_op_I1",
-    "curvature_op_I1_via_R",
     "projector_distance",
     "psi1",
     "psi1_section",
@@ -342,40 +338,9 @@ def _angles(w: np.ndarray) -> np.ndarray:
     return np.sort(theta)
 
 
-def curvature_R(X, Y, Z) -> np.ndarray:
-    """Curvature tensor of the Grassmannian in frame coordinates:
-
-        R_{X,Y} Z = Y X* Z - Z Y* X + Z X* Y - X Y* Z.
-
-    Antisymmetry in (X, Y) is exact.
-    """
-    x, y, z = as_matrix(X), as_matrix(Y), as_matrix(Z)
-    if not (x.shape == y.shape == z.shape):
-        raise ShapeMismatch(
-            f"curvature operands must share a shape: {x.shape}, {y.shape}, {z.shape}"
-        )
-    xd, yd = dagger(x), dagger(y)
-    return y @ xd @ z - z @ yd @ x + z @ xd @ y - x @ yd @ z
-
-
-def curvature_op_I1(V, Y) -> np.ndarray:
-    """The operator i R_{iV, V} applied to Y, in closed form:
-    2 (V V* Y + Y V* V)."""
-    v, y = as_matrix(V), as_matrix(Y)
-    if v.shape != y.shape:
-        raise ShapeMismatch(f"V {v.shape} and Y {y.shape} must match")
-    return 2.0 * (v @ dagger(v) @ y + y @ dagger(v) @ v)
-
-
-def curvature_op_I1_via_R(V, Y) -> np.ndarray:
-    """Same operator evaluated through the general curvature tensor,
-    i R_{iV, V} Y; used as the independent route in the identity checks."""
-    v = as_matrix(V)
-    return 1j * curvature_R(1j * v, v, Y)
-
-
 def curvature_fun_apply(f, V) -> float:
-    """Re-trace pairing g_Gr(f(Op) V, V) with Op = curvature_op_I1(V, .).
+    """Re-trace pairing g_Gr(f(Op) V, V) with Op: Y -> 2(V V* Y + Y V* V),
+    the Grassmannian's curvature operator i R_{iV, V} itself.
 
     Evaluated spectrally: with singular values sigma_i of V the operator
     acts on the singular direction u_i w_i* by 4 sigma_i^2, so the value is

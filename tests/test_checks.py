@@ -2,13 +2,15 @@
 order, the overall flag as the AND of the checks' `passed`, the same results
 on a second call, and every suite given the seed unchanged, so a suite's
 lines are the same alone and among all, and each check's worst trial
-reruns alone bit for bit.  The driver: a NaN residual fails its check, a
-trial that raises fails its family's checks only, and a margin is a
-residual against tol 1.  The reduction suite factors each level point once,
-and a fault in that one factorization still fails its checks.  The ddc
-suite's central difference takes the bits of its eight-scaling form.  The
-maps suite's canonical-section check sees a section moved along its psi3
-fiber, which the round trip and the fiber constancy cannot see."""
+reruns alone bit for bit.  The driver: a NaN residual fails its check, and
+a trial that raises fails its family's checks only.  The reduction suite
+factors each level point once, and a fault in that one factorization still
+fails its checks.  The ddc suite's central difference takes the bits of its
+eight-scaling form.  The maps suite's canonical-section check sees a
+section moved along its psi3 fiber, which the round trip and the fiber
+constancy cannot see.  The potentials suite's group laws fail where route
+agreement passes, on every k1 route off by one common factor, and where
+compact invariance passes, on a K3 that is only unitarily invariant."""
 
 import math
 
@@ -129,10 +131,34 @@ def test_a_trial_that_raises_fails_its_family_only(monkeypatch):
     assert all(r.passed for r in results.values())
 
 
-@pytest.mark.parametrize("value,passed", [
-    (2e-6, True), (1e-6, True), (5e-7, False), (0.0, False), (math.nan, False)])
-def test_a_margin_is_a_residual_against_tol_1(value, passed):
-    assert (checks._margin(value) <= 1.0) is passed
+def test_every_k1_route_scaled_alike_fails_the_group_law(monkeypatch):
+    # a factor common to all four routes leaves them in agreement; the
+    # law's exact shift -(k^2/2) log|det g| sees it
+    def scaled(route):
+        return lambda *args: (1.0 + 1e-6) * route(*args)
+
+    for name in ("_k1_closed", "_k1_fiber", "_k1_curvature"):
+        monkeypatch.setattr(pots, name, scaled(getattr(pots, name)))
+    level = pots._k1_level
+
+    def level_scaled(res, k):
+        value, parts = level(res, k)
+        return (1.0 + 1e-6) * value, parts
+
+    monkeypatch.setattr(pots, "_k1_level", level_scaled)
+    results = {r.name: r for r in checks.run_suite("potentials", 10, 0)}
+    assert results["k1_route_agreement"].passed
+    assert not results["k1_group_law"].passed
+
+
+def test_the_flat_potential_fails_the_k3_orbit_invariance(monkeypatch):
+    # the flat potential is invariant under the compact group alone, so
+    # only an act3 with a nonzero positive part tells it from K3
+    results = {r.name: r for r in checks.run_suite("potentials", 10, 0)}
+    assert results["k3_orbit_invariance"].passed
+    monkeypatch.setattr(pots, "_k3_spectral", flat_potential_K)
+    results = {r.name: r for r in checks.run_suite("potentials", 10, 0)}
+    assert results["k3_orbit_invariance"].residual >= 1e-3
 
 
 @pytest.mark.parametrize("failing", ["a", "b"])

@@ -9,10 +9,7 @@ from hkq.grassmann import (
     Subspace,
     characteristic_angles,
     complement_frame,
-    curvature_R,
     curvature_fun_apply,
-    curvature_op_I1,
-    curvature_op_I1_via_R,
     projector_distance,
     psi1,
     psi1_section,
@@ -302,41 +299,6 @@ class TestCharacteristicAngles:
 
 
 class TestCurvature:
-    def test_antisymmetry_and_degenerate(self, rng):
-        x = gaussian_complex(rng, (3, 2))
-        y = gaussian_complex(rng, (3, 2))
-        z = gaussian_complex(rng, (3, 2))
-        assert fnorm(curvature_R(x, y, z) + curvature_R(y, x, z)) <= 1e-13
-        assert fnorm(curvature_R(x, x, z)) <= 1e-13
-
-    def test_scalar_value(self):
-        x = np.array([[1.0]])
-        y = np.array([[1.0j]])
-        z = np.array([[1.0]])
-        assert np.allclose(curvature_R(x, y, z), [[4.0j]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            curvature_R(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)))
-
-    def test_op_on_its_own_vector(self, rng):
-        v = gaussian_complex(rng, (4, 3))
-        out = curvature_op_I1(v, v)
-        want = 4.0 * (v @ dagger(v) @ v)
-        assert fnorm(out - want) <= 1e-12 * (1 + fnorm(want))
-
-    def test_op_zero(self):
-        v = np.zeros((2, 2))
-        assert fnorm(curvature_op_I1(v, np.ones((2, 2)))) == 0.0
-
-    def test_two_routes_agree(self, rng):
-        for _ in range(20):
-            v = gaussian_complex(rng, (3, 3))
-            y = gaussian_complex(rng, (3, 3))
-            a = curvature_op_I1(v, y)
-            b = curvature_op_I1_via_R(v, y)
-            assert fnorm(a - b) <= 1e-12 * (1 + fnorm(a))
-
     def test_fun_apply_constant_and_identity(self, rng):
         v = gaussian_complex(rng, (4, 2))
         s = np.linalg.svd(v, compute_uv=False)
@@ -359,7 +321,7 @@ class TestCurvature:
         term = v.copy()
         for c in coeffs:
             acc = acc + c * term
-            term = curvature_op_I1(v, term)
+            term = 2.0 * (v @ dagger(v) @ term + term @ dagger(v) @ v)
         series = float(np.sum(np.conj(acc) * v).real)
         assert abs(spectral - series) <= 1e-12 * (1 + abs(spectral))
 

@@ -14,10 +14,10 @@ import pytest
 from hkq import cli, jsonio
 from hkq.errors import DegenerateSample, NotInStable1
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.moment import in_stable3
+from hkq.moment import in_stable1, in_stable3, on_level_set
 from hkq.potentials import evaluate_routes
 from hkq.quotient import project1
-from hkq.sampling import make_rng, sample_stable1, sample_stable3
+from hkq.sampling import make_rng, sample_level, sample_stable1, sample_stable3
 
 
 def test_k3_routes_at_small_k():
@@ -60,6 +60,35 @@ def test_stable3_sample_at_small_k():
     trunc = Truncation(16, 16, 0.01)
     refused = [seed for seed in range(40)
                if not in_stable3(sample_stable3(trunc, make_rng(seed)))]
+    assert refused == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="at k = 0.01, p = q = 16 sample_level's points miss the level set: "
+           "the draw's X is of unit size whatever k, so ||x*x - X*X - k^2 Id|| "
+           "cancels from order 1 down to k^2 and is left at 1.0e-13 to 1.7e-13, "
+           "above the membership bound 1e-9 k^2 = 1e-13: 12 of seeds 0-39 fail "
+           "on_level_set (the scale question of test_project1_at_small_k)",
+)
+def test_level_sample_at_small_k():
+    trunc = Truncation(16, 16, 0.01)
+    refused = [seed for seed in range(40)
+               if not on_level_set(sample_level(trunc, make_rng(seed)))]
+    assert refused == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="at k = 0.01, p = q = 64 sample_stable1's X*x is zero only to "
+           "round-off of size eps ||X|| ||x||, above the membership bound "
+           "1e-9 k^2 = 1e-13, since the draws do not scale with k: in_stable1 "
+           "refuses all of seeds 0-9",
+)
+def test_stable1_sample_at_small_k():
+    trunc = Truncation(64, 64, 0.01)
+    refused = [seed for seed in range(10)
+               if not in_stable1(sample_stable1(trunc, make_rng(seed)))]
     assert refused == []
 
 

@@ -41,6 +41,7 @@ from hkq.moment import level_residual
 from hkq.quotient import project1, project3
 from hkq.sampling import (
     make_rng,
+    random_group_positive,
     random_hermitian_ball,
     random_subspace,
     random_unitary,
@@ -439,10 +440,23 @@ class TestQuotientPotential:
         b = quotient_potential(act1(u, pt)).value
         assert abs(a - b) <= 1e-10 * (1 + abs(a))
 
-    def test_noninvariance_witness(self, rng):
-        tr = Truncation(2, 2, SQRT2)
-        pt = sample_stable1(tr, rng)
-        assert abs(K1_closed(act1(2.0 * np.eye(2), pt)) - K1_closed(pt)) > 1e-3
+    @pytest.mark.parametrize("generic", [False, True], ids=["2Id", "generic"])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (3, 5), (6, 2)])
+    def test_group_law_on_every_route(self, p, q, generic):
+        # K1(g.pt) - K1(pt) = -(k^2/2) log|det g|, exactly, for g = 2 Id and
+        # for a generic complex g
+        tr = Truncation(p, q, SQRT2)
+        for seed in range(4):
+            rng = make_rng(10 * p + q + seed)
+            pt = sample_stable1(tr, rng)
+            g = (random_group_positive(p, rng) @ random_unitary(p, rng) if generic
+                 else 2.0 * np.eye(p))
+            shift = -0.5 * tr.k2 * np.linalg.slogdet(g)[1]
+            before = evaluate_routes(pt, "k1")
+            after = evaluate_routes(act1(g, pt), "k1")
+            for route, value in before.items():
+                assert abs(after[route] - value - shift) <= 1e-12 * max(1.0, abs(value)), (
+                    route, seed)
 
     def test_fiber_coordinate_shape(self, s2_point):
         # psi1's fiber coordinate is n x p, here (0, 1/sqrt 2)^T up to phase
