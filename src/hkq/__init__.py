@@ -56,7 +56,6 @@ from .potentials import (
     K3_hat_angles,
     K3_hat_cotangent,
     K3_spectral,
-    PotentialReport,
     character_log_term,
     evaluate_routes,
     quotient_potential,

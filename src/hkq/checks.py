@@ -379,7 +379,7 @@ def _potentials_trial(rng) -> Residuals:
     # equals the value at the projected point
     pr = project1(pt)
     lhs = routes["level"] - pots.character_log_term(pr.group_part, trunc.k)
-    rhs = pots.quotient_potential(pr.point).value
+    rhs = pots.quotient_potential(pr.point)
     yield "quotient_potential_chain", _rel(abs(lhs - rhs), rhs)
 
     pt3 = sample_stable3(trunc, rng)
@@ -409,7 +409,7 @@ def _potentials_trial(rng) -> Residuals:
     shift = -0.5 * trunc.k2 * np.linalg.slogdet(g)[1]
     yield "k1_group_law", _rel(
         abs(pots.K1_closed(act1(g, pt)) - routes["closed"] - shift), vals[0])
-    h = _hermitian_ball(trunc.p, rng, 1.0)[1]
+    h = _hermitian_ball(trunc.p, rng, 1.0)
     yield "k3_orbit_invariance", _rel(
         abs(pots.K3_spectral(act3(h, u3, pt3)) - k3routes["spectral"]), vals3[0])
 
@@ -459,7 +459,7 @@ def _maps_trial(rng) -> Residuals:
 
     pt3 = sample_stable3(trunc, rng)
     pair0, _ = psi3(pt3)
-    h = _hermitian_ball(trunc.p, rng, 1.0)[1]  # the spectrum act3 reads
+    h = _hermitian_ball(trunc.p, rng, 1.0)  # the spectrum act3 reads
     u = random_unitary(trunc.p, rng)
     pair_h, _ = psi3(act3(h, u, pt3))
     yield "psi3_fiber_constancy", projector_distance(pair0.P, pair_h.P)

@@ -4,8 +4,10 @@ Verbs: sample, project, potential, angles, map, check, info.  Reports are
 line-oriented `key value` pairs for machine parsing.  Exit codes: 0 success,
 1 property/cross-check failure, 2 input or membership error.
 
-`sample` judges its draw by the one rule of the set it names, at --tol,
-and writes no file for a draw outside that set (exit 2).
+`sample` draws with the samplers' fixed spread (sampling._SPREAD), judges
+its draw by the one rule of the set it names, at --tol, and writes no file
+for a draw outside that set (exit 2).  The file's meta records the seed and
+the set.
 
 `map --which psi1` prints eta_on_P_residual and eta_norm of the cotangent
 datum it writes, read off the n x p fiber V.  `map --which psi3` prints the
@@ -58,7 +60,7 @@ def _emit(key: str, value) -> None:
 def _cmd_sample(args) -> int:
     trunc = Truncation(args.p, args.q, args.k)
     rng = make_rng(args.seed)
-    pt = sample_point(args.space, trunc, rng, eps=args.eps)
+    pt = sample_point(args.space, trunc, rng)
     refusal = f"sampled point is not in the {args.space} set at tol {args.tol:g}"
     if args.space == "stable1":
         _stable1_svd(pt, args.tol, refusal)
@@ -66,9 +68,7 @@ def _cmd_sample(args) -> int:
         _stable3_frames(pt, args.tol, refusal)
     elif not on_level_set(pt, args.tol):
         raise NotOnLevelSet(refusal)
-    jsonio.save_point(args.output, pt,
-                      meta={"seed": args.seed, "generator": args.space,
-                            "eps": args.eps})
+    jsonio.save_point(args.output, pt, meta={"seed": args.seed, "generator": args.space})
     rc, rr = level_residual(pt)
     _emit("space", args.space)
     _emit("p", trunc.p)
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-k", type=float, default=float(np.sqrt(2.0)))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sample)
 

@@ -1,7 +1,14 @@
 """Exception hierarchy shared by all hkq modules.
 
-Every error raised by the library derives from HkqError so callers (and the
-CLI, which maps them to exit code 2) can catch library failures in one clause.
+The library raises two classes of error.  A failure judged on the
+mathematical input (a shape, a membership rule, a structure index, a file's
+schema, a sampler that gives up) raises a subclass of HkqError, so callers
+can catch those in one clause.  A bad argument of another kind (an unknown
+name or tag, an out-of-range count or parameter: Truncation's p, q and k,
+evaluate_routes' potential tag, K3_hat_cotangent's route, moment's tag,
+run_suite's suite and trials, sample_point's space) raises the builtin
+ValueError, as numpy does for a write into a read-only array.  The CLI
+maps both to exit code 2, in separate clauses.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 Values are returned as p x p trace-pairing representatives: the functional
 is a |-> Tr(value . a) on skew-Hermitian a.  moment(which, pt) returns
-the plain matrix:
+the plain matrix of the tag `which`, one of MOMENT_TAGS (ValueError for
+any other):
 
     muC : X*x                          (complex moment map, unconstrained)
     mu1 : -(i/2) (x*x - X*X)           (skew-Hermitian)
     mu2 :  (1/2) (X*x - x*X)           (skew-Hermitian, Re muC)
     mu3 : -(i/2) (X*x + x*X)           (skew-Hermitian, Im muC)
-    mu4 :  (i/2) (x*x + X*X)           (skew-Hermitian, enters the third
-                                        structure's potential)
 
 muC = mu2 + i mu3 holds exactly at the matrix level.  The level set is
 {X*x = 0, x*x - X*X = k^2 Id}; on it mu1 equals -(i/2) k^2 Id, the invariant
@@ -27,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import NotInStable1, NotInStable3, NotSkew, ShapeMismatch
+from .errors import BadIndex, NotInStable1, NotInStable3, NotSkew, ShapeMismatch
 from .hkspace import ConfigPoint, TangentPair, _memo, _read_only, omega
 from .matcore import as_matrix, dagger, fnorm, hermitian_part, skew_part, svd
 
@@ -42,7 +41,7 @@ __all__ = [
     "on_level_set",
 ]
 
-MOMENT_TAGS = ("mu1", "mu2", "mu3", "mu4", "muC")
+MOMENT_TAGS = ("mu1", "mu2", "mu3", "muC")
 
 
 def moment(which: str, pt: ConfigPoint) -> np.ndarray:
@@ -56,8 +55,6 @@ def moment(which: str, pt: ConfigPoint) -> np.ndarray:
         return 0.5 * (dagger(X) @ x - dagger(x) @ X)
     if which == "mu3":
         return -0.5j * (dagger(X) @ x + dagger(x) @ X)
-    if which == "mu4":
-        return 0.5j * (dagger(x) @ x + dagger(X) @ X)
     raise ValueError(f"unknown moment tag {which!r}, expected one of {MOMENT_TAGS}")
 
 
@@ -204,11 +201,14 @@ def infinitesimal_action(j: int, a: np.ndarray, pt: ConfigPoint) -> TangentPair:
     For omega_1 the compact group acts on both slots by -a; for omega_2/3 the
     complexified action contributes (-x a, X a*).  The two coincide for
     skew-Hermitian a, but both routes are kept explicit since the pairing
-    check quotes them separately.
+    check quotes them separately.  A j outside {1, 2, 3} raises BadIndex,
+    as apply_I and omega do.
     """
     if j == 1:
         return TangentPair(-pt.x @ a, -pt.X @ a)
-    return TangentPair(-pt.x @ a, pt.X @ dagger(a))
+    if j in (2, 3):
+        return TangentPair(-pt.x @ a, pt.X @ dagger(a))
+    raise BadIndex(f"complex-structure index must be 1, 2 or 3, got {j}")
 
 
 def _pairing_derivative(j: int, pt: ConfigPoint, a: np.ndarray, v: TangentPair) -> float:
@@ -225,7 +225,7 @@ def _pairing_derivative(j: int, pt: ConfigPoint, a: np.ndarray, v: TangentPair) 
     elif j == 3:
         d = -0.5j * (dagger(X) @ Z + dagger(T) @ x + dagger(Z) @ X + dagger(x) @ T)
     else:
-        raise ValueError(f"pairing index must be 1, 2 or 3, got {j}")
+        raise BadIndex(f"complex-structure index must be 1, 2 or 3, got {j}")
     return float(np.trace(d @ a).real)
 
 
@@ -236,7 +236,8 @@ def moment_pairing_check(
 
     lhs is the closed-form derivative of the a-pairing along v; rhs is
     omega_j evaluated on (generated vector field, v).  They agree to
-    1e-11 (1 + |lhs|); this identity is the module's oracle.
+    1e-11 (1 + |lhs|); this identity is the module's oracle.  A j outside
+    {1, 2, 3} raises BadIndex.
     """
     a = _check_skew(a)
     lhs = _pairing_derivative(j, pt, a, v)

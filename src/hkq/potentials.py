@@ -80,8 +80,6 @@ non-Hermitian operand by a Cholesky factor, not a matrix square root.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
@@ -114,7 +112,6 @@ __all__ = [
     "K3_hat_angles",
     "K3_hat_cotangent",
     "K3_spectral",
-    "PotentialReport",
     "character_log_term",
     "curvature_weight_k1",
     "curvature_weight_k3hat",
@@ -138,14 +135,6 @@ def _warn_integrality(k: float) -> None:
             IntegralityWarning(f"k^2/2 = {k * k / 2.0:g} is not a positive integer"),
             stacklevel=3,
         )
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    """The quotient potential's value with its two parts."""
-
-    value: float
-    extras: dict = field(default_factory=dict)
 
 
 def curvature_weight_k1(u: float) -> float:
@@ -348,31 +337,24 @@ def _character_term(lam: np.ndarray, k: float) -> float:
     return float(0.5 * k * k * np.sum(np.log(lam)))
 
 
-def quotient_potential(pt: ConfigPoint,
-                       tol: float = DEFAULT_MEMBERSHIP_TOL) -> PotentialReport:
-    """Generic quotient-potential formula for the first structure: flat
-    potential at the projected point plus the character term of the
-    projecting group element.
+def quotient_potential(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
+    """Generic quotient-potential formula for the first structure: the flat
+    potential K at project1's point plus the character term
+    (k^2/2) log det g of project1's group element g.
 
-    The report's value is their sum; extras holds the two parts,
-    extras["flat_at_level"] (flat potential K at project1's point) and
-    extras["character"] ((k^2/2) log det g of project1's group element).
     No other route is evaluated here.  Membership is checked once, by
     project1 (NotInStable1).  log det g is summed over the eigenvalues
     project1 took g from, with character_log_term's positivity check, so g
     is not factored again; the one IntegralityWarning of the call follows
     it."""
-    value, parts = _k1_level(project1(pt, tol), pt.trunc.k)
+    value = _k1_level(project1(pt, tol), pt.trunc.k)
     _warn_integrality(pt.trunc.k)
-    return PotentialReport(value=value, extras=parts)
+    return value
 
 
-def _k1_level(res: ProjectionResult, k: float) -> tuple[float, dict]:
-    """quotient_potential's value and its two parts from project1's result,
-    without the report."""
-    flat = flat_potential_K(res.point)
-    char = _character_term(res.eigenvalues, k)
-    return flat + char, {"flat_at_level": flat, "character": char}
+def _k1_level(res: ProjectionResult, k: float) -> float:
+    """quotient_potential's value from project1's result."""
+    return flat_potential_K(res.point) + _character_term(res.eigenvalues, k)
 
 
 def _route_spread(values) -> tuple[float, float]:
@@ -417,7 +399,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
             "closed": _k1_closed(pt, logdet, fiber),
             "fiber": _k1_fiber(pt, logdet, fiber),
             "curvature": _k1_curvature(pt, logdet, _fix_column_phases(u)),
-            "level": _k1_level(project1(pt, tol), k)[0],
+            "level": _k1_level(project1(pt, tol), k),
         }
     if which not in ("k3", "k3hat"):
         raise ValueError(f"unknown potential tag {which!r}")

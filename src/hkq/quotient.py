@@ -132,13 +132,13 @@ class ProjectionResult:
 
     For project1, group_part is the positive p x p matrix g with
     act1(group_part, original) = point, the polar factor of the element
-    that moves the original onto the level section, and h is None.  For
-    project3, h is the Hermitian p x p matrix with
-    act3(herm_eig(-h), None, psi3_section(pair)) = point and group_part is
-    None.  Both are plain arrays; the operation that takes one back (act1,
-    act3, potentials.character_log_term) checks what it needs.
-    eigenvalues are those of group_part or h, ascending, read off the
-    factorization the projection built it from.
+    that moves the original onto the level section, a plain array that the
+    operation taking it back (act1, potentials.character_log_term) checks,
+    and eigenvalues are those of g, ascending.  For project3, group_part is
+    None and eigenvalues are those of the Hermitian p x p matrix h with
+    act3(herm_eig(-h), None, psi3_section(pair)) = point, ascending; h
+    itself is not formed.  Both are read off the factorization the
+    projection built.
 
     The results of project1 and project3 are immutable: their arrays, the
     point's included, are read-only, and each is memoized on the point it
@@ -150,7 +150,6 @@ class ProjectionResult:
     residual: float
     eigenvalues: np.ndarray
     group_part: np.ndarray | None = None
-    h: np.ndarray | None = None
 
 
 def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
@@ -217,7 +216,7 @@ def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
 
     Route: psi3's pair (P, Q^perp), judged third-stable (NotInStable3)
     without z; its graph w = F_Pperp A; and the one eigendecomposition of
-    m = Id + w*w, on which h = (1/4) log m, its eigenvalues and
+    m = Id + w*w, on which the eigenvalues of h = (1/4) log m and
     x +/- X = k F_P m^{1/4}, k (F_P + w) m^{-1/4} are all taken (module
     docstring).  The result lies in the level set (exactly, up to
     round-off) and in the same orbit as pt (psi3 reproduces the pair).  It
@@ -237,7 +236,6 @@ def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
     w = _graph(pair, tol)
     k, fp = pt.trunc.k, pair.P.frame
     spec = _eigh(np.eye(pt.trunc.p) + dagger(w) @ w)
-    h = 0.25 * spec.fun(np.log, domain_check=lambda lam: lam > 0.0)
     plus = k * (fp @ spec.fun(lambda lam: lam ** 0.25))
     minus = k * ((fp + w) @ spec.fun(lambda lam: lam ** -0.25))
     point = _point(pt.trunc, 0.5 * (plus + minus), 0.5 * (plus - minus))
@@ -247,8 +245,7 @@ def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
             f"orbit projection left residual {residual:.3e} > tol * k^2"
         )
     return ProjectionResult(point=point, residual=residual,
-                            eigenvalues=_read_only(0.25 * np.log(spec.eigenvalues)),
-                            h=_read_only(h))
+                            eigenvalues=_read_only(0.25 * np.log(spec.eigenvalues)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Every point sampler stands on one first-stable draw, factored once by a
 thin QR x = F R (_draw_stable1): the rejection rule reads the singular
 values of R, X is projected off Ran x by F, and the level point over the
 draw is the closed level section over its cotangent datum (F, X R*/k^2),
-quotient._level_section, with no projection (sample_level).
+quotient._level_section, with no projection (sample_level).  The draw
+spreads x about the base point by the constant _SPREAD.
 sample_stable3 moves that level point by act3.  A random plane is the
 phase-fixed Q factor of a Gaussian, which has full rank with probability
 one (random_subspace).  A Hermitian draw is factored once: its operator
@@ -40,7 +41,6 @@ __all__ = [
     "gaussian_complex",
     "make_rng",
     "random_group_positive",
-    "random_hermitian_ball",
     "random_skew",
     "random_tangent",
     "random_unitary",
@@ -56,16 +56,11 @@ __all__ = [
 # Draws a rejection sampler makes before it raises DegenerateSample.
 _MAX_DRAWS = 100
 
-# A bound on the modulus sqrt(-log(u1)) of a gaussian_complex entry:
-# u1 = 1 - rng.random() >= 2^-53, so the modulus is at most
-# sqrt(53 log 2) = 6.0611.
-_GAUSSIAN_MAX = 6.07
-
-# sample_stable1 refuses an eps for which n (|k| + _GAUSSIAN_MAX |eps|)^2,
-# a bound on the entries of x*x, exceeds this.  The sampler itself forms no
-# x*x, but every later x*x (membership, the routes, the tangent projectors)
-# stays finite with eight orders of magnitude to spare.
-_GRAM_MAX = 1e300
+# The spread of a first-stable draw: x = base + _SPREAD * Gaussian.  A
+# gaussian_complex entry has modulus at most sqrt(53 log 2) < 1.82 / 0.3,
+# so every entry of x*x is at most n (|k| + 1.82)^2, finite for every k
+# that Truncation accepts.
+_SPREAD = 0.3
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -91,29 +86,22 @@ def random_skew(p: int, rng: np.random.Generator) -> np.ndarray:
     return skew_part(gaussian_complex(rng, (p, p)))
 
 
-def random_hermitian_ball(p: int, rng: np.random.Generator,
-                          radius: float = 1.0) -> np.ndarray:
-    """Hermitian matrix with operator norm at most `radius`: the Hermitian
-    part of a complex Gaussian, scaled to radius * r, r uniform in [0, 1)."""
-    return _hermitian_ball(p, rng, radius)[0]
-
-
 def _hermitian_ball(p: int, rng: np.random.Generator,
-                    radius: float) -> tuple[np.ndarray, HermitianSpectrum]:
-    """random_hermitian_ball's matrix h and its spectrum, from one
-    eigendecomposition: the operator norm of a Hermitian matrix is its
-    largest eigenvalue modulus, read off the spectrum that a caller acting
-    with h (act3, exp) needs anyway.  The scale is applied to the matrix and
-    to the eigenvalues alike, so the spectrum is that of h up to round-off
-    and its largest modulus is radius * r to one rounding."""
-    h = hermitian_part(gaussian_complex(rng, (p, p)))
-    spec = _eigh(h)
+                    radius: float) -> HermitianSpectrum:
+    """Spectrum of a Hermitian p x p matrix with operator norm at most
+    `radius`: the Hermitian part of a complex Gaussian, scaled to
+    radius * r, r uniform in [0, 1).  One eigendecomposition: the operator
+    norm is the largest eigenvalue modulus, read off the spectrum that a
+    caller acting with the matrix (act3, exp) needs anyway, and the scale
+    is applied to the eigenvalues, whose largest modulus is radius * r to
+    one rounding."""
+    spec = _eigh(hermitian_part(gaussian_complex(rng, (p, p))))
     lam = spec.eigenvalues
     nrm = max(-lam[0], lam[-1])
     if nrm == 0.0:
-        return h, spec
+        return spec
     c = radius * rng.random() / nrm
-    return h * c, HermitianSpectrum(lam * c, spec.eigenvectors)
+    return HermitianSpectrum(lam * c, spec.eigenvectors)
 
 
 def random_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,56 +114,35 @@ def random_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
 def random_group_positive(p: int, rng: np.random.Generator) -> np.ndarray:
     """Positive-definite element exp(h), h in the Hermitian ball of radius
     1/2."""
-    return _hermitian_ball(p, rng, 0.5)[1].fun(np.exp)
+    return _hermitian_ball(p, rng, 0.5).fun(np.exp)
 
 
-def sample_stable1(trunc: Truncation, rng: np.random.Generator,
-                   eps: float = 0.3) -> ConfigPoint:
-    """Point of the first stable set: x = base + eps * Gaussian (resampled,
+def sample_stable1(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
+    """Point of the first stable set: x = base + 0.3 * Gaussian (resampled,
     up to 100 times, until sigma_min(x) > 0.1 sigma_max), X Gaussian
-    with the x-range component removed so X*x = 0 to round-off.
-
-    eps is refused with ValueError, before anything is drawn, unless it is
-    finite and every draw keeps x*x finite: each entry of x is at most
-    |k| + 6.07 |eps| in modulus, and n (|k| + 6.07 |eps|)^2 must not
-    exceed 1e300."""
-    return _draw_stable1(trunc, rng, eps)[0]
+    with the x-range component removed so X*x = 0 to round-off."""
+    return _draw_stable1(trunc, rng)[0]
 
 
-def _draw_stable1(trunc: Truncation, rng: np.random.Generator,
-                  eps: float) -> tuple[ConfigPoint, np.ndarray, np.ndarray]:
+def _draw_stable1(trunc: Truncation,
+                  rng: np.random.Generator) -> tuple[ConfigPoint, np.ndarray, np.ndarray]:
     """sample_stable1's point with the thin QR x = F R of its x.  The
     rejection rule is applied to the singular values of the p x p factor
     R, which are those of x, and X = G - F (F* G) for a Gaussian G."""
-    _check_eps(trunc, eps)
     base = trunc.base_x()
     for _ in range(_MAX_DRAWS):
-        x = base + eps * gaussian_complex(rng, base.shape)
+        x = base + _SPREAD * gaussian_complex(rng, base.shape)
         f, r = np.linalg.qr(x)
         s = np.linalg.svd(r, compute_uv=False)
         if s[-1] > 0.1 * s[0]:
             break
     else:
-        raise DegenerateSample(
-            f"no well-conditioned x after {_MAX_DRAWS} draws (eps={eps})"
-        )
+        raise DegenerateSample(f"no well-conditioned x after {_MAX_DRAWS} draws")
     g = gaussian_complex(rng, base.shape)
     return _point(trunc, x, g - f @ (dagger(f) @ g)), f, r
 
 
-def _check_eps(trunc: Truncation, eps: float) -> None:
-    """Refuse (ValueError) an eps that is not finite, or with which
-    x = base + eps * Gaussian could make x*x overflow."""
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
-    bound = abs(trunc.k) + _GAUSSIAN_MAX * abs(eps)
-    if not trunc.n * bound * bound <= _GRAM_MAX:
-        raise ValueError(f"eps={eps:g} is too large: x*x could overflow "
-                         f"(n (|k| + 6.07 |eps|)^2 > {_GRAM_MAX:g} at n = {trunc.n})")
-
-
-def sample_level(trunc: Truncation, rng: np.random.Generator,
-                 eps: float = 0.3) -> ConfigPoint:
+def sample_level(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
     """Point of the level set over a first-stable draw S = sample_stable1
     (the same draws): the level section over S's cotangent datum,
     quotient._level_section(F, V, k) with V = X R*/k^2 on the thin QR
@@ -186,15 +153,14 @@ def sample_level(trunc: Truncation, rng: np.random.Generator,
     so the point is L W for a unitary W = W(S) that depends on S alone.
     No membership is judged and nothing is projected: one eigendecomposition
     of V*V (quotient._fiber_root) on top of the draw's QR and SVD values."""
-    pt, f, r = _draw_stable1(trunc, rng, eps)
+    pt, f, r = _draw_stable1(trunc, rng)
     return _level_section(f, (pt.X @ dagger(r)) / trunc.k2, trunc.k)
 
 
-def sample_stable3(trunc: Truncation, rng: np.random.Generator,
-                   eps: float = 0.3) -> ConfigPoint:
+def sample_stable3(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
     """Point of the third stable set: sample_level's point moved by the
     third action with a random Hermitian parameter h (norm <= 1) and a Haar
-    unitary u, drawn after it in that order (random_hermitian_ball, then
+    unitary u, drawn after it in that order (_hermitian_ball, then
     random_unitary).
 
     The level point is L W (sample_level), L = project1(S).point.  Since
@@ -203,20 +169,21 @@ def sample_stable3(trunc: Truncation, rng: np.random.Generator,
     law of act3(h, u, L), and seed for seed it lies in the third-structure
     orbit of that point: psi3's pair, and every orbit invariant such as
     K3, agree to round-off."""
-    level = sample_level(trunc, rng, eps)
-    h = _hermitian_ball(trunc.p, rng, 1.0)[1]
+    level = sample_level(trunc, rng)
+    h = _hermitian_ball(trunc.p, rng, 1.0)
     u = random_unitary(trunc.p, rng)
     return act3(h, u, level)
 
 
-def sample_point(space: str, trunc: Truncation, rng: np.random.Generator,
-                 eps: float = 0.3) -> ConfigPoint:
+def sample_point(space: str, trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
+    """The point sampler of the set named by space ("stable1", "level" or
+    "stable3"); ValueError for any other name."""
     if space == "stable1":
-        return sample_stable1(trunc, rng, eps)
+        return sample_stable1(trunc, rng)
     if space == "level":
-        return sample_level(trunc, rng, eps)
+        return sample_level(trunc, rng)
     if space == "stable3":
-        return sample_stable3(trunc, rng, eps)
+        return sample_stable3(trunc, rng)
     raise ValueError(f"unknown sample space {space!r}")
 
 

@@ -91,7 +91,7 @@ def _reads(tree: ast.Module) -> set[tuple[str | None, str]]:
 # public names that no hkq module reads, only tests and the benchmark: the
 # benchmark's trace spans wrap herm_fun, sym_sylvester_solve and load_cotangent
 KNOWN_UNREAD = {"matcore.herm_fun", "matcore.sym_sylvester_solve", "moment.in_stable3",
-                "sampling.random_hermitian_ball", "jsonio.load_cotangent"}
+                "jsonio.load_cotangent"}
 
 
 def test_every_module_is_scanned():

@@ -137,15 +137,8 @@ def test_every_k1_route_scaled_alike_fails_the_group_law(monkeypatch):
     def scaled(route):
         return lambda *args: (1.0 + 1e-6) * route(*args)
 
-    for name in ("_k1_closed", "_k1_fiber", "_k1_curvature"):
+    for name in ("_k1_closed", "_k1_fiber", "_k1_curvature", "_k1_level"):
         monkeypatch.setattr(pots, name, scaled(getattr(pots, name)))
-    level = pots._k1_level
-
-    def level_scaled(res, k):
-        value, parts = level(res, k)
-        return (1.0 + 1e-6) * value, parts
-
-    monkeypatch.setattr(pots, "_k1_level", level_scaled)
     results = {r.name: r for r in checks.run_suite("potentials", 10, 0)}
     assert results["k1_route_agreement"].passed
     assert not results["k1_group_law"].passed

@@ -13,9 +13,10 @@ cross-check, `python -m hkq` on each verb (exit 0 and an empty stderr, or
 exit 2 and one error line),
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
-themselves), what `info` prints and factors, and that `python -m hkq` runs
-the CLI."""
+themselves), what `info` prints and factors, that `python -m hkq` runs
+the CLI, and the option table of every verb."""
 
+import argparse
 import json
 import math
 import os
@@ -390,47 +391,31 @@ def test_sample_with_k4_underflowing_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps,message", [
-    ("nan", "eps must be finite, got nan"),
-    ("inf", "eps must be finite, got inf"),
-    ("1e200", "eps=1e+200 is too large: x*x could overflow"),
-])
-@pytest.mark.parametrize("space", ["stable1", "level", "stable3"])
-def test_sample_with_an_unusable_eps_exits_2(space, eps, message, tmp_path, capfd):
-    # refused before anything is drawn: one message naming eps, no numpy
-    # warning on stderr, and no file
-    out = tmp_path / "f.json"
-    assert cli.main(["sample", "--space", space, "-p", "2", "-q", "3",
-                     "--eps", eps, "-o", str(out)]) == cli.EXIT_INPUT
-    err = capfd.readouterr().err
-    assert err.startswith("error ") and message in err
-    assert err.count("\n") == 1 and "Warning" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("space", ["level", "stable1", "stable3"])
 def test_sample_outside_its_set_exits_2_and_writes_nothing(space, tmp_path, capfd):
-    # at eps = 1e100 the draw leaves the set it is named after (stable1: X*x
-    # is round-off of entries near 1e100; level: project1 refuses it;
-    # stable3: the level section of such a draw is far off the equations);
-    # the set's one rule at --tol refuses it before anything is written
+    # at --tol 1e-17 the round-off of a draw, about 1e-16 k^2, exceeds the
+    # membership bound tol * k^2: the draw leaves the set it is named after
+    # (stable1: X*x; level and stable3: the level equations), and the set's
+    # one rule at --tol refuses it before anything is written
     out = tmp_path / "f.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(["sample", "--space", space, "-p", "2", "-q", "3",
-                         "--eps", "1e100", "-o", str(out)]) == cli.EXIT_INPUT
-    assert caught == []
-    stdout, err = capfd.readouterr()
-    assert stdout == "" and err.startswith("error ") and err.count("\n") == 1
-    assert not out.exists()
+    for seed in range(5):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["--tol", "1e-17", "sample", "--space", space, "-p", "2",
+                             "-q", "3", "--seed", str(seed), "-o", str(out)]) == cli.EXIT_INPUT
+        assert caught == []
+        stdout, err = capfd.readouterr()
+        assert stdout == "" and err.startswith("error ") and err.count("\n") == 1
+        assert not out.exists()
 
 
-def test_info_at_a_huge_eps_point_prints_finite_residuals(tmp_path, capfd):
-    # entries of x*x near 1e200: the plain sum of squares in fnorm would
-    # overflow to inf with a RuntimeWarning; the scaled sum stays finite
+def test_info_at_a_huge_point_prints_finite_residuals(tmp_path, capfd):
+    # 1e100 times a sampled point: entries of x*x near 1e200, where the plain
+    # sum of squares in fnorm would overflow to inf with a RuntimeWarning;
+    # the scaled sum stays finite
+    pt = sample_point("stable1", hkq.Truncation(2, 3, np.sqrt(2.0)), make_rng(0))
     path = tmp_path / "f.json"
-    jsonio.save_point(path, sample_point("stable1", hkq.Truncation(2, 3, np.sqrt(2.0)),
-                                         make_rng(0), eps=1e100))
+    jsonio.save_point(path, hkq.ConfigPoint(pt.trunc, 1e100 * pt.x, 1e100 * pt.X))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["info", "-i", str(path)]) == cli.EXIT_OK
@@ -441,6 +426,33 @@ def test_info_at_a_huge_eps_point_prints_finite_residuals(tmp_path, capfd):
     assert float(lines["level_residual_real"]) > 1e200  # the point is far off the set
     assert lines["in_stable1"] == "False" and lines["in_stable3"] == "False"
     assert err == ""
+
+
+# every option of the CLI, per verb, with "" for the global ones, each
+# written as its option strings joined by "/"; --help is left out.  A new
+# option changes this table and gets a line in CHANGES.md.
+CLI_OPTIONS = {
+    "": {"--tol"},
+    "sample": {"--space", "-p", "-q", "-k", "--seed", "-o/--output"},
+    "project": {"--structure", "-i/--input", "-o/--output"},
+    "potential": {"--which", "--route", "-i/--input"},
+    "angles": {"-i/--input", "--k"},
+    "map": {"--which", "-i/--input", "-o/--output"},
+    "check": {"--suite", "--trials", "--seed"},
+    "info": {"-i/--input"},
+}
+
+
+def _options(parser) -> set[str]:
+    return {"/".join(a.option_strings) for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)}
+
+
+def test_cli_option_surface_is_pinned():
+    ap = cli.build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"": _options(ap)} | {verb: _options(p) for verb, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "-0.0", "1e-400", "abc"])

@@ -140,7 +140,7 @@ def test_projections_scale_by_exactly_2_to_the_m(p, q, k):
                 assert _same_bits(new.point.x, s * old.point.x), (seed, m)
                 assert _same_bits(new.point.X, s * old.point.X), (seed, m)
             assert _same_bits(new1.group_part, res1.group_part), (seed, m)
-            assert _same_bits(new3.h, res3.h), (seed, m)
+            assert _same_bits(new3.eigenvalues, res3.eigenvalues), (seed, m)
 
 
 @pytest.mark.parametrize("k", KS)

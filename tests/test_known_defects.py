@@ -94,7 +94,7 @@ def test_stable1_sample_at_small_k():
 
 @pytest.mark.xfail(
     strict=True, raises=DegenerateSample,
-    reason="sample_stable1's perturbation eps scales with neither k nor the "
+    reason="sample_stable1's spread 0.3 scales with neither k nor the "
            "dimension, so at p = 64, q = 8 no draw is well conditioned",
 )
 def test_stable1_sample_at_p_much_larger_than_q():

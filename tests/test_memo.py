@@ -176,7 +176,7 @@ def test_values_and_memoized_arrays_are_read_only():
         "pair.P.frame": pair.P.frame, "pair.Qperp.frame": pair.Qperp.frame,
         "project1.group_part": res1.group_part, "project1.eigenvalues": res1.eigenvalues,
         "project1.point.x": res1.point.x,
-        "project3.h": res3.h, "project3.eigenvalues": res3.eigenvalues,
+        "project3.eigenvalues": res3.eigenvalues,
         "project3.point.X": res3.point.X,
         "stable1 factor U": _stable1_svd(pt1, TOL, "")[0],
         "stable1 factor s": _stable1_svd(pt1, TOL, "")[1],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hkq.errors import NotSkew
+from hkq.errors import BadIndex, NotSkew
 from hkq.hkspace import ConfigPoint, TangentPair, Truncation, act1
 from hkq.matcore import dagger, fnorm
 from hkq.moment import (
@@ -47,7 +47,7 @@ class TestMomentValues:
         tr = Truncation(3, 2, 1.2)
         pt = ConfigPoint(tr, tr.base_x() + gaussian_complex(rng, (5, 3)),
                          gaussian_complex(rng, (5, 3)))
-        for tag in ("mu1", "mu2", "mu3", "mu4"):
+        for tag in ("mu1", "mu2", "mu3"):
             m = moment(tag, pt)
             assert fnorm(m + dagger(m)) <= 1e-12 * (1 + fnorm(m))
         muc = moment("muC", pt)
@@ -55,8 +55,9 @@ class TestMomentValues:
         assert fnorm(muc - rec) <= 1e-13 * (1 + fnorm(muc))
 
     def test_unknown_tag(self, trunc11):
-        with pytest.raises(ValueError):
-            moment("mu7", ConfigPoint.base(trunc11))
+        for tag in ("mu7", "mu4"):
+            with pytest.raises(ValueError, match="unknown moment tag"):
+                moment(tag, ConfigPoint.base(trunc11))
 
 
 class TestLevelResidual:
@@ -118,6 +119,16 @@ class TestPairingCheck:
         v = random_tangent(s3_point.trunc, rng)
         with pytest.raises(NotSkew):
             moment_pairing_check(s3_point, np.array([[1.0]]), v, 1)
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_structure_index_outside_1_to_3_raises_bad_index(self, j, s3_point, rng):
+        # the error apply_I and omega raise for the same index
+        a = np.array([[0.4j]])
+        with pytest.raises(BadIndex, match=f"must be 1, 2 or 3, got {j}"):
+            infinitesimal_action(j, a, s3_point)
+        v = random_tangent(s3_point.trunc, rng)
+        with pytest.raises(BadIndex, match=f"must be 1, 2 or 3, got {j}"):
+            moment_pairing_check(s3_point, a, v, j)
 
 
 class TestEquivariance:

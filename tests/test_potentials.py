@@ -42,7 +42,6 @@ from hkq.quotient import project1, project3
 from hkq.sampling import (
     make_rng,
     random_group_positive,
-    random_hermitian_ball,
     random_subspace,
     random_unitary,
     sample_level,
@@ -110,10 +109,8 @@ class TestK1:
         routes = evaluate_routes(s2_point, "k1")
         for value in (K1_closed(s2_point), routes["fiber"], routes["curvature"]):
             assert abs(value - S2_K1) <= 1e-12
-        report = quotient_potential(s2_point)
-        assert abs(report.value - S2_K1) <= 1e-12
-        assert abs(report.extras["flat_at_level"] - S2_FLAT_AT_LEVEL) <= 1e-12
-        assert abs(report.extras["character"] - S2_CHARACTER) <= 1e-12
+        assert abs(quotient_potential(s2_point) - S2_K1) <= 1e-12
+        assert abs(flat_potential_K(project1(s2_point).point) - S2_FLAT_AT_LEVEL) <= 1e-12
 
     def test_three_route_agreement_random(self, rng):
         for (p, q) in ((1, 3), (2, 2), (4, 3)):
@@ -381,24 +378,24 @@ class TestCrossStructureIdentities:
 
 class TestQuotientPotential:
     def test_base_point(self, trunc11):
-        assert abs(quotient_potential(ConfigPoint.base(trunc11)).value) <= 1e-14
+        assert abs(quotient_potential(ConfigPoint.base(trunc11))) <= 1e-14
 
     def test_factorization_budget(self, lapack_calls, rng):
         # project1's budget and nothing more: log det g is summed over the
         # eigenvalues project1 took g from, so g is not factored again
         pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
         lapack_calls.clear()
-        report = quotient_potential(pt)
+        value = quotient_potential(pt)
         assert dict(lapack_calls) == {"svd thin": 1, "eigh": 1, "svd full": 1}
-        g = project1(pt).group_part
-        char = character_log_term(g, SQRT2)
-        assert abs(report.extras["character"] - char) <= 1e-13 * (1 + abs(char))
+        res = project1(pt)
+        want = flat_potential_K(res.point) + character_log_term(res.group_part, SQRT2)
+        assert abs(value - want) <= 1e-13 * (1 + abs(want))
 
     def test_equals_closed_form(self, rng):
         tr = Truncation(3, 2, SQRT2)
         pt = sample_stable1(tr, rng)
-        report = quotient_potential(pt)
-        assert abs(report.value - K1_closed(pt)) <= 1e-10 * (1 + abs(report.value))
+        value = quotient_potential(pt)
+        assert abs(value - K1_closed(pt)) <= 1e-10 * (1 + abs(value))
 
     def test_level_route_is_independent_of_closed_route(self, rng, monkeypatch):
         def closed_route_called(*args, **kwargs):
@@ -406,9 +403,9 @@ class TestQuotientPotential:
 
         monkeypatch.setattr(potentials, "K1_closed", closed_route_called)
         pt = sample_stable1(Truncation(3, 2, SQRT2), rng)
-        report = quotient_potential(pt)
-        assert set(report.extras) == {"flat_at_level", "character"}
-        assert report.value == report.extras["flat_at_level"] + report.extras["character"]
+        res = project1(pt)
+        want = flat_potential_K(res.point) + character_log_term(res.group_part, SQRT2)
+        assert abs(quotient_potential(pt) - want) <= 1e-13 * (1 + abs(want))
 
     @pytest.mark.parametrize("k,expected", [(1.0, 1), (SQRT2, 0)])
     def test_one_integrality_warning_per_call(self, k, expected):
@@ -436,8 +433,8 @@ class TestQuotientPotential:
         tr = Truncation(2, 2, SQRT2)
         pt = sample_stable1(tr, rng)
         u = random_unitary(2, rng)
-        a = quotient_potential(pt).value
-        b = quotient_potential(act1(u, pt)).value
+        a = quotient_potential(pt)
+        b = quotient_potential(act1(u, pt))
         assert abs(a - b) <= 1e-10 * (1 + abs(a))
 
     @pytest.mark.parametrize("generic", [False, True], ids=["2Id", "generic"])
@@ -523,7 +520,7 @@ class TestEvaluateRoutesSharing:
         k1 = evaluate_routes(pt1, "k1")
         assert set(k1) == {"closed", "fiber", "curvature", "level"}
         assert k1["closed"] == K1_closed(pt1)
-        assert k1["level"] == quotient_potential(pt1).value
+        assert k1["level"] == quotient_potential(pt1)
         pair, _ = psi3(pt3)
         k3 = evaluate_routes(pt3, "k3")
         assert set(k3) == {"spectral", "level", "angles"}

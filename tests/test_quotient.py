@@ -28,16 +28,15 @@ from hkq.matcore import (
     HermitianSpectrum,
     dagger,
     fnorm,
-    herm_eig,
     skew_part,
     sym_sylvester_solve,
 )
 from hkq.moment import in_stable1, in_stable3, level_residual
 from hkq.quotient import SliceBasis, _level_section, project1, project3, slice_basis
 from hkq.sampling import (
+    _hermitian_ball,
     gaussian_complex,
     make_rng,
-    random_hermitian_ball,
     random_skew,
     random_tangent,
     random_unitary,
@@ -241,9 +240,12 @@ def test_level_section_is_the_projection_of_the_section(p, q, k, rng):
 
 class TestProject3:
     def test_eigenvalues_are_hs_ascending(self, rng):
+        # the point has x + X = k F_P m^{1/4}, so (x + X)*(x + X) = k^2 m^{1/2}
+        # and h = (1/4) log m = (1/2) log((x + X)*(x + X) / k^2)
         for p, q in ((1, 1), (4, 5), (8, 3)):
             res = project3(sample_stable3(Truncation(p, q, SQRT2), rng))
-            lam = np.linalg.eigvalsh(res.h)
+            a = res.point.x + res.point.X
+            lam = 0.5 * np.log(np.linalg.eigvalsh(dagger(a) @ a) / 2.0)
             assert np.all(np.diff(res.eigenvalues) >= 0)
             np.testing.assert_allclose(res.eigenvalues, lam, rtol=0,
                                        atol=1e-13 * (1 + np.abs(lam).max()))
@@ -264,7 +266,7 @@ class TestProject3:
 
     def test_s3_scenario(self, s3_point):
         res = project3(s3_point)
-        assert abs(res.h[0, 0].real - 0.25 * np.log(2.0)) <= 1e-12
+        assert abs(res.eigenvalues[0] - 0.25 * np.log(2.0)) <= 1e-12
         assert res.residual <= 1e-12
         # exact closed form: the boost turns the section point into
         # ((2^{3/4}+2^{1/4})/2, 2^{1/4}/2 ; (2^{3/4}-2^{1/4})/2, -2^{1/4}/2)
@@ -291,9 +293,9 @@ class TestProject3:
         tr = Truncation(2, 2, np.sqrt(2.0))
         pt = sample_stable3(tr, rng)
         k0 = flat_potential_K(project3(pt).point)
-        h = random_hermitian_ball(2, rng, radius=0.7)
+        h = _hermitian_ball(2, rng, 0.7)
         u = random_unitary(2, rng)
-        k1 = flat_potential_K(project3(act3(herm_eig(h), u, pt)).point)
+        k1 = flat_potential_K(project3(act3(h, u, pt)).point)
         assert abs(k0 - k1) <= 1e-9 * (1 + abs(k0))
 
 
@@ -367,7 +369,7 @@ class TestLevelProjection:
     def test_violating_direction_cleaned(self, rng):
         tr = Truncation(2, 2, np.sqrt(2.0))
         pt = sample_level(tr, rng)
-        s = random_hermitian_ball(2, rng)
+        s = _hermitian_ball(2, rng, 1.0).reconstruct()
         v = TangentPair(pt.x @ s, np.zeros_like(pt.X))
         out = slice_basis(pt).level(v)
         a = dagger(pt.X) @ out.Z + dagger(out.T) @ pt.x
