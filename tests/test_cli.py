@@ -14,7 +14,8 @@ exit 2 and one error line),
 and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
 themselves), what `info` prints and factors, that `python -m hkq` runs
-the CLI, and the option table of every verb."""
+the CLI, that `sample` writes the library's draw with only the seed and
+the space as meta, and the option table of every verb."""
 
 import argparse
 import json
@@ -426,6 +427,20 @@ def test_info_at_a_huge_point_prints_finite_residuals(tmp_path, capfd):
     assert float(lines["level_residual_real"]) > 1e200  # the point is far off the set
     assert lines["in_stable1"] == "False" and lines["in_stable3"] == "False"
     assert err == ""
+
+
+@pytest.mark.parametrize("space", ["stable1", "level", "stable3"])
+def test_sample_writes_the_samplers_draw_with_seed_and_generator_meta(space, tmp_path):
+    # the file holds the library's own draw bit for bit, and its meta names
+    # only the seed and the space: the spread is a constant, not recorded
+    out = tmp_path / "f.json"
+    assert cli.main(["sample", "--space", space, "-p", "2", "-q", "3", "--seed", "2",
+                     "-o", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["meta"] == {"seed": 2, "generator": space}
+    got = jsonio.load_point(out)
+    want = sample_point(space, hkq.Truncation(2, 3, float(np.sqrt(2.0))), make_rng(2))
+    assert got.trunc.k == want.trunc.k
+    assert got.x.tobytes() == want.x.tobytes() and got.X.tobytes() == want.X.tobytes()
 
 
 # every option of the CLI, per verb, with "" for the global ones, each

@@ -1,7 +1,7 @@
 """The random stream is a documented function of the seed: gaussian_complex
 draws the same bytes for the same (seed, shape) from release to release,
 every sampler leaves the generator where it left it before, and
-sample_stable1's default draw is pinned.
+each point sampler's default draw is pinned at four shapes.
 sample_level lands over the cotangent datum of the same seed's first-stable
 draw, and sample_stable3 makes the draws of the projected construction
 act3(h, u, project1(sample_stable1).point) and lands in its
@@ -66,6 +66,47 @@ def test_sample_stable1_draw_is_pinned():
     pt = sample_stable1(Truncation(2, 3, math.sqrt(2.0)), make_rng(0))
     assert hashlib.sha256(pt.x.tobytes()).hexdigest() == STABLE1_X_DIGEST
     assert hashlib.sha256(pt.x.tobytes() + pt.X.tobytes()).hexdigest() == STABLE1_DIGEST
+
+
+# sha256 over x then X of seeds 0, 1, 2 at k = sqrt(2), per sampler and
+# shape: each sampler's default draw, from (1, 1) up to a tall (8, 64) x
+SAMPLER_DIGESTS = [
+    (sample_stable1, 1, 1,
+     "7fbbb37930a7cf816ee305231ccfa3edefc37edbfa6c81e2b02b45bb4cb6ae87"),
+    (sample_stable1, 2, 3,
+     "3b4185a392aa257c49c38cb1c5bf373ca92f3bc9752f1c600765d8cbcf25c76e"),
+    (sample_stable1, 4, 5,
+     "05dc8d625a19b825925b0a4a2df642573dd7d3adfcb5fec14dc60183e79df81a"),
+    (sample_stable1, 8, 64,
+     "6cfbf5f063b294e85ec8a68574cc8ff30c3b22f6756d19f269b7b3cd951a0c7a"),
+    (sample_level, 1, 1,
+     "04637193a66b2acd1d611fc528b5976dc29e559de42ffde3d3bef341527f6c15"),
+    (sample_level, 2, 3,
+     "cdadf15179497ee0210664a31fd6cf5161d6ab173fc2dab191efbd6ffd87f269"),
+    (sample_level, 4, 5,
+     "9b10decb3383f95a80bc75771eec39b3e71d5b544badf80af897d409e319549e"),
+    (sample_level, 8, 64,
+     "277b892d77a3c0bcdadfb1c19153d80999d14cfb30bfa5d6f8e4e4199fcfbd43"),
+    (sample_stable3, 1, 1,
+     "ba1f1e5753bfe6ab35b4200fb435ca478d80f91152244d3913805250d6bb0f3e"),
+    (sample_stable3, 2, 3,
+     "70447a329694cb40547a16e885e8e6736e79591bd08464921d39a61c84f30ad7"),
+    (sample_stable3, 4, 5,
+     "132bc15194e797aef4869a71fb476cdb5eae39fd729056117c1d05750b454a64"),
+    (sample_stable3, 8, 64,
+     "9c31bf10e6aa50747126c8147eea3379faf7d5b7ce93e7a9b126a21f542b3c07"),
+]
+
+
+@pytest.mark.parametrize("sampler,p,q,digest", SAMPLER_DIGESTS,
+                         ids=[f"{f.__name__}-{p}x{q}" for f, p, q, _ in SAMPLER_DIGESTS])
+def test_sampler_draws_are_pinned(sampler, p, q, digest):
+    h = hashlib.sha256()
+    for seed in range(3):
+        pt = sampler(Truncation(p, q, math.sqrt(2.0)), make_rng(seed))
+        h.update(pt.x.tobytes())
+        h.update(pt.X.tobytes())
+    assert h.hexdigest() == digest
 
 
 # sha256 over the bytes of the next rng.random() after each sampler, for
