@@ -38,7 +38,7 @@ from .errors import HkqError, NotInStable3, NotOnLevelSet
 from .grassmann import _orbit_pair, characteristic_angles, psi1
 from .hkspace import Truncation, flat_potential_K
 from .matcore import dagger, fnorm
-from .moment import _stable1_svd, _stable3_frames, in_stable1, level_residual, on_level_set
+from .moment import _stable1_qr, _stable3_frames, in_stable1, level_residual, on_level_set
 from .potentials import K3_hat_angles, _route_spread, evaluate_routes
 from .quotient import project1, project3
 from .sampling import make_rng, sample_point
@@ -63,7 +63,7 @@ def _cmd_sample(args) -> int:
     pt = sample_point(args.space, trunc, rng)
     refusal = f"sampled point is not in the {args.space} set at tol {args.tol:g}"
     if args.space == "stable1":
-        _stable1_svd(pt, args.tol, refusal)
+        _stable1_qr(pt, args.tol, refusal)
     elif args.space == "stable3":
         _stable3_frames(pt, args.tol, refusal)
     elif not on_level_set(pt, args.tol):

@@ -37,7 +37,7 @@ from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import BadCotangent, NotTransversal, ShapeMismatch
 from .hkspace import ConfigPoint, Truncation, _memo, _owned, _point, _read_only
 from .matcore import _fix_column_phases, as_matrix, dagger, fnorm
-from .moment import _stable1_svd, _stable3_frames
+from .moment import _stable1_qr, _stable3_frames
 
 __all__ = [
     "CotangentPoint",
@@ -195,17 +195,17 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
     """Map a stable pair (first structure) to its cotangent datum
     (Ran x, (1/k^2) x X*).  Constant on orbits of the first action.
 
-    x is factored once: the thin SVD that judges first-stable membership
-    (moment._stable1_svd, the one computation of in_stable1's rule) gives
-    the frame F_P of P, its p left singular vectors.  The fiber is held as
+    x is factored once: the thin QR x = F R that judges first-stable
+    membership (moment._stable1_qr, the one computation of in_stable1's
+    rule) gives the frame F_P of P, the phase-fixed F.  The fiber is held as
     V = _fiber(pt, F_P), so eta = F_P V* = (1/k^2) x X* (Id - F_P F_P*),
     which equals (1/k^2) x X* where X*x = 0.  V is projected off P twice,
     so F_P* V is round-off relative to V itself, not to X x*/k^2: it meets
     CotangentPoint's relative check at any tol, even where X lies nearly
     in Ran x and V is small, and a point that passes membership at a loose
     tol maps to a valid datum too."""
-    u, _, _ = _stable1_svd(pt, tol, "psi1 requires X*x = 0 and injective x")
-    P = _subspace(_fix_column_phases(u))
+    f, _ = _stable1_qr(pt, tol, "psi1 requires X*x = 0 and injective x")
+    P = _subspace(_fix_column_phases(f))
     return CotangentPoint(P, _fiber(pt, P.frame))
 
 

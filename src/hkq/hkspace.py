@@ -36,11 +36,11 @@ raises ValueError), and the checked constructor copies a caller's array
 only where as_matrix would alias it, so the caller's array stays writable
 and later writes to it do not reach the point.  Immutability is what lets
 a point, or another immutable value (grassmann.OrbitPair), carry a private
-memo (_memo) of what the library derives from it: first- and third-stable
-membership with its factors (moment), psi3's pair (grassmann) and the
-level projections (quotient).  Each is computed once per value and
-tolerance, and a refusal is never stored, so a repeated call raises its
-own message again.  The memo is an instance attribute, not a field, so
+memo (_memo) of what the library derives from it: x's thin QR factors
+and first- and third-stable membership with its factors (moment), psi3's
+pair (grassmann) and the level projections (quotient).  Each is computed
+once per value (and tolerance, where it takes one), and a refusal is never
+stored, so a repeated call raises its own message again.  The memo is an instance attribute, not a field, so
 equality and repr do not see it, and it lives and dies with its value.
 """
 

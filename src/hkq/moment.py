@@ -15,10 +15,19 @@ muC = mu2 + i mu3 holds exactly at the matrix level.  The level set is
 level value.
 
 The stable-set rules are judged once per point and tolerance: the factors
-of _stable1_svd and the frames of _stable3_frames are memoized on the
+of _stable1_qr and the frames of _stable3_frames are memoized on the
 point (hkspace._memo) and read-only, so in_stable1, psi1, project1 and the
 k1 routes, or in_stable3, psi3, project3 and the k3 routes, called in turn
 on one point at one tol, factor it once.  A refused point is judged again on each call.
+
+The first structure stands on one thin QR x = F R (_x_factors): F frames
+Ran x, and R = F* x is |x| up to a unitary, which is all that psi1,
+project1 and the k1 routes read of x.  A thin SVD of x would be that QR
+followed by an SVD of the p x p factor R (Chan, ACM TOMS 8, 1982), so the
+rank rule reads the values-only SVD of R and no n x p SVD is taken.  The
+factors do not depend on tol, so they are memoized once per point, and
+sampling._draw_stable1, which takes them for its rejection rule, stores
+them on the point it returns.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import BadIndex, NotInStable1, NotInStable3, NotSkew, ShapeMismatch
 from .hkspace import ConfigPoint, TangentPair, _memo, _read_only, omega
-from .matcore import as_matrix, dagger, fnorm, hermitian_part, skew_part, svd
+from .matcore import as_matrix, dagger, fnorm, hermitian_part, skew_part
 
 __all__ = [
     "MOMENT_TAGS",
@@ -94,33 +103,54 @@ def _full_rank(s: np.ndarray, tol: float) -> bool:
 
 def in_stable1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the first structure:
-    X*x = 0 (to tol * k^2) and x one-to-one.  The verdict of _stable1_svd,
+    X*x = 0 (to tol * k^2) and x one-to-one.  The verdict of _stable1_qr,
     the one computation of this rule."""
     try:
-        _stable1_svd(pt, tol, "")
+        _stable1_qr(pt, tol, "")
     except NotInStable1:
         return False
     return True
 
 
-def _stable1_svd(pt: ConfigPoint, tol: float,
-                 refusal: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stable1_qr(pt: ConfigPoint, tol: float,
+                refusal: str) -> tuple[np.ndarray, np.ndarray]:
     """First-stable membership judged once, for every entry that needs it:
     X*x = 0 to tol * k^2 first, so nothing is factored for a point off the
-    equation, then the rank half on the one thin SVD x = U diag(s) W* that
-    the caller reads (psi1's frame, project1's |x|).  Returns (U, s, W),
-    read-only and memoized on pt per tol, or raises NotInStable1(refusal)."""
+    equation, then the rank half, sigma_min > tol * sigma_max, on the
+    singular values of R from _x_factors.  Returns the thin QR factors
+    (F, R) of x that the caller reads (psi1's frame, project1's level
+    section), read-only and memoized on pt per tol, or raises
+    NotInStable1(refusal)."""
     return _memo(pt, ("stable1", tol), lambda: _judge_stable1(pt, tol, refusal))
 
 
 def _judge_stable1(pt: ConfigPoint, tol: float,
-                   refusal: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   refusal: str) -> tuple[np.ndarray, np.ndarray]:
     if not _within_tol(fnorm(dagger(pt.X) @ pt.x), tol, pt.trunc.k2):
         raise NotInStable1(refusal)
-    u, s, w = svd(pt.x)
+    f, r, s = _x_factors(pt)
     if not _full_rank(s, tol):
         raise NotInStable1(refusal)
-    return _read_only(u), _read_only(s), _read_only(w)
+    return f, r
+
+
+def _x_factors(pt: ConfigPoint,
+               taken: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, R, s): the thin QR x = F R and the descending singular values s
+    of the p x p factor R, which are those of x; read-only and memoized on
+    pt with no tol.  taken is _factor_x(pt.x) when the caller has already
+    computed it (a sampler's draw): it is stored as it is, the same bits
+    as a fresh computation, since it is the same function of the same
+    array."""
+    return _memo(pt, "x factors", lambda: _factor_x(pt.x) if taken is None else taken)
+
+
+def _factor_x(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_x_factors of an n x p matrix x: one thin QR and the singular values
+    of its R."""
+    f, r = np.linalg.qr(x)
+    return _read_only(f), _read_only(r), _read_only(np.linalg.svd(r, compute_uv=False))
 
 
 def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -138,7 +168,7 @@ def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
 def _stable3_frames(pt: ConfigPoint, tol: float,
                     refusal: str) -> tuple[np.ndarray, np.ndarray]:
     """Third-stable membership judged once, for every entry that needs it,
-    by the rule of _stable1_svd: the equations x*x - X*X = k^2 Id and X*x
+    by the rule of _stable1_qr: the equations x*x - X*X = k^2 Id and X*x
     Hermitian to tol * k^2 first, so nothing is factored for a point off
     them, then the rank half, sigma_min > tol * sigma_max for both
     A = x + X and C = x - X, on one thin QR of each, A = Q_A R_A and

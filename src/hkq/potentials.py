@@ -44,16 +44,16 @@ with their own check (membership, and the IntegralityWarning for K1)
 followed by the body.  An input that every route would compute
 bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
-bodies what they share: for k1 the one thin SVD of x, and the R factor of
-one thin QR of x (_x_factor) with the log-det term and the fiber operand
-formed on it; for k3 and k3hat psi3's pair
+bodies what they share: for k1 the one thin QR x = F R on which
+moment._stable1_qr judges first-stable membership, with the log-det term
+and the fiber operand formed on R (_x_factor); for k3 and k3hat psi3's pair
 without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
 the Q factors of the two thin QRs on which moment._stable3_frames judges
 third-stable membership, the one rule that in_stable3 and psi3 apply too
 (its rank half certified by the equations' own residuals), and its one
-graph w.  For k1 the SVD is the one that judges first-stable membership
-(moment._stable1_svd), and it gives the curvature route psi1's frame of P;
-the level route reads project1's result and none of the k1 inputs.
+graph w.  For k1 the QR gives the curvature route psi1's frame of P, the
+phase-fixed F; the level route reads project1's result, which project1
+builds on the same factors, and none of the k1 inputs.
 R = (unitary) |x|, so log det(x*x) = 2 sum log |R_ii| and (X R*)*(X R*)
 is unitarily similar to |x| X*X |x|: x*x, whose eigendecomposition would
 square cond(x), is not formed.  K1_closed forms the
@@ -103,7 +103,7 @@ from .matcore import (
     is_hermitian,
     psd_sqrt,
 )
-from .moment import _stable1_svd, _stable3_frames
+from .moment import _stable1_qr, _stable3_frames, _x_factors
 from .quotient import ProjectionResult, project1, project3
 
 __all__ = [
@@ -154,9 +154,10 @@ def curvature_weight_k3hat(u: float) -> float:
 
 
 def _x_factor(pt: ConfigPoint) -> np.ndarray:
-    """R of the thin QR x = Q R, a unitary times |x|: the k1 routes' log-det
-    term and fiber operand are formed on it."""
-    return np.linalg.qr(pt.x, mode="r")
+    """R of the thin QR x = F R, a unitary times |x|, as memoized on pt
+    (moment._x_factors): the k1 routes' log-det term and fiber operand are
+    formed on it."""
+    return _x_factors(pt)[1]
 
 
 def _logdet_term(pt: ConfigPoint, r: np.ndarray) -> float:
@@ -179,7 +180,7 @@ def _fiber_operand(pt: ConfigPoint, r: np.ndarray) -> np.ndarray:
 def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential in the closed form of the level projection.
     Membership is checked (NotInStable1) before any IntegralityWarning."""
-    _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
+    _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
     r = _x_factor(pt)
     return _k1_closed(pt, _logdet_term(pt, r), _fiber_operand(pt, r))
@@ -375,13 +376,13 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     Each value is its route's private body, the one that a single-route
     function (K1_closed, K3_spectral, ...) runs too, on inputs computed once
     per call (the module's sharing rule).  k1 judges
-    membership on the one thin SVD x = U diag(s) W* of moment._stable1_svd
+    membership on the one thin QR x = F R of moment._stable1_qr
     (NotInStable1) before its one IntegralityWarning, attributed to the
-    caller.  The curvature route reads psi1's frame of P, the phase-fixed U,
-    and the level route project1's result, memoized on pt; one thin QR of
-    x gives R (_x_factor) for the log-det term that the closed, fiber and
-    curvature routes add, and for the fiber operand that the closed and
-    fiber routes read.  k3 and
+    caller.  The curvature route reads psi1's frame of P, the phase-fixed F,
+    and the level route project1's result, memoized on pt and built on the
+    same factors; R (_x_factor) gives the log-det term that the closed,
+    fiber and curvature routes add, and the fiber operand that the closed
+    and fiber routes read.  k3 and
     k3hat take psi3's pair from grassmann._orbit_pair, which judges
     membership (NotInStable3) and forms no z, and one graph w of it, both
     memoized.  k3 has three routes: the spectral one reads the point alone,
@@ -391,14 +392,14 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
     if which == "k1":
-        u, _, _ = _stable1_svd(pt, tol, "K1 requires X*x = 0 and injective x")
+        f, _ = _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
         r = _x_factor(pt)
         logdet, fiber = _logdet_term(pt, r), _fiber_operand(pt, r)
         return {
             "closed": _k1_closed(pt, logdet, fiber),
             "fiber": _k1_fiber(pt, logdet, fiber),
-            "curvature": _k1_curvature(pt, logdet, _fix_column_phases(u)),
+            "curvature": _k1_curvature(pt, logdet, _fix_column_phases(f)),
             "level": _k1_level(project1(pt, tol), k),
         }
     if which not in ("k3", "k3hat"):

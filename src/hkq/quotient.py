@@ -9,17 +9,18 @@ First structure.  Over a frame F_P and a fiber V with N = V*V, the level
 section is (k F_P g0^-1, k V g0), g0^-2 = (1/2)(Id + (Id + 4N)^{1/2}), g0
 and g0^-1 taken on one eigendecomposition of N (_fiber_root): with
 m = (1/2)(1 + sqrt(1 + 4 nu)) on an eigenvalue nu of N, m^2 - nu = m, so
-x*x - X*X = k^2 Id, and X*x = 0 as F_P* V = 0.  project1 reads F_P = U
-and V' = X W diag(s) / k^2 = X x* U / k^2 off the membership SVD
-x = U diag(s) W*; then the section is act1(G, pt) with
-G = g0 diag(s) W* / k.  One p x p SVD g0 diag(s) = Y diag(sig) Z* gives
-G = Omega g with Omega = Y Z* W* unitary and g = W Z diag(sig) Z* W* / |k|
-positive (a negative k joins Omega), and act1(g, pt) is the section times
-Omega.  g is the unique positive element of the general form
+x*x - X*X = k^2 Id, and X*x = 0 as F_P* V = 0.  project1 reads F_P = F
+and V' = X R* / k^2 = X x* F / k^2 off the thin QR x = F R on which
+membership is judged (moment._stable1_qr), the form sample_level takes
+too; then the section (at |k|) is act1(G, pt) with G = g0 R / |k|.  One
+p x p SVD g0 R = Y diag(sig) Z* gives G = Omega g with Omega = Y Z*
+unitary and g = Z diag(sig) Z* / |k| positive, and act1(g, pt) is the
+section times Omega.  g is the unique positive element of the general form
 g^-2 = |x|^-1 gamma gamma* |x|^-1, gamma gamma* = (k^2/2)(Id + (Id +
-(4/k^4) |x| X*X |x|)^{1/2}), since g^2 = G*G and N = W* |x| X*X |x| W / k^4;
-that form squares cond(x) and refuses points with cond(x) >= 1e4 at the
-default tol, while the section form forms neither x*x nor an inverse.
+(4/k^4) |x| X*X |x|)^{1/2}), since g^2 = G*G = R* g0^2 R / k^2 and
+N = U |x| X*X |x| U* / k^4 for the unitary U = R |x|^-1; that form
+squares cond(x) and refuses points with cond(x) >= 1e4 at the default
+tol, while the section form forms neither x*x nor an inverse.
 
 Third structure.  The pair is the frames of P and Q^perp, the Q factors of
 the thin QRs of x + X and x - X on which moment._stable3_frames judges
@@ -121,7 +122,7 @@ from .matcore import (
     hermitian_part,
     skew_part,
 )
-from .moment import _level_residual, _stable1_svd, _within_tol, level_residual
+from .moment import _level_residual, _stable1_qr, _within_tol, level_residual
 
 __all__ = ["ProjectionResult", "SliceBasis", "project1", "project3", "slice_basis"]
 
@@ -138,7 +139,8 @@ class ProjectionResult:
     None and eigenvalues are those of the Hermitian p x p matrix h with
     act3(herm_eig(-h), None, psi3_section(pair)) = point, ascending; h
     itself is not formed.  Both are read off the factorization the
-    projection built.
+    projection built: project1's p x p SVD of g0 R on x's thin QR
+    x = F R, and project3's eigendecomposition of m.
 
     The results of project1 and project3 are immutable: their arrays, the
     point's included, are read-only, and each is memoized on the point it
@@ -155,34 +157,33 @@ class ProjectionResult:
 def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ProjectionResult:
     """Closed-form projection onto the level set along the first action.
 
-    The thin SVD x = U diag(s) W* that judges first-stable membership
-    (moment._stable1_svd) gives the frame U and the fiber V'; the point is
-    the level section over (U, V') turned by the unitary factor of one
-    p x p SVD, which also gives g (module docstring).  The result is
-    memoized on pt per tol; a refusal is not."""
+    The thin QR x = F R that judges first-stable membership
+    (moment._stable1_qr) gives the frame F and the fiber V' = X R*/k^2;
+    the point is the level section over (F, V') turned by the unitary
+    factor of one p x p SVD, which also gives g (module docstring).  The
+    result is memoized on pt per tol; a refusal is not."""
     return _memo(pt, ("project1", tol), lambda: _project1(
-        pt, *_stable1_svd(pt, tol, "project1 requires X*x = 0 and injective x"), tol))
+        pt, *_stable1_qr(pt, tol, "project1 requires X*x = 0 and injective x"), tol))
 
 
-def _project1(pt: ConfigPoint, u: np.ndarray, s: np.ndarray, w: np.ndarray,
+def _project1(pt: ConfigPoint, f: np.ndarray, r: np.ndarray,
               tol: float) -> ProjectionResult:
-    """project1 after its SVD x = U diag(s) W*, which judged first-stable
+    """project1 after the thin QR x = F R, which judged first-stable
     membership at tolerance tol.  The level residual of the result is
     still judged here."""
     k = abs(pt.trunc.k)
-    v = pt.X @ (w * (s / pt.trunc.k2))  # V' = X x* U / k^2, not projected off P
+    v = (pt.X @ dagger(r)) / pt.trunc.k2  # V' = X x* F / k^2, not projected off P
     g0_inv, g0 = _fiber_root(v)
-    y, sig, zh = np.linalg.svd(g0 * s)  # g0 diag(s) = Y diag(sig) Z*
-    rot = y @ (zh @ dagger(w))  # the unitary factor Y Z* W*
-    point = _point(pt.trunc, k * (u @ (g0_inv @ rot)), k * (v @ (g0 @ rot)))
+    y, sig, zh = np.linalg.svd(g0 @ r)  # g0 R = Y diag(sig) Z*
+    rot = y @ zh  # the unitary factor Y Z*
+    point = _point(pt.trunc, k * (f @ (g0_inv @ rot)), k * (v @ (g0 @ rot)))
     residual = max(level_residual(point))
     if not _within_tol(residual, tol, pt.trunc.k2):
         raise NotInStable1(
             f"projection left residual {residual:.3e} > tol * k^2; "
             "point is too close to the stable-set boundary"
         )
-    wz = w @ dagger(zh)  # g = W Z diag(sig / |k|) Z* W*
-    g = hermitian_part((wz * (sig / k)) @ dagger(wz))
+    g = hermitian_part((dagger(zh) * (sig / k)) @ zh)  # g = Z diag(sig / |k|) Z*
     # sig descends, so the reversed sig / |k| ascends
     return ProjectionResult(point=point, residual=residual,
                             eigenvalues=_read_only(sig[::-1] / k),
@@ -205,7 +206,9 @@ def _level_section(fp: np.ndarray, v: np.ndarray, k: float) -> ConfigPoint:
     of P and the fiber v of a cotangent datum cp: (k F_P g^-1, k V g) on
     _fiber_root(v).  The point lies on the level set, psi1 maps it to cp,
     and it equals the projection up to round-off, in the same gauge of
-    F_P."""
+    F_P.  project1 builds this section over the factors of a point's
+    thin QR x = F R, with fp = F and v = X R*/k^2, and turns it by a
+    unitary."""
     n, p = fp.shape
     g_inv, g = _fiber_root(v)
     return _point(Truncation(p, n - p, k), k * (fp @ g_inv), k * (v @ g))

@@ -7,7 +7,8 @@ function of (parameters, generator state).
 
 Every point sampler stands on one first-stable draw, factored once by a
 thin QR x = F R (_draw_stable1): the rejection rule reads the singular
-values of R, X is projected off Ran x by F, and the level point over the
+values of R, X is projected off Ran x by F, the factors are stored on the
+drawn point's memo as moment._x_factors, and the level point over the
 draw is the closed level section over its cotangent datum (F, X R*/k^2),
 quotient._level_section, with no projection (sample_level).  The draw
 spreads x about the base point by the constant _SPREAD.
@@ -35,6 +36,7 @@ from .matcore import (
     hermitian_part,
     skew_part,
 )
+from .moment import _factor_x, _x_factors
 from .quotient import _level_section
 
 __all__ = [
@@ -126,20 +128,26 @@ def sample_stable1(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
 
 def _draw_stable1(trunc: Truncation,
                   rng: np.random.Generator) -> tuple[ConfigPoint, np.ndarray, np.ndarray]:
-    """sample_stable1's point with the thin QR x = F R of its x.  The
-    rejection rule is applied to the singular values of the p x p factor
-    R, which are those of x, and X = G - F (F* G) for a Gaussian G."""
+    """sample_stable1's point with the thin QR x = F R of its x, taken by
+    moment._factor_x.  The rejection rule is applied to the singular
+    values of the p x p factor R, which are those of x, and X = G - F (F* G)
+    for a Gaussian G.  The factors are stored on the point's memo as
+    moment._x_factors, the same bits as a fresh computation (the same
+    function of the same array), so judging the point, psi1, project1 and
+    the k1 routes factor x no more."""
     base = trunc.base_x()
     for _ in range(_MAX_DRAWS):
         x = base + _SPREAD * gaussian_complex(rng, base.shape)
-        f, r = np.linalg.qr(x)
-        s = np.linalg.svd(r, compute_uv=False)
+        factors = _factor_x(x)
+        f, r, s = factors
         if s[-1] > 0.1 * s[0]:
             break
     else:
         raise DegenerateSample(f"no well-conditioned x after {_MAX_DRAWS} draws")
     g = gaussian_complex(rng, base.shape)
-    return _point(trunc, x, g - f @ (dagger(f) @ g)), f, r
+    pt = _point(trunc, x, g - f @ (dagger(f) @ g))
+    _x_factors(pt, factors)
+    return pt, f, r
 
 
 def sample_level(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
@@ -152,7 +160,9 @@ def sample_level(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
     both to that datum.  The compact group acts freely on the level set,
     so the point is L W for a unitary W = W(S) that depends on S alone.
     No membership is judged and nothing is projected: one eigendecomposition
-    of V*V (quotient._fiber_root) on top of the draw's QR and SVD values."""
+    of V*V (quotient._fiber_root) on top of the draw's QR and SVD values.
+    This is the form project1 takes too, on the factors (F, R) of its own
+    point, turned by a unitary."""
     pt, f, r = _draw_stable1(trunc, rng)
     return _level_section(f, (pt.X @ dagger(r)) / trunc.k2, trunc.k)
 

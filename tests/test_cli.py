@@ -295,12 +295,12 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("space,structure,budget", [
-    # project1: one thin SVD of x, one eigh of V'*V' and one p x p SVD of
-    # g0 diag(s); project3: psi3's thin QRs of x + X and
+    # project1: one thin QR of x and the values of R, one eigh of V'*V'
+    # and one p x p SVD of g0 R; project3: psi3's thin QRs of x + X and
     # x - X, the graph operator's values-only SVD and inv, one eigh of
     # Id + w*w.  The printed eigenvalues come from the
     # projection's own spectrum, so no eigvalsh is added.
-    ("stable1", "i1", {"svd thin": 1, "eigh": 1, "svd full": 1}),
+    ("stable1", "i1", {"qr reduced": 1, "svd values": 1, "eigh": 1, "svd full": 1}),
     ("stable3", "i3", {"qr reduced": 2, "svd values": 1, "eigh": 1, "inv": 1}),
 ])
 def test_project_factors_only_what_the_projection_does(space, structure, budget,
@@ -670,16 +670,24 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
-    # in_stable1's thin SVD of x is the only factorization: psi3's pair
-    # judges the third-stable equations first and refuses before factoring
-    # x +/- X
+    # in_stable1's thin QR of x and the values of its R are the only
+    # factorizations: psi3's pair judges the third-stable equations first
+    # and refuses before factoring x +/- X
     point = tmp_path / "s1.json"
     _sample(point, space="stable1")
     capsys.readouterr()
     lapack_calls.clear()
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 False" in capsys.readouterr().out
-    assert dict(lapack_calls) == {"svd thin": 1}
+    assert dict(lapack_calls) == {"qr reduced": 1, "svd values": 1}
+
+
+def test_sample_stable1_judges_on_the_draws_factors(lapack_calls, tmp_path):
+    # the verb's membership check reads the QR and values of R that the
+    # draw took and stored on the point: no factorization of its own
+    assert cli.main(["sample", "--space", "stable1", "-p", "4", "-q", "5",
+                     "-o", str(tmp_path / "s1.json")]) == cli.EXIT_OK
+    assert dict(lapack_calls) == {"qr reduced": 1, "svd values": 1}
 
 
 def _map_psi3(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import graph_coords
+from conftest import fresh, graph_coords
 from hkq.errors import NotInStable1, NotInStable3, NotTransversal, ShapeMismatch
 from hkq.grassmann import (
     CotangentPoint,
@@ -83,11 +83,15 @@ class TestPsi1:
                         psi1(pt)
 
     def test_factorization_budget(self, lapack_calls, rng):
-        # the thin SVD of x gives F_P and the rank verdict
+        # the thin QR of x gives F_P and the values of R the rank verdict;
+        # a sampled point holds both already, taken by the sampler
         pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
         lapack_calls.clear()
+        psi1(fresh(pt))
+        assert dict(lapack_calls) == {"qr reduced": 1, "svd values": 1}
+        lapack_calls.clear()
         psi1(pt)
-        assert dict(lapack_calls) == {"svd thin": 1}
+        assert dict(lapack_calls) == {}
 
     @pytest.mark.parametrize("p,q", [(4, 5), (8, 64), (64, 64)])
     def test_eta_is_the_compressed_x_X_star(self, p, q):

@@ -29,7 +29,7 @@ from hkq.grassmann import (
     psi3_section,
 )
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.moment import _stable1_svd, _stable3_frames, in_stable1, in_stable3
+from hkq.moment import _stable1_qr, _stable3_frames, _x_factors, in_stable1, in_stable3
 from hkq.potentials import K1_closed, K3_spectral, evaluate_routes, quotient_potential
 from hkq.quotient import project1, project3
 from hkq.sampling import gaussian_complex, make_rng, sample_stable1, sample_stable3
@@ -92,8 +92,10 @@ STABLE3_ENTRIES = {
     *(("stable3", name) for name in STABLE3_ENTRIES),
 ])
 def test_a_second_call_factors_nothing(structure, name, lapack_calls):
+    # the first call on a fresh copy factors: a sampled stable1 point
+    # already holds its x factors, which the sampler took
     entry = {**STABLE1_ENTRIES, **STABLE3_ENTRIES}[name]
-    pt = _stable1_point() if structure == "stable1" else _stable3_point()
+    pt = fresh(_stable1_point() if structure == "stable1" else _stable3_point())
     lapack_calls.clear()
     first = entry(pt)
     assert lapack_calls  # the first call does factor
@@ -131,14 +133,16 @@ def test_wide_entries_give_the_same_bits_on_a_repeat_and_on_a_fresh_copy(p, q, s
 
 def test_projection_then_routes_projects_once(lapack_calls):
     # project1 then evaluate_routes' level route: one eigh of V'*V' and one
-    # p x p SVD, not two of each, and the k1 inputs from one QR of x (no
-    # eigh of x*x); likewise project3 then the k3 routes build
-    # one pair and one graph
+    # p x p SVD, not two of each, and the k1 inputs from the QR of x that
+    # project1 judged on (no eigh of x*x, no second QR); what is left is
+    # the curvature route's values of V and the closed and fiber routes'
+    # eigvalsh; likewise project3 then the k3 routes build one pair and
+    # one graph
     pt = _stable1_point()
     project1(pt)
     lapack_calls.clear()
     evaluate_routes(pt, "k1")
-    assert dict(lapack_calls) == {"svd values": 1, "qr r": 1, "eigvalsh": 2}
+    assert dict(lapack_calls) == {"svd values": 1, "eigvalsh": 2}
     pt3 = _stable3_point()
     project3(pt3)
     lapack_calls.clear()
@@ -147,6 +151,23 @@ def test_projection_then_routes_projects_once(lapack_calls):
     lapack_calls.clear()
     characteristic_angles(psi3(pt3)[0])
     assert dict(lapack_calls) == {"svd values": 1}  # the angles of w, not w
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (4, 5), (8, 64)])
+def test_the_x_factors_the_sampler_stores_are_a_fresh_computation(p, q, seed, lapack_calls):
+    # the sampler's QR and singular values of R, stored on its point, are
+    # the bits that moment._x_factors takes of a fresh copy, and every
+    # first-structure entry that reads them gives the fresh copy's bits
+    pt = _stable1_point(p, q, seed)
+    lapack_calls.clear()
+    stored = _x_factors(pt)
+    assert dict(lapack_calls) == {}  # stored by the sampler, not taken here
+    assert _same_bits(stored, _x_factors(fresh(pt)))
+    for name, entry in {"in_stable1": in_stable1, "project1": project1, "psi1": psi1,
+                        "K1_closed": K1_closed,
+                        "k1 routes": lambda pt: evaluate_routes(pt, "k1")}.items():
+        assert _same_bits(entry(pt), entry(fresh(pt))), name
 
 
 @pytest.mark.parametrize("tols", [(TOL, 0.999), (0.999, TOL)])
@@ -178,9 +199,9 @@ def test_values_and_memoized_arrays_are_read_only():
         "project1.point.x": res1.point.x,
         "project3.eigenvalues": res3.eigenvalues,
         "project3.point.X": res3.point.X,
-        "stable1 factor U": _stable1_svd(pt1, TOL, "")[0],
-        "stable1 factor s": _stable1_svd(pt1, TOL, "")[1],
-        "stable1 factor W": _stable1_svd(pt1, TOL, "")[2],
+        "stable1 factor F": _stable1_qr(pt1, TOL, "")[0],
+        "stable1 factor R": _stable1_qr(pt1, TOL, "")[1],
+        "x factor s": _x_factors(pt1)[2],
         "stable3 frame Q_A": _stable3_frames(pt3, TOL, "")[0],
         "graph w": _graph(pair, TOL),
         "psi1 P": psi1(pt1).P.frame,
@@ -246,8 +267,8 @@ def test_a_helper_patched_later_is_seen_on_a_fresh_copy_only(monkeypatch):
     before = project1(pt)
     body = quotient._project1
 
-    def skewed(pt, u, s, w, tol):
-        res = body(pt, u, s, w, tol)
+    def skewed(pt, f, r, tol):
+        res = body(pt, f, r, tol)
         return dataclasses.replace(res, residual=res.residual + 1.0)
 
     monkeypatch.setattr(quotient, "_project1", skewed)

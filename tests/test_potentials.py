@@ -383,10 +383,11 @@ class TestQuotientPotential:
     def test_factorization_budget(self, lapack_calls, rng):
         # project1's budget and nothing more: log det g is summed over the
         # eigenvalues project1 took g from, so g is not factored again
-        pt = sample_stable1(Truncation(4, 5, SQRT2), rng)
+        pt = fresh(sample_stable1(Truncation(4, 5, SQRT2), rng))
         lapack_calls.clear()
         value = quotient_potential(pt)
-        assert dict(lapack_calls) == {"svd thin": 1, "eigh": 1, "svd full": 1}
+        assert dict(lapack_calls) == {"qr reduced": 1, "svd values": 1, "eigh": 1,
+                                      "svd full": 1}
         res = project1(pt)
         want = flat_potential_K(res.point) + character_log_term(res.group_part, SQRT2)
         assert abs(value - want) <= 1e-13 * (1 + abs(want))
@@ -550,22 +551,26 @@ class TestEvaluateRoutesSharing:
             assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
 
     @pytest.mark.parametrize("which,budget", [
-        ("k1", {"svd thin": 1, "svd values": 1, "qr r": 1, "eigh": 1, "svd full": 1,
+        ("k1", {"qr reduced": 1, "svd values": 2, "eigh": 1, "svd full": 1,
                 "eigvalsh": 2}),
         ("k3", {"qr reduced": 2, "svd values": 2, "inv": 1, "eigh": 1, "eigvalsh": 1,
                 "cholesky": 1}),
         ("k3hat", {"qr reduced": 2, "svd values": 4, "inv": 1}),
     ])
     def test_factorization_budget(self, which, budget, lapack_calls):
-        # k1: one thin SVD of x for membership, the curvature frame and the
-        # level route, x*x factored once for closed, fiber and curvature,
-        # eigenvalues only where a route reads no eigenvectors, and no frame
-        # of P^perp; k3: one Cholesky factor and one eigvalsh for the
-        # spectral route; k3/k3hat: psi3's thin QRs of x + X and x - X and
-        # one graph w for every other route
+        # k1: one thin QR x = F R and the values of R for membership, the
+        # curvature frame, the level route and the log-det term and fiber
+        # operand of closed, fiber and curvature (x*x is not formed), the
+        # values of V for the curvature route, eigenvalues only where a
+        # route reads no eigenvectors, and no frame of P^perp; k3: one
+        # Cholesky factor and one eigvalsh for the spectral route; k3/k3hat:
+        # psi3's thin QRs of x + X and x - X and one graph w for every
+        # other route.  Evaluated on a fresh copy, so the sampler's x
+        # factors are not read.
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
         pt = sample_stable1(trunc, rng) if which == "k1" else sample_stable3(trunc, rng)
+        pt = fresh(pt)
         lapack_calls.clear()
         evaluate_routes(pt, which)
         assert dict(lapack_calls) == budget

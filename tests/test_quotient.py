@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracle_mp
-from conftest import ill_conditioned_stable1
+from conftest import fresh, ill_conditioned_stable1
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import (
     HkqError,
@@ -119,10 +119,12 @@ class TestProject1:
         assert fnorm(lhs.X - rhs.X) <= 1e-9 * (1 + fnorm(rhs.X))
 
 
-    def test_group_part_moves_the_point_onto_its_result(self, rng):
-        # the group element project1 returns is the one it applied
-        for p, q in ((1, 1), (4, 5), (6, 2)):
-            pt = sample_stable1(Truncation(p, q, SQRT2), rng)
+    @pytest.mark.parametrize("k", [SQRT2, -SQRT2, -5.0, 0.3])
+    def test_group_part_moves_the_point_onto_its_result(self, k, rng):
+        # the group element project1 returns is the one it applied, for
+        # either sign of k (the section is taken at |k|)
+        for p, q in ((1, 1), (4, 5), (6, 2), (3, 4)):
+            pt = sample_stable1(Truncation(p, q, k), rng)
             res = project1(pt)
             moved = act1(res.group_part, pt)
             assert fnorm(moved.x - res.point.x) <= 1e-13 * (1 + fnorm(res.point.x))
@@ -181,9 +183,11 @@ class TestProject1:
                                        atol=1e-13 * np.abs(lam).max())
 
     def test_factorization_budget(self, lapack_calls, rng):
-        # one thin SVD of x (membership, the frame U and the fiber V'), one
-        # eigh of V'*V' (g0 and g0^-1 of the level section) and one p x p
-        # SVD of g0 diag(s) (the unitary factor and g); no inverse.  slice_basis
+        # one thin QR x = F R and the values of R (membership, the frame F
+        # and the fiber V'), one eigh of V'*V' (g0 and g0^-1 of the level
+        # section) and one p x p SVD of g0 R (the unitary factor and g); no
+        # inverse.  A sampled point holds its QR and values already, taken
+        # by the sampler.  slice_basis
         # decomposes M once and checks membership without a factorization;
         # each projection then solves against that spectrum and adds none.
         tr = Truncation(4, 5, SQRT2)
@@ -192,7 +196,9 @@ class TestProject1:
         v = random_tangent(tr, rng)
         basis = slice_basis(level)
         budgets = [
-            (lambda: project1(pt), {"svd thin": 1, "eigh": 1, "svd full": 1}),
+            (lambda: project1(fresh(pt)),
+             {"qr reduced": 1, "svd values": 1, "eigh": 1, "svd full": 1}),
+            (lambda: project1(pt), {"eigh": 1, "svd full": 1}),
             (lambda: slice_basis(level), {"eigh": 1}),
             (lambda: basis.orbit(v), {}),
             (lambda: basis.level(v), {}),
