@@ -5,8 +5,9 @@ line-oriented `key value` pairs for machine parsing.  Exit codes: 0 success,
 1 property/cross-check failure, 2 input or membership error.
 
 `sample` draws with the samplers' fixed spread (sampling._SPREAD), judges
-its draw by the one rule of the set it names, at --tol, and writes no file
-for a draw outside that set (exit 2).  The file's meta records the seed and
+its draw by the public rule of the set it names (in_stable1, in_stable3 or
+on_level_set), at --tol, and writes no file for a draw outside that set
+(exit 2, with that set's error).  The file's meta records the seed and
 the set.
 
 `map --which psi1` prints eta_on_P_residual and eta_norm of the cotangent
@@ -34,11 +35,11 @@ import numpy as np
 
 from . import __version__, checks, jsonio
 from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import HkqError, NotInStable3, NotOnLevelSet
+from .errors import HkqError, NotInStable1, NotInStable3, NotOnLevelSet
 from .grassmann import _orbit_pair, characteristic_angles, psi1
 from .hkspace import Truncation, flat_potential_K
 from .matcore import dagger, fnorm
-from .moment import _stable1_qr, _stable3_frames, in_stable1, level_residual, on_level_set
+from .moment import in_stable1, in_stable3, level_residual, on_level_set
 from .potentials import K3_hat_angles, _route_spread, evaluate_routes
 from .quotient import project1, project3
 from .sampling import make_rng, sample_point
@@ -57,17 +58,21 @@ def _emit(key: str, value) -> None:
         print(f"{key} {value}")
 
 
+# the public rule that judges a draw of each sample space, and its error
+_SAMPLE_RULES = {
+    "stable1": (in_stable1, NotInStable1),
+    "stable3": (in_stable3, NotInStable3),
+    "level": (on_level_set, NotOnLevelSet),
+}
+
+
 def _cmd_sample(args) -> int:
     trunc = Truncation(args.p, args.q, args.k)
     rng = make_rng(args.seed)
     pt = sample_point(args.space, trunc, rng)
-    refusal = f"sampled point is not in the {args.space} set at tol {args.tol:g}"
-    if args.space == "stable1":
-        _stable1_qr(pt, args.tol, refusal)
-    elif args.space == "stable3":
-        _stable3_frames(pt, args.tol, refusal)
-    elif not on_level_set(pt, args.tol):
-        raise NotOnLevelSet(refusal)
+    member, refused = _SAMPLE_RULES[args.space]
+    if not member(pt, args.tol):
+        raise refused(f"sampled point is not in the {args.space} set at tol {args.tol:g}")
     jsonio.save_point(args.output, pt, meta={"seed": args.seed, "generator": args.space})
     rc, rr = level_residual(pt)
     _emit("space", args.space)
@@ -127,15 +132,15 @@ def _cmd_angles(args) -> int:
     pair, k = jsonio.load_pair(args.input)
     if args.k is not None:  # the rule a file's k obeys (Truncation's)
         k = Truncation(pair.P.dim, pair.P.ambient - pair.P.dim, args.k).k
+    if k is None:  # refused before anything is computed or printed
+        print("error K3_hat needs k: none in file, pass --k", file=sys.stderr)
+        return EXIT_INPUT
     theta = characteristic_angles(pair, args.tol)
     a = np.tan(theta)
     for i, (t, ai) in enumerate(zip(theta, a)):
         _emit(f"theta_{i}", float(t))
         _emit(f"a_{i}", float(ai))
     _emit("transversality", pair.transversality())
-    if k is None:
-        print("error K3_hat needs k: none in file, pass --k", file=sys.stderr)
-        return EXIT_INPUT
     _emit("k", float(k))
     _emit("K3_hat", K3_hat_angles(pair, k, args.tol))
     return EXIT_OK

@@ -1,8 +1,11 @@
 """Truncated restricted Grassmannian side of the quotient.
 
-Subspaces are represented by gauge-fixed orthonormal frames; equality is
-always judged by projector distance ||F1 F1* - F2 F2*||, never by frame
-entries.  This module provides
+Subspaces are represented by orthonormal frames, taken as the library's
+Householder QR returns them: no column gauge is fixed, since no value read
+off a frame depends on which orthonormal frame spans the plane.  Equality
+is always judged by projector distance ||F1 F1* - F2 F2*||, never by frame
+entries.  Orthonormality is checked where a frame enters from outside: the
+Subspace constructor and the file reader (jsonio).  This module provides
 
   * psi1 and its section: the identification of stable configuration pairs
     (first structure) with cotangent data (P, eta), eta = (1/k^2) x X*,
@@ -36,7 +39,7 @@ import numpy as np
 from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import BadCotangent, NotTransversal, ShapeMismatch
 from .hkspace import ConfigPoint, Truncation, _memo, _owned, _point, _read_only
-from .matcore import _fix_column_phases, as_matrix, dagger, fnorm
+from .matcore import as_matrix, dagger, fnorm
 from .moment import _stable1_qr, _stable3_frames
 
 __all__ = [
@@ -88,11 +91,12 @@ def _orthonormal(f: np.ndarray) -> np.ndarray:
 
 
 def _subspace(frame: np.ndarray) -> Subspace:
-    """Subspace of a complex128 frame that no caller holds (a fresh
-    factor, a file's decoded frame): Subspace's orthonormality check,
-    without coercion and without the copy; the frame is marked read-only."""
+    """Subspace of a complex128 frame that no caller holds and that is
+    orthonormal already: a Q factor the library has just computed, or a
+    file's frame that jsonio has checked.  Nothing is checked, coerced or
+    copied; the frame is marked read-only."""
     sub = object.__new__(Subspace)
-    object.__setattr__(sub, "frame", _read_only(_orthonormal(frame)))
+    object.__setattr__(sub, "frame", _read_only(frame))
     return sub
 
 
@@ -102,11 +106,11 @@ def projector_distance(a: Subspace, b: Subspace) -> float:
 
 
 def complement_frame(sub: Subspace) -> np.ndarray:
-    """Gauge-fixed orthonormal frame of the orthogonal complement: the last
-    n - d columns of the complete QR of the frame.  The frame is
-    orthonormal, so it has full rank d and its first d Q columns span it;
-    the rest span its complement, with no rank to decide."""
-    return _fix_column_phases(np.linalg.qr(sub.frame, mode="complete")[0][:, sub.dim:])
+    """Orthonormal frame of the orthogonal complement: the last n - d
+    columns of the complete QR of the frame, as the QR returns them.  The
+    frame is orthonormal, so it has full rank d and its first d Q columns
+    span it; the rest span its complement, with no rank to decide."""
+    return np.linalg.qr(sub.frame, mode="complete")[0][:, sub.dim:]
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,8 @@ class CotangentPoint:
     """Cotangent datum (P, eta) held as P and the n x p fiber coordinate V,
     with F_P* V = 0: eta = F_P V*, an n x n matrix vanishing on P and
     ranging inside P (the compressed form of a map P^perp -> P).  V is
-    fixed by eta only up to the gauge of F_P, so data are compared through
-    eta, which is formed on each access.  V is refused (BadCotangent)
+    fixed by eta only up to the choice of frame F_P, so data are compared
+    through eta, which is formed on each access.  V is refused (BadCotangent)
     unless ||F_P* V||_F <= 1e-7 ||V||_F, a bound of degree 1 in V like
     the component it judges, so no V of any size inside P passes."""
 
@@ -141,8 +145,8 @@ class OrbitPair:
     """Transversal pair (P, Q), dim P = p, dim Q = q = n - p, held as P and
     Qperp = Q^perp, two p-planes: Q^perp is the graph of A: P -> P^perp,
     read only in ambient form (_graph), and no computation reads Q itself.
-    For psi3's pair the frames are the phase-fixed Q factors of the thin
-    QRs of x + X and x - X.
+    For psi3's pair the frames are the Q factors of the thin QRs of x + X
+    and x - X, as the QR returns them.
 
     Q is a file-boundary representation: jsonio.save_pair writes
     complement_frame(Qperp) as the file's Q, and load_pair stores the
@@ -197,7 +201,7 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
 
     x is factored once: the thin QR x = F R that judges first-stable
     membership (moment._stable1_qr, the one computation of in_stable1's
-    rule) gives the frame F_P of P, the phase-fixed F.  The fiber is held as
+    rule) gives the frame F_P of P, F itself.  The fiber is held as
     V = _fiber(pt, F_P), so eta = F_P V* = (1/k^2) x X* (Id - F_P F_P*),
     which equals (1/k^2) x X* where X*x = 0.  V is projected off P twice,
     so F_P* V is round-off relative to V itself, not to X x*/k^2: it meets
@@ -205,7 +209,7 @@ def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint
     in Ran x and V is small, and a point that passes membership at a loose
     tol maps to a valid datum too."""
     f, _ = _stable1_qr(pt, tol, "psi1 requires X*x = 0 and injective x")
-    P = _subspace(_fix_column_phases(f))
+    P = _subspace(f)
     return CotangentPoint(P, _fiber(pt, P.frame))
 
 
@@ -264,14 +268,14 @@ def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
     first, so a point off them is refused before anything is factored, then
     the rank of x + X and x - X, certified by the equations' residuals or
     read off the R factors of their thin QRs), and the Q factors of those
-    QRs, phase-fixed, are the frames of P and of Q^perp.  The pair is
+    QRs, as they are, are the frames of P and of Q^perp.  The pair is
     memoized on pt per tol, so the graph memoized on it is built once."""
-    return _memo(pt, ("pair", tol), lambda: _pair_of(*_stable3_frames(
-        pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")))
+    def pair() -> OrbitPair:
+        q_a, q_c = _stable3_frames(
+            pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
+        return OrbitPair(_subspace(q_a), _subspace(q_c))
 
-
-def _pair_of(up: np.ndarray, uq: np.ndarray) -> OrbitPair:
-    return OrbitPair(_subspace(_fix_column_phases(up)), _subspace(_fix_column_phases(uq)))
+    return _memo(pt, ("pair", tol), pair)
 
 
 def _graph(pair: OrbitPair, tol: float) -> np.ndarray:

@@ -48,15 +48,17 @@ keeps Q, n x q, which save_pair writes as complement_frame(Q^perp), the
 last q columns of a complete QR of the Q^perp frame, and load_pair turns
 back into Q^perp by the same function.  The frame of Q read from a file
 is kept with the pair and written back as it is.  psi3's frames of P and
-Q^perp are the phase-fixed Q factors of the thin QRs of x + X and x - X,
-so the P of a pair file written by `map --which psi3` is the first.
+Q^perp are the Q factors of the thin QRs of x + X and x - X, as the QR
+returns them, so the P of a pair file written by `map --which psi3` is the
+first.
 
 Unknown keys are ignored on load.  Pair files of the older layout also
 held "z": z = i(x + X)(x* - X*), which is i k^2 times the projection onto P
 along Q and so fixed by P, Q and k; that key is ignored on load and no
-longer written.  Pair frames are validated against orthonormality on load
-by grassmann.Subspace's own rule: drift up to config.FRAME_TOL (1 + d) is
-accepted as is, and beyond that the file is refused (FileFormatError).
+longer written.  Pair and cotangent frames are validated against
+orthonormality on load by grassmann.Subspace's own rule (_frame_from_obj,
+the one check a file's frame gets): drift up to config.FRAME_TOL (1 + d)
+is accepted as is, and beyond that the file is refused (FileFormatError).
 Every writer saves frames well within it, so a frame is never repaired.
 """
 
@@ -70,7 +72,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ShapeMismatch
-from .grassmann import CotangentPoint, OrbitPair, Subspace, _subspace, complement_frame
+from .grassmann import (CotangentPoint, OrbitPair, Subspace, _orthonormal, _subspace,
+                        complement_frame)
 from .hkspace import ConfigPoint, Truncation, _point
 
 __all__ = [
@@ -220,7 +223,7 @@ def _frame_from_obj(obj, name: str, n: int, d: int) -> Subspace:
     if f.shape != (n, d):
         raise FileFormatError(f"{name}: expected {n} x {d}, got {f.shape}")
     try:
-        return _subspace(f)  # a fresh, checked array: no second copy
+        return _subspace(_orthonormal(f))  # a fresh, checked array: no second copy
     except ShapeMismatch as exc:  # the frame is not orthonormal
         raise FileFormatError(f"{name}: {exc}") from exc
 

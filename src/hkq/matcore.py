@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 Hermitian eigendecomposition, functional calculus of Hermitian matrices,
-SVD, the deterministic column gauge of a frame, and the symmetric
-(anticommutator) Sylvester solver, with stacked right-hand sides, used by
-the tangent projectors.  All scalars are complex128; the acceptance
-tolerances (1e-9 .. 1e-12) need full double precision.
+SVD, and the symmetric (anticommutator) Sylvester solver, with stacked
+right-hand sides, used by the tangent projectors.  All scalars are
+complex128; the acceptance tolerances (1e-9 .. 1e-12) need full double
+precision.
 
 Preconditions are checked at the public entry points only.  herm_eig,
 herm_fun and sym_sylvester_solve given a matrix M run the Hermitian
@@ -259,28 +259,6 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     return u, s, dagger(wh)
-
-
-def _fix_column_phases(frame: np.ndarray) -> np.ndarray:
-    """Deterministic gauge: rotate each column so its largest-modulus entry
-    is real positive (the first such entry on ties; zero columns are left
-    as they are)."""
-    # A row-major frame times a (1, d) row of phases runs numpy's vectorized
-    # complex multiply, the same loop (fused multiply-adds included) as one
-    # column times its phase; other layouts can fall back to a loop that
-    # rounds differently.
-    frame = np.ascontiguousarray(frame)
-    if frame.size == 0:
-        return frame.copy()
-    mod = np.abs(frame)
-    rows = np.argmax(mod, axis=0)
-    cols = np.arange(frame.shape[1])
-    pivot, size = frame[rows, cols], mod[rows, cols]
-    nonzero = size > 0.0
-    out = frame * (size / np.where(nonzero, pivot, 1.0))[None, :]
-    if not nonzero.all():  # copied back, not multiplied by 1: keeps signed zeros
-        out[:, ~nonzero] = frame[:, ~nonzero]
-    return out
 
 
 def sym_sylvester_solve(m, s) -> np.ndarray:

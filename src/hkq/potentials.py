@@ -51,8 +51,8 @@ without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
 the Q factors of the two thin QRs on which moment._stable3_frames judges
 third-stable membership, the one rule that in_stable3 and psi3 apply too
 (its rank half certified by the equations' own residuals), and its one
-graph w.  For k1 the QR gives the curvature route psi1's frame of P, the
-phase-fixed F; the level route reads project1's result, which project1
+graph w.  For k1 the QR gives the curvature route psi1's frame of P, F
+itself; the level route reads project1's result, which project1
 builds on the same factors, and none of the k1 inputs.
 R = (unitary) |x|, so log det(x*x) = 2 sum log |R_ii| and (X R*)*(X R*)
 is unitarily similar to |x| X*X |x|: x*x, whose eigendecomposition would
@@ -96,7 +96,6 @@ from .grassmann import (
 from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
     _eigvals,
-    _fix_column_phases,
     as_matrix,
     dagger,
     hermitian_part,
@@ -378,7 +377,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     per call (the module's sharing rule).  k1 judges
     membership on the one thin QR x = F R of moment._stable1_qr
     (NotInStable1) before its one IntegralityWarning, attributed to the
-    caller.  The curvature route reads psi1's frame of P, the phase-fixed F,
+    caller.  The curvature route reads psi1's frame of P, F itself,
     and the level route project1's result, memoized on pt and built on the
     same factors; R (_x_factor) gives the log-det term that the closed,
     fiber and curvature routes add, and the fiber operand that the closed
@@ -399,7 +398,7 @@ def evaluate_routes(pt: ConfigPoint, which: str,
         return {
             "closed": _k1_closed(pt, logdet, fiber),
             "fiber": _k1_fiber(pt, logdet, fiber),
-            "curvature": _k1_curvature(pt, logdet, _fix_column_phases(f)),
+            "curvature": _k1_curvature(pt, logdet, f),
             "level": _k1_level(project1(pt, tol), k),
         }
     if which not in ("k3", "k3hat"):

@@ -12,11 +12,11 @@ drawn point's memo as moment._x_factors, and the level point over the
 draw is the closed level section over its cotangent datum (F, X R*/k^2),
 quotient._level_section, with no projection (sample_level).  The draw
 spreads x about the base point by the constant _SPREAD.
-sample_stable3 moves that level point by act3.  A random plane is the
-phase-fixed Q factor of a Gaussian, which has full rank with probability
-one (random_subspace).  A Hermitian draw is factored once: its operator
-norm is read off the spectrum that act3 and exp act through
-(_hermitian_ball).
+sample_stable3 moves that level point by act3.  A random plane is framed
+by the Q factor of a Gaussian, as the QR returns it; the Gaussian has full
+rank with probability one (random_subspace).  A Hermitian draw is factored
+once: its operator norm is read off the spectrum that act3 and exp act
+through (_hermitian_ball).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .hkspace import ConfigPoint, TangentPair, Truncation, _point, act3
 from .matcore import (
     HermitianSpectrum,
     _eigh,
-    _fix_column_phases,
     dagger,
     hermitian_part,
     skew_part,
@@ -107,7 +106,9 @@ def _hermitian_ball(p: int, rng: np.random.Generator,
 
 
 def random_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like unitary: QR of a complex Gaussian with phase-fixed diagonal."""
+    """Haar unitary: the Q factor of a complex Gaussian, its columns turned
+    by the phases of R's diagonal, which makes the law Haar (Mezzadri,
+    Notices AMS 54, 2007)."""
     q, r = np.linalg.qr(gaussian_complex(rng, (p, p)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -155,7 +156,7 @@ def sample_level(trunc: Truncation, rng: np.random.Generator) -> ConfigPoint:
     (the same draws): the level section over S's cotangent datum,
     quotient._level_section(F, V, k) with V = X R*/k^2 on the thin QR
     x = F R.  As x* F = R* and F* X = 0 to round-off, (Ran F, V) is psi1(S)
-    in the gauge F, so the point lies on the level set over the same
+    in the frame F, so the point lies on the level set over the same
     quotient point as S's projection L = project1(S).point, and psi1 maps
     both to that datum.  The compact group acts freely on the level set,
     so the point is L W for a unitary W = W(S) that depends on S alone.
@@ -199,9 +200,9 @@ def sample_point(space: str, trunc: Truncation, rng: np.random.Generator) -> Con
 
 def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     """Haar random d-plane of C^n (d <= n): the span of an n x d Gaussian,
-    which has full rank with probability one, framed by the phase-fixed Q
-    factor of its thin QR."""
-    return _subspace(_fix_column_phases(np.linalg.qr(gaussian_complex(rng, (n, d)))[0]))
+    which has full rank with probability one, framed by the Q factor of
+    its thin QR as it is."""
+    return _subspace(np.linalg.qr(gaussian_complex(rng, (n, d)))[0])
 
 
 def sample_cotangent(trunc: Truncation, rng: np.random.Generator) -> CotangentPoint:

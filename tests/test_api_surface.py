@@ -1,11 +1,13 @@
 """Static scan of the public surface of every hkq module (AST only).
 
-Keeps six kinds of drift from coming back: an `__all__` entry whose name
+Keeps seven kinds of drift from coming back: an `__all__` entry whose name
 the module does not define itself (gone, or only imported, which gives a
 name defined elsewhere a second public home), an `__all__` entry that no
 hkq module reads outside its own definition (a public name that no route,
 verb or check needs; the known ones are pinned in KNOWN_UNREAD, so a name
-that loses its last reader leaves `__all__` or joins the set), a name that the package
+that loses its last reader leaves `__all__` or joins the set), a private
+top-level name (a leading underscore, not a dunder) that no hkq module
+reads outside its own definition (a dead helper), a name that the package
 `__init__` imports from a module but that module's `__all__` does not list
 (so a name removed from the public surface cannot linger in the package
 namespace), an import nothing uses, a
@@ -92,7 +94,7 @@ def _reads(tree: ast.Module) -> set[tuple[str | None, str]]:
 # benchmark's trace spans wrap herm_fun, svd, sym_sylvester_solve and
 # load_cotangent
 KNOWN_UNREAD = {"matcore.herm_fun", "matcore.svd", "matcore.sym_sylvester_solve",
-                "moment.in_stable3", "jsonio.load_cotangent"}
+                "jsonio.load_cotangent"}
 
 
 def test_every_module_is_scanned():
@@ -108,12 +110,43 @@ def test_all_entries_are_defined(path):
     assert missing == [], f"{path.name}: __all__ names not defined here {missing}"
 
 
+def _unread(trees: dict[str, ast.Module], names) -> set[str]:
+    """The "module.name" of each name in names(tree), over the modules in
+    trees, that no module in trees reads outside the name's own definition."""
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    return {f"{stem}.{name}" for stem, tree in trees.items() for name in names(tree)
+            if not any(read == name and not (module == stem and own == name)
+                       for module, pairs in reads.items() for own, read in pairs)}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    return {name for name in _top_level_definitions(tree)
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_every_public_name_is_read_or_known_unread():
-    reads = {p.stem: _reads(_tree(p)) for p in MODULES}
-    unread = {f"{p.stem}.{name}" for p in MODULES for name in _exported(_tree(p))
-              if not any(read == name and not (module == p.stem and own == name)
-                         for module, pairs in reads.items() for own, read in pairs)}
-    assert unread == KNOWN_UNREAD
+    assert _unread({p.stem: _tree(p) for p in MODULES}, _exported) == KNOWN_UNREAD
+
+
+def test_every_private_name_is_read():
+    assert _unread({p.stem: _tree(p) for p in MODULES}, _private_definitions) == set()
+
+
+def test_a_private_name_read_only_by_itself_is_unread():
+    trees = {
+        "a": ast.parse("__version__ = '1'\n"
+                       "_CONST = 1\n"
+                       "def _used():\n"
+                       "    return _CONST\n"
+                       "def _dead():\n"
+                       "    return _dead()\n"
+                       "class _Own:\n"
+                       "    me = _Own\n"),
+        "b": ast.parse("from .a import _used, _dead\n"
+                       "def f():\n"
+                       "    return _used()\n"),
+    }
+    assert _unread(trees, _private_definitions) == {"a._dead", "a._Own"}
 
 
 def test_imports_and_all_strings_are_not_reads():

@@ -34,6 +34,7 @@ from conftest import ill_conditioned_stable1, ill_conditioned_stable3
 from hkq import checks, cli, grassmann, jsonio, quotient
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
+from hkq.errors import NotInStable1, NotInStable3, NotOnLevelSet
 from hkq.grassmann import characteristic_angles, psi3
 from hkq.matcore import fnorm
 from hkq.moment import in_stable1, in_stable3, level_residual, on_level_set
@@ -410,6 +411,19 @@ def test_sample_outside_its_set_exits_2_and_writes_nothing(space, tmp_path, capf
         assert not out.exists()
 
 
+@pytest.mark.parametrize("space,error", [("level", NotOnLevelSet),
+                                         ("stable1", NotInStable1),
+                                         ("stable3", NotInStable3)])
+def test_sample_refuses_with_the_error_of_its_set(space, error, tmp_path):
+    # the verb judges by the set's public rule and raises that set's error
+    out = tmp_path / "f.json"
+    args = cli.build_parser().parse_args(["--tol", "1e-17", "sample", "--space", space,
+                                          "-p", "2", "-q", "3", "-o", str(out)])
+    with pytest.raises(error, match=f"not in the {space} set at tol 1e-17"):
+        cli._cmd_sample(args)
+    assert not out.exists()
+
+
 def test_info_at_a_huge_point_prints_finite_residuals(tmp_path, capfd):
     # 1e100 times a sampled point: entries of x*x near 1e200, where the plain
     # sum of squares in fnorm would overflow to inf with a RuntimeWarning;
@@ -730,7 +744,9 @@ def test_angles_without_k_exits_2(tmp_path, capsys):
     pair.write_text(json.dumps(obj))
     capsys.readouterr()
     assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_INPUT
-    assert "K3_hat needs k" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    # k is decided first: a refused call prints no half report
+    assert captured.out == "" and "K3_hat needs k" in captured.err
 
 
 def test_pair_file_of_dimension_zero_without_k_exits_2(tmp_path, capsys):

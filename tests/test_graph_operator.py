@@ -36,7 +36,7 @@ SHAPES = [(1, 1), (2, 5), (5, 2), (4, 4), (6, 1), (1, 6), (32, 32), (8, 64)]
 
 
 def _oracle_graph(pair):
-    """(A, F_Pperp) through gauge-fixed complement frames."""
+    """(A, F_Pperp) through complement frames."""
     fpp = complement_frame(pair.P)
     fqp = complement_frame(Subspace(complement_frame(pair.Qperp)))
     return dagger(fpp) @ fqp @ np.linalg.inv(dagger(pair.P.frame) @ fqp), fpp

@@ -161,62 +161,6 @@ class TestSvd:
         assert fnorm(dagger(w) @ w - np.eye(3)) <= 1e-12
 
 
-def _phases_by_column(frame):
-    """The gauge fixing column by column: the reference for the vectorized
-    `_fix_column_phases`."""
-    out = frame.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if np.abs(pivot) > 0.0:
-            out[:, j] = col * (np.abs(pivot) / pivot)
-    return out
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-class TestFixColumnPhases:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (5, 2), (8, 8),
-                                       (64, 17), (128, 64)])
-    def test_matches_the_column_loop_bit_for_bit(self, rng, shape):
-        for _ in range(5):
-            f = gaussian_complex(rng, shape)
-            assert _same_bits(matcore._fix_column_phases(f), _phases_by_column(f))
-
-    @pytest.mark.parametrize("layout", ["column_major", "reversed_columns", "slice"])
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (7, 4)])
-    def test_matches_the_column_loop_in_any_layout(self, rng, shape, layout):
-        for _ in range(5):
-            f = gaussian_complex(rng, (shape[0], shape[1] + 1))
-            f = {"column_major": np.asfortranarray(f[:, 1:]),
-                 "reversed_columns": f[:, :0:-1],
-                 "slice": f[:, 1:]}[layout]
-            assert _same_bits(matcore._fix_column_phases(f), _phases_by_column(f))
-
-    def test_zero_columns_are_left_alone(self, rng):
-        f = gaussian_complex(rng, (6, 4))
-        f[:, 1] = 0.0
-        f[:, 3] = complex(-0.0, -0.0)  # signed zeros survive too
-        out = matcore._fix_column_phases(f)
-        assert _same_bits(out, _phases_by_column(f))
-        assert _same_bits(out[:, 3], f[:, 3])
-
-    def test_ties_take_the_first_maximum(self):
-        f = np.array([[1j, 2.0], [-1.0, -2.0], [0.5, 2j]])
-        out = matcore._fix_column_phases(f)
-        assert _same_bits(out, _phases_by_column(f))
-        np.testing.assert_array_equal(out[:, 0], [1.0, 1j, -0.5j])
-        np.testing.assert_array_equal(out[:, 1], [2.0, -2.0, 2j])
-
-    @pytest.mark.parametrize("shape", [(4, 0), (0, 0), (0, 3)])
-    def test_empty_frames(self, shape):
-        f = np.zeros(shape, dtype=complex)
-        assert _same_bits(matcore._fix_column_phases(f), f)
-
-
 class TestSylvester:
     def test_identity_coefficient(self, rng):
         s = skew_part(gaussian_complex(rng, (3, 3)))

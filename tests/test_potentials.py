@@ -651,11 +651,17 @@ class TestEachBodyMovesOnlyItsRoute:
 
     # the k1 inputs formed once: R of x's thin QR feeds the log-det term,
     # which closed, fiber and curvature add, and the fiber operand, which
-    # closed and fiber read; the level route reads project1's result alone
+    # closed and fiber read; the level route reads project1's result alone.
+    # The spectral pairing of the curvature operator is read by both
+    # curvature routes, K3_hat_cotangent by the two k3hat routes on half of
+    # w, and the angles of w by both angles routes
     READERS_OF_INPUT = {
         "_x_factor": {"k1.closed", "k1.fiber", "k1.curvature"},
         "_logdet_term": {"k1.closed", "k1.fiber", "k1.curvature"},
         "_fiber_operand": {"k1.closed", "k1.fiber"},
+        "curvature_fun_apply": {"k1.curvature", "k3hat.curvature"},
+        "K3_hat_cotangent": {"k3hat.cotangent", "k3hat.curvature"},
+        "_angles": {"k3.angles", "k3hat.angles"},
     }
 
     @pytest.mark.parametrize("shared", list(READERS_OF_INPUT))
