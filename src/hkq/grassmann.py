@@ -13,10 +13,11 @@ Subspace constructor and the file reader (jsonio).  This module provides
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q), P = Ran(x + X) and
     Q = Ker(x* - X*).  A pair is held as P and Q^perp = Ran(x - X), two
-    n x p frames, the Q factors of the thin QRs of x + X and x - X on
-    which moment._stable3_frames judges third-stable membership (the one
-    rule, its rank half certified by the equations' own residuals); Q
-    itself, n x q, appears only in pair files (jsonio),
+    n x p frames, the Q factors of the thin QRs of x + X and x - X that
+    moment._stable3_frames takes once moment._stable3_verdict has judged
+    third-stable membership (the one rule, its rank half certified by the
+    equations' own residuals); Q itself, n x q, appears only in pair files
+    (jsonio),
   * the graph operator A: P -> P^perp whose graph is Q^perp, held only in
     ambient form w = F_Pperp A (_graph), so that no frame of P^perp is
     built, and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2),
@@ -25,9 +26,10 @@ Subspace constructor and the file reader (jsonio).  This module provides
     that feeds the curvature forms of the potentials.
 
 Subspace frames are read-only, and a pair is immutable, so psi3's pair is
-memoized on its point per tol (_orbit_pair) and the graph w on its pair
-per tol (_graph), by hkspace._memo: psi3, characteristic_angles,
-psi3_section and project3 called on one point or pair build each once.
+memoized on its point per tol (_orbit_pair), and the graph w (_graph) and
+the characteristic angles on its pair per tol, by hkspace._memo: psi3,
+characteristic_angles, psi3_section and project3 called on one point or
+pair build each once.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def psi3(pt: ConfigPoint,
     and x - X.  psi3 is exactly constant on orbits of the third action.
 
     Membership is judged by _orbit_pair alone, that is by
-    moment._stable3_frames, the one computation of in_stable3's rule, so
+    moment._stable3_verdict, the one computation of in_stable3's rule, so
     psi3 accepts exactly the points in_stable3 accepts at the same tol.
 
     z (n x n) is formed only for outside callers that read it: no route,
@@ -264,12 +266,13 @@ def psi3(pt: ConfigPoint,
 
 def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
     """psi3's pair without z, for the routes and projections that read only
-    the pair: moment._stable3_frames judges membership (the equations
-    first, so a point off them is refused before anything is factored, then
-    the rank of x + X and x - X, certified by the equations' residuals or
-    read off the R factors of their thin QRs), and the Q factors of those
-    QRs, as they are, are the frames of P and of Q^perp.  The pair is
-    memoized on pt per tol, so the graph memoized on it is built once."""
+    the pair: moment._stable3_frames judges membership by
+    moment._stable3_verdict (the equations first, so a point off them is
+    refused before anything is factored, then the rank of x + X and x - X,
+    certified by the equations' residuals or read off the R factors of
+    their thin QRs), and the Q factors of those QRs, as they are, are the
+    frames of P and of Q^perp.  The pair is memoized on pt per tol, so the
+    graph memoized on it is built once."""
     def pair() -> OrbitPair:
         q_a, q_c = _stable3_frames(
             pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
@@ -328,9 +331,10 @@ def characteristic_angles(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) 
     zero.  The others are arctan of the min(p, n - p) largest singular
     values of w = F_Pperp A (those of A, F_Pperp being orthonormal), which
     keeps near-zero angles absolutely accurate where the squared spectrum
-    would lose half the digits.
+    would lose half the digits.  The angles are read-only and memoized on
+    the pair per tol, as its graph w is.
     """
-    return _angles(_graph(pair, tol))
+    return _memo(pair, ("angles", tol), lambda: _read_only(_angles(_graph(pair, tol))))
 
 
 def _angles(w: np.ndarray) -> np.ndarray:

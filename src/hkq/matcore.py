@@ -2,7 +2,7 @@
 
 Hermitian eigendecomposition, functional calculus of Hermitian matrices,
 SVD, and the symmetric (anticommutator) Sylvester solver, with stacked
-right-hand sides, used by the tangent projectors.  All scalars are
+right-hand sides.  All scalars are
 complex128; the acceptance tolerances (1e-9 .. 1e-12) need full double
 precision.
 
@@ -15,9 +15,10 @@ _eigh, which keeps the finite-entry check (a product that overflowed is
 still refused) and the symmetrization, and skips the Hermitian test;
 _eigvals is its eigenvalue-only form, for a caller that reads no
 eigenvectors.  sym_sylvester_solve is the check (shapes, finite S, M
-positive definite) plus the private body _sylvester; the tangent
-projectors of quotient.SliceBasis, whose spectrum is checked positive
-definite once when the basis is built, call the body directly.
+positive definite) plus the private body _sylvester.  The tangent
+projectors of quotient.SliceBasis solve the same equation in M's
+eigenbasis themselves, on the positive-definite check of the private
+_check_positive_definite, taken once when the basis is built.
 
 Everything here is a pure function of immutable inputs: no cache, no
 module state and no warning, so it is safe to call concurrently.

@@ -15,10 +15,16 @@ muC = mu2 + i mu3 holds exactly at the matrix level.  The level set is
 level value.
 
 The stable-set rules are judged once per point and tolerance: the factors
-of _stable1_qr and the frames of _stable3_frames are memoized on the
-point (hkspace._memo) and read-only, so in_stable1, psi1, project1 and the
-k1 routes, or in_stable3, psi3, project3 and the k3 routes, called in turn
-on one point at one tol, factor it once.  A refused point is judged again on each call.
+of _stable1_qr, the verdict of _stable3_verdict and the factors of
+_pm_factors are memoized on the point (hkspace._memo) and read-only, so
+in_stable1, psi1, project1 and the k1 routes, or in_stable3, psi3,
+project3 and the k3 routes, called in turn on one point at one tol,
+factor it once.  A refused point is judged again on each call.  The
+third-stable verdict factors nothing where the equations' residuals
+certify the rank: in_stable3 and K3_spectral read only the verdict, and
+the thin QRs of x +/- X (_pm_factors, memoized with no tol) are taken for
+the frames of _stable3_frames, or for a verdict that the certificate does
+not decide, which leaves them to the frames.
 
 The first structure stands on one thin QR x = F R (_x_factors): F frames
 Ran x, and R = F* x is |x| up to a unitary, which is all that psi1,
@@ -156,27 +162,22 @@ def _factor_x(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership in the stable set of the third structure:
     x*x - X*X = k^2 Id, X*x Hermitian (both to tol * k^2), and both x + X
-    and x - X of full numerical rank.  The verdict of _stable3_frames, the
-    one computation of this rule."""
+    and x - X of full numerical rank.  The verdict of _stable3_verdict,
+    the one computation of this rule, which factors nothing where the
+    equations' residuals certify the rank."""
     try:
-        _stable3_frames(pt, tol, "")
+        _stable3_verdict(pt, tol, "")
     except NotInStable3:
         return False
     return True
 
 
-def _stable3_frames(pt: ConfigPoint, tol: float,
-                    refusal: str) -> tuple[np.ndarray, np.ndarray]:
+def _stable3_verdict(pt: ConfigPoint, tol: float, refusal: str) -> None:
     """Third-stable membership judged once, for every entry that needs it,
     by the rule of _stable1_qr: the equations x*x - X*X = k^2 Id and X*x
-    Hermitian to tol * k^2 first, so nothing is factored for a point off
-    them, then the rank half, sigma_min > tol * sigma_max for both
-    A = x + X and C = x - X, on one thin QR of each, A = Q_A R_A and
-    C = Q_C R_C.  Returns (Q_A, Q_C), n x p each: frames of P = Ran(x + X)
-    and of Q^perp = Ran(x - X), the orthogonal complement of
-    Q = Ker(x* - X*), orthonormal to round-off whatever the condition of
-    A and C (Householder QR), read-only and memoized on pt per tol.
-    Raises NotInStable3(refusal).
+    Hermitian to tol * k^2 first, then the rank half, sigma_min >
+    tol * sigma_max for both A = x + X and C = x - X.  Memoized on pt per
+    tol; raises NotInStable3(refusal), which is not memoized.
 
     Both halves read the one product E = C*A - k^2 Id.  Expanding,
 
@@ -192,27 +193,50 @@ def _stable3_frames(pt: ConfigPoint, tol: float,
     sigma_min / sigma_max are at least (k^2 - r1 - r2) / (||A||_F ||C||_F).
     So where 2 tol ||A||_F ||C||_F < k^2 - r1 - r2, the rule holds for
     both with a factor-2 margin over the round-off of computed singular
-    values, and no SVD is taken.  Elsewhere the rule is applied to the
-    values-only singular values of the p x p factors R_A and R_C, which
-    are those of A and C.  The certificate is homogeneous of degree 2 in
-    (x, X, k), as the rule is."""
-    return _memo(pt, ("stable3", tol), lambda: _judge_stable3(pt, tol, refusal))
+    values, and nothing is factored.  Elsewhere the rule is applied to the
+    values-only singular values of the p x p factors R_A and R_C of the
+    thin QRs of _pm_factors, which are those of A and C.  The certificate
+    is homogeneous of degree 2 in (x, X, k), as the rule is."""
+    _memo(pt, ("stable3", tol), lambda: _judge_stable3(pt, tol, refusal))
 
 
-def _judge_stable3(pt: ConfigPoint, tol: float,
-                   refusal: str) -> tuple[np.ndarray, np.ndarray]:
+def _judge_stable3(pt: ConfigPoint, tol: float, refusal: str) -> None:
     k2 = pt.trunc.k2
     a, c = pt.x + pt.X, pt.x - pt.X
     e = dagger(c) @ a - k2 * np.eye(pt.trunc.p)
     r1, r2 = fnorm(hermitian_part(e)), fnorm(skew_part(e))
     if not (_within_tol(r1, tol, k2) and _within_tol(r2, tol, k2)):
         raise NotInStable3(refusal)
-    qa, ra = np.linalg.qr(a)
-    qc, rc = np.linalg.qr(c)
     if not (2.0 * tol * fnorm(a) * fnorm(c) < k2 - r1 - r2
-            or all(_full_rank(np.linalg.svd(r, compute_uv=False), tol) for r in (ra, rc))):
+            or all(_full_rank(np.linalg.svd(r, compute_uv=False), tol)
+                   for r in _pm_factors(pt)[1::2])):
         raise NotInStable3(refusal)
-    return _read_only(qa), _read_only(qc)
+
+
+def _pm_factors(pt: ConfigPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Q_A, R_A, Q_C, R_C): the thin QRs A = Q_A R_A of x + X and
+    C = Q_C R_C of x - X, read-only and memoized on pt with no tol, so a
+    verdict that read the R factors leaves the frames factored."""
+    def factor():
+        qa, ra = np.linalg.qr(pt.x + pt.X)
+        qc, rc = np.linalg.qr(pt.x - pt.X)
+        return _read_only(qa), _read_only(ra), _read_only(qc), _read_only(rc)
+
+    return _memo(pt, "x +/- X factors", factor)
+
+
+def _stable3_frames(pt: ConfigPoint, tol: float,
+                    refusal: str) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of a third-stable point: its verdict (_stable3_verdict,
+    NotInStable3(refusal)), then (Q_A, Q_C) of _pm_factors, n x p each:
+    frames of P = Ran(x + X) and of Q^perp = Ran(x - X), the orthogonal
+    complement of Q = Ker(x* - X*), orthonormal to round-off whatever the
+    condition of A and C (Householder QR).  Both are memo lookups on a
+    repeat call; grassmann._orbit_pair, the one caller, memoizes the pair
+    built on the frames per tol."""
+    _stable3_verdict(pt, tol, refusal)
+    qa, _, qc, _ = _pm_factors(pt)
+    return qa, qc
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

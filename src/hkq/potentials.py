@@ -48,12 +48,13 @@ bodies what they share: for k1 the one thin QR x = F R on which
 moment._stable1_qr judges first-stable membership, with the log-det term
 and the fiber operand formed on R (_x_factor); for k3 and k3hat psi3's pair
 without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
-the Q factors of the two thin QRs on which moment._stable3_frames judges
-third-stable membership, the one rule that in_stable3 and psi3 apply too
-(its rank half certified by the equations' own residuals), and its one
-graph w.  For k1 the QR gives the curvature route psi1's frame of P, F
-itself; the level route reads project1's result, which project1
-builds on the same factors, and none of the k1 inputs.
+the Q factors of the two thin QRs of moment._stable3_frames, taken after
+moment._stable3_verdict judges third-stable membership, the one rule that
+in_stable3, K3_spectral and psi3 apply too (its rank half certified by the
+equations' own residuals), and its one graph w.  For k1 the QR gives
+the curvature route psi1's frame of P, F itself; the level route reads
+project1's result, which project1 builds on the same factors, and none of
+the k1 inputs.
 R = (unitary) |x|, so log det(x*x) = 2 sum log |R_ii| and (X R*)*(X R*)
 is unitarily similar to |x| X*X |x|: x*x, whose eigendecomposition would
 square cond(x), is not formed.  K1_closed forms the
@@ -102,7 +103,7 @@ from .matcore import (
     is_hermitian,
     psd_sqrt,
 )
-from .moment import _stable1_qr, _stable3_frames, _x_factors
+from .moment import _stable1_qr, _stable3_verdict, _x_factors
 from .quotient import ProjectionResult, project1, project3
 
 __all__ = [
@@ -255,7 +256,7 @@ def K3_spectral(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
 
     which reduces to (1/4) Tr(D^{1/2} - k^2 Id) with
     D = k^4 Id + 4 x*x X*X - 4 (x*X)^2 wherever X*X and x*X commute."""
-    _stable3_frames(pt, tol, "K3 requires the third-structure stability conditions")
+    _stable3_verdict(pt, tol, "K3 requires the third-structure stability conditions")
     return _k3_spectral(pt)
 
 

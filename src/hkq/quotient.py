@@ -77,10 +77,37 @@ solve, and
     Z' = Z - x (i a_1) - X (a_2 + i a_3),
     T' = T + X (i a_1) + x (a_2 - i a_3).
 
-No constraint matrix is assembled, and the tangent projectors cache
-nothing between calls.
+No constraint matrix is assembled.
 The horizontal projector is P_level followed by the removal of the orbit
 component, the g-orthogonal complement of O inside the level-set tangent.
+
+Eigenbasis form.  With M = U diag(lam) U*, the solution of
+(M a + a M)/2 = S is a = U a' U* with a' = (U* S U) / D entrywise,
+D_ij = (lam_i + lam_j)/2, and a' is skew-Hermitian when S is.  The
+right-hand sides read v only through x*Z, x*T, X*Z and X*T, and every
+projection moves v only along x and X.  So with W = [xU, XU] (n x 2p)
+and the rotated tangent r = [ZU, TU], one product
+
+    G = W* r = [[U* x*Z U, U* x*T U], [U* X*Z U, U* X*T U]]
+
+gives every right-hand side in the eigenbasis, each solve is a division
+of -skew(.) of blocks of G by D, and a projection is the tangent
+(r + W B) diag(U*, U*) for the 2p x 2p matrix B of the solutions, or
+W B diag(U*, U*) for P_O itself:
+
+    P_O:      B = -diag(a', a'),
+    P_level:  B = [[-i a_1', a_2' - i a_3'], [-(a_2' + i a_3'), i a_1']],
+
+from the formulas above.  The horizontal projection is one pass: with
+B_l the level solutions, the level projection in the eigenbasis is
+r + W B_l, whose G is G + (W*W) B_l, so the orbit solve a' of the level
+projection reads that with no second rotation, and
+
+    P_H v = (r + W (B_l + diag(a', a'))) diag(U*, U*).
+
+SliceBasis builds U*, W, W*, the 2p x 2p Gram W*W and D once, when it is
+built; a projection takes no factorization and caches nothing.
+
 The reduced metric and Kahler forms are metric_g and omega_j of two
 horizontal projections: orbit components in either slot contribute zero,
 and level-set representatives related by the compact action give the same
@@ -117,7 +144,6 @@ from .matcore import (
     HermitianSpectrum,
     _check_positive_definite,
     _eigh,
-    _sylvester,
     dagger,
     hermitian_part,
     skew_part,
@@ -255,12 +281,16 @@ def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
 class SliceBasis:
     """The tangent projectors at the level-set point base.
 
-    spec is the eigendecomposition of M = x*x + X*X that every projection
-    solves against; slice_basis checks membership and factors M once, and
-    the constructor checks once that spec is positive definite
-    (NotPositiveDefinite), so each projection runs the unchecked Sylvester
-    body and scans only its result for overflow.  A tangent of another
-    shape than the base raises ShapeMismatch.
+    spec is the eigendecomposition M = U diag(lam) U* of M = x*x + X*X
+    that every projection solves against.  The constructor checks once
+    that spec is p x p, the base's p (ShapeMismatch), and positive
+    definite (NotPositiveDefinite), and precomputes the eigenbasis data of
+    the module docstring: U*, W = [xU, XU] (n x 2p), W*, the Gram W*W
+    and D_ij = (lam_i + lam_j)/2.  Each projection then takes no
+    factorization and scans only its result for overflow.  A tangent of
+    another shape than the base raises ShapeMismatch.  Inside, a tangent
+    (Z, T) is held stacked (2, n, p), and so are G = W* r and the
+    solutions B, by their column blocks: (2, 2p, p).
     orbit, level and horizontal are g-orthogonal projectors, and
     i_orbit(j, v) projects v onto I_j applied to the orbit tangent.  The
     horizontal slice, the orbit block and its three rotations are mutually
@@ -273,32 +303,67 @@ class SliceBasis:
     spec: HermitianSpectrum
 
     def __post_init__(self):
-        _check_positive_definite(self.spec.eigenvalues)
+        p = self.base.trunc.p
+        u, lam = self.spec.eigenvectors, self.spec.eigenvalues
+        if u.shape != (p, p) or lam.shape != (p,):
+            raise ShapeMismatch(f"spectrum {u.shape} does not fit the base's p = {p}")
+        _check_positive_definite(lam)
+        w = np.concatenate([self.base.x @ u, self.base.X @ u], axis=1)
+        ws = dagger(w)
+        for name, value in (("_uh", dagger(u)), ("_w", w), ("_ws", ws), ("_gram", ws @ w),
+                            ("_denom", 0.5 * (lam[:, None] + lam[None, :]))):
+            object.__setattr__(self, name, value)
 
-    def _fits(self, v: TangentPair) -> None:
+    def _rotate(self, v: TangentPair) -> tuple[np.ndarray, np.ndarray]:
+        """(r, G) of a tangent of the base's shape (else ShapeMismatch):
+        r = [ZU, TU], the tangent in the eigenbasis, and G = W* r, whose
+        blocks are x*Z, X*Z (G[0]) and x*T, X*T (G[1]) in the eigenbasis."""
         if v.Z.shape != self.base.x.shape:
             raise ShapeMismatch(f"tangent {v.Z.shape} does not fit the base {self.base.x.shape}")
+        r = np.stack((v.Z, v.T)) @ self.spec.eigenvectors
+        return r, self._ws @ r
+
+    def _solve(self, s: np.ndarray) -> np.ndarray:
+        """The eigenbasis solution a of (Lam a + a Lam)/2 = -skew(s), for
+        one right-hand side or a stack; skew-Hermitian as D is real and
+        symmetric."""
+        return -skew_part(s) / self._denom
+
+    def _back(self, r: np.ndarray) -> TangentPair:
+        """The tangent r diag(U*, U*) of the eigenbasis tangent r."""
+        z, t = r @ self._uh
+        return _finite_tangent(z, t)
+
+    def _level_moves(self, g: np.ndarray) -> np.ndarray:
+        """B of the level projection from G: the orbit solves of I1 v, I2 v
+        and I3 v, as moves along W."""
+        p = self.base.trunc.p
+        xZ, XZ, xT, XT = g[0, :p], g[0, p:], g[1, :p], g[1, p:]
+        # the orbit equations of I1 v = (iZ, -iT), I2 v = (T, -Z), I3 v = (iT, iZ)
+        a1, a2, a3 = self._solve(np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)]))
+        return np.stack([np.concatenate([-1j * a1, -(a2 + 1j * a3)]),
+                         np.concatenate([a2 - 1j * a3, 1j * a1])])
+
+    def _orbit_moves(self, g: np.ndarray) -> np.ndarray:
+        """B = -diag(a, a) of the orbit projection (-x a, -X a) from G."""
+        p = self.base.trunc.p
+        a = self._solve(g[0, :p] + g[1, p:])
+        b = np.zeros_like(g)
+        b[0, :p] = b[1, p:] = -a
+        return b
 
     def orbit(self, v: TangentPair) -> TangentPair:
-        self._fits(v)
-        x, X = self.base.x, self.base.X
-        a = _sylvester(self.spec, -skew_part(dagger(x) @ v.Z + dagger(X) @ v.T))
-        return _finite_tangent(-x @ a, -X @ a)
+        _, g = self._rotate(v)
+        return self._back(self._w @ self._orbit_moves(g))
 
     def level(self, v: TangentPair) -> TangentPair:
-        self._fits(v)
-        x, X, Z, T = self.base.x, self.base.X, v.Z, v.T
-        xs, Xs = dagger(x), dagger(X)
-        xZ, xT, XZ, XT = xs @ Z, xs @ T, Xs @ Z, Xs @ T
-        # the orbit equations of I1 v = (iZ, -iT), I2 v = (T, -Z), I3 v = (iT, iZ)
-        rhs = np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)])
-        a1, a2, a3 = _sylvester(self.spec, -skew_part(rhs))
-        return _finite_tangent(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
-                               T + X @ (1j * a1) + x @ (a2 - 1j * a3))
+        r, g = self._rotate(v)
+        return self._back(r + self._w @ self._level_moves(g))
 
     def horizontal(self, v: TangentPair) -> TangentPair:
-        w = self.level(v)
-        return w - self.orbit(w)
+        r, g = self._rotate(v)
+        b = self._level_moves(g)
+        return self._back(r + self._w @ (b - self._orbit_moves(g + self._gram @ b)))
 
     def i_orbit(self, j: int, v: TangentPair) -> TangentPair:
         return -1.0 * apply_I(j, self.orbit(apply_I(j, v)))

@@ -737,6 +737,26 @@ def test_angles_prints_the_transversality_that_map_printed(p, q, tmp_path, capsy
     assert abs(printed[1] - printed[0]) <= 1e-14
 
 
+def test_angles_takes_the_values_of_w_once(lapack_calls, monkeypatch, tmp_path, capsys):
+    # loading Q^perp: one complete QR of Q; the graph: the values of M and
+    # M^-1; the angles, memoized on the pair and read again by K3_hat: the
+    # values of w once; the transversality: the values of M and of
+    # F_P - F_Qperp M*
+    pair = _map_psi3(tmp_path)
+    calls, original = [], grassmann._angles
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(grassmann, "_angles", counted)
+    capsys.readouterr()
+    lapack_calls.clear()
+    assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert dict(lapack_calls) == {"qr complete": 1, "svd values": 4, "inv": 1}
+
+
 def test_angles_without_k_exits_2(tmp_path, capsys):
     pair = _map_psi3(tmp_path)
     obj = json.loads(pair.read_text())

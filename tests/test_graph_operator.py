@@ -131,6 +131,9 @@ def test_no_n_by_n_factorization_at_p_much_smaller_than_q(lapack_calls):
     for name, call in calls.items():
         lapack_calls.clear()
         call()
+        if name == "in_stable3":  # the certified verdict factors nothing
+            assert dict(lapack_calls) == {}, name
+            continue
         assert lapack_calls["svd full"] == 0 and lapack_calls["qr complete"] == 0, name
         assert lapack_calls["svd thin"] == 0, name  # frames come from thin QRs
         assert lapack_calls, name  # the counter sees the route's factorizations

@@ -5,7 +5,7 @@ CLI's `info`, `map --which psi1`, `potential --which k1` and `project
 in_stable3, psi3, project3, K3_spectral and the k3 and k3hat routes the
 same third-stable points (the CLI's third-structure verbs on the
 ill-conditioned point are in test_cli.py).  The third-stable
-rule is moment._stable3_frames's alone: psi3 returns its orbit operator z
+rule is moment._stable3_verdict's alone: psi3 returns its orbit operator z
 without judging anything by it, so a stable point with an ill-conditioned
 x + X, on which z acts as i k^2 on P only up to the equations' residual
 times cond(x + X), is accepted everywhere.  At the rank boundary,
@@ -13,7 +13,7 @@ tol = sigma_min / sigma_max, LAPACK rounds sigma differently for each
 factorization (a thin SVD, a values-only SVD, the R factor of a thin QR),
 so the entries agree there only because they read the same factorization.
 
-_stable3_frames certifies the rank from the equations' residuals where it
+_stable3_verdict certifies the rank from the equations' residuals where it
 can; the certified verdicts are compared with the thin-SVD rule, which
 the certificate replaces, over a sweep of shapes, k and tol."""
 
@@ -259,11 +259,22 @@ def test_certified_membership_matches_the_thin_svd_rule_when_ill_conditioned(
 @pytest.mark.parametrize("seed", range(3))
 def test_the_certificate_decides_at_desk_scale(p, q, seed, lapack_calls):
     # the equations' residuals bound the rank ratios of x +/- X far above
-    # the default tol: two thin QRs for the frames, and no SVD at all
+    # the default tol: the verdict factors nothing, no QR and no SVD (the
+    # frames' two thin QRs are taken only by the entries that read them)
     pt = fresh(sample_stable3(Truncation(p, q, SQRT2), make_rng(seed)))
     lapack_calls.clear()
     assert in_stable3(pt)
-    assert dict(lapack_calls) == {"qr reduced": 2}
+    assert dict(lapack_calls) == {}
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (4, 5), (8, 64)])
+def test_k3_spectral_reads_the_verdict_and_takes_no_qr(p, q, lapack_calls):
+    # K3_spectral reads no frame: the certified verdict, then one Cholesky
+    # factor and the eigenvalues of the spectral operand
+    pt = fresh(sample_stable3(Truncation(p, q, SQRT2), make_rng(0)))
+    lapack_calls.clear()
+    K3_spectral(pt)
+    assert dict(lapack_calls) == {"cholesky": 1, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize("seed", [0, 4, 7])

@@ -3,6 +3,7 @@ import pytest
 
 import oracle_mp
 from conftest import fresh, ill_conditioned_stable1
+from hkq.checks import run_suite
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import (
     HkqError,
@@ -541,14 +542,22 @@ class TestLargeShapes:
 
 
 class TestSliceBasisChecks:
-    """SliceBasis checks its spectrum positive definite once, when built;
-    each projection then runs the unchecked Sylvester body."""
+    """SliceBasis checks its spectrum once, when built: p x p for the
+    base's p, and positive definite; each projection then solves in the
+    eigenbasis unchecked."""
 
     def test_spectrum_not_positive_definite_is_refused(self, trunc11):
         base = ConfigPoint.base(trunc11)
         for lam in ([-1.0], [0.0]):
             with pytest.raises(NotPositiveDefinite):
                 SliceBasis(base, HermitianSpectrum(np.array(lam), np.eye(1, dtype=complex)))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_a_spectrum_of_another_size_is_refused(self, size):
+        base = ConfigPoint.base(Truncation(2, 3, SQRT2))
+        spec = HermitianSpectrum(np.full(size, 2.0), np.eye(size, dtype=complex))
+        with pytest.raises(ShapeMismatch, match="does not fit"):
+            SliceBasis(base, spec)
 
     def test_orbit_equals_the_checked_solve(self, rng):
         tr = Truncation(3, 2, SQRT2)
@@ -559,7 +568,8 @@ class TestSliceBasisChecks:
                                 -skew_part(dagger(pt.x) @ v.Z + dagger(pt.X) @ v.T))
         out = basis.orbit(v)
         assert type(out) is TangentPair
-        assert np.array_equal(out.Z, -pt.x @ a) and np.array_equal(out.T, -pt.X @ a)
+        want = TangentPair(-pt.x @ a, -pt.X @ a)
+        assert _distance(out, want) <= 1e-14 * np.sqrt(metric_g(want, want))
 
     def test_a_tangent_of_another_shape_is_refused(self, rng):
         basis = slice_basis(sample_level(Truncation(3, 2, SQRT2), rng))
@@ -576,3 +586,86 @@ class TestSliceBasisChecks:
             for proj in (basis.orbit, basis.level):
                 with pytest.raises(ShapeMismatch, match="non-finite"):
                     proj(v)
+
+
+def _distance(v, w):
+    return np.sqrt(metric_g(v - w, v - w))
+
+
+def _orbit_formula(pt, m, v):
+    """(-x a, -X a), (M a + a M)/2 = -skew(x*Z + X*T), through the checked
+    solver."""
+    a = sym_sylvester_solve(m, -skew_part(dagger(pt.x) @ v.Z + dagger(pt.X) @ v.T))
+    return TangentPair(-pt.x @ a, -pt.X @ a)
+
+
+def _level_formula(pt, m, v):
+    """v + sum_j I_j P_O(I_j v), the three solves stacked (module docstring)."""
+    x, X, Z, T = pt.x, pt.X, v.Z, v.T
+    xZ, xT, XZ, XT = dagger(x) @ Z, dagger(x) @ T, dagger(X) @ Z, dagger(X) @ T
+    rhs = np.stack([1j * (xZ - XT), xT - XZ, 1j * (xT + XZ)])
+    a1, a2, a3 = sym_sylvester_solve(m, -skew_part(rhs))
+    return TangentPair(Z - x @ (1j * a1) - X @ (a2 + 1j * a3),
+                       T + X @ (1j * a1) + x @ (a2 - 1j * a3))
+
+
+PROJECTOR_SHAPES = [(1, 1), (2, 3), (4, 5), (8, 64), (16, 16)]
+
+
+class TestEigenbasisProjectors:
+    """The projections in M's eigenbasis against the formulas of the module
+    docstring, solved by matcore.sym_sylvester_solve on the matrix M."""
+
+    @pytest.mark.parametrize("k", [1e-3, SQRT2, 1e3])
+    @pytest.mark.parametrize("p,q", PROJECTOR_SHAPES)
+    def test_projections_agree_with_the_formulas(self, p, q, k, rng):
+        # the level equations are homogeneous of degree 2 in (x, X, k), so
+        # k times a point of the level set at k = 1 lies on the one at k,
+        # as well conditioned; sample_level's own draws at small k are
+        # test_known_defects.py::test_level_sample_at_small_k
+        tr = Truncation(p, q, k)
+        unit = sample_level(Truncation(p, q, 1.0), rng)
+        pt = ConfigPoint(tr, k * unit.x, k * unit.X)
+        basis = slice_basis(pt)
+        m = dagger(pt.x) @ pt.x + dagger(pt.X) @ pt.X
+        v = k * random_tangent(tr, rng)
+        bound = 1e-13 * np.sqrt(metric_g(v, v))
+        level = _level_formula(pt, m, v)
+        want = {
+            "orbit": (basis.orbit(v), _orbit_formula(pt, m, v)),
+            "level": (basis.level(v), level),
+            "horizontal": (basis.horizontal(v), level - _orbit_formula(pt, m, level)),
+        }
+        for j in (1, 2, 3):
+            want[f"i_orbit {j}"] = (basis.i_orbit(j, v),
+                                    -1.0 * apply_I(j, _orbit_formula(pt, m, apply_I(j, v))))
+        for name, (got, formula) in want.items():
+            assert _distance(got, formula) <= bound, name
+
+    @pytest.mark.parametrize("p,q", PROJECTOR_SHAPES)
+    def test_horizontal_is_level_less_its_orbit_part(self, p, q, rng):
+        tr = Truncation(p, q, SQRT2)
+        basis = slice_basis(sample_level(tr, rng))
+        v = random_tangent(tr, rng)
+        level = basis.level(v)
+        want = level - basis.orbit(level)
+        assert _distance(basis.horizontal(v), want) <= 1e-14 * np.sqrt(metric_g(v, v))
+
+    def test_slice_basis_takes_one_eigh_and_the_projections_none(self, lapack_calls, rng):
+        tr = Truncation(4, 5, SQRT2)
+        pt, v = sample_level(tr, rng), random_tangent(tr, rng)
+        lapack_calls.clear()
+        basis = slice_basis(pt)
+        assert dict(lapack_calls) == {"eigh": 1}
+        lapack_calls.clear()
+        for proj in (basis.orbit, basis.level, basis.horizontal):
+            proj(v)
+        for j in (1, 2, 3):
+            basis.i_orbit(j, v)
+        assert dict(lapack_calls) == {}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("suite", ["reduction", "ddc"])
+    def test_the_suites_that_read_the_projectors_pass(self, suite, seed):
+        results = run_suite(suite, 20, seed)
+        assert results and all(r.passed for r in results), [r.line() for r in results]
