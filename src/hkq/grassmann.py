@@ -14,22 +14,22 @@ Subspace constructor and the file reader (jsonio).  This module provides
     structure) with transversal subspace pairs (P, Q), P = Ran(x + X) and
     Q = Ker(x* - X*).  A pair is held as P and Q^perp = Ran(x - X), two
     n x p frames, the Q factors of the thin QRs of x + X and x - X that
-    moment._stable3_frames takes once moment._stable3_verdict has judged
-    third-stable membership (the one rule, its rank half certified by the
-    equations' own residuals); Q itself, n x q, appears only in pair files
-    (jsonio),
+    moment._stable3_frames takes once membership is judged; Q itself,
+    n x q, appears only in pair files (jsonio),
+  * the one SVD M = L diag(s) R* of M = F_P* F_Qperp (_m_svd): s are the
+    cosines of the principal angles between P and Q^perp (Bjorck and
+    Golub, Math. Comp. 27, 1973), and it gives the transversality, the
+    graph and project3's point with no further factorization,
   * the graph operator A: P -> P^perp whose graph is Q^perp, held only in
-    ambient form w = F_Pperp A (_graph), so that no frame of P^perp is
-    built, and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2),
-    and
+    ambient form w = F_Pperp A (_graph), so no frame of P^perp is built,
+    and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), read
+    off the singular values a_i of w, and
   * the spectral functional calculus of the operator Y -> 2(V V* Y + Y V* V)
     that feeds the curvature forms of the potentials.
 
-Subspace frames are read-only, and a pair is immutable, so psi3's pair is
-memoized on its point per tol (_orbit_pair), and the graph w (_graph) and
-the characteristic angles on its pair per tol, by hkspace._memo: psi3,
-characteristic_angles, psi3_section and project3 called on one point or
-pair build each once.
+Subspace frames are read-only, and a pair is immutable, so hkspace._memo
+keeps psi3's pair on its point per tol (_orbit_pair), and on the pair the
+SVD of M and, per tol, w and the angles: each is built once per value.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import BadCotangent, NotTransversal, ShapeMismatch
 from .hkspace import ConfigPoint, Truncation, _memo, _owned, _point, _read_only
 from .matcore import as_matrix, dagger, fnorm
-from .moment import _stable1_qr, _stable3_frames
+from .moment import _plus_minus, _stable1_qr, _stable3_frames
 
 __all__ = [
     "CotangentPoint",
@@ -157,9 +157,8 @@ class OrbitPair:
     another frame of Q, so without it a pair file would not reload and
     re-save to the same bytes.  Q_file is None for a pair built in memory.
 
-    Immutable, like its Subspaces: the graph w of _graph is memoized on the
-    pair per tol (hkspace._memo), and a pair built anew from the same
-    frames starts with an empty memo.
+    Immutable, like its Subspaces: what is derived from it is memoized on
+    it (hkspace._memo), and a pair built anew starts with an empty memo.
     """
 
     P: Subspace
@@ -176,25 +175,31 @@ class OrbitPair:
 
     def transversality(self) -> float:
         """sigma_min of the stacked n x n frames [F_P F_Q]; zero means P and
-        Q intersect.  Computed with no frame of Q as
+        Q intersect.  With B = F_P* F_Q, the Gram matrix of [F_P F_Q] is
+        [[Id, B], [B*, Id]], with eigenvalues 1 +- sigma_i(B) and 1, so
+        tau^2 = 1 - c for c = sigma_max(B).  F_Q F_Q* + F_Qperp F_Qperp* = Id
+        gives B B* = Id - M M*, so on the SVD M = L diag(s) R* (_m_svd)
+        c^2 = 1 - s_min^2 and tau^2 = (1 - c^2)/(1 + c) = s_min^2/(1 + c),
+        free of cancellation as s_min -> 0.  c is read, with no frame of Q
+        and no second SVD, as the largest column norm of
+        D = F_P L - F_Qperp R diag(s), whose Gram matrix is Id - diag(s)^2
+        as L* M R = diag(s): a difference of frames, with an absolute error
+        of a few eps, where sqrt(1 - s_min^2) would lose half the digits as
+        s_min -> 1.  So tau is accurate to round-off at both ends."""
+        l, s, r = _m_svd(self)
+        d = self.P.frame @ l - (self.Qperp.frame @ r) * s
+        return float(s[-1] / np.sqrt(1.0 + np.max(np.linalg.norm(d, axis=0))))
 
-            tau = s / sqrt(1 + c) = s / sqrt(1 + sqrt(1 - s^2)),
 
-        s = sigma_min(M) with M = F_P* F_Qperp, and c = sigma_max(B) with
-        B = F_P* F_Q.  Derivation: the Gram matrix of [F_P F_Q] is
-        [[Id, B], [B*, Id]], whose eigenvalues are 1 +- sigma_i(B) and 1, so
-        tau^2 = 1 - c.  F_Q F_Q* + F_Qperp F_Qperp* = Id gives
-        B B* + M M* = F_P* F_P = Id, so c^2 = 1 - s^2 and
-        tau^2 = (1 - c^2) / (1 + c) = s^2 / (1 + c), free of cancellation
-        as s -> 0.  c is read as the largest singular value of
-        F_P - F_Qperp M* = F_Q F_Q* F_P (those of B), not as sqrt(1 - s^2),
-        which loses half the digits as s -> 1; so tau is accurate to
-        round-off at both ends."""
-        fp, fqp = self.P.frame, self.Qperp.frame
-        m = dagger(fp) @ fqp
-        s = np.linalg.svd(m, compute_uv=False)[-1]
-        c = np.linalg.svd(fp - fqp @ dagger(m), compute_uv=False)[0]
-        return float(s / np.sqrt(1.0 + c))
+def _m_svd(pair: OrbitPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, s, R), the SVD M = L diag(s) R* of M = F_P* F_Qperp, s
+    descending: read-only and memoized on the pair with no tol, as it
+    depends on the frames alone."""
+    def factor():
+        l, s, rh = np.linalg.svd(dagger(pair.P.frame) @ pair.Qperp.frame)
+        return _read_only(l), _read_only(s), _read_only(dagger(rh))
+
+    return _memo(pair, "M svd", factor)
 
 
 def psi1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> CotangentPoint:
@@ -248,31 +253,26 @@ def psi3(pt: ConfigPoint,
     Q^perp = Ran(x - X), framed by the Q factors of the thin QRs of x + X
     and x - X.  psi3 is exactly constant on orbits of the third action.
 
-    Membership is judged by _orbit_pair alone, that is by
-    moment._stable3_verdict, the one computation of in_stable3's rule, so
+    Membership is judged by _orbit_pair alone, by in_stable3's rule, so
     psi3 accepts exactly the points in_stable3 accepts at the same tol.
 
-    z (n x n) is formed only for outside callers that read it: no route,
-    projection, verb or check of this package does (they read the pair
-    through _orbit_pair), and nothing checks it.  A verdict read off it
-    would refuse stable points: with E = (x - X)*(x + X) - k^2 Id, the
-    residual of the equations, z (x + X) = i (x + X)(k^2 Id + E), so
-    z F_P - i k^2 F_P grows with ||E|| times the condition number of
-    x + X, which the rank cut bounds only by 1/tol.
+    z (n x n) is formed only for outside callers: nothing in this package
+    reads or checks it.  A verdict read off it would refuse stable points:
+    with E = (x - X)*(x + X) - k^2 Id, z (x + X) = i (x + X)(k^2 Id + E),
+    so z F_P - i k^2 F_P grows with ||E|| times cond(x + X), which the
+    rank cut bounds only by 1/tol.
     """
-    x, X = pt.x, pt.X
-    return _orbit_pair(pt, tol), 1j * ((x + X) @ (dagger(x) - dagger(X)))
+    pair = _orbit_pair(pt, tol)
+    a, c = _plus_minus(pt)
+    return pair, 1j * (a @ dagger(c))
 
 
 def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
     """psi3's pair without z, for the routes and projections that read only
-    the pair: moment._stable3_frames judges membership by
-    moment._stable3_verdict (the equations first, so a point off them is
-    refused before anything is factored, then the rank of x + X and x - X,
-    certified by the equations' residuals or read off the R factors of
-    their thin QRs), and the Q factors of those QRs, as they are, are the
-    frames of P and of Q^perp.  The pair is memoized on pt per tol, so the
-    graph memoized on it is built once."""
+    the pair: moment._stable3_frames judges membership and gives the Q
+    factors of the thin QRs of x +/- X, as they are, as the frames of P and
+    Q^perp.  The pair is memoized on pt per tol, so what is memoized on it
+    is built once."""
     def pair() -> OrbitPair:
         q_a, q_c = _stable3_frames(
             pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
@@ -283,27 +283,30 @@ def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
 
 def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
     """The graph operator in ambient form, the n x p matrix
-    w = F_Pperp A = F_Qperp M^-1 - F_P with M = F_P* F_Qperp.
+    w = F_Pperp A = F_Qperp M^-1 - F_P = F_Qperp R diag(s)^-1 L* - F_P on
+    the SVD M = L diag(s) R* of _m_svd, with no inverse taken.
 
     F_Qperp M^-1 is the one basis of Q^perp that F_P* maps to Id, so w does
-    not depend on the frames chosen for P^perp or Q^perp: the pair's own
-    frame of Q^perp is read, and no frame of P^perp or of Q is built.  The
-    singular values of M decide transversality.  w is read-only and
-    memoized on the pair per tol; a refusal is not.
+    not depend on the frames chosen for P^perp or Q^perp, and none is
+    built.  Refused unless transversal (_transversal_svd).  w is read-only
+    and memoized on the pair per tol; a refusal is not.
     """
-    return _memo(pair, ("graph", tol), lambda: _judge_graph(pair, tol))
+    def build():
+        l, s, r = _transversal_svd(pair, tol)
+        return _read_only((pair.Qperp.frame @ (r / s)) @ dagger(l) - pair.P.frame)
+
+    return _memo(pair, ("graph", tol), build)
 
 
-def _judge_graph(pair: OrbitPair, tol: float) -> np.ndarray:
-    fp, fqp = pair.P.frame, pair.Qperp.frame
-    m = dagger(fp) @ fqp
-    s = np.linalg.svd(m, compute_uv=False)
+def _transversal_svd(pair: OrbitPair,
+                     tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_m_svd(pair), or NotTransversal unless s_min > tol * max(1, s_max):
+    the rule of _graph and project3."""
+    l, s, r = _m_svd(pair)
     if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
-        raise NotTransversal(
-            f"P and Q^perp-graph condition fails, sigma_min(F_P* F_Qperp) = "
-            f"{0.0 if s.size == 0 else s[-1]:.3e}"
-        )
-    return _read_only(fqp @ np.linalg.inv(m) - fp)
+        raise NotTransversal("P and Q^perp-graph condition fails, sigma_min(F_P* F_Qperp) = "
+                             f"{0.0 if s.size == 0 else s[-1]:.3e}")
+    return l, s, r
 
 
 def psi3_section(pair: OrbitPair, k: float,

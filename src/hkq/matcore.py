@@ -9,8 +9,8 @@ precision.
 Preconditions are checked at the public entry points only.  herm_eig,
 herm_fun and sym_sylvester_solve given a matrix M run the Hermitian
 pre-check (NotHermitian) on top of the finite-entry check of as_matrix
-(ShapeMismatch).  Operands that the library builds Hermitian (x*x,
-Id + w*w, M = x*x + X*X, any hermitian_part) go straight to the private
+(ShapeMismatch).  Operands that the library builds Hermitian (V*V,
+M = x*x + X*X, any hermitian_part) go straight to the private
 _eigh, which keeps the finite-entry check (a product that overflowed is
 still refused) and the symmetrization, and skips the Hermitian test;
 _eigvals is its eigenvalue-only form, for a caller that reads no

@@ -19,12 +19,12 @@ of _stable1_qr, the verdict of _stable3_verdict and the factors of
 _pm_factors are memoized on the point (hkspace._memo) and read-only, so
 in_stable1, psi1, project1 and the k1 routes, or in_stable3, psi3,
 project3 and the k3 routes, called in turn on one point at one tol,
-factor it once.  A refused point is judged again on each call.  The
-third-stable verdict factors nothing where the equations' residuals
-certify the rank: in_stable3 and K3_spectral read only the verdict, and
-the thin QRs of x +/- X (_pm_factors, memoized with no tol) are taken for
-the frames of _stable3_frames, or for a verdict that the certificate does
-not decide, which leaves them to the frames.
+factor it once.  A refused point is judged again on each call.  x +/- X
+is formed once, by _plus_minus, for the third-stable verdict, its thin
+QRs (_pm_factors), the spectral route and psi3's z.  The verdict factors
+nothing where the equations' residuals certify the rank, so in_stable3 and
+K3_spectral take no QR; the QRs are taken for the frames of
+_stable3_frames, or for a verdict that the certificate does not decide.
 
 The first structure stands on one thin QR x = F R (_x_factors): F frames
 Ran x, and R = F* x is |x| up to a unitary, which is all that psi1,
@@ -202,7 +202,7 @@ def _stable3_verdict(pt: ConfigPoint, tol: float, refusal: str) -> None:
 
 def _judge_stable3(pt: ConfigPoint, tol: float, refusal: str) -> None:
     k2 = pt.trunc.k2
-    a, c = pt.x + pt.X, pt.x - pt.X
+    a, c = _plus_minus(pt)
     e = dagger(c) @ a - k2 * np.eye(pt.trunc.p)
     r1, r2 = fnorm(hermitian_part(e)), fnorm(skew_part(e))
     if not (_within_tol(r1, tol, k2) and _within_tol(r2, tol, k2)):
@@ -213,13 +213,19 @@ def _judge_stable3(pt: ConfigPoint, tol: float, refusal: str) -> None:
         raise NotInStable3(refusal)
 
 
+def _plus_minus(pt: ConfigPoint) -> tuple[np.ndarray, np.ndarray]:
+    """(x + X, x - X), read-only and memoized on pt with no tol."""
+    return _memo(pt, "x +/- X", lambda: (_read_only(pt.x + pt.X), _read_only(pt.x - pt.X)))
+
+
 def _pm_factors(pt: ConfigPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Q_A, R_A, Q_C, R_C): the thin QRs A = Q_A R_A of x + X and
-    C = Q_C R_C of x - X, read-only and memoized on pt with no tol, so a
-    verdict that read the R factors leaves the frames factored."""
+    """(Q_A, R_A, Q_C, R_C): the thin QRs A = Q_A R_A and C = Q_C R_C of
+    _plus_minus, read-only and memoized on pt with no tol, so a verdict
+    that read the R factors leaves the frames factored."""
     def factor():
-        qa, ra = np.linalg.qr(pt.x + pt.X)
-        qc, rc = np.linalg.qr(pt.x - pt.X)
+        a, c = _plus_minus(pt)
+        qa, ra = np.linalg.qr(a)
+        qc, rc = np.linalg.qr(c)
         return _read_only(qa), _read_only(ra), _read_only(qc), _read_only(rc)
 
     return _memo(pt, "x +/- X factors", factor)

@@ -44,29 +44,30 @@ with their own check (membership, and the IntegralityWarning for K1)
 followed by the body.  An input that every route would compute
 bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
-bodies what they share: for k1 the one thin QR x = F R on which
-moment._stable1_qr judges first-stable membership, with the log-det term
-and the fiber operand formed on R (_x_factor); for k3 and k3hat psi3's pair
-without its orbit operator z (grassmann._orbit_pair), P and Q^perp from
-the Q factors of the two thin QRs of moment._stable3_frames, taken after
-moment._stable3_verdict judges third-stable membership, the one rule that
-in_stable3, K3_spectral and psi3 apply too (its rank half certified by the
-equations' own residuals), and its one graph w.  For k1 the QR gives
-the curvature route psi1's frame of P, F itself; the level route reads
-project1's result, which project1 builds on the same factors, and none of
-the k1 inputs.
-R = (unitary) |x|, so log det(x*x) = 2 sum log |R_ii| and (X R*)*(X R*)
-is unitarily similar to |x| X*X |x|: x*x, whose eigendecomposition would
-square cond(x), is not formed.  K1_closed forms the
-log-det term and the fiber operand the same way.  The curvature route
-reads V through psi1's grassmann._fiber (psi1 is no route).
+bodies what they share.  For k1 that is the one thin QR x = F R on which
+moment._stable1_qr judges membership: R = (unitary) |x| gives the log-det
+term 2 sum log |R_ii| that closed, fiber and curvature add, and the fiber
+operand (X R*)*(X R*), unitarily similar to |x| X*X |x|, that closed and
+fiber read (x*x, whose eigendecomposition would square cond(x), is not
+formed); the curvature route reads psi1's frame F and V through
+grassmann._fiber, and the level route project1's result, built on the
+same factors.  K1_closed forms its inputs the same way.  For k3 and k3hat
+it is psi3's pair without z (grassmann._orbit_pair, judged by the rule of
+in_stable3, K3_spectral and psi3) and its one graph w.  The three k3
+routes read three different factorizations: spectral a Cholesky factor
+of (x - X)*(x - X) on the point's x +/- X (moment._plus_minus), level the
+SVD of M = F_P* F_Qperp (grassmann._m_svd) through project3, and angles
+the singular values of w, which _graph builds on that SVD.  So a fault in
+w moves the angles route alone, and one in the values of M the level and
+angles routes.
 
 "Computed once" also spans calls on one value: the membership factors,
-psi3's pair, its graph w and the results of project1 and project3 are
-memoized on the immutable point or pair per tol (hkspace._memo).  So
+x +/- X, psi3's pair, the SVD of its M, its graph w and the results of
+project1 and project3 are memoized on the immutable point or pair
+(hkspace._memo), per tol where the value depends on it.  So
 project1 followed by evaluate_routes(pt, "k1") projects once, and
 project3, evaluate_routes(pt, "k3"), psi3 and characteristic_angles on
-one point judge membership and build w once.  A deterministic function
+one point judge membership and factor M once.  A deterministic function
 of the same input returns the same bits on each call, so each route
 value, and each cross-check residual between routes, is the same as from
 the single-route functions and as on a fresh copy of the point; a fault
@@ -103,7 +104,7 @@ from .matcore import (
     is_hermitian,
     psd_sqrt,
 )
-from .moment import _stable1_qr, _stable3_verdict, _x_factors
+from .moment import _plus_minus, _stable1_qr, _stable3_verdict, _x_factors
 from .quotient import ProjectionResult, project1, project3
 
 __all__ = [
@@ -233,8 +234,8 @@ def _spectral_operand_eigs(pt: ConfigPoint) -> np.ndarray:
     that fails (G not numerically positive definite) raises
     NotPositiveDefinite, as does a non-positive eigenvalue.
     """
-    h = dagger(pt.x + pt.X) @ (pt.x + pt.X)
-    g = dagger(pt.x - pt.X) @ (pt.x - pt.X)
+    a, c = _plus_minus(pt)
+    h, g = dagger(a) @ a, dagger(c) @ c
     try:
         low = np.linalg.cholesky(hermitian_part(g))
     except np.linalg.LinAlgError as exc:
@@ -374,20 +375,10 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     cross-check suites and the CLI table.
 
     Each value is its route's private body, the one that a single-route
-    function (K1_closed, K3_spectral, ...) runs too, on inputs computed once
-    per call (the module's sharing rule).  k1 judges
-    membership on the one thin QR x = F R of moment._stable1_qr
-    (NotInStable1) before its one IntegralityWarning, attributed to the
-    caller.  The curvature route reads psi1's frame of P, F itself,
-    and the level route project1's result, memoized on pt and built on the
-    same factors; R (_x_factor) gives the log-det term that the closed,
-    fiber and curvature routes add, and the fiber operand that the closed
-    and fiber routes read.  k3 and
-    k3hat take psi3's pair from grassmann._orbit_pair, which judges
-    membership (NotInStable3) and forms no z, and one graph w of it, both
-    memoized.  k3 has three routes: the spectral one reads the point alone,
-    the level route reads project3's result, memoized on pt and built from
-    the same pair and w, and the angles route reads w."""
+    function (K1_closed, K3_spectral, ...) runs too, on the inputs of the
+    module's sharing rule.  Membership is judged first (NotInStable1 for
+    k1, NotInStable3 for k3 and k3hat), and k1's one IntegralityWarning,
+    attributed to the caller, follows it."""
     k = pt.trunc.k
     if which == "flat":
         return {"trace": flat_potential_K(pt)}

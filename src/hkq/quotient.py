@@ -24,20 +24,23 @@ tol, while the section form forms neither x*x nor an inverse.
 
 Third structure.  The pair is the frames of P and Q^perp, the Q factors of
 the thin QRs of x + X and x - X on which moment._stable3_frames judges
-membership; psi3's n x n orbit operator z is not formed.  The graph
-operator enters in its ambient form w = F_Pperp A, with F_P + w =
-F_Qperp M^-1, M = F_P* F_Qperp.  psi3_section(pair) has x + X = k F_P and
-x - X = k (F_P + w); the third action with -h, h = (1/4) log m,
-m = Id + w*w, multiplies them by m^{1/4} and m^{-1/4}:
+membership; psi3's n x n orbit operator z is not formed.  With
+M = F_P* F_Qperp and w = F_Qperp M^-1 - F_P (grassmann._graph),
+psi3_section(pair) has x + X = k F_P and x - X = k (F_P + w), and the
+third action with -h, h = (1/4) log m, m = Id + w*w, multiplies them by
+m^{1/4} and m^{-1/4}.  As F_P* w = 0, m = (F_P + w)*(F_P + w) = (M M*)^-1,
+so on the one SVD M = L s R* (grassmann._m_svd, s diagonal), m^{1/4} =
+L s^{-1/2} L* and F_P + w = F_Qperp R s^-1 L*, and
 
-    x + X = k F_P m^{1/4},   x - X = k (F_P + w) m^{-1/4},
+    x + X = k F_P L s^{-1/2} L*,   x - X = k F_Qperp R s^{-1/2} L*,
 
-all on the one eigendecomposition of m.  As F_P* w = 0,
-(x + X)*(x - X) = k^2 Id and (x + X)*(x + X) = k^2 m^{1/2} = (x - X)*(x - X),
-so the level equations hold with no cancellation, where the action's
-cosh(h) and sinh(h), both near e^{|h|}/2, cancelled.  The point is a
-representative of the intersection orbit (unique up to the free compact
-action); every quantity evaluated on it is invariant under that action.
+with h's eigenvalues -(1/2) log s: neither w nor m is formed, and nothing
+is inverted.  As L* M R = s, (x + X)*(x - X) = k^2 Id and
+(x + X)*(x + X) = k^2 L s^-1 L* = (x - X)*(x - X), so the level equations
+hold with no cancellation, where the action's cosh(h) and sinh(h), both
+near e^{|h|}/2, cancelled.  The point is a representative of the
+intersection orbit (unique up to the free compact action); every quantity
+evaluated on it is invariant under that action.
 
 The tangent projectors split T(TM) at a level-set point g-orthogonally as
 
@@ -129,7 +132,7 @@ import numpy as np
 
 from .config import DEFAULT_MEMBERSHIP_TOL
 from .errors import NotInStable1, NotInStable3, NotOnLevelSet, ShapeMismatch
-from .grassmann import _graph, _orbit_pair
+from .grassmann import _orbit_pair, _transversal_svd
 from .hkspace import (
     ConfigPoint,
     TangentPair,
@@ -166,7 +169,8 @@ class ProjectionResult:
     act3(herm_eig(-h), None, psi3_section(pair)) = point, ascending; h
     itself is not formed.  Both are read off the factorization the
     projection built: project1's p x p SVD of g0 R on x's thin QR
-    x = F R, and project3's eigendecomposition of m.
+    x = F R, and project3's SVD M = L diag(s) R* of the pair's
+    M = F_P* F_Qperp, whose eigenvalues -(1/2) log s are those of h.
 
     The results of project1 and project3 are immutable: their arrays, the
     point's included, are read-only, and each is memoized on the point it
@@ -244,37 +248,33 @@ def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
     """Level-set representative of the third-structure orbit through pt.
 
     Route: psi3's pair (P, Q^perp), judged third-stable (NotInStable3)
-    without z; its graph w = F_Pperp A; and the one eigendecomposition of
-    m = Id + w*w, on which the eigenvalues of h = (1/4) log m and
-    x +/- X = k F_P m^{1/4}, k (F_P + w) m^{-1/4} are all taken (module
-    docstring).  The result lies in the level set (exactly, up to
-    round-off) and in the same orbit as pt (psi3 reproduces the pair).  It
-    matches the intrinsic
-    projection only up to the free compact action; the flat potential of
-    the result is nevertheless the exact projected value by invariance.
-    The result is memoized on pt per tol, and the pair and w it reads are
-    the ones memoized for psi3 and characteristic_angles; a refusal is not
-    memoized.
+    without z, and the one SVD M = L diag(s) R* of M = F_P* F_Qperp,
+    judged transversal (NotTransversal), on which the point and the
+    eigenvalues of h are taken (module docstring).  The result lies in the
+    level set (its residual is judged, NotInStable3) and in the orbit of pt
+    (psi3 reproduces the pair).  It matches the intrinsic projection only
+    up to the free compact action; its flat potential is nevertheless the
+    exact projected value by invariance.  The result is memoized on pt per
+    tol, on the pair and SVD that psi3, _graph and transversality read; a
+    refusal is not memoized.
     """
     return _memo(pt, ("project3", tol), lambda: _project3(pt, tol))
 
 
 def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
-    """project3 from psi3's pair and its graph w = _graph(pair, tol)."""
+    """project3 on psi3's pair and the SVD M = L diag(s) R* of its M."""
     pair = _orbit_pair(pt, tol)
-    w = _graph(pair, tol)
-    k, fp = pt.trunc.k, pair.P.frame
-    spec = _eigh(np.eye(pt.trunc.p) + dagger(w) @ w)
-    plus = k * (fp @ spec.fun(lambda lam: lam ** 0.25))
-    minus = k * ((fp + w) @ spec.fun(lambda lam: lam ** -0.25))
+    l, s, r = _transversal_svd(pair, tol)
+    k, root = pt.trunc.k, 1.0 / np.sqrt(s)
+    plus = k * ((pair.P.frame @ (l * root)) @ dagger(l))
+    minus = k * ((pair.Qperp.frame @ (r * root)) @ dagger(l))
     point = _point(pt.trunc, 0.5 * (plus + minus), 0.5 * (plus - minus))
     residual = max(level_residual(point))
     if not _within_tol(residual, tol, pt.trunc.k2):
-        raise NotInStable3(
-            f"orbit projection left residual {residual:.3e} > tol * k^2"
-        )
+        raise NotInStable3(f"orbit projection left residual {residual:.3e} > tol * k^2")
+    # s descends, so -(1/2) log s ascends
     return ProjectionResult(point=point, residual=residual,
-                            eigenvalues=_read_only(0.25 * np.log(spec.eigenvalues)))
+                            eigenvalues=_read_only(-0.5 * np.log(s)))
 
 
 @dataclass(frozen=True)

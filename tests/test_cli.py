@@ -257,8 +257,8 @@ ALLOWED_CI_COMMANDS = {
     'python -m pip install -e ".[test]"',
     "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
     "--continue-on-collection-errors",
-    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m hkq check --suite all "
-    "--trials 50 --seed 0",
+    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -W error::RuntimeWarning -m hkq "
+    "check --suite all --trials 50 --seed 0",
 }
 
 
@@ -298,11 +298,12 @@ def test_project_prints_bare_numbers(space, structure, key, tmp_path, capsys):
 @pytest.mark.parametrize("space,structure,budget", [
     # project1: one thin QR of x and the values of R, one eigh of V'*V'
     # and one p x p SVD of g0 R; project3: psi3's thin QRs of x + X and
-    # x - X, the graph operator's values-only SVD and inv, one eigh of
-    # Id + w*w.  The printed eigenvalues come from the
-    # projection's own spectrum, so no eigvalsh is added.
+    # x - X and one p x p SVD of M = F_P* F_Qperp, which gives the point,
+    # the transversality verdict and the eigenvalues with no w, no eigh
+    # and no inv.  The printed eigenvalues come from the projection's own
+    # factorization, so no eigvalsh is added.
     ("stable1", "i1", {"qr reduced": 1, "svd values": 1, "eigh": 1, "svd full": 1}),
-    ("stable3", "i3", {"qr reduced": 2, "svd values": 1, "eigh": 1, "inv": 1}),
+    ("stable3", "i3", {"qr reduced": 2, "svd full": 1}),
 ])
 def test_project_factors_only_what_the_projection_does(space, structure, budget,
                                                         lapack_calls, tmp_path, capsys):
@@ -671,7 +672,8 @@ def test_an_ill_conditioned_first_stable_file_projects_and_evaluates(cond, tmp_p
 def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
     # psi3's own thin QRs of x + X and x - X give the frames, and the
     # equations' residuals certify the rank, so no SVD of x +/- X is taken;
-    # the two SVDs are characteristic_angles' (of F_P* F_Qperp and w)
+    # the two SVDs are characteristic_angles': the p x p SVD of
+    # M = F_P* F_Qperp that builds w, and the values of w
     point = tmp_path / "s3.json"
     assert cli.main(["sample", "--space", "stable3", "-p", "4", "-q", "5",
                      "-o", str(point)]) == cli.EXIT_OK
@@ -680,7 +682,7 @@ def test_info_judges_third_stability_once(lapack_calls, tmp_path, capsys):
     assert cli.main(["info", "-i", str(point)]) == cli.EXIT_OK
     assert "in_stable3 True" in capsys.readouterr().out
     factors = {key: n for key, n in lapack_calls.items() if key.startswith(("svd", "qr"))}
-    assert factors == {"qr reduced": 2, "svd values": 2}
+    assert factors == {"qr reduced": 2, "svd full": 1, "svd values": 1}
 
 
 def test_info_on_a_first_stable_file_factors_once(lapack_calls, tmp_path, capsys):
@@ -738,10 +740,9 @@ def test_angles_prints_the_transversality_that_map_printed(p, q, tmp_path, capsy
 
 
 def test_angles_takes_the_values_of_w_once(lapack_calls, monkeypatch, tmp_path, capsys):
-    # loading Q^perp: one complete QR of Q; the graph: the values of M and
-    # M^-1; the angles, memoized on the pair and read again by K3_hat: the
-    # values of w once; the transversality: the values of M and of
-    # F_P - F_Qperp M*
+    # loading Q^perp: one complete QR of Q; the graph: one p x p SVD of
+    # M = F_P* F_Qperp, which the transversality reads again; the angles,
+    # memoized on the pair and read again by K3_hat: the values of w once
     pair = _map_psi3(tmp_path)
     calls, original = [], grassmann._angles
 
@@ -754,7 +755,7 @@ def test_angles_takes_the_values_of_w_once(lapack_calls, monkeypatch, tmp_path, 
     lapack_calls.clear()
     assert cli.main(["angles", "-i", str(pair)]) == cli.EXIT_OK
     assert len(calls) == 1
-    assert dict(lapack_calls) == {"qr complete": 1, "svd values": 4, "inv": 1}
+    assert dict(lapack_calls) == {"qr complete": 1, "svd full": 1, "svd values": 1}
 
 
 def test_angles_without_k_exits_2(tmp_path, capsys):

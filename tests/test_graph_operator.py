@@ -14,7 +14,7 @@ checked against that A.
 import numpy as np
 import pytest
 
-from conftest import fresh, graph_coords
+from conftest import _variant, fresh, graph_coords
 
 from hkq.grassmann import (
     OrbitPair,
@@ -97,15 +97,17 @@ def test_recovers_a_known_graph_operator(p, q, norm, rng):
 def test_factorization_budget(lapack_calls, rng):
     # psi3: one thin QR each of x + X and x - X, membership included (the
     # equations' residuals certify the rank, so no SVD is taken);
-    # the graph operator: the singular values of M and M^-1;
-    # project3 adds one eigendecomposition of Id + w*w and nothing else.
+    # the graph operator: one p x p SVD of M = F_P* F_Qperp, and the
+    # angles the values of w; project3 reads the same SVD of M and takes
+    # nothing else, no w, no eigh and no inv.
     # Each call runs on a fresh copy, whose memo is empty.
     pt = sample_stable3(Truncation(4, 5, SQRT2), rng)
     pair, _ = psi3(pt)
     budgets = [
         (lambda: psi3(fresh(pt)), {"qr reduced": 2}),
-        (lambda: characteristic_angles(fresh(pair)), {"svd values": 2, "inv": 1}),
-        (lambda: project3(fresh(pt)), {"qr reduced": 2, "svd values": 1, "inv": 1, "eigh": 1}),
+        (lambda: characteristic_angles(fresh(pair)), {"svd full": 1, "svd values": 1}),
+        (lambda: project3(fresh(pt)), {"qr reduced": 2, "svd full": 1}),
+        (lambda: fresh(pair).transversality(), {"svd full": 1}),
     ]
     for call, budget in budgets:
         lapack_calls.clear()
@@ -113,11 +115,47 @@ def test_factorization_budget(lapack_calls, rng):
         assert dict(lapack_calls) == budget
 
 
-def test_no_n_by_n_factorization_at_p_much_smaller_than_q(lapack_calls):
-    # at (8, 64) a full SVD or a complete QR would factor a 72 x 72 matrix;
-    # every third-structure route reads the two n x p frames of P and
-    # Q^perp instead; each call runs on a fresh copy, whose memo is empty
-    pt = sample_stable3(Truncation(8, 64, SQRT2), make_rng(0))
+def test_the_svd_of_m_is_taken_once_per_pair(lapack_calls, rng):
+    # the graph, project3 and the transversality read one memoized SVD of
+    # M: after any one of them, the others factor nothing more than the
+    # values of w that the angles read
+    pt = sample_stable3(Truncation(4, 5, SQRT2), rng)
+    pt = fresh(pt)
+    pair, _ = psi3(pt)
+    lapack_calls.clear()
+    pair.transversality()
+    project3(pt)
+    psi3_section(pair, SQRT2)
+    assert dict(lapack_calls) == {"svd full": 1}
+    characteristic_angles(pair)
+    assert dict(lapack_calls) == {"svd full": 1, "svd values": 1}
+
+
+@pytest.fixture
+def operand_shapes(monkeypatch):
+    """(variant, shape) of every numpy.linalg factorization made while the
+    test runs, the variant keyed as by conftest's lapack_calls."""
+    seen = []
+    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "eigvals", "cholesky", "inv",
+                 "solve", "slogdet", "det", "lstsq", "pinv", "matrix_rank"):
+        original = getattr(np.linalg, name)
+
+        def recorded(*args, _original=original, _name=name, **kwargs):
+            seen.append((_variant(_name, args, kwargs), np.shape(args[0])))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def test_no_n_by_n_factorization_at_p_much_smaller_than_q(operand_shapes):
+    # at (8, 64) every third-structure route reads the two 72 x 8 frames of
+    # P and Q^perp and p x p matrices built from them: no factored operand
+    # has two sides longer than p, and no factorization of a tall operand
+    # returns a square n x n factor (a full SVD or a complete QR); each
+    # call runs on a fresh copy, whose memo is empty
+    p, q = 8, 64
+    pt = sample_stable3(Truncation(p, q, SQRT2), make_rng(0))
     pair, _ = psi3(pt)
     calls = {
         "psi3": lambda: psi3(fresh(pt)),
@@ -125,15 +163,18 @@ def test_no_n_by_n_factorization_at_p_much_smaller_than_q(lapack_calls):
         "in_stable3": lambda: in_stable3(fresh(pt)),
         "K3_spectral": lambda: K3_spectral(fresh(pt)),
         "characteristic_angles": lambda: characteristic_angles(fresh(pair)),
+        "transversality": lambda: fresh(pair).transversality(),
         "k3": lambda: evaluate_routes(fresh(pt), "k3"),
         "k3hat": lambda: evaluate_routes(fresh(pt), "k3hat"),
     }
     for name, call in calls.items():
-        lapack_calls.clear()
+        operand_shapes.clear()
         call()
         if name == "in_stable3":  # the certified verdict factors nothing
-            assert dict(lapack_calls) == {}, name
+            assert operand_shapes == [], name
             continue
-        assert lapack_calls["svd full"] == 0 and lapack_calls["qr complete"] == 0, name
-        assert lapack_calls["svd thin"] == 0, name  # frames come from thin QRs
-        assert lapack_calls, name  # the counter sees the route's factorizations
+        assert operand_shapes, name  # the recorder sees the route's factorizations
+        for variant, shape in operand_shapes:
+            assert min(shape[-2:]) <= p, (name, variant, shape)
+            assert shape[-2] == shape[-1] or variant not in ("svd full", "qr complete"), (
+                name, variant, shape)

@@ -23,13 +23,22 @@ from hkq.grassmann import (
     OrbitPair,
     Subspace,
     _graph,
+    _m_svd,
     characteristic_angles,
     psi1,
     psi3,
     psi3_section,
 )
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.moment import _stable1_qr, _stable3_frames, _x_factors, in_stable1, in_stable3
+from hkq.moment import (
+    _plus_minus,
+    _pm_factors,
+    _stable1_qr,
+    _stable3_frames,
+    _x_factors,
+    in_stable1,
+    in_stable3,
+)
 from hkq.potentials import K1_closed, K3_spectral, evaluate_routes, quotient_potential
 from hkq.quotient import project1, project3
 from hkq.sampling import gaussian_complex, make_rng, sample_stable1, sample_stable3
@@ -205,6 +214,8 @@ def test_values_and_memoized_arrays_are_read_only():
         "x factor s": _x_factors(pt1)[2],
         "stable3 frame Q_A": _stable3_frames(pt3, TOL, "")[0],
         "graph w": _graph(pair, TOL),
+        "M svd L": _m_svd(pair)[0], "M svd s": _m_svd(pair)[1], "M svd R": _m_svd(pair)[2],
+        "x + X": _plus_minus(pt3)[0], "x - X": _plus_minus(pt3)[1],
         "psi1 P": psi1(pt1).P.frame,
         "Subspace(frame)": Subspace(np.eye(3, 2)).frame,
     }
@@ -212,6 +223,24 @@ def test_values_and_memoized_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
         assert not a.flags.writeable, name
+
+
+def test_every_reader_of_x_plus_minus_X_reads_the_one_memoized_pair():
+    # the third-stable verdict, the thin QRs of _pm_factors, the spectral
+    # route and psi3 (frames and z) read x +/- X from the point's memo:
+    # another stable point's pair planted there makes each of them give
+    # that point's bits, and a pair off the equations is refused
+    pt, other = _stable3_point(seed=0), _stable3_point(seed=1)
+    planted = fresh(pt)
+    planted.__dict__["_memo"] = {"x +/- X": _plus_minus(other)}
+    assert in_stable3(planted)
+    assert _same_bits(_pm_factors(planted), _pm_factors(fresh(other)))
+    assert K3_spectral(planted) == K3_spectral(fresh(other)) != K3_spectral(pt)
+    assert _same_bits(psi3(planted), psi3(fresh(other)))
+    a, c = _plus_minus(pt)
+    off = fresh(pt)
+    off.__dict__["_memo"] = {"x +/- X": (1.1 * a, c)}
+    assert in_stable3(fresh(pt)) and not in_stable3(off)
 
 
 def test_a_callers_array_stays_the_callers():

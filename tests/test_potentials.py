@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import S2_CHARACTER, S2_FLAT_AT_LEVEL, S2_K1, S3_K3, fresh, ill_conditioned_stable1
-from hkq import grassmann, potentials, quotient
+from hkq import checks, grassmann, potentials
 from hkq.cli import CROSS_ROUTE_TOL
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
 from hkq.errors import NotInStable1, NotInStable3, NotPositiveDefinite, ShapeMismatch
@@ -356,6 +356,50 @@ class TestK3Hat:
             assert abs(value - want) <= bound * want
 
 
+class TestCircleMomentMap:
+    """At a level point every k3 route equals (1/2)||X||_F^2, the moment
+    map of the circle X -> e^{i theta} X: a level point is its own level
+    representative, and there x*x + X*X = k^2 Id + 2 X*X.
+
+    Bound.  Write N = x*x + X*X, S = X*x + x*X and
+    D = x*x - X*X - k^2 Id, so that H = (x + X)*(x + X) = N + S and
+    G = (x - X)*(x - X) = N - S.  The spectral route's sum of square
+    roots of the eigenvalues of HG is the trace norm F = ||H^{1/2} G^{1/2}||_*.
+    Cauchy-Schwarz gives F <= (Tr H Tr G)^{1/2} <= Tr N, and the
+    Powers-Stormer inequality ||H^{1/2} - G^{1/2}||_F^2 <= ||H - G||_* gives
+    2F >= Tr H + Tr G - ||H - G||_* = 2 Tr N - 2 ||S||_*.  With
+    K3 = (1/4)(F - p k^2) and (1/2)||X||^2 = (1/4)(Tr N - p k^2 - Tr D),
+
+        |K3 - (1/2)||X||^2| <= (1/4)(||S||_* + |Tr D|)
+                             <= (1/4) sqrt(p) (2 ||X*x||_F + ||D||_F)
+                             <= (3/4) sqrt(p) rho,
+
+    rho the point's level residual.  The other routes compute the same
+    exact K3, which is constant on the orbit.  Round-off: each route sums
+    p values of size at most lam_max = ||N||, eigenvalues or singular
+    values of matrices formed by products of length at most n; the
+    spectral route takes square roots of eigenvalues at least k^4 of an
+    operand of norm lam_max^2, so each is off by at most
+    n eps lam_max^2 / k^2, and the angles route's sec(theta_i) =
+    lam_i / k^2 carry the graph's error eps (1 + ||A||)^2 <=
+    eps (lam_max / k^2)^2, times k^2.  With (1/4) per term, a factor 40
+    over these first-order terms gives 10 n p eps lam_max^2 / k^2."""
+
+    @pytest.mark.parametrize("k", [0.3, SQRT2, 5.0])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (4, 5), (3, 2), (8, 64), (16, 16)])
+    def test_every_k3_route_is_half_the_squared_norm_of_X(self, p, q, k):
+        eps = np.finfo(float).eps
+        for seed in range(3):
+            pt = sample_level(Truncation(p, q, k), make_rng(seed))
+            want = 0.5 * np.linalg.norm(pt.X) ** 2
+            rho = max(level_residual(pt))
+            lam_max = np.linalg.eigvalsh(dagger(pt.x) @ pt.x + dagger(pt.X) @ pt.X)[-1]
+            bound = 0.75 * np.sqrt(p) * rho + 10.0 * (p + q) * p * eps * lam_max ** 2 / k ** 2
+            routes = {**evaluate_routes(pt, "k3"), "K3_spectral": K3_spectral(pt)}
+            for route, value in routes.items():
+                assert abs(value - want) <= bound, (route, seed, value, want)
+
+
 class TestCrossStructureIdentities:
     """At a level point, psi1's datum and psi3's pair are two pictures of one
     quotient point: the characteristic angles of psi3's pair are
@@ -534,28 +578,65 @@ class TestEvaluateRoutesSharing:
             "curvature": K3_hat_cotangent(v, k, "curvature"),
         }
 
+    @staticmethod
+    def _k3_routes_moved(monkeypatch, patches, tol=DEFAULT_MEMBERSHIP_TOL):
+        """The k3 routes that the patches (module, name, value) move, on
+        fresh copies of third-stable points at tol; each faulty table must
+        fail the cross-check bound."""
+        rng = make_rng(11)
+        points = [sample_stable3(Truncation(p, q, SQRT2), rng)
+                  for (p, q) in ((1, 1), (3, 5), (4, 4))]
+        base = [evaluate_routes(fresh(pt), "k3", tol) for pt in points]
+        for module, name, value in patches:
+            monkeypatch.setattr(module, name, value)
+        moved = set()
+        for pt, before in zip(points, base):
+            table = evaluate_routes(fresh(pt), "k3", tol)
+            moved |= {route for route in table if table[route] != before[route]}
+            vals = list(table.values())
+            assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
+        return moved
+
     def test_shared_graph_fault_still_splits_the_k3_routes(self, monkeypatch):
-        # a fault in the one graph w reaches the level and angles routes but
-        # not the two spectral ones, so the k3 cross-check still sees it
+        # a fault in the one graph w reaches the angles route alone: the
+        # level route reads the SVD of M and the spectral route the point's
+        # x +/- X, so the k3 cross-check sees it
         graph = grassmann._graph
 
         def skewed(pair, tol):
             return 1.001 * graph(pair, tol)
 
-        for module in (grassmann, quotient, potentials):
-            monkeypatch.setattr(module, "_graph", skewed)
-        rng = make_rng(11)
-        for (p, q) in ((1, 1), (3, 5), (4, 4)):
-            pt = sample_stable3(Truncation(p, q, SQRT2), rng)
-            vals = list(evaluate_routes(pt, "k3").values())
-            assert max(vals) - min(vals) > CROSS_ROUTE_TOL * max(1.0, abs(vals[0]))
+        moved = self._k3_routes_moved(
+            monkeypatch, [(module, "_graph", skewed) for module in (grassmann, potentials)])
+        assert moved == {"angles"}
+
+    def test_a_fault_in_the_values_of_m_moves_level_and_angles(self, monkeypatch):
+        # Sigma of the memoized SVD M = L Sigma R* scaled by 1.001: w (and
+        # so the angles route) and project3's point read it, the spectral
+        # route does not.  At the default tol project3's own level residual
+        # refuses the point, which comes out scaled by 1.001^(-1/2), so
+        # (x + X)*(x - X) = k^2 Id / 1.001; at a tol loose enough to let
+        # that residual pass, the level and angles routes move apart from
+        # the spectral one.  Either way the potentials suite fails.
+        svd = grassmann._m_svd
+
+        def skewed(pair):
+            l, s, r = svd(pair)
+            return l, 1.001 * s, r
+
+        patch = [(grassmann, "_m_svd", skewed)]
+        assert self._k3_routes_moved(monkeypatch, patch, tol=1e-2) == {"level", "angles"}
+        with pytest.raises(NotInStable3, match="orbit projection left residual"):
+            evaluate_routes(fresh(sample_stable3(Truncation(3, 4, SQRT2), make_rng(0))), "k3")
+        results = {r.name: r for r in checks.run_suite("potentials", 3, 0)}
+        assert not results["k3_route_agreement"].passed
 
     @pytest.mark.parametrize("which,budget", [
         ("k1", {"qr reduced": 1, "svd values": 2, "eigh": 1, "svd full": 1,
                 "eigvalsh": 2}),
-        ("k3", {"qr reduced": 2, "svd values": 2, "inv": 1, "eigh": 1, "eigvalsh": 1,
+        ("k3", {"qr reduced": 2, "svd full": 1, "svd values": 1, "eigvalsh": 1,
                 "cholesky": 1}),
-        ("k3hat", {"qr reduced": 2, "svd values": 4, "inv": 1}),
+        ("k3hat", {"qr reduced": 2, "svd full": 1, "svd values": 3}),
     ])
     def test_factorization_budget(self, which, budget, lapack_calls):
         # k1: one thin QR x = F R and the values of R for membership, the
@@ -564,9 +645,11 @@ class TestEvaluateRoutesSharing:
         # values of V for the curvature route, eigenvalues only where a
         # route reads no eigenvectors, and no frame of P^perp; k3: one
         # Cholesky factor and one eigvalsh for the spectral route; k3/k3hat:
-        # psi3's thin QRs of x + X and x - X and one graph w for every
-        # other route.  Evaluated on a fresh copy, so the sampler's x
-        # factors are not read.
+        # psi3's thin QRs of x + X and x - X and one p x p SVD of
+        # M = F_P* F_Qperp, which gives the level route's point and the
+        # graph w, whose values the angles routes read and which the
+        # cotangent and curvature routes read through half of w.
+        # Evaluated on a fresh copy, so the sampler's x factors are not read.
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
         pt = sample_stable1(trunc, rng) if which == "k1" else sample_stable3(trunc, rng)
@@ -654,7 +737,11 @@ class TestEachBodyMovesOnlyItsRoute:
     # closed and fiber read; the level route reads project1's result alone.
     # The spectral pairing of the curvature operator is read by both
     # curvature routes, K3_hat_cotangent by the two k3hat routes on half of
-    # w, and the angles of w by both angles routes
+    # w, and the angles of w by both angles routes.  The memoized x +/- X
+    # (moment._plus_minus) scaled by 1 + 1e-6 moves the spectral route
+    # alone: the verdict and the frames of psi3's pair read moment's own
+    # binding.  The memoized SVD of M has its own test above, as every
+    # k3hat route reads it through w, so k3hat's spread cannot see it
     READERS_OF_INPUT = {
         "_x_factor": {"k1.closed", "k1.fiber", "k1.curvature"},
         "_logdet_term": {"k1.closed", "k1.fiber", "k1.curvature"},
@@ -662,6 +749,7 @@ class TestEachBodyMovesOnlyItsRoute:
         "curvature_fun_apply": {"k1.curvature", "k3hat.curvature"},
         "K3_hat_cotangent": {"k3hat.cotangent", "k3hat.curvature"},
         "_angles": {"k3.angles", "k3hat.angles"},
+        "_plus_minus": {"k3.spectral"},
     }
 
     @pytest.mark.parametrize("shared", list(READERS_OF_INPUT))

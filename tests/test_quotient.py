@@ -13,7 +13,14 @@ from hkq.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from hkq.grassmann import projector_distance, psi1, psi1_section, psi3
+from hkq.grassmann import (
+    Subspace,
+    complement_frame,
+    projector_distance,
+    psi1,
+    psi1_section,
+    psi3,
+)
 from hkq.hkspace import (
     ConfigPoint,
     TangentPair,
@@ -39,6 +46,7 @@ from hkq.sampling import (
     gaussian_complex,
     make_rng,
     random_skew,
+    random_subspace,
     random_tangent,
     random_unitary,
     sample_cotangent,
@@ -304,6 +312,106 @@ class TestProject3:
         u = random_unitary(2, rng)
         k1 = flat_potential_K(project3(act3(h, u, pt)).point)
         assert abs(k0 - k1) <= 1e-9 * (1 + abs(k0))
+
+
+def _point_over(P, Qperp, k):
+    """A third-stable point whose pair is (P, Q^perp), balanced so that
+    its entries stay of the size of the level representative's:
+    x + X = c k F_P and x - X = (k / c) F_Qperp M^-1, M = F_P* F_Qperp,
+    c = ||M^-1||^{1/2}, so (x - X)*(x + X) = k^2 Id.  psi3_section's
+    x - X = k F_Qperp M^-1 alone would be of size ||M^-1|| k, and its
+    level equations would carry a round-off of eps ||M^-1||^2 k^2."""
+    m = dagger(P.frame) @ Qperp.frame
+    c = np.linalg.norm(np.linalg.inv(m), 2) ** 0.5
+    plus = c * k * P.frame
+    minus = (k / c) * np.linalg.solve(m.T, Qperp.frame.T).T
+    return ConfigPoint(Truncation(P.dim, P.ambient - P.dim, k), (plus + minus) / 2,
+                       (plus - minus) / 2)
+
+
+def _head_way(pair, k):
+    """project3's point built on the eigendecomposition of m = Id + w*w,
+    w = F_Qperp M^-1 - F_P: x + X = k F_P m^{1/4} and
+    x - X = k (F_P + w) m^{-1/4}, and h's eigenvalues (1/4) log eig(m)."""
+    fp, fqp = pair.P.frame, pair.Qperp.frame
+    w = fqp @ np.linalg.inv(dagger(fp) @ fqp) - fp
+    lam, u = np.linalg.eigh(np.eye(fp.shape[1]) + dagger(w) @ w)
+    plus = k * (fp @ ((u * lam ** 0.25) @ dagger(u)))
+    minus = k * ((fp + w) @ ((u * lam ** -0.25) @ dagger(u)))
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+
+
+def _near_intersecting(p, q, rng):
+    """(P, Q^perp) with Q^perp the graph over P of an A whose singular
+    values run geometrically from 1e6 down to 1, so sigma_min(M) is
+    about 1e-6 sigma_max(M)."""
+    r = min(p, q)
+    P = random_subspace(p + q, p, rng)
+    a = (random_unitary(q, rng)[:, :r] * np.geomspace(1e6, 1.0, r)) @ dagger(
+        random_unitary(p, rng)[:, :r])
+    return P, Subspace(np.linalg.qr(P.frame + complement_frame(P) @ a)[0])
+
+
+class TestProject3AtItsEdges:
+    """project3's closed form x + X = k F_P L s^{-1/2} L*,
+    x - X = k F_Qperp R s^{-1/2} L* on the SVD M = L diag(s) R*, against
+    the eigendecomposition of m = Id + w*w = (M M*)^-1 that it replaced,
+    where p > q (2p - n of the s are 1), where Q = P^perp (every s is 1)
+    and where sigma_min(M) is about 1e-6 sigma_max(M).
+
+    Bounds, with kappa = 1/s_min >= cond(M) (s_max <= 1): the SVD is
+    backward stable, so each s_i is off by at most n eps and
+    -(1/2) log s_i by at most n eps kappa.  The closed form applies
+    s^{-1/2}, whose divided differences on [s_min, 1] are at most
+    (1/2) kappa^{3/2}, to that backward error, so the point is off by
+    n eps kappa relative to its size k kappa^{1/2}.  The oracle forms m,
+    whose eigenvalues, in [1, kappa^2], carry an absolute error of
+    n eps ||m|| = n eps kappa^2; lam^{1/4} and lam^{-1/4} have
+    derivatives at most 1/4 on lam >= 1, and the rows of F_P + w scale
+    an eigendirection of m by lam^{1/2}, which the entries of
+    m^{-1/4} off the small eigenvalues absorb, so the oracle's point is
+    off by n eps kappa^2 absolutely, n eps kappa^{3/2} relative to its
+    size.  The two points agree within 2 n eps kappa^{3/2}."""
+
+    @staticmethod
+    def _check(P, Qperp, k=SQRT2):
+        pt = _point_over(P, Qperp, k)
+        res = project3(pt)
+        pair, _ = psi3(pt)
+        n = pt.trunc.n
+        eps = np.finfo(float).eps
+        s = np.linalg.svd(dagger(pair.P.frame) @ pair.Qperp.frame, compute_uv=False)
+        kappa = 1.0 / s[-1]
+        assert res.residual == max(level_residual(res.point))
+        assert res.residual <= DEFAULT_MEMBERSHIP_TOL * pt.trunc.k2
+        assert np.all(np.diff(res.eigenvalues) >= 0)
+        assert np.max(np.abs(res.eigenvalues + 0.5 * np.log(s))) <= n * eps * kappa
+        x, X = _head_way(pair, k)
+        gap = fnorm(res.point.x - x) + fnorm(res.point.X - X)
+        assert gap <= 2.0 * n * eps * kappa ** 1.5 * (fnorm(x) + fnorm(X))
+        return s, res
+
+    @pytest.mark.parametrize("p,q", [(5, 2), (4, 1), (3, 2), (9, 1)])
+    def test_p_greater_than_q(self, p, q, rng):
+        s, res = self._check(random_subspace(p + q, p, rng), random_subspace(p + q, p, rng))
+        n, surplus = p + q, 2 * p - (p + q)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(s[:surplus] - 1.0)) <= n * eps
+        assert np.max(np.abs(res.eigenvalues[:surplus])) <= n * eps
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 4), (8, 64)])
+    def test_q_is_the_complement_of_p(self, p, q, rng):
+        # Q^perp = P: M = Id, w = 0, and the point is (k F_P, 0) up to round-off
+        P = random_subspace(p + q, p, rng)
+        s, res = self._check(P, P)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(res.eigenvalues)) <= (p + q) * eps
+        assert fnorm(res.point.X) <= (p + q) * eps * fnorm(res.point.x)
+
+    @pytest.mark.parametrize("p,q", [(3, 4), (4, 4), (5, 2), (8, 64)])
+    def test_near_intersecting_pair(self, p, q, rng):
+        s, _ = self._check(*_near_intersecting(p, q, rng))
+        assert 1e-7 <= s[-1] / s[0] <= 1e-5
 
 
 @pytest.mark.parametrize("k", [1e-7, 1e-3, SQRT2, 1e3])
