@@ -395,11 +395,10 @@ def _potentials_trial(rng) -> Residuals:
     yield "zero_section_pinning", abs(pots.K1_closed(x_only) - logdet)
     yield "k3_vanishing_on_zero_fiber", abs(pots.K3_spectral(project1(x_only).point))
 
-    # cotangent form of the third potential: direct vs curvature route
-    vv = gaussian_complex(rng, (trunc.q, trunc.p))
-    val_d = pots.K3_hat_cotangent(vv, trunc.k, "direct")
-    val_c = pots.K3_hat_cotangent(vv, trunc.k, "curvature")
-    yield "k3hat_route_agreement", _rel(abs(val_d - val_c), val_d)
+    # the third potential across the two structures: psi3's angles against
+    # the cotangent form on psi1's fiber at the orbit's level point
+    yield "k3hat_route_agreement", pots._route_spread(
+        pots.evaluate_routes(pt3, "k3hat").values())[1]
 
     # the complexified groups, drawn last so the draws above stay put.  K1
     # obeys the group law K1(g.pt) - K1(pt) = -(k^2/2) log|det g| exactly;

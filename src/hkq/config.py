@@ -16,7 +16,9 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
-# Positive definiteness in sym_sylvester_solve: lam_min > PD_TOL * lam_max.
+# Positive definiteness, matcore._check_positive_definite's rule:
+# lam_min > PD_TOL * lam_max.  quotient.slice_basis applies it to every
+# basis it builds; sym_sylvester_solve, which nothing in hkq calls, too.
 PD_TOL = 1e-12
 
 # Orthonormality of a d-column frame: ||F*F - Id||_F <= FRAME_TOL (1 + d).

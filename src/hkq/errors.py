@@ -5,7 +5,7 @@ mathematical input (a shape, a membership rule, a structure index, a file's
 schema, a sampler that gives up) raises a subclass of HkqError, so callers
 can catch those in one clause.  A bad argument of another kind (an unknown
 name or tag, an out-of-range count or parameter: Truncation's p, q and k,
-evaluate_routes' potential tag, K3_hat_cotangent's route, moment's tag,
+evaluate_routes' potential tag, moment's tag,
 run_suite's suite and trials, sample_point's space) raises the builtin
 ValueError, as numpy does for a write into a read-only array.  The CLI
 maps both to exit code 2, in separate clauses.

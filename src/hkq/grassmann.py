@@ -25,7 +25,7 @@ Subspace constructor and the file reader (jsonio).  This module provides
     and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), read
     off the singular values a_i of w, and
   * the spectral functional calculus of the operator Y -> 2(V V* Y + Y V* V)
-    that feeds the curvature forms of the potentials.
+    that feeds the k1 curvature route.
 
 Subspace frames are read-only, and a pair is immutable, so hkspace._memo
 keeps psi3's pair on its point per tol (_orbit_pair), and on the pair the
@@ -315,8 +315,11 @@ def psi3_section(pair: OrbitPair, k: float,
 
         x = k (F_P + (1/2) F_Pperp A),   X = -(k/2) F_Pperp A.
 
-    Satisfies x*x - X*X = k^2 Id and X*x = -(k^2/4) A*A exactly, so it lies
-    in the stable set of the third structure, and psi3 reproduces (P, Q).
+    Satisfies x*x - X*X = k^2 Id and X*x = -(k^2/4) A*A in exact
+    arithmetic, so it lies in the stable set of the third structure, and
+    psi3 reproduces (P, Q), up to a round-off in those equations of about
+    eps k^2 / sigma_min(M)^2, M = F_P* F_Qperp: near an intersecting pair
+    it exceeds tol k^2, and psi3 refuses the section.
     Only the product w = F_Pperp A of _graph enters, so no frame of P^perp
     is built.
     """

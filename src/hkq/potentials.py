@@ -4,10 +4,9 @@ The first-structure potential comes in three forms that must agree:
 
   closed     (k^2/4) log det(x*x/k^2) + (k^2/2) Tr(gamma gamma*/k^2 - Id)
              - (k^2/4) Tr log(gamma gamma*/k^2)
-  fiber      (k^2/4) log det(x*x/k^2) + (k^2/4) Tr((Id + 4V*V)^{1/2} - Id)
-             - (k^2/4) Tr log (1/2)(Id + (Id + 4V*V)^{1/2})
   curvature  (k^2/4) log det(x*x/k^2) + k^2 g_Gr(f(Op) V, V),
              f(u) = (1/u)(sqrt(1+u) - 1 - log((1 + sqrt(1+u))/2)), f(0) = 1/4
+  level      flat potential of project1's point plus the character term
 
 with V the fiber coordinate of the cotangent image, psi1(pt).V.  The
 third-structure potential likewise:
@@ -21,8 +20,11 @@ third-structure potential likewise:
 
 and the cotangent form of the third potential
 
-  (k^2/4) Tr((Id + 4V*V)^{1/2} - Id) = k^2 g_Gr(h(Op) V, V),
-  h(u) = (1/u)(sqrt(1+u) - 1), h(0) = 1/2.
+  (k^2/4) Tr((Id + 4V*V)^{1/2} - Id),
+
+which the k3hat table evaluates across the two structures: on psi1's fiber
+V of project3's level-set representative, the main theorem's identification
+of the two quotients, against the angles of psi3's own pair.
 
 K3 vanishes on the zero section with zero gradient, so a route that forms
 it as sqrt(1 + u) - 1 loses it to cancellation at small u: a value of size
@@ -46,20 +48,21 @@ bit-identically from the same point is computed once instead:
 evaluate_routes checks membership and warns once per call, and hands the
 bodies what they share.  For k1 that is the one thin QR x = F R on which
 moment._stable1_qr judges membership: R = (unitary) |x| gives the log-det
-term 2 sum log |R_ii| that closed, fiber and curvature add, and the fiber
-operand (X R*)*(X R*), unitarily similar to |x| X*X |x|, that closed and
-fiber read (x*x, whose eigendecomposition would square cond(x), is not
-formed); the curvature route reads psi1's frame F and V through
-grassmann._fiber, and the level route project1's result, built on the
-same factors.  K1_closed forms its inputs the same way.  For k3 and k3hat
-it is psi3's pair without z (grassmann._orbit_pair, judged by the rule of
-in_stable3, K3_spectral and psi3) and its one graph w.  The three k3
-routes read three different factorizations: spectral a Cholesky factor
-of (x - X)*(x - X) on the point's x +/- X (moment._plus_minus), level the
-SVD of M = F_P* F_Qperp (grassmann._m_svd) through project3, and angles
-the singular values of w, which _graph builds on that SVD.  So a fault in
-w moves the angles route alone, and one in the values of M the level and
-angles routes.
+term 2 sum log |R_ii| that closed and curvature add, and the closed route
+forms its operand (X R*)*(X R*), unitarily similar to |x| X*X |x|, on it
+(x*x, whose eigendecomposition would square cond(x), is not formed); the
+curvature route reads psi1's frame F and V through grassmann._fiber, and
+the level route project1's result, built on the same factors.  K1_closed
+forms its inputs the same way.  For k3 and k3hat it is psi3's pair without
+z (grassmann._orbit_pair, judged by the rule of in_stable3, K3_spectral
+and psi3) and its one graph w.  The three k3 routes read three different
+factorizations: spectral a Cholesky factor of (x - X)*(x - X) on the
+point's x +/- X (moment._plus_minus), level the SVD of M = F_P* F_Qperp
+(grassmann._m_svd) through project3, and angles the singular values of w,
+which _graph builds on that SVD.  So a fault in w moves the angles route
+alone, and one in the values of M the level and angles routes.  The k3hat
+cotangent route reads the thin QR of the level point's x and the singular
+values of psi1's V there, not those of w.
 
 "Computed once" also spans calls on one value: the membership factors,
 x +/- X, psi3's pair, the SVD of its M, its graph w and the results of
@@ -94,6 +97,7 @@ from .grassmann import (
     _orbit_pair,
     characteristic_angles,
     curvature_fun_apply,
+    psi1,
 )
 from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
 from .matcore import (
@@ -115,7 +119,6 @@ __all__ = [
     "K3_spectral",
     "character_log_term",
     "curvature_weight_k1",
-    "curvature_weight_k3hat",
     "evaluate_routes",
     "quotient_potential",
 ]
@@ -147,17 +150,10 @@ def curvature_weight_k1(u: float) -> float:
     return float((s - np.log1p(0.5 * s)) / u)
 
 
-def curvature_weight_k3hat(u: float) -> float:
-    """h(u) = (1/u)(sqrt(1+u) - 1), extended by h(0) = 1/2."""
-    if u < 1e-12:
-        return 0.5 - u / 8.0
-    return float(np.expm1(0.5 * np.log1p(u)) / u)
-
-
 def _x_factor(pt: ConfigPoint) -> np.ndarray:
     """R of the thin QR x = F R, a unitary times |x|, as memoized on pt
-    (moment._x_factors): the k1 routes' log-det term and fiber operand are
-    formed on it."""
+    (moment._x_factors): the k1 routes' log-det term and the closed route's
+    operand are formed on it."""
     return _x_factors(pt)[1]
 
 
@@ -171,38 +167,26 @@ def _logdet_term(pt: ConfigPoint, r: np.ndarray) -> float:
     return float(0.5 * k * k * np.sum(np.log(d / abs(k))))
 
 
-def _fiber_operand(pt: ConfigPoint, r: np.ndarray) -> np.ndarray:
-    """(4/k^4) (X R*)*(X R*), unitarily similar to (4/k^4) |x| X*X |x|:
-    its spectrum is that of 4 V*V for the fiber coordinate V."""
-    y = (2.0 / pt.trunc.k2) * (pt.X @ dagger(r))
-    return dagger(y) @ y
-
-
 def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential in the closed form of the level projection.
     Membership is checked (NotInStable1) before any IntegralityWarning."""
     _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
     r = _x_factor(pt)
-    return _k1_closed(pt, _logdet_term(pt, r), _fiber_operand(pt, r))
+    return _k1_closed(pt, _logdet_term(pt, r), r)
 
 
-def _k1_closed(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
+def _k1_closed(pt: ConfigPoint, logdet: float, r: np.ndarray) -> float:
+    """The closed form on R of x's thin QR: (4/k^4) (X R*)*(X R*) is
+    unitarily similar to (4/k^4) |x| X*X |x|, so its spectrum is that of
+    4 V*V for the fiber coordinate V."""
     k2 = pt.trunc.k2
+    y = (2.0 / k2) * (pt.X @ dagger(r))
     # gamma gamma*/k^2 = (1/2)(Id + mu^{1/2}), mu = Id + (4/k^4)|x| X*X |x|
-    mu = _eigvals(np.eye(pt.trunc.p) + fiber)
+    mu = _eigvals(np.eye(pt.trunc.p) + dagger(y) @ y)
     lam = 0.5 * (1.0 + psd_sqrt(mu))
     term2 = 0.5 * k2 * float(np.sum(lam - 1.0))
     term3 = -0.25 * k2 * float(np.sum(np.log(lam)))
-    return logdet + term2 + term3
-
-
-def _k1_fiber(pt: ConfigPoint, logdet: float, fiber: np.ndarray) -> float:
-    k2 = pt.trunc.k2
-    u = np.clip(_eigvals(fiber), 0.0, None)  # 4 V*V, round-off negatives clipped
-    root = np.sqrt(1.0 + u)
-    term2 = 0.25 * k2 * float(np.sum(root - 1.0))
-    term3 = -0.25 * k2 * float(np.sum(np.log(0.5 * (1.0 + root))))
     return logdet + term2 + term3
 
 
@@ -272,29 +256,20 @@ def _k3_level(res: ProjectionResult) -> float:
     return flat_potential_K(res.point)
 
 
-def K3_hat_cotangent(V, k: float, route: str = "direct") -> float:
-    """Cotangent-fiber form of the third potential.
+def K3_hat_cotangent(V, k: float) -> float:
+    """Cotangent-fiber form of the third potential,
+    (k^2/4) Tr((Id + 4 V*V)^{1/2} - Id).
 
-    route 'direct':    (k^2/4) Tr((Id + 4 V*V)^{1/2} - Id)
-    route 'curvature': k^2 g_Gr(h(Op) V, V) with h(u) = (1/u)(sqrt(1+u)-1).
-
-    The two agree to 1e-11 on any input; both are exposed so the agreement
-    is testable.  Both read V only through its singular values, so V may be
-    given as the (n-p) x p frame coordinate matrix or in the n x p ambient
-    form F_Pperp V (orthonormal F_Pperp), which has the same ones: psi1's
-    fiber psi1(pt).V, or half the graph w of psi3's pair.  V is
-    validated once, by as_matrix, for both routes: a non-finite entry
-    raises ShapeMismatch, and a 1-d V is read as one column.
+    V is read only through its singular values, so it may be given as the
+    (n-p) x p frame coordinate matrix or in the n x p ambient form
+    F_Pperp V (orthonormal F_Pperp), which has the same ones: psi1's fiber
+    psi1(pt).V, or half the graph w of psi3's pair.  V is validated by
+    as_matrix: a non-finite entry raises ShapeMismatch, and a 1-d V is read
+    as one column.
     """
-    coords = as_matrix(V, "V")
-    k2 = k * k
-    if route == "direct":
-        s = np.linalg.svd(coords, compute_uv=False)
-        u = 4.0 * s * s  # sqrt(1 + u) - 1 = u / (sqrt(1 + u) + 1)
-        return float(0.25 * k2 * np.sum(u / (np.sqrt(1.0 + u) + 1.0)))
-    if route == "curvature":
-        return k2 * curvature_fun_apply(curvature_weight_k3hat, coords)
-    raise ValueError(f"unknown route {route!r}")
+    s = np.linalg.svd(as_matrix(V, "V"), compute_uv=False)
+    u = 4.0 * s * s  # sqrt(1 + u) - 1 = u / (sqrt(1 + u) + 1)
+    return float(0.25 * k * k * np.sum(u / (np.sqrt(1.0 + u) + 1.0)))
 
 
 def K3_hat_angles(pair: OrbitPair, k: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
@@ -386,10 +361,9 @@ def evaluate_routes(pt: ConfigPoint, which: str,
         f, _ = _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
         r = _x_factor(pt)
-        logdet, fiber = _logdet_term(pt, r), _fiber_operand(pt, r)
+        logdet = _logdet_term(pt, r)
         return {
-            "closed": _k1_closed(pt, logdet, fiber),
-            "fiber": _k1_fiber(pt, logdet, fiber),
+            "closed": _k1_closed(pt, logdet, r),
             "curvature": _k1_curvature(pt, logdet, f),
             "level": _k1_level(project1(pt, tol), k),
         }
@@ -406,9 +380,9 @@ def evaluate_routes(pt: ConfigPoint, which: str,
             "level": _k3_level(project3(pt, tol)),
             "angles": _k3_hat_angles(_angles(w), k),
         }
-    w = _graph(pair, tol)  # F_Pperp A: the singular values of A
+    # psi3's pair against psi1's fiber at the orbit's level point: the two
+    # quotients' pictures of one point
     return {
-        "angles": _k3_hat_angles(_angles(w), k),
-        "cotangent": K3_hat_cotangent(0.5 * w, k, "direct"),
-        "curvature": K3_hat_cotangent(0.5 * w, k, "curvature"),
+        "angles": _k3_hat_angles(_angles(_graph(pair, tol)), k),
+        "cotangent": K3_hat_cotangent(psi1(project3(pt, tol).point, tol).V, k),
     }

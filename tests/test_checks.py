@@ -10,7 +10,9 @@ eight-scaling form.  The maps suite's canonical-section check sees a
 section moved along its psi3 fiber, which the round trip and the fiber
 constancy cannot see.  The potentials suite's group laws fail where route
 agreement passes, on every k1 route off by one common factor, and where
-compact invariance passes, on a K3 that is only unitarily invariant."""
+compact invariance passes, on a K3 that is only unitarily invariant.  Its
+k3hat agreement compares the two structures, and a fault in psi1's fiber
+at the level point fails it alone."""
 
 import math
 
@@ -21,6 +23,7 @@ from hkq import checks
 from hkq import potentials as pots
 from hkq.checks import CheckResult
 from hkq.config import DEFAULT_MEMBERSHIP_TOL
+from hkq.grassmann import CotangentPoint
 from hkq.hkspace import ConfigPoint, Truncation, act3, flat_potential_K
 from hkq.matcore import HermitianSpectrum, herm_eig
 from hkq.quotient import SliceBasis
@@ -132,16 +135,27 @@ def test_a_trial_that_raises_fails_its_family_only(monkeypatch):
 
 
 def test_every_k1_route_scaled_alike_fails_the_group_law(monkeypatch):
-    # a factor common to all four routes leaves them in agreement; the
+    # a factor common to all three routes leaves them in agreement; the
     # law's exact shift -(k^2/2) log|det g| sees it
     def scaled(route):
         return lambda *args: (1.0 + 1e-6) * route(*args)
 
-    for name in ("_k1_closed", "_k1_fiber", "_k1_curvature", "_k1_level"):
+    for name in ("_k1_closed", "_k1_curvature", "_k1_level"):
         monkeypatch.setattr(pots, name, scaled(getattr(pots, name)))
     results = {r.name: r for r in checks.run_suite("potentials", 10, 0)}
     assert results["k1_route_agreement"].passed
     assert not results["k1_group_law"].passed
+
+
+def test_a_fault_in_the_cotangent_routes_fiber_fails_only_the_k3hat_agreement(monkeypatch):
+    # psi1's V at project3's point scaled by 1.001: the k3hat cotangent
+    # route reads it, and no other potentials check does
+    psi1 = pots.psi1
+    monkeypatch.setattr(pots, "psi1",
+                        lambda pt, tol: CotangentPoint(psi1(pt, tol).P, 1.001 * psi1(pt, tol).V))
+    results = {r.name: r for r in checks.run_suite("potentials", 10, 0)}
+    assert not results.pop("k3hat_route_agreement").passed
+    assert all(r.passed for r in results.values())
 
 
 def test_the_flat_potential_fails_the_k3_orbit_invariance(monkeypatch):

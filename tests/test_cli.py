@@ -237,11 +237,15 @@ def test_round_trip_at_p_q_64_through_every_verb_but_check(tmp_path, capsys):
     assert (eta["rows"], eta["cols"]) == (128, 64)
     cp, k = jsonio.load_cotangent(path)
     assert hkq.projector_distance(hkq.psi1(hkq.psi1_section(cp, k)).P, cp.P) <= 1e-10
-    # routes with no single-route function, reached through --route; k3 has
-    # no similarity route, which --route refuses as an input error
+    # a route with no single-route function, reached through --route; k1
+    # has no fiber route and k3 no similarity route, which --route refuses
+    # as input errors
     s1, s3, level3 = (str(d / name) for name in ("stable1.json", "stable3.json",
                                                  "stable3.level.json"))
-    assert cli.main(["potential", "--which", "k1", "--route", "fiber", "-i", s1]) == cli.EXIT_OK
+    assert cli.main(["potential", "--which", "k1", "--route", "curvature",
+                     "-i", s1]) == cli.EXIT_OK
+    assert cli.main(["potential", "--which", "k1", "--route", "fiber",
+                     "-i", s1]) == cli.EXIT_INPUT
     assert cli.main(["potential", "--which", "k3", "--route", "similarity",
                      "-i", s3]) == cli.EXIT_INPUT
     for path in (s3, level3):
@@ -327,6 +331,19 @@ def test_unknown_route_exits_2(tmp_path, capsys):
     assert cli.main(["potential", "--which", "k1", "--route", "nope",
                      "-i", str(point)]) == cli.EXIT_INPUT
     assert "unknown route 'nope'" in capsys.readouterr().err
+
+
+def test_k3hat_prints_the_angles_and_cotangent_routes_and_agrees(tmp_path, capsys):
+    # psi3's angles against the cotangent form on psi1's fiber at the
+    # level point: two routes, one per structure, and their agreement
+    point = tmp_path / "s.json"
+    _sample(point, space="stable3")
+    capsys.readouterr()
+    assert cli.main(["potential", "--which", "k3hat", "-i", str(point)]) == cli.EXIT_OK
+    lines = [line.split(" ", 1) for line in capsys.readouterr().out.splitlines()]
+    assert [key for key, _ in lines] == ["k3hat.angles", "k3hat.cotangent", "max_route_delta",
+                                         "max_route_delta_relative", "cross_check"]
+    assert lines[-1] == ["cross_check", "pass"]
 
 
 def test_project_i3_off_the_third_stable_set_exits_2(tmp_path, capsys):

@@ -12,12 +12,20 @@ import numpy as np
 import pytest
 
 from hkq import cli, jsonio
-from hkq.errors import DegenerateSample, NotInStable1
+from hkq.errors import DegenerateSample, NotInStable1, NotInStable3
+from hkq.grassmann import OrbitPair, Subspace, complement_frame, psi3, psi3_section
 from hkq.hkspace import ConfigPoint, Truncation
 from hkq.moment import in_stable1, in_stable3, on_level_set
 from hkq.potentials import evaluate_routes
 from hkq.quotient import project1
-from hkq.sampling import make_rng, sample_level, sample_stable1, sample_stable3
+from hkq.sampling import (
+    gaussian_complex,
+    make_rng,
+    random_subspace,
+    sample_level,
+    sample_stable1,
+    sample_stable3,
+)
 
 
 def test_k3_routes_at_small_k():
@@ -159,3 +167,20 @@ def test_k3_cross_check_verdict_does_not_depend_on_the_unit(tmp_path):
         jsonio.save_point(path, ConfigPoint(Truncation(4, 5, s * 1e5), s * pt.x, s * pt.X))
         codes.append(cli.main(["potential", "--which", "k3", "-i", str(path)]))
     assert codes[0] == codes[1], codes
+
+
+@pytest.mark.xfail(
+    strict=True, raises=NotInStable3,
+    reason="psi3_section's equations carry a round-off of about "
+           "eps k^2 / sigma_min(M)^2: with Q^perp the graph of a Gaussian A "
+           "scaled by 1e4 over P, at (2, 3, sqrt 2) and seed 0, psi3 refuses "
+           "the section at the default tol, while A scaled by 1e2 passes",
+)
+def test_psi3_takes_its_section_near_an_intersecting_pair():
+    p, q, k = 2, 3, np.sqrt(2.0)
+    for scale in (1e2, 1e4):
+        rng = make_rng(0)
+        P = random_subspace(p + q, p, rng)
+        A = scale * gaussian_complex(rng, (q, p))
+        pair = OrbitPair(P, Subspace(np.linalg.qr(P.frame + complement_frame(P) @ A)[0]))
+        psi3(psi3_section(pair, k))

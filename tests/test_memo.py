@@ -145,14 +145,13 @@ def test_projection_then_routes_projects_once(lapack_calls):
     # project1 then evaluate_routes' level route: one eigh of V'*V' and one
     # p x p SVD, not two of each, and the k1 inputs from the QR of x that
     # project1 judged on (no eigh of x*x, no second QR); what is left is
-    # the curvature route's values of V and the closed and fiber routes'
-    # eigvalsh; likewise project3 then the k3 routes build one pair and
-    # one graph
+    # the curvature route's values of V and the closed route's eigvalsh;
+    # likewise project3 then the k3 routes build one pair and one graph
     pt = _stable1_point()
     project1(pt)
     lapack_calls.clear()
     evaluate_routes(pt, "k1")
-    assert dict(lapack_calls) == {"svd values": 1, "eigvalsh": 2}
+    assert dict(lapack_calls) == {"svd values": 1, "eigvalsh": 1}
     pt3 = _stable3_point()
     project3(pt3)
     lapack_calls.clear()

@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -33,11 +34,10 @@ from hkq.potentials import (
     K3_spectral,
     character_log_term,
     curvature_weight_k1,
-    curvature_weight_k3hat,
     evaluate_routes,
     quotient_potential,
 )
-from hkq.moment import level_residual
+from hkq.moment import _stable1_qr, level_residual
 from hkq.quotient import project1, project3
 from hkq.sampling import (
     make_rng,
@@ -87,11 +87,6 @@ class TestWeights:
         want = 0.5 * (SQRT3 - 1.0 - np.log((1.0 + SQRT3) / 2.0))
         assert abs(curvature_weight_k1(2.0) - want) <= 1e-15
 
-    def test_k3hat_weight(self):
-        assert curvature_weight_k3hat(0.0) == 0.5
-        assert abs(curvature_weight_k3hat(2.0) - (SQRT3 - 1.0) / 2.0) <= 1e-15
-        assert abs(curvature_weight_k3hat(1e-11) - 0.5) <= 1e-11
-
 
 class TestK1:
     def test_base_point_zero(self, trunc11):
@@ -107,7 +102,7 @@ class TestK1:
 
     def test_s2_all_routes(self, s2_point):
         routes = evaluate_routes(s2_point, "k1")
-        for value in (K1_closed(s2_point), routes["fiber"], routes["curvature"]):
+        for value in (K1_closed(s2_point), routes["curvature"], routes["level"]):
             assert abs(value - S2_K1) <= 1e-12
         assert abs(quotient_potential(s2_point) - S2_K1) <= 1e-12
         assert abs(flat_potential_K(project1(s2_point).point) - S2_FLAT_AT_LEVEL) <= 1e-12
@@ -117,7 +112,7 @@ class TestK1:
             tr = Truncation(p, q, SQRT2)
             pt = sample_stable1(tr, rng)
             routes = evaluate_routes(pt, "k1")
-            a, b, c = K1_closed(pt), routes["fiber"], routes["curvature"]
+            a, b, c = K1_closed(pt), routes["level"], routes["curvature"]
             assert abs(a - b) <= 1e-10 * (1 + abs(a))
             assert abs(a - c) <= 1e-9 * (1 + abs(a))
 
@@ -285,31 +280,30 @@ class TestK3Hat:
         # 4 V*V = 2 at k^2 = 2
         v = np.array([[1.0 / SQRT2]])
         want = (SQRT3 - 1.0) / 2.0
-        assert abs(K3_hat_cotangent(v, SQRT2, "direct") - want) <= 1e-14
-        assert abs(K3_hat_cotangent(v, SQRT2, "curvature") - want) <= 1e-14
+        assert abs(K3_hat_cotangent(v, SQRT2) - want) <= 1e-14
 
-    def test_route_agreement_random(self, rng):
+    def test_matches_the_trace_of_the_square_root_random(self, rng):
+        # (k^2/4) Tr((Id + 4 V*V)^{1/2} - Id) through the eigenvalues of
+        # Id + 4 V*V, which is well conditioned here (|V| of order 1)
         for _ in range(10):
             v = np.asarray(0.7 * (rng.random((3, 3)) + 1j * rng.random((3, 3))))
-            a = K3_hat_cotangent(v, SQRT2, "direct")
-            b = K3_hat_cotangent(v, SQRT2, "curvature")
-            assert abs(a - b) <= 1e-11 * (1 + abs(a))
+            mu = np.linalg.eigvalsh(np.eye(3) + 4.0 * dagger(v) @ v)
+            want = 0.5 * float(np.sum(np.sqrt(mu) - 1.0))
+            assert abs(K3_hat_cotangent(v, SQRT2) - want) <= 1e-13 * (1 + want)
 
-    @pytest.mark.parametrize("route", ["direct", "curvature"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_v_raises_shape_mismatch(self, route, bad):
+    def test_non_finite_v_raises_shape_mismatch(self, bad):
         v = np.full((3, 2), 0.5, dtype=complex)
         v[1, 0] = bad
         with pytest.raises(ShapeMismatch):
-            K3_hat_cotangent(v, SQRT2, route)
+            K3_hat_cotangent(v, SQRT2)
 
-    def test_routes_agree_on_a_one_dimensional_v(self):
-        # a 1-d V is read as one column by both routes
+    def test_a_one_dimensional_v_is_read_as_one_column(self):
+        # 4 V*V = 4 |v|^2 = 2 at k^2 = 2
         v = np.array([0.3, 0.4j, 0.5])
-        a = K3_hat_cotangent(v, SQRT2, "direct")
-        b = K3_hat_cotangent(v, SQRT2, "curvature")
-        assert abs(a - b) <= 1e-11 * (1 + abs(a))
-        assert a == K3_hat_cotangent(v.reshape(-1, 1), SQRT2, "direct")
+        a = K3_hat_cotangent(v, SQRT2)
+        assert a == K3_hat_cotangent(v.reshape(-1, 1), SQRT2)
+        assert abs(a - (SQRT3 - 1.0) / 2.0) <= 1e-14
 
     def test_angles_orthogonal_pair_zero(self, rng):
         tr = Truncation(2, 2, SQRT2)
@@ -351,8 +345,7 @@ class TestK3Hat:
         want = 0.25 * k * k * float(np.sum(a * a / (np.sqrt(1.0 + a * a) + 1.0)))
         v = 0.5 * grassmann._graph(pair, DEFAULT_MEMBERSHIP_TOL)
         bound = 16.0 * n * np.finfo(float).eps / a.min()
-        for value in (K3_hat_angles(pair, k), K3_hat_cotangent(v, k, "direct"),
-                      K3_hat_cotangent(v, k, "curvature")):
+        for value in (K3_hat_angles(pair, k), K3_hat_cotangent(v, k)):
             assert abs(value - want) <= bound * want
 
 
@@ -523,7 +516,8 @@ class TestRoutesAcrossShapes:
             spread = max(vals) - min(vals)
             assert spread <= CROSS_ROUTE_TOL * max(1.0, abs(vals[0])), (seed, vals)
 
-    @pytest.mark.parametrize("k", [SQRT2, 30.0])
+    @pytest.mark.filterwarnings("ignore::hkq.potentials.IntegralityWarning")
+    @pytest.mark.parametrize("k", [0.3, SQRT2, 30.0])
     @pytest.mark.parametrize("p,q", [(1, 1), (4, 4), (8, 64), (32, 32)])
     def test_routes_agree_and_projections_land(self, p, q, k):
         trunc = Truncation(p, q, k)
@@ -545,7 +539,7 @@ class TestRoutesAcrossShapes:
         pt = ConfigPoint.base(Truncation(2, 2, 1e-70))
         with pytest.warns(IntegralityWarning):
             k1 = evaluate_routes(pt, "k1")
-        assert k1 == {"closed": 0.0, "fiber": 0.0, "curvature": 0.0, "level": 0.0}
+        assert k1 == {"closed": 0.0, "curvature": 0.0, "level": 0.0}
         for which in ("k3", "k3hat"):
             assert set(evaluate_routes(pt, which).values()) == {0.0}
 
@@ -563,7 +557,7 @@ class TestEvaluateRoutesSharing:
         pt1 = sample_stable1(trunc, rng)
         pt3 = sample_stable3(trunc, rng)
         k1 = evaluate_routes(pt1, "k1")
-        assert set(k1) == {"closed", "fiber", "curvature", "level"}
+        assert set(k1) == {"closed", "curvature", "level"}
         assert k1["closed"] == K1_closed(pt1)
         assert k1["level"] == quotient_potential(pt1)
         pair, _ = psi3(pt3)
@@ -571,11 +565,9 @@ class TestEvaluateRoutesSharing:
         assert set(k3) == {"spectral", "level", "angles"}
         assert k3["spectral"] == K3_spectral(pt3)
         assert k3["angles"] == K3_hat_angles(pair, k)
-        v = 0.5 * grassmann._graph(pair, DEFAULT_MEMBERSHIP_TOL)
         assert evaluate_routes(pt3, "k3hat") == {
             "angles": K3_hat_angles(pair, k),
-            "cotangent": K3_hat_cotangent(v, k, "direct"),
-            "curvature": K3_hat_cotangent(v, k, "curvature"),
+            "cotangent": K3_hat_cotangent(psi1(project3(pt3).point).V, k),
         }
 
     @staticmethod
@@ -633,22 +625,23 @@ class TestEvaluateRoutesSharing:
 
     @pytest.mark.parametrize("which,budget", [
         ("k1", {"qr reduced": 1, "svd values": 2, "eigh": 1, "svd full": 1,
-                "eigvalsh": 2}),
+                "eigvalsh": 1}),
         ("k3", {"qr reduced": 2, "svd full": 1, "svd values": 1, "eigvalsh": 1,
                 "cholesky": 1}),
-        ("k3hat", {"qr reduced": 2, "svd full": 1, "svd values": 3}),
+        ("k3hat", {"qr reduced": 3, "svd full": 1, "svd values": 3}),
     ])
     def test_factorization_budget(self, which, budget, lapack_calls):
         # k1: one thin QR x = F R and the values of R for membership, the
-        # curvature frame, the level route and the log-det term and fiber
-        # operand of closed, fiber and curvature (x*x is not formed), the
-        # values of V for the curvature route, eigenvalues only where a
+        # curvature frame, the level route and the log-det term of closed
+        # and curvature and the closed route's operand (x*x is not formed),
+        # the values of V for the curvature route, eigenvalues only where a
         # route reads no eigenvectors, and no frame of P^perp; k3: one
         # Cholesky factor and one eigvalsh for the spectral route; k3/k3hat:
         # psi3's thin QRs of x + X and x - X and one p x p SVD of
         # M = F_P* F_Qperp, which gives the level route's point and the
-        # graph w, whose values the angles routes read and which the
-        # cotangent and curvature routes read through half of w.
+        # graph w, whose values the angles routes read; k3hat's cotangent
+        # route: psi1's thin QR of the level point's x, the values of its R
+        # and those of psi1's V.
         # Evaluated on a fresh copy, so the sampler's x factors are not read.
         rng = make_rng(20240817)
         trunc = Truncation(4, 5, SQRT2)
@@ -714,7 +707,6 @@ class TestEachBodyMovesOnlyItsRoute:
 
     ROUTES_OF_BODY = {
         "_k1_closed": {"k1.closed"},
-        "_k1_fiber": {"k1.fiber"},
         "_k1_curvature": {"k1.curvature"},
         "_k1_level": {"k1.level"},
         "_k3_spectral": {"k3.spectral"},
@@ -733,21 +725,20 @@ class TestEachBodyMovesOnlyItsRoute:
         assert moved == {"k1.curvature"}
 
     # the k1 inputs formed once: R of x's thin QR feeds the log-det term,
-    # which closed, fiber and curvature add, and the fiber operand, which
-    # closed and fiber read; the level route reads project1's result alone.
-    # The spectral pairing of the curvature operator is read by both
-    # curvature routes, K3_hat_cotangent by the two k3hat routes on half of
-    # w, and the angles of w by both angles routes.  The memoized x +/- X
-    # (moment._plus_minus) scaled by 1 + 1e-6 moves the spectral route
-    # alone: the verdict and the frames of psi3's pair read moment's own
-    # binding.  The memoized SVD of M has its own test above, as every
-    # k3hat route reads it through w, so k3hat's spread cannot see it
+    # which closed and curvature add, and the closed route's operand; the
+    # level route reads project1's result alone.  The spectral pairing of
+    # the curvature operator is read by the k1 curvature route,
+    # K3_hat_cotangent by the k3hat cotangent route on psi1's V at
+    # project3's point, and the angles of w by both angles routes.  The
+    # memoized x +/- X (moment._plus_minus) scaled by 1 + 1e-6 moves the
+    # spectral route alone: the verdict and the frames of psi3's pair read
+    # moment's own binding.  The memoized SVD of M has its own test above:
+    # both k3hat routes read it, through w and through project3's point
     READERS_OF_INPUT = {
-        "_x_factor": {"k1.closed", "k1.fiber", "k1.curvature"},
-        "_logdet_term": {"k1.closed", "k1.fiber", "k1.curvature"},
-        "_fiber_operand": {"k1.closed", "k1.fiber"},
-        "curvature_fun_apply": {"k1.curvature", "k3hat.curvature"},
-        "K3_hat_cotangent": {"k3hat.cotangent", "k3hat.curvature"},
+        "_x_factor": {"k1.closed", "k1.curvature"},
+        "_logdet_term": {"k1.closed", "k1.curvature"},
+        "curvature_fun_apply": {"k1.curvature"},
+        "K3_hat_cotangent": {"k3hat.cotangent"},
         "_angles": {"k3.angles", "k3hat.angles"},
         "_plus_minus": {"k3.spectral"},
     }
@@ -756,3 +747,82 @@ class TestEachBodyMovesOnlyItsRoute:
     def test_a_shared_input_fault_moves_its_readers_and_not_level(self, monkeypatch, shared):
         moved = self._moved(monkeypatch, shared, _scaled(getattr(potentials, shared)))
         assert moved == self.READERS_OF_INPUT[shared]
+
+
+def _k1_inputs(pt, tol):
+    """What evaluate_routes hands the k1 bodies: the log-det term on R of
+    x's thin QR x = F R, and psi1's frame F."""
+    f, r = _stable1_qr(pt, tol, "")
+    return potentials._logdet_term(pt, r), f
+
+
+def _w(pt, tol):
+    """The k3 and k3hat tables' shared graph w of psi3's pair."""
+    return grassmann._graph(grassmann._orbit_pair(pt, tol), tol)
+
+
+def _angles_route(pt, tol):
+    return potentials._k3_hat_angles(grassmann._angles(_w(pt, tol)), pt.trunc.k)
+
+
+class TestReaderMatrix:
+    """Each route's own factorizations, once the inputs its table shares
+    are memoized on the point: no two routes of one table take the same
+    multiset of LAPACK calls, so no agreement check compares two routes
+    that factor alike.  Each route is rebuilt here from the bodies and
+    shared inputs evaluate_routes wires together, and must give the
+    table's value bit for bit; the shared inputs' calls and the routes'
+    add up to the whole table's."""
+
+    SHARED = {"k1": _k1_inputs, "k3": _w, "k3hat": _w}
+    ROUTES = {
+        "k1": {
+            "closed": lambda pt, tol: potentials._k1_closed(
+                pt, _k1_inputs(pt, tol)[0], potentials._x_factor(pt)),
+            "curvature": lambda pt, tol: potentials._k1_curvature(pt, *_k1_inputs(pt, tol)),
+            "level": lambda pt, tol: potentials._k1_level(project1(pt, tol), pt.trunc.k),
+        },
+        "k3": {
+            "spectral": lambda pt, tol: potentials._k3_spectral(pt),
+            "level": lambda pt, tol: potentials._k3_level(project3(pt, tol)),
+            "angles": _angles_route,
+        },
+        "k3hat": {
+            "angles": _angles_route,
+            "cotangent": lambda pt, tol: K3_hat_cotangent(
+                psi1(project3(pt, tol).point, tol).V, pt.trunc.k),
+        },
+    }
+    CALLS = {
+        "k1": {"closed": {"eigvalsh": 1}, "curvature": {"svd values": 1},
+               "level": {"eigh": 1, "svd full": 1}},
+        "k3": {"spectral": {"cholesky": 1, "eigvalsh": 1}, "level": {},
+               "angles": {"svd values": 1}},
+        "k3hat": {"angles": {"svd values": 1},
+                  "cotangent": {"qr reduced": 1, "svd values": 2}},
+    }
+
+    @pytest.mark.parametrize("which", ["k1", "k3", "k3hat"])
+    def test_no_two_routes_of_a_table_factor_alike(self, which, lapack_calls):
+        trunc, tol = Truncation(4, 5, SQRT2), DEFAULT_MEMBERSHIP_TOL
+        sample = sample_stable1 if which == "k1" else sample_stable3
+        pt = sample(trunc, make_rng(20240817))
+        lapack_calls.clear()
+        table = evaluate_routes(fresh(pt), which, tol)
+        whole = dict(lapack_calls)
+        assert set(table) == set(self.ROUTES[which])
+        lapack_calls.clear()
+        self.SHARED[which](fresh(pt), tol)
+        total = collections.Counter(lapack_calls)
+        calls = {}
+        for route, body in self.ROUTES[which].items():
+            copy = fresh(pt)
+            self.SHARED[which](copy, tol)
+            lapack_calls.clear()
+            assert body(copy, tol) == table[route], route
+            calls[route] = dict(lapack_calls)
+            total.update(lapack_calls)
+        assert calls == self.CALLS[which]
+        assert dict(total) == whole
+        taken = [frozenset(c.items()) for c in calls.values()]
+        assert len(set(taken)) == len(taken), calls
