@@ -23,6 +23,26 @@ same point and VM (best of 15 per round, 3-5 rounds in each of five
 alternating processes per writer) that halved saving, from 1.7-3.4 ms to
 0.8-1.8 ms per round.
 
+A file is rewritten in place: the writer opens its target without O_TRUNC,
+writes the text over the old bytes through one UTF-8 text writer, and then
+cuts a regular file to the text's length.  Truncating on open made ext4
+free the file's blocks, which the write that follows had to allocate
+again: on a 2-vCPU VM whose root is ext4 mounted with `discard` (median of
+300 rewrites), rewriting a 22 kB / 350 kB file took 129 / 400 us that way
+and 15 / 46 us in place.  A temporary file renamed over the target cost
+about as much (ext4 treats a rename over a file as a truncation), and
+unlinking before creating turns a symlinked output into a plain file and
+drops the file's mode.  In place, an output keeps its inode, its mode and
+its links.  A crash between the last write and the cut leaves the new
+text followed by the old tail: JSON with extra data, which every loader
+refuses.  A crash between two writes leaves the start of the new text
+over the rest of the old file, which loads only where both files have
+the same layout past the break (then as a mix of the two).  A target
+that is not a regular file (/dev/null, a pipe) is written but not cut:
+ftruncate refuses it (EINVAL), and it holds no old tail.  Files are read
+as UTF-8, the encoding RFC 8259 requires; other bytes are refused as a
+FileFormatError that names the file.
+
 Schemas:
 
   MatrixFile   {"rows": r, "cols": c, "c16": "<base64 of 16 r c bytes>"}
@@ -66,6 +86,8 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -138,7 +160,10 @@ def _write(path, obj: dict) -> None:
     byte.  Each base64 payload, which JSON needs no escape for, is written
     as it is, and only the rest passes through json.dumps, so no second
     full-size string is built.  Everything is encoded before the file is
-    opened, so a value json cannot encode leaves no file behind."""
+    opened, so a value json cannot encode leaves the target as it was: no
+    file, or the old file's bytes and inode.  The file is rewritten in
+    place, with no O_TRUNC, and a regular file is cut to the text's length
+    at the end (module docstring: the costs, and what a crash leaves)."""
     pieces, sep = ["{"], ""
     for key in sorted(obj):
         value = obj[key]
@@ -151,13 +176,19 @@ def _write(path, obj: dict) -> None:
             pieces.append(_dumps(value))
         sep = ","
     pieces.append("}\n")
-    with open(path, "w") as out:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as out:
         out.writelines(pieces)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()  # flushes, then cuts the old tail at the end of the text
 
 
 def _read(path) -> dict:
+    raw = Path(path).read_bytes()
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):

@@ -1,6 +1,6 @@
 """Static scan of the public surface of every hkq module (AST only).
 
-Keeps seven kinds of drift from coming back: an `__all__` entry whose name
+Keeps eight kinds of drift from coming back: an `__all__` entry whose name
 the module does not define itself (gone, or only imported, which gives a
 name defined elsewhere a second public home), an `__all__` entry that no
 hkq module reads outside its own definition (a public name that no route,
@@ -15,7 +15,10 @@ call that mutates the process-global warning filters
 (`warnings.catch_warnings`), which would make the library unsafe to call
 concurrently, and a `json.dump`/`json.dumps` call passing `indent`, which
 makes json fall back from its C encoder to the pure-Python one (about
-twice as slow on the files the CLI writes).
+twice as slow on the files the CLI writes), and a call that writes a file
+(`open` with a write mode, `os.open`, `write_text`, `write_bytes`,
+`np.save*`) anywhere but `jsonio._write`, the one writer, which rewrites
+a file in place.
 """
 
 import ast
@@ -200,3 +203,66 @@ def test_json_writes_keep_the_c_encoder(path):
              if isinstance(n, ast.Call) and is_json_write(n.func)
              and any(kw.arg == "indent" for kw in n.keywords)]
     assert calls == [], f"{path.name}: json.dump(s) with indent at lines {calls}"
+
+
+WRITE_MODES = set("wax+")
+
+
+def _file_writes(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(top-level definition, call) of each call in tree that can write a
+    file: `open` or an `.open` method with a write, append, create or
+    update mode (or a mode that is not a literal), `os.open`, `.write_text`,
+    `.write_bytes` and `np.save*` (`numpy.save*`)."""
+    found = []
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for n in ast.walk(stmt):
+            if not isinstance(n, ast.Call):
+                continue
+            func, name = n.func, ast.unparse(n.func)
+            if name == "os.open" or (isinstance(func, ast.Attribute) and (
+                    func.attr in ("write_text", "write_bytes")
+                    or func.attr.startswith("save") and name.split(".")[0] in ("np", "numpy"))):
+                found.append((own, name))
+            elif name in ("open", "io.open") or (isinstance(func, ast.Attribute)
+                                                 and func.attr == "open"):
+                at = 1 if name in ("open", "io.open") else 0  # path.open(mode)
+                mode = next((kw.value for kw in n.keywords if kw.arg == "mode"),
+                            n.args[at] if len(n.args) > at else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not WRITE_MODES & set(mode.value)):
+                    found.append((own, f"{name}(mode {ast.unparse(mode)})"))
+    return found
+
+
+def test_files_are_written_only_by_jsonio_write():
+    # one write path: jsonio._write's in-place rewrite
+    writes = {p.stem: _file_writes(_tree(p)) for p in MODULES}
+    assert sorted(writes["jsonio"]) == [("_write", "open(mode 'w')"), ("_write", "os.open")]
+    stray = [f"{stem}: {call} in {own}" for stem, found in writes.items()
+             for own, call in found if (stem, own) != ("jsonio", "_write")]
+    assert stray == [], stray
+
+
+def test_every_kind_of_file_write_is_found():
+    tree = ast.parse("import io, os\n"
+                     "import numpy as np\n"
+                     "from pathlib import Path\n"
+                     "def reads(p):\n"
+                     "    open(p); open(p, 'rb'); Path(p).open(); io.open(p, mode='r')\n"
+                     "    return Path(p).read_text(), np.load(p)\n"
+                     "def writes(p, m):\n"
+                     "    open(p, 'w'); open(p, mode='ab'); open(p, 'r+'); open(p, m)\n"
+                     "    Path(p).open('x'); io.open(p, 'wb'); os.open(p, os.O_RDONLY)\n"
+                     "    Path(p).write_text(''); Path(p).write_bytes(b'')\n"
+                     "    np.save(p, 0); np.savez(p); numpy.savetxt(p, 0)\n"
+                     "class C:\n"
+                     "    def f(self, p):\n"
+                     "        self.path.write_text(p)\n")
+    assert _file_writes(tree) == [
+        ("writes", "open(mode 'w')"), ("writes", "open(mode 'ab')"),
+        ("writes", "open(mode 'r+')"), ("writes", "open(mode m)"),
+        ("writes", "Path(p).open(mode 'x')"), ("writes", "io.open(mode 'wb')"),
+        ("writes", "os.open"), ("writes", "Path(p).write_text"),
+        ("writes", "Path(p).write_bytes"), ("writes", "np.save"), ("writes", "np.savez"),
+        ("writes", "numpy.savetxt"), ("C", "self.path.write_text")]

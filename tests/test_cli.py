@@ -15,7 +15,9 @@ and reuse of the one parser per process (the same output per verb,
 handlers looked up at call time, `func` kept for callers that dispatch
 themselves), what `info` prints and factors, that `python -m hkq` runs
 the CLI, that `sample` writes the library's draw with only the seed and
-the space as meta, and the option table of every verb."""
+the space as meta, the option table of every verb, and outputs: a refused
+verb leaves an existing output as it was, `-o` may name the null device,
+and `project` may write over its own input."""
 
 import argparse
 import json
@@ -427,6 +429,47 @@ def test_sample_outside_its_set_exits_2_and_writes_nothing(space, tmp_path, capf
         stdout, err = capfd.readouterr()
         assert stdout == "" and err.startswith("error ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "1e-17", "sample", "--space", "stable1", "-p", "2", "-q", "3"],
+    ["project", "--structure", "i1", "-i", "stable3.json"],
+], ids=["sample_at_tol_1e-17", "project_i1_of_a_stable3_sample"])
+def test_a_refused_verb_leaves_an_existing_output_as_it_was(argv, tmp_path, monkeypatch,
+                                                            capsys):
+    # everything is computed and encoded before the output is opened
+    monkeypatch.chdir(tmp_path)
+    _sample("stable3.json", "stable3")
+    _sample("out.json")
+    out = tmp_path / "out.json"
+    before = out.read_bytes(), out.stat().st_ino
+    assert cli.main(argv + ["-o", "out.json"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error ")
+    assert (out.read_bytes(), out.stat().st_ino) == before
+
+
+def test_sample_to_the_null_device_exits_0(capsys):
+    # a target that is not a regular file is written and not truncated
+    argv = ["sample", "--space", "stable1", "-p", "2", "-q", "2", "-o", os.devnull]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("space,structure", [("stable1", "i1"), ("stable3", "i3")])
+def test_project_onto_its_own_input_gives_the_two_path_result(space, structure, tmp_path):
+    f, other = tmp_path / "f.json", tmp_path / "other.json"
+    _sample(f, space)
+    for out in (other, f):
+        assert cli.main(["project", "--structure", structure, "-i", str(f),
+                         "-o", str(out)]) == cli.EXIT_OK
+    assert f.read_bytes() == other.read_bytes()
+
+
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"p": 1, "q": 1, "k": 1.0, "x": \xff}')
+    assert cli.main(["potential", "--which", "k1", "-i", str(bad)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error {bad}: not UTF-8")
 
 
 @pytest.mark.parametrize("space,error", [("level", NotOnLevelSet),

@@ -8,10 +8,16 @@ cotangent file, the pair-frame check (taken as is within FRAME_TOL,
 refused beyond it), and refusal of values that are not of the schema's
 type (no coercion on load), of p or q below one with or without k, or of
 a payload that is not strict base64, holds the wrong byte count or
-non-finite entries."""
+non-finite entries.  Also: an existing file is rewritten in place (its
+inode, mode and symlink kept, its old tail cut; a pipe written and not
+cut), a refused write leaves it as it was, and a file that is not UTF-8
+is refused with its path."""
 
 import base64
 import json
+import os
+import re
+import stat
 import warnings
 
 import numpy as np
@@ -186,11 +192,65 @@ def test_every_writer_gives_the_json_dumps_text(kind, point1, point3, tmp_path):
         assert jsonio._read(path)["meta"] == HOSTILE_META
 
 
+def _bytes_and_inode(path):
+    return path.read_bytes(), path.stat().st_ino
+
+
 def test_a_meta_json_cannot_encode_leaves_no_file(point3, tmp_path):
+    """Everything is encoded before the file is opened: the refusal leaves
+    no file, and an existing file keeps its bytes and its inode."""
     path = tmp_path / "pt.json"
     with pytest.raises(TypeError):
         jsonio.save_point(path, point3, meta={"seeds": {1, 2}})
     assert not path.exists()
+    jsonio.save_point(path, point3, meta=META)
+    before = _bytes_and_inode(path)
+    with pytest.raises(TypeError):
+        jsonio.save_point(path, point3, meta={"seeds": {1, 2}})
+    assert _bytes_and_inode(path) == before
+
+
+@pytest.mark.parametrize("first,second", [(64, 2), (2, 64)])
+def test_a_rewrite_keeps_inode_and_mode_and_gives_a_fresh_writes_bytes(first, second,
+                                                                       tmp_path):
+    """An existing file is rewritten in place: a 2 x 2 point over a 64 x 64
+    file (the old tail is cut) and the reverse leave the bytes of a write to
+    a new path, in the same inode with the same mode."""
+    points = {n: sample_point("stable1", Truncation(n, n, TRUNC.k), make_rng(n))
+              for n in (first, second)}
+    path, fresh = tmp_path / "pt.json", tmp_path / "fresh.json"
+    jsonio.save_point(path, points[first], meta=META)
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    jsonio.save_point(path, points[second], meta=META)
+    jsonio.save_point(fresh, points[second], meta=META)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert (path.stat().st_ino, stat.S_IMODE(path.stat().st_mode)) == (inode, 0o640)
+
+
+def test_a_write_through_a_symlink_rewrites_its_target(point1, point3, tmp_path):
+    target, link, fresh = (tmp_path / n for n in ("target.json", "link.json", "fresh.json"))
+    jsonio.save_point(target, point1)
+    link.symlink_to(target)
+    jsonio.save_point(link, point3)
+    jsonio.save_point(fresh, point3)
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_written_and_not_truncated(point3, tmp_path):
+    """ftruncate refuses a pipe (EINVAL): the writer leaves it uncut."""
+    fresh = tmp_path / "fresh.json"
+    jsonio.save_point(fresh, point3)
+    assert len(fresh.read_bytes()) < 4096  # fits the pipe's buffer: no reader needed
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            jsonio.save_point(f"/dev/fd/{write_end}", point3)
+        finally:
+            os.close(write_end)
+        assert pipe.read() == fresh.read_bytes()
 
 
 def test_indented_layout_still_loads(point3, tmp_path):
@@ -400,6 +460,17 @@ def files(point3, point1, tmp_path):
     jsonio.save_pair(paths["pair"], pair, k=TRUNC.k)
     jsonio.save_cotangent(paths["cotangent"], psi1(point1), TRUNC.k)
     return paths
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_file_that_is_not_utf8_is_refused_with_its_path(kind, tmp_path):
+    """RFC 8259 JSON is UTF-8: other bytes are a FileFormatError naming the
+    file, not a UnicodeDecodeError."""
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(b'{"p": 1, "q": 1, "k": 1.0, "x": \xff}')
+    load, _ = LOADERS[kind]
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: not UTF-8"):
+        load(path)
 
 
 @pytest.mark.parametrize("damage", NOT_OF_THE_SCHEMA)
