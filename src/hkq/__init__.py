@@ -17,7 +17,6 @@ from .grassmann import (
     Subspace,
     characteristic_angles,
     complement_frame,
-    curvature_fun_apply,
     projector_distance,
     psi1,
     psi1_section,
@@ -36,13 +35,7 @@ from .hkspace import (
     omega,
     omega_C,
 )
-from .matcore import (
-    HermitianSpectrum,
-    herm_eig,
-    herm_fun,
-    svd,
-    sym_sylvester_solve,
-)
+from .matcore import HermitianSpectrum, herm_eig
 from .moment import (
     in_stable1,
     in_stable3,

@@ -23,9 +23,11 @@ Subspace constructor and the file reader (jsonio).  This module provides
   * the graph operator A: P -> P^perp whose graph is Q^perp, held only in
     ambient form w = F_Pperp A (_graph), so no frame of P^perp is built,
     and the characteristic angles cos(theta_i) = 1/sqrt(1 + a_i^2), read
-    off the singular values a_i of w, and
-  * the spectral functional calculus of the operator Y -> 2(V V* Y + Y V* V)
-    that feeds the k1 curvature route.
+    off the singular values a_i of w.
+
+The curvature operator Y -> 2(V V* Y + Y V* V) of the Grassmannian, which
+the k1 curvature form on psi1's fiber V pairs with V, is evaluated on V's
+singular values in potentials (the k1 curvature route).
 
 Subspace frames are read-only, and a pair is immutable, so hkspace._memo
 keeps psi3's pair on its point per tol (_orbit_pair), and on the pair the
@@ -50,7 +52,6 @@ __all__ = [
     "Subspace",
     "characteristic_angles",
     "complement_frame",
-    "curvature_fun_apply",
     "projector_distance",
     "psi1",
     "psi1_section",
@@ -350,16 +351,3 @@ def _angles(w: np.ndarray) -> np.ndarray:
     theta = np.zeros(p)
     theta[:s.size] = np.arctan(s)
     return np.sort(theta)
-
-
-def curvature_fun_apply(f, V) -> float:
-    """Re-trace pairing g_Gr(f(Op) V, V) with Op: Y -> 2(V V* Y + Y V* V),
-    the Grassmannian's curvature operator i R_{iV, V} itself.
-
-    Evaluated spectrally: with singular values sigma_i of V the operator
-    acts on the singular direction u_i w_i* by 4 sigma_i^2, so the value is
-    sum_i f(4 sigma_i^2) sigma_i^2.
-    """
-    s = np.linalg.svd(as_matrix(V), compute_uv=False)
-    vals = np.array([float(f(4.0 * si * si)) * si * si for si in s])
-    return float(np.sum(vals))

@@ -223,11 +223,6 @@ class TangentPair:
     def __neg__(self) -> "TangentPair":
         return _tangent(-self.Z, -self.T)
 
-    @staticmethod
-    def zero(trunc: Truncation) -> "TangentPair":
-        z = np.zeros((trunc.n, trunc.p), dtype=np.complex128)
-        return TangentPair(z, z.copy())
-
 
 def _tangent(Z: np.ndarray, T: np.ndarray) -> TangentPair:
     """TangentPair of components that are already finite complex128 matrices
@@ -340,22 +335,20 @@ def act3(h: HermitianSpectrum, u, pt: ConfigPoint) -> ConfigPoint:
     and cosh(h) and sinh(h) share its one eigendecomposition; a caller that
     holds the matrix passes herm_eig(h), which refuses a non-Hermitian one
     (NotHermitian).  u is a p x p matrix, and act3 is the one place that
-    checks u*u = Id (NotUnitary); u = None is the identity, applied without
-    a product.  A spectrum of zeros with u = None is the identity exactly.
+    checks u*u = Id (NotUnitary).  A spectrum of zeros moves no point off
+    its u-orbit: the result is (x u^-1, X u^-1).
     """
     p = pt.trunc.p
     if h.eigenvectors.shape != (p, p):
         raise ShapeMismatch(f"h must be p x p, got {h.eigenvectors.shape}")
-    xu, Xu = pt.x, pt.X
-    if u is not None:
-        u = as_matrix(u, "u")
-        if u.shape != (p, p):
-            raise ShapeMismatch(f"u must be p x p, got {u.shape}")
-        err = fnorm(dagger(u) @ u - np.eye(p))
-        if err > UNITARY_TOL * (1.0 + fnorm(u)):
-            raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
-        uinv = np.linalg.inv(u)
-        xu, Xu = xu @ uinv, Xu @ uinv
+    u = as_matrix(u, "u")
+    if u.shape != (p, p):
+        raise ShapeMismatch(f"u must be p x p, got {u.shape}")
+    err = fnorm(dagger(u) @ u - np.eye(p))
+    if err > UNITARY_TOL * (1.0 + fnorm(u)):
+        raise NotUnitary(f"act3 needs a unitary element, ||u*u - Id|| = {err:.3e}")
+    uinv = np.linalg.inv(u)
+    xu, Xu = pt.x @ uinv, pt.X @ uinv
     if not np.any(h.eigenvalues):
         return _point(pt.trunc, xu, Xu)
     c = h.fun(np.cosh)

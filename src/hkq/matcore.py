@@ -1,24 +1,17 @@
 """Dense complex linear-algebra kernel.
 
-Hermitian eigendecomposition, functional calculus of Hermitian matrices,
-SVD, and the symmetric (anticommutator) Sylvester solver, with stacked
-right-hand sides.  All scalars are
-complex128; the acceptance tolerances (1e-9 .. 1e-12) need full double
-precision.
+Hermitian eigendecomposition and the functional calculus of a factored
+Hermitian matrix.  All scalars are complex128; the acceptance tolerances
+(1e-9 .. 1e-12) need full double precision.
 
-Preconditions are checked at the public entry points only.  herm_eig,
-herm_fun and sym_sylvester_solve given a matrix M run the Hermitian
-pre-check (NotHermitian) on top of the finite-entry check of as_matrix
-(ShapeMismatch).  Operands that the library builds Hermitian (V*V,
-M = x*x + X*X, any hermitian_part) go straight to the private
-_eigh, which keeps the finite-entry check (a product that overflowed is
-still refused) and the symmetrization, and skips the Hermitian test;
-_eigvals is its eigenvalue-only form, for a caller that reads no
-eigenvectors.  sym_sylvester_solve is the check (shapes, finite S, M
-positive definite) plus the private body _sylvester.  The tangent
-projectors of quotient.SliceBasis solve the same equation in M's
-eigenbasis themselves, on the positive-definite check of the private
-_check_positive_definite, taken once when the basis is built.
+Preconditions are checked at the public entry points only.  herm_eig given
+a matrix M runs the Hermitian pre-check (NotHermitian) on top of the
+finite-entry check of as_matrix (ShapeMismatch).  Operands that the
+library builds Hermitian (V*V, M = x*x + X*X, any hermitian_part) go
+straight to the private _eigh, which keeps the finite-entry check (a
+product that overflowed is still refused) and the symmetrization, and
+skips the Hermitian test; _eigvals is its eigenvalue-only form, for a
+caller that reads no eigenvectors.
 
 Everything here is a pure function of immutable inputs: no cache, no
 module state and no warning, so it is safe to call concurrently.
@@ -32,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .config import HERMITIAN_TOL, PD_TOL
+from .config import HERMITIAN_TOL
 from .errors import (
     DomainViolation,
     NoConvergence,
     NotHermitian,
-    NotPositiveDefinite,
     ShapeMismatch,
 )
 
@@ -47,13 +39,10 @@ __all__ = [
     "dagger",
     "fnorm",
     "herm_eig",
-    "herm_fun",
     "hermitian_part",
     "skew_part",
     "is_hermitian",
     "psd_sqrt",
-    "svd",
-    "sym_sylvester_solve",
 ]
 
 
@@ -142,38 +131,15 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ dagger(u)
-
-    def fun(
-        self,
-        f: Callable[[np.ndarray], np.ndarray],
-        domain_check: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def fun(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Functional calculus on this spectrum: hermitian_part(U diag(f(lam)) U*).
 
-        `domain_check` is a vectorized predicate on the eigenvalues (e.g.
-        lam > 0 for log); offenders raise DomainViolation.  Several functions
-        of one matrix (g and g^-1, h and m^{1/4}) share one
-        factorization by calling fun on the same spectrum.
+        Several functions of one matrix (g and g^-1, cosh h and sinh h)
+        share one factorization by calling fun on the same spectrum.
         """
-        lam = self.eigenvalues
-        if domain_check is not None:
-            _check_domain(lam, domain_check(lam))
         u = self.eigenvectors
-        out = (u * np.asarray(f(lam), dtype=np.float64)) @ dagger(u)
+        out = (u * np.asarray(f(self.eigenvalues), dtype=np.float64)) @ dagger(u)
         return hermitian_part(out)
-
-
-def _check_domain(lam: np.ndarray, ok) -> None:
-    ok = np.asarray(ok, dtype=bool)
-    if not np.all(ok):
-        bad = lam[~ok]
-        raise DomainViolation(
-            f"eigenvalues outside the domain of the scalar map: {bad}",
-            offending=bad,
-        )
 
 
 def psd_sqrt(lam: np.ndarray) -> np.ndarray:
@@ -182,7 +148,10 @@ def psd_sqrt(lam: np.ndarray) -> np.ndarray:
     Round-off negatives down to -HERMITIAN_TOL (1 + max|lam|) are clipped to
     zero; anything below raises DomainViolation.
     """
-    _check_domain(lam, lam >= -HERMITIAN_TOL * (1.0 + np.max(np.abs(lam))))
+    bad = lam[~(lam >= -HERMITIAN_TOL * (1.0 + np.max(np.abs(lam))))]
+    if bad.size:
+        raise DomainViolation(
+            f"eigenvalues outside the domain of the scalar map: {bad}", offending=bad)
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
@@ -231,78 +200,3 @@ def _factor(m: np.ndarray) -> HermitianSpectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     return HermitianSpectrum(eigenvalues=lam, eigenvectors=u)
-
-
-def herm_fun(
-    m,
-    f: Callable[[np.ndarray], np.ndarray],
-    domain_check: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
-
-    Returns U diag(f(lam)) U*, exactly Hermitian by construction:
-    herm_eig(m).fun(f, domain_check), see HermitianSpectrum.fun.  Public
-    as the checked entry for a caller that holds the matrix, not its
-    spectrum; inside hkq every operand is factored once and reused.
-    """
-    return herm_eig(m).fun(f, domain_check)
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition M = U diag(sigma) W*.
-
-    Returns (U, sigma, W) with sigma non-negative descending and U, W having
-    orthonormal columns (thin factors).
-    """
-    m = as_matrix(m)
-    try:
-        u, s, wh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    return u, s, dagger(wh)
-
-
-def sym_sylvester_solve(m, s) -> np.ndarray:
-    """Solve (M a + a M)/2 = S for skew-Hermitian a.
-
-    M is Hermitian positive definite, given as a matrix or as its
-    HermitianSpectrum (so that several solves against one M share one
-    eigendecomposition).  S is skew-Hermitian: one p x p matrix, or a stack
-    (..., p, p) of right-hand sides solved against the same M, in which case
-    the solutions come back stacked the same way.  The solution is computed in
-    the eigenbasis of M via a_ij = 2 S_ij / (lam_i + lam_j) and is unique
-    there since all lam_i + lam_j > 0.  M counts as positive definite when
-    lam_min > PD_TOL * lam_max, a test that does not depend on the scale of
-    M (k^2 Id at a base point is accepted for every k).
-    """
-    given = isinstance(m, HermitianSpectrum)
-    shape = m.eigenvectors.shape if given else as_matrix(m, "M").shape
-    s = np.asarray(s, dtype=np.complex128)
-    if shape[0] != shape[1] or s.ndim < 2 or s.shape[-2:] != shape:
-        raise ShapeMismatch(f"M {shape} must be square and S {s.shape} must end in it")
-    if not np.all(np.isfinite(s)):
-        raise ShapeMismatch("S contains non-finite entries")
-    spec = m if given else herm_eig(m)
-    _check_positive_definite(spec.eigenvalues)
-    return _sylvester(spec, s)
-
-
-def _check_positive_definite(lam: np.ndarray) -> None:
-    """sym_sylvester_solve's rule on ascending eigenvalues: lam_min >
-    PD_TOL * lam_max, else NotPositiveDefinite."""
-    if lam.size and lam[0] <= PD_TOL * lam[-1]:
-        raise NotPositiveDefinite(
-            f"M must be positive definite, min eigenvalue {lam.min():.3e}"
-        )
-
-
-def _sylvester(spec: HermitianSpectrum, s: np.ndarray) -> np.ndarray:
-    """The body of sym_sylvester_solve, unchecked: spec has passed
-    _check_positive_definite and s is a complex128 stack (..., p, p) that
-    ends in spec's shape.  A non-finite s gives a non-finite solution."""
-    lam, u = spec.eigenvalues, spec.eigenvectors
-    s_eig = dagger(u) @ s @ u
-    denom = 0.5 * (lam[:, None] + lam[None, :])
-    a_eig = s_eig / denom
-    a = u @ a_eig @ dagger(u)
-    return skew_part(a)

@@ -256,19 +256,18 @@ def _check_skew(a: np.ndarray) -> np.ndarray:
 
 
 def infinitesimal_action(j: int, a: np.ndarray, pt: ConfigPoint) -> TangentPair:
-    """Vector field of a skew-Hermitian a at pt for the structure pairing j.
+    """Vector field (-x a, -X a) of a skew-Hermitian a at pt, the same for
+    every structure pairing j.
 
-    For omega_1 the compact group acts on both slots by -a; for omega_2/3 the
-    complexified action contributes (-x a, X a*).  The two coincide for
-    skew-Hermitian a, but both routes are kept explicit since the pairing
-    check quotes them separately.  A j outside {1, 2, 3} raises BadIndex,
-    as apply_I and omega do.
+    For omega_1 the compact group acts on both slots by -a; for omega_2/3
+    the complexified action contributes (-x a, X a*), and a* = -a for a
+    skew-Hermitian a, the only kind moment_pairing_check admits.  The j
+    pairings differ in omega_j alone.  A j outside {1, 2, 3} raises
+    BadIndex, as apply_I and omega do.
     """
-    if j == 1:
-        return TangentPair(-pt.x @ a, -pt.X @ a)
-    if j in (2, 3):
-        return TangentPair(-pt.x @ a, pt.X @ dagger(a))
-    raise BadIndex(f"complex-structure index must be 1, 2 or 3, got {j}")
+    if j not in (1, 2, 3):
+        raise BadIndex(f"complex-structure index must be 1, 2 or 3, got {j}")
+    return TangentPair(-pt.x @ a, -pt.X @ a)
 
 
 def _pairing_derivative(j: int, pt: ConfigPoint, a: np.ndarray, v: TangentPair) -> float:

@@ -96,7 +96,6 @@ from .grassmann import (
     _graph,
     _orbit_pair,
     characteristic_angles,
-    curvature_fun_apply,
     psi1,
 )
 from .hkspace import ConfigPoint, _half_k2_integral, flat_potential_K
@@ -141,13 +140,16 @@ def _warn_integrality(k: float) -> None:
         )
 
 
-def curvature_weight_k1(u: float) -> float:
-    """f(u) = (1/u)(sqrt(1+u) - 1 - log((1 + sqrt(1+u))/2)), extended by
-    f(0) = 1/4 (the singularity is removable: f(u) = 1/4 - u/32 + ...)."""
-    if u < 1e-8:
-        return 0.25 - u / 32.0 + u * u / 96.0
-    s = np.expm1(0.5 * np.log1p(u))  # sqrt(1+u) - 1, stable for small u
-    return float((s - np.log1p(0.5 * s)) / u)
+def curvature_weight_k1(u) -> np.ndarray:
+    """f(u) = (1/u)(sqrt(1+u) - 1 - log((1 + sqrt(1+u))/2)) elementwise on
+    u >= 0, extended by f(0) = 1/4 (the singularity is removable: f(u) =
+    1/4 - u/32 + u^2/96 - ...); below u = 1e-8 that series is taken."""
+    u = np.asarray(u, dtype=np.float64)
+    small = u < 1e-8
+    t = np.where(small, u, 0.0)  # each branch sees only its own arguments:
+    b = np.where(small, 1.0, u)  # no 0/0 at u = 0, no overflow of u^2
+    s = np.expm1(0.5 * np.log1p(b))  # sqrt(1+u) - 1, stable for small u
+    return np.where(small, 0.25 - t / 32.0 + t * t / 96.0, (s - np.log1p(0.5 * s)) / b)
 
 
 def _x_factor(pt: ConfigPoint) -> np.ndarray:
@@ -191,11 +193,15 @@ def _k1_closed(pt: ConfigPoint, logdet: float, r: np.ndarray) -> float:
 
 
 def _k1_curvature(pt: ConfigPoint, logdet: float, fp: np.ndarray) -> float:
-    """V's singular values are read off its ambient form _fiber(pt, F_P)
-    (n x p), psi1(pt).V, which has those of the frame coordinate
-    F_Pperp* V F_P, so no frame of P^perp is built."""
-    v = _fiber(pt, fp)
-    return logdet + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1, v)
+    """The log-det term plus k^2 g_Gr(f(Op) V, V), f = curvature_weight_k1,
+    for the Grassmannian's curvature operator Op: Y -> 2(V V* Y + Y V* V),
+    i R_{iV, V}, on psi1's fiber V.  Op acts on the singular direction
+    u_i w_i* of V by 4 sigma_i^2, so the pairing is sum_i f(4 sigma_i^2)
+    sigma_i^2, on one values-only SVD.  The sigma_i are read off V's
+    ambient form _fiber(pt, F_P) (n x p), psi1(pt).V, which has those of
+    the frame coordinate F_Pperp* V F_P, so no frame of P^perp is built."""
+    s = np.linalg.svd(_fiber(pt, fp), compute_uv=False)
+    return logdet + pt.trunc.k2 * float(np.sum(curvature_weight_k1(4.0 * s * s) * s * s))
 
 
 def _spectral_operand_eigs(pt: ConfigPoint) -> np.ndarray:

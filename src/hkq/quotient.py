@@ -130,8 +130,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_MEMBERSHIP_TOL
-from .errors import NotInStable1, NotInStable3, NotOnLevelSet, ShapeMismatch
+from .config import DEFAULT_MEMBERSHIP_TOL, PD_TOL
+from .errors import (
+    NotInStable1,
+    NotInStable3,
+    NotOnLevelSet,
+    NotPositiveDefinite,
+    ShapeMismatch,
+)
 from .grassmann import _orbit_pair, _transversal_svd
 from .hkspace import (
     ConfigPoint,
@@ -145,7 +151,6 @@ from .hkspace import (
 )
 from .matcore import (
     HermitianSpectrum,
-    _check_positive_definite,
     _eigh,
     dagger,
     hermitian_part,
@@ -166,7 +171,7 @@ class ProjectionResult:
     operation taking it back (act1, potentials.character_log_term) checks,
     and eigenvalues are those of g, ascending.  For project3, group_part is
     None and eigenvalues are those of the Hermitian p x p matrix h with
-    act3(herm_eig(-h), None, psi3_section(pair)) = point, ascending; h
+    act3(herm_eig(-h), Id, psi3_section(pair)) = point, ascending; h
     itself is not formed.  Both are read off the factorization the
     projection built: project1's p x p SVD of g0 R on x's thin QR
     x = F R, and project3's SVD M = L diag(s) R* of the pair's
@@ -275,6 +280,16 @@ def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
     # s descends, so -(1/2) log s ascends
     return ProjectionResult(point=point, residual=residual,
                             eigenvalues=_read_only(-0.5 * np.log(s)))
+
+
+def _check_positive_definite(lam: np.ndarray) -> None:
+    """SliceBasis's rule on ascending eigenvalues: lam_min > PD_TOL * lam_max,
+    else NotPositiveDefinite.  The test does not depend on the scale of M
+    (k^2 Id at a base point is accepted for every k)."""
+    if lam.size and lam[0] <= PD_TOL * lam[-1]:
+        raise NotPositiveDefinite(
+            f"M must be positive definite, min eigenvalue {lam.min():.3e}"
+        )
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def test_a_section_moved_along_its_fiber_fails_the_canonical_check(monkeypatch):
 
     def moved(pair, k):
         pt = section(pair, k)
-        return act3(herm_eig(1e-3 * np.eye(pt.trunc.p)), None, pt)
+        return act3(herm_eig(1e-3 * np.eye(pt.trunc.p)), np.eye(pt.trunc.p), pt)
 
     results = {r.name: r for r in checks.run_suite("maps", 10, 0)}
     assert results["psi3_section_canonical"].residual <= 1e-14

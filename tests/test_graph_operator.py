@@ -25,7 +25,7 @@ from hkq.grassmann import (
     psi3_section,
 )
 from hkq.hkspace import ConfigPoint, Truncation, act3
-from hkq.matcore import dagger, fnorm, herm_eig, herm_fun
+from hkq.matcore import dagger, fnorm, herm_eig
 from hkq.moment import in_stable3
 from hkq.potentials import K3_spectral, evaluate_routes
 from hkq.quotient import project3
@@ -72,7 +72,8 @@ def test_matches_the_complement_frame_oracle(p, q, rng):
     scale = fnorm(x0) + fnorm(X0)
     assert fnorm(sec.x - x0) + fnorm(sec.X - X0) <= bound * scale
 
-    h = 0.25 * herm_fun(np.eye(p) + dagger(a) @ a, np.log)
+    lam_m, u_m = np.linalg.eigh(np.eye(p) + dagger(a) @ a)
+    h = 0.25 * (u_m * np.log(lam_m)) @ dagger(u_m)  # (1/4) log(Id + A*A)
     want = act3(herm_eig(-h), np.eye(p), ConfigPoint(pt.trunc, x0, X0))
     res = project3(pt)
     lam = np.linalg.eigvalsh(h)

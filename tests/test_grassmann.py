@@ -9,7 +9,6 @@ from hkq.grassmann import (
     Subspace,
     characteristic_angles,
     complement_frame,
-    curvature_fun_apply,
     projector_distance,
     psi1,
     psi1_section,
@@ -298,34 +297,6 @@ class TestCharacteristicAngles:
         theta = characteristic_angles(pair)
         assert theta.shape == (3,)
         assert np.sum(theta > 1e-12) <= 1  # rank of A is at most q = 1
-
-
-class TestCurvature:
-    def test_fun_apply_constant_and_identity(self, rng):
-        v = gaussian_complex(rng, (4, 2))
-        s = np.linalg.svd(v, compute_uv=False)
-        assert abs(curvature_fun_apply(lambda u: 1.0, v) - np.sum(s**2)) <= 1e-12 * (
-            1 + np.sum(s**2))
-        want = np.sum(4.0 * s**4)
-        assert abs(curvature_fun_apply(lambda u: u, v) - want) <= 1e-12 * (1 + want)
-
-    def test_fun_apply_series_cross_check(self, rng):
-        # f through the spectral route vs a truncated power series applied by
-        # repeated operator action; entries scaled small so the series converges fast
-        v = 0.1 * gaussian_complex(rng, (3, 3))
-        coeffs = [0.25, -1.0 / 32.0, 1.0 / 96.0]  # weight series around 0
-
-        def f(u):
-            return coeffs[0] + coeffs[1] * u + coeffs[2] * u * u
-
-        spectral = curvature_fun_apply(f, v)
-        acc = np.zeros_like(v)
-        term = v.copy()
-        for c in coeffs:
-            acc = acc + c * term
-            term = 2.0 * (v @ dagger(v) @ term + term @ dagger(v) @ v)
-        series = float(np.sum(np.conj(acc) * v).real)
-        assert abs(spectral - series) <= 1e-12 * (1 + abs(spectral))
 
 
 class TestSubspaceTypes:

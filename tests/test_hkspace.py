@@ -236,18 +236,18 @@ class TestAct3:
         assert fnorm(back.x - s3_point.x) <= 1e-11
         assert fnorm(back.X - s3_point.X) <= 1e-11
 
-    def test_spectrum_and_no_unitary_part(self, rng):
+    def test_spectrum_of_zeros_moves_along_u_alone(self, rng):
         tr = Truncation(3, 2, 1.3)
         pt = ConfigPoint(tr, gaussian_complex(rng, (5, 3)), gaussian_complex(rng, (5, 3)))
-        g = gaussian_complex(rng, (3, 3))
-        h = 0.5 * (g + dagger(g))
-        want = act3(herm_eig(h), np.eye(3), pt)
-        got = act3(herm_eig(h), None, pt)
-        assert fnorm(got.x - want.x) + fnorm(got.X - want.X) <= 1e-14 * fnorm(pt.x)
-        zero = act3(herm_eig(np.zeros((3, 3))), None, pt)
-        assert np.array_equal(zero.x, pt.x) and np.array_equal(zero.X, pt.X)
+        zero = herm_eig(np.zeros((3, 3)))
+        out = act3(zero, np.eye(3), pt)
+        assert np.array_equal(out.x, pt.x) and np.array_equal(out.X, pt.X)
+        u = random_unitary(3, rng)
+        out = act3(zero, u, pt)
+        assert fnorm(out.x - pt.x @ dagger(u)) + fnorm(out.X - pt.X @ dagger(u)) <= (
+            1e-14 * (fnorm(pt.x) + fnorm(pt.X)))
         with pytest.raises(ShapeMismatch):
-            act3(herm_eig(np.eye(2)), None, pt)
+            act3(herm_eig(np.eye(2)), np.eye(3), pt)
 
     def test_requires_hermitian_and_unitary(self, s3_point, rng):
         with pytest.raises(NotHermitian):
@@ -257,6 +257,8 @@ class TestAct3:
             act3(zero, np.array([[2.0]]), s3_point)
         with pytest.raises(ShapeMismatch):
             act3(zero, np.eye(2), s3_point)
+        with pytest.raises(ShapeMismatch):  # u is required: None is no identity
+            act3(zero, None, s3_point)
 
 
 class TestFlatReductions:
@@ -367,7 +369,7 @@ class TestTrustedPoints:
                          gaussian_complex(rng, (5, 3)))
         g = gaussian_complex(rng, (3, 3))
         h = herm_eig(0.5 * (g + dagger(g)))
-        outs = [act1(np.eye(3) + 0.3 * g, pt), act3(h, None, pt),
+        outs = [act1(np.eye(3) + 0.3 * g, pt), act3(h, np.eye(3), pt),
                 act3(herm_eig(np.zeros((3, 3))), random_unitary(3, rng), pt),
                 psi3_section(sample_orbit_pair(tr, rng), tr.k)]
         for out in outs:
@@ -386,8 +388,6 @@ class TestTrustedPoints:
     def test_act3_overflow_is_refused(self, s3_point):
         h = herm_eig(np.array([[800.0]]))  # cosh(800) overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ShapeMismatch, match="non-finite"):
-                act3(h, None, s3_point)
             with pytest.raises(ShapeMismatch, match="non-finite"):
                 act3(h, np.eye(1), s3_point)
 

@@ -21,8 +21,8 @@ fiber together and keeps every route to round-off.
 The structural pre-checks are relative too: a matrix counts as Hermitian
 when ||M - M*|| <= tol ||M|| (matcore.is_hermitian) and as skew when
 ||a + a*|| <= tol ||a|| (moment_pairing_check), so no verdict of
-herm_eig, herm_fun, sym_sylvester_solve, character_log_term or
-moment_pairing_check moves under M -> 2^m M.
+herm_eig, character_log_term or moment_pairing_check moves under
+M -> 2^m M.
 """
 
 import warnings
@@ -33,7 +33,7 @@ import pytest
 from hkq import cli, potentials
 from hkq.errors import HkqError, NotHermitian
 from hkq.hkspace import ConfigPoint, Truncation
-from hkq.matcore import herm_eig, herm_fun, sym_sylvester_solve
+from hkq.matcore import herm_eig
 from hkq.moment import in_stable1, in_stable3, moment_pairing_check
 from hkq.potentials import character_log_term, evaluate_routes
 from hkq.quotient import project1, project3
@@ -200,8 +200,6 @@ def _pre_check_verdicts(s: float) -> dict:
         m = s * m
         verdicts[tag] = [
             _verdict(lambda: herm_eig(m)),
-            _verdict(lambda: herm_fun(m, np.abs)),
-            _verdict(lambda: sym_sylvester_solve(m, 1j * np.eye(2))),
             _verdict(lambda: character_log_term(m, 2.0)),
             _verdict(lambda: moment_pairing_check(pt, 1j * m, v, 1)),
         ]
@@ -210,10 +208,9 @@ def _pre_check_verdicts(s: float) -> dict:
 
 @pytest.mark.parametrize("m", [-40, 0, 40])
 def test_pre_check_verdicts_do_not_depend_on_the_unit(m):
-    refused = ["NotHermitian", "NotHermitian", "NotHermitian",
-               "NotPositiveDefinite", "NotSkew"]
+    refused = ["NotHermitian", "NotPositiveDefinite", "NotSkew"]
     assert _pre_check_verdicts(2.0 ** m) == {
-        "hermitian": ["accepted"] * 5,
+        "hermitian": ["accepted"] * 3,
         "not hermitian": refused,
         "nilpotent": refused,
     }

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from hkq import matcore
-from hkq.errors import (
-    DomainViolation,
-    NotHermitian,
-    NotPositiveDefinite,
-    ShapeMismatch,
-)
+from hkq.errors import DomainViolation, NotHermitian, ShapeMismatch
 from hkq.hkspace import ConfigPoint, Truncation, act3
 from hkq.matcore import (
     _eigh,
@@ -18,11 +13,7 @@ from hkq.matcore import (
     dagger,
     fnorm,
     herm_eig,
-    herm_fun,
     psd_sqrt,
-    skew_part,
-    svd,
-    sym_sylvester_solve,
 )
 from hkq.sampling import gaussian_complex, make_rng
 
@@ -65,8 +56,8 @@ class TestHermEig:
         for p in (1, 2, 5):
             m = random_hermitian(rng, p)
             spec = herm_eig(m)
-            assert fnorm(spec.reconstruct() - m) <= 1e-12 * (1 + fnorm(m))
             u = spec.eigenvectors
+            assert fnorm((u * spec.eigenvalues) @ dagger(u) - m) <= 1e-12 * (1 + fnorm(m))
             assert fnorm(dagger(u) @ u - np.eye(p)) <= 1e-12
             assert np.all(np.diff(spec.eigenvalues) >= 0)
 
@@ -79,19 +70,19 @@ class TestHermEig:
             herm_eig(np.ones((2, 3)))
 
 
-class TestHermFun:
+class TestSpectrumFun:
     def test_sqrt_diagonal(self):
-        out = herm_fun(np.diag([4.0, 9.0]), np.sqrt)
+        out = herm_eig(np.diag([4.0, 9.0])).fun(np.sqrt)
         assert np.allclose(out, np.diag([2.0, 3.0]))
 
     def test_log_identity(self):
-        out = herm_fun(np.eye(3), np.log, domain_check=lambda lam: lam > 0)
+        out = herm_eig(np.eye(3)).fun(np.log)
         assert fnorm(out) <= 1e-14
 
     def test_sqrt_dense(self):
         # eigenbasis (1, 1)/sqrt2, (1, -1)/sqrt2 with eigenvalues 7 and 3
         m = np.array([[5.0, 2.0], [2.0, 5.0]])
-        out = herm_fun(m, np.sqrt)
+        out = herm_eig(m).fun(np.sqrt)
         s7, s3 = np.sqrt(7.0), np.sqrt(3.0)
         want = np.array([[(s7 + s3) / 2, (s7 - s3) / 2],
                          [(s7 - s3) / 2, (s7 + s3) / 2]])
@@ -99,26 +90,13 @@ class TestHermFun:
 
     def test_identity_function_returns_input(self, rng):
         m = random_hermitian(rng, 4)
-        assert fnorm(herm_fun(m, lambda lam: lam) - m) <= 1e-12 * (1 + fnorm(m))
-
-    def test_domain_violation_lists_offenders(self):
-        with pytest.raises(DomainViolation) as err:
-            herm_fun(np.diag([1.0, -2.0]), np.log, domain_check=lambda lam: lam > 0)
-        assert err.value.offending is not None
+        assert fnorm(herm_eig(m).fun(lambda lam: lam) - m) <= 1e-12 * (1 + fnorm(m))
 
     def test_sqrt_square_round_trip(self, rng):
         g = gaussian_complex(rng, (4, 4))
         m = g @ dagger(g)  # PSD
-        back = herm_fun(_eigh(m).fun(psd_sqrt), np.square)
+        back = herm_eig(_eigh(m).fun(psd_sqrt)).fun(np.square)
         assert fnorm(back - m) <= 1e-10 * (1 + fnorm(m))
-
-
-class TestSpectrumFun:
-    def test_matches_herm_fun(self, rng):
-        m = random_hermitian(rng, 5)
-        spec = herm_eig(m)
-        assert np.array_equal(spec.fun(np.cosh), herm_fun(m, np.cosh))
-        assert np.array_equal(spec.fun(np.sinh), herm_fun(m, np.sinh))
 
     def test_two_functions_of_one_spectrum(self, rng):
         m = random_hermitian(rng, 4)
@@ -128,114 +106,15 @@ class TestSpectrumFun:
         assert fnorm(ident - np.eye(4)) <= 1e-12 * (1 + fnorm(c) ** 2)
         assert fnorm(c - dagger(c)) == 0.0
 
-    def test_domain_check(self):
-        spec = herm_eig(np.diag([1.0, -2.0]))
-        with pytest.raises(DomainViolation) as err:
-            spec.fun(np.log, domain_check=lambda lam: lam > 0)
-        assert np.array_equal(err.value.offending, [-2.0])
-
     def test_psd_sqrt_clips_round_off_only(self):
         assert np.array_equal(psd_sqrt(np.array([-1e-14, 4.0])), [0.0, 2.0])
         with pytest.raises(DomainViolation):
             psd_sqrt(np.array([-1e-3, 4.0]))
 
-
-class TestSvd:
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((3, 2)))
-        assert np.all(s == 0)
-
-    def test_sign_absorbed(self):
-        _, s, _ = svd(np.diag([2.0, -3.0]))
-        assert np.allclose(s, [3.0, 2.0])
-
-    def test_pythagoras(self):
-        _, s, _ = svd(np.array([[3.0], [4.0]]))
-        assert np.allclose(s, [5.0])
-
-    def test_reconstruction(self, rng):
-        m = gaussian_complex(rng, (5, 3))
-        u, s, w = svd(m)
-        assert fnorm(m - (u * s) @ dagger(w)) <= 1e-11 * (1 + fnorm(m))
-        assert fnorm(dagger(u) @ u - np.eye(3)) <= 1e-12
-        assert fnorm(dagger(w) @ w - np.eye(3)) <= 1e-12
-
-
-class TestSylvester:
-    def test_identity_coefficient(self, rng):
-        s = skew_part(gaussian_complex(rng, (3, 3)))
-        a = sym_sylvester_solve(np.eye(3), s)
-        assert fnorm(a - s) <= 1e-12
-
-    def test_two_by_two_closed_form(self):
-        s_val = 0.7 - 0.2j
-        s = np.array([[0.0, s_val], [-np.conj(s_val), 0.0]])
-        a = sym_sylvester_solve(np.diag([1.0, 3.0]), s)
-        want = np.array([[0.0, s_val / 2], [-np.conj(s_val) / 2, 0.0]])
-        assert fnorm(a - want) <= 1e-12
-
-    def test_zero_rhs(self):
-        a = sym_sylvester_solve(np.diag([2.0, 5.0]), np.zeros((2, 2)))
-        assert fnorm(a) == 0.0
-
-    def test_residual_and_skewness(self, rng):
-        g = gaussian_complex(rng, (4, 4))
-        m = g @ dagger(g) + 0.5 * np.eye(4)
-        s = skew_part(gaussian_complex(rng, (4, 4)))
-        a = sym_sylvester_solve(m, s)
-        assert fnorm(a + dagger(a)) <= 1e-12
-        assert fnorm(0.5 * (m @ a + a @ m) - s) <= 1e-10 * (1 + fnorm(s))
-
-    def test_uniqueness_under_restored_rhs(self, rng):
-        g = gaussian_complex(rng, (3, 3))
-        m = g @ dagger(g) + np.eye(3)
-        s = skew_part(gaussian_complex(rng, (3, 3)))
-        a1 = sym_sylvester_solve(m, s)
-        perturbed = s + 1e-3 * skew_part(gaussian_complex(rng, (3, 3)))
-        _ = sym_sylvester_solve(m, perturbed)
-        a2 = sym_sylvester_solve(m, s.copy())
-        assert fnorm(a1 - a2) <= 1e-12
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            sym_sylvester_solve(np.diag([1.0, -1.0]), np.zeros((2, 2)))
-
-    @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1.0, 1e14])
-    def test_positive_definiteness_is_scale_invariant(self, scale, rng):
-        s = skew_part(gaussian_complex(rng, (3, 3)))
-        a = sym_sylvester_solve(scale * np.eye(3), scale * s)
-        assert fnorm(a - s) <= 1e-12 * fnorm(s)
-        with pytest.raises(NotPositiveDefinite):  # lam_min / lam_max = 1e-13
-            sym_sylvester_solve(scale * np.diag([1.0, 1e-13]), np.zeros((2, 2)))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            sym_sylvester_solve(np.eye(2), np.zeros((3, 3)))
-
-    def test_stacked_rhs_and_given_spectrum(self, rng):
-        g = gaussian_complex(rng, (4, 4))
-        m = g @ dagger(g) + np.eye(4)
-        stack = skew_part(gaussian_complex(rng, (3, 4, 4)))
-        spec = herm_eig(m)
-        for solved in (sym_sylvester_solve(m, stack), sym_sylvester_solve(spec, stack)):
-            assert solved.shape == (3, 4, 4)
-            for a, s in zip(solved, stack):
-                assert fnorm(a - sym_sylvester_solve(m, s)) <= 1e-14 * (1 + fnorm(a))
-        assert fnorm(sym_sylvester_solve(spec, stack[0])
-                     - sym_sylvester_solve(m, stack[0])) == 0.0
-
-    def test_rejects_bad_stacks(self):
-        spec = herm_eig(np.eye(2))
-        with pytest.raises(ShapeMismatch):
-            sym_sylvester_solve(spec, np.zeros((3, 3, 3)))
-        with pytest.raises(ShapeMismatch):
-            sym_sylvester_solve(spec, np.zeros(2))
-        bad = np.zeros((2, 2, 2))
-        bad[1, 0, 1] = np.nan
-        with pytest.raises(ShapeMismatch):
-            sym_sylvester_solve(spec, bad)
-        with pytest.raises(NotPositiveDefinite):
-            sym_sylvester_solve(herm_eig(np.diag([1.0, -1.0])), np.zeros((2, 2, 2)))
+    def test_domain_violation_lists_offenders(self):
+        with pytest.raises(DomainViolation) as err:
+            psd_sqrt(np.array([1.0, -2.0]))
+        assert np.array_equal(err.value.offending, [-2.0])
 
 
 class TestFnorm:
@@ -299,20 +178,18 @@ class TestPublicPreChecks:
         pt = ConfigPoint.base(Truncation(2, 1, np.sqrt(2.0)))
         return {
             "herm_eig": herm_eig,
-            "herm_fun": lambda m: herm_fun(m, np.exp),
-            "sym_sylvester_solve": lambda m: sym_sylvester_solve(m, np.zeros((2, 2))),
             # act3 takes h as a spectrum: a caller that holds the matrix
             # passes herm_eig(h), whose checks are the ones that apply
-            "act3": lambda m: act3(herm_eig(m), None, pt),
+            "act3": lambda m: act3(herm_eig(m), np.eye(2), pt),
         }
 
-    @pytest.mark.parametrize("name", ["herm_eig", "herm_fun", "sym_sylvester_solve", "act3"])
+    @pytest.mark.parametrize("name", ["herm_eig", "act3"])
     def test_rejects_a_non_hermitian_matrix(self, name):
         with pytest.raises(NotHermitian):
             self.entry_points()[name](self.NOT_HERMITIAN)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["herm_eig", "herm_fun", "sym_sylvester_solve", "act3"])
+    @pytest.mark.parametrize("name", ["herm_eig", "act3"])
     def test_rejects_a_non_finite_matrix(self, name, entry):
         m = np.eye(2, dtype=complex)
         m[0, 1] = m[1, 0] = entry

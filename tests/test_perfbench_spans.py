@@ -26,6 +26,9 @@ KNOWN_STALE = {
     "hkq.potentials.K1_curvature",
     "hkq.potentials.K3_similarity",
     "hkq.potentials.K3_level",
+    "hkq.matcore.herm_fun",
+    "hkq.matcore.svd",
+    "hkq.matcore.sym_sylvester_solve",
     "hkq.matcore.null_space_frame",
     "hkq.matcore.orthonormal_range",
     "hkq.grassmann.graph_operator",

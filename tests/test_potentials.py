@@ -14,7 +14,6 @@ from hkq.grassmann import (
     Subspace,
     characteristic_angles,
     complement_frame,
-    curvature_fun_apply,
     psi1,
     psi3,
     psi3_section,
@@ -40,6 +39,7 @@ from hkq.potentials import (
 from hkq.moment import _stable1_qr, level_residual
 from hkq.quotient import project1, project3
 from hkq.sampling import (
+    gaussian_complex,
     make_rng,
     random_group_positive,
     random_subspace,
@@ -74,6 +74,14 @@ def K3_commuting_form(pt):
     return float(0.25 * np.sum(np.sqrt(lam) - k2))
 
 
+def _scalar_weight(u: float) -> float:
+    """curvature_weight_k1 in scalar form, one branch per argument."""
+    if u < 1e-8:
+        return 0.25 - u / 32.0 + u * u / 96.0
+    s = np.expm1(0.5 * np.log1p(u))
+    return float((s - np.log1p(0.5 * s)) / u)
+
+
 class TestWeights:
     def test_k1_weight_at_zero_and_continuity(self):
         assert curvature_weight_k1(0.0) == 0.25
@@ -86,6 +94,45 @@ class TestWeights:
     def test_k1_weight_value(self):
         want = 0.5 * (SQRT3 - 1.0 - np.log((1.0 + SQRT3) / 2.0))
         assert abs(curvature_weight_k1(2.0) - want) <= 1e-15
+
+    def test_vectorized_weight_equals_the_scalar_form_bit_for_bit(self):
+        # u = 0 and both sides of the switch to the series at 1e-8; pytest's
+        # filter turns a RuntimeWarning (the 0/0 of the closed form at u = 0)
+        # into a failure
+        u = np.array([0.0, 5e-324, 1e-300, 1e-12, 5e-9, np.nextafter(1e-8, 0.0), 1e-8,
+                      np.nextafter(1e-8, 1.0), 2e-8, 1e-6, 0.37, 2.0, 1e3, 1e12, 1e300])
+        got = curvature_weight_k1(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, [_scalar_weight(float(t)) for t in u])
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 4), (6, 2)])
+    def test_curvature_route_matches_the_operator_series(self, p, q, rng):
+        # at x = k [Id; 0], X = k V with V = [0; B] the route's fiber is V,
+        # and its pairing sum_i f(4 s_i^2) s_i^2 over V's singular values is
+        # g_Gr(f(Op) V, V) for Op: Y -> 2(V V* Y + Y V* V), here summed as
+        # the power series of f = curvature_weight_k1 applied by repeated
+        # operator action.  f is analytic in |u| < 1 (the branch point of
+        # sqrt(1 + u) is u = -1) with |f| < 0.27 on |u| = 1/2, so by Cauchy
+        # its coefficients have |c_m| <= 2^(m-1), and the remainder after
+        # degree 4 is at most sum_{m>4} 2^(m-1) u^m <= (2u)^5 for 0 <= u <=
+        # 1/4.  With u_i = 4 s_i^2 <= 4 ||V||^2, the pairing's remainder is
+        # at most (8 ||V||^2)^5 ||V||^2; ||V|| = 1e-2 makes it 3.3e-16
+        # ||V||^2, below the round-off term
+        tr = Truncation(p, q, SQRT2)
+        b = gaussian_complex(rng, (q, p))
+        v = np.vstack([np.zeros((p, p)), 1e-2 * b / fnorm(b)])
+        pt = ConfigPoint(tr, tr.base_x(), tr.k * v)
+        f, _ = _stable1_qr(pt, DEFAULT_MEMBERSHIP_TOL, "")
+        spectral = potentials._k1_curvature(pt, 0.0, f) / tr.k2
+        coeffs = [1.0 / 4.0, -1.0 / 32.0, 1.0 / 96.0, -5.0 / 1024.0, 7.0 / 2560.0]
+        acc, term = np.zeros_like(v), v
+        for c in coeffs:
+            acc = acc + c * term
+            term = 2.0 * (v @ (dagger(v) @ term) + term @ (dagger(v) @ v))
+        series = float(np.sum(np.conj(acc) * v).real)
+        nv2 = fnorm(v) ** 2
+        eps = np.finfo(np.float64).eps
+        assert abs(spectral - series) <= ((8.0 * nv2) ** 5 + 16 * eps * (p + q)) * nv2
 
 
 class TestK1:
@@ -125,9 +172,9 @@ class TestK1:
         pt = sample_stable1(Truncation(p, q, k), make_rng(p + 10 * q))
         fp = psi1(pt).P.frame
         coords = dagger(complement_frame(Subspace(fp))) @ (pt.X @ dagger(pt.x)) @ fp
+        s = np.linalg.svd(coords / pt.trunc.k2, compute_uv=False)
         want = (potentials._logdet_term(pt, potentials._x_factor(pt))
-                + pt.trunc.k2 * curvature_fun_apply(curvature_weight_k1,
-                                                    coords / pt.trunc.k2))
+                + pt.trunc.k2 * float(np.sum(curvature_weight_k1(4.0 * s * s) * s * s)))
         got = evaluate_routes(pt, "k1")["curvature"]
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
@@ -235,7 +282,7 @@ class TestK3:
         # every k3 route raises, none returns a value
         tr = Truncation(4, 5, SQRT2)
         pt = sample_stable3(tr, make_rng(0))
-        boosted = act3(herm_eig(np.diag([10.0, -10.0, 0.0, 0.0])), None, pt)
+        boosted = act3(herm_eig(np.diag([10.0, -10.0, 0.0, 0.0])), np.eye(4), pt)
         s = np.linalg.svd(boosted.x - boosted.X, compute_uv=False)
         assert s[-1] / s[0] < 1e-8
         routes = (K3_spectral, lambda pt, tol: evaluate_routes(pt, "k3", tol))
@@ -726,8 +773,8 @@ class TestEachBodyMovesOnlyItsRoute:
 
     # the k1 inputs formed once: R of x's thin QR feeds the log-det term,
     # which closed and curvature add, and the closed route's operand; the
-    # level route reads project1's result alone.  The spectral pairing of
-    # the curvature operator is read by the k1 curvature route,
+    # level route reads project1's result alone.  The weight of the
+    # curvature operator's spectral pairing is read by the k1 curvature route,
     # K3_hat_cotangent by the k3hat cotangent route on psi1's V at
     # project3's point, and the angles of w by both angles routes.  The
     # memoized x +/- X (moment._plus_minus) scaled by 1 + 1e-6 moves the
@@ -737,7 +784,7 @@ class TestEachBodyMovesOnlyItsRoute:
     READERS_OF_INPUT = {
         "_x_factor": {"k1.closed", "k1.curvature"},
         "_logdet_term": {"k1.closed", "k1.curvature"},
-        "curvature_fun_apply": {"k1.curvature"},
+        "curvature_weight_k1": {"k1.curvature"},
         "K3_hat_cotangent": {"k3hat.cotangent"},
         "_angles": {"k3.angles", "k3hat.angles"},
         "_plus_minus": {"k3.spectral"},

@@ -232,4 +232,6 @@ def test_hermitian_ball_stays_within_its_radius(p, radius):
         h = 0.5 * (g + dagger(g))
         h *= radius * ref.random() / np.linalg.norm(h, 2)
         assert rng.random() == ref.random()  # the same draws, in order
-        np.testing.assert_allclose(spec.reconstruct(), h, rtol=0, atol=1e-14 * radius)
+        u = spec.eigenvectors
+        np.testing.assert_allclose((u * spec.eigenvalues) @ dagger(u), h,
+                                   rtol=0, atol=1e-14 * radius)
