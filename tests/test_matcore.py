@@ -88,6 +88,15 @@ class TestSpectrumFun:
                          [(s7 - s3) / 2, (s7 + s3) / 2]])
         assert np.allclose(out, want, atol=1e-13)
 
+    @pytest.mark.parametrize("off", [0.8, 0.8j])
+    def test_exp_of_a_two_by_two_closed_form(self, off):
+        # m = [[0, c], [conj c, 0]] has m^2 = |c|^2 Id, so
+        # exp(m) = cosh|c| Id + (sinh|c| / |c|) m
+        m = np.array([[0.0, off], [np.conj(off), 0.0]])
+        t = abs(off)
+        want = np.cosh(t) * np.eye(2) + (np.sinh(t) / t) * m
+        assert fnorm(herm_eig(m).fun(np.exp) - want) <= 1e-15 * fnorm(want)
+
     def test_identity_function_returns_input(self, rng):
         m = random_hermitian(rng, 4)
         assert fnorm(herm_eig(m).fun(lambda lam: lam) - m) <= 1e-12 * (1 + fnorm(m))

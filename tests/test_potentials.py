@@ -135,6 +135,56 @@ class TestWeights:
         assert abs(spectral - series) <= ((8.0 * nv2) ** 5 + 16 * eps * (p + q)) * nv2
 
 
+def _curvature_pairing(b, k=SQRT2):
+    """k^2 sum_i f(4 s_i^2) s_i^2 as the curvature route forms it, without
+    the log-det term, at x = k [Id; 0], X = k V with V = [0; B] (q x p):
+    the route's fiber is V, whose singular values are B's."""
+    q, p = b.shape
+    tr = Truncation(p, q, k)
+    pt = ConfigPoint(tr, tr.base_x(), k * np.vstack([np.zeros((p, p)), b]))
+    f, _ = _stable1_qr(pt, DEFAULT_MEMBERSHIP_TOL, "")
+    return potentials._k1_curvature(pt, 0.0, f)
+
+
+def _pairing_of(s, k=SQRT2):
+    """k^2 sum_i f(4 s_i^2) s_i^2 of given singular values, one scalar weight
+    at a time."""
+    return k * k * sum(_scalar_weight(4.0 * t * t) * t * t for t in s)
+
+
+class TestCurvatureSingularValues:
+    """The curvature route reads V's singular values through one values-only
+    SVD: nonnegative, sign and phase absorbed, and invariant under unitaries
+    on either side of V."""
+
+    def test_zero_fiber_pairs_to_zero(self):
+        assert _curvature_pairing(np.zeros((3, 2))) == 0.0
+
+    def test_sign_is_absorbed(self):
+        # V's singular values are 0.3 and 0.2, whatever the signs
+        got = _curvature_pairing(np.diag([0.2, -0.3]))
+        want = _pairing_of([0.3, 0.2])
+        assert abs(got - want) <= 4 * np.finfo(np.float64).eps * want
+
+    def test_pythagoras(self):
+        got = _curvature_pairing(np.array([[0.3], [0.4j]]))
+        want = _pairing_of([0.5])
+        assert abs(got - want) <= 4 * np.finfo(np.float64).eps * want
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 2), (4, 4)])
+    def test_unitaries_on_either_side_leave_it(self, p, q, rng):
+        # singular values of B and of W1 B W2 agree to a few eps ||B||, and
+        # the pairing's derivative in s_i is at most 2 k^2 s_i f(4 s_i^2)
+        # <= k^2 ||B|| / 2, so the pairings agree to 8 (p + q) eps k^2 ||B||^2
+        b = 0.3 * gaussian_complex(rng, (q, p))
+        turned = random_unitary(q, rng) @ b @ random_unitary(p, rng)
+        got, again = _curvature_pairing(b), _curvature_pairing(turned)
+        want = _pairing_of(np.linalg.svd(b, compute_uv=False))
+        bound = 8 * (p + q) * np.finfo(np.float64).eps * SQRT2 ** 2 * fnorm(b) ** 2
+        assert abs(got - want) <= bound
+        assert abs(again - want) <= bound
+
+
 class TestK1:
     def test_base_point_zero(self, trunc11):
         assert abs(K1_closed(ConfigPoint.base(trunc11))) <= 1e-14

@@ -36,6 +36,7 @@ from hkq.matcore import (
     HermitianSpectrum,
     dagger,
     fnorm,
+    herm_eig,
     skew_part,
 )
 from hkq.moment import in_stable1, in_stable3, level_residual
@@ -701,6 +702,79 @@ class TestSliceBasisChecks:
             for proj in (basis.orbit, basis.level):
                 with pytest.raises(ShapeMismatch, match="non-finite"):
                     proj(v)
+
+
+def _diagonal_basis(lam):
+    """SliceBasis at the base point of p = len(lam) with the diagonal
+    spectrum lam: its eigenbasis is the standard one, so its solve reads
+    in matrix coordinates."""
+    p = len(lam)
+    return SliceBasis(ConfigPoint.base(Truncation(p, 2, SQRT2)),
+                      HermitianSpectrum(np.asarray(lam, dtype=float), np.eye(p, dtype=complex)))
+
+
+class TestEigenbasisSolve:
+    """SliceBasis._solve, the one Sylvester solve behind every projection:
+    a with (Lam a + a Lam)/2 = -skew(S) in M's eigenbasis."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_identity_coefficient(self, p, rng):
+        s = skew_part(gaussian_complex(rng, (p, p)))
+        a = _diagonal_basis(np.ones(p))._solve(s)
+        assert fnorm(a + s) <= np.finfo(np.float64).eps * fnorm(s)
+
+    def test_two_by_two_closed_form(self):
+        s_val = 0.7 - 0.2j
+        s = np.array([[0.0, s_val], [-np.conj(s_val), 0.0]])
+        a = _diagonal_basis([1.0, 3.0])._solve(s)
+        want = np.array([[0.0, -s_val / 2], [np.conj(s_val) / 2, 0.0]])
+        assert fnorm(a - want) <= 1e-15
+
+    def test_zero_rhs(self):
+        basis = _diagonal_basis([2.0, 5.0])
+        assert fnorm(basis._solve(np.zeros((2, 2)))) == 0.0
+        zero = np.zeros((basis.base.trunc.n, 2))
+        out = basis.orbit(TangentPair(zero, zero))
+        assert fnorm(out.Z) == 0.0 and fnorm(out.T) == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_skew_and_agrees_with_the_kronecker_solve(self, p, rng):
+        # in the eigenbasis a_ji = -conj(a_ij) exactly, as D is real and
+        # symmetric.  Rotated back, A = U a U* solves (M A + A M)/2 = -S; the
+        # rotations and the eigendecomposition err by a few p eps ||M||, the
+        # Kronecker LU by p^2 eps ||M|| backward, and the operator's
+        # conditioning kappa = lam_max / lam_min turns either into a
+        # relative error of kappa in A, |A| <= |S| / lam_min
+        g = gaussian_complex(rng, (p, p))
+        m = g @ dagger(g) + 0.5 * np.eye(p)
+        spec = herm_eig(m)
+        u, lam = spec.eigenvectors, spec.eigenvalues
+        basis = SliceBasis(ConfigPoint.base(Truncation(p, 2, SQRT2)), spec)
+        s = skew_part(gaussian_complex(rng, (p, p)))
+        a = basis._solve(dagger(u) @ s @ u)
+        assert np.array_equal(a, -dagger(a))
+        eps = np.finfo(np.float64).eps
+        bound = 16 * eps * p * p * (lam[-1] / lam[0]) * fnorm(s) / lam[0]
+        assert fnorm(u @ a @ dagger(u) - _kronecker_solve(m, -s)) <= bound
+
+    def test_projections_keep_no_state(self, rng):
+        tr = Truncation(3, 2, SQRT2)
+        basis = slice_basis(sample_level(tr, rng))
+        v, w = random_tangent(tr, rng), random_tangent(tr, rng)
+        first = basis.orbit(v)
+        for proj in (basis.level, basis.horizontal, basis.orbit):
+            proj(w)
+        again = basis.orbit(TangentPair(v.Z.copy(), v.T.copy()))
+        assert np.array_equal(first.Z, again.Z) and np.array_equal(first.T, again.T)
+
+    def test_a_stack_solves_as_one_at_a_time(self, rng):
+        tr = Truncation(4, 2, SQRT2)
+        basis = slice_basis(sample_level(tr, rng))
+        stack = skew_part(gaussian_complex(rng, (3, 4, 4)))
+        solved = basis._solve(stack)
+        assert solved.shape == (3, 4, 4)
+        for a, s in zip(solved, stack):
+            assert np.array_equal(a, basis._solve(s))
 
 
 def _distance(v, w):
