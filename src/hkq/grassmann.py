@@ -13,8 +13,8 @@ Subspace constructor and the file reader (jsonio).  This module provides
   * psi3 and its section: the identification of stable pairs (third
     structure) with transversal subspace pairs (P, Q), P = Ran(x + X) and
     Q = Ker(x* - X*).  A pair is held as P and Q^perp = Ran(x - X), two
-    n x p frames, the Q factors of the thin QRs of x + X and x - X that
-    moment._stable3_frames takes once membership is judged; Q itself,
+    n x p frames, the Q factors of the thin QRs of x + X and x - X
+    (moment._pm_factors), taken once membership is judged; Q itself,
     n x q, appears only in pair files (jsonio),
   * the one SVD M = L diag(s) R* of M = F_P* F_Qperp (_m_svd): s are the
     cosines of the principal angles between P and Q^perp (Bjorck and
@@ -30,13 +30,14 @@ the k1 curvature form on psi1's fiber V pairs with V, is evaluated on V's
 singular values in potentials (the k1 curvature route).
 
 Subspace frames are read-only, and a pair is immutable, so hkspace._memo
-keeps psi3's pair on its point per tol (_orbit_pair), and on the pair the
-SVD of M and, per tol, w and the angles: each is built once per value.
+keeps psi3's pair on its point (_orbit_pair), and on the pair the SVD of
+M, w and the angles, each built once per value; membership and
+transversality are judged at the caller's tol on each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .config import DEFAULT_MEMBERSHIP_TOL, FRAME_TOL
 from .errors import BadCotangent, NotTransversal, ShapeMismatch
 from .hkspace import ConfigPoint, Truncation, _memo, _owned, _point, _read_only
 from .matcore import as_matrix, dagger, fnorm
-from .moment import _plus_minus, _stable1_qr, _stable3_frames
+from .moment import _pm_factors, _plus_minus, _stable1_qr, _stable3_verdict
 
 __all__ = [
     "CotangentPoint",
@@ -153,10 +154,7 @@ class OrbitPair:
 
     Q is a file-boundary representation: jsonio.save_pair writes
     complement_frame(Qperp) as the file's Q, and load_pair stores the
-    complement of the file's Q frame as Qperp, with that frame as Q_file,
-    which save_pair writes back as it is.  A second complement would be
-    another frame of Q, so without it a pair file would not reload and
-    re-save to the same bytes.  Q_file is None for a pair built in memory.
+    complement of the file's Q frame as Qperp.
 
     Immutable, like its Subspaces: what is derived from it is memoized on
     it (hkspace._memo), and a pair built anew starts with an empty memo.
@@ -164,7 +162,6 @@ class OrbitPair:
 
     P: Subspace
     Qperp: Subspace
-    Q_file: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P.ambient != self.Qperp.ambient or self.P.dim != self.Qperp.dim:
@@ -194,8 +191,7 @@ class OrbitPair:
 
 def _m_svd(pair: OrbitPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, s, R), the SVD M = L diag(s) R* of M = F_P* F_Qperp, s
-    descending: read-only and memoized on the pair with no tol, as it
-    depends on the frames alone."""
+    descending: read-only and memoized on the pair."""
     def factor():
         l, s, rh = np.linalg.svd(dagger(pair.P.frame) @ pair.Qperp.frame)
         return _read_only(l), _read_only(s), _read_only(dagger(rh))
@@ -270,16 +266,19 @@ def psi3(pt: ConfigPoint,
 
 def _orbit_pair(pt: ConfigPoint, tol: float) -> OrbitPair:
     """psi3's pair without z, for the routes and projections that read only
-    the pair: moment._stable3_frames judges membership and gives the Q
-    factors of the thin QRs of x +/- X, as they are, as the frames of P and
-    Q^perp.  The pair is memoized on pt per tol, so what is memoized on it
-    is built once."""
+    the pair: membership is judged at tol (moment._stable3_verdict,
+    NotInStable3), then the Q factors of the thin QRs of x +/- X
+    (moment._pm_factors), as they are, frame P and Q^perp: orthonormal to
+    round-off whatever the condition of x +/- X (Householder QR).  The
+    pair is memoized on pt, so what is memoized on it is built once."""
+    _stable3_verdict(
+        pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
+
     def pair() -> OrbitPair:
-        q_a, q_c = _stable3_frames(
-            pt, tol, "psi3 requires x*x - X*X = k^2 Id, Hermitian X*x and full-rank x +/- X")
+        q_a, _, q_c, _ = _pm_factors(pt)
         return OrbitPair(_subspace(q_a), _subspace(q_c))
 
-    return _memo(pt, ("pair", tol), pair)
+    return _memo(pt, "pair", pair)
 
 
 def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
@@ -289,14 +288,12 @@ def _graph(pair: OrbitPair, tol: float) -> np.ndarray:
 
     F_Qperp M^-1 is the one basis of Q^perp that F_P* maps to Id, so w does
     not depend on the frames chosen for P^perp or Q^perp, and none is
-    built.  Refused unless transversal (_transversal_svd).  w is read-only
-    and memoized on the pair per tol; a refusal is not.
+    built.  Refused at tol unless transversal (_transversal_svd), on each
+    call.  w is read-only and memoized on the pair.
     """
-    def build():
-        l, s, r = _transversal_svd(pair, tol)
-        return _read_only((pair.Qperp.frame @ (r / s)) @ dagger(l) - pair.P.frame)
-
-    return _memo(pair, ("graph", tol), build)
+    l, s, r = _transversal_svd(pair, tol)
+    return _memo(pair, "graph", lambda: _read_only(
+        (pair.Qperp.frame @ (r / s)) @ dagger(l) - pair.P.frame))
 
 
 def _transversal_svd(pair: OrbitPair,
@@ -339,9 +336,11 @@ def characteristic_angles(pair: OrbitPair, tol: float = DEFAULT_MEMBERSHIP_TOL) 
     values of w = F_Pperp A (those of A, F_Pperp being orthonormal), which
     keeps near-zero angles absolutely accurate where the squared spectrum
     would lose half the digits.  The angles are read-only and memoized on
-    the pair per tol, as its graph w is.
+    the pair, as its graph w is; transversality is judged at tol on each
+    call (NotTransversal).
     """
-    return _memo(pair, ("angles", tol), lambda: _read_only(_angles(_graph(pair, tol))))
+    w = _graph(pair, tol)
+    return _memo(pair, "angles", lambda: _read_only(_angles(w)))
 
 
 def _angles(w: np.ndarray) -> np.ndarray:

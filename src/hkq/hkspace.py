@@ -36,12 +36,13 @@ raises ValueError), and the checked constructor copies a caller's array
 only where as_matrix would alias it, so the caller's array stays writable
 and later writes to it do not reach the point.  Immutability is what lets
 a point, or another immutable value (grassmann.OrbitPair), carry a private
-memo (_memo) of what the library derives from it: x's thin QR factors
-and first- and third-stable membership with its factors (moment), psi3's
-pair (grassmann) and the level projections (quotient).  Each is computed
-once per value (and tolerance, where it takes one), and a refusal is never
-stored, so a repeated call raises its own message again.  The memo is an instance attribute, not a field, so
-equality and repr do not see it, and it lives and dies with its value.
+memo (_memo) of what the library derives from it: the numbers the
+stable-set rules read (moment), psi3's pair (grassmann) and the level
+projections (quotient), each a function of the value alone.  A tolerance
+decides only a verdict, judged on each call and never stored, so a
+refusal raises its own message again.  The memo is an instance attribute,
+not a field, so equality and repr do not see it, and it lives and dies
+with its value.
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ def _owned(m, name: str) -> np.ndarray:
 def _memo(obj, key, compute):
     """compute(), memoized on the immutable value obj under key.
 
-    key names the quantity and holds every argument that obj does not
-    already fix (the tolerance, say).  The memo is a dict in obj's
-    instance __dict__, not a dataclass field, so eq and repr do not see
-    it.  An exception from compute is not stored: a refusal is raised
+    key is a string literal naming the quantity, and the entry is a
+    function of obj's value alone: no tolerance enters it, and a caller
+    judges its verdict on the memoized numbers at each call.  The memo is
+    a dict in obj's __dict__, not a dataclass field, so eq and repr do not
+    see it.  An exception from compute is not stored: a refusal is raised
     again, with the caller's own message, on every call."""
     memo = obj.__dict__.setdefault("_memo", {})
     if key not in memo:
@@ -164,9 +166,9 @@ class ConfigPoint:
 
     Immutable: x and X are read-only, copied from the caller's arrays
     where as_matrix would alias them.  What the library derives from the
-    point (membership and its factors, psi3's pair, the level projections)
-    is memoized on it per tolerance, by hkspace._memo; a copy built from
-    the same arrays starts with an empty memo."""
+    point (the factors membership is judged on, psi3's pair, the level
+    projections) is memoized on it by hkspace._memo, with no tolerance; a
+    copy built from the same arrays starts with an empty memo."""
 
     trunc: Truncation
     x: np.ndarray

@@ -66,11 +66,11 @@ then `project` or `map`).
 A pair is held in memory as P and Q^perp (grassmann.OrbitPair); the file
 keeps Q, n x q, which save_pair writes as complement_frame(Q^perp), the
 last q columns of a complete QR of the Q^perp frame, and load_pair turns
-back into Q^perp by the same function.  The frame of Q read from a file
-is kept with the pair and written back as it is.  psi3's frames of P and
-Q^perp are the Q factors of the thin QRs of x + X and x - X, as the QR
-returns them, so the P of a pair file written by `map --which psi3` is the
-first.
+back into Q^perp by the same function.  So a reloaded pair re-saves P and
+k as they were, and Q as a frame of the same plane, not the file's bytes.
+psi3's frames of P and Q^perp are the Q factors of the thin QRs of x + X
+and x - X, as the QR returns them, so the P of a pair file written by
+`map --which psi3` is the first.
 
 Unknown keys are ignored on load.  Pair files of the older layout also
 held "z": z = i(x + X)(x* - X*), which is i k^2 times the projection onto P
@@ -265,7 +265,7 @@ def save_pair(path, pair: OrbitPair, k: float | None = None) -> None:
         "p": p,
         "q": n - p,
         "P": pair.P.frame,
-        "Q": complement_frame(pair.Qperp) if pair.Q_file is None else pair.Q_file,
+        "Q": complement_frame(pair.Qperp),
     }
     if k is not None:
         obj["k"] = float(k)
@@ -278,7 +278,7 @@ def load_pair(path) -> tuple[OrbitPair, float | None]:
     n = p + q
     P = _frame_from_obj(obj.get("P"), f"{path}:P", n, p)
     Q = _frame_from_obj(obj.get("Q"), f"{path}:Q", n, q)
-    return OrbitPair(P, _subspace(complement_frame(Q)), Q_file=Q.frame), k
+    return OrbitPair(P, _subspace(complement_frame(Q))), k
 
 
 def save_cotangent(path, cp: CotangentPoint, k: float) -> None:

@@ -14,26 +14,25 @@ muC = mu2 + i mu3 holds exactly at the matrix level.  The level set is
 {X*x = 0, x*x - X*X = k^2 Id}; on it mu1 equals -(i/2) k^2 Id, the invariant
 level value.
 
-The stable-set rules are judged once per point and tolerance: the factors
-of _stable1_qr, the verdict of _stable3_verdict and the factors of
-_pm_factors are memoized on the point (hkspace._memo) and read-only, so
-in_stable1, psi1, project1 and the k1 routes, or in_stable3, psi3,
-project3 and the k3 routes, called in turn on one point at one tol,
-factor it once.  A refused point is judged again on each call.  x +/- X
-is formed once, by _plus_minus, for the third-stable verdict, its thin
-QRs (_pm_factors), the spectral route and psi3's z.  The verdict factors
-nothing where the equations' residuals certify the rank, so in_stable3 and
-K3_spectral take no QR; the QRs are taken for the frames of
-_stable3_frames, or for a verdict that the certificate does not decide.
+A stable set does not depend on a tolerance; only a verdict does.  So
+the numbers a rule reads (||X*x||_F and x's factors, the certificate's
+residuals, x +/- X and its thin QRs) are memoized on the point, read-only
+(hkspace._memo), and the rule is applied at the caller's tol on every
+call: in_stable1, psi1, project1 and the k1 routes, or in_stable3, psi3,
+project3 and the k3 routes, on one point at any tols, factor it once.
+x +/- X is formed once, by _plus_minus, for the third-stable verdict, its
+thin QRs (_pm_factors), the spectral route and psi3's z.  The verdict
+factors nothing where the equations' residuals certify the rank, so
+in_stable3 and K3_spectral take no QR; the QRs are taken for the frames
+of psi3's pair, or for a verdict that the certificate does not decide.
 
 The first structure stands on one thin QR x = F R (_x_factors): F frames
 Ran x, and R = F* x is |x| up to a unitary, which is all that psi1,
 project1 and the k1 routes read of x.  A thin SVD of x would be that QR
 followed by an SVD of the p x p factor R (Chan, ACM TOMS 8, 1982), so the
-rank rule reads the values-only SVD of R and no n x p SVD is taken.  The
-factors do not depend on tol, so they are memoized once per point, and
-sampling._draw_stable1, which takes them for its rejection rule, stores
-them on the point it returns.
+rank rule reads the values-only SVD of R and no n x p SVD is taken.
+sampling._draw_stable1, which takes the factors for its rejection rule,
+stores them on the point it returns.
 """
 
 from __future__ import annotations
@@ -120,19 +119,15 @@ def in_stable1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
 
 def _stable1_qr(pt: ConfigPoint, tol: float,
                 refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    """First-stable membership judged once, for every entry that needs it:
+    """First-stable membership at tol, for every entry that needs it:
     X*x = 0 to tol * k^2 first, so nothing is factored for a point off the
     equation, then the rank half, sigma_min > tol * sigma_max, on the
-    singular values of R from _x_factors.  Returns the thin QR factors
-    (F, R) of x that the caller reads (psi1's frame, project1's level
-    section), read-only and memoized on pt per tol, or raises
+    singular values of R from _x_factors; both on memoized numbers.
+    Returns the thin QR factors (F, R) of x that the caller reads (psi1's
+    frame, project1's level section, the k1 routes' R), or raises
     NotInStable1(refusal)."""
-    return _memo(pt, ("stable1", tol), lambda: _judge_stable1(pt, tol, refusal))
-
-
-def _judge_stable1(pt: ConfigPoint, tol: float,
-                   refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    if not _within_tol(fnorm(dagger(pt.X) @ pt.x), tol, pt.trunc.k2):
+    xx = _memo(pt, "X*x norm", lambda: fnorm(dagger(pt.X) @ pt.x))
+    if not _within_tol(xx, tol, pt.trunc.k2):
         raise NotInStable1(refusal)
     f, r, s = _x_factors(pt)
     if not _full_rank(s, tol):
@@ -145,10 +140,9 @@ def _x_factors(pt: ConfigPoint,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, R, s): the thin QR x = F R and the descending singular values s
     of the p x p factor R, which are those of x; read-only and memoized on
-    pt with no tol.  taken is _factor_x(pt.x) when the caller has already
-    computed it (a sampler's draw): it is stored as it is, the same bits
-    as a fresh computation, since it is the same function of the same
-    array."""
+    pt.  taken is _factor_x(pt.x) when the caller has already computed it
+    (a sampler's draw): it is stored as it is, the same bits as a fresh
+    computation, since it is the same function of the same array."""
     return _memo(pt, "x factors", lambda: _factor_x(pt.x) if taken is None else taken)
 
 
@@ -173,11 +167,11 @@ def in_stable3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
 
 
 def _stable3_verdict(pt: ConfigPoint, tol: float, refusal: str) -> None:
-    """Third-stable membership judged once, for every entry that needs it,
-    by the rule of _stable1_qr: the equations x*x - X*X = k^2 Id and X*x
+    """Third-stable membership at tol, for every entry that needs it, by
+    the rule of _stable1_qr: the equations x*x - X*X = k^2 Id and X*x
     Hermitian to tol * k^2 first, then the rank half, sigma_min >
-    tol * sigma_max for both A = x + X and C = x - X.  Memoized on pt per
-    tol; raises NotInStable3(refusal), which is not memoized.
+    tol * sigma_max for both A = x + X and C = x - X; else
+    NotInStable3(refusal).
 
     Both halves read the one product E = C*A - k^2 Id.  Expanding,
 
@@ -196,32 +190,32 @@ def _stable3_verdict(pt: ConfigPoint, tol: float, refusal: str) -> None:
     values, and nothing is factored.  Elsewhere the rule is applied to the
     values-only singular values of the p x p factors R_A and R_C of the
     thin QRs of _pm_factors, which are those of A and C.  The certificate
-    is homogeneous of degree 2 in (x, X, k), as the rule is."""
-    _memo(pt, ("stable3", tol), lambda: _judge_stable3(pt, tol, refusal))
+    is homogeneous of degree 2 in (x, X, k), as the rule is.  r1, r2 and
+    ||A||_F ||C||_F are memoized on pt."""
+    def residuals():
+        a, c = _plus_minus(pt)
+        e = dagger(c) @ a - pt.trunc.k2 * np.eye(pt.trunc.p)
+        return fnorm(hermitian_part(e)), fnorm(skew_part(e)), fnorm(a) * fnorm(c)
 
-
-def _judge_stable3(pt: ConfigPoint, tol: float, refusal: str) -> None:
+    r1, r2, ac = _memo(pt, "stable3 residuals", residuals)
     k2 = pt.trunc.k2
-    a, c = _plus_minus(pt)
-    e = dagger(c) @ a - k2 * np.eye(pt.trunc.p)
-    r1, r2 = fnorm(hermitian_part(e)), fnorm(skew_part(e))
     if not (_within_tol(r1, tol, k2) and _within_tol(r2, tol, k2)):
         raise NotInStable3(refusal)
-    if not (2.0 * tol * fnorm(a) * fnorm(c) < k2 - r1 - r2
+    if not (2.0 * tol * ac < k2 - r1 - r2
             or all(_full_rank(np.linalg.svd(r, compute_uv=False), tol)
                    for r in _pm_factors(pt)[1::2])):
         raise NotInStable3(refusal)
 
 
 def _plus_minus(pt: ConfigPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(x + X, x - X), read-only and memoized on pt with no tol."""
+    """(x + X, x - X), read-only and memoized on pt."""
     return _memo(pt, "x +/- X", lambda: (_read_only(pt.x + pt.X), _read_only(pt.x - pt.X)))
 
 
 def _pm_factors(pt: ConfigPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(Q_A, R_A, Q_C, R_C): the thin QRs A = Q_A R_A and C = Q_C R_C of
-    _plus_minus, read-only and memoized on pt with no tol, so a verdict
-    that read the R factors leaves the frames factored."""
+    _plus_minus, read-only and memoized on pt, so a verdict that read
+    the R factors leaves the frames of psi3's pair factored."""
     def factor():
         a, c = _plus_minus(pt)
         qa, ra = np.linalg.qr(a)
@@ -229,20 +223,6 @@ def _pm_factors(pt: ConfigPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         return _read_only(qa), _read_only(ra), _read_only(qc), _read_only(rc)
 
     return _memo(pt, "x +/- X factors", factor)
-
-
-def _stable3_frames(pt: ConfigPoint, tol: float,
-                    refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of a third-stable point: its verdict (_stable3_verdict,
-    NotInStable3(refusal)), then (Q_A, Q_C) of _pm_factors, n x p each:
-    frames of P = Ran(x + X) and of Q^perp = Ran(x - X), the orthogonal
-    complement of Q = Ker(x* - X*), orthonormal to round-off whatever the
-    condition of A and C (Householder QR).  Both are memo lookups on a
-    repeat call; grassmann._orbit_pair, the one caller, memoizes the pair
-    built on the frames per tol."""
-    _stable3_verdict(pt, tol, refusal)
-    qa, _, qc, _ = _pm_factors(pt)
-    return qa, qc
 
 
 def _check_skew(a: np.ndarray) -> np.ndarray:

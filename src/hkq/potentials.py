@@ -67,10 +67,11 @@ values of psi1's V there, not those of w.
 "Computed once" also spans calls on one value: the membership factors,
 x +/- X, psi3's pair, the SVD of its M, its graph w and the results of
 project1 and project3 are memoized on the immutable point or pair
-(hkspace._memo), per tol where the value depends on it.  So
-project1 followed by evaluate_routes(pt, "k1") projects once, and
-project3, evaluate_routes(pt, "k3"), psi3 and characteristic_angles on
-one point judge membership and factor M once.  A deterministic function
+(hkspace._memo), none of them per tol: a tolerance decides a verdict,
+judged on each call, and no value.  So project1 followed by
+evaluate_routes(pt, "k1") projects once, and project3,
+evaluate_routes(pt, "k3"), psi3 and characteristic_angles on one point,
+at one tol or several, factor x +/- X and M once.  A deterministic function
 of the same input returns the same bits on each call, so each route
 value, and each cross-check residual between routes, is the same as from
 the single-route functions and as on a fresh copy of the point; a fault
@@ -107,7 +108,7 @@ from .matcore import (
     is_hermitian,
     psd_sqrt,
 )
-from .moment import _plus_minus, _stable1_qr, _stable3_verdict, _x_factors
+from .moment import _plus_minus, _stable1_qr, _stable3_verdict
 from .quotient import ProjectionResult, project1, project3
 
 __all__ = [
@@ -152,16 +153,10 @@ def curvature_weight_k1(u) -> np.ndarray:
     return np.where(small, 0.25 - t / 32.0 + t * t / 96.0, (s - np.log1p(0.5 * s)) / b)
 
 
-def _x_factor(pt: ConfigPoint) -> np.ndarray:
-    """R of the thin QR x = F R, a unitary times |x|, as memoized on pt
-    (moment._x_factors): the k1 routes' log-det term and the closed route's
-    operand are formed on it."""
-    return _x_factors(pt)[1]
-
-
 def _logdet_term(pt: ConfigPoint, r: np.ndarray) -> float:
     """(k^2/4) log det(x*x / k^2) = (k^2/2) sum_i log(|R_ii| / |k|), from
-    the factor r = _x_factor(pt)."""
+    R of x's thin QR x = F R, a unitary times |x|, as moment._stable1_qr
+    returns it."""
     k = pt.trunc.k
     d = np.abs(np.diagonal(r))
     if not np.all(d > 0):
@@ -172,9 +167,8 @@ def _logdet_term(pt: ConfigPoint, r: np.ndarray) -> float:
 def K1_closed(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
     """First-structure potential in the closed form of the level projection.
     Membership is checked (NotInStable1) before any IntegralityWarning."""
-    _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
+    _, r = _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
     _warn_integrality(pt.trunc.k)
-    r = _x_factor(pt)
     return _k1_closed(pt, _logdet_term(pt, r), r)
 
 
@@ -364,9 +358,8 @@ def evaluate_routes(pt: ConfigPoint, which: str,
     if which == "flat":
         return {"trace": flat_potential_K(pt)}
     if which == "k1":
-        f, _ = _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
+        f, r = _stable1_qr(pt, tol, "K1 requires X*x = 0 and injective x")
         _warn_integrality(k)
-        r = _x_factor(pt)
         logdet = _logdet_term(pt, r)
         return {
             "closed": _k1_closed(pt, logdet, r),

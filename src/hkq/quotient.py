@@ -23,8 +23,8 @@ squares cond(x) and refuses points with cond(x) >= 1e4 at the default
 tol, while the section form forms neither x*x nor an inverse.
 
 Third structure.  The pair is the frames of P and Q^perp, the Q factors of
-the thin QRs of x + X and x - X on which moment._stable3_frames judges
-membership; psi3's n x n orbit operator z is not formed.  With
+the thin QRs of x + X and x - X (moment._pm_factors), taken once
+membership is judged; psi3's n x n orbit operator z is not formed.  With
 M = F_P* F_Qperp and w = F_Qperp M^-1 - F_P (grassmann._graph),
 psi3_section(pair) has x + X = k F_P and x - X = k (F_P + w), and the
 third action with -h, h = (1/4) log m, m = Id + w*w, multiplies them by
@@ -119,9 +119,9 @@ number (after pushing the vectors forward).  No path through this module
 safe to call concurrently as matcore: two threads that project one point
 at once may both compute the memoized result, and store the same bits.
 
-project1 and project3 memoize their result on the point per tol
-(hkspace._memo), so a projection followed by evaluate_routes' level route
-on the same point projects once.
+project1 and project3 memoize their result, level residual included, on
+the point (hkspace._memo), and judge it against tol * k^2 on each call,
+so a projection followed by evaluate_routes' level route projects once.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ from .errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from .grassmann import _orbit_pair, _transversal_svd
+from .grassmann import OrbitPair, _orbit_pair, _transversal_svd
 from .hkspace import (
     ConfigPoint,
     TangentPair,
@@ -179,7 +179,7 @@ class ProjectionResult:
 
     The results of project1 and project3 are immutable: their arrays, the
     point's included, are read-only, and each is memoized on the point it
-    projects, per tol (hkspace._memo), so a second call on that point
+    projects (hkspace._memo), so a second call on that point, at any tol,
     returns the same result without projecting again.
     """
 
@@ -196,31 +196,28 @@ def project1(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
     (moment._stable1_qr) gives the frame F and the fiber V' = X R*/k^2;
     the point is the level section over (F, V') turned by the unitary
     factor of one p x p SVD, which also gives g (module docstring).  The
-    result is memoized on pt per tol; a refusal is not."""
-    return _memo(pt, ("project1", tol), lambda: _project1(
-        pt, *_stable1_qr(pt, tol, "project1 requires X*x = 0 and injective x"), tol))
+    result is memoized on pt; its level residual is judged against
+    tol * k^2 on each call (NotInStable1)."""
+    f, r = _stable1_qr(pt, tol, "project1 requires X*x = 0 and injective x")
+    res = _memo(pt, "project1", lambda: _project1(pt, f, r))
+    if not _within_tol(res.residual, tol, pt.trunc.k2):
+        raise NotInStable1(f"projection left residual {res.residual:.3e} > tol * k^2; "
+                           "point is too close to the stable-set boundary")
+    return res
 
 
-def _project1(pt: ConfigPoint, f: np.ndarray, r: np.ndarray,
-              tol: float) -> ProjectionResult:
-    """project1 after the thin QR x = F R, which judged first-stable
-    membership at tolerance tol.  The level residual of the result is
-    still judged here."""
+def _project1(pt: ConfigPoint, f: np.ndarray, r: np.ndarray) -> ProjectionResult:
+    """project1 on the thin QR x = F R, judging nothing: the level
+    residual of the result is recorded."""
     k = abs(pt.trunc.k)
     v = (pt.X @ dagger(r)) / pt.trunc.k2  # V' = X x* F / k^2, not projected off P
     g0_inv, g0 = _fiber_root(v)
     y, sig, zh = np.linalg.svd(g0 @ r)  # g0 R = Y diag(sig) Z*
     rot = y @ zh  # the unitary factor Y Z*
     point = _point(pt.trunc, k * (f @ (g0_inv @ rot)), k * (v @ (g0 @ rot)))
-    residual = max(level_residual(point))
-    if not _within_tol(residual, tol, pt.trunc.k2):
-        raise NotInStable1(
-            f"projection left residual {residual:.3e} > tol * k^2; "
-            "point is too close to the stable-set boundary"
-        )
     g = hermitian_part((dagger(zh) * (sig / k)) @ zh)  # g = Z diag(sig / |k|) Z*
     # sig descends, so the reversed sig / |k| ascends
-    return ProjectionResult(point=point, residual=residual,
+    return ProjectionResult(point=point, residual=max(level_residual(point)),
                             eigenvalues=_read_only(sig[::-1] / k),
                             group_part=_read_only(g))
 
@@ -259,26 +256,28 @@ def project3(pt: ConfigPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Projection
     level set (its residual is judged, NotInStable3) and in the orbit of pt
     (psi3 reproduces the pair).  It matches the intrinsic projection only
     up to the free compact action; its flat potential is nevertheless the
-    exact projected value by invariance.  The result is memoized on pt per
-    tol, on the pair and SVD that psi3, _graph and transversality read; a
-    refusal is not memoized.
+    exact projected value by invariance.  The result is memoized on pt, on
+    the pair and SVD that psi3, _graph and transversality read; the three
+    verdicts are judged at tol on each call.
     """
-    return _memo(pt, ("project3", tol), lambda: _project3(pt, tol))
-
-
-def _project3(pt: ConfigPoint, tol: float) -> ProjectionResult:
-    """project3 on psi3's pair and the SVD M = L diag(s) R* of its M."""
     pair = _orbit_pair(pt, tol)
     l, s, r = _transversal_svd(pair, tol)
+    res = _memo(pt, "project3", lambda: _project3(pt, pair, l, s, r))
+    if not _within_tol(res.residual, tol, pt.trunc.k2):
+        raise NotInStable3(f"orbit projection left residual {res.residual:.3e} > tol * k^2")
+    return res
+
+
+def _project3(pt: ConfigPoint, pair: OrbitPair, l: np.ndarray, s: np.ndarray,
+              r: np.ndarray) -> ProjectionResult:
+    """project3 on psi3's pair and the SVD M = L diag(s) R* of its M,
+    judging nothing: the level residual of the result is recorded."""
     k, root = pt.trunc.k, 1.0 / np.sqrt(s)
     plus = k * ((pair.P.frame @ (l * root)) @ dagger(l))
     minus = k * ((pair.Qperp.frame @ (r * root)) @ dagger(l))
     point = _point(pt.trunc, 0.5 * (plus + minus), 0.5 * (plus - minus))
-    residual = max(level_residual(point))
-    if not _within_tol(residual, tol, pt.trunc.k2):
-        raise NotInStable3(f"orbit projection left residual {residual:.3e} > tol * k^2")
     # s descends, so -(1/2) log s ascends
-    return ProjectionResult(point=point, residual=residual,
+    return ProjectionResult(point=point, residual=max(level_residual(point)),
                             eigenvalues=_read_only(-0.5 * np.log(s)))
 
 

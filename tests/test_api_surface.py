@@ -1,6 +1,6 @@
 """Static scan of the public surface of every hkq module (AST only).
 
-Keeps nine kinds of drift from coming back: an `__all__` entry whose name
+Keeps ten kinds of drift from coming back: an `__all__` entry whose name
 the module does not define itself (gone, or only imported, which gives a
 name defined elsewhere a second public home), an `__all__` entry that no
 hkq module reads outside its own definition (a public name that no route,
@@ -20,7 +20,9 @@ makes json fall back from its C encoder to the pure-Python one (about
 twice as slow on the files the CLI writes), and a call that writes a file
 (`open` with a write mode, `os.open`, `write_text`, `write_bytes`,
 `np.save*`) anywhere but `jsonio._write`, the one writer, which rewrites
-a file in place.
+a file in place, and a memo entry keyed by anything but a string literal
+(`_memo(obj, key, compute)`): an entry is a function of its value alone,
+so no tolerance or other argument may enter its key.
 """
 
 import ast
@@ -328,3 +330,39 @@ def test_every_kind_of_file_write_is_found():
         ("writes", "os.open"), ("writes", "Path(p).write_text"),
         ("writes", "Path(p).write_bytes"), ("writes", "np.save"), ("writes", "np.savez"),
         ("writes", "numpy.savetxt"), ("C", "self.path.write_text")]
+
+
+def _memo_keys(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(top-level definition, key as written) of each `_memo(obj, key,
+    compute)` call in tree, bare or as a module attribute, whose key is not
+    a string literal."""
+    found = []
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for n in ast.walk(stmt):
+            if not (isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "_memo"):
+                continue
+            key = next((kw.value for kw in n.keywords if kw.arg == "key"),
+                       n.args[1] if len(n.args) > 1 else None)
+            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+                found.append((own, "missing" if key is None else ast.unparse(key)))
+    return found
+
+
+def test_every_memo_key_is_a_string_literal():
+    # a tolerance decides a verdict, never a memoized value
+    keyed = [f"{p.stem}.{own}: {key}" for p in MODULES for own, key in _memo_keys(_tree(p))]
+    assert keyed == [], keyed
+
+
+def test_a_memo_key_that_is_not_a_string_literal_is_found():
+    tree = ast.parse("def fine(pt):\n"
+                     "    _memo(pt, 'x factors', f)\n"
+                     "    return hkspace._memo(pt, key='pair', compute=f)\n"
+                     "def per_tol(pt, tol, name):\n"
+                     "    _memo(pt, ('pair', tol), f); hkspace._memo(pt, name, f)\n"
+                     "    _memo(pt, f'graph {tol}', f); _memo(pt, key=1, compute=f); _memo(pt)\n"
+                     "    memo(pt, ('other', tol), f)\n")
+    assert _memo_keys(tree) == [
+        ("per_tol", "('pair', tol)"), ("per_tol", "name"), ("per_tol", "f'graph {tol}'"),
+        ("per_tol", "1"), ("per_tol", "missing")]

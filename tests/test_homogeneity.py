@@ -6,7 +6,7 @@ Multiplying by a power of two is exact in IEEE arithmetic (away from
 overflow and underflow), so under (x, X, k) -> 2^m (x, X, k) every route
 value is multiplied by exactly 4^m, every projected point by exactly 2^m,
 the group part of project1 and the h of project3 do not change, and no
-membership verdict moves: the rank certificate of moment._stable3_frames,
+membership verdict moves: the rank certificate of moment._stable3_verdict,
 2 tol ||x + X||_F ||x - X||_F < k^2 - r1 - r2, is of degree 2 on both
 sides.  Any absolute constant that enters a route breaks this bit for bit.
 

@@ -27,6 +27,7 @@ from hkq import jsonio
 from hkq.errors import FileFormatError
 from hkq.grassmann import complement_frame, psi1, psi3
 from hkq.hkspace import ConfigPoint, Truncation
+from hkq.matcore import fnorm
 from hkq.sampling import make_rng, random_subspace, sample_point
 
 TRUNC = Truncation(3, 2, float(np.sqrt(2.0)))
@@ -60,28 +61,43 @@ def test_point_with_meta_round_trips_byte_identical(point3, tmp_path):
     assert json.loads(first)["meta"] == META
 
 
+def _projector(f):
+    return f @ f.conj().T
+
+
 @pytest.mark.parametrize("with_k", [True, False])
 @pytest.mark.parametrize("old_z", [True, False])
-def test_pair_round_trips_byte_identical(with_k, old_z, point3, tmp_path):
-    """A saved pair reloads and re-saves to the same bytes.  With `old_z` the
-    file is first given the "z" key of the older layout, which the reload
-    ignores, so the re-save is the file as saved, without it."""
+def test_pair_round_trip_keeps_P_k_and_the_plane_of_Q(with_k, old_z, point3, tmp_path):
+    """A saved pair reloads and re-saves P and k to the same bytes, and Q
+    to a frame of the same plane: Q^perp is held as complement_frame of
+    the file's Q, and the re-save writes complement_frame of that.  Each
+    complement is a complete Householder QR of an orthonormal n-row frame,
+    whose projector is off by a small multiple of n eps (Higham, Accuracy
+    and Stability, Thm 19.4); the re-saved Q and the reloaded Q^perp are
+    each two complements from the saved Q and the pair's Q^perp, so both
+    projectors are held to 8 n eps (the worst seen is 1.1 n eps).  With
+    `old_z` the file is first given the "z" key of the older layout, which
+    the reload ignores and the re-save does not write."""
     pair, z = psi3(point3)
     path = tmp_path / "pair.json"
     jsonio.save_pair(path, pair, k=TRUNC.k if with_k else None)
     saved = path.read_bytes()
-    assert json.loads(saved).keys() == {"p", "q", "P", "Q"} | ({"k"} if with_k else set())
+    keys = {"p", "q", "P", "Q"} | ({"k"} if with_k else set())
+    assert json.loads(saved).keys() == keys
     if old_z:
         obj = json.loads(saved)
         obj["z"] = jsonio.matrix_to_obj(z)
         path.write_text(json.dumps(obj))
-
-    def save(p, loaded):
-        pair_loaded, k_loaded = loaded
-        jsonio.save_pair(p, pair_loaded, k=k_loaded)
-
-    _, again = _bytes_after_reload(path, save, jsonio.load_pair)
-    assert again == saved
+    loaded, k_loaded = jsonio.load_pair(path)
+    again = tmp_path / "again.json"
+    jsonio.save_pair(again, loaded, k=k_loaded)
+    first, second = json.loads(saved), json.loads(again.read_bytes())
+    assert second.keys() == keys
+    assert {key: first[key] for key in keys - {"Q"}} == {key: second[key] for key in keys - {"Q"}}
+    bound = 8 * TRUNC.n * np.finfo(np.float64).eps
+    q_saved, q_again = (jsonio.matrix_from_obj(obj["Q"], "Q") for obj in (first, second))
+    assert fnorm(_projector(q_again) - _projector(q_saved)) <= bound
+    assert fnorm(_projector(loaded.Qperp.frame) - _projector(pair.Qperp.frame)) <= bound
 
 
 @pytest.mark.parametrize("damage", ["not_orthonormal", "q_perp_shape"])

@@ -1,12 +1,13 @@
 """The memo of immutable values: what the library derives from a point or a
-pair (membership and its factors, psi3's pair, the graph w, the level
-projections) is computed once per value and tolerance.
+pair (the numbers membership is judged on, psi3's pair, the graph w, the
+level projections) is computed once per value, whatever the tolerance.
 
 The contract pinned here: the arrays of a point, a pair and every memoized
 result are read-only; a caller's array stays the caller's; a second call
 on the same value factors nothing and returns the same bits as a fresh
-copy; another tol judges again; a refusal is never memoized; and a helper
-patched after a value's first evaluation is seen on a fresh copy only.
+copy; another tol judges again, on the memoized numbers, and factors no
+more than a repeat; a refusal is never memoized; and a helper patched
+after a value's first evaluation is seen on a fresh copy only.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from hkq.grassmann import (
     Subspace,
     _graph,
     _m_svd,
+    _orbit_pair,
     characteristic_angles,
     psi1,
     psi3,
@@ -34,7 +36,6 @@ from hkq.moment import (
     _plus_minus,
     _pm_factors,
     _stable1_qr,
-    _stable3_frames,
     _x_factors,
     in_stable1,
     in_stable3,
@@ -197,6 +198,54 @@ def test_another_tol_judges_again(tols):
                 project3(pt3, tol)
 
 
+SECOND_TOL_ENTRIES = {
+    "stable1": (_stable1_point, lambda pt, tol: [
+        project1(pt, tol), psi1(pt, tol), evaluate_routes(pt, "k1", tol)]),
+    "stable3": (_stable3_point, lambda pt, tol: [
+        project3(pt, tol), characteristic_angles(_orbit_pair(pt, tol), tol),
+        evaluate_routes(pt, "k3", tol)]),
+}
+
+
+@pytest.mark.parametrize("structure", SECOND_TOL_ENTRIES)
+def test_a_second_tol_factors_no_more_than_a_repeat(structure, lapack_calls):
+    # a tol decides verdicts, not values: the entries at 1e-6 on a point
+    # evaluated at 1e-9 take the LAPACK calls of a repeat at 1e-9, which
+    # are the route bodies' own (closed's eigvalsh and curvature's values of
+    # V; spectral's Cholesky and eigvalsh and the angles of w), and return
+    # the repeat's bits; psi3's pair is one object at both tols
+    sample, entries = SECOND_TOL_ENTRIES[structure]
+    pt = sample(4, 5)
+    entries(pt, TOL)
+    lapack_calls.clear()
+    repeat = entries(pt, TOL)
+    repeat_calls = dict(lapack_calls)
+    lapack_calls.clear()
+    other = entries(pt, 1e-6)
+    assert dict(lapack_calls) == repeat_calls == (
+        {"eigvalsh": 1, "svd values": 1} if structure == "stable1"
+        else {"cholesky": 1, "eigvalsh": 1, "svd values": 1})
+    assert _same_bits(repeat, other)
+    if structure == "stable3":
+        assert _orbit_pair(pt, TOL) is _orbit_pair(pt, 1e-6)
+
+
+def test_a_residual_refusal_is_judged_again_at_each_tol(lapack_calls):
+    # at k = 0.01 the bound tol k^2 is 1e-13 at tol = 1e-9, and this
+    # point's projection leaves a level residual of 1.501e-13: refused at
+    # 1e-9, accepted at 1e-6, then refused at 1e-9 again with project1's
+    # message, on the one memoized projection
+    pt = sample_stable1(Truncation(16, 16, 0.01), make_rng(3))
+    with pytest.raises(NotInStable1, match=r"projection left residual 1\.501e-13 > tol"):
+        project1(pt, TOL)
+    lapack_calls.clear()
+    res = project1(pt, 1e-6)
+    with pytest.raises(NotInStable1, match=r"projection left residual 1\.501e-13 > tol"):
+        project1(pt, TOL)
+    assert dict(lapack_calls) == {}
+    assert project1(pt, 1e-6) is res
+
+
 def test_values_and_memoized_arrays_are_read_only():
     pt1, pt3 = _stable1_point(), _stable3_point()
     pair, _ = psi3(pt3)
@@ -211,7 +260,7 @@ def test_values_and_memoized_arrays_are_read_only():
         "stable1 factor F": _stable1_qr(pt1, TOL, "")[0],
         "stable1 factor R": _stable1_qr(pt1, TOL, "")[1],
         "x factor s": _x_factors(pt1)[2],
-        "stable3 frame Q_A": _stable3_frames(pt3, TOL, "")[0],
+        "stable3 frame Q_A": _pm_factors(pt3)[0],
         "graph w": _graph(pair, TOL),
         "M svd L": _m_svd(pair)[0], "M svd s": _m_svd(pair)[1], "M svd R": _m_svd(pair)[2],
         "x + X": _plus_minus(pt3)[0], "x - X": _plus_minus(pt3)[1],
@@ -296,13 +345,13 @@ def test_a_helper_patched_later_is_seen_on_a_fresh_copy_only(monkeypatch):
     before = project1(pt)
     body = quotient._project1
 
-    def skewed(pt, f, r, tol):
-        res = body(pt, f, r, tol)
-        return dataclasses.replace(res, residual=res.residual + 1.0)
+    def skewed(pt, f, r):
+        res = body(pt, f, r)
+        return dataclasses.replace(res, eigenvalues=res.eigenvalues + 1.0)
 
     monkeypatch.setattr(quotient, "_project1", skewed)
     assert project1(pt) is before
-    assert project1(fresh(pt)).residual == before.residual + 1.0
+    assert np.array_equal(project1(fresh(pt)).eigenvalues, before.eigenvalues + 1.0)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (4, 5), (8, 64)])

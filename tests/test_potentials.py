@@ -223,7 +223,8 @@ class TestK1:
         fp = psi1(pt).P.frame
         coords = dagger(complement_frame(Subspace(fp))) @ (pt.X @ dagger(pt.x)) @ fp
         s = np.linalg.svd(coords / pt.trunc.k2, compute_uv=False)
-        want = (potentials._logdet_term(pt, potentials._x_factor(pt))
+        _, r = _stable1_qr(pt, DEFAULT_MEMBERSHIP_TOL, "")
+        want = (potentials._logdet_term(pt, r)
                 + pt.trunc.k2 * float(np.sum(curvature_weight_k1(4.0 * s * s) * s * s)))
         got = evaluate_routes(pt, "k1")["curvature"]
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
@@ -758,12 +759,12 @@ class TestEvaluateRoutesSharing:
         assert [w.filename for w in rec] == [__file__] * expected
 
 
-def _scaled(fun, factor=1.0 + 1e-6):
-    """fun with its value (the first item of a tuple value) times factor."""
+def _scaled(fun, factor=1.0 + 1e-6, item=0):
+    """fun with its value (the item-th item of a tuple value) times factor."""
     def faulty(*args):
         out = fun(*args)
         if isinstance(out, tuple):
-            return (out[0] * factor, *out[1:])
+            return (*out[:item], out[item] * factor, *out[item + 1:])
         return out * factor
     return faulty
 
@@ -821,9 +822,10 @@ class TestEachBodyMovesOnlyItsRoute:
         moved = self._moved(monkeypatch, "_fiber", _scaled(potentials._fiber))
         assert moved == {"k1.curvature"}
 
-    # the k1 inputs formed once: R of x's thin QR feeds the log-det term,
-    # which closed and curvature add, and the closed route's operand; the
-    # level route reads project1's result alone.  The weight of the
+    # the k1 inputs formed once: R of x's thin QR, as potentials'
+    # _stable1_qr returns it, feeds the log-det term, which closed and
+    # curvature add, and the closed route's operand; the level route reads
+    # project1's result alone, on quotient's own binding.  The weight of the
     # curvature operator's spectral pairing is read by the k1 curvature route,
     # K3_hat_cotangent by the k3hat cotangent route on psi1's V at
     # project3's point, and the angles of w by both angles routes.  The
@@ -832,7 +834,7 @@ class TestEachBodyMovesOnlyItsRoute:
     # moment's own binding.  The memoized SVD of M has its own test above:
     # both k3hat routes read it, through w and through project3's point
     READERS_OF_INPUT = {
-        "_x_factor": {"k1.closed", "k1.curvature"},
+        "_stable1_qr": {"k1.closed", "k1.curvature"},  # its R, the second item
         "_logdet_term": {"k1.closed", "k1.curvature"},
         "curvature_weight_k1": {"k1.curvature"},
         "K3_hat_cotangent": {"k3hat.cotangent"},
@@ -842,7 +844,8 @@ class TestEachBodyMovesOnlyItsRoute:
 
     @pytest.mark.parametrize("shared", list(READERS_OF_INPUT))
     def test_a_shared_input_fault_moves_its_readers_and_not_level(self, monkeypatch, shared):
-        moved = self._moved(monkeypatch, shared, _scaled(getattr(potentials, shared)))
+        item = 1 if shared == "_stable1_qr" else 0
+        moved = self._moved(monkeypatch, shared, _scaled(getattr(potentials, shared), item=item))
         assert moved == self.READERS_OF_INPUT[shared]
 
 
@@ -875,7 +878,7 @@ class TestReaderMatrix:
     ROUTES = {
         "k1": {
             "closed": lambda pt, tol: potentials._k1_closed(
-                pt, _k1_inputs(pt, tol)[0], potentials._x_factor(pt)),
+                pt, _k1_inputs(pt, tol)[0], _stable1_qr(pt, tol, "")[1]),
             "curvature": lambda pt, tol: potentials._k1_curvature(pt, *_k1_inputs(pt, tol)),
             "level": lambda pt, tol: potentials._k1_level(project1(pt, tol), pt.trunc.k),
         },
